@@ -103,8 +103,8 @@ func CompareRouteMaps(s *symbolic.RouteSpace, cfgA *ios.Config, rmA *ios.RouteMa
 	if err != nil {
 		return nil, err
 	}
-	evA := policy.NewEvaluator(cfgA)
-	evB := policy.NewEvaluator(cfgB)
+	evA := policy.NewEvaluatorWith(cfgA, s.Automata())
+	evB := policy.NewEvaluatorWith(cfgB, s.Automata())
 	p := s.Pool
 	var diffs []Diff
 	for i, ra := range fmA {

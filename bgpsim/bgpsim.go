@@ -17,6 +17,7 @@ import (
 	"net/netip"
 	"sort"
 
+	"github.com/clarifynet/clarify/ciscorx"
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/policy"
 	"github.com/clarifynet/clarify/route"
@@ -117,12 +118,14 @@ func (n *Network) Run(maxRounds int) (*State, error) {
 	if maxRounds <= 0 {
 		maxRounds = 64
 	}
+	// Routers share one automaton table: their policies repeat regexes.
+	automata := ciscorx.NewMemo()
 	evs := map[string]*policy.Evaluator{}
 	for name, r := range n.routers {
 		if err := r.Config.Validate(); err != nil {
 			return nil, fmt.Errorf("bgpsim: router %s: %w", name, err)
 		}
-		evs[name] = policy.NewEvaluator(r.Config)
+		evs[name] = policy.NewEvaluatorWith(r.Config, automata)
 	}
 
 	// adjIn[router][neighbor][prefix] = accepted route.

@@ -10,9 +10,10 @@
 // are ordinary literals and '_' is the character class [ ^$]. Substring
 // search then reduces to full-match of .*(R).* over the sentinel alphabet.
 //
-// The same construction is used by the concrete evaluator (internal/policy)
-// and the symbolic atomic-predicate builder (internal/atoms), guaranteeing
-// that both agree on every input.
+// The same construction is used by the concrete evaluator (package policy)
+// and the symbolic atomic-predicate builder (package atoms, driven by
+// package symbolic), guaranteeing that both agree on every input. Memo
+// lets them share one compiled automaton per pattern.
 package ciscorx
 
 import (

@@ -174,7 +174,7 @@ func insertTopBottom(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config,
 		// by the prototype's top-or-bottom restriction, not resolved — they
 		// stay on the ledger as residual ambiguity, the measured signature
 		// of the §7 limitation.
-		ev := policy.NewEvaluator(work)
+		ev := policy.NewEvaluatorWith(work, space.Automata())
 		v, everr := ev.EvalRouteMap(rm, d.Input)
 		if everr != nil {
 			return nil, everr
@@ -349,7 +349,7 @@ func collectProbes(space *symbolic.RouteSpace, work *ios.Config, rm *ios.RouteMa
 	if err != nil {
 		return nil, err
 	}
-	ev := policy.NewEvaluator(work)
+	ev := policy.NewEvaluatorWith(work, space.Automata())
 	var probes []probeQ
 	for i := range rm.Stanzas {
 		shared := space.Pool.AndN(regions[i], predNew, space.Valid)

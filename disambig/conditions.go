@@ -3,6 +3,7 @@ package disambig
 import (
 	"fmt"
 
+	"github.com/clarifynet/clarify/ciscorx"
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/policy"
 	"github.com/clarifynet/clarify/route"
@@ -32,8 +33,9 @@ func CheckIncremental(sample []route.Route, orig, updated *ios.Config, mapName s
 	if len(updRM.Stanzas) != len(origRM.Stanzas)+1 {
 		return fmt.Errorf("disambig: updated map must have exactly one extra stanza")
 	}
-	evO := policy.NewEvaluator(orig)
-	evU := policy.NewEvaluator(updated)
+	automata := ciscorx.NewMemo()
+	evO := policy.NewEvaluatorWith(orig, automata)
+	evU := policy.NewEvaluatorWith(updated, automata)
 	newStanza := updRM.Stanzas[newStanzaIdx]
 
 	// toOrig maps an updated verdict index to the original rule it

@@ -306,12 +306,14 @@ type SimUserList struct {
 	Kind     ListKind
 	ListName string
 	Asked    int
+
+	ev *policy.Evaluator // over Target, built on the first question
 }
 
 // ChooseList implements ListOracle.
 func (u *SimUserList) ChooseList(q ListQuestion) (bool, error) {
 	u.Asked++
-	ev := policy.NewEvaluator(u.Target)
+	u.ev = targetEvaluator(u.ev, u.Target)
 	var clause ios.Match
 	switch u.Kind {
 	case KindPrefixList:
@@ -321,7 +323,7 @@ func (u *SimUserList) ChooseList(q ListQuestion) (bool, error) {
 	case KindASPathList:
 		clause = ios.MatchASPath{List: u.ListName}
 	}
-	want, err := ev.MatchHolds(clause, q.Input)
+	want, err := u.ev.MatchHolds(clause, q.Input)
 	if err != nil {
 		return false, err
 	}

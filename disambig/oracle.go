@@ -19,6 +19,8 @@ type SimUser struct {
 	ACLName string
 	// Asked counts questions answered (the paper's "#Disambiguation").
 	Asked int
+
+	ev *policy.Evaluator // over Target, built on the first route question
 }
 
 // NewSimUserRouteMap builds a simulated user whose intent is the given
@@ -36,12 +38,12 @@ func NewSimUserACL(target *ios.Config, aclName string) *SimUser {
 // ChooseRoute implements RouteOracle by consulting the target semantics.
 func (u *SimUser) ChooseRoute(q RouteQuestion) (bool, error) {
 	u.Asked++
-	ev := policy.NewEvaluator(u.Target)
 	rm, ok := u.Target.RouteMaps[u.MapName]
 	if !ok {
 		return false, fmt.Errorf("disambig: simulated user has no route-map %q", u.MapName)
 	}
-	want, err := ev.EvalRouteMap(rm, q.Input)
+	u.ev = targetEvaluator(u.ev, u.Target)
+	want, err := u.ev.EvalRouteMap(rm, q.Input)
 	if err != nil {
 		return false, err
 	}
@@ -53,6 +55,16 @@ func (u *SimUser) ChooseRoute(q RouteQuestion) (bool, error) {
 	default:
 		return false, fmt.Errorf("disambig: simulated user's intent matches neither option for route %s", q.Input.Network)
 	}
+}
+
+// targetEvaluator returns ev when it is already bound to target, and a new
+// Evaluator over target otherwise, so a simulated user compiles its target's
+// regexes once rather than once per question.
+func targetEvaluator(ev *policy.Evaluator, target *ios.Config) *policy.Evaluator {
+	if ev == nil || ev.Config() != target {
+		return policy.NewEvaluator(target)
+	}
+	return ev
 }
 
 // ChooseACL implements ACLOracle by consulting the target semantics.

@@ -14,7 +14,6 @@ import (
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/packet"
 	"github.com/clarifynet/clarify/route"
-	"github.com/clarifynet/clarify/rx"
 )
 
 // ImplicitDeny is the rule index reported when no rule matches (the trailing
@@ -38,22 +37,28 @@ type ACLVerdict struct {
 	Permit bool
 }
 
-// Evaluator evaluates route maps and ACLs of one configuration, caching
-// compiled regex automata.
+// Evaluator evaluates route maps and ACLs of one configuration, compiling
+// regex automata through a ciscorx.Memo. Its only state is that table, which
+// is safe for concurrent use, so one Evaluator may serve concurrent callers
+// as long as nothing mutates the configuration.
 type Evaluator struct {
-	cfg     *ios.Config
-	pathDFA map[string]*rx.DFA
-	commDFA map[string]*rx.DFA
+	cfg      *ios.Config
+	automata *ciscorx.Memo
 }
 
-// NewEvaluator returns an evaluator bound to cfg. The configuration should be
-// validated first; dangling references surface as errors during evaluation.
+// NewEvaluator returns an evaluator bound to cfg with a private automaton
+// table. The configuration should be validated first; dangling references
+// surface as errors during evaluation.
 func NewEvaluator(cfg *ios.Config) *Evaluator {
-	return &Evaluator{
-		cfg:     cfg,
-		pathDFA: map[string]*rx.DFA{},
-		commDFA: map[string]*rx.DFA{},
-	}
+	return NewEvaluatorWith(cfg, ciscorx.NewMemo())
+}
+
+// NewEvaluatorWith returns an evaluator bound to cfg that compiles through
+// automata, typically a symbolic.RouteSpace's table (RouteSpace.Automata) so
+// the evaluator reuses the automata the space already built. A nil table
+// compiles on every lookup.
+func NewEvaluatorWith(cfg *ios.Config, automata *ciscorx.Memo) *Evaluator {
+	return &Evaluator{cfg: cfg, automata: automata}
 }
 
 // Config returns the configuration the evaluator is bound to.
@@ -169,7 +174,7 @@ func (e *Evaluator) MatchHolds(m ios.Match, r route.Route) (bool, error) {
 func (e *Evaluator) asPathPermits(l *ios.ASPathList, r route.Route) (bool, error) {
 	subject := ciscorx.PathSubject(r.FlatASPath())
 	for _, entry := range l.Entries {
-		d, err := e.pathAutomaton(entry.Regex)
+		d, err := e.automata.Path(entry.Regex)
 		if err != nil {
 			return false, err
 		}
@@ -178,18 +183,6 @@ func (e *Evaluator) asPathPermits(l *ios.ASPathList, r route.Route) (bool, error
 		}
 	}
 	return false, nil
-}
-
-func (e *Evaluator) pathAutomaton(regex string) (*rx.DFA, error) {
-	if d, ok := e.pathDFA[regex]; ok {
-		return d, nil
-	}
-	d, err := ciscorx.CompilePath(regex)
-	if err != nil {
-		return nil, err
-	}
-	e.pathDFA[regex] = d
-	return d, nil
 }
 
 // PrefixListPermits applies prefix-list first-match semantics over entries in
@@ -255,14 +248,9 @@ func (e *Evaluator) communityPermits(l *ios.CommunityList, r route.Route) (bool,
 
 func (e *Evaluator) communityEntryMatches(l *ios.CommunityList, entry ios.CommunityListEntry, r route.Route) (bool, error) {
 	if l.Expanded {
-		d, ok := e.commDFA[entry.Values[0]]
-		if !ok {
-			var err error
-			d, err = ciscorx.CompileCommunity(entry.Values[0])
-			if err != nil {
-				return false, err
-			}
-			e.commDFA[entry.Values[0]] = d
+		d, err := e.automata.Community(entry.Values[0])
+		if err != nil {
+			return false, err
 		}
 		for _, c := range r.Communities {
 			if d.Matches(ciscorx.CommunitySubject(c.String())) {

@@ -352,6 +352,12 @@ func TestPrometheusExposition(t *testing.T) {
 			t.Errorf("missing gauge family %s", name)
 		}
 	}
+	// The walkthrough's spaces compiled their regexes through the cache's
+	// automaton table, which the gauge reports.
+	if f := fams["clarifyd_space_cache_automata"]; f == nil || f.typ != "gauge" ||
+		f.samples["clarifyd_space_cache_automata"] < 1 {
+		t.Errorf("space-cache automata gauge missing or zero: %+v", f)
+	}
 	if f := fams["clarifyd_requests_total"]; f == nil ||
 		f.samples[`clarifyd_requests_total{endpoint="POST /v1/sessions"}`] < 1 {
 		t.Errorf("per-endpoint request counters missing: %+v", f)

@@ -55,6 +55,7 @@ func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 	p.Counter("clarifyd_space_cache_hits_total", "Symbolic route-space cache hits.", float64(snap.SpaceCache.Hits))
 	p.Counter("clarifyd_space_cache_misses_total", "Symbolic route-space cache misses (universe rebuilds).", float64(snap.SpaceCache.Misses))
 	p.Gauge("clarifyd_space_cache_idle", "Symbolic route spaces parked in the cache.", float64(snap.SpaceCache.Idle))
+	p.Gauge("clarifyd_space_cache_automata", "Compiled regex automata held by the route-space cache's table.", float64(snap.SpaceCache.Automata))
 
 	p.Counter("clarifyd_panics_recovered_total", "Pipeline-job panics contained by the worker pool.", float64(snap.PanicsRecovered))
 	p.Counter("clarifyd_update_timeouts_total", "Updates aborted by the per-update deadline.", float64(snap.UpdateTimeouts))

@@ -169,6 +169,9 @@ func TestWalkthroughOverHTTP(t *testing.T) {
 	if m.SpaceCache.Hits+m.SpaceCache.Misses == 0 {
 		t.Errorf("route-space cache counters missing from /metrics: %+v", m.SpaceCache)
 	}
+	if m.SpaceCache.Automata == 0 {
+		t.Errorf("route-space cache automaton count missing from /metrics: %+v", m.SpaceCache)
+	}
 }
 
 // TestACLUpdateOverHTTP exercises the ACL pipeline and packet-witness

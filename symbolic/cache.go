@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"sync"
 
+	"github.com/clarifynet/clarify/ciscorx"
 	"github.com/clarifynet/clarify/ios"
 )
 
@@ -60,6 +61,9 @@ type SpaceCacheStats struct {
 	Misses int64 `json:"misses"`
 	// Idle is the number of spaces currently parked in the cache.
 	Idle int `json:"idle"`
+	// Automata is the number of compiled regex automata the cache's table
+	// holds, across both dialects.
+	Automata int `json:"automata"`
 }
 
 // SpaceCache is a content-addressed checkout pool of RouteSpaces. Acquire
@@ -77,13 +81,20 @@ type SpaceCacheStats struct {
 // regex→DFA→atomic-predicate construction and the re-derivation of BDD
 // nodes.
 //
+// The cache also owns one ciscorx.Memo, through which every space it builds
+// compiles its regexes. A miss whose fingerprint is new still shares most
+// patterns with earlier spaces (the same base map with one new community),
+// so the table saves the compile where the space cache cannot. The table
+// lives exactly as long as the cache.
+//
 // A nil *SpaceCache is valid and disables caching: Acquire builds fresh
-// spaces and Release discards them.
+// spaces, each with a private automaton table, and Release discards them.
 type SpaceCache struct {
-	mu     sync.Mutex
-	idle   map[string][]*RouteSpace
-	hits   int64
-	misses int64
+	mu       sync.Mutex
+	idle     map[string][]*RouteSpace
+	hits     int64
+	misses   int64
+	automata *ciscorx.Memo
 
 	// maxIdlePerKey bounds idle spaces kept per fingerprint (0 = default).
 	maxIdlePerKey int
@@ -93,7 +104,7 @@ type SpaceCache struct {
 
 // NewSpaceCache returns an empty cache with default bounds.
 func NewSpaceCache() *SpaceCache {
-	return &SpaceCache{idle: map[string][]*RouteSpace{}}
+	return &SpaceCache{idle: map[string][]*RouteSpace{}, automata: ciscorx.NewMemo()}
 }
 
 func (c *SpaceCache) limits() (maxIdle, maxNodes int) {
@@ -125,7 +136,7 @@ func (c *SpaceCache) Acquire(cfgs ...*ios.Config) (*RouteSpace, error) {
 	}
 	c.misses++
 	c.mu.Unlock()
-	s, err := NewRouteSpace(cfgs...)
+	s, err := newRouteSpace(c.automata, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -162,5 +173,5 @@ func (c *SpaceCache) Stats() SpaceCacheStats {
 	for _, spaces := range c.idle {
 		n += len(spaces)
 	}
-	return SpaceCacheStats{Hits: c.hits, Misses: c.misses, Idle: n}
+	return SpaceCacheStats{Hits: c.hits, Misses: c.misses, Idle: n, Automata: c.automata.Len()}
 }

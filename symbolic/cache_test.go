@@ -191,3 +191,54 @@ func TestSpaceCacheConcurrent(t *testing.T) {
 		t.Error("no cache hits across 64 same-fingerprint acquisitions")
 	}
 }
+
+// TestSpaceCacheSharesAutomata builds two spaces with different fingerprints
+// that share patterns through one cache: the second compiles only its new
+// pattern, and both hold the cache's table.
+func TestSpaceCacheSharesAutomata(t *testing.T) {
+	a := ios.MustParse(cacheTestConfig)
+	b := ios.MustParse(cacheTestConfig)
+	b.AddCommunityList("C9", true, ios.CommunityListEntry{Permit: true, Values: []string{"_65000:999_"}})
+	if Fingerprint(a) == Fingerprint(b) {
+		t.Fatal("test configs share a fingerprint")
+	}
+	cache := NewSpaceCache()
+	sa, err := cache.Acquire(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := cache.Stats().Automata
+	if held != 2 { // _32$ and _65000:100_
+		t.Fatalf("after the first space the table holds %d automata, want 2", held)
+	}
+	shared, err := sa.Automata().Path("_32$")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := cache.Acquire(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Misses != 2 || st.Automata != held+1 {
+		t.Errorf("stats = %+v, want 2 misses and %d automata (one new pattern)", st, held+1)
+	}
+	if sa.Automata() != sb.Automata() {
+		t.Error("spaces from one cache hold different automaton tables")
+	}
+	if again, _ := sb.Automata().Path("_32$"); again != shared {
+		t.Error("the second space recompiled a pattern the first had compiled")
+	}
+
+	// Without a cache each space gets its own table.
+	fa, err := NewRouteSpace(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := NewRouteSpace(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fa.Automata() == nil || fa.Automata() == fb.Automata() {
+		t.Error("cache-less spaces must each have a private table")
+	}
+}

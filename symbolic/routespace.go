@@ -48,6 +48,9 @@ type RouteSpace struct {
 
 	pathAtoms *atoms.Universe
 	commAtoms *atoms.Universe
+	// automata compiled this space's patterns: the owning SpaceCache's table,
+	// or a private one for a space built without a cache.
+	automata *ciscorx.Memo
 
 	// Valid constrains models to decodable routes: prefix length ≤ 32 and
 	// exactly one AS-path atom inhabited.
@@ -112,19 +115,24 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // NewRouteSpace builds the route universe covering every as-path regex,
-// community regex and community literal appearing in the given configs.
+// community regex and community literal appearing in the given configs. The
+// space compiles its patterns through a private automaton table.
 func NewRouteSpace(cfgs ...*ios.Config) (*RouteSpace, error) {
+	return newRouteSpace(ciscorx.NewMemo(), cfgs)
+}
+
+func newRouteSpace(automata *ciscorx.Memo, cfgs []*ios.Config) (*RouteSpace, error) {
 	pathPatterns, commPatterns := spacePatterns(cfgs)
-	pathU, err := atoms.Build(pathPatterns, ciscorx.CompilePath, ciscorx.ValidPath())
+	pathU, err := atoms.Build(pathPatterns, automata.Path, ciscorx.ValidPath())
 	if err != nil {
 		return nil, err
 	}
-	commU, err := atoms.Build(commPatterns, ciscorx.CompileCommunity, ciscorx.ValidCommunity())
+	commU, err := atoms.Build(commPatterns, automata.Community, ciscorx.ValidCommunity())
 	if err != nil {
 		return nil, err
 	}
 
-	s := &RouteSpace{pathAtoms: pathU, commAtoms: commU}
+	s := &RouteSpace{pathAtoms: pathU, commAtoms: commU, automata: automata}
 	off := 0
 	next := func(w int) int {
 		o := off
@@ -170,6 +178,12 @@ func (s *RouteSpace) exactlyOnePathAtom() bdd.Node {
 	}
 	return p.And(atLeastOne, atMostOne)
 }
+
+// Automata returns the table the space compiled its patterns through. An
+// evaluator built on it (policy.NewEvaluatorWith) reuses those automata
+// instead of compiling the same regexes again. The table outlives the space
+// when a SpaceCache owns it and is safe for concurrent use.
+func (s *RouteSpace) Automata() *ciscorx.Memo { return s.automata }
 
 // NumVars reports the universe's variable count (for sizing diagnostics).
 func (s *RouteSpace) NumVars() int { return s.Pool.NumVars() }
