@@ -22,8 +22,6 @@ type Atom struct {
 	// Witness is a shortest member of the atom, used to decode symbolic
 	// models into concrete attribute values.
 	Witness string
-
-	dfa *rx.DFA
 }
 
 // Universe is the atomic-predicate partition for one pattern set.
@@ -35,17 +33,21 @@ type Universe struct {
 	Atoms []Atom
 
 	index map[string]int // pattern → position in Patterns
+	split *rx.Split      // classes are the atoms, in order
 }
 
 // Build computes the partition of the language of valid under the given
 // patterns. compile maps each pattern to its automaton (already restricted to
 // valid subjects, as ciscorx does). Duplicate patterns are deduplicated.
 //
-// The construction is iterative refinement: starting from {valid}, each
-// pattern splits every current region into the part inside and the part
-// outside its language; empty parts are dropped. The region count is bounded
-// by 2^n but is small in practice because route-policy regexes overlap
-// little.
+// The partition is one breadth-first product of valid with every pattern
+// automaton (rx.Split): each reachable product state where valid accepts
+// belongs to the atom named by its vector of pattern-acceptance bits. Atoms
+// are ordered by that vector, pattern by pattern with "inside" before
+// "outside", and each atom's witness is its shortest, and among those
+// lexicographically least, member. The cost is the number of reachable
+// product states times the alphabet size times the pattern count; the atom
+// count can still reach 2^n when the patterns overlap freely.
 func Build(patterns []string, compile func(string) (*rx.DFA, error), valid *rx.DFA) (*Universe, error) {
 	u := &Universe{index: map[string]int{}}
 	var dfas []*rx.DFA
@@ -61,45 +63,12 @@ func Build(patterns []string, compile func(string) (*rx.DFA, error), valid *rx.D
 		u.Patterns = append(u.Patterns, p)
 		dfas = append(dfas, d)
 	}
-
-	type region struct {
-		dfa *rx.DFA
-		sig []bool
-	}
-	regions := []region{{dfa: valid, sig: nil}}
-	for i, d := range dfas {
-		next := make([]region, 0, len(regions)*2)
-		for _, r := range regions {
-			in := r.dfa.Intersect(d)
-			out := r.dfa.Minus(d)
-			if !in.IsEmpty() {
-				next = append(next, region{dfa: in, sig: appendSig(r.sig, i, true)})
-			}
-			if !out.IsEmpty() {
-				next = append(next, region{dfa: out, sig: appendSig(r.sig, i, false)})
-			}
-		}
-		regions = next
-	}
-	for _, r := range regions {
-		w, ok := r.dfa.ShortestString()
-		if !ok {
-			continue // unreachable: empty regions were dropped
-		}
-		sig := r.sig
-		if sig == nil {
-			sig = []bool{}
-		}
-		u.Atoms = append(u.Atoms, Atom{InLang: sig, Witness: w, dfa: r.dfa})
+	u.split = rx.NewSplit(valid, dfas)
+	u.Atoms = make([]Atom, u.split.NumClasses())
+	for i := range u.Atoms {
+		u.Atoms[i] = Atom{InLang: u.split.In(i), Witness: u.split.Witness(i)}
 	}
 	return u, nil
-}
-
-func appendSig(sig []bool, i int, v bool) []bool {
-	out := make([]bool, i+1)
-	copy(out, sig)
-	out[i] = v
-	return out
 }
 
 // NumAtoms reports the partition size.
@@ -128,17 +97,11 @@ func (u *Universe) MatchingAtoms(patternIdx int) []int {
 
 // Classify returns the index of the atom containing subject, or -1 when the
 // subject lies outside the valid universe.
-func (u *Universe) Classify(subject string) int {
-	for ai, a := range u.Atoms {
-		if a.dfa.Matches(subject) {
-			return ai
-		}
-	}
-	return -1
-}
+func (u *Universe) Classify(subject string) int { return u.split.ClassOf(subject) }
 
 // WitnessWhere returns a member of atom ai satisfying accept, trying the
-// stored shortest witness first and then enumerating members up to maxLen.
+// stored shortest witness first and then enumerating the members of the
+// atom's minimal automaton up to maxLen.
 // It is used when decoded values carry side conditions the automaton does
 // not encode (e.g. numeric overflow of five-digit tokens).
 func (u *Universe) WitnessWhere(ai int, maxLen int, accept func(string) bool) (string, bool) {
@@ -148,7 +111,7 @@ func (u *Universe) WitnessWhere(ai int, maxLen int, accept func(string) bool) (s
 	}
 	var found string
 	ok := false
-	a.dfa.EnumerateStrings(maxLen, func(s string) bool {
+	u.split.ClassDFA(ai).EnumerateStrings(maxLen, func(s string) bool {
 		if accept(s) {
 			found, ok = s, true
 			return false

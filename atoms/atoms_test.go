@@ -139,6 +139,10 @@ func TestQuickPartitionProperties(t *testing.T) {
 		}
 		dfas[i] = d
 	}
+	atomDFAs := make([]*rx.DFA, u.NumAtoms())
+	for ai := range atomDFAs {
+		atomDFAs[ai] = u.split.ClassDFA(ai)
+	}
 	rng := rand.New(rand.NewSource(17))
 	check := func() bool {
 		// Random path of 0..4 ASNs drawn from a small pool to force overlaps.
@@ -156,8 +160,8 @@ func TestQuickPartitionProperties(t *testing.T) {
 		}
 		// Exactly one atom contains the subject.
 		count := 0
-		for _, a := range u.Atoms {
-			if a.dfa.Matches(subject) {
+		for _, d := range atomDFAs {
+			if d.Matches(subject) {
 				count++
 			}
 		}

@@ -1,0 +1,50 @@
+package atoms
+
+import (
+	"testing"
+
+	"github.com/clarifynet/clarify/ciscorx"
+	"github.com/clarifynet/clarify/rx"
+	"github.com/clarifynet/clarify/workload"
+)
+
+// BenchmarkBuild measures the partition alone: every pattern's automaton is
+// compiled before the timer starts. The cases are the cloud route map with
+// the most community patterns, eight transit as-path conditions (256 atoms)
+// and 200 community literals.
+func BenchmarkBuild(b *testing.B) {
+	var heavy []string
+	for _, cfg := range workload.Cloud(1, 10, 140).RouteMapConfigs {
+		if _, comm := routeMapPatterns(cfg); len(comm) > len(heavy) {
+			heavy = comm
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		patterns []string
+		compile  func(string) (*rx.DFA, error)
+		valid    *rx.DFA
+	}{
+		{"cloud-community-heavy", heavy, ciscorx.CompileCommunity, ciscorx.ValidCommunity()},
+		{"transit-8", transitPatterns(8), ciscorx.CompilePath, ciscorx.ValidPath()},
+		{"literals-200", communityLiterals(200), ciscorx.CompileCommunity, ciscorx.ValidCommunity()},
+	} {
+		dfas := map[string]*rx.DFA{}
+		for _, p := range c.patterns {
+			d, err := c.compile(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dfas[p] = d
+		}
+		compiled := func(p string) (*rx.DFA, error) { return dfas[p], nil }
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(c.patterns, compiled, c.valid); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

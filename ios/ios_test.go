@@ -1,6 +1,7 @@
 package ios
 
 import (
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -312,6 +313,28 @@ func TestStandardCommunityList(t *testing.T) {
 	}
 	if _, err := Parse("ip community-list standard CL permit 100:1\nip community-list expanded CL permit _1_\n"); err == nil {
 		t.Error("mixed standard/expanded should fail")
+	}
+}
+
+// TestParseLineLimit: lines grow the scanner's buffer up to the 1 MiB line
+// limit; longer lines are an error.
+func TestParseLineLimit(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("ip community-list standard BIG permit")
+	values := 0
+	for ; sb.Len() < 100*1024; values++ {
+		fmt.Fprintf(&sb, " 65000:%d", values)
+	}
+	cfg, err := Parse(sb.String() + "\n")
+	if err != nil {
+		t.Fatalf("100 KiB line: %v", err)
+	}
+	if n := len(cfg.CommunityLists["BIG"].Entries[0].Values); n != values {
+		t.Fatalf("100 KiB line parsed %d values, want %d", n, values)
+	}
+	long := "!" + strings.Repeat("x", 1024*1024-1)
+	if _, err := Parse(long + "\n"); err == nil {
+		t.Error("1 MiB line parsed; want the line-limit error")
 	}
 }
 

@@ -38,7 +38,9 @@ func Parse(text string) (*Config, error) {
 	cfg := NewConfig()
 	p := &lineParser{cfg: cfg}
 	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// No initial buffer: bufio starts small and grows only for long lines,
+	// so a one-line snippet does not allocate the whole 1 MiB line limit.
+	sc.Buffer(nil, 1024*1024)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

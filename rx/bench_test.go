@@ -6,6 +6,7 @@ var benchAlpha = Alphabet("0123456789 :^$")
 
 // BenchmarkCompile measures regex → minimal DFA compilation.
 func BenchmarkCompile(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Compile(`.*([ \^]300:3[ $]).*`, benchAlpha); err != nil {
 			b.Fatal(err)

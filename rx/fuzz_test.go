@@ -2,21 +2,26 @@ package rx
 
 import "testing"
 
-// FuzzCompile checks that the regex compiler never panics and that every
+// fuzzSeeds are FuzzCompile's seed corpus.
+var fuzzSeeds = []string{
+	"123", "(1|2)*3", "[0-3]+", "1?2?3?", ".*", "[^1]", "\\^1\\$",
+	"((0|1)(2|3))*", "_1_", "a**", "(", "[z-a]",
+}
+
+// FuzzCompile checks that the regex compiler never panics, that its subset
+// construction matches the map-based reference exactly, and that every
 // accepted pattern yields an automaton whose complement round-trips
 // (¬¬L = L) and whose shortest witness, if any, is a member.
 func FuzzCompile(f *testing.F) {
 	alpha := Alphabet("0123 :^$")
-	for _, s := range []string{
-		"123", "(1|2)*3", "[0-3]+", "1?2?3?", ".*", "[^1]", "\\^1\\$",
-		"((0|1)(2|3))*", "_1_", "a**", "(", "[z-a]",
-	} {
+	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, pattern string) {
 		if len(pattern) > 40 {
 			return // keep automata small
 		}
+		checkDeterminizeMatchesRef(t, pattern, alpha)
 		d, err := Compile(pattern, alpha)
 		if err != nil {
 			return

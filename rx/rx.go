@@ -18,7 +18,9 @@
 package rx
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -398,6 +400,11 @@ func MustCompile(pattern string, alpha Alphabet) *DFA {
 	return d
 }
 
+// determinize is the subset construction, run once per uncached pattern.
+// NFA state sets are bitsets of words 64-bit words and each NFA state's
+// ε-closure is computed once, so a successor set is a union of closures and
+// is interned by its words' little-endian bytes without sorting or per-set
+// maps.
 func determinize(n *nfa, alpha Alphabet) *DFA {
 	d := &DFA{alphabet: alpha}
 	for i := range d.symIndex {
@@ -407,68 +414,64 @@ func determinize(n *nfa, alpha Alphabet) *DFA {
 		d.symIndex[b] = int16(i)
 	}
 
-	closure := func(set map[int]bool) {
-		var stack []int
-		for s := range set {
-			stack = append(stack, s)
-		}
+	words := (len(n.states) + 63) / 64
+	closure := make([]uint64, len(n.states)*words) // stride words
+	var stack []int
+	for s := range n.states {
+		c := closure[s*words : (s+1)*words]
+		c[s/64] |= 1 << (s % 64)
+		stack = append(stack[:0], s)
 		for len(stack) > 0 {
-			s := stack[len(stack)-1]
+			q := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, t := range n.states[s].eps {
-				if !set[t] {
-					set[t] = true
+			for _, t := range n.states[q].eps {
+				if c[t/64]>>(t%64)&1 == 0 {
+					c[t/64] |= 1 << (t % 64)
 					stack = append(stack, t)
 				}
 			}
 		}
 	}
-	// key encodes a sorted state set as raw little-endian bytes: this runs
-	// once per discovered subset and formatting integers through fmt here
-	// (and in Minimize) used to dominate the daemon's whole CPU profile.
-	key := func(set map[int]bool) string {
-		ids := make([]int, 0, len(set))
-		for s := range set {
-			ids = append(ids, s)
-		}
-		sort.Ints(ids)
-		buf := make([]byte, 0, len(ids)*4)
-		for _, id := range ids {
-			buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
-		return string(buf)
-	}
 
-	startSet := map[int]bool{n.start: true}
-	closure(startSet)
-	stateIdx := map[string]int32{}
-	var sets []map[int]bool
-	mk := func(set map[int]bool) int32 {
-		k := key(set)
-		if id, ok := stateIdx[k]; ok {
+	var sets []uint64 // discovered subsets, stride words
+	var trans []int32 // flat, stride len(alpha)
+	index := map[string]int32{}
+	key := make([]byte, 8*words)
+	mk := func(set []uint64) int32 {
+		for i, w := range set {
+			binary.LittleEndian.PutUint64(key[8*i:], w)
+		}
+		if id, ok := index[string(key)]; ok {
 			return id
 		}
-		id := int32(len(sets))
-		stateIdx[k] = id
-		sets = append(sets, set)
-		d.trans = append(d.trans, make([]int32, len(alpha)))
-		d.accept = append(d.accept, set[n.accept])
+		id := int32(len(d.accept))
+		index[string(key)] = id
+		sets = append(sets, set...)
+		trans = append(trans, make([]int32, len(alpha))...)
+		d.accept = append(d.accept, set[n.accept/64]>>(n.accept%64)&1 == 1)
 		return id
 	}
-	d.start = mk(startSet)
-	for work := int32(0); int(work) < len(sets); work++ {
-		cur := sets[work]
+	d.start = mk(closure[n.start*words : (n.start+1)*words])
+	next := make([]uint64, words)
+	for work := 0; work < len(d.accept); work++ {
 		for ai, b := range alpha {
-			next := map[int]bool{}
-			for s := range cur {
-				st := &n.states[s]
-				if st.next >= 0 && st.sym[b/64]>>(b%64)&1 == 1 {
-					next[st.next] = true
+			clear(next)
+			for wi, w := range sets[work*words : (work+1)*words] {
+				for ; w != 0; w &= w - 1 {
+					st := &n.states[wi*64+bits.TrailingZeros64(w)]
+					if st.next >= 0 && st.sym[b/64]>>(b%64)&1 == 1 {
+						for i, c := range closure[st.next*words : (st.next+1)*words] {
+							next[i] |= c
+						}
+					}
 				}
 			}
-			closure(next)
-			d.trans[work][ai] = mk(next)
+			trans[work*len(alpha)+ai] = mk(next)
 		}
+	}
+	d.trans = make([][]int32, len(d.accept))
+	for s := range d.trans {
+		d.trans[s] = trans[s*len(alpha) : (s+1)*len(alpha) : (s+1)*len(alpha)]
 	}
 	return d
 }
