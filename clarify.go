@@ -247,9 +247,8 @@ func (s *Session) Submit(ctx context.Context, intentText, targetName string) (re
 	// tree first, then endJournal records it.
 	routeOracle, aclOracle := s.RouteOracle, s.ACLOracle
 	if s.Journal != nil {
-		rec := &answerRecorder{}
-		routeOracle = recordingRouteOracle{inner: routeOracle, rec: rec}
-		aclOracle = recordingACLOracle{inner: aclOracle, rec: rec}
+		rec := &disambig.Transcript{Route: routeOracle, ACL: aclOracle}
+		routeOracle, aclOracle = rec, rec
 		defer func() { s.endJournal(ctx, tr, cfg, intentText, targetName, rec, res, err) }()
 	}
 	defer s.endTrace(tr, &err)
@@ -295,62 +294,11 @@ func (s *Session) Submit(ctx context.Context, intentText, targetName string) (re
 	}
 }
 
-// answerRecorder accumulates the oracle Q&A transcript for one journaled
-// update. Its own lock keeps it safe even if a disambiguation strategy ever
-// asks questions concurrently.
-type answerRecorder struct {
-	mu      sync.Mutex
-	answers []journal.Answer
-}
-
-func (r *answerRecorder) add(a journal.Answer) {
-	r.mu.Lock()
-	r.answers = append(r.answers, a)
-	r.mu.Unlock()
-}
-
-func (r *answerRecorder) list() []journal.Answer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]journal.Answer(nil), r.answers...)
-}
-
-// recordingRouteOracle forwards to the real oracle and transcribes the
-// rendered question plus the chosen option.
-type recordingRouteOracle struct {
-	inner disambig.RouteOracle
-	rec   *answerRecorder
-}
-
-// ChooseRoute implements disambig.RouteOracle.
-func (o recordingRouteOracle) ChooseRoute(q disambig.RouteQuestion) (bool, error) {
-	preferNew, err := o.inner.ChooseRoute(q)
-	if err == nil {
-		o.rec.add(journal.Answer{Kind: "route-map", Question: q.String(), PreferNew: preferNew})
-	}
-	return preferNew, err
-}
-
-// recordingACLOracle is the ACL analogue of recordingRouteOracle.
-type recordingACLOracle struct {
-	inner disambig.ACLOracle
-	rec   *answerRecorder
-}
-
-// ChooseACL implements disambig.ACLOracle.
-func (o recordingACLOracle) ChooseACL(q disambig.ACLQuestion) (bool, error) {
-	preferNew, err := o.inner.ChooseACL(q)
-	if err == nil {
-		o.rec.add(journal.Answer{Kind: "acl", Question: q.String(), PreferNew: preferNew})
-	}
-	return preferNew, err
-}
-
 // endJournal assembles and appends the flight-recorder record for one Submit
 // call. It runs after endTrace, so tr is finished and carries the terminal
 // error attribute; append failures are counted by the journal itself rather
 // than failing the update.
-func (s *Session) endJournal(ctx context.Context, tr *obs.Trace, base *ios.Config, intentText, targetName string, rec *answerRecorder, res *UpdateResult, err error) {
+func (s *Session) endJournal(ctx context.Context, tr *obs.Trace, base *ios.Config, intentText, targetName string, rec *disambig.Transcript, res *UpdateResult, err error) {
 	baseText := base.Print()
 	r := &journal.Record{
 		Time:              time.Now(),
@@ -361,7 +309,7 @@ func (s *Session) endJournal(ctx context.Context, tr *obs.Trace, base *ios.Confi
 		ConfigFingerprint: symbolic.Fingerprint(base),
 		MaxAttempts:       s.MaxAttempts,
 		SkipVerification:  s.SkipVerification,
-		Answers:           rec.list(),
+		Answers:           rec.Answers(),
 		Degraded:          resilience.FlagsFromContext(ctx).Degraded(),
 		Trace:             tr,
 	}

@@ -55,7 +55,11 @@ func (p *Writer) Gauge(name, help string, v float64) {
 // Sample writes one labelled sample line (no preamble); pass the label set
 // preformatted, e.g. `backend="b0"`.
 func (p *Writer) Sample(name, labels string, v float64) {
-	Sample(p.W, name, labels, v)
+	if labels == "" {
+		fmt.Fprintf(p.W, "%s %s\n", name, FormatFloat(v))
+		return
+	}
+	fmt.Fprintf(p.W, "%s{%s} %s\n", name, labels, FormatFloat(v))
 }
 
 // Histogram writes one labelled histogram series: cumulative le buckets, an

@@ -7,47 +7,10 @@
 package promtext
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
 )
-
-// Header writes the # HELP / # TYPE preamble for one metric family.
-func Header(w io.Writer, name, kind, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-}
-
-// Counter writes a single unlabelled counter sample with its preamble.
-func Counter(w io.Writer, name, help string, v float64) {
-	Header(w, name, "counter", help)
-	fmt.Fprintf(w, "%s %s\n", name, FormatFloat(v))
-}
-
-// Gauge writes a single unlabelled gauge sample with its preamble.
-func Gauge(w io.Writer, name, help string, v float64) {
-	Header(w, name, "gauge", help)
-	fmt.Fprintf(w, "%s %s\n", name, FormatFloat(v))
-}
-
-// Sample writes one labelled sample line (no preamble); pass the label set
-// preformatted, e.g. `backend="b0"`.
-func Sample(w io.Writer, name, labels string, v float64) {
-	if labels == "" {
-		fmt.Fprintf(w, "%s %s\n", name, FormatFloat(v))
-		return
-	}
-	fmt.Fprintf(w, "%s{%s} %s\n", name, labels, FormatFloat(v))
-}
-
-// Histogram writes one labelled histogram series: cumulative le buckets, an
-// explicit +Inf bucket, then _sum and _count. bucketsMs holds the upper
-// bounds; counts has one entry per bound (the +Inf remainder is derived from
-// total).
-func Histogram(w io.Writer, name, labelKey, labelVal string, bucketsMs []float64, counts []int64, total int64, sumMs float64) {
-	(&Writer{W: w}).Histogram(name, labelKey, labelVal, bucketsMs, counts, total, sumMs, nil)
-}
 
 // FormatFloat renders a sample value the way Prometheus expects: no
 // exponent for typical magnitudes, no trailing zeros.

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"github.com/clarifynet/clarify/ambiguity"
+	"github.com/clarifynet/clarify/disambig"
 	"github.com/clarifynet/clarify/obs"
 )
 
@@ -57,19 +58,6 @@ const (
 	// peer handoff.
 	KindSessionRestore = "session-restore"
 )
-
-// Answer is one resolved disambiguation question: the rendered differential
-// example shown to the operator and which option they chose. The transcript
-// of answers is what lets a replay re-run the update without a user.
-type Answer struct {
-	// Kind is "route-map" or "acl".
-	Kind string `json:"kind"`
-	// Question is the full OPTION 1 / OPTION 2 rendering shown.
-	Question string `json:"question"`
-	// PreferNew is true when the operator chose OPTION 1 (the new rule
-	// applies to the witness input).
-	PreferNew bool `json:"preferNew"`
-}
 
 // Record is one journaled update. Records are self-contained: replaying one
 // needs nothing but the record itself.
@@ -108,7 +96,7 @@ type Record struct {
 	// this plan reproduces the same synthesis outputs.
 	SimFaults []string `json:"simFaults,omitempty"`
 	// Answers is the oracle Q&A transcript, in question order.
-	Answers []Answer `json:"answers,omitempty"`
+	Answers []disambig.Answer `json:"answers,omitempty"`
 	// Ambiguity is the disambiguation information-gain ledger (schema ≥ 3):
 	// candidate-space bits before the search, per answered question, and
 	// left at accept. Nil on older records and on updates recorded with the

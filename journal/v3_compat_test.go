@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -78,5 +79,27 @@ func TestLedgerRoundTrip(t *testing.T) {
 	}
 	if recs[1].Ambiguity != nil {
 		t.Errorf("unmetered record grew a ledger: %+v", recs[1].Ambiguity)
+	}
+}
+
+// TestAnswersWireFormat pins the schema-3 transcript encoding: a record
+// with a route-map and an ACL answer, as the pipeline renders them, decodes
+// and re-encodes byte for byte.
+func TestAnswersWireFormat(t *testing.T) {
+	const line = `{"schema":3,"time":"2026-06-01T12:00:00.5Z","session":"s1","intent":"permit 100.0.0.0/16 le 23 tagged 300:3, MED 55","target":"ISP_OUT","baseConfig":"!","answers":[{"kind":"route-map","question":"Input route:\nNetwork: 100.0.0.0/16\nAS Path: [{\"asns\":[32],\"confederation\":false}]\nCommunities: [\"300:3\"]\nLocal Preference: 100\nMetric: 0\nNext Hop IP: 0.0.0.1\nTag: 0\nWeight: 0\n\nOPTION 1 (new stanza applies):\nACTION: permit\nNetwork: 100.0.0.0/16\nAS Path: [{\"asns\":[32],\"confederation\":false}]\nCommunities: [\"300:3\"]\nLocal Preference: 100\nMetric: 55\nNext Hop IP: 0.0.0.1\nTag: 0\nWeight: 0\n\nOPTION 2 (existing behavior):\nACTION: deny\n","preferNew":true},{"kind":"acl","question":"Input packet: tcp 10.1.2.3:1024 -\u003e 192.0.2.10:22\n\nOPTION 1 (new entry applies): deny\nOPTION 2 (existing behavior): permit","preferNew":false}],"attempts":1,"durationMs":1.5}`
+	var rec Record
+	if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if len(rec.Answers) != 2 || rec.Answers[0].Kind != "route-map" || !rec.Answers[0].PreferNew ||
+		rec.Answers[1].Kind != "acl" || rec.Answers[1].PreferNew {
+		t.Fatalf("answers = %+v, want route-map OPTION 1 then acl OPTION 2", rec.Answers)
+	}
+	got, err := json.Marshal(&rec)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if string(got) != line {
+		t.Fatalf("re-encoded record differs:\n%s\nwant\n%s", got, line)
 	}
 }

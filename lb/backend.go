@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -50,7 +49,7 @@ type Backend struct {
 	creates    int64
 	ejections  int64
 	readmits   int64
-	latency    *histogram
+	latency    *server.Histogram
 	probeTotal int64
 	probeFails int64
 }
@@ -58,7 +57,7 @@ type Backend struct {
 // newBackend parses one replica URL into a Backend. Backends start admitted:
 // an optimistic start avoids a probe-interval blackout at LB boot, and a
 // genuinely dead replica is ejected within EjectAfter probes.
-func newBackend(raw string, buckets []float64) (*Backend, error) {
+func newBackend(raw string) (*Backend, error) {
 	raw = strings.TrimRight(strings.TrimSpace(raw), "/")
 	u, err := url.Parse(raw)
 	if err != nil {
@@ -70,7 +69,7 @@ func newBackend(raw string, buckets []float64) (*Backend, error) {
 	if u.Host == "" {
 		return nil, fmt.Errorf("lb: backend %q: missing host", raw)
 	}
-	return &Backend{Name: u.Host, URL: u, latency: newHistogram(buckets)}, nil
+	return &Backend{Name: u.Host, URL: u, latency: server.NewHistogram(server.DefaultLatencyBucketsMs())}, nil
 }
 
 // Admitted reports whether the backend is in rotation (possibly draining).
@@ -136,11 +135,7 @@ func (b *Backend) recordRequestTrace(status int, d time.Duration, transportErr b
 		// it here so overload is visible at the balancer per backend.
 		b.sheds++
 	}
-	if traceID != "" {
-		b.latency.observeExemplar(d, traceID, float64(time.Now().UnixMilli())/1000)
-	} else {
-		b.latency.observe(d)
-	}
+	b.latency.Observe(d, traceID, float64(time.Now().UnixMilli())/1000)
 }
 
 func (b *Backend) recordCreate() {
@@ -255,64 +250,13 @@ func (b *Backend) snapshot() BackendSnapshot {
 		Load:                 b.load,
 		ProbeAgeSeconds:      -1,
 		LastError:            b.lastErr,
-		LatencyMs:            b.latency.snapshot(),
+		LatencyMs:            b.latency.Snapshot(),
 	}
 	if b.ejected {
 		s.State = StateEjected
 	}
 	if !b.probedAt.IsZero() {
 		s.ProbeAgeSeconds = time.Since(b.probedAt).Seconds()
-	}
-	return s
-}
-
-// histogram is a fixed-bucket latency histogram guarded by the owning
-// backend's mutex; the snapshot shape is shared with clarifyd via
-// server.MakeHistogramSnapshot.
-type histogram struct {
-	buckets []float64
-	counts  []int64 // len(buckets)+1, last is +Inf
-	sumMs   float64
-	n       int64
-	// exemplars holds each bucket's most recent traced observation; nil
-	// until the first exemplar arrives, so the exemplar-off path allocates
-	// nothing.
-	exemplars []server.Exemplar
-}
-
-func newHistogram(buckets []float64) *histogram {
-	if len(buckets) == 0 {
-		buckets = server.DefaultLatencyBucketsMs()
-	}
-	return &histogram{buckets: buckets, counts: make([]int64, len(buckets)+1)}
-}
-
-func (h *histogram) observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	i := sort.SearchFloat64s(h.buckets, ms)
-	h.counts[i]++
-	h.sumMs += ms
-	h.n++
-}
-
-// observeExemplar is observe plus recording the observation as its bucket's
-// exemplar.
-func (h *histogram) observeExemplar(d time.Duration, traceID string, ts float64) {
-	ms := float64(d) / float64(time.Millisecond)
-	i := sort.SearchFloat64s(h.buckets, ms)
-	h.counts[i]++
-	h.sumMs += ms
-	h.n++
-	if h.exemplars == nil {
-		h.exemplars = make([]server.Exemplar, len(h.counts))
-	}
-	h.exemplars[i] = server.Exemplar{TraceID: traceID, ValueMs: ms, Ts: ts}
-}
-
-func (h *histogram) snapshot() server.HistogramSnapshot {
-	s := server.MakeHistogramSnapshot(h.buckets, h.counts, h.n, h.sumMs)
-	if h.exemplars != nil {
-		s.Exemplars = append([]server.Exemplar(nil), h.exemplars...)
 	}
 	return s
 }

@@ -68,9 +68,6 @@ type Options struct {
 	// to at least the replicas' -idle-ttl so the LB never forgets a session
 	// before its replica does).
 	AffinityTTL time.Duration
-	// LatencyBucketsMs overrides the per-backend latency histogram bounds
-	// (default: the server package's table).
-	LatencyBucketsMs []float64
 	// Logger receives routing and state-transition lines; nil disables.
 	Logger *log.Logger
 	// AccessLog receives one structured line per proxied request (trace ID,
@@ -127,11 +124,10 @@ func New(opts Options) (*LB, error) {
 	if len(opts.Backends) == 0 {
 		return nil, fmt.Errorf("lb: at least one backend is required")
 	}
-	buckets := opts.LatencyBucketsMs
 	backends := make([]*Backend, 0, len(opts.Backends))
 	seen := map[string]bool{}
 	for _, raw := range opts.Backends {
-		b, err := newBackend(raw, buckets)
+		b, err := newBackend(raw)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"github.com/clarifynet/clarify/internal/promtext"
+	"github.com/clarifynet/clarify/server"
 )
 
 // MetricsSnapshot is the body of the balancer's GET /metrics.
@@ -149,9 +150,7 @@ func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 	}
 	p.Header("clarify_lb_backend_request_duration_ms", "histogram", "Proxied request latency per backend, in milliseconds.")
 	for _, b := range snap.Backends {
-		p.Histogram("clarify_lb_backend_request_duration_ms", "backend", b.Name,
-			b.LatencyMs.BucketsMs, b.LatencyMs.Counts, b.LatencyMs.Count, b.LatencyMs.SumMs,
-			backendExemplars(b))
+		server.WriteHistogram(p, "clarify_lb_backend_request_duration_ms", "backend", b.Name, b.LatencyMs)
 	}
 	if len(snap.Tenants) > 0 {
 		names := make([]string, 0, len(snap.Tenants))
@@ -169,22 +168,6 @@ func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 		}
 	}
 	p.EOF()
-}
-
-// backendExemplars converts a backend's snapshot exemplars to the promtext
-// wire type; nil when none were recorded.
-func backendExemplars(b BackendSnapshot) []*promtext.Exemplar {
-	if len(b.LatencyMs.Exemplars) == 0 {
-		return nil
-	}
-	out := make([]*promtext.Exemplar, len(b.LatencyMs.Exemplars))
-	for i, e := range b.LatencyMs.Exemplars {
-		if e.TraceID == "" {
-			continue
-		}
-		out[i] = &promtext.Exemplar{TraceID: e.TraceID, Value: e.ValueMs, Ts: e.Ts}
-	}
-	return out
 }
 
 func label(b BackendSnapshot) string {

@@ -43,7 +43,7 @@ func newRing(backends []*Backend, virtualNodes int) *ring {
 		if r.points[i].hash != r.points[j].hash {
 			return r.points[i].hash < r.points[j].hash
 		}
-		// Identical hashes (vanishingly rare with fnv64a) tie-break by name
+		// Identical hashes (vanishingly rare in 64 bits) tie-break by name
 		// so the ring order is deterministic across replicas of the LB.
 		return r.points[i].b.Name < r.points[j].b.Name
 	})
@@ -77,8 +77,19 @@ func (r *ring) Lookup(key string, eligible func(*Backend) bool) *Backend {
 // Points is the ring's total point count (backends × virtual nodes).
 func (r *ring) Points() int { return len(r.points) }
 
+// hashKey places a key (or a backend's virtual node) on the circle. Bare
+// FNV-1a barely mixes keys that differ in a few trailing bytes, such as
+// loopback backends named by port: one of two could own over 90% of the
+// ring. murmur3's 64-bit finalizer spreads every input bit over the whole
+// hash, and keeps the ring deterministic across balancer instances.
 func hashKey(key string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	return h.Sum64()
+	k := h.Sum64()
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
 }

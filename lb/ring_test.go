@@ -2,6 +2,8 @@ package lb
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"strconv"
 	"testing"
 )
 
@@ -9,7 +11,7 @@ func testFleet(t *testing.T, hosts ...string) []*Backend {
 	t.Helper()
 	out := make([]*Backend, 0, len(hosts))
 	for _, h := range hosts {
-		b, err := newBackend("http://"+h, nil)
+		b, err := newBackend("http://" + h)
 		if err != nil {
 			t.Fatalf("newBackend(%q): %v", h, err)
 		}
@@ -55,6 +57,37 @@ func TestRingSpread(t *testing.T) {
 		// bound guards against a collapse, not perfect balance.
 		if c < n/10 {
 			t.Errorf("backend %s got %d/%d keys: spread too skewed", name, c, n)
+		}
+	}
+}
+
+// TestRingBalancesLoopbackPairs: two replicas on one host differ only in
+// their port, and the ring must still split placement keys between them.
+// Over bare FNV-1a, 127.0.0.1:44297 owned about 93% of the ring against
+// 127.0.0.1:33399, and a burst of session creates followed that share.
+func TestRingBalancesLoopbackPairs(t *testing.T) {
+	pairs := [][2]string{{"127.0.0.1:44297", "127.0.0.1:33399"}}
+	ports := rand.New(rand.NewPCG(1, 2))
+	for len(pairs) < 20 {
+		// Ports from the Linux ephemeral range, where httptest listens.
+		a, b := 32768+ports.IntN(28232), 32768+ports.IntN(28232)
+		if a != b {
+			pairs = append(pairs, [2]string{fmt.Sprintf("127.0.0.1:%d", a), fmt.Sprintf("127.0.0.1:%d", b)})
+		}
+	}
+	const n = 10000
+	for _, p := range pairs {
+		fleet := testFleet(t, p[0], p[1])
+		r := newRing(fleet, DefaultVirtualNodes)
+		keys := rand.New(rand.NewPCG(7, 7))
+		first := 0
+		for i := 0; i < n; i++ {
+			if r.Lookup(strconv.FormatUint(keys.Uint64(), 36), nil) == fleet[0] {
+				first++
+			}
+		}
+		if first < n*3/10 || first > n*7/10 {
+			t.Errorf("%s owns %d of %d keys and %s the rest: want each at least 30%%", p[0], first, n, p[1])
 		}
 	}
 }

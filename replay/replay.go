@@ -3,9 +3,10 @@
 // intent, the base configuration, the SimLLM fault plan its synthesis calls
 // consumed, and the oracle Q&A transcript — everything the pipeline needs
 // to run again without a network or an operator. Replay runs each record
-// against a freshly seeded SimLLM and a scripted oracle, then diffs what
-// happened against what the recording says happened: final configuration
-// bytes, span-tree stage shape, and the terminal error.
+// against a freshly seeded SimLLM and a disambig.Transcript scripted with
+// the recorded answers, then diffs what happened against what the recording
+// says happened: final configuration bytes, span-tree stage shape, and the
+// terminal error.
 //
 // A matching replay is strong evidence the pipeline is still the pipeline
 // that served the update; a mismatch pinpoints which stage diverged.
@@ -98,44 +99,6 @@ type Summary struct {
 // Ok reports whether every replayed record matched its recording.
 func (s Summary) Ok() bool { return s.Mismatches == 0 && s.BadRecords == 0 }
 
-// scriptedOracle replays a recorded Q&A transcript: each question pops the
-// next recorded answer. The pipeline is deterministic, so questions arrive
-// in recording order; running out of transcript or crossing kinds means the
-// replayed pipeline diverged before disambiguation finished.
-type scriptedOracle struct {
-	answers []journal.Answer
-	next    int
-	err     error
-}
-
-func (o *scriptedOracle) pop(kind string) (journal.Answer, error) {
-	if o.next >= len(o.answers) {
-		err := fmt.Errorf("replay: transcript exhausted: pipeline asked question %d of a %d-answer recording", o.next+1, len(o.answers))
-		o.err = err
-		return journal.Answer{}, err
-	}
-	a := o.answers[o.next]
-	if a.Kind != kind {
-		err := fmt.Errorf("replay: transcript diverged: question %d is %s, recording has %s", o.next+1, kind, a.Kind)
-		o.err = err
-		return journal.Answer{}, err
-	}
-	o.next++
-	return a, nil
-}
-
-// ChooseRoute implements disambig.RouteOracle.
-func (o *scriptedOracle) ChooseRoute(disambig.RouteQuestion) (bool, error) {
-	a, err := o.pop("route-map")
-	return a.PreferNew, err
-}
-
-// ChooseACL implements disambig.ACLOracle.
-func (o *scriptedOracle) ChooseACL(disambig.ACLQuestion) (bool, error) {
-	a, err := o.pop("acl")
-	return a.PreferNew, err
-}
-
 // Shape renders a span tree's stage structure as a canonical string:
 // "name(child,child(grandchild))". Durations, attributes, and events are
 // deliberately excluded — two runs of the same pipeline match on Shape even
@@ -217,7 +180,7 @@ func Record(ctx context.Context, rec *journal.Record, idx int, opts Options) Out
 		}
 		faults = append(faults, f)
 	}
-	oracle := &scriptedOracle{answers: rec.Answers}
+	oracle := &disambig.Transcript{Script: rec.Answers}
 	var replayed *obs.Trace
 	sess := &clarify.Session{
 		Client:           llm.NewSimLLM(faults...),
@@ -232,9 +195,9 @@ func Record(ctx context.Context, rec *journal.Record, idx int, opts Options) Out
 		JournalSession:   "replay",
 	}
 	res, rerr := sess.Submit(ctx, rec.Intent, rec.Target)
-	if oracle.err != nil {
+	if err := oracle.Err(); err != nil {
 		out.Status = StatusBadRecord
-		out.Detail = oracle.err.Error()
+		out.Detail = err.Error()
 		return out
 	}
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"slices"
 	"sync"
 
 	"github.com/clarifynet/clarify/ambiguity"
@@ -31,18 +32,18 @@ type ambiguityMetrics struct {
 	tenants map[string]*ambiguity.Rollup
 	// bitsPerQuestion observes each question's information gain; the other
 	// two observe once per metered update.
-	bitsPerQuestion    *histogram
-	questionsPerUpdate *histogram
-	residualBits       *histogram
+	bitsPerQuestion    *Histogram
+	questionsPerUpdate *Histogram
+	residualBits       *Histogram
 }
 
 func newAmbiguityMetrics() *ambiguityMetrics {
 	return &ambiguityMetrics{
 		rollup:             ambiguity.NewRollup(),
 		tenants:            map[string]*ambiguity.Rollup{},
-		bitsPerQuestion:    newHistogram(ambiguityBitsBuckets),
-		questionsPerUpdate: newHistogram(questionCountBuckets),
-		residualBits:       newHistogram(ambiguityBitsBuckets),
+		bitsPerQuestion:    NewHistogram(ambiguityBitsBuckets),
+		questionsPerUpdate: NewHistogram(questionCountBuckets),
+		residualBits:       NewHistogram(ambiguityBitsBuckets),
 	}
 }
 
@@ -62,10 +63,10 @@ func (a *ambiguityMetrics) record(tenantName string, l *ambiguity.Ledger) {
 	}
 	tr.Add(l)
 	for _, q := range l.Questions {
-		a.bitsPerQuestion.observeValue(q.GainBits)
+		a.bitsPerQuestion.add(q.GainBits)
 	}
-	a.questionsPerUpdate.observeValue(float64(l.QuestionCount()))
-	a.residualBits.observeValue(l.ResidualBits)
+	a.questionsPerUpdate.add(float64(l.QuestionCount()))
+	a.residualBits.add(l.ResidualBits)
 }
 
 // snapshot deep-copies the aggregates into the wire shape.
@@ -153,7 +154,7 @@ type ValueHistogramSnapshot struct {
 }
 
 // MakeValueHistogramSnapshot builds the wire view from raw counts; the
-// counts slice is copied. Shared with the lb package.
+// counts slice is copied.
 func MakeValueHistogramSnapshot(buckets []float64, counts []int64, count int64, sum float64) ValueHistogramSnapshot {
 	snap := ValueHistogramSnapshot{
 		Buckets: buckets,
@@ -189,7 +190,7 @@ func (h *ValueHistogramSnapshot) Merge(o ValueHistogramSnapshot) {
 		h.Counts = append([]int64(nil), o.Counts...)
 		return
 	}
-	if len(h.Counts) != len(o.Counts) {
+	if !slices.Equal(h.Buckets, o.Buckets) || len(h.Counts) != len(o.Counts) {
 		return
 	}
 	for i, c := range o.Counts {
@@ -200,9 +201,9 @@ func (h *ValueHistogramSnapshot) Merge(o ValueHistogramSnapshot) {
 	h.restat()
 }
 
-// snapshotValue copies one value histogram; callers hold the metrics mutex.
-func (h *histogram) snapshotValue() ValueHistogramSnapshot {
-	return MakeValueHistogramSnapshot(h.buckets, h.counts, h.n, h.sumMs)
+// snapshotValue copies a dimensionless histogram into its wire view.
+func (h *Histogram) snapshotValue() ValueHistogramSnapshot {
+	return MakeValueHistogramSnapshot(h.buckets, h.counts, h.n, h.sum)
 }
 
 // handleDebugAmbiguity serves the disambiguation-efficiency rollup: how much

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -162,5 +163,12 @@ func TestValueHistogramMerge(t *testing.T) {
 	a.Merge(c)
 	if a.Count != before {
 		t.Errorf("mismatched-table merge changed the receiver: %+v", a)
+	}
+	// So does a table of the same length with different bounds: its counts
+	// belong to other buckets.
+	d := MakeValueHistogramSnapshot([]float64{1, 3, 8}, []int64{0, 0, 0, 4}, 4, 40)
+	a.Merge(d)
+	if a.Count != before || !slices.Equal(a.Counts, want) {
+		t.Errorf("same-length, different-bounds merge changed the receiver: %+v", a)
 	}
 }

@@ -131,10 +131,13 @@ func (u *update) setDegraded(v bool) {
 	u.mu.Unlock()
 }
 
-func (u *update) setRunning() {
+// setRunning marks the update running and returns the live oracle it
+// runs against.
+func (u *update) setRunning() *asyncOracle {
 	u.mu.Lock()
+	defer u.mu.Unlock()
 	u.status = StatusRunning
-	u.mu.Unlock()
+	return u.oracle
 }
 
 // finish records the terminal state and releases waiters. It is idempotent:

@@ -19,13 +19,14 @@ import (
 // Options.LatencyBucketsMs is empty; the last implicit bucket is +Inf.
 var defaultLatencyBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500}
 
-// histogram is a fixed-bucket latency histogram. It is guarded by the owning
-// metrics mutex. Every histogram in one metrics instance shares the same
-// bucket table, chosen at server construction.
-type histogram struct {
+// Histogram is a fixed-bucket histogram: latency in milliseconds for the
+// request and stage series here and clarify-lb's per-backend series, or a
+// dimensionless value for the ambiguity distributions. It is not safe for
+// concurrent use; its owner's mutex guards it.
+type Histogram struct {
 	buckets []float64
 	counts  []int64 // len(buckets)+1, last bucket is +Inf
-	sumMs   float64
+	sum     float64
 	n       int64
 	// exemplars holds the most recent exemplared observation per bucket
 	// (len(buckets)+1, the last for +Inf); nil until the first exemplar, so
@@ -33,37 +34,28 @@ type histogram struct {
 	exemplars []Exemplar
 }
 
-func newHistogram(buckets []float64) *histogram {
-	return &histogram{buckets: buckets, counts: make([]int64, len(buckets)+1)}
+// NewHistogram returns an empty histogram over the given ascending upper
+// bounds; an implicit last bucket catches everything above them.
+func NewHistogram(buckets []float64) *Histogram {
+	return &Histogram{buckets: buckets, counts: make([]int64, len(buckets)+1)}
 }
 
-func (h *histogram) observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	i := sort.SearchFloat64s(h.buckets, ms)
-	h.counts[i]++
-	h.sumMs += ms
-	h.n++
-}
-
-// observeValue folds a raw dimensionless observation (bits of ambiguity,
-// question counts) into a histogram whose bucket table is in the same unit;
-// the sum field is reused as-is.
-func (h *histogram) observeValue(v float64) {
+// add counts one observation and returns its bucket index.
+func (h *Histogram) add(v float64) int {
 	i := sort.SearchFloat64s(h.buckets, v)
 	h.counts[i]++
-	h.sumMs += v
+	h.sum += v
 	h.n++
+	return i
 }
 
-// observeExemplar is observe plus an exemplar: the trace that produced this
-// observation replaces the bucket's previous exemplar, so each bucket always
-// links to a recent representative trace.
-func (h *histogram) observeExemplar(d time.Duration, traceID string, ts float64) {
+// Observe records one latency. A non-empty traceID also makes the
+// observation its bucket's exemplar, replacing the previous one, so each
+// bucket links to a recent representative trace; ts is its unix time in
+// seconds.
+func (h *Histogram) Observe(d time.Duration, traceID string, ts float64) {
 	ms := float64(d) / float64(time.Millisecond)
-	i := sort.SearchFloat64s(h.buckets, ms)
-	h.counts[i]++
-	h.sumMs += ms
-	h.n++
+	i := h.add(ms)
 	if traceID == "" {
 		return
 	}
@@ -147,8 +139,8 @@ type metrics struct {
 	mu        sync.Mutex
 	requests  map[string]int64
 	statuses  map[int]int64
-	latency   map[string]*histogram
-	stages    map[string]*histogram // pipeline stage durations from completed traces
+	latency   map[string]*Histogram
+	stages    map[string]*Histogram // pipeline stage durations from completed traces
 	inFlight  int64
 	rejected  int64 // 429 backpressure rejections
 	panics    int64 // worker panics contained by the pool
@@ -163,8 +155,8 @@ func newMetrics(buckets []float64) *metrics {
 		buckets:  buckets,
 		requests: map[string]int64{},
 		statuses: map[int]int64{},
-		latency:  map[string]*histogram{},
-		stages:   map[string]*histogram{},
+		latency:  map[string]*Histogram{},
+		stages:   map[string]*Histogram{},
 	}
 }
 
@@ -178,22 +170,18 @@ func (m *metrics) observeTrace(t *obs.Trace) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ts := 0.0
+	traceID, ts := "", 0.0
 	if m.exemplars {
-		ts = float64(time.Now().UnixMilli()) / 1000
+		traceID, ts = t.ID, float64(time.Now().UnixMilli())/1000
 	}
 	t.Walk(func(sp *obs.Span, _ int) {
 		stage := obs.CanonicalStage(sp.Name)
 		h := m.stages[stage]
 		if h == nil {
-			h = newHistogram(m.buckets)
+			h = NewHistogram(m.buckets)
 			m.stages[stage] = h
 		}
-		if m.exemplars {
-			h.observeExemplar(sp.Duration, t.ID, ts)
-		} else {
-			h.observe(sp.Duration)
-		}
+		h.Observe(sp.Duration, traceID, ts)
 	})
 }
 
@@ -238,10 +226,10 @@ func (m *metrics) begin(endpoint string) func(status int) {
 		m.statuses[status]++
 		h := m.latency[endpoint]
 		if h == nil {
-			h = newHistogram(m.buckets)
+			h = NewHistogram(m.buckets)
 			m.latency[endpoint] = h
 		}
-		h.observe(d)
+		h.Observe(d, "", 0)
 		if status == 429 {
 			m.rejected++
 		}
@@ -350,17 +338,17 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		out.Statuses[k] = v
 	}
 	for k, h := range m.latency {
-		out.LatencyMs[k] = h.snapshot()
+		out.LatencyMs[k] = h.Snapshot()
 	}
 	for k, h := range m.stages {
-		out.StagesMs[k] = h.snapshot()
+		out.StagesMs[k] = h.Snapshot()
 	}
 	return out
 }
 
-// snapshot copies one histogram; callers hold the metrics mutex.
-func (h *histogram) snapshot() HistogramSnapshot {
-	snap := MakeHistogramSnapshot(h.buckets, h.counts, h.n, h.sumMs)
+// Snapshot copies the histogram into its wire view, exemplars included.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	snap := MakeHistogramSnapshot(h.buckets, h.counts, h.n, h.sum)
 	if h.exemplars != nil {
 		snap.Exemplars = append([]Exemplar(nil), h.exemplars...)
 	}
@@ -369,8 +357,8 @@ func (h *histogram) snapshot() HistogramSnapshot {
 
 // MakeHistogramSnapshot builds the wire view of a fixed-bucket latency
 // histogram from raw counts, including the interpolated quantile estimates.
-// The counts slice is copied. Shared with the lb package so clarify-lb's
-// per-backend latency series carry the same shape as clarifyd's.
+// The counts slice is copied. Histogram.Snapshot uses it; so can a caller
+// that keeps raw counts of its own, such as the benchmark harness.
 func MakeHistogramSnapshot(bucketsMs []float64, counts []int64, count int64, sumMs float64) HistogramSnapshot {
 	snap := HistogramSnapshot{
 		BucketsMs: bucketsMs,

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/clarifynet/clarify/disambig"
-	"github.com/clarifynet/clarify/snapshot"
 )
 
 // ErrQuestionTimeout aborts an update whose disambiguation question was not
@@ -36,7 +35,7 @@ type asyncOracle struct {
 	// answered is the transcript of answers delivered so far, in question
 	// order — the raw material a session snapshot needs to re-execute a
 	// parked update on another daemon.
-	answered []snapshot.Answer
+	answered []disambig.Answer
 }
 
 func newAsyncOracle(ctx context.Context, timeout time.Duration) *asyncOracle {
@@ -50,10 +49,10 @@ func newAsyncOracle(ctx context.Context, timeout time.Duration) *asyncOracle {
 // counter and transcript resume where the snapshot left off, so the
 // re-parked question carries the same seq the client last saw and a second
 // handoff snapshots the full answer history.
-func newRestoredOracle(ctx context.Context, timeout time.Duration, answered []snapshot.Answer) *asyncOracle {
+func newRestoredOracle(ctx context.Context, timeout time.Duration, answered []disambig.Answer) *asyncOracle {
 	o := newAsyncOracle(ctx, timeout)
 	o.seq = len(answered)
-	o.answered = append([]snapshot.Answer(nil), answered...)
+	o.answered = append([]disambig.Answer(nil), answered...)
 	return o
 }
 
@@ -139,7 +138,7 @@ func (o *asyncOracle) Answer(seq, option int) error {
 	// The buffered send cannot block: each question allocates a fresh
 	// channel and the pending clear below prevents a second delivery.
 	o.answer <- (option == 1)
-	o.answered = append(o.answered, snapshot.Answer{
+	o.answered = append(o.answered, disambig.Answer{
 		Kind:      o.pending.Kind,
 		Question:  o.pending.Text,
 		PreferNew: option == 1,
@@ -158,10 +157,10 @@ func (o *asyncOracle) asked() bool {
 }
 
 // transcript snapshots the delivered-answer history.
-func (o *asyncOracle) transcript() []snapshot.Answer {
+func (o *asyncOracle) transcript() []disambig.Answer {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return append([]snapshot.Answer(nil), o.answered...)
+	return append([]disambig.Answer(nil), o.answered...)
 }
 
 var (

@@ -100,12 +100,12 @@ func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 
 	p.Header("clarifyd_request_duration_ms", "histogram", "HTTP request latency per endpoint pattern, in milliseconds.")
 	for _, k := range sortedHistKeys(snap.LatencyMs) {
-		writeHistogram(p, "clarifyd_request_duration_ms", "endpoint", k, snap.LatencyMs[k])
+		WriteHistogram(p, "clarifyd_request_duration_ms", "endpoint", k, snap.LatencyMs[k])
 	}
 
 	p.Header("clarifyd_stage_duration_ms", "histogram", "Pipeline stage latency from completed traces, in milliseconds.")
 	for _, k := range sortedHistKeys(snap.StagesMs) {
-		writeHistogram(p, "clarifyd_stage_duration_ms", "stage", k, snap.StagesMs[k])
+		WriteHistogram(p, "clarifyd_stage_duration_ms", "stage", k, snap.StagesMs[k])
 	}
 	p.EOF()
 }
@@ -251,10 +251,10 @@ func writeSLO(p *promtext.Writer, snap slo.Snapshot) {
 	}
 }
 
-// writeHistogram renders one labelled histogram series: cumulative le
-// buckets (with exemplars in OpenMetrics mode), an explicit +Inf bucket,
-// then _sum and _count.
-func writeHistogram(p *promtext.Writer, name, labelKey, labelVal string, h HistogramSnapshot) {
+// WriteHistogram renders one labelled latency histogram series: cumulative
+// le buckets (with exemplars in OpenMetrics mode), an explicit +Inf bucket,
+// then _sum and _count. Shared with clarify-lb's per-backend series.
+func WriteHistogram(p *promtext.Writer, name, labelKey, labelVal string, h HistogramSnapshot) {
 	p.Histogram(name, labelKey, labelVal, h.BucketsMs, h.Counts, h.Count, h.SumMs, exemplarsOf(h))
 }
 

@@ -549,7 +549,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if sn.interactive() || r.Header.Get(HeaderPriority) == "interactive" {
 		lane = tenant.Interactive
 	}
-	job := func() { s.runUpdate(sn, u, tn, oracle, oracle, oracle) }
+	job := func() { s.runUpdate(sn, u, tn, nil) }
 	// drop runs only if the job is purged at the shutdown drain deadline:
 	// it fails the update and returns the session and quota slot.
 	drop := func(reason tenant.Reason) {
@@ -581,10 +581,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // the session and the tenant's in-flight slot, and feed the fleet and
 // per-tenant SLOs. It serves both fresh submissions (as the pool job) and
 // rehydrated pending updates (on a restore goroutine); both paths hold an
-// in-flight slot on tn when they get here. route and acl are the oracles
-// the pipeline consults — the live async oracle for fresh updates, a
-// transcript-replaying wrapper for restored ones.
-func (s *Server) runUpdate(sn *session, u *update, tn *tenant.Tenant, oracle *asyncOracle, route disambig.RouteOracle, acl disambig.ACLOracle) {
+// in-flight slot on tn when they get here. script is a restored update's
+// delivered answers: the pipeline replays them through a disambig.Transcript
+// before the update's live oracle takes over. Fresh updates pass nil and
+// talk to the live oracle directly.
+func (s *Server) runUpdate(sn *session, u *update, tn *tenant.Tenant, script []disambig.Answer) {
 	s.active.Add(1)
 	defer s.active.Add(-1)
 	defer tn.Release()
@@ -599,7 +600,7 @@ func (s *Server) runUpdate(sn *session, u *update, tn *tenant.Tenant, oracle *as
 			sn.endUpdate()
 		}
 	}()
-	u.setRunning()
+	oracle := u.setRunning()
 	// The deadline budget starts when a worker picks the job up, not
 	// while it sits in the queue — queue time is backpressure, not work.
 	uctx := s.baseCtx
@@ -614,8 +615,11 @@ func (s *Server) runUpdate(sn *session, u *update, tn *tenant.Tenant, oracle *as
 		uctx = obs.ContextWithTraceParent(uctx, u.parent)
 	}
 	cs := sn.sess
-	cs.RouteOracle = route
-	cs.ACLOracle = acl
+	cs.RouteOracle, cs.ACLOracle = oracle, oracle
+	if len(script) > 0 {
+		tr := &disambig.Transcript{Script: script, Route: oracle, ACL: oracle}
+		cs.RouteOracle, cs.ACLOracle = tr, tr
+	}
 	// Per-update sink: stamps the trace ID onto the update record, feeds
 	// the per-stage histograms, and retains the trace for /debug/traces.
 	// The degraded flag lands on the root span here so the tail-retention

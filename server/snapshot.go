@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/clarifynet/clarify"
-	"github.com/clarifynet/clarify/disambig"
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/journal"
 	"github.com/clarifynet/clarify/obs"
@@ -247,8 +246,7 @@ func (s *Server) RestoreSession(snap *snapshot.Session) error {
 		// The update held an in-flight slot on its original daemon; it
 		// re-enters this registry's accounting without a bucket charge.
 		tn.AdmitRestored()
-		ro := &replayingOracle{answers: p.Answers, live: oracle}
-		runRestored = func() { s.runUpdate(sn, u, tn, oracle, ro, ro) }
+		runRestored = func() { s.runUpdate(sn, u, tn, p.Answers) }
 	}
 
 	if err := s.mgr.Insert(sn); err != nil {
@@ -284,62 +282,6 @@ func (s *Server) journalLifecycle(kind string, snap *snapshot.Session) {
 		ConfigFingerprint: snap.Fingerprint,
 	})
 }
-
-// replayingOracle feeds a rehydrated update's recorded answers back to the
-// pipeline in order, then hands off to the live oracle — at which point the
-// re-executed update parks on exactly the question the client was looking
-// at, with the same sequence number. The pipeline is deterministic given
-// the same config, intent, and answers, so the replayed prefix asks the
-// same questions it originally did; a kind mismatch means the snapshot
-// lied, and the update fails rather than answering the wrong question.
-type replayingOracle struct {
-	answers []snapshot.Answer
-	next    int
-	live    *asyncOracle
-}
-
-func (o *replayingOracle) pop(kind string) (snapshot.Answer, bool, error) {
-	if o.next >= len(o.answers) {
-		return snapshot.Answer{}, false, nil
-	}
-	a := o.answers[o.next]
-	if a.Kind != kind {
-		return snapshot.Answer{}, false, fmt.Errorf(
-			"server: restore diverged: pipeline asked a %s question, transcript answer %d is %s",
-			kind, o.next+1, a.Kind)
-	}
-	o.next++
-	return a, true, nil
-}
-
-// ChooseRoute implements disambig.RouteOracle.
-func (o *replayingOracle) ChooseRoute(q disambig.RouteQuestion) (bool, error) {
-	a, ok, err := o.pop("route-map")
-	if err != nil {
-		return false, err
-	}
-	if ok {
-		return a.PreferNew, nil
-	}
-	return o.live.ChooseRoute(q)
-}
-
-// ChooseACL implements disambig.ACLOracle.
-func (o *replayingOracle) ChooseACL(q disambig.ACLQuestion) (bool, error) {
-	a, ok, err := o.pop("acl")
-	if err != nil {
-		return false, err
-	}
-	if ok {
-		return a.PreferNew, nil
-	}
-	return o.live.ChooseACL(q)
-}
-
-var (
-	_ disambig.RouteOracle = (*replayingOracle)(nil)
-	_ disambig.ACLOracle   = (*replayingOracle)(nil)
-)
 
 // handleRestoreSession is the admin endpoint a draining peer (or a restart
 // script replaying a snapshot directory) PUTs externalized sessions to.

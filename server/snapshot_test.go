@@ -3,10 +3,15 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/clarifynet/clarify/disambig"
+	"github.com/clarifynet/clarify/journal"
+	"github.com/clarifynet/clarify/replay"
 	"github.com/clarifynet/clarify/snapshot"
 )
 
@@ -315,5 +320,110 @@ func TestSnapshotMetricsCounters(t *testing.T) {
 	}
 	if mB.RestoredSessions != 1 || mB.RestoreFailures != 1 {
 		t.Fatalf("restored/failures = %d/%d, want 1/1", mB.RestoredSessions, mB.RestoreFailures)
+	}
+}
+
+// TestRestoreDivergentTranscriptFails: a snapshot whose delivered answer has
+// the wrong kind for the question the re-executed pipeline asks fails the
+// update with a divergence error. The update must not answer the wrong
+// question, and must not park on a new one.
+func TestRestoreDivergentTranscriptFails(t *testing.T) {
+	_, c := startServer(t, Options{Workers: 2})
+	ctx := context.Background()
+	snap := &snapshot.Session{
+		ID:         "s-divergent",
+		ConfigText: exampleConfig,
+		NextUpdate: 1,
+		Order:      []string{"u1"},
+		Pending: &snapshot.PendingUpdate{
+			ID: "u1", Intent: exampleIntent, Target: "ISP_OUT",
+			// The walkthrough's first question is a route-map question.
+			Answers: []disambig.Answer{{Kind: "acl", Question: "Input packet: ...", PreferNew: true}},
+		},
+	}
+	if _, err := c.RestoreSession(ctx, snap); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	final, err := c.PollUpdate(ctx, snap.ID, "u1", func(q Question) (int, error) {
+		return 0, fmt.Errorf("restored update posted question %d:\n%s", q.Seq, q.Text)
+	})
+	if err != nil {
+		t.Fatalf("poll restored update: %v", err)
+	}
+	if final.Status != StatusFailed || !strings.Contains(final.Error, "diverged") {
+		t.Fatalf("restored update = %+v, want failed with a divergence error", final)
+	}
+}
+
+// TestRestoredUpdateJournalsFullTranscript: a journaling daemon that
+// restores a parked update records its whole Q&A, the answer replayed from
+// the snapshot and the one given after the handoff, so clarify-replay can
+// re-run the record like any other.
+func TestRestoredUpdateJournalsFullTranscript(t *testing.T) {
+	srvA, cA := startServer(t, Options{Workers: 2})
+	ctx := context.Background()
+	sid, err := cA.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	u, err := cA.SubmitAsync(ctx, sid, exampleIntent, "ISP_OUT")
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	q1 := waitPendingQuestion(t, cA, sid)
+	if err := cA.Answer(ctx, sid, q1.Seq, 1); err != nil {
+		t.Fatalf("answer q1: %v", err)
+	}
+	q2 := waitPendingQuestion(t, cA, sid)
+	dctx, dcancel := context.WithTimeout(ctx, 5*time.Second)
+	defer dcancel()
+	if err := srvA.DrainForHandoff(dctx); err != nil {
+		t.Fatalf("drain for handoff: %v", err)
+	}
+	snaps := srvA.SnapshotSessions("nodeA")
+	if len(snaps) != 1 || snaps[0].Pending == nil || len(snaps[0].Pending.Answers) != 1 {
+		t.Fatalf("snapshot = %+v, want one pending update with one answer", snaps)
+	}
+	if err := cA.Answer(ctx, sid, q2.Seq, 1); err != nil {
+		t.Fatalf("unpark daemon A: %v", err)
+	}
+
+	dir := t.TempDir()
+	jnl, err := journal.Open(journal.Options{Dir: dir, Fsync: journal.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	_, cB := startServer(t, Options{Workers: 2, Journal: jnl})
+	if _, err := cB.RestoreSession(ctx, snaps[0]); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	restored := waitPendingQuestion(t, cB, sid)
+	if err := cB.Answer(ctx, sid, restored.Seq, 1); err != nil {
+		t.Fatalf("answer restored question: %v", err)
+	}
+	final, err := cB.PollUpdate(ctx, sid, u.ID, func(Question) (int, error) { return 1, nil })
+	if err != nil || final.Status != StatusDone {
+		t.Fatalf("restored update did not finish: %v (%+v)", err, final)
+	}
+
+	recs, _, err := journal.ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec *journal.Record
+	for _, r := range recs {
+		if r.Kind == journal.KindUpdate {
+			rec = r
+		}
+	}
+	if rec == nil {
+		t.Fatalf("journal holds no update record among %d records", len(recs))
+	}
+	if len(rec.Answers) != 2 || rec.Answers[0].Question != q1.Text || rec.Answers[1].Question != q2.Text {
+		t.Fatalf("record answers = %+v, want the replayed q1 and the live q2", rec.Answers)
+	}
+	if out := replay.Record(ctx, rec, 0, replay.Options{}); out.Status != replay.StatusMatch {
+		t.Fatalf("replay of the restored update = %+v, want a match", out)
 	}
 }

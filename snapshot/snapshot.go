@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"github.com/clarifynet/clarify"
+	"github.com/clarifynet/clarify/disambig"
 )
 
 // SchemaVersion is stamped on every snapshot file and session so future
@@ -33,19 +34,6 @@ import (
 // skips files (and a restoring server rejects sessions) whose schema is
 // newer than it understands.
 const SchemaVersion = 1
-
-// Answer is one disambiguation answer already delivered to the pending
-// update, in question order. Restore replays these against the re-executed
-// pipeline; Kind guards against divergence.
-type Answer struct {
-	// Kind is "route-map" or "acl".
-	Kind string `json:"kind"`
-	// Question is the rendered question text, kept for audit and divergence
-	// diagnostics; replay matches on order and Kind, not text.
-	Question string `json:"question,omitempty"`
-	// PreferNew is true when the operator chose OPTION 1.
-	PreferNew bool `json:"preferNew"`
-}
 
 // Question is the question the pending update was parked on at capture
 // time, recorded for diagnostics: after restore the re-executed pipeline
@@ -73,8 +61,10 @@ type PendingUpdate struct {
 	// carried no context; kept opaque here so the snapshot package does not
 	// depend on the obs wire types.
 	TraceParent string `json:"traceParent,omitempty"`
-	// Answers is the transcript of answers delivered before capture.
-	Answers []Answer `json:"answers,omitempty"`
+	// Answers is the transcript of answers delivered before capture, in
+	// question order. Restore replays them through a disambig.Transcript,
+	// which matches on order and kind, not question text.
+	Answers []disambig.Answer `json:"answers,omitempty"`
 	// Question is the question displayed at capture time, if any.
 	Question *Question `json:"question,omitempty"`
 }

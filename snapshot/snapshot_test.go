@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/clarifynet/clarify"
+	"github.com/clarifynet/clarify/disambig"
 )
 
 func sampleFile(t *testing.T) *File {
@@ -31,7 +32,7 @@ func sampleFile(t *testing.T) *File {
 			}},
 			Pending: &PendingUpdate{
 				ID: "u2", Intent: "permit 10.0.0.0/8", Target: "RM",
-				Answers:  []Answer{{Kind: "route-map", PreferNew: true}},
+				Answers:  []disambig.Answer{{Kind: "route-map", PreferNew: true}},
 				Question: &Question{Seq: 2, Kind: "route-map", Text: "OPTION 1 ..."},
 			},
 		}},
@@ -177,5 +178,29 @@ func TestValidate(t *testing.T) {
 	}
 	if err := sampleFile(t).Sessions[0].Validate(); err != nil {
 		t.Fatalf("valid session rejected: %v", err)
+	}
+}
+
+// TestPendingUpdateWireFormat pins the pending update's encoding, delivered
+// answers included: a pending update whose answer carries the rendered
+// question, as the pipeline always produces one, decodes and re-encodes byte
+// for byte.
+func TestPendingUpdateWireFormat(t *testing.T) {
+	const text = `Input packet: tcp 10.1.2.3:1024 -\u003e 192.0.2.10:22\n\nOPTION 1 (new entry applies): deny\nOPTION 2 (existing behavior): permit`
+	const body = `{"id":"u2","intent":"deny ssh to 192.0.2.10","target":"EDGE_IN","traceParent":"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",` +
+		`"answers":[{"kind":"acl","question":"` + text + `","preferNew":true}],"question":{"seq":2,"kind":"acl","text":"` + text + `"}}`
+	var p PendingUpdate
+	if err := json.Unmarshal([]byte(body), &p); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if len(p.Answers) != 1 || p.Answers[0].Kind != "acl" || !p.Answers[0].PreferNew || p.Answers[0].Question == "" {
+		t.Fatalf("answers = %+v, want one acl OPTION 1 answer with its question", p.Answers)
+	}
+	got, err := json.Marshal(&p)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if string(got) != body {
+		t.Fatalf("re-encoded pending update differs:\n%s\nwant\n%s", got, body)
 	}
 }
