@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/clarifynet/clarify/ambiguity"
 	"github.com/clarifynet/clarify/disambig"
 	"github.com/clarifynet/clarify/intent"
 	"github.com/clarifynet/clarify/ios"
@@ -88,9 +89,10 @@ type Session struct {
 	reuse map[string]*reuseEntry
 }
 
-// reuseEntry is one cached verified synthesis.
+// reuseEntry is one verified synthesis, cached for reuse when EnableReuse
+// is set.
 type reuseEntry struct {
-	kind        intent.Kind
+	kind        *ruleKind
 	snippetText string
 	specJSON    string
 	snippet     *ios.Config
@@ -139,11 +141,30 @@ type UpdateResult struct {
 	SpecJSON string
 	// Attempts is the number of synthesis calls used.
 	Attempts int
-	// RouteInsert / ACLInsert carry the disambiguation outcome.
+	// RouteInsert / ACLInsert carry the disambiguation outcome; Placement
+	// reads the part that does not depend on the kind.
 	RouteInsert *disambig.RouteResult
 	ACLInsert   *disambig.ACLResult
 	// Config is the updated configuration (also stored on the session).
 	Config *ios.Config
+}
+
+// Placement returns the disambiguation outcome from whichever of
+// RouteInsert and ACLInsert is set: the number of distinguishing overlaps,
+// the number of questions asked, the insertion position, and the ambiguity
+// ledger (nil when the update was not traced). It returns zeros and nil on
+// a nil result.
+func (r *UpdateResult) Placement() (overlaps, questions, position int, ledger *ambiguity.Ledger) {
+	switch {
+	case r == nil:
+	case r.RouteInsert != nil:
+		ri := r.RouteInsert
+		return len(ri.Overlaps), len(ri.Questions), ri.Position, ri.Ambiguity
+	case r.ACLInsert != nil:
+		ai := r.ACLInsert
+		return len(ai.Overlaps), len(ai.Questions), ai.Position, ai.Ambiguity
+	}
+	return 0, 0, 0, nil
 }
 
 // CurrentConfig returns the session's configuration under the session mutex.
@@ -264,12 +285,7 @@ func (s *Session) Submit(ctx context.Context, intentText, targetName string) (re
 		if entry != nil {
 			root.Logf("reusing verified snippet for identical intent (0 LLM calls)")
 			root.SetBool("reused", true)
-			switch entry.kind {
-			case intent.KindRouteMap:
-				return s.insertRouteSnippet(root, cfg, entry.snippet, entry.name, targetName, entry.snippetText, entry.specJSON, 0, routeOracle)
-			case intent.KindACL:
-				return s.insertACLSnippet(root, cfg, entry.snippet, entry.name, targetName, entry.snippetText, entry.specJSON, 0, aclOracle)
-			}
+			return s.insert(root, cfg, entry, targetName, 0, routeOracle, aclOracle)
 		}
 	}
 	// Step 1: classification call.
@@ -286,9 +302,9 @@ func (s *Session) Submit(ctx context.Context, intentText, targetName string) (re
 	root.Logf("classified intent as %s", kind)
 	switch kind {
 	case "acl":
-		return s.submitACL(ctx, root, cfg, intentText, targetName, aclOracle)
+		return s.submit(ctx, root, cfg, &aclKind, intentText, targetName, routeOracle, aclOracle)
 	case "route-map":
-		return s.submitRouteMap(ctx, root, cfg, intentText, targetName, routeOracle)
+		return s.submit(ctx, root, cfg, &routeMapKind, intentText, targetName, routeOracle, aclOracle)
 	default:
 		return nil, fmt.Errorf("clarify: classifier returned %q", kind)
 	}
@@ -326,12 +342,7 @@ func (s *Session) endJournal(ctx context.Context, tr *obs.Trace, base *ios.Confi
 	}
 	if res != nil {
 		r.Attempts = res.Attempts
-		if res.RouteInsert != nil {
-			r.Ambiguity = res.RouteInsert.Ambiguity
-		}
-		if res.ACLInsert != nil {
-			r.Ambiguity = res.ACLInsert.Ambiguity
-		}
+		_, _, _, r.Ambiguity = res.Placement()
 		if res.Config != nil {
 			r.FinalConfig = res.Config.Print()
 			r.ConfigDiff = journal.Diff(baseText, r.FinalConfig)
@@ -365,30 +376,136 @@ func simFaults(tr *obs.Trace) []string {
 	return faults
 }
 
-// submitRouteMap is the route-map pipeline: synthesize → spec → verify loop
-// → disambiguate. cfg is the configuration snapshot the update applies to;
-// oracle is the (possibly journal-recording) disambiguation oracle for this
-// update.
-func (s *Session) submitRouteMap(ctx context.Context, root *obs.Span, cfg *ios.Config, intentText, mapName string, oracle disambig.RouteOracle) (*UpdateResult, error) {
+// ruleKind is what Figure 1's loop needs to know about one kind of rule
+// list. Everything else — spans, log lines, feedback wording, retries,
+// counters — is shared.
+type ruleKind struct {
+	kind      intent.Kind
+	specTask  llm.Task
+	synthTask llm.Task
+	// listNoun and ruleNoun name a list and one of its rules in the
+	// feedback that rejects a malformed or spec-violating snippet.
+	listNoun, ruleNoun string
+	// lists reports how many lists of this kind cfg holds, and the name and
+	// rule count of one of them.
+	lists func(cfg *ios.Config) (n int, name string, rules int)
+	// validate checks the snippet's references to other lists. Route maps
+	// reference prefix, community and as-path lists; ACL snippets are not
+	// checked.
+	validate func(snippet *ios.Config) error
+	// verifier parses the extracted spec and returns the check of one
+	// candidate snippet against it.
+	verifier func(s *Session, specJSON string) (verifyFunc, error)
+	// disambiguate runs §4's insertion and returns a result with the
+	// outcome field and Config set.
+	disambiguate func(s *Session, cfg, snippet *ios.Config, snippetList, target string, ro disambig.RouteOracle, ao disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error)
+}
+
+// verifyFunc checks one candidate snippet against the extracted spec.
+type verifyFunc func(snippet *ios.Config, name string, sp *obs.Span) ([]spec.Violation, error)
+
+var routeMapKind = ruleKind{
+	kind:      intent.KindRouteMap,
+	specTask:  llm.TaskSpecRouteMap,
+	synthTask: llm.TaskSynthRouteMap,
+	listNoun:  "route-map",
+	ruleNoun:  "stanza",
+	lists: func(cfg *ios.Config) (int, string, int) {
+		for name, rm := range cfg.RouteMaps {
+			return len(cfg.RouteMaps), name, len(rm.Stanzas)
+		}
+		return 0, "", 0
+	},
+	validate: (*ios.Config).Validate,
+	verifier: func(s *Session, specJSON string) (verifyFunc, error) {
+		rs, err := spec.ParseRouteMapSpec([]byte(specJSON))
+		if err != nil {
+			return nil, err
+		}
+		return func(snippet *ios.Config, name string, sp *obs.Span) ([]spec.Violation, error) {
+			return spec.VerifyRouteMapSnippetTraced(s.SpaceCache, snippet, name, rs, sp)
+		}, nil
+	},
+	disambiguate: func(s *Session, cfg, snippet *ios.Config, snippetList, target string, ro disambig.RouteOracle, _ disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error) {
+		res, err := disambig.InsertRouteMapStanzaStrategyTraced(s.Strategy, s.SpaceCache, cfg, target, snippet, snippetList, ro, sp)
+		if err != nil {
+			return nil, err
+		}
+		return &UpdateResult{RouteInsert: res, Config: res.Config}, nil
+	},
+}
+
+var aclKind = ruleKind{
+	kind:      intent.KindACL,
+	specTask:  llm.TaskSpecACL,
+	synthTask: llm.TaskSynthACL,
+	listNoun:  "access-list",
+	ruleNoun:  "entry",
+	lists: func(cfg *ios.Config) (int, string, int) {
+		for name, acl := range cfg.ACLs {
+			return len(cfg.ACLs), name, len(acl.Entries)
+		}
+		return 0, "", 0
+	},
+	validate: func(*ios.Config) error { return nil },
+	// The ACL verifier builds its own packet space: ACL spaces are
+	// fixed-shape and cheap, so no symbolic cache is involved.
+	verifier: func(_ *Session, specJSON string) (verifyFunc, error) {
+		as, err := spec.ParseACLSpec([]byte(specJSON))
+		if err != nil {
+			return nil, err
+		}
+		return func(snippet *ios.Config, name string, sp *obs.Span) ([]spec.Violation, error) {
+			return spec.VerifyACLSnippetTraced(snippet, name, as, sp)
+		}, nil
+	},
+	disambiguate: func(_ *Session, cfg, snippet *ios.Config, snippetList, target string, _ disambig.RouteOracle, ao disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error) {
+		res, err := disambig.InsertACLEntryTraced(cfg, target, snippet, snippetList, ao, sp)
+		if err != nil {
+			return nil, err
+		}
+		return &UpdateResult{ACLInsert: res, Config: res.Config}, nil
+	},
+}
+
+// sole names the snippet's one list of this kind, which must hold exactly
+// one rule.
+func (k *ruleKind) sole(snippet *ios.Config) (string, error) {
+	n, name, rules := k.lists(snippet)
+	if n != 1 {
+		return "", fmt.Errorf("want exactly one %s, got %d", k.listNoun, n)
+	}
+	if rules != 1 {
+		return "", fmt.Errorf("want exactly one %s, got %d", k.ruleNoun, rules)
+	}
+	return name, nil
+}
+
+// submit is Figure 1's loop for one kind: extract the spec, then
+// synthesize, parse, shape-check and verify until an attempt passes or the
+// retry threshold punts, then disambiguate. cfg is the configuration
+// snapshot the update applies to; ro and ao are this update's (possibly
+// journal-recording) disambiguation oracles.
+func (s *Session) submit(ctx context.Context, root *obs.Span, cfg *ios.Config, k *ruleKind, intentText, target string, ro disambig.RouteOracle, ao disambig.ACLOracle) (*UpdateResult, error) {
 	store := s.store()
 
 	// Step 3 (second half): one spec-extraction call; the spec is stable
 	// across retries because it is derived from the unchanged intent.
 	ssp := root.Child("spec-extract")
-	specResp, err := s.complete(ctx, ssp, store.BuildRequest(llm.TaskSpecRouteMap,
+	specResp, err := s.complete(ctx, ssp, store.BuildRequest(k.specTask,
 		llm.Message{Role: llm.RoleUser, Content: intentText}))
 	ssp.End()
 	if err != nil {
 		return nil, fmt.Errorf("clarify: spec extraction: %w", err)
 	}
-	rmSpec, err := spec.ParseRouteMapSpec([]byte(specResp.Content))
+	verify, err := k.verifier(s, specResp.Content)
 	if err != nil {
 		return nil, fmt.Errorf("clarify: spec extraction produced invalid JSON: %w", err)
 	}
 
 	turns := []llm.Message{{Role: llm.RoleUser, Content: intentText}}
 	var snippet *ios.Config
-	var snippetMap, snippetText string
+	var snippetList, snippetText string
 	attempts := 0
 	for {
 		// The per-update deadline budget must stop the verify-and-retry loop
@@ -412,7 +529,7 @@ func (s *Session) submitRouteMap(ctx context.Context, root *obs.Span, cfg *ios.C
 		}
 		asp := root.ChildN("synthesize-attempt", attempts)
 		asp.SetInt("attempt", int64(attempts))
-		resp, err := s.complete(ctx, asp, store.BuildRequest(llm.TaskSynthRouteMap, turns...))
+		resp, err := s.complete(ctx, asp, store.BuildRequest(k.synthTask, turns...))
 		if err != nil {
 			asp.End()
 			return nil, fmt.Errorf("clarify: synthesis: %w", err)
@@ -424,13 +541,13 @@ func (s *Session) submitRouteMap(ctx context.Context, root *obs.Span, cfg *ios.C
 		psp.End()
 		if perr != nil {
 			feedback = fmt.Sprintf("The previous output was not valid Cisco IOS syntax: %v.", perr)
-		} else if name, err2 := soleRouteMap(parsed); err2 != nil {
+		} else if name, err2 := k.sole(parsed); err2 != nil {
 			feedback = fmt.Sprintf("The previous output was malformed: %v.", err2)
-		} else if err3 := parsed.Validate(); err3 != nil {
+		} else if err3 := k.validate(parsed); err3 != nil {
 			feedback = fmt.Sprintf("The previous output references undefined data structures: %v.", err3)
 		} else if !s.SkipVerification {
 			vsp := asp.Child("verify")
-			violations, err4 := spec.VerifyRouteMapSnippetTraced(s.SpaceCache, parsed, name, rmSpec, vsp)
+			violations, err4 := verify(parsed, name, vsp)
 			if err4 != nil {
 				vsp.End()
 				asp.End()
@@ -439,12 +556,12 @@ func (s *Session) submitRouteMap(ctx context.Context, root *obs.Span, cfg *ios.C
 			vsp.SetInt("violations", int64(len(violations)))
 			vsp.End()
 			if len(violations) > 0 {
-				feedback = "The previous stanza does not meet the specification: " + describeViolations(violations)
+				feedback = "The previous " + k.ruleNoun + " does not meet the specification: " + describeViolations(violations)
 			} else {
-				snippet, snippetMap = parsed, name
+				snippet, snippetList = parsed, name
 			}
 		} else {
-			snippet, snippetMap = parsed, name
+			snippet, snippetList = parsed, name
 		}
 		if snippet != nil {
 			asp.SetBool("verified", true)
@@ -461,217 +578,50 @@ func (s *Session) submitRouteMap(ctx context.Context, root *obs.Span, cfg *ios.C
 		)
 	}
 
+	v := reuseEntry{kind: k, snippetText: snippetText, specJSON: specResp.Content, snippet: snippet, name: snippetList}
 	if s.EnableReuse {
+		cached := v // a copy, so v itself stays off the heap
 		s.mu.Lock()
 		if s.reuse == nil {
 			s.reuse = map[string]*reuseEntry{}
 		}
-		s.reuse[intentText] = &reuseEntry{
-			kind: intent.KindRouteMap, snippetText: snippetText,
-			specJSON: specResp.Content, snippet: snippet, name: snippetMap,
-		}
+		s.reuse[intentText] = &cached
 		s.mu.Unlock()
 	}
 	root.SetInt("attempts", int64(attempts))
-	return s.insertRouteSnippet(root, cfg, snippet, snippetMap, mapName, snippetText, specResp.Content, attempts, oracle)
+	return s.insert(root, cfg, &v, target, attempts, ro, ao)
 }
 
-// insertRouteSnippet is step 6 for route maps: disambiguation and insertion
-// of an already-verified snippet into the cfg snapshot.
-func (s *Session) insertRouteSnippet(root *obs.Span, cfg, snippet *ios.Config, snippetMap, mapName, snippetText, specJSON string, attempts int, oracle disambig.RouteOracle) (*UpdateResult, error) {
+// insert is step 6: disambiguation and insertion of an already-verified
+// snippet into the cfg snapshot.
+func (s *Session) insert(root *obs.Span, cfg *ios.Config, v *reuseEntry, target string, attempts int, ro disambig.RouteOracle, ao disambig.ACLOracle) (*UpdateResult, error) {
 	dsp := root.Child("disambiguate")
-	res, err := disambig.InsertRouteMapStanzaStrategyTraced(s.Strategy, s.SpaceCache, cfg, mapName, snippet, snippetMap, oracle, dsp)
+	res, err := v.kind.disambiguate(s, cfg, v.snippet, v.name, target, ro, ao, dsp)
 	if err != nil {
 		dsp.End()
 		return nil, err
 	}
-	dsp.SetInt("overlaps", int64(len(res.Overlaps)))
-	dsp.SetInt("questions", int64(len(res.Questions)))
-	dsp.SetInt("position", int64(res.Position))
+	overlaps, questions, position, led := res.Placement()
+	dsp.SetInt("overlaps", int64(overlaps))
+	dsp.SetInt("questions", int64(questions))
+	dsp.SetInt("position", int64(position))
 	dsp.End()
 	root.Logf("disambiguated %s: %d distinguishing overlap(s), %d question(s), inserted at position %d",
-		mapName, len(res.Overlaps), len(res.Questions), res.Position)
-	if led := res.Ambiguity; led != nil {
+		target, overlaps, questions, position)
+	if led != nil {
 		root.Logf("ambiguity: %.1f bits before, %.1f resolved by %d question(s), %.1f residual",
 			led.InitialBits, led.ResolvedBits(), led.QuestionCount(), led.ResidualBits)
 	}
 	s.mu.Lock()
-	s.stats.Disambiguations += len(res.Questions)
+	s.stats.Disambiguations += questions
 	s.stats.Updates++
 	s.Config = res.Config
 	s.mu.Unlock()
-	return &UpdateResult{
-		Kind:        intent.KindRouteMap,
-		SnippetText: snippetText,
-		SpecJSON:    specJSON,
-		Attempts:    attempts,
-		RouteInsert: res,
-		Config:      res.Config,
-	}, nil
-}
-
-// submitACL is the ACL pipeline. cfg is the configuration snapshot the
-// update applies to; oracle is this update's disambiguation oracle.
-func (s *Session) submitACL(ctx context.Context, root *obs.Span, cfg *ios.Config, intentText, aclName string, oracle disambig.ACLOracle) (*UpdateResult, error) {
-	store := s.store()
-	ssp := root.Child("spec-extract")
-	specResp, err := s.complete(ctx, ssp, store.BuildRequest(llm.TaskSpecACL,
-		llm.Message{Role: llm.RoleUser, Content: intentText}))
-	ssp.End()
-	if err != nil {
-		return nil, fmt.Errorf("clarify: spec extraction: %w", err)
-	}
-	aclSpec, err := spec.ParseACLSpec([]byte(specResp.Content))
-	if err != nil {
-		return nil, fmt.Errorf("clarify: spec extraction produced invalid JSON: %w", err)
-	}
-
-	turns := []llm.Message{{Role: llm.RoleUser, Content: intentText}}
-	var snippet *ios.Config
-	var snippetACL, snippetText string
-	attempts := 0
-	for {
-		// See submitRouteMap: honor the per-update deadline between attempts.
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("clarify: update cancelled: %w", err)
-		}
-		if attempts >= s.maxAttempts() {
-			s.mu.Lock()
-			s.stats.Punts++
-			s.mu.Unlock()
-			root.SetBool("punted", true)
-			return nil, ErrPunt
-		}
-		attempts++
-		if attempts > 1 {
-			s.mu.Lock()
-			s.stats.Retries++
-			s.mu.Unlock()
-		}
-		asp := root.ChildN("synthesize-attempt", attempts)
-		asp.SetInt("attempt", int64(attempts))
-		resp, err := s.complete(ctx, asp, store.BuildRequest(llm.TaskSynthACL, turns...))
-		if err != nil {
-			asp.End()
-			return nil, fmt.Errorf("clarify: synthesis: %w", err)
-		}
-		snippetText = resp.Content
-		feedback := ""
-		psp := asp.Child("parse")
-		parsed, perr := ios.Parse(snippetText)
-		psp.End()
-		if perr != nil {
-			feedback = fmt.Sprintf("The previous output was not valid Cisco IOS syntax: %v.", perr)
-		} else if name, err2 := soleACL(parsed); err2 != nil {
-			feedback = fmt.Sprintf("The previous output was malformed: %v.", err2)
-		} else if !s.SkipVerification {
-			vsp := asp.Child("verify")
-			violations, err3 := spec.VerifyACLSnippetTraced(parsed, name, aclSpec, vsp)
-			if err3 != nil {
-				vsp.End()
-				asp.End()
-				return nil, fmt.Errorf("clarify: verification: %w", err3)
-			}
-			vsp.SetInt("violations", int64(len(violations)))
-			vsp.End()
-			if len(violations) > 0 {
-				feedback = "The previous entry does not meet the specification: " + describeViolations(violations)
-			} else {
-				snippet, snippetACL = parsed, name
-			}
-		} else {
-			snippet, snippetACL = parsed, name
-		}
-		if snippet != nil {
-			asp.SetBool("verified", true)
-			asp.End()
-			root.Logf("attempt %d verified", attempts)
-			break
-		}
-		asp.SetStr("fault-feedback", feedback)
-		asp.End()
-		root.Logf("attempt %d rejected: %s", attempts, feedback)
-		turns = append(turns,
-			llm.Message{Role: llm.RoleAssistant, Content: snippetText},
-			llm.Message{Role: llm.RoleUser, Content: feedback + llm.FeedbackIntentMarker + intentText},
-		)
-	}
-
-	if s.EnableReuse {
-		s.mu.Lock()
-		if s.reuse == nil {
-			s.reuse = map[string]*reuseEntry{}
-		}
-		s.reuse[intentText] = &reuseEntry{
-			kind: intent.KindACL, snippetText: snippetText,
-			specJSON: specResp.Content, snippet: snippet, name: snippetACL,
-		}
-		s.mu.Unlock()
-	}
-	root.SetInt("attempts", int64(attempts))
-	return s.insertACLSnippet(root, cfg, snippet, snippetACL, aclName, snippetText, specResp.Content, attempts, oracle)
-}
-
-// insertACLSnippet is step 6 for ACLs, against the cfg snapshot. (ACL spaces
-// are fixed-shape and cheap to build, so no symbolic cache is involved.)
-func (s *Session) insertACLSnippet(root *obs.Span, cfg, snippet *ios.Config, snippetACL, aclName, snippetText, specJSON string, attempts int, oracle disambig.ACLOracle) (*UpdateResult, error) {
-	dsp := root.Child("disambiguate")
-	res, err := disambig.InsertACLEntryTraced(cfg, aclName, snippet, snippetACL, oracle, dsp)
-	if err != nil {
-		dsp.End()
-		return nil, err
-	}
-	dsp.SetInt("overlaps", int64(len(res.Overlaps)))
-	dsp.SetInt("questions", int64(len(res.Questions)))
-	dsp.SetInt("position", int64(res.Position))
-	dsp.End()
-	root.Logf("disambiguated %s: %d distinguishing overlap(s), %d question(s), inserted at position %d",
-		aclName, len(res.Overlaps), len(res.Questions), res.Position)
-	if led := res.Ambiguity; led != nil {
-		root.Logf("ambiguity: %.1f bits before, %.1f resolved by %d question(s), %.1f residual",
-			led.InitialBits, led.ResolvedBits(), led.QuestionCount(), led.ResidualBits)
-	}
-	s.mu.Lock()
-	s.stats.Disambiguations += len(res.Questions)
-	s.stats.Updates++
-	s.Config = res.Config
-	s.mu.Unlock()
-	return &UpdateResult{
-		Kind:        intent.KindACL,
-		SnippetText: snippetText,
-		SpecJSON:    specJSON,
-		Attempts:    attempts,
-		ACLInsert:   res,
-		Config:      res.Config,
-	}, nil
-}
-
-func soleRouteMap(cfg *ios.Config) (string, error) {
-	if len(cfg.RouteMaps) != 1 {
-		return "", fmt.Errorf("want exactly one route-map, got %d", len(cfg.RouteMaps))
-	}
-	var name string
-	var rm *ios.RouteMap
-	for name, rm = range cfg.RouteMaps {
-	}
-	if len(rm.Stanzas) != 1 {
-		return "", fmt.Errorf("want exactly one stanza, got %d", len(rm.Stanzas))
-	}
-	return name, nil
-}
-
-func soleACL(cfg *ios.Config) (string, error) {
-	if len(cfg.ACLs) != 1 {
-		return "", fmt.Errorf("want exactly one access-list, got %d", len(cfg.ACLs))
-	}
-	var name string
-	var acl *ios.ACL
-	for name, acl = range cfg.ACLs {
-	}
-	if len(acl.Entries) != 1 {
-		return "", fmt.Errorf("want exactly one entry, got %d", len(acl.Entries))
-	}
-	return name, nil
+	res.Kind = v.kind.kind
+	res.SnippetText = v.snippetText
+	res.SpecJSON = v.specJSON
+	res.Attempts = attempts
+	return res, nil
 }
 
 func describeViolations(vs []spec.Violation) string {

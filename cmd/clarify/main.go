@@ -212,14 +212,8 @@ func run(opts cliOptions, stdin io.Reader, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "\nSynthesized snippet (%d attempt(s)):\n%s\n", res.Attempts, indent(res.SnippetText))
 		fmt.Fprintf(out, "Behavioural specification:\n%s\n\n", indent(res.SpecJSON))
-		if res.RouteInsert != nil {
-			fmt.Fprintf(out, "Inserted at position %d after %d question(s).\n\n",
-				res.RouteInsert.Position, len(res.RouteInsert.Questions))
-		}
-		if res.ACLInsert != nil {
-			fmt.Fprintf(out, "Inserted at position %d after %d question(s).\n\n",
-				res.ACLInsert.Position, len(res.ACLInsert.Questions))
-		}
+		_, questions, position, _ := res.Placement()
+		fmt.Fprintf(out, "Inserted at position %d after %d question(s).\n\n", position, questions)
 		if opts.trace != nil {
 			st := session.Stats()
 			fmt.Fprintf(opts.trace, "clarify: stats so far: %d LLM calls, %d disambiguations, %d retries, %d punts, %d updates\n",

@@ -31,9 +31,6 @@ func InsertACLEntry(orig *ios.Config, aclName string, snippet *ios.Config, snipp
 // insertACLEntry is the shared implementation, charging the symbolic work
 // and oracle waits to sp (which may be nil).
 func insertACLEntry(orig *ios.Config, aclName string, snippet *ios.Config, snippetACL string, oracle ACLOracle, sp *obs.Span) (*ACLResult, error) {
-	if sp != nil {
-		oracle = &tracedACLOracle{oracle: oracle, sp: sp}
-	}
 	if _, ok := orig.ACLs[aclName]; !ok {
 		return nil, fmt.Errorf("disambig: ACL %q not in configuration", aclName)
 	}
@@ -98,28 +95,22 @@ func insertACLEntry(orig *ios.Config, aclName string, snippet *ios.Config, snipp
 	for _, p := range probes {
 		result.Overlaps = append(result.Overlaps, p.entry)
 	}
-	lo, hi := 0, len(probes)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		q := probes[mid].question
-		preferNew, err := oracle.ChooseACL(q)
-		if err != nil {
-			return nil, err
+	gap, err := searchGap(StrategyBinary, len(probes), func(i int) (bool, error) {
+		q := probes[i].question
+		preferNew, err := chooseACL(oracle, sp, q)
+		if err == nil {
+			result.Questions = append(result.Questions, q)
 		}
-		result.Questions = append(result.Questions, q)
-		if preferNew {
-			meter.Question(lo, hi, lo, mid, true)
-			hi = mid
-		} else {
-			meter.Question(lo, hi, mid+1, hi, false)
-			lo = mid + 1
-		}
+		return preferNew, err
+	}, meter)
+	if err != nil {
+		return nil, err
 	}
-	result.Ambiguity = meter.Finish(lo, lo)
+	result.Ambiguity = meter.Finish(gap, gap)
 	ambiguity.Annotate(sp, result.Ambiguity)
 	pos := 0
-	if lo > 0 {
-		pos = probes[lo-1].entry + 1
+	if gap > 0 {
+		pos = probes[gap-1].entry + 1
 	}
 	insSp := sp.Child("insert")
 	acl.InsertEntry(pos, newEntry)

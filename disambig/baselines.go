@@ -49,7 +49,7 @@ func (s Strategy) String() string {
 // from the top, placing the new stanza immediately before the first overlap
 // the user assigns to it.
 func InsertRouteMapStanzaLinear(orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle) (*RouteResult, error) {
-	return insertWithSearch(nil, nil, orig, mapName, snippet, snippetMap, oracle, StrategyLinear, linearSearch)
+	return insertWithSearch(nil, nil, orig, mapName, snippet, snippetMap, oracle, StrategyLinear)
 }
 
 // InsertRouteMapStanzaStrategy dispatches on strategy.
@@ -63,33 +63,25 @@ func InsertRouteMapStanzaStrategyCached(strategy Strategy, cache *symbolic.Space
 	return InsertRouteMapStanzaStrategyTraced(strategy, cache, orig, mapName, snippet, snippetMap, oracle, nil)
 }
 
-func linearSearch(probes []probeQ, oracle RouteOracle, meter *ambiguity.Meter, record func(RouteQuestion)) (int, error) {
-	for gap, p := range probes {
-		preferNew, err := oracle.ChooseRoute(p.example)
-		if err != nil {
-			return 0, err
-		}
-		record(p.example)
-		if preferNew {
-			// "yes" at gap pins the stanza below every remaining probe too
-			// (monotone placement), collapsing the undecided range.
-			meter.Question(gap, len(probes), gap, gap, true)
-			return gap, nil
-		}
-		meter.Question(gap, len(probes), gap+1, len(probes), false)
-	}
-	return len(probes), nil
-}
-
-func binarySearch(probes []probeQ, oracle RouteOracle, meter *ambiguity.Meter, record func(RouteQuestion)) (int, error) {
-	lo, hi := 0, len(probes)
+// searchGap is the §4 gap search shared by route maps, ACLs and the list
+// families. Probes 0..n-1 are the distinguishing overlaps in rule order;
+// gap g means the new rule goes below probes 0..g-1 and above probes g..,
+// so ask(i) — show probe i, report whether the user prefers the new rule —
+// is monotone in i. StrategyLinear asks at the low end of the undecided
+// range, i.e. top-down until the first "yes"; any other strategy bisects,
+// needing ⌈log₂(n+1)⌉ questions. meter (nil when untraced) records how much
+// each answer narrows the range.
+func searchGap(strategy Strategy, n int, ask func(i int) (bool, error), meter *ambiguity.Meter) (int, error) {
+	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		preferNew, err := oracle.ChooseRoute(probes[mid].example)
+		if strategy == StrategyLinear {
+			mid = lo
+		}
+		preferNew, err := ask(mid)
 		if err != nil {
 			return 0, err
 		}
-		record(probes[mid].example)
 		if preferNew {
 			meter.Question(lo, hi, lo, mid, true)
 			hi = mid
@@ -111,9 +103,6 @@ func InsertRouteMapStanzaTopBottom(orig *ios.Config, mapName string, snippet *io
 }
 
 func insertTopBottom(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle) (*RouteResult, error) {
-	if sp != nil {
-		oracle = &tracedRouteOracle{oracle: oracle, sp: sp}
-	}
 	prep, err := prepare(orig, mapName, snippet, snippetMap)
 	if err != nil {
 		return nil, err
@@ -162,7 +151,7 @@ func insertTopBottom(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config,
 		NewVerdict: d.VerdictA, // top placement: new stanza wins
 		OldVerdict: d.VerdictB, // bottom placement: existing stanzas win
 	}
-	preferNew, err := oracle.ChooseRoute(q)
+	preferNew, err := chooseRoute(oracle, sp, q)
 	if err != nil {
 		return nil, err
 	}
@@ -255,12 +244,9 @@ func prepare(orig *ios.Config, mapName string, snippet *ios.Config, snippetMap s
 	return &prepared{work: work, rm: work.RouteMaps[mapName], stanza: stanza, renames: renames}, nil
 }
 
-// insertWithSearch is the generic flow parameterized by gap-search strategy.
-func insertWithSearch(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle,
-	strategy Strategy, search func([]probeQ, RouteOracle, *ambiguity.Meter, func(RouteQuestion)) (int, error)) (*RouteResult, error) {
-	if sp != nil {
-		oracle = &tracedRouteOracle{oracle: oracle, sp: sp}
-	}
+// insertWithSearch is the gap-search flow for StrategyBinary and
+// StrategyLinear.
+func insertWithSearch(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle, strategy Strategy) (*RouteResult, error) {
 	prep, err := prepare(orig, mapName, snippet, snippetMap)
 	if err != nil {
 		return nil, err
@@ -274,14 +260,19 @@ func insertWithSearch(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config
 	for _, p := range probes {
 		result.Overlaps = append(result.Overlaps, p.stanza)
 	}
-	gap, err := search(probes, oracle, meter, func(q RouteQuestion) {
-		result.Questions = append(result.Questions, q)
-	})
+	gap, err := searchGap(strategy, len(probes), func(i int) (bool, error) {
+		q := probes[i].example
+		preferNew, err := chooseRoute(oracle, sp, q)
+		if err == nil {
+			result.Questions = append(result.Questions, q)
+		}
+		return preferNew, err
+	}, meter)
 	if err != nil {
 		return nil, err
 	}
-	// Both searches run the undecided range dry, so the residual is the
-	// empty range.
+	// The search runs the undecided range dry, so the residual is the empty
+	// range.
 	result.Ambiguity = meter.Finish(gap, gap)
 	ambiguity.Annotate(sp, result.Ambiguity)
 	pos := 0

@@ -275,23 +275,19 @@ func (p *listProblem) run(oracle ListOracle) (*ListResult, error) {
 	for _, pr := range probes {
 		res.Overlaps = append(res.Overlaps, pr.entry)
 	}
-	lo, hi := 0, len(probes)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		preferNew, err := oracle.ChooseList(probes[mid].question)
-		if err != nil {
-			return nil, err
+	gap, err := searchGap(StrategyBinary, len(probes), func(i int) (bool, error) {
+		preferNew, err := oracle.ChooseList(probes[i].question)
+		if err == nil {
+			res.Questions = append(res.Questions, probes[i].question)
 		}
-		res.Questions = append(res.Questions, probes[mid].question)
-		if preferNew {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+		return preferNew, err
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
 	pos := 0
-	if lo > 0 {
-		pos = probes[lo-1].entry + 1
+	if gap > 0 {
+		pos = probes[gap-1].entry + 1
 	}
 	p.insert(pos)
 	res.Config = p.work

@@ -11,14 +11,10 @@ import (
 // counters for the overlap analysis, one "question-wait" child span per
 // oracle round trip, and an "insert" child span for the final placement.
 func InsertRouteMapStanzaStrategyTraced(strategy Strategy, cache *symbolic.SpaceCache, orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle, sp *obs.Span) (*RouteResult, error) {
-	switch strategy {
-	case StrategyLinear:
-		return insertWithSearch(cache, sp, orig, mapName, snippet, snippetMap, oracle, StrategyLinear, linearSearch)
-	case StrategyTopBottom:
+	if strategy == StrategyTopBottom {
 		return insertTopBottom(cache, sp, orig, mapName, snippet, snippetMap, oracle)
-	default:
-		return insertWithSearch(cache, sp, orig, mapName, snippet, snippetMap, oracle, StrategyBinary, binarySearch)
 	}
+	return insertWithSearch(cache, sp, orig, mapName, snippet, snippetMap, oracle, strategy)
 }
 
 // InsertACLEntryTraced is InsertACLEntry recording the disambiguation
@@ -27,32 +23,23 @@ func InsertACLEntryTraced(orig *ios.Config, aclName string, snippet *ios.Config,
 	return insertACLEntry(orig, aclName, snippet, snippetACL, oracle, sp)
 }
 
-// tracedRouteOracle times each oracle round trip as a "question-wait" child
-// span — for the daemon's async oracle this is the operator's think time.
-type tracedRouteOracle struct {
-	oracle RouteOracle
-	sp     *obs.Span
-}
-
-func (o *tracedRouteOracle) ChooseRoute(q RouteQuestion) (bool, error) {
-	qsp := o.sp.Child("question-wait")
+// chooseRoute asks oracle q, timing the round trip as a "question-wait"
+// child of sp — for the daemon's async oracle this is the operator's think
+// time. With sp nil no span is created.
+func chooseRoute(oracle RouteOracle, sp *obs.Span, q RouteQuestion) (bool, error) {
+	qsp := sp.Child("question-wait")
 	qsp.SetInt("probed-stanza", int64(q.ProbedStanza))
-	preferNew, err := o.oracle.ChooseRoute(q)
+	preferNew, err := oracle.ChooseRoute(q)
 	qsp.SetBool("prefer-new", preferNew)
 	qsp.End()
 	return preferNew, err
 }
 
-// tracedACLOracle is tracedRouteOracle for ACL questions.
-type tracedACLOracle struct {
-	oracle ACLOracle
-	sp     *obs.Span
-}
-
-func (o *tracedACLOracle) ChooseACL(q ACLQuestion) (bool, error) {
-	qsp := o.sp.Child("question-wait")
+// chooseACL is chooseRoute for ACL questions.
+func chooseACL(oracle ACLOracle, sp *obs.Span, q ACLQuestion) (bool, error) {
+	qsp := sp.Child("question-wait")
 	qsp.SetInt("probed-entry", int64(q.ProbedEntry))
-	preferNew, err := o.oracle.ChooseACL(q)
+	preferNew, err := oracle.ChooseACL(q)
 	qsp.SetBool("prefer-new", preferNew)
 	qsp.End()
 	return preferNew, err

@@ -1,11 +1,8 @@
 package lb
 
 import (
-	"encoding/json"
-	"io"
 	"net/http"
 	"sort"
-	"time"
 
 	"github.com/clarifynet/clarify/ambiguity"
 	"github.com/clarifynet/clarify/server"
@@ -30,24 +27,8 @@ type FleetAmbiguity struct {
 func (l *LB) handleDebugAmbiguity(w http.ResponseWriter, r *http.Request) {
 	merged := &FleetAmbiguity{}
 	for _, b := range l.backends {
-		if !b.Admitted() {
-			continue
-		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.URL.String()+"/debug/ambiguity", nil)
-		if err != nil {
-			continue
-		}
-		start := time.Now()
-		resp, err := l.proxy.Do(req)
-		if err != nil {
-			b.recordRequest(0, time.Since(start), true)
-			continue
-		}
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-		resp.Body.Close()
-		b.recordRequest(resp.StatusCode, time.Since(start), false)
 		var part server.AmbiguitySnapshot
-		if resp.StatusCode == http.StatusOK && json.Unmarshal(data, &part) == nil {
+		if b.Admitted() && l.getBackend(r, b, "/debug/ambiguity", &part) {
 			merged.AmbiguitySnapshot.Merge(&part)
 			merged.BackendsReporting = append(merged.BackendsReporting, b.Name)
 		}

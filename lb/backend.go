@@ -112,16 +112,11 @@ func (b *Backend) lessLoaded(o *Backend) bool {
 	return bs < os
 }
 
-// recordRequest folds one proxied request into the backend's counters.
-// transportErr marks a failure to reach the backend at all.
-func (b *Backend) recordRequest(status int, d time.Duration, transportErr bool) {
-	b.recordRequestTrace(status, d, transportErr, "")
-}
-
-// recordRequestTrace is recordRequest plus an exemplar: when traceID is
+// recordRequest folds one request to the backend into its counters.
+// transportErr marks a failure to reach the backend at all. When traceID is
 // non-empty, the observation is recorded as the latency bucket's last
 // exemplar for the OpenMetrics exposition.
-func (b *Backend) recordRequestTrace(status int, d time.Duration, transportErr bool, traceID string) {
+func (b *Backend) recordRequest(status int, d time.Duration, transportErr bool, traceID string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.requests++

@@ -392,29 +392,34 @@ func (l *LB) handleRestore(w http.ResponseWriter, r *http.Request) {
 func (l *LB) handleList(w http.ResponseWriter, r *http.Request) {
 	merged := make([]server.SessionInfo, 0, 16)
 	for _, b := range l.backends {
-		if !b.Admitted() {
-			continue
-		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.URL.String()+"/v1/sessions", nil)
-		if err != nil {
-			continue
-		}
-		start := time.Now()
-		resp, err := l.proxy.Do(req)
-		if err != nil {
-			b.recordRequest(0, time.Since(start), true)
-			continue
-		}
 		var part []server.SessionInfo
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-		resp.Body.Close()
-		b.recordRequest(resp.StatusCode, time.Since(start), false)
-		if resp.StatusCode == http.StatusOK && json.Unmarshal(data, &part) == nil {
+		if b.Admitted() && l.getBackend(r, b, "/v1/sessions", &part) {
 			merged = append(merged, part...)
 		}
 	}
 	l.proxied.Add(1)
 	writeJSON(w, http.StatusOK, merged)
+}
+
+// getBackend is the request path every balancer fan-out shares: GET path
+// from one backend, count the round trip in the backend's request counters,
+// and decode a 200 body of at most 16 MiB into v. It reports whether v was
+// filled; any failure is "this backend has nothing to add".
+func (l *LB) getBackend(r *http.Request, b *Backend, path string, v any) bool {
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.URL.String()+path, nil)
+	if err != nil {
+		return false
+	}
+	start := time.Now()
+	resp, err := l.proxy.Do(req)
+	if err != nil {
+		b.recordRequest(0, time.Since(start), true, "")
+		return false
+	}
+	data, _ := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	resp.Body.Close()
+	b.recordRequest(resp.StatusCode, time.Since(start), false, "")
+	return resp.StatusCode == http.StatusOK && json.Unmarshal(data, v) == nil
 }
 
 // handleHealthz reports the balancer's own liveness: healthy while at least
@@ -551,7 +556,7 @@ func (l *LB) recordProxied(pt *proxyTrace, b *Backend, status int, d time.Durati
 	if l.opts.Exemplars && pt.t != nil {
 		traceID = pt.t.ID
 	}
-	b.recordRequestTrace(status, d, transportErr, traceID)
+	b.recordRequest(status, d, transportErr, traceID)
 	l.proxied.Add(1)
 }
 

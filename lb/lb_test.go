@@ -845,3 +845,35 @@ func TestPlacementFailsOverDrainingBackend(t *testing.T) {
 		}
 	}
 }
+
+// TestFanOutsCountBackendRequests checks that each balancer fan-out — the
+// session listing, the fleet ambiguity view and a fleet trace lookup —
+// counts exactly one request on every admitted backend.
+func TestFanOutsCountBackendRequests(t *testing.T) {
+	f := startLBFleet(t, 2, fastProbeOpts())
+	for _, path := range []string{
+		"/v1/sessions",
+		"/debug/ambiguity",
+		"/debug/traces/0af7651916cd43dd8448eb211c80319c",
+	} {
+		before := map[string]int64{}
+		for _, s := range f.lb.Backends() {
+			if s.State == StateAdmitted {
+				before[s.Name] = s.Requests
+			}
+		}
+		if len(before) != 2 {
+			t.Fatalf("%s: %d admitted backends, want 2", path, len(before))
+		}
+		resp, err := http.Get(f.lbSrv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		for name, n := range before {
+			if got := f.snapshotOf(t, name).Requests; got != n+1 {
+				t.Errorf("GET %s: backend %s requests %d -> %d, want +1", path, name, n, got)
+			}
+		}
+	}
+}

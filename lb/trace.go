@@ -2,7 +2,6 @@ package lb
 
 import (
 	"encoding/json"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -253,11 +252,9 @@ func (l *LB) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	grafted := map[*obs.Trace]bool{}
 	for _, b := range l.backends {
-		if !b.Admitted() {
-			continue
-		}
-		bt := l.fetchBackendTrace(r, b, tid)
-		if bt == nil {
+		// Any failure, 404 included, means this replica has no spans for tid.
+		bt := new(obs.Trace)
+		if !b.Admitted() || !l.getBackend(r, b, "/debug/traces/"+tid, bt) || bt.Root == nil {
 			continue
 		}
 		bt.Root.SetStr("node", b.Name)
@@ -329,30 +326,6 @@ func (l *LB) localTraces(tid string) []*obs.Trace {
 		}
 	}
 	return out
-}
-
-// fetchBackendTrace asks one replica for its trace with the given ID; any
-// failure (404 included) is simply "this replica has no spans for it".
-func (l *LB) fetchBackendTrace(r *http.Request, b *Backend, tid string) *obs.Trace {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet,
-		b.URL.String()+"/debug/traces/"+tid, nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := l.proxy.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	t := new(obs.Trace)
-	if json.Unmarshal(data, t) != nil || t.Root == nil {
-		return nil
-	}
-	return t
 }
 
 // copyTrace deep-copies a trace through its wire form, so grafting replica

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"github.com/clarifynet/clarify"
-	"github.com/clarifynet/clarify/ambiguity"
 	"github.com/clarifynet/clarify/disambig"
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/journal"
@@ -239,15 +238,7 @@ func Record(ctx context.Context, rec *journal.Record, idx int, opts Options) Out
 	// comparable and pass.
 	if rec.Ambiguity != nil {
 		out.LedgerChecked = true
-		var led *ambiguity.Ledger
-		if res != nil {
-			if res.RouteInsert != nil {
-				led = res.RouteInsert.Ambiguity
-			}
-			if res.ACLInsert != nil {
-				led = res.ACLInsert.Ambiguity
-			}
-		}
+		_, _, _, led := res.Placement()
 		want, werr := json.Marshal(rec.Ambiguity)
 		got, gerr := json.Marshal(led)
 		if werr != nil || gerr != nil || led == nil || !bytes.Equal(want, got) {

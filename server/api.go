@@ -107,20 +107,17 @@ type UpdateResultInfo struct {
 
 // newUpdateResultInfo projects a pipeline result onto the wire type.
 func newUpdateResultInfo(res *clarify.UpdateResult) *UpdateResultInfo {
+	_, questions, position, _ := res.Placement()
 	out := &UpdateResultInfo{
 		Kind:        res.Kind.String(),
 		SnippetText: res.SnippetText,
 		SpecJSON:    res.SpecJSON,
 		Attempts:    res.Attempts,
+		Position:    position,
+		Questions:   questions,
 	}
 	if res.RouteInsert != nil {
-		out.Position = res.RouteInsert.Position
-		out.Questions = len(res.RouteInsert.Questions)
 		out.Renames = res.RouteInsert.Renames
-	}
-	if res.ACLInsert != nil {
-		out.Position = res.ACLInsert.Position
-		out.Questions = len(res.ACLInsert.Questions)
 	}
 	return out
 }

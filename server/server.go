@@ -646,13 +646,9 @@ func (s *Server) runUpdate(sn *session, u *update, tn *tenant.Tenant, script []d
 	}
 	// Fold the pipeline's information-gain ledger (if the update reached
 	// disambiguation) into the fleet and per-tenant ambiguity rollups.
-	if rerr == nil && res != nil {
-		if res.RouteInsert != nil {
-			s.amb.record(tn.Name(), res.RouteInsert.Ambiguity)
-		}
-		if res.ACLInsert != nil {
-			s.amb.record(tn.Name(), res.ACLInsert.Ambiguity)
-		}
+	if rerr == nil {
+		_, _, _, led := res.Placement()
+		s.amb.record(tn.Name(), led)
 	}
 	u.setDegraded(flags.Degraded())
 	u.finish(res, rerr)
