@@ -292,6 +292,15 @@ func (p *Pool) ITE(f, g, h Node) Node {
 	case g == True && h == False:
 		return f
 	}
+	// f is a single variable or its negation above both g and h: the result
+	// is one node, built without recursion or a cache entry. Every bottom-up
+	// build (Not of a variable, a cube conjoined from its lowest bit) hits it.
+	if nf := p.nodes[f]; nf.lo <= True && nf.hi <= True && nf.level < p.level(g) && nf.level < p.level(h) {
+		if nf.hi == True {
+			return p.mk(nf.level, h, g)
+		}
+		return p.mk(nf.level, g, h)
+	}
 	if r, ok := p.iteLookup(f, g, h); ok {
 		return r
 	}

@@ -83,6 +83,72 @@ func evalTruth(t *testing.T, p *Pool, f Node, numVars int, ref func(v []bool) bo
 	}
 }
 
+// TestITETopVariableShortcut: ITE on a variable (or its negation) above both
+// branches returns the one node the general path would build, counts the
+// call, and adds no cache entry; a branch at the variable's own level takes
+// the general path.
+func TestITETopVariableShortcut(t *testing.T) {
+	const n = 10
+	p := NewPool(n)
+	rng := rand.New(rand.NewSource(4))
+	// below draws a function over the variables strictly below level l.
+	below := func(l int) Node {
+		f := Node(rng.Intn(2))
+		for i := 0; i < 4 && l+1 < n; i++ {
+			v := p.Var(l + 1 + rng.Intn(n-l-1))
+			switch rng.Intn(3) {
+			case 0:
+				f = p.And(f, v)
+			case 1:
+				f = p.Or(f, v)
+			default:
+				f = p.Xor(f, v)
+			}
+		}
+		return f
+	}
+	ite := func(f, g, h Node, l int, pos bool) Node {
+		t.Helper()
+		r := p.ITE(f, g, h)
+		evalTruth(t, p, r, n, func(v []bool) bool {
+			if v[l] == pos {
+				return p.Eval(g, v)
+			}
+			return p.Eval(h, v)
+		})
+		return r
+	}
+	for l := 0; l < n; l++ {
+		for trial := 0; trial < 20; trial++ {
+			g, h := below(l), below(l)
+			for _, tc := range []struct {
+				f, want Node
+				pos     bool
+			}{
+				{p.Var(l), p.mk(int32(l), h, g), true},
+				{p.NVar(l), p.mk(int32(l), g, h), false},
+			} {
+				cached, calls := p.iteCount, p.stats.ITECalls
+				if r := ite(tc.f, g, h, l, tc.pos); r != tc.want {
+					t.Fatalf("level %d: ITE = %d, want mk = %d", l, r, tc.want)
+				}
+				if p.iteCount != cached || p.stats.ITECalls != calls+1 {
+					t.Fatalf("level %d: cache %d→%d entries, %d→%d calls; want unchanged, +1",
+						l, cached, p.iteCount, calls, p.stats.ITECalls)
+				}
+			}
+		}
+	}
+	for l := 0; l+1 < n; l++ {
+		g, h := p.Xor(p.Var(l), below(l)), below(l) // g's top level is l
+		cached := p.iteCount
+		ite(p.Var(l), g, h, l, true)
+		if p.iteCount == cached {
+			t.Fatalf("level %d: branch at the variable's level must take the cached general path", l)
+		}
+	}
+}
+
 func TestTruthTables(t *testing.T) {
 	p := NewPool(4)
 	a, b, c := p.Var(0), p.Var(1), p.Var(2)

@@ -47,8 +47,8 @@ func insertACLEntry(orig *ios.Config, aclName string, snippet *ios.Config, snipp
 
 	space := symbolic.NewACLSpace()
 	defer space.ObserveInto(sp, space.Pool.Counters())
-	regions := space.FirstMatch(acl)
-	predNew := space.ACEPred(newEntry)
+	// Probes need first-match regions only inside the new entry's packets.
+	regions := space.FirstMatchWithin(acl, space.ACEPred(newEntry))
 
 	type probe struct {
 		entry    int
@@ -60,13 +60,9 @@ func insertACLEntry(orig *ios.Config, aclName string, snippet *ios.Config, snipp
 		if e.Permit == newEntry.Permit {
 			continue // same action: placement relative to this entry is unobservable
 		}
-		shared := space.Pool.And(regions[i], predNew)
-		if shared == bdd.False {
-			continue
-		}
-		pk, ok := space.Witness(shared)
+		pk, ok := space.Witness(regions[i])
 		if !ok {
-			continue
+			continue // no packet of the new entry reaches entry i
 		}
 		v := policy.EvalACL(acl, pk)
 		if v.Index != i {
@@ -79,7 +75,7 @@ func insertACLEntry(orig *ios.Config, aclName string, snippet *ios.Config, snipp
 			NewPermit:   newEntry.Permit,
 			OldPermit:   e.Permit,
 			ProbedEntry: i,
-		}, region: shared})
+		}, region: regions[i]})
 	}
 
 	var meter *ambiguity.Meter

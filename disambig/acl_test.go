@@ -2,12 +2,14 @@ package disambig
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/clarifynet/clarify/internal/testgen"
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/policy"
 	"github.com/clarifynet/clarify/symbolic"
+	"github.com/clarifynet/clarify/workload"
 )
 
 const baseACL = `ip access-list extended EDGE
@@ -197,4 +199,122 @@ func TestACLFirstMatchRegionsUsedForOverlaps(t *testing.T) {
 		}
 	}
 	_ = policy.ImplicitDeny
+}
+
+// referenceACLProbes collects ACL probes the direct way: every entry's full
+// first-match region, conjoined with the new entry afterwards. It is the
+// oracle for InsertACLEntry's fold restricted to the new entry's packets.
+func referenceACLProbes(acl *ios.ACL, newEntry *ios.ACE) []ACLQuestion {
+	space := symbolic.NewACLSpace()
+	regions := space.FirstMatch(acl)
+	predNew := space.ACEPred(newEntry)
+	var probes []ACLQuestion
+	for i, e := range acl.Entries {
+		if e.Permit == newEntry.Permit {
+			continue
+		}
+		pk, ok := space.Witness(space.Pool.And(regions[i], predNew))
+		if !ok || policy.EvalACL(acl, pk).Index != i {
+			continue
+		}
+		probes = append(probes, ACLQuestion{Input: pk, NewPermit: newEntry.Permit, OldPermit: e.Permit, ProbedEntry: i})
+	}
+	return probes
+}
+
+// aclInsertion is one ACL disambiguation input: a base config, the ACL's
+// name, and a one-entry snippet ACL named "NEW".
+type aclInsertion struct {
+	orig    *ios.Config
+	name    string
+	snippet *ios.Config
+}
+
+func newACLInsertion(orig *ios.Config, name string, e *ios.ACE) aclInsertion {
+	snippet := ios.NewConfig()
+	snippet.AddACL("NEW").Entries = []*ios.ACE{e}
+	return aclInsertion{orig: orig, name: name, snippet: snippet}
+}
+
+// flippedACLInsertions aims a new entry at every entry of every ACL in the
+// corpus: the same match with the opposite action.
+func flippedACLInsertions(c *workload.Corpus) []aclInsertion {
+	var out []aclInsertion
+	for _, cfg := range c.ACLConfigs {
+		for name, acl := range cfg.ACLs {
+			for _, e := range acl.Entries {
+				flipped := e.Clone()
+				flipped.Permit = !flipped.Permit
+				out = append(out, newACLInsertion(cfg, name, flipped))
+			}
+		}
+	}
+	return out
+}
+
+// TestACLProbesMatchReference: on random ACLs with random entries, and on
+// every entry of the cloud and campus corpora with its action flipped,
+// InsertACLEntry finds referenceACLProbes' overlaps, and every question it
+// asks is the reference's probe of that entry, witness packet included.
+func TestACLProbesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	var inputs []aclInsertion
+	for i := 0; i < 2000; i++ {
+		inputs = append(inputs, newACLInsertion(testgen.ACL(rng, "A", 1+rng.Intn(12)), "A", testgen.RandomACE(rng, 10)))
+	}
+	inputs = append(inputs, flippedACLInsertions(workload.Cloud(1, workload.CloudACLCount, 0))...)
+	inputs = append(inputs, flippedACLInsertions(workload.Campus(1, 300, 0))...)
+	coin := FuncACLOracle(func(ACLQuestion) (bool, error) { return rng.Intn(2) == 0, nil })
+	probes, asked := 0, 0
+	for _, in := range inputs {
+		want := referenceACLProbes(in.orig.ACLs[in.name], in.snippet.ACLs["NEW"].Entries[0])
+		res, err := InsertACLEntry(in.orig, in.name, in.snippet, "NEW", coin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var overlaps []int
+		byEntry := map[int]ACLQuestion{}
+		for _, q := range want {
+			overlaps = append(overlaps, q.ProbedEntry)
+			byEntry[q.ProbedEntry] = q
+		}
+		if !slices.Equal(res.Overlaps, overlaps) {
+			t.Fatalf("%s ← %s: overlaps %v, reference %v", in.name, in.snippet.Print(), res.Overlaps, overlaps)
+		}
+		for _, q := range res.Questions {
+			if q != byEntry[q.ProbedEntry] {
+				t.Fatalf("%s ← %s: asked %+v, reference %+v", in.name, in.snippet.Print(), q, byEntry[q.ProbedEntry])
+			}
+		}
+		probes += len(want)
+		asked += len(res.Questions)
+	}
+	t.Logf("%d insertions, %d probes, %d questions asked", len(inputs), probes, asked)
+}
+
+// BenchmarkInsertACLEntry: one op disambiguates a flipped copy of the middle
+// entry into each of 20 ACLs spaced across the cloud and campus corpora,
+// with an oracle that always keeps the existing behaviour.
+func BenchmarkInsertACLEntry(b *testing.B) {
+	var inputs []aclInsertion
+	for _, c := range []*workload.Corpus{workload.Cloud(1, workload.CloudACLCount, 0), workload.Campus(1, 300, 0)} {
+		for i := 0; i < 10; i++ {
+			cfg := c.ACLConfigs[i*len(c.ACLConfigs)/10]
+			for name, acl := range cfg.ACLs {
+				e := acl.Entries[len(acl.Entries)/2].Clone()
+				e.Permit = !e.Permit
+				inputs = append(inputs, newACLInsertion(cfg, name, e))
+			}
+		}
+	}
+	keep := FuncACLOracle(func(ACLQuestion) (bool, error) { return false, nil })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range inputs {
+			if _, err := InsertACLEntry(in.orig, in.name, in.snippet, "NEW", keep); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

@@ -14,8 +14,9 @@ const (
 )
 
 // ACLSpace encodes the packet-header universe for ACL analyses: protocol,
-// source/destination address, source/destination port and the TCP
-// "established" bit — 105 BDD variables total.
+// source address and port, destination address and port, the TCP
+// "established" bit, and ICMP type and code — 8+32+16+32+16+1+8+8 = 121 BDD
+// variables, in that order from the top.
 type ACLSpace struct {
 	Pool *bdd.Pool
 
@@ -57,31 +58,34 @@ func NewACLSpace() *ACLSpace {
 	return s
 }
 
-// ACEPred encodes the match condition of one access-control entry.
+// ACEPred encodes the match condition of one access-control entry. Fields
+// are conjoined from the bottom of the variable order up, so each And walks
+// only the field being added.
 func (s *ACLSpace) ACEPred(e *ios.ACE) bdd.Node {
 	p := s.Pool
 	pred := bdd.True
-	if !e.Protocol.Any {
-		pred = p.And(pred, s.proto.EqConst(uint64(e.Protocol.Value)))
-	}
-	pred = p.And(pred, s.addrPred(e.Src, s.src))
-	pred = p.And(pred, s.addrPred(e.Dst, s.dst))
-	pred = p.And(pred, s.portPred(e.SrcPort, s.sport))
-	pred = p.And(pred, s.portPred(e.DstPort, s.dport))
-	if e.Established {
-		pred = p.And(pred, s.est)
-	}
 	if e.ICMP != nil {
-		pred = p.And(pred, s.icmpType.EqConst(uint64(e.ICMP.Type)))
 		if e.ICMP.HasCode {
-			pred = p.And(pred, s.icmpCode.EqConst(uint64(e.ICMP.Code)))
+			pred = s.icmpCode.EqConst(uint64(e.ICMP.Code))
 		}
+		pred = p.And(s.icmpType.EqConst(uint64(e.ICMP.Type)), pred)
+	}
+	if e.Established {
+		pred = p.And(s.est, pred)
+	}
+	pred = p.And(s.portPred(e.DstPort, s.dport), pred)
+	pred = p.And(s.addrPred(e.Dst, s.dst), pred)
+	pred = p.And(s.portPred(e.SrcPort, s.sport), pred)
+	pred = p.And(s.addrPred(e.Src, s.src), pred)
+	if !e.Protocol.Any {
+		pred = p.And(s.proto.EqConst(uint64(e.Protocol.Value)), pred)
 	}
 	return pred
 }
 
 // addrPred encodes a wildcard-mask address spec: every bit whose wildcard
-// bit is clear must equal the pattern bit.
+// bit is clear must equal the pattern bit. Bits are conjoined from the LSB
+// up, like Vec.EqConst, so each And adds one node.
 func (s *ACLSpace) addrPred(a ios.AddrSpec, vec bdd.Vec) bdd.Node {
 	if a.Any {
 		return bdd.True
@@ -89,15 +93,15 @@ func (s *ACLSpace) addrPred(a ios.AddrSpec, vec bdd.Vec) bdd.Node {
 	p := s.Pool
 	want := ios.AddrU32(a.Addr)
 	pred := bdd.True
-	for i := 0; i < 32; i++ {
+	for i := 31; i >= 0; i-- {
 		mask := uint32(1) << uint(31-i)
 		if a.Wildcard&mask != 0 {
 			continue
 		}
 		if want&mask != 0 {
-			pred = p.And(pred, vec.Bit(i))
+			pred = p.And(vec.Bit(i), pred)
 		} else {
-			pred = p.And(pred, p.Not(vec.Bit(i)))
+			pred = p.And(p.Not(vec.Bit(i)), pred)
 		}
 	}
 	return pred
@@ -131,29 +135,36 @@ func (s *ACLSpace) portPred(ps ios.PortSpec, vec bdd.Vec) bdd.Node {
 // FirstMatch returns per-entry first-match regions plus the final
 // matched-by-nothing region (implicit deny).
 func (s *ACLSpace) FirstMatch(acl *ios.ACL) []bdd.Node {
+	return s.FirstMatchWithin(acl, bdd.True)
+}
+
+// FirstMatchWithin returns len(acl.Entries)+1 regions inside domain: entry
+// i's first-match region ∧ domain, then the packets of domain no entry
+// matches. Once domain is used up, later entries are not encoded and their
+// regions are False.
+func (s *ACLSpace) FirstMatchWithin(acl *ios.ACL, domain bdd.Node) []bdd.Node {
 	p := s.Pool
-	out := make([]bdd.Node, 0, len(acl.Entries)+1)
-	notPrev := bdd.True
-	for _, e := range acl.Entries {
+	out := make([]bdd.Node, len(acl.Entries)+1) // zero value is bdd.False
+	rest := domain
+	for i, e := range acl.Entries {
+		if rest == bdd.False {
+			break
+		}
 		pred := s.ACEPred(e)
-		out = append(out, p.And(notPrev, pred))
-		notPrev = p.And(notPrev, p.Not(pred))
+		out[i] = p.And(rest, pred)
+		rest = p.Diff(rest, pred)
 	}
-	out = append(out, notPrev)
+	out[len(acl.Entries)] = rest
 	return out
 }
 
 // PermitSet returns the BDD of packets the ACL permits.
 func (s *ACLSpace) PermitSet(acl *ios.ACL) bdd.Node {
-	p := s.Pool
 	permitted := bdd.False
-	notPrev := bdd.True
-	for _, e := range acl.Entries {
-		pred := s.ACEPred(e)
-		if e.Permit {
-			permitted = p.Or(permitted, p.And(notPrev, pred))
+	for i, region := range s.FirstMatch(acl)[:len(acl.Entries)] {
+		if acl.Entries[i].Permit {
+			permitted = s.Pool.Or(permitted, region)
 		}
-		notPrev = p.And(notPrev, p.Not(pred))
 	}
 	return permitted
 }

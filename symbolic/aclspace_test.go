@@ -72,29 +72,73 @@ func TestPermitSetMatchesEvaluator(t *testing.T) {
 	}
 }
 
-// TestQuickACLAgreement: random ACLs, random packets — first-match region
-// chosen symbolically equals the evaluator's verdict index.
+// TestQuickACLAgreement: random ACLs, random packets — the symbolic fold
+// agrees with the concrete evaluator (checkACLFirstMatch).
 func TestQuickACLAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
-		cfg := testgen.ACL(rng, "A", 6)
-		acl := cfg.ACLs["A"]
-		s := NewACLSpace()
-		regions := s.FirstMatch(acl)
-		for i := 0; i < 60; i++ {
-			pk := testgen.Packet(rng)
-			v := policy.EvalACL(acl, pk)
-			want := v.Index
-			if want == policy.ImplicitDeny {
-				want = len(regions) - 1
+		checkACLFirstMatch(t, rng, 1+trial%12)
+	}
+}
+
+// FuzzACLFirstMatch runs checkACLFirstMatch on fuzzed seeds and sizes:
+//
+//	go test -run '^$' -fuzz '^FuzzACLFirstMatch$' -fuzztime 15s ./symbolic/
+func FuzzACLFirstMatch(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed*5))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		checkACLFirstMatch(t, rand.New(rand.NewSource(seed)), int(n%12)+1)
+	})
+}
+
+// checkACLFirstMatch draws an ACL of n entries and checks the first-match
+// fold against policy.EvalACL: 64 random packets land in the region of
+// their verdict's index and in PermitSet exactly when permitted, every
+// non-empty region's witness evaluates to that region, and FirstMatchWithin
+// a random entry's packets is FirstMatch ∧ that entry, node for node.
+func checkACLFirstMatch(t *testing.T, rng *rand.Rand, n int) {
+	t.Helper()
+	cfg := testgen.ACL(rng, "A", n)
+	acl := cfg.ACLs["A"]
+	s := NewACLSpace()
+	regions := s.FirstMatch(acl)
+	permit := s.PermitSet(acl)
+	region := func(pk packet.Packet) (int, bool) {
+		v := policy.EvalACL(acl, pk)
+		if v.Index == policy.ImplicitDeny {
+			return n, v.Permit
+		}
+		return v.Index, v.Permit
+	}
+	for i := 0; i < 64; i++ {
+		pk := testgen.Packet(rng)
+		want, permitted := region(pk)
+		vec := s.EncodePacket(pk)
+		for ri, reg := range regions {
+			if got := s.Pool.Eval(reg, vec); got != (ri == want) {
+				t.Fatalf("packet %s: region %d=%v, want region %d\nACL:\n%s", pk, ri, got, want, cfg.Print())
 			}
-			vec := s.EncodePacket(pk)
-			for ri, reg := range regions {
-				if got := s.Pool.Eval(reg, vec); got != (ri == want) {
-					t.Fatalf("trial %d packet %s: region %d=%v, want index %d\nACL:\n%s",
-						trial, pk, ri, got, v.Index, cfg.Print())
-				}
-			}
+		}
+		if got := s.Pool.Eval(permit, vec); got != permitted {
+			t.Fatalf("packet %s: PermitSet=%v, EvalACL permit=%v\nACL:\n%s", pk, got, permitted, cfg.Print())
+		}
+	}
+	for ri, reg := range regions {
+		pk, ok := s.Witness(reg)
+		if !ok {
+			continue // shadowed entry
+		}
+		if got, _ := region(pk); got != ri {
+			t.Fatalf("witness %s of region %d evaluates to region %d\nACL:\n%s", pk, ri, got, cfg.Print())
+		}
+	}
+	e := testgen.RandomACE(rng, 10)
+	domain := s.ACEPred(e)
+	for i, got := range s.FirstMatchWithin(acl, domain) {
+		if want := s.Pool.And(regions[i], domain); got != want {
+			t.Fatalf("FirstMatchWithin(%s)[%d] = %d, want FirstMatch ∧ entry = %d\nACL:\n%s", e, i, got, want, cfg.Print())
 		}
 	}
 }
@@ -146,5 +190,29 @@ func TestEstablishedWitness(t *testing.T) {
 	pk, ok := s.Witness(s.ACEPred(cfg.ACLs["A"].Entries[0]))
 	if !ok || !pk.Established || pk.Protocol != packet.ProtoTCP {
 		t.Errorf("witness = %s, ok=%v", pk, ok)
+	}
+}
+
+// TestACEPredEncodingWork bounds the BDD work of encoding one entry on a
+// fresh space. Built bottom-up, an entry costs a few ITE calls and nodes per
+// constrained bit; an address conjoined MSB first costs O(32²) calls.
+func TestACEPredEncodingWork(t *testing.T) {
+	for _, tc := range []struct {
+		ace              string
+		maxITE, maxNodes int64
+	}{
+		{"permit tcp host 1.1.1.1 host 2.2.2.2 eq 80", 400, 300},
+		{"deny udp 10.0.0.0 0.0.0.255 192.168.0.0 0.0.255.255 range 1000 2000", 300, 220},
+	} {
+		e := ios.MustParse("ip access-list extended A\n " + tc.ace + "\n").ACLs["A"].Entries[0]
+		s := NewACLSpace()
+		before, size := s.Pool.Counters(), s.Pool.Size()
+		s.ACEPred(e)
+		d := s.Pool.Counters().Sub(before)
+		nodes := int64(s.Pool.Size() - size)
+		if d.ITECalls > tc.maxITE || nodes > tc.maxNodes || d.Growths != 0 {
+			t.Errorf("%s: %d ITE calls, %d nodes, %d growths; want ≤ %d, ≤ %d, 0",
+				tc.ace, d.ITECalls, nodes, d.Growths, tc.maxITE, tc.maxNodes)
+		}
 	}
 }

@@ -100,6 +100,7 @@ func BenchmarkACLFirstMatch(b *testing.B) {
  deny ip any any
 `)
 	acl := cfg.ACLs["EDGE"]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := NewACLSpace()
