@@ -23,27 +23,11 @@ const maxWitnessProbes = 8
 
 // ---------- searchRoutePolicies / searchFilters ----------
 
-// PermitRegion returns the BDD of input routes the route map permits.
-func PermitRegion(s *symbolic.RouteSpace, cfg *ios.Config, rm *ios.RouteMap) (bdd.Node, error) {
-	regions, err := s.FirstMatch(cfg, rm)
-	if err != nil {
-		return bdd.False, err
-	}
-	p := s.Pool
-	permitted := bdd.False
-	for i, st := range rm.Stanzas {
-		if st.Permit {
-			permitted = p.Or(permitted, regions[i])
-		}
-	}
-	return permitted, nil
-}
-
 // SearchRouteMap finds a route within constraint on which the route map's
 // action equals wantPermit — the equivalent of Batfish's
 // searchRoutePolicies. ok is false when no such route exists.
 func SearchRouteMap(s *symbolic.RouteSpace, cfg *ios.Config, rm *ios.RouteMap, constraint bdd.Node, wantPermit bool) (route.Route, bool, error) {
-	permitted, err := PermitRegion(s, cfg, rm)
+	permitted, err := s.PermitSet(cfg, rm)
 	if err != nil {
 		return route.Route{}, false, err
 	}

@@ -20,9 +20,6 @@ func NewVec(p *Pool, offset, width int) Vec {
 	return Vec{pool: p, bits: bits}
 }
 
-// Width reports the number of bits in the vector.
-func (v Vec) Width() int { return len(v.bits) }
-
 // Bit returns the BDD for bit i (0 = MSB).
 func (v Vec) Bit(i int) Node { return v.bits[i] }
 

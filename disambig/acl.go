@@ -50,12 +50,7 @@ func insertACLEntry(orig *ios.Config, aclName string, snippet *ios.Config, snipp
 	// Probes need first-match regions only inside the new entry's packets.
 	regions := space.FirstMatchWithin(acl, space.ACEPred(newEntry))
 
-	type probe struct {
-		entry    int
-		question ACLQuestion
-		region   bdd.Node
-	}
-	var probes []probe
+	var probes []probe[ACLQuestion]
 	for i, e := range acl.Entries {
 		if e.Permit == newEntry.Permit {
 			continue // same action: placement relative to this entry is unobservable
@@ -70,7 +65,7 @@ func insertACLEntry(orig *ios.Config, aclName string, snippet *ios.Config, snipp
 			// defensive skip otherwise.
 			continue
 		}
-		probes = append(probes, probe{entry: i, question: ACLQuestion{
+		probes = append(probes, probe[ACLQuestion]{rule: i, question: ACLQuestion{
 			Input:       pk,
 			NewPermit:   newEntry.Permit,
 			OldPermit:   e.Permit,
@@ -89,7 +84,7 @@ func insertACLEntry(orig *ios.Config, aclName string, snippet *ios.Config, snipp
 
 	result := &ACLResult{}
 	for _, p := range probes {
-		result.Overlaps = append(result.Overlaps, p.entry)
+		result.Overlaps = append(result.Overlaps, p.rule)
 	}
 	gap, err := searchGap(StrategyBinary, len(probes), func(i int) (bool, error) {
 		q := probes[i].question
@@ -106,7 +101,7 @@ func insertACLEntry(orig *ios.Config, aclName string, snippet *ios.Config, snipp
 	ambiguity.Annotate(sp, result.Ambiguity)
 	pos := 0
 	if gap > 0 {
-		pos = probes[gap-1].entry + 1
+		pos = probes[gap-1].rule + 1
 	}
 	insSp := sp.Child("insert")
 	acl.InsertEntry(pos, newEntry)

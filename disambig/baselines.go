@@ -112,7 +112,7 @@ func insertTopBottom(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config,
 	// When tracing is on, measure the same distinguishing regions the gap
 	// searches use, so the ledger compares strategies on equal terms.
 	var meter *ambiguity.Meter
-	var probes []probeQ
+	var probes []probe[RouteQuestion]
 	if sp != nil {
 		probes, meter, err = collectProbesMetered(cache, sp, work, rm, newStanza, StrategyTopBottom)
 		if err != nil {
@@ -170,10 +170,10 @@ func insertTopBottom(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config,
 		}
 		below, atOrBelow := 0, 0
 		for _, p := range probes {
-			if p.stanza < v.Index {
+			if p.rule < v.Index {
 				below++
 			}
-			if p.stanza <= v.Index {
+			if p.rule <= v.Index {
 				atOrBelow++
 			}
 		}
@@ -197,13 +197,14 @@ func insertTopBottom(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config,
 
 // ---------- shared preparation ----------
 
-type probeQ struct {
-	stanza  int
-	example RouteQuestion
-	// region is the distinguishing candidate region this probe resolves —
-	// the ambiguity meter's unit of measurement. Only valid while the
-	// symbolic space it was built in is held.
-	region bdd.Node
+// probe is one distinguishing overlap of a route map, ACL or list: the rule
+// whose order relative to the new rule it resolves, the question that shows
+// it, and the region the question was drawn from — the ambiguity meter's unit
+// of measurement, valid only while the symbolic space it was built in is held.
+type probe[Q any] struct {
+	rule     int
+	question Q
+	region   bdd.Node
 }
 
 type prepared struct {
@@ -258,10 +259,10 @@ func insertWithSearch(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config
 	}
 	result := &RouteResult{Renames: prep.renames}
 	for _, p := range probes {
-		result.Overlaps = append(result.Overlaps, p.stanza)
+		result.Overlaps = append(result.Overlaps, p.rule)
 	}
 	gap, err := searchGap(strategy, len(probes), func(i int) (bool, error) {
-		q := probes[i].example
+		q := probes[i].question
 		preferNew, err := chooseRoute(oracle, sp, q)
 		if err == nil {
 			result.Questions = append(result.Questions, q)
@@ -277,7 +278,7 @@ func insertWithSearch(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config
 	ambiguity.Annotate(sp, result.Ambiguity)
 	pos := 0
 	if gap > 0 {
-		pos = probes[gap-1].stanza + 1
+		pos = probes[gap-1].rule + 1
 	}
 	insSp := sp.Child("insert")
 	rm.InsertStanza(pos, newStanza)
@@ -306,7 +307,7 @@ func newStanzaWrapper(newStanza *ios.Stanza) *ios.Config {
 // distinguishing regions before the space is released. The meter
 // precomputes every interval measurement, so nothing touches the pool
 // after release (the search may park on oracle questions for minutes).
-func collectProbesMetered(cache *symbolic.SpaceCache, sp *obs.Span, work *ios.Config, rm *ios.RouteMap, newStanza *ios.Stanza, strategy Strategy) ([]probeQ, *ambiguity.Meter, error) {
+func collectProbesMetered(cache *symbolic.SpaceCache, sp *obs.Span, work *ios.Config, rm *ios.RouteMap, newStanza *ios.Stanza, strategy Strategy) ([]probe[RouteQuestion], *ambiguity.Meter, error) {
 	space, err := cache.Acquire(work, newStanzaWrapper(newStanza))
 	if err != nil {
 		return nil, nil, err
@@ -331,30 +332,32 @@ func collectProbesMetered(cache *symbolic.SpaceCache, sp *obs.Span, work *ios.Co
 
 // collectProbes finds the distinguishing overlaps with a confirmed
 // differential example each, in the given symbolic space.
-func collectProbes(space *symbolic.RouteSpace, work *ios.Config, rm *ios.RouteMap, newStanza *ios.Stanza) ([]probeQ, error) {
-	regions, err := space.FirstMatch(work, rm)
+func collectProbes(space *symbolic.RouteSpace, work *ios.Config, rm *ios.RouteMap, newStanza *ios.Stanza) ([]probe[RouteQuestion], error) {
+	// The map is encoded even when the new stanza is not, so the map's own
+	// errors are reported first.
+	predNew, newErr := space.StanzaPred(work, newStanza)
+	// Probes need first-match regions only inside the new stanza's routes.
+	regions, err := space.FirstMatchWithin(work, rm, space.Pool.And(predNew, space.Valid))
 	if err != nil {
 		return nil, err
 	}
-	predNew, err := space.StanzaPred(work, newStanza)
-	if err != nil {
-		return nil, err
+	if newErr != nil {
+		return nil, newErr
 	}
 	ev := policy.NewEvaluatorWith(work, space.Automata())
-	var probes []probeQ
-	for i := range rm.Stanzas {
-		shared := space.Pool.AndN(regions[i], predNew, space.Valid)
-		outEq, err := space.OutputEqual(newStanza, rm.Stanzas[i])
+	var probes []probe[RouteQuestion]
+	for i, st := range rm.Stanzas {
+		outEq, err := space.OutputEqual(newStanza, st)
 		if err != nil {
 			return nil, err
 		}
-		distinguishing := space.Pool.Diff(shared, outEq)
+		distinguishing := space.Pool.Diff(regions[i], outEq)
 		q, found, err := confirmQuestion(space, ev, rm, newStanza, i, distinguishing)
 		if err != nil {
 			return nil, err
 		}
 		if found {
-			probes = append(probes, probeQ{stanza: i, example: q, region: distinguishing})
+			probes = append(probes, probe[RouteQuestion]{rule: i, question: q, region: distinguishing})
 		}
 	}
 	return probes, nil

@@ -2,7 +2,7 @@ package disambig
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/clarifynet/clarify/bdd"
 	"github.com/clarifynet/clarify/ios"
@@ -78,21 +78,6 @@ type ListResult struct {
 	Overlaps  []int
 }
 
-// listProblem abstracts the three list families over a common first-match
-// core.
-type listProblem struct {
-	kind     ListKind
-	name     string
-	work     *ios.Config
-	space    *symbolic.RouteSpace
-	preds    []bdd.Node // per existing entry, in evaluation order
-	permits  []bool
-	newPred  bdd.Node
-	newPerm  bool
-	insert   func(pos int) // mutates work
-	matchRef ios.Match     // clause used to evaluate target semantics concretely
-}
-
 // InsertPrefixListEntry disambiguates the placement of a new prefix-list
 // entry. Entries are considered in sequence-number order and renumbered
 // 10, 20, ... after insertion.
@@ -108,33 +93,18 @@ func InsertPrefixListEntryCached(cache *symbolic.SpaceCache, orig *ios.Config, l
 	if !ok {
 		return nil, fmt.Errorf("disambig: prefix-list %q not in configuration", listName)
 	}
-	sort.SliceStable(l.Entries, func(i, j int) bool { return l.Entries[i].Seq < l.Entries[j].Seq })
-	space, err := cache.Acquire(work)
+	l.Entries = l.BySeq()
+	res, err := insertListEntry(cache, KindPrefixList, listName, work, &l.Entries, entry, oracle,
+		func(space *symbolic.RouteSpace, e ios.PrefixListEntry) (bdd.Node, bool, error) {
+			return space.PrefixEntryPred(e), e.Permit, nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	defer cache.Release(space)
-	p := &listProblem{
-		kind:    KindPrefixList,
-		name:    listName,
-		work:    work,
-		space:   space,
-		newPred: space.PrefixEntryPred(entry),
-		newPerm: entry.Permit,
+	for i := range l.Entries {
+		l.Entries[i].Seq = (i + 1) * 10
 	}
-	for _, e := range l.Entries {
-		p.preds = append(p.preds, space.PrefixEntryPred(e))
-		p.permits = append(p.permits, e.Permit)
-	}
-	p.insert = func(pos int) {
-		l.Entries = append(l.Entries, ios.PrefixListEntry{})
-		copy(l.Entries[pos+1:], l.Entries[pos:])
-		l.Entries[pos] = entry
-		for i := range l.Entries {
-			l.Entries[i].Seq = (i + 1) * 10
-		}
-	}
-	return p.run(oracle)
+	return res, nil
 }
 
 // InsertCommunityListEntry disambiguates the placement of a new
@@ -151,41 +121,13 @@ func InsertCommunityListEntryCached(cache *symbolic.SpaceCache, orig *ios.Config
 	if !ok {
 		return nil, fmt.Errorf("disambig: community-list %q not in configuration", listName)
 	}
-	// The new entry's regex/literals must be in the atomic universe: wrap it
-	// in a throwaway config.
 	wrapper := ios.NewConfig()
 	wrapper.AddCommunityList("__NEW__", l.Expanded, entry)
-	space, err := cache.Acquire(work, wrapper)
-	if err != nil {
-		return nil, err
-	}
-	defer cache.Release(space)
-	newPred, err := space.CommunityEntryPred(l.Expanded, entry)
-	if err != nil {
-		return nil, err
-	}
-	p := &listProblem{
-		kind:    KindCommunityList,
-		name:    listName,
-		work:    work,
-		space:   space,
-		newPred: newPred,
-		newPerm: entry.Permit,
-	}
-	for _, e := range l.Entries {
-		pred, err := space.CommunityEntryPred(l.Expanded, e)
-		if err != nil {
-			return nil, err
-		}
-		p.preds = append(p.preds, pred)
-		p.permits = append(p.permits, e.Permit)
-	}
-	p.insert = func(pos int) {
-		l.Entries = append(l.Entries, ios.CommunityListEntry{})
-		copy(l.Entries[pos+1:], l.Entries[pos:])
-		l.Entries[pos] = entry
-	}
-	return p.run(oracle)
+	return insertListEntry(cache, KindCommunityList, listName, work, &l.Entries, entry, oracle,
+		func(space *symbolic.RouteSpace, e ios.CommunityListEntry) (bdd.Node, bool, error) {
+			pred, err := space.CommunityEntryPred(l.Expanded, e)
+			return pred, e.Permit, err
+		}, wrapper)
 }
 
 // InsertASPathEntry disambiguates the placement of a new as-path list entry.
@@ -203,96 +145,84 @@ func InsertASPathEntryCached(cache *symbolic.SpaceCache, orig *ios.Config, listN
 	}
 	wrapper := ios.NewConfig()
 	wrapper.AddASPathList("__NEW__", entry)
-	space, err := cache.Acquire(work, wrapper)
+	return insertListEntry(cache, KindASPathList, listName, work, &l.Entries, entry, oracle,
+		func(space *symbolic.RouteSpace, e ios.ASPathEntry) (bdd.Node, bool, error) {
+			pred, err := space.ASPathEntryPred(e)
+			return pred, e.Permit, err
+		}, wrapper)
+}
+
+// insertListEntry is the §4 flow shared by the three list families: probe
+// the entries of *entries, binary-search the gap, and insert entry there.
+// rule encodes one entry: its match set and whether it permits. The space
+// covers work and wrappers, throwaway configs that put the new entry's
+// patterns in the atomic universe.
+func insertListEntry[E any](cache *symbolic.SpaceCache, kind ListKind, name string, work *ios.Config, entries *[]E, entry E, oracle ListOracle, rule func(*symbolic.RouteSpace, E) (bdd.Node, bool, error), wrappers ...*ios.Config) (*ListResult, error) {
+	space, err := cache.Acquire(append([]*ios.Config{work}, wrappers...)...)
 	if err != nil {
 		return nil, err
 	}
 	defer cache.Release(space)
-	newPred, err := space.ASPathEntryPred(entry)
+	probes, err := listProbes(space, kind, name, *entries, entry, rule)
 	if err != nil {
 		return nil, err
 	}
-	p := &listProblem{
-		kind:    KindASPathList,
-		name:    listName,
-		work:    work,
-		space:   space,
-		newPred: newPred,
-		newPerm: entry.Permit,
-	}
-	for _, e := range l.Entries {
-		pred, err := space.ASPathEntryPred(e)
-		if err != nil {
-			return nil, err
-		}
-		p.preds = append(p.preds, pred)
-		p.permits = append(p.permits, e.Permit)
-	}
-	p.insert = func(pos int) {
-		l.Entries = append(l.Entries, ios.ASPathEntry{})
-		copy(l.Entries[pos+1:], l.Entries[pos:])
-		l.Entries[pos] = entry
-	}
-	return p.run(oracle)
-}
-
-// run is the shared §4 core over list entries.
-func (p *listProblem) run(oracle ListOracle) (*ListResult, error) {
-	pool := p.space.Pool
-	type probe struct {
-		entry    int
-		question ListQuestion
-	}
-	var probes []probe
-	notPrev := bdd.True
-	for i, pred := range p.preds {
-		firstMatch := pool.And(notPrev, pred)
-		notPrev = pool.And(notPrev, pool.Not(pred))
-		if p.permits[i] == p.newPerm {
-			continue // same action: placement unobservable
-		}
-		shared := pool.AndN(firstMatch, p.newPred, p.space.Valid)
-		if shared == bdd.False {
-			continue
-		}
-		w, ok, err := p.space.Witness(shared)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		probes = append(probes, probe{entry: i, question: ListQuestion{
-			Kind:        p.kind,
-			List:        p.name,
-			Input:       w,
-			NewPermit:   p.newPerm,
-			OldPermit:   p.permits[i],
-			ProbedEntry: i,
-		}})
-	}
-	res := &ListResult{}
-	for _, pr := range probes {
-		res.Overlaps = append(res.Overlaps, pr.entry)
+	res := &ListResult{Config: work}
+	for _, p := range probes {
+		res.Overlaps = append(res.Overlaps, p.rule)
 	}
 	gap, err := searchGap(StrategyBinary, len(probes), func(i int) (bool, error) {
-		preferNew, err := oracle.ChooseList(probes[i].question)
+		q := probes[i].question
+		preferNew, err := oracle.ChooseList(q)
 		if err == nil {
-			res.Questions = append(res.Questions, probes[i].question)
+			res.Questions = append(res.Questions, q)
 		}
 		return preferNew, err
 	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	pos := 0
 	if gap > 0 {
-		pos = probes[gap-1].entry + 1
+		res.Position = probes[gap-1].rule + 1
 	}
-	p.insert(pos)
-	res.Config = p.work
-	res.Position = pos
+	*entries = slices.Insert(*entries, res.Position, entry)
 	return res, nil
+}
+
+// listProbes finds the entries whose action differs from the new entry's
+// and whose first-match region inside the new entry's routes is non-empty,
+// with a witness route from that region each. Every entry is encoded, the new
+// one first, before the fold.
+func listProbes[E any](space *symbolic.RouteSpace, kind ListKind, name string, entries []E, entry E, rule func(*symbolic.RouteSpace, E) (bdd.Node, bool, error)) ([]probe[ListQuestion], error) {
+	newPred, newPermit, err := rule(space, entry)
+	if err != nil {
+		return nil, err
+	}
+	preds := make([]bdd.Node, len(entries))
+	permits := make([]bool, len(entries))
+	for i, e := range entries {
+		if preds[i], permits[i], err = rule(space, e); err != nil {
+			return nil, err
+		}
+	}
+	// Probes need first-match regions only inside the new entry's routes.
+	regions := symbolic.FoldFirstMatch(space.Pool, space.Pool.And(newPred, space.Valid), len(preds), func(i int) bdd.Node { return preds[i] })
+	var probes []probe[ListQuestion]
+	for i, permit := range permits {
+		if permit == newPermit {
+			continue // same action: placement unobservable
+		}
+		w, ok, err := space.Witness(regions[i])
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			probes = append(probes, probe[ListQuestion]{rule: i, region: regions[i], question: ListQuestion{
+				Kind: kind, List: name, Input: w, NewPermit: newPermit, OldPermit: permit, ProbedEntry: i,
+			}})
+		}
+	}
+	return probes, nil
 }
 
 // SimUserList answers list questions from a target configuration's

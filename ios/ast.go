@@ -9,8 +9,10 @@
 package ios
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 )
 
@@ -73,6 +75,14 @@ type ASPathEntry struct {
 type PrefixList struct {
 	Name    string
 	Entries []PrefixListEntry
+}
+
+// BySeq returns a copy of the entries in evaluation order: by sequence
+// number, entries with equal numbers in list order.
+func (l *PrefixList) BySeq() []PrefixListEntry {
+	out := slices.Clone(l.Entries)
+	slices.SortStableFunc(out, func(a, b PrefixListEntry) int { return cmp.Compare(a.Seq, b.Seq) })
+	return out
 }
 
 // PrefixListEntry is one line of a prefix list. Ge and Le are 0 when absent;

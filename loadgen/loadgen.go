@@ -37,7 +37,8 @@ type Config struct {
 	// Rate, when positive, paces submissions to this many updates/second
 	// across all workers (open-ish loop); zero runs flat out.
 	Rate float64 `json:"rate,omitempty"`
-	// Duration bounds the run's wall-clock time (default 10s).
+	// Duration bounds how long the run starts updates (default 10s); an
+	// update in flight at the deadline still runs to its end.
 	Duration time.Duration `json:"-"`
 	// MaxUpdates, when positive, stops the run after this many updates even
 	// if Duration remains.
@@ -418,7 +419,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 					var u server.UpdateInfo
 					var err error
 					for attempt := 0; ; attempt++ {
-						uctx, ucancel := context.WithTimeout(runCtx, cfg.updateTimeout())
+						// An update outlives the run deadline: once started it is
+						// driven to the end, so the session is deleted and the
+						// daemon's views are fetched only after it is recorded.
+						uctx, ucancel := context.WithTimeout(ctx, cfg.updateTimeout())
 						switch {
 						case g.mix.Noisy:
 							u, err = shedRunUpdate(uctx, g.client, sid, intentText, target, answer)

@@ -10,9 +10,11 @@ import (
 	"time"
 
 	"github.com/clarifynet/clarify/chaoshttp"
+	"github.com/clarifynet/clarify/journal"
 	"github.com/clarifynet/clarify/llm"
 	"github.com/clarifynet/clarify/llm/llmtest"
 	"github.com/clarifynet/clarify/loadgen"
+	"github.com/clarifynet/clarify/replay"
 	"github.com/clarifynet/clarify/server"
 	"github.com/clarifynet/clarify/slo"
 )
@@ -162,5 +164,71 @@ func TestLoadChaosBurnRate(t *testing.T) {
 			t.Errorf("availability budget remaining = %v after total outage, want heavily spent",
 				o.ErrorBudgetRemaining)
 		}
+	}
+}
+
+// TestRunFinishesInFlightUpdates: a run whose deadline lands mid-dialogue
+// drives each update already started to its end before deleting the
+// session and fetching the daemon's views. Afterwards no update is left
+// parked on a question (the question timeout is an hour), every journal
+// record replays from its recorded answers, and the report's ambiguity
+// rollup is the daemon's final one.
+func TestRunFinishesInFlightUpdates(t *testing.T) {
+	dir := t.TempDir()
+	jnl, err := journal.Open(journal.Options{Dir: dir, Fsync: journal.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	// Sixteen unpaced route-map workers (ACL updates on this corpus ask no
+	// questions): at any moment some update is usually waiting on one.
+	url := startDaemon(t, server.Options{Workers: 16, Journal: jnl, QuestionTimeout: time.Hour})
+	ctx := context.Background()
+	rep, err := loadgen.Run(ctx, loadgen.Config{
+		BaseURL:     url,
+		Workers:     16,
+		Duration:    300 * time.Millisecond,
+		ACLFraction: -1,
+		Seed:        7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failures != 0 {
+		t.Fatalf("%d failures: %v", rep.Failures, rep.Errors)
+	}
+	// The last update's worker can return before the daemon's bookkeeping
+	// after it does; anything still active after 5 s is parked.
+	c := &server.Client{BaseURL: url}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		m, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.ActiveUpdates == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d updates still active after the run", m.ActiveUpdates)
+		}
+	}
+	recs, _, err := journal.ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 {
+		t.Fatal("run journaled no update")
+	}
+	for i, rec := range recs {
+		if out := replay.Record(ctx, rec, i, replay.Options{}); out.Status != replay.StatusMatch {
+			t.Errorf("record %d (%s): %s: %s", i, rec.Target, out.Status, out.Detail)
+		}
+	}
+	amb, err := c.Ambiguity(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DaemonAmbiguity == nil || rep.DaemonAmbiguity.Rollup.Total != amb.Rollup.Total {
+		t.Errorf("report's ambiguity rollup %+v, daemon's after the run %+v", rep.DaemonAmbiguity, amb.Rollup.Total)
 	}
 }

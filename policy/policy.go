@@ -8,7 +8,6 @@ package policy
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/clarifynet/clarify/ciscorx"
 	"github.com/clarifynet/clarify/ios"
@@ -188,7 +187,7 @@ func (e *Evaluator) asPathPermits(l *ios.ASPathList, r route.Route) (bool, error
 // PrefixListPermits applies prefix-list first-match semantics over entries in
 // sequence-number order; default deny.
 func PrefixListPermits(l *ios.PrefixList, r route.Route) bool {
-	for _, entry := range entriesBySeq(l) {
+	for _, entry := range l.BySeq() {
 		if PrefixEntryMatches(entry, r) {
 			return entry.Permit
 		}
@@ -214,19 +213,13 @@ func NextHopPermits(l *ios.PrefixList, r route.Route) bool {
 	if !r.NextHop.IsValid() {
 		return false
 	}
-	for _, entry := range entriesBySeq(l) {
+	for _, entry := range l.BySeq() {
 		lo, hi := entry.LenRange()
 		if lo <= 32 && 32 <= hi && entry.Prefix.Contains(r.NextHop) {
 			return entry.Permit
 		}
 	}
 	return false
-}
-
-func entriesBySeq(l *ios.PrefixList) []ios.PrefixListEntry {
-	out := append([]ios.PrefixListEntry(nil), l.Entries...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
 }
 
 // communityPermits applies community-list first-match entry semantics.

@@ -151,10 +151,6 @@ func NewStack(primary llm.Client, primaryName string, cfg BreakerConfig, fallbac
 	return &Stack{chain: NewChain(clients, names...), breaker: b}
 }
 
-// NewStackFromChain builds a stack around an existing chain with no breaker
-// (useful in tests and ablations).
-func NewStackFromChain(c *Chain) *Stack { return &Stack{chain: c} }
-
 // Client returns the llm.Client sessions should complete against.
 func (s *Stack) Client() llm.Client { return s.chain }
 

@@ -371,9 +371,6 @@ type DFA struct {
 // NumStates reports the automaton's state count.
 func (d *DFA) NumStates() int { return len(d.trans) }
 
-// AlphabetSymbols returns a copy of the automaton's alphabet.
-func (d *DFA) AlphabetSymbols() Alphabet { return append(Alphabet(nil), d.alphabet...) }
-
 // Compile parses pattern and compiles it to a minimal DFA over alpha. The
 // pattern must match the entire input string (full-match semantics). Symbols
 // in the pattern outside the alphabet produce transitions that can never fire

@@ -81,13 +81,6 @@ func (p *pool) Submit(tenantName string, weight float64, lane tenant.Lane, job f
 	return p.queue.Push(tenantName, weight, lane, job, drop)
 }
 
-// TrySubmit enqueues a job on the default tenant's bulk flow; it reports
-// false when the queue is full or the pool is draining. Retained for
-// callers (and tests) that predate tenancy.
-func (p *pool) TrySubmit(job func()) bool {
-	return p.Submit(tenant.DefaultTenant, 1, tenant.Bulk, job, nil) == ""
-}
-
 // Depth is the number of queued (not yet running) jobs.
 func (p *pool) Depth() int { return p.queue.Depth() }
 

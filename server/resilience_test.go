@@ -62,11 +62,11 @@ func TestPoolContainsPanics(t *testing.T) {
 	p := newPool(2, 4, tenant.ShedConfig{Target: -1}, func(interface{}) { atomic.AddInt64(&recovered, 1) })
 	done := make(chan struct{}, 8)
 	for i := 0; i < 4; i++ {
-		ok := p.TrySubmit(func() {
+		reason := p.Submit(tenant.DefaultTenant, 1, tenant.Bulk, func() {
 			done <- struct{}{}
 			panic("boom")
-		})
-		if !ok {
+		}, nil)
+		if reason != "" {
 			t.Fatalf("submit %d rejected", i)
 		}
 	}
@@ -81,7 +81,7 @@ func TestPoolContainsPanics(t *testing.T) {
 	// queue may still hold a just-finished job's slot, so retry briefly.
 	for i := 0; i < 4; i++ {
 		deadline := time.Now().Add(5 * time.Second)
-		for !p.TrySubmit(func() { done <- struct{}{} }) {
+		for p.Submit(tenant.DefaultTenant, 1, tenant.Bulk, func() { done <- struct{}{} }, nil) != "" {
 			if time.Now().After(deadline) {
 				t.Fatalf("post-panic submit %d rejected: workers died", i)
 			}

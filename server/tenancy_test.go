@@ -276,7 +276,7 @@ func TestPoolCloseBoundedDrain(t *testing.T) {
 	p := newPool(1, 8, tenant.ShedConfig{Target: -1}, nil)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	if !p.TrySubmit(func() { close(started); <-release }) {
+	if p.Submit(tenant.DefaultTenant, 1, tenant.Bulk, func() { close(started); <-release }, nil) != "" {
 		t.Fatal("blocker rejected")
 	}
 	<-started

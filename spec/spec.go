@@ -445,6 +445,3 @@ func VerifyACLSnippetTraced(snippet *ios.Config, aclName string, s *ACLSpec, sp 
 
 // U32ptr is a small helper for building specs in code.
 func U32ptr(v uint32) *uint32 { return &v }
-
-// U16ptr returns a pointer to v.
-func U16ptr(v uint16) *uint16 { return &v }

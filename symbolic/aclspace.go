@@ -143,30 +143,12 @@ func (s *ACLSpace) FirstMatch(acl *ios.ACL) []bdd.Node {
 // matches. Once domain is used up, later entries are not encoded and their
 // regions are False.
 func (s *ACLSpace) FirstMatchWithin(acl *ios.ACL, domain bdd.Node) []bdd.Node {
-	p := s.Pool
-	out := make([]bdd.Node, len(acl.Entries)+1) // zero value is bdd.False
-	rest := domain
-	for i, e := range acl.Entries {
-		if rest == bdd.False {
-			break
-		}
-		pred := s.ACEPred(e)
-		out[i] = p.And(rest, pred)
-		rest = p.Diff(rest, pred)
-	}
-	out[len(acl.Entries)] = rest
-	return out
+	return FoldFirstMatch(s.Pool, domain, len(acl.Entries), func(i int) bdd.Node { return s.ACEPred(acl.Entries[i]) })
 }
 
 // PermitSet returns the BDD of packets the ACL permits.
 func (s *ACLSpace) PermitSet(acl *ios.ACL) bdd.Node {
-	permitted := bdd.False
-	for i, region := range s.FirstMatch(acl)[:len(acl.Entries)] {
-		if acl.Entries[i].Permit {
-			permitted = s.Pool.Or(permitted, region)
-		}
-	}
-	return permitted
+	return permitted(s.Pool, s.FirstMatch(acl), func(i int) bool { return acl.Entries[i].Permit })
 }
 
 // EncodePacket renders a concrete packet as a total assignment vector.

@@ -249,24 +249,7 @@ func (s *RouteSpace) MatchPred(cfg *ios.Config, m ios.Match) (bdd.Node, error) {
 
 // PrefixListPred encodes first-match permit/deny entry semantics.
 func (s *RouteSpace) PrefixListPred(l *ios.PrefixList) bdd.Node {
-	p := s.Pool
-	entries := append([]ios.PrefixListEntry(nil), l.Entries...)
-	// Stable insertion sort by sequence number (mirrors the evaluator).
-	for i := 1; i < len(entries); i++ {
-		for j := i; j > 0 && entries[j-1].Seq > entries[j].Seq; j-- {
-			entries[j-1], entries[j] = entries[j], entries[j-1]
-		}
-	}
-	permitted := bdd.False
-	notPrev := bdd.True
-	for _, e := range entries {
-		m := s.prefixEntryPred(e)
-		if e.Permit {
-			permitted = p.Or(permitted, p.And(notPrev, m))
-		}
-		notPrev = p.And(notPrev, p.Not(m))
-	}
-	return permitted
+	return s.prefixListPred(l, s.prefixEntryPred)
 }
 
 func (s *RouteSpace) prefixEntryPred(e ios.PrefixListEntry) bdd.Node {
@@ -282,27 +265,20 @@ func (s *RouteSpace) prefixEntryPred(e ios.PrefixListEntry) bdd.Node {
 // vector (the address is a /32, so only entries whose length range includes
 // 32 can match).
 func (s *RouteSpace) nextHopListPred(l *ios.PrefixList) bdd.Node {
-	p := s.Pool
-	entries := append([]ios.PrefixListEntry(nil), l.Entries...)
-	for i := 1; i < len(entries); i++ {
-		for j := i; j > 0 && entries[j-1].Seq > entries[j].Seq; j-- {
-			entries[j-1], entries[j] = entries[j], entries[j-1]
+	return s.prefixListPred(l, func(e ios.PrefixListEntry) bdd.Node {
+		if lo, hi := e.LenRange(); lo > 32 || hi < 32 {
+			return bdd.False
 		}
-	}
-	permitted := bdd.False
-	notPrev := bdd.True
-	for _, e := range entries {
-		lo, hi := e.LenRange()
-		var m bdd.Node = bdd.False
-		if lo <= 32 && 32 <= hi {
-			m = s.nh.PrefixEq(uint64(ios.AddrU32(e.Prefix.Addr())), e.Prefix.Bits())
-		}
-		if e.Permit {
-			permitted = p.Or(permitted, p.And(notPrev, m))
-		}
-		notPrev = p.And(notPrev, p.Not(m))
-	}
-	return permitted
+		return s.nh.PrefixEq(uint64(ios.AddrU32(e.Prefix.Addr())), e.Prefix.Bits())
+	})
+}
+
+// prefixListPred folds a prefix list's entries, in sequence order as the
+// evaluator takes them, with match as each entry's match set.
+func (s *RouteSpace) prefixListPred(l *ios.PrefixList, match func(ios.PrefixListEntry) bdd.Node) bdd.Node {
+	entries := l.BySeq()
+	regions := FoldFirstMatch(s.Pool, bdd.True, len(entries), func(i int) bdd.Node { return match(entries[i]) })
+	return permitted(s.Pool, regions, func(i int) bool { return entries[i].Permit })
 }
 
 // PrefixEntryPred exposes the match region of a single prefix-list entry
@@ -317,7 +293,7 @@ func (s *RouteSpace) PrefixEntryPred(e ios.PrefixListEntry) bdd.Node {
 func (s *RouteSpace) ASPathEntryPred(e ios.ASPathEntry) (bdd.Node, error) {
 	pi := s.pathAtoms.PatternIndex(e.Regex)
 	if pi < 0 {
-		return bdd.False, fmt.Errorf("symbolic: as-path regex %q not in universe", e.Regex)
+		return bdd.False, fmt.Errorf("symbolic: as-path regex %q not in universe (config not passed to NewRouteSpace?)", e.Regex)
 	}
 	m := bdd.False
 	for _, ai := range s.pathAtoms.MatchingAtoms(pi) {
@@ -353,58 +329,33 @@ func (s *RouteSpace) CommunityEntryPred(expanded bool, e ios.CommunityListEntry)
 	return m, nil
 }
 
+// asPathListPred and communityListPred encode every entry before folding,
+// so an entry that fails to encode is an error even behind one that matches
+// every route.
 func (s *RouteSpace) asPathListPred(l *ios.ASPathList) (bdd.Node, error) {
-	p := s.Pool
-	permitted := bdd.False
-	notPrev := bdd.True
-	for _, e := range l.Entries {
-		pi := s.pathAtoms.PatternIndex(e.Regex)
-		if pi < 0 {
-			return bdd.False, fmt.Errorf("symbolic: as-path regex %q not in universe (config not passed to NewRouteSpace?)", e.Regex)
+	preds := make([]bdd.Node, len(l.Entries))
+	for i, e := range l.Entries {
+		m, err := s.ASPathEntryPred(e)
+		if err != nil {
+			return bdd.False, err
 		}
-		m := bdd.False
-		for _, ai := range s.pathAtoms.MatchingAtoms(pi) {
-			m = p.Or(m, p.Var(s.offPathAtoms+ai))
-		}
-		if e.Permit {
-			permitted = p.Or(permitted, p.And(notPrev, m))
-		}
-		notPrev = p.And(notPrev, p.Not(m))
+		preds[i] = m
 	}
-	return permitted, nil
+	regions := FoldFirstMatch(s.Pool, bdd.True, len(preds), func(i int) bdd.Node { return preds[i] })
+	return permitted(s.Pool, regions, func(i int) bool { return l.Entries[i].Permit }), nil
 }
 
 func (s *RouteSpace) communityListPred(l *ios.CommunityList) (bdd.Node, error) {
-	p := s.Pool
-	permitted := bdd.False
-	notPrev := bdd.True
-	for _, e := range l.Entries {
-		var m bdd.Node
-		if l.Expanded {
-			pi := s.commAtoms.PatternIndex(e.Values[0])
-			if pi < 0 {
-				return bdd.False, fmt.Errorf("symbolic: community regex %q not in universe", e.Values[0])
-			}
-			m = bdd.False
-			for _, ai := range s.commAtoms.MatchingAtoms(pi) {
-				m = p.Or(m, p.Var(s.offCommAtoms+ai))
-			}
-		} else {
-			m = bdd.True
-			for _, lit := range e.Values {
-				av, err := s.literalCommunityVar(lit)
-				if err != nil {
-					return bdd.False, err
-				}
-				m = p.And(m, av)
-			}
+	preds := make([]bdd.Node, len(l.Entries))
+	for i, e := range l.Entries {
+		m, err := s.CommunityEntryPred(l.Expanded, e)
+		if err != nil {
+			return bdd.False, err
 		}
-		if e.Permit {
-			permitted = p.Or(permitted, p.And(notPrev, m))
-		}
-		notPrev = p.And(notPrev, p.Not(m))
+		preds[i] = m
 	}
-	return permitted, nil
+	regions := FoldFirstMatch(s.Pool, bdd.True, len(preds), func(i int) bdd.Node { return preds[i] })
+	return permitted(s.Pool, regions, func(i int) bool { return l.Entries[i].Permit }), nil
 }
 
 // literalCommunityVar returns the atom variable for the singleton atom {lit}.
@@ -430,22 +381,35 @@ func (s *RouteSpace) literalCommunityVar(lit string) (bdd.Node, error) {
 // measurement does ("we ignore actions for route maps because a route-map
 // stanza may be linked ... using goto, continue and call statements").
 func (s *RouteSpace) FirstMatch(cfg *ios.Config, rm *ios.RouteMap) ([]bdd.Node, error) {
+	return s.FirstMatchWithin(cfg, rm, bdd.True)
+}
+
+// FirstMatchWithin returns len(rm.Stanzas)+1 regions inside domain: stanza
+// i's first-match region ∧ domain, then the routes of domain no stanza
+// matches. Every stanza is encoded before the fold, so a stanza that fails
+// to encode is an error even behind one that matches every route.
+func (s *RouteSpace) FirstMatchWithin(cfg *ios.Config, rm *ios.RouteMap, domain bdd.Node) ([]bdd.Node, error) {
 	if rm.HasContinue() {
 		return nil, fmt.Errorf("symbolic: route-map %s uses continue; first-match analyses are unsupported", rm.Name)
 	}
-	p := s.Pool
-	out := make([]bdd.Node, 0, len(rm.Stanzas)+1)
-	notPrev := bdd.True
-	for _, st := range rm.Stanzas {
+	preds := make([]bdd.Node, len(rm.Stanzas))
+	for i, st := range rm.Stanzas {
 		pred, err := s.StanzaPred(cfg, st)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, p.And(notPrev, pred))
-		notPrev = p.And(notPrev, p.Not(pred))
+		preds[i] = pred
 	}
-	out = append(out, notPrev)
-	return out, nil
+	return FoldFirstMatch(s.Pool, domain, len(preds), func(i int) bdd.Node { return preds[i] }), nil
+}
+
+// PermitSet returns the BDD of input routes the route map permits.
+func (s *RouteSpace) PermitSet(cfg *ios.Config, rm *ios.RouteMap) (bdd.Node, error) {
+	regions, err := s.FirstMatch(cfg, rm)
+	if err != nil {
+		return bdd.False, err
+	}
+	return permitted(s.Pool, regions, func(i int) bool { return rm.Stanzas[i].Permit }), nil
 }
 
 // ---------- Concrete ↔ symbolic ----------

@@ -117,6 +117,105 @@ func TestFirstMatchAgreesWithEvaluator(t *testing.T) {
 	}
 }
 
+// TestQuickRouteMapAgreement: random route maps over random lists, random
+// routes — the symbolic fold agrees with the concrete evaluator
+// (checkRouteMapFirstMatch).
+func TestQuickRouteMapAgreement(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 40; trial++ {
+		checkRouteMapFirstMatch(t, rng, 1+trial%8)
+	}
+}
+
+// FuzzRouteMapFirstMatch runs checkRouteMapFirstMatch on fuzzed seeds and
+// sizes:
+//
+//	go test -run '^$' -fuzz '^FuzzRouteMapFirstMatch$' -fuzztime 15s ./symbolic/
+func FuzzRouteMapFirstMatch(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed*3))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		checkRouteMapFirstMatch(t, rand.New(rand.NewSource(seed)), int(n%8)+1)
+	})
+}
+
+// checkRouteMapFirstMatch draws a testgen.Config route map of n stanzas,
+// with its lists, and checks the first-match fold against
+// policy.EvalRouteMap: 64 random routes land in the region of their
+// verdict's stanza and in PermitSet exactly when permitted, every non-empty
+// region's witness evaluates to that region, and FirstMatchWithin the routes
+// of one more random stanza is FirstMatch ∧ those routes, node for node.
+func checkRouteMapFirstMatch(t *testing.T, rng *rand.Rand, n int) {
+	t.Helper()
+	cfg := testgen.Config(rng, "RM", n+1)
+	s, err := NewRouteSpace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm := cfg.RouteMaps["RM"]
+	extra := rm.Stanzas[n]
+	rm.Stanzas = rm.Stanzas[:n]
+	regions, err := s.FirstMatch(cfg, rm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	permit, err := s.PermitSet(cfg, rm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := policy.NewEvaluator(cfg)
+	region := func(r route.Route) (int, bool) {
+		v, err := ev.EvalRouteMap(rm, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Index == policy.ImplicitDeny {
+			return n, v.Permit
+		}
+		return v.Index, v.Permit
+	}
+	for i := 0; i < 64; i++ {
+		r := testgen.Route(rng)
+		want, permitted := region(r)
+		vec := s.EncodeRoute(r)
+		for ri, reg := range regions {
+			if got := s.Pool.Eval(reg, vec); got != (ri == want) {
+				t.Fatalf("route %s: region %d=%v, want region %d\nconfig:\n%s", r, ri, got, want, cfg.Print())
+			}
+		}
+		if got := s.Pool.Eval(permit, vec); got != permitted {
+			t.Fatalf("route %s: PermitSet=%v, EvalRouteMap permit=%v\nconfig:\n%s", r, got, permitted, cfg.Print())
+		}
+	}
+	for ri, reg := range regions {
+		r, ok, err := s.Witness(reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			continue // shadowed stanza
+		}
+		if got, _ := region(r); got != ri {
+			t.Fatalf("witness %s of region %d evaluates to region %d\nconfig:\n%s", r, ri, got, cfg.Print())
+		}
+	}
+	pred, err := s.StanzaPred(cfg, extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domain := s.Pool.And(pred, s.Valid)
+	within, err := s.FirstMatchWithin(cfg, rm, domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range within {
+		if want := s.Pool.And(regions[i], domain); got != want {
+			t.Fatalf("FirstMatchWithin[%d] = %d, want FirstMatch ∧ domain = %d\nconfig:\n%s", i, got, want, cfg.Print())
+		}
+	}
+}
+
 // TestQuickConcreteSymbolicAgreement is the central lockstep property:
 // random configs, random routes, StanzaMatches ⇔ StanzaPred.
 func TestQuickConcreteSymbolicAgreement(t *testing.T) {

@@ -73,22 +73,3 @@ func (b *Bucket) Take() (bool, time.Duration) {
 	}
 	return false, wait
 }
-
-// Tokens reports the current token count after refill, for tests and
-// debugging.
-func (b *Bucket) Tokens() float64 {
-	if b.rate <= 0 {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := b.now()
-	if elapsed := now.Sub(b.last); elapsed > 0 {
-		b.tokens += elapsed.Seconds() * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-		b.last = now
-	}
-	return b.tokens
-}

@@ -274,15 +274,6 @@ type Stats struct {
 	Sheds     map[Reason]int64 `json:"sheds,omitempty"`
 }
 
-// ShedTotal sums sheds across reasons.
-func (s Stats) ShedTotal() int64 {
-	var n int64
-	for _, v := range s.Sheds {
-		n += v
-	}
-	return n
-}
-
 // Tenant is one admitted principal: its profile, token bucket, in-flight
 // count, and counters. Safe for concurrent use.
 type Tenant struct {
