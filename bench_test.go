@@ -206,12 +206,12 @@ func BenchmarkFigure2Insertion(b *testing.B) {
 func BenchmarkCompareRoutePolicies(b *testing.B) {
 	top := ios.MustParse(paperISPOut)
 	snippet := ios.MustParse(paperSnippet)
-	resTop, err := disambig.InsertRouteMapStanzaTopBottom(top, "ISP_OUT", snippet, "SET_METRIC",
+	resTop, err := disambig.InsertRouteMapStanzaStrategyCached(disambig.StrategyTopBottom, nil, top, "ISP_OUT", snippet, "SET_METRIC",
 		disambig.FuncRouteOracle(func(disambig.RouteQuestion) (bool, error) { return true, nil }))
 	if err != nil {
 		b.Fatal(err)
 	}
-	resBottom, err := disambig.InsertRouteMapStanzaTopBottom(top, "ISP_OUT", snippet, "SET_METRIC",
+	resBottom, err := disambig.InsertRouteMapStanzaStrategyCached(disambig.StrategyTopBottom, nil, top, "ISP_OUT", snippet, "SET_METRIC",
 		disambig.FuncRouteOracle(func(disambig.RouteQuestion) (bool, error) { return false, nil }))
 	if err != nil {
 		b.Fatal(err)

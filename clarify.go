@@ -44,7 +44,7 @@ type Session struct {
 	// Config is the configuration being updated; Submit replaces it on
 	// success. It is never mutated in place. Submit reads and writes this
 	// field under the session mutex; concurrent callers should use
-	// CurrentConfig / SetConfig rather than touching it directly.
+	// CurrentConfig rather than touching it directly.
 	Config *ios.Config
 	// RouteOracle and ACLOracle answer disambiguation questions.
 	RouteOracle disambig.RouteOracle
@@ -174,13 +174,6 @@ func (s *Session) CurrentConfig() *ios.Config {
 	return s.Config
 }
 
-// SetConfig replaces the session's configuration under the session mutex.
-func (s *Session) SetConfig(cfg *ios.Config) {
-	s.mu.Lock()
-	s.Config = cfg
-	s.mu.Unlock()
-}
-
 func (s *Session) store() *llm.PromptStore {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -285,7 +278,7 @@ func (s *Session) Submit(ctx context.Context, intentText, targetName string) (re
 		if entry != nil {
 			root.Logf("reusing verified snippet for identical intent (0 LLM calls)")
 			root.SetBool("reused", true)
-			return s.insert(root, cfg, entry, targetName, 0, routeOracle, aclOracle)
+			return s.insert(root, nil, cfg, entry, targetName, 0, routeOracle, aclOracle)
 		}
 	}
 	// Step 1: classification call.
@@ -393,16 +386,21 @@ type ruleKind struct {
 	// reference prefix, community and as-path lists; ACL snippets are not
 	// checked.
 	validate func(snippet *ios.Config) error
+	// packets marks a kind analysed in an ACL packet space: an update builds
+	// one and shares it between verification and disambiguation.
+	packets bool
 	// verifier parses the extracted spec and returns the check of one
 	// candidate snippet against it.
 	verifier func(s *Session, specJSON string) (verifyFunc, error)
-	// disambiguate runs §4's insertion and returns a result with the
-	// outcome field and Config set.
-	disambiguate func(s *Session, cfg, snippet *ios.Config, snippetList, target string, ro disambig.RouteOracle, ao disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error)
+	// disambiguate runs §4's insertion in space, the update's packet space
+	// (nil for route maps, or to build a fresh one), and returns a result
+	// with the outcome field and Config set.
+	disambiguate func(s *Session, space *symbolic.ACLSpace, cfg, snippet *ios.Config, snippetList, target string, ro disambig.RouteOracle, ao disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error)
 }
 
-// verifyFunc checks one candidate snippet against the extracted spec.
-type verifyFunc func(snippet *ios.Config, name string, sp *obs.Span) ([]spec.Violation, error)
+// verifyFunc checks one candidate snippet against the extracted spec, in the
+// update's packet space for ACLs.
+type verifyFunc func(space *symbolic.ACLSpace, snippet *ios.Config, name string, sp *obs.Span) ([]spec.Violation, error)
 
 var routeMapKind = ruleKind{
 	kind:      intent.KindRouteMap,
@@ -422,11 +420,11 @@ var routeMapKind = ruleKind{
 		if err != nil {
 			return nil, err
 		}
-		return func(snippet *ios.Config, name string, sp *obs.Span) ([]spec.Violation, error) {
+		return func(_ *symbolic.ACLSpace, snippet *ios.Config, name string, sp *obs.Span) ([]spec.Violation, error) {
 			return spec.VerifyRouteMapSnippetTraced(s.SpaceCache, snippet, name, rs, sp)
 		}, nil
 	},
-	disambiguate: func(s *Session, cfg, snippet *ios.Config, snippetList, target string, ro disambig.RouteOracle, _ disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error) {
+	disambiguate: func(s *Session, _ *symbolic.ACLSpace, cfg, snippet *ios.Config, snippetList, target string, ro disambig.RouteOracle, _ disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error) {
 		res, err := disambig.InsertRouteMapStanzaStrategyTraced(s.Strategy, s.SpaceCache, cfg, target, snippet, snippetList, ro, sp)
 		if err != nil {
 			return nil, err
@@ -448,19 +446,18 @@ var aclKind = ruleKind{
 		return 0, "", 0
 	},
 	validate: func(*ios.Config) error { return nil },
-	// The ACL verifier builds its own packet space: ACL spaces are
-	// fixed-shape and cheap, so no symbolic cache is involved.
+	packets:  true,
 	verifier: func(_ *Session, specJSON string) (verifyFunc, error) {
 		as, err := spec.ParseACLSpec([]byte(specJSON))
 		if err != nil {
 			return nil, err
 		}
-		return func(snippet *ios.Config, name string, sp *obs.Span) ([]spec.Violation, error) {
-			return spec.VerifyACLSnippetTraced(snippet, name, as, sp)
+		return func(space *symbolic.ACLSpace, snippet *ios.Config, name string, sp *obs.Span) ([]spec.Violation, error) {
+			return spec.VerifyACLSnippetTraced(space, snippet, name, as, sp)
 		}, nil
 	},
-	disambiguate: func(_ *Session, cfg, snippet *ios.Config, snippetList, target string, _ disambig.RouteOracle, ao disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error) {
-		res, err := disambig.InsertACLEntryTraced(cfg, target, snippet, snippetList, ao, sp)
+	disambiguate: func(_ *Session, space *symbolic.ACLSpace, cfg, snippet *ios.Config, snippetList, target string, _ disambig.RouteOracle, ao disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error) {
+		res, err := disambig.InsertACLEntryTraced(space, cfg, target, snippet, snippetList, ao, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -503,6 +500,10 @@ func (s *Session) submit(ctx context.Context, root *obs.Span, cfg *ios.Config, k
 		return nil, fmt.Errorf("clarify: spec extraction produced invalid JSON: %w", err)
 	}
 
+	var space *symbolic.ACLSpace
+	if k.packets {
+		space = symbolic.NewACLSpace()
+	}
 	turns := []llm.Message{{Role: llm.RoleUser, Content: intentText}}
 	var snippet *ios.Config
 	var snippetList, snippetText string
@@ -511,8 +512,8 @@ func (s *Session) submit(ctx context.Context, root *obs.Span, cfg *ios.Config, k
 		// The per-update deadline budget must stop the verify-and-retry loop
 		// between attempts, not just inside LLM calls — a wedged update can
 		// otherwise hold a worker across many local retries.
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("clarify: update cancelled: %w", err)
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("clarify: update cancelled: %w", context.Cause(ctx))
 		}
 		if attempts >= s.maxAttempts() {
 			s.mu.Lock()
@@ -547,7 +548,7 @@ func (s *Session) submit(ctx context.Context, root *obs.Span, cfg *ios.Config, k
 			feedback = fmt.Sprintf("The previous output references undefined data structures: %v.", err3)
 		} else if !s.SkipVerification {
 			vsp := asp.Child("verify")
-			violations, err4 := verify(parsed, name, vsp)
+			violations, err4 := verify(space, parsed, name, vsp)
 			if err4 != nil {
 				vsp.End()
 				asp.End()
@@ -589,14 +590,15 @@ func (s *Session) submit(ctx context.Context, root *obs.Span, cfg *ios.Config, k
 		s.mu.Unlock()
 	}
 	root.SetInt("attempts", int64(attempts))
-	return s.insert(root, cfg, &v, target, attempts, ro, ao)
+	return s.insert(root, space, cfg, &v, target, attempts, ro, ao)
 }
 
 // insert is step 6: disambiguation and insertion of an already-verified
-// snippet into the cfg snapshot.
-func (s *Session) insert(root *obs.Span, cfg *ios.Config, v *reuseEntry, target string, attempts int, ro disambig.RouteOracle, ao disambig.ACLOracle) (*UpdateResult, error) {
+// snippet into the cfg snapshot, in the update's packet space (nil builds a
+// fresh one for ACLs).
+func (s *Session) insert(root *obs.Span, space *symbolic.ACLSpace, cfg *ios.Config, v *reuseEntry, target string, attempts int, ro disambig.RouteOracle, ao disambig.ACLOracle) (*UpdateResult, error) {
 	dsp := root.Child("disambiguate")
-	res, err := v.kind.disambiguate(s, cfg, v.snippet, v.name, target, ro, ao, dsp)
+	res, err := v.kind.disambiguate(s, space, cfg, v.snippet, v.name, target, ro, ao, dsp)
 	if err != nil {
 		dsp.End()
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/clarifynet/clarify/ambiguity"
-	"github.com/clarifynet/clarify/bdd"
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/obs"
 	"github.com/clarifynet/clarify/policy"
@@ -25,12 +24,14 @@ type ACLResult struct {
 // entries whose first-match regions intersect the new entry with a different
 // action, binary-search the insertion gap, insert and renumber.
 func InsertACLEntry(orig *ios.Config, aclName string, snippet *ios.Config, snippetACL string, oracle ACLOracle) (*ACLResult, error) {
-	return insertACLEntry(orig, aclName, snippet, snippetACL, oracle, nil)
+	return InsertACLEntryTraced(nil, orig, aclName, snippet, snippetACL, oracle, nil)
 }
 
-// insertACLEntry is the shared implementation, charging the symbolic work
-// and oracle waits to sp (which may be nil).
-func insertACLEntry(orig *ios.Config, aclName string, snippet *ios.Config, snippetACL string, oracle ACLOracle, sp *obs.Span) (*ACLResult, error) {
+// InsertACLEntryTraced is InsertACLEntry working in space (nil builds a
+// fresh one) and recording the disambiguation workload under sp (which may
+// be nil). An update shares one space between verification and
+// disambiguation; what the space already holds does not change the outcome.
+func InsertACLEntryTraced(space *symbolic.ACLSpace, orig *ios.Config, aclName string, snippet *ios.Config, snippetACL string, oracle ACLOracle, sp *obs.Span) (*ACLResult, error) {
 	if _, ok := orig.ACLs[aclName]; !ok {
 		return nil, fmt.Errorf("disambig: ACL %q not in configuration", aclName)
 	}
@@ -45,7 +46,9 @@ func insertACLEntry(orig *ios.Config, aclName string, snippet *ios.Config, snipp
 	acl := work.ACLs[aclName]
 	newEntry := snipACL.Entries[0].Clone()
 
-	space := symbolic.NewACLSpace()
+	if space == nil {
+		space = symbolic.NewACLSpace()
+	}
 	defer space.ObserveInto(sp, space.Pool.Counters())
 	// Probes need first-match regions only inside the new entry's packets.
 	regions := space.FirstMatchWithin(acl, space.ACEPred(newEntry))
@@ -73,41 +76,14 @@ func insertACLEntry(orig *ios.Config, aclName string, snippet *ios.Config, snipp
 		}, region: regions[i]})
 	}
 
-	var meter *ambiguity.Meter
-	if sp != nil {
-		pregions := make([]bdd.Node, len(probes))
-		for i, p := range probes {
-			pregions[i] = p.region
-		}
-		meter = ambiguity.NewMeter(space.Pool, "acl", StrategyBinary.String(), pregions)
-	}
-
-	result := &ACLResult{}
-	for _, p := range probes {
-		result.Overlaps = append(result.Overlaps, p.rule)
-	}
-	gap, err := searchGap(StrategyBinary, len(probes), func(i int) (bool, error) {
-		q := probes[i].question
-		preferNew, err := chooseACL(oracle, sp, q)
-		if err == nil {
-			result.Questions = append(result.Questions, q)
-		}
-		return preferNew, err
-	}, meter)
+	meter := startMeter(sp, space.Pool, "acl", StrategyBinary, probes)
+	pl, err := place(sp, "probed-entry", StrategyBinary, probes, meter, func(q ACLQuestion) (bool, error) { return oracle.ChooseACL(q) })
 	if err != nil {
 		return nil, err
 	}
-	result.Ambiguity = meter.Finish(gap, gap)
-	ambiguity.Annotate(sp, result.Ambiguity)
-	pos := 0
-	if gap > 0 {
-		pos = probes[gap-1].rule + 1
-	}
 	insSp := sp.Child("insert")
-	acl.InsertEntry(pos, newEntry)
-	insSp.SetInt("position", int64(pos))
+	acl.InsertEntry(pl.pos, newEntry)
+	insSp.SetInt("position", int64(pl.pos))
 	insSp.End()
-	result.Config = work
-	result.Position = pos
-	return result, nil
+	return &ACLResult{Config: work, Position: pl.pos, Questions: pl.questions, Overlaps: pl.overlaps, Ambiguity: pl.ledger}, nil
 }

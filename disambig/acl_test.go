@@ -1,12 +1,14 @@
 package disambig
 
 import (
+	"encoding/json"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"github.com/clarifynet/clarify/internal/testgen"
 	"github.com/clarifynet/clarify/ios"
+	"github.com/clarifynet/clarify/obs"
 	"github.com/clarifynet/clarify/policy"
 	"github.com/clarifynet/clarify/symbolic"
 	"github.com/clarifynet/clarify/workload"
@@ -290,6 +292,60 @@ func TestACLProbesMatchReference(t *testing.T) {
 		asked += len(res.Questions)
 	}
 	t.Logf("%d insertions, %d probes, %d questions asked", len(inputs), probes, asked)
+}
+
+// TestSharedACLSpaceMatchesFresh: an update verifies and disambiguates in
+// one packet space. Aiming a flipped copy of every entry of 24 corpus ACLs
+// into one space that already holds the verification's predicates and other
+// ACLs' first-match folds must give the overlaps, questions (witness packets
+// included), position and ledger JSON that a fresh space gives.
+func TestSharedACLSpaceMatchesFresh(t *testing.T) {
+	var inputs []aclInsertion
+	for _, c := range []*workload.Corpus{workload.Cloud(1, workload.CloudACLCount, 0), workload.Campus(1, 300, 0)} {
+		inputs = append(inputs, flippedACLInsertions(&workload.Corpus{ACLConfigs: c.ACLConfigs[:12]})...)
+	}
+	shared := symbolic.NewACLSpace()
+	run := func(space *symbolic.ACLSpace, in aclInsertion, threshold int) (*ACLResult, string) {
+		t.Helper()
+		tr := obs.NewTrace("update")
+		oracle := FuncACLOracle(func(q ACLQuestion) (bool, error) { return q.ProbedEntry >= threshold, nil })
+		res, err := InsertACLEntryTraced(space, in.orig, in.name, in.snippet, "NEW", oracle, tr.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		led, err := json.Marshal(res.Ambiguity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, string(led)
+	}
+	questions := 0
+	for i, in := range inputs {
+		// What verification encodes — the snippet's entry against a spec's
+		// entry it misses, both ways — plus an unrelated ACL's fold.
+		e := in.snippet.ACLs["NEW"].Entries[0]
+		other := inputs[(i+len(inputs)/2)%len(inputs)]
+		want := shared.ACEPred(other.snippet.ACLs["NEW"].Entries[0])
+		shared.Witness(shared.Pool.Diff(want, shared.ACEPred(e)))
+		shared.Witness(shared.Pool.Diff(shared.ACEPred(e), want))
+		shared.PermitSet(other.orig.ACLs[other.name])
+
+		threshold := i % (len(in.orig.ACLs[in.name].Entries) + 1)
+		fresh, freshLed := run(nil, in, threshold)
+		got, gotLed := run(shared, in, threshold)
+		if !slices.Equal(got.Overlaps, fresh.Overlaps) || !slices.Equal(got.Questions, fresh.Questions) || got.Position != fresh.Position {
+			t.Fatalf("%s ← %s: shared space gave overlaps %v questions %+v position %d, fresh %v %+v %d",
+				in.name, e, got.Overlaps, got.Questions, got.Position, fresh.Overlaps, fresh.Questions, fresh.Position)
+		}
+		if gotLed != freshLed {
+			t.Fatalf("%s ← %s: ledger %s, fresh %s", in.name, e, gotLed, freshLed)
+		}
+		questions += len(got.Questions)
+	}
+	if len(inputs) < 100 || questions == 0 {
+		t.Fatalf("%d insertions asking %d questions: corpus too small to mean anything", len(inputs), questions)
+	}
+	t.Logf("%d insertions, %d questions, shared pool at %d nodes", len(inputs), questions, shared.Pool.Size())
 }
 
 // BenchmarkInsertACLEntry: one op disambiguates a flipped copy of the middle

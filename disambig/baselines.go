@@ -44,23 +44,22 @@ func (s Strategy) String() string {
 	}
 }
 
-// InsertRouteMapStanzaLinear is InsertRouteMapStanza with a linear scan in
-// place of binary search: it asks one question per distinguishing overlap,
-// from the top, placing the new stanza immediately before the first overlap
-// the user assigns to it.
-func InsertRouteMapStanzaLinear(orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle) (*RouteResult, error) {
-	return insertWithSearch(nil, nil, orig, mapName, snippet, snippetMap, oracle, StrategyLinear)
-}
-
-// InsertRouteMapStanzaStrategy dispatches on strategy.
-func InsertRouteMapStanzaStrategy(strategy Strategy, orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle) (*RouteResult, error) {
-	return InsertRouteMapStanzaStrategyCached(strategy, nil, orig, mapName, snippet, snippetMap, oracle)
-}
-
-// InsertRouteMapStanzaStrategyCached dispatches on strategy, drawing the
-// symbolic universe from cache (which may be nil).
+// InsertRouteMapStanzaStrategyCached is InsertRouteMapStanzaStrategyTraced
+// without tracing.
 func InsertRouteMapStanzaStrategyCached(strategy Strategy, cache *symbolic.SpaceCache, orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle) (*RouteResult, error) {
 	return InsertRouteMapStanzaStrategyTraced(strategy, cache, orig, mapName, snippet, snippetMap, oracle, nil)
+}
+
+// InsertRouteMapStanzaStrategyTraced inserts with strategy, drawing the
+// symbolic universe from cache (which may be nil) and recording the
+// disambiguation workload under sp (which may be nil): BDD counters for the
+// overlap analysis, one "question-wait" child span per oracle round trip,
+// and an "insert" child span for the final placement.
+func InsertRouteMapStanzaStrategyTraced(strategy Strategy, cache *symbolic.SpaceCache, orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle, sp *obs.Span) (*RouteResult, error) {
+	if strategy == StrategyTopBottom {
+		return insertTopBottom(cache, sp, orig, mapName, snippet, snippetMap, oracle)
+	}
+	return insertWithSearch(cache, sp, orig, mapName, snippet, snippetMap, oracle, strategy)
 }
 
 // searchGap is the §4 gap search shared by route maps, ACLs and the list
@@ -93,15 +92,78 @@ func searchGap(strategy Strategy, n int, ask func(i int) (bool, error), meter *a
 	return lo, nil
 }
 
-// InsertRouteMapStanzaTopBottom reproduces the paper's prototype: build the
-// top-inserted and bottom-inserted candidates, compare them, and ask at most
-// one question. When the candidates differ on inputs the user assigns to
-// *neither* extreme consistently, the restriction simply cannot express the
-// intent — exactly the limitation §7 lists as future work.
-func InsertRouteMapStanzaTopBottom(orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle) (*RouteResult, error) {
-	return insertTopBottom(nil, nil, orig, mapName, snippet, snippetMap, oracle)
+// placement is the outcome of place: the rules of the distinguishing
+// overlaps, the questions asked in order, the run's ledger (nil when
+// untraced) and the index the new rule takes in the rule list.
+type placement[Q any] struct {
+	overlaps  []int
+	questions []Q
+	ledger    *ambiguity.Ledger
+	pos       int
 }
 
+// place is the §4 placement step every rule kind shares: it gap-searches
+// probes with strategy, asking each question through choose under a timed
+// span keyed by key (see ask), then seals meter's ledger onto sp. Callers
+// wrap their oracle in a closure: a method value would panic on a nil
+// oracle even when no question is asked.
+func place[Q any](sp *obs.Span, key string, strategy Strategy, probes []probe[Q], meter *ambiguity.Meter, choose func(Q) (bool, error)) (placement[Q], error) {
+	var pl placement[Q]
+	for _, p := range probes {
+		pl.overlaps = append(pl.overlaps, p.rule)
+	}
+	gap, err := searchGap(strategy, len(probes), func(i int) (bool, error) {
+		p := probes[i]
+		preferNew, err := ask(sp, key, p.rule, choose, p.question)
+		if err == nil {
+			pl.questions = append(pl.questions, p.question)
+		}
+		return preferNew, err
+	}, meter)
+	if err != nil {
+		return pl, err
+	}
+	// The search runs the undecided range dry, so the residual is the empty
+	// range.
+	pl.ledger = meter.Finish(gap, gap)
+	ambiguity.Annotate(sp, pl.ledger)
+	if gap > 0 {
+		pl.pos = probes[gap-1].rule + 1
+	}
+	return pl, nil
+}
+
+// ask poses q through choose, timing the round trip as a "question-wait"
+// child of sp that records the probed rule under key ("probed-stanza" or
+// "probed-entry") — for the daemon's async oracle this is the operator's
+// think time. With sp nil no span is created.
+func ask[Q any](sp *obs.Span, key string, rule int, choose func(Q) (bool, error), q Q) (bool, error) {
+	qsp := sp.Child("question-wait")
+	qsp.SetInt(key, int64(rule))
+	preferNew, err := choose(q)
+	qsp.SetBool("prefer-new", preferNew)
+	qsp.End()
+	return preferNew, err
+}
+
+// startMeter starts the ambiguity ledger over the probes' regions in pool,
+// or returns nil when sp is nil: the ledger rides the observability path.
+func startMeter[Q any](sp *obs.Span, pool *bdd.Pool, kind string, strategy Strategy, probes []probe[Q]) *ambiguity.Meter {
+	if sp == nil {
+		return nil
+	}
+	regions := make([]bdd.Node, len(probes))
+	for i, p := range probes {
+		regions[i] = p.region
+	}
+	return ambiguity.NewMeter(pool, kind, strategy.String(), regions)
+}
+
+// insertTopBottom reproduces the paper's prototype: build the top-inserted
+// and bottom-inserted candidates, compare them, and ask at most one
+// question. When the candidates differ on inputs the user assigns to
+// *neither* extreme consistently, the restriction simply cannot express the
+// intent — exactly the limitation §7 lists as future work.
 func insertTopBottom(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle) (*RouteResult, error) {
 	prep, err := prepare(orig, mapName, snippet, snippetMap)
 	if err != nil {
@@ -151,7 +213,7 @@ func insertTopBottom(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config,
 		NewVerdict: d.VerdictA, // top placement: new stanza wins
 		OldVerdict: d.VerdictB, // bottom placement: existing stanzas win
 	}
-	preferNew, err := chooseRoute(oracle, sp, q)
+	preferNew, err := ask(sp, "probed-stanza", q.ProbedStanza, oracle.ChooseRoute, q)
 	if err != nil {
 		return nil, err
 	}
@@ -257,40 +319,20 @@ func insertWithSearch(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config
 	if err != nil {
 		return nil, err
 	}
-	result := &RouteResult{Renames: prep.renames}
-	for _, p := range probes {
-		result.Overlaps = append(result.Overlaps, p.rule)
-	}
-	gap, err := searchGap(strategy, len(probes), func(i int) (bool, error) {
-		q := probes[i].question
-		preferNew, err := chooseRoute(oracle, sp, q)
-		if err == nil {
-			result.Questions = append(result.Questions, q)
-		}
-		return preferNew, err
-	}, meter)
+	pl, err := place(sp, "probed-stanza", strategy, probes, meter, func(q RouteQuestion) (bool, error) { return oracle.ChooseRoute(q) })
 	if err != nil {
 		return nil, err
 	}
-	// The search runs the undecided range dry, so the residual is the empty
-	// range.
-	result.Ambiguity = meter.Finish(gap, gap)
-	ambiguity.Annotate(sp, result.Ambiguity)
-	pos := 0
-	if gap > 0 {
-		pos = probes[gap-1].rule + 1
-	}
 	insSp := sp.Child("insert")
-	rm.InsertStanza(pos, newStanza)
+	rm.InsertStanza(pl.pos, newStanza)
 	if err := work.Validate(); err != nil {
 		insSp.End()
 		return nil, fmt.Errorf("disambig: post-insertion validation: %w", err)
 	}
-	insSp.SetInt("position", int64(pos))
+	insSp.SetInt("position", int64(pl.pos))
 	insSp.End()
-	result.Config = work
-	result.Position = pos
-	return result, nil
+	return &RouteResult{Config: work, Position: pl.pos, Questions: pl.questions, Overlaps: pl.overlaps,
+		Renames: prep.renames, Ambiguity: pl.ledger}, nil
 }
 
 // newStanzaWrapper wraps the detached new stanza in a throwaway config so
@@ -319,15 +361,7 @@ func collectProbesMetered(cache *symbolic.SpaceCache, sp *obs.Span, work *ios.Co
 	if err != nil {
 		return nil, nil, err
 	}
-	var meter *ambiguity.Meter
-	if sp != nil {
-		regions := make([]bdd.Node, len(probes))
-		for i, p := range probes {
-			regions[i] = p.region
-		}
-		meter = ambiguity.NewMeter(space.Pool, "route-map", strategy.String(), regions)
-	}
-	return probes, meter, nil
+	return probes, startMeter(sp, space.Pool, "route-map", strategy, probes), nil
 }
 
 // collectProbes finds the distinguishing overlaps with a confirmed

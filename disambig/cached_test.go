@@ -2,7 +2,6 @@ package disambig
 
 import (
 	"math/rand"
-	"net/netip"
 	"reflect"
 	"testing"
 
@@ -32,7 +31,7 @@ func TestCachedWalkthroughIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cached, err := InsertRouteMapStanzaCached(cache, orig, "ISP_OUT", snippet, "SET_METRIC", NewSimUserRouteMap(target, "ISP_OUT"))
+			cached, err := InsertRouteMapStanzaStrategyCached(StrategyBinary, cache, orig, "ISP_OUT", snippet, "SET_METRIC", NewSimUserRouteMap(target, "ISP_OUT"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +96,7 @@ func TestQuickCachedInsertionOverWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}
-		cached, err := InsertRouteMapStanzaCached(cache, tr.orig, tr.mapName, snippet, "SNIP", oracle)
+		cached, err := InsertRouteMapStanzaStrategyCached(StrategyBinary, cache, tr.orig, tr.mapName, snippet, "SNIP", oracle)
 		if err != nil {
 			t.Fatalf("trial %d (cached): %v", i, err)
 		}
@@ -110,112 +109,4 @@ func TestQuickCachedInsertionOverWorkload(t *testing.T) {
 		}
 		mustEquivalent(t, plain.Config, cached.Config, tr.mapName)
 	}
-}
-
-// TestCachedListInsertionIdentical covers the ancillary-list paths.
-func TestCachedListInsertionIdentical(t *testing.T) {
-	cache := symbolic.NewSpaceCache()
-	base := `ip prefix-list PL seq 10 permit 10.0.0.0/8 le 16
-ip prefix-list PL seq 20 deny 10.1.0.0/16 le 24
-ip community-list expanded CL permit _65000:1_
-ip community-list expanded CL deny _65000:2_
-ip as-path access-list AP permit _100$
-ip as-path access-list AP deny _200$
-`
-	oracle := FuncListOracle(func(q ListQuestion) (bool, error) { return true, nil })
-
-	for pass := 0; pass < 2; pass++ {
-		orig := ios.MustParse(base)
-		entry := ios.PrefixListEntry{Permit: false, Prefix: mustPfx(t, "10.0.0.0/8"), Le: 24}
-		plain, err := InsertPrefixListEntry(orig, "PL", entry, oracle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cached, err := InsertPrefixListEntryCached(cache, orig, "PL", entry, oracle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareListResults(t, "prefix", plain, cached)
-
-		cEntry := ios.CommunityListEntry{Permit: false, Values: []string{"_65000:1_"}}
-		plain, err = InsertCommunityListEntry(orig, "CL", cEntry, oracle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cached, err = InsertCommunityListEntryCached(cache, orig, "CL", cEntry, oracle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareListResults(t, "community", plain, cached)
-
-		aEntry := ios.ASPathEntry{Permit: false, Regex: "_100$"}
-		plain, err = InsertASPathEntry(orig, "AP", aEntry, oracle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cached, err = InsertASPathEntryCached(cache, orig, "AP", aEntry, oracle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareListResults(t, "as-path", plain, cached)
-	}
-	if st := cache.Stats(); st.Hits == 0 {
-		t.Errorf("no cache hits on second pass: %+v", st)
-	}
-}
-
-func compareListResults(t *testing.T, label string, plain, cached *ListResult) {
-	t.Helper()
-	if plain.Position != cached.Position {
-		t.Errorf("%s: position %d (plain) vs %d (cached)", label, plain.Position, cached.Position)
-	}
-	if !reflect.DeepEqual(plain.Overlaps, cached.Overlaps) {
-		t.Errorf("%s: overlaps %v vs %v", label, plain.Overlaps, cached.Overlaps)
-	}
-	if !reflect.DeepEqual(plain.Questions, cached.Questions) {
-		t.Errorf("%s: questions diverge", label)
-	}
-}
-
-// TestCachedEditImpactIdentical covers the modify path (CompareRouteMaps
-// under the hood) over the workload archetypes.
-func TestCachedEditImpactIdentical(t *testing.T) {
-	cache := symbolic.NewSpaceCache()
-	corpus := workload.Cloud(11, 0, 10)
-	checked := 0
-	for _, cfg := range corpus.RouteMapConfigs {
-		for name, rm := range cfg.RouteMaps {
-			if len(rm.Stanzas) < 2 {
-				continue
-			}
-			plain, err := DeleteRouteMapStanza(cfg, name, 0, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cached, err := DeleteRouteMapStanzaCached(cache, cfg, name, 0, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(plain.Impacts) != len(cached.Impacts) {
-				t.Errorf("%s: %d impacts (plain) vs %d (cached)", name, len(plain.Impacts), len(cached.Impacts))
-			}
-			if !reflect.DeepEqual(plain.Impacts, cached.Impacts) {
-				t.Errorf("%s: impact examples diverge", name)
-			}
-			mustEquivalent(t, plain.Config, cached.Config, name)
-			checked++
-		}
-	}
-	if checked == 0 {
-		t.Fatal("workload produced no multi-stanza maps to check")
-	}
-}
-
-func mustPfx(t *testing.T, s string) netip.Prefix {
-	t.Helper()
-	p, err := netip.ParsePrefix(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }

@@ -97,13 +97,7 @@ type RouteResult struct {
 // snippet must contain exactly one route-map with exactly one stanza (the
 // verified LLM output); orig must contain mapName.
 func InsertRouteMapStanza(orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle) (*RouteResult, error) {
-	return insertWithSearch(nil, nil, orig, mapName, snippet, snippetMap, oracle, StrategyBinary)
-}
-
-// InsertRouteMapStanzaCached is InsertRouteMapStanza drawing its symbolic
-// universe from cache (which may be nil).
-func InsertRouteMapStanzaCached(cache *symbolic.SpaceCache, orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle) (*RouteResult, error) {
-	return insertWithSearch(cache, nil, orig, mapName, snippet, snippetMap, oracle, StrategyBinary)
+	return InsertRouteMapStanzaStrategyTraced(StrategyBinary, nil, orig, mapName, snippet, snippetMap, oracle, nil)
 }
 
 // confirmQuestion extracts a concrete differential example from a symbolic

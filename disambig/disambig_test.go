@@ -326,7 +326,7 @@ func TestQuickLinearAgreesWithBinary(t *testing.T) {
 			t.Fatal(err)
 		}
 		linUser := NewSimUserRouteMap(target, "RM")
-		linRes, err := InsertRouteMapStanzaLinear(orig, "RM", snippet, "SNIP", linUser)
+		linRes, err := InsertRouteMapStanzaStrategyCached(StrategyLinear, nil, orig, "RM", snippet, "SNIP", linUser)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func TestTopBottomPrototype(t *testing.T) {
 	snippet := ios.MustParse(paperSnippet)
 	// Target = top.
 	target := figure2(t, 0)
-	res, err := InsertRouteMapStanzaTopBottom(orig, "ISP_OUT", snippet, "SET_METRIC", NewSimUserRouteMap(target, "ISP_OUT"))
+	res, err := InsertRouteMapStanzaStrategyCached(StrategyTopBottom, nil, orig, "ISP_OUT", snippet, "SET_METRIC", NewSimUserRouteMap(target, "ISP_OUT"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestTopBottomPrototype(t *testing.T) {
 	mustEquivalent(t, res.Config, target, "ISP_OUT")
 	// Target = bottom.
 	target = figure2(t, 3)
-	res, err = InsertRouteMapStanzaTopBottom(orig, "ISP_OUT", snippet, "SET_METRIC", NewSimUserRouteMap(target, "ISP_OUT"))
+	res, err = InsertRouteMapStanzaStrategyCached(StrategyTopBottom, nil, orig, "ISP_OUT", snippet, "SET_METRIC", NewSimUserRouteMap(target, "ISP_OUT"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ route-map RM deny 10
 route-map NEW permit 10
  match ip address prefix-list P
 `)
-	res, err := InsertRouteMapStanzaTopBottom(orig, "RM", snippet, "NEW",
+	res, err := InsertRouteMapStanzaStrategyCached(StrategyTopBottom, nil, orig, "RM", snippet, "NEW",
 		FuncRouteOracle(func(RouteQuestion) (bool, error) {
 			t.Fatal("equivalent candidates should not need a question")
 			return false, nil

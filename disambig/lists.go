@@ -82,19 +82,13 @@ type ListResult struct {
 // entry. Entries are considered in sequence-number order and renumbered
 // 10, 20, ... after insertion.
 func InsertPrefixListEntry(orig *ios.Config, listName string, entry ios.PrefixListEntry, oracle ListOracle) (*ListResult, error) {
-	return InsertPrefixListEntryCached(nil, orig, listName, entry, oracle)
-}
-
-// InsertPrefixListEntryCached is InsertPrefixListEntry drawing its symbolic
-// universe from cache (which may be nil).
-func InsertPrefixListEntryCached(cache *symbolic.SpaceCache, orig *ios.Config, listName string, entry ios.PrefixListEntry, oracle ListOracle) (*ListResult, error) {
 	work := orig.Clone()
 	l, ok := work.PrefixLists[listName]
 	if !ok {
 		return nil, fmt.Errorf("disambig: prefix-list %q not in configuration", listName)
 	}
 	l.Entries = l.BySeq()
-	res, err := insertListEntry(cache, KindPrefixList, listName, work, &l.Entries, entry, oracle,
+	res, err := insertListEntry(KindPrefixList, listName, work, &l.Entries, entry, oracle,
 		func(space *symbolic.RouteSpace, e ios.PrefixListEntry) (bdd.Node, bool, error) {
 			return space.PrefixEntryPred(e), e.Permit, nil
 		})
@@ -110,12 +104,6 @@ func InsertPrefixListEntryCached(cache *symbolic.SpaceCache, orig *ios.Config, l
 // InsertCommunityListEntry disambiguates the placement of a new
 // community-list entry (standard or expanded must match the target list).
 func InsertCommunityListEntry(orig *ios.Config, listName string, entry ios.CommunityListEntry, oracle ListOracle) (*ListResult, error) {
-	return InsertCommunityListEntryCached(nil, orig, listName, entry, oracle)
-}
-
-// InsertCommunityListEntryCached is InsertCommunityListEntry drawing its
-// symbolic universe from cache (which may be nil).
-func InsertCommunityListEntryCached(cache *symbolic.SpaceCache, orig *ios.Config, listName string, entry ios.CommunityListEntry, oracle ListOracle) (*ListResult, error) {
 	work := orig.Clone()
 	l, ok := work.CommunityLists[listName]
 	if !ok {
@@ -123,7 +111,7 @@ func InsertCommunityListEntryCached(cache *symbolic.SpaceCache, orig *ios.Config
 	}
 	wrapper := ios.NewConfig()
 	wrapper.AddCommunityList("__NEW__", l.Expanded, entry)
-	return insertListEntry(cache, KindCommunityList, listName, work, &l.Entries, entry, oracle,
+	return insertListEntry(KindCommunityList, listName, work, &l.Entries, entry, oracle,
 		func(space *symbolic.RouteSpace, e ios.CommunityListEntry) (bdd.Node, bool, error) {
 			pred, err := space.CommunityEntryPred(l.Expanded, e)
 			return pred, e.Permit, err
@@ -132,12 +120,6 @@ func InsertCommunityListEntryCached(cache *symbolic.SpaceCache, orig *ios.Config
 
 // InsertASPathEntry disambiguates the placement of a new as-path list entry.
 func InsertASPathEntry(orig *ios.Config, listName string, entry ios.ASPathEntry, oracle ListOracle) (*ListResult, error) {
-	return InsertASPathEntryCached(nil, orig, listName, entry, oracle)
-}
-
-// InsertASPathEntryCached is InsertASPathEntry drawing its symbolic universe
-// from cache (which may be nil).
-func InsertASPathEntryCached(cache *symbolic.SpaceCache, orig *ios.Config, listName string, entry ios.ASPathEntry, oracle ListOracle) (*ListResult, error) {
 	work := orig.Clone()
 	l, ok := work.ASPathLists[listName]
 	if !ok {
@@ -145,7 +127,7 @@ func InsertASPathEntryCached(cache *symbolic.SpaceCache, orig *ios.Config, listN
 	}
 	wrapper := ios.NewConfig()
 	wrapper.AddASPathList("__NEW__", entry)
-	return insertListEntry(cache, KindASPathList, listName, work, &l.Entries, entry, oracle,
+	return insertListEntry(KindASPathList, listName, work, &l.Entries, entry, oracle,
 		func(space *symbolic.RouteSpace, e ios.ASPathEntry) (bdd.Node, bool, error) {
 			pred, err := space.ASPathEntryPred(e)
 			return pred, e.Permit, err
@@ -157,36 +139,21 @@ func InsertASPathEntryCached(cache *symbolic.SpaceCache, orig *ios.Config, listN
 // rule encodes one entry: its match set and whether it permits. The space
 // covers work and wrappers, throwaway configs that put the new entry's
 // patterns in the atomic universe.
-func insertListEntry[E any](cache *symbolic.SpaceCache, kind ListKind, name string, work *ios.Config, entries *[]E, entry E, oracle ListOracle, rule func(*symbolic.RouteSpace, E) (bdd.Node, bool, error), wrappers ...*ios.Config) (*ListResult, error) {
-	space, err := cache.Acquire(append([]*ios.Config{work}, wrappers...)...)
+func insertListEntry[E any](kind ListKind, name string, work *ios.Config, entries *[]E, entry E, oracle ListOracle, rule func(*symbolic.RouteSpace, E) (bdd.Node, bool, error), wrappers ...*ios.Config) (*ListResult, error) {
+	space, err := symbolic.NewRouteSpace(append([]*ios.Config{work}, wrappers...)...)
 	if err != nil {
 		return nil, err
 	}
-	defer cache.Release(space)
 	probes, err := listProbes(space, kind, name, *entries, entry, rule)
 	if err != nil {
 		return nil, err
 	}
-	res := &ListResult{Config: work}
-	for _, p := range probes {
-		res.Overlaps = append(res.Overlaps, p.rule)
-	}
-	gap, err := searchGap(StrategyBinary, len(probes), func(i int) (bool, error) {
-		q := probes[i].question
-		preferNew, err := oracle.ChooseList(q)
-		if err == nil {
-			res.Questions = append(res.Questions, q)
-		}
-		return preferNew, err
-	}, nil)
+	pl, err := place(nil, "probed-entry", StrategyBinary, probes, nil, func(q ListQuestion) (bool, error) { return oracle.ChooseList(q) })
 	if err != nil {
 		return nil, err
 	}
-	if gap > 0 {
-		res.Position = probes[gap-1].rule + 1
-	}
-	*entries = slices.Insert(*entries, res.Position, entry)
-	return res, nil
+	*entries = slices.Insert(*entries, pl.pos, entry)
+	return &ListResult{Config: work, Position: pl.pos, Questions: pl.questions, Overlaps: pl.overlaps}, nil
 }
 
 // listProbes finds the entries whose action differs from the new entry's

@@ -34,12 +34,6 @@ type EditResult struct {
 // DeleteRouteMapStanza removes the stanza at index (0-based) from the named
 // route map and reports up to maxImpacts behavioural changes.
 func DeleteRouteMapStanza(orig *ios.Config, mapName string, index, maxImpacts int) (*EditResult, error) {
-	return DeleteRouteMapStanzaCached(nil, orig, mapName, index, maxImpacts)
-}
-
-// DeleteRouteMapStanzaCached is DeleteRouteMapStanza drawing its symbolic
-// universe from cache (which may be nil).
-func DeleteRouteMapStanzaCached(cache *symbolic.SpaceCache, orig *ios.Config, mapName string, index, maxImpacts int) (*EditResult, error) {
 	rm, ok := orig.RouteMaps[mapName]
 	if !ok {
 		return nil, fmt.Errorf("disambig: route-map %q not in configuration", mapName)
@@ -51,19 +45,13 @@ func DeleteRouteMapStanzaCached(cache *symbolic.SpaceCache, orig *ios.Config, ma
 	wrm := work.RouteMaps[mapName]
 	wrm.Stanzas = append(wrm.Stanzas[:index], wrm.Stanzas[index+1:]...)
 	wrm.Renumber()
-	return editImpact(cache, orig, work, mapName, maxImpacts)
+	return editImpact(orig, work, mapName, maxImpacts)
 }
 
 // ReplaceRouteMapStanza swaps the stanza at index for a new one (which must
 // reference only lists already defined in the configuration) and reports the
 // behavioural changes.
 func ReplaceRouteMapStanza(orig *ios.Config, mapName string, index int, stanza *ios.Stanza, maxImpacts int) (*EditResult, error) {
-	return ReplaceRouteMapStanzaCached(nil, orig, mapName, index, stanza, maxImpacts)
-}
-
-// ReplaceRouteMapStanzaCached is ReplaceRouteMapStanza drawing its symbolic
-// universe from cache (which may be nil).
-func ReplaceRouteMapStanzaCached(cache *symbolic.SpaceCache, orig *ios.Config, mapName string, index int, stanza *ios.Stanza, maxImpacts int) (*EditResult, error) {
 	rm, ok := orig.RouteMaps[mapName]
 	if !ok {
 		return nil, fmt.Errorf("disambig: route-map %q not in configuration", mapName)
@@ -78,18 +66,17 @@ func ReplaceRouteMapStanzaCached(cache *symbolic.SpaceCache, orig *ios.Config, m
 	if err := work.Validate(); err != nil {
 		return nil, fmt.Errorf("disambig: replacement stanza: %w", err)
 	}
-	return editImpact(cache, orig, work, mapName, maxImpacts)
+	return editImpact(orig, work, mapName, maxImpacts)
 }
 
-func editImpact(cache *symbolic.SpaceCache, before, after *ios.Config, mapName string, maxImpacts int) (*EditResult, error) {
+func editImpact(before, after *ios.Config, mapName string, maxImpacts int) (*EditResult, error) {
 	if maxImpacts <= 0 {
 		maxImpacts = 4
 	}
-	space, err := cache.Acquire(before, after)
+	space, err := symbolic.NewRouteSpace(before, after)
 	if err != nil {
 		return nil, err
 	}
-	defer cache.Release(space)
 	diffs, err := analysis.CompareRouteMaps(space,
 		before, before.RouteMaps[mapName],
 		after, after.RouteMaps[mapName], maxImpacts)

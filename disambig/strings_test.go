@@ -67,7 +67,7 @@ func TestStrategyDispatch(t *testing.T) {
 	for _, strat := range []Strategy{StrategyBinary, StrategyLinear, StrategyTopBottom} {
 		target := figure2ForStrategy(t, 0)
 		user := NewSimUserRouteMap(target, "ISP_OUT")
-		res, err := InsertRouteMapStanzaStrategy(strat, orig, "ISP_OUT", snippet, "SET_METRIC", user)
+		res, err := InsertRouteMapStanzaStrategyCached(strat, nil, orig, "ISP_OUT", snippet, "SET_METRIC", user)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}

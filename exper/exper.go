@@ -222,7 +222,7 @@ func QuestionComplexity(sizes []int) (binary, linear []QuestionCount, err error)
 		prepareTarget(target, snippet, k)
 		runOne := func(strategy disambig.Strategy) (int, error) {
 			user := disambig.NewSimUserRouteMap(target, "RM")
-			res, err := disambig.InsertRouteMapStanzaStrategy(strategy, orig, "RM", snippet, "NEW", user)
+			res, err := disambig.InsertRouteMapStanzaStrategyCached(strategy, nil, orig, "RM", snippet, "NEW", user)
 			if err != nil {
 				return 0, err
 			}

@@ -1,10 +1,12 @@
 package journal
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -278,4 +280,65 @@ func TestDiff(t *testing.T) {
 	if Diff(a, a) != "" {
 		t.Error("Diff of identical texts must be empty")
 	}
+}
+
+// FuzzScanTornSegment tears a segment written through Open and Append at a
+// fuzzed offset and appends fuzzed bytes, as a crash mid-append followed by
+// garbage would. Scan must not fail, and must yield every record whose line
+// (newline included) lies wholly before the tear, unchanged and in order;
+// whatever the torn tail decodes to may follow them.
+func FuzzScanTornSegment(f *testing.F) {
+	dir := f.TempDir()
+	j, err := Open(Options{Dir: dir})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := j.Append(testRecord(i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		f.Fatal(err)
+	}
+	segs, err := Segments(dir)
+	if err != nil || len(segs) != 1 {
+		f.Fatalf("Segments = %v, %v; want one segment", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	// TestCrashTruncatedTail's tear: the last record's line cut in half.
+	f.Add(uint(len(data)-len(lines[len(lines)-2])/2), []byte(nil))
+	f.Add(uint(len(lines[0])+3), []byte("\n{\"intent\":\"x\"}\n"))
+	f.Add(uint(len(data)), []byte("{\"schema\":"))
+
+	f.Fuzz(func(t *testing.T, cut uint, tail []byte) {
+		cut %= uint(len(data) + 1)
+		torn := filepath.Join(t.TempDir(), filepath.Base(segs[0]))
+		if err := os.WriteFile(torn, append(data[:cut:cut], tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		end := 0
+		for _, line := range lines {
+			if end += len(line); line == "" || end > int(cut) {
+				break
+			}
+			want = append(want, strings.TrimSuffix(line, "\n"))
+		}
+		var got []string
+		if _, err := Scan(filepath.Dir(torn), func(rec *Record) error {
+			line, err := json.Marshal(rec)
+			got = append(got, string(line))
+			return err
+		}); err != nil {
+			t.Fatalf("Scan: %v", err)
+		}
+		if len(got) < len(want) || !slices.Equal(got[:len(want)], want) {
+			t.Fatalf("cut %d of %d: Scan yielded %d records %q, want the %d whole ones first %q", cut, len(data), len(got), got, len(want), want)
+		}
+	})
 }

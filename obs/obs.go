@@ -425,17 +425,6 @@ func (j *JSONWriter) TraceDone(t *Trace) {
 	io.WriteString(j.w, "\n")
 }
 
-// MultiSink fans completed traces out to several sinks.
-func MultiSink(sinks ...Sink) Sink {
-	return SinkFunc(func(t *Trace) {
-		for _, s := range sinks {
-			if s != nil {
-				s.TraceDone(t)
-			}
-		}
-	})
-}
-
 // ctxKey is the context key for the active span.
 type ctxKey struct{}
 

@@ -191,14 +191,16 @@ func TestSinks(t *testing.T) {
 	var buf strings.Builder
 	jw := NewJSONWriter(&buf)
 	var calls int
-	multi := MultiSink(jw, nil, SinkFunc(func(*Trace) { calls++ }))
+	fn := SinkFunc(func(*Trace) { calls++ })
 
 	t1 := NewTrace("update")
 	t1.Finish()
 	t2 := NewTrace("update")
 	t2.Finish()
-	multi.TraceDone(t1)
-	multi.TraceDone(t2)
+	for _, sink := range []Sink{jw, fn} {
+		sink.TraceDone(t1)
+		sink.TraceDone(t2)
+	}
 
 	if calls != 2 {
 		t.Fatalf("func sink called %d times, want 2", calls)

@@ -173,24 +173,6 @@ func (r Route) Equal(o Route) bool {
 	return true
 }
 
-// PathBoundaryString renders the AS path in the boundary-explicit form used
-// by the regex engine: "^65001 65002$". An empty path renders as "^$".
-func (r Route) PathBoundaryString() string {
-	var sb strings.Builder
-	sb.WriteByte('^')
-	for i, asn := range r.FlatASPath() {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		sb.WriteString(strconv.FormatUint(uint64(asn), 10))
-	}
-	sb.WriteByte('$')
-	return sb.String()
-}
-
-// BoundaryString renders a community in the boundary-explicit regex form.
-func (c Community) BoundaryString() string { return "^" + c.String() + "$" }
-
 // String renders the route in the multi-line format the paper's differential
 // examples use.
 func (r Route) String() string {

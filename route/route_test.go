@@ -59,21 +59,6 @@ func TestAddCommunity(t *testing.T) {
 	}
 }
 
-func TestPathBoundaryString(t *testing.T) {
-	r := New("10.0.0.0/8")
-	if got := r.PathBoundaryString(); got != "^$" {
-		t.Errorf("empty path = %q", got)
-	}
-	r = r.WithASPath(32, 54)
-	if got := r.PathBoundaryString(); got != "^32 54$" {
-		t.Errorf("path = %q", got)
-	}
-	c := MustParseCommunity("300:3")
-	if c.BoundaryString() != "^300:3$" {
-		t.Errorf("community boundary = %q", c.BoundaryString())
-	}
-}
-
 func TestEqualAndClone(t *testing.T) {
 	a := New("10.0.0.0/8").WithASPath(1, 2).WithCommunities("9:9")
 	b := a.Clone()

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -25,6 +27,8 @@ type session struct {
 	order    []string // update IDs in submission order
 	nextUpd  int
 	oracle   *asyncOracle // set while an update is queued or running
+	// cancel ends the queued or running update's context; see track.
+	cancel context.CancelCauseFunc
 	// cfgText is the printed configuration after the last successful
 	// update; handlers read this snapshot so they never touch the live
 	// *ios.Config a worker may be replacing.
@@ -92,6 +96,10 @@ type update struct {
 	// parent is the propagated W3C trace context (a clarify-lb forward
 	// span), zero when the submission arrived without a traceparent header.
 	parent obs.TraceParent
+	// ctx is the update's lifetime: deleting its session cancels it with
+	// errSessionDeleted. The deadline budget derives from it once a worker
+	// picks the update up.
+	ctx context.Context
 
 	mu       sync.Mutex
 	status   string
@@ -179,9 +187,20 @@ func (s *session) info() SessionInfo {
 	}
 }
 
+// errSessionDeleted fails the update of a session deleted while the update
+// was queued or running.
+var errSessionDeleted = errors.New("session deleted")
+
+// track gives u a lifetime context derived from base and keeps its cancel,
+// so deleting the session cancels u. Callers hold s.mu or own s alone.
+func (s *session) track(base context.Context, u *update) {
+	u.ctx, s.cancel = context.WithCancelCause(base)
+}
+
 // beginUpdate reserves the session for one update, allocating its record and
-// oracle. It fails when another update is already queued or running.
-func (s *session) beginUpdate(oracle *asyncOracle, intentText, target string) (*update, error) {
+// oracle, with a lifetime derived from base. It fails when another update is
+// already queued or running.
+func (s *session) beginUpdate(base context.Context, oracle *asyncOracle, intentText, target string) (*update, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.busy {
@@ -199,6 +218,7 @@ func (s *session) beginUpdate(oracle *asyncOracle, intentText, target string) (*
 		oracle: oracle,
 		done:   make(chan struct{}),
 	}
+	s.track(base, u)
 	s.updates[u.id] = u
 	s.order = append(s.order, u.id)
 	return u, nil
@@ -209,8 +229,18 @@ func (s *session) endUpdate() {
 	s.mu.Lock()
 	s.busy = false
 	s.oracle = nil
+	s.abort(nil) // releases the finished update's context
 	s.lastUsed = time.Now()
 	s.mu.Unlock()
+}
+
+// abort cancels the queued or running update's context with cause, if one
+// is tracked; callers hold s.mu.
+func (s *session) abort(cause error) {
+	if s.cancel != nil {
+		s.cancel(cause)
+		s.cancel = nil
+	}
 }
 
 // pendingOracle returns the oracle of the in-flight update, or nil.
@@ -305,7 +335,8 @@ func (m *manager) Get(id string) (*session, bool) {
 	return s, ok
 }
 
-// Delete removes a session, folding its counters into the retired total.
+// Delete removes a session, folding its counters into the retired total,
+// and cancels its queued or running update.
 func (m *manager) Delete(id string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -315,6 +346,9 @@ func (m *manager) Delete(id string) bool {
 	}
 	delete(m.sessions, id)
 	m.retire(s)
+	s.mu.Lock()
+	s.abort(errSessionDeleted)
+	s.mu.Unlock()
 	return true
 }
 

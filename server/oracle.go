@@ -106,7 +106,7 @@ func (o *asyncOracle) wait(ch chan bool) (bool, error) {
 	case <-timer.C:
 		return false, ErrQuestionTimeout
 	case <-ctx.Done():
-		return false, fmt.Errorf("server: update cancelled: %w", ctx.Err())
+		return false, fmt.Errorf("server: update cancelled: %w", context.Cause(ctx))
 	}
 }
 

@@ -529,7 +529,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	oracle := newAsyncOracle(s.baseCtx, s.opts.QuestionTimeout)
-	u, err := sn.beginUpdate(oracle, req.Intent, req.Target)
+	u, err := sn.beginUpdate(s.baseCtx, oracle, req.Intent, req.Target)
 	if err != nil {
 		tn.Release()
 		writeError(w, http.StatusConflict, err.Error(), 0)
@@ -603,10 +603,10 @@ func (s *Server) runUpdate(sn *session, u *update, tn *tenant.Tenant, script []d
 	oracle := u.setRunning()
 	// The deadline budget starts when a worker picks the job up, not
 	// while it sits in the queue — queue time is backpressure, not work.
-	uctx := s.baseCtx
+	uctx := u.ctx
 	cancel := func() {}
 	if s.opts.UpdateTimeout > 0 {
-		uctx, cancel = context.WithTimeout(s.baseCtx, s.opts.UpdateTimeout)
+		uctx, cancel = context.WithTimeout(u.ctx, s.opts.UpdateTimeout)
 	}
 	defer cancel()
 	oracle.bind(uctx)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -619,5 +620,66 @@ func TestBadRequests(t *testing.T) {
 	}
 	if err := c.DeleteSession(ctx, sid); err == nil {
 		t.Error("double delete succeeded")
+	}
+}
+
+// TestDeleteCancelsParkedUpdate: deleting a session fails its parked update
+// at once and frees the worker and tenant slot it held. With one worker and
+// an hour-long question timeout, session B's update queues behind A's
+// parked one and can finish only once deleting A releases the worker.
+func TestDeleteCancelsParkedUpdate(t *testing.T) {
+	srv, c := startServer(t, Options{Workers: 1, QuestionTimeout: time.Hour})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var sids [2]string
+	for i := range sids {
+		sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sids[i] = sid
+	}
+	if _, err := c.SubmitAsync(ctx, sids[0], exampleIntent, "ISP_OUT"); err != nil {
+		t.Fatal(err)
+	}
+	waitPendingQuestion(t, c, sids[0])
+	uB, err := c.SubmitAsync(ctx, sids[1], exampleIntent, "ISP_OUT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DeleteSession(ctx, sids[0]); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.PollUpdate(ctx, sids[1], uB.ID, func(Question) (int, error) { return 1, nil })
+	if err != nil || got.Status != StatusDone {
+		t.Fatalf("session B's update: %+v, %v; want done within 5s of deleting A", got, err)
+	}
+	for {
+		resp, err := http.Get(c.BaseURL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h HealthStatus
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.ActiveUpdates == 0 {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatalf("active_updates = %d after both updates ended, want 0", h.ActiveUpdates)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	deleted := false
+	for _, tr := range srv.traces.List() {
+		if a, ok := tr.Root.Attr("error"); ok && strings.HasSuffix(a.Str, "update cancelled: session deleted") {
+			deleted = true
+		}
+	}
+	if !deleted {
+		t.Error(`no trace records session A's update failing with "session deleted"`)
 	}
 }

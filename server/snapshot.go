@@ -222,6 +222,7 @@ func (s *Server) RestoreSession(snap *snapshot.Session) error {
 			id: p.ID, intent: p.Intent, target: p.Target,
 			status: StatusQueued, oracle: oracle, done: make(chan struct{}),
 		}
+		sn.track(s.baseCtx, u)
 		if tp, ok := obs.ParseTraceParent(p.TraceParent); ok {
 			// The re-executed update keeps its fleet trace ID, so the trace a
 			// client was handed before the handoff resolves on the successor.
@@ -250,6 +251,7 @@ func (s *Server) RestoreSession(snap *snapshot.Session) error {
 	}
 
 	if err := s.mgr.Insert(sn); err != nil {
+		sn.abort(nil)
 		s.restoreFailures.Add(1)
 		return err
 	}

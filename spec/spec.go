@@ -237,7 +237,7 @@ func (k ViolationKind) String() string {
 //
 // Returns nil when the snippet is behaviourally exactly the spec.
 func VerifyRouteMapSnippet(snippet *ios.Config, mapName string, s *RouteMapSpec) ([]Violation, error) {
-	return VerifyRouteMapSnippetCached(nil, snippet, mapName, s)
+	return VerifyRouteMapSnippetTraced(nil, snippet, mapName, s, nil)
 }
 
 // VerifyRouteMapSnippetCached is VerifyRouteMapSnippet drawing its symbolic
@@ -406,12 +406,13 @@ func addrWords(s string) string {
 // same completeness/soundness decomposition as route maps. Transformations do
 // not exist for ACLs, so only the match region and action are compared.
 func VerifyACLSnippet(snippet *ios.Config, aclName string, s *ACLSpec) ([]Violation, error) {
-	return VerifyACLSnippetTraced(snippet, aclName, s, nil)
+	return VerifyACLSnippetTraced(nil, snippet, aclName, s, nil)
 }
 
-// VerifyACLSnippetTraced is VerifyACLSnippet annotating sp (which may be
-// nil) with the BDD workload the verification performed.
-func VerifyACLSnippetTraced(snippet *ios.Config, aclName string, s *ACLSpec, sp *obs.Span) ([]Violation, error) {
+// VerifyACLSnippetTraced is VerifyACLSnippet working in space (nil builds a
+// fresh one) and annotating sp (which may be nil) with the BDD workload the
+// verification performed.
+func VerifyACLSnippetTraced(space *symbolic.ACLSpace, snippet *ios.Config, aclName string, s *ACLSpec, sp *obs.Span) ([]Violation, error) {
 	acl, ok := snippet.ACLs[aclName]
 	if !ok {
 		return nil, fmt.Errorf("spec: snippet lacks ACL %q", aclName)
@@ -423,7 +424,9 @@ func VerifyACLSnippetTraced(snippet *ios.Config, aclName string, s *ACLSpec, sp 
 	if err != nil {
 		return nil, err
 	}
-	space := symbolic.NewACLSpace()
+	if space == nil {
+		space = symbolic.NewACLSpace()
+	}
 	defer space.ObserveInto(sp, space.Pool.Counters())
 	actual := space.ACEPred(acl.Entries[0])
 	want := space.ACEPred(expected)

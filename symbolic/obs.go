@@ -37,8 +37,9 @@ func (s *RouteSpace) ObserveInto(sp *obs.Span, before bdd.Counters) {
 }
 
 // ObserveInto annotates sp with the workload performed on this space since
-// the before snapshot. ACL spaces are built fresh per analysis, so before is
-// usually the zero Counters. Safe on a nil span.
+// the before snapshot. An ACL update shares one space between verification
+// and disambiguation, so the pool size it reports includes the nodes earlier
+// analyses built. Safe on a nil span.
 func (s *ACLSpace) ObserveInto(sp *obs.Span, before bdd.Counters) {
 	ObservePool(sp, s.Pool, before)
 }
