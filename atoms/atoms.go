@@ -37,8 +37,9 @@ type Universe struct {
 }
 
 // Build computes the partition of the language of valid under the given
-// patterns. compile maps each pattern to its automaton (already restricted to
-// valid subjects, as ciscorx does). Duplicate patterns are deduplicated.
+// patterns. compile maps each pattern to its automaton, which may accept
+// strings outside valid, as ciscorx's do: only members of valid are
+// partitioned. Duplicate patterns are deduplicated.
 //
 // The partition is one breadth-first product of valid with every pattern
 // automaton (rx.Split): each reachable product state where valid accepts

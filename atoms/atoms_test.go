@@ -225,3 +225,37 @@ func TestWitnessWhere(t *testing.T) {
 		t.Error("unsatisfiable accept should fail")
 	}
 }
+
+// TestValidityIntersection: atom witnesses are well-formed subjects, though
+// the compiled patterns also accept malformed strings.
+func TestValidityIntersection(t *testing.T) {
+	u := buildPath(t, "_32$")
+	if w := u.Atoms[u.MatchingAtoms(0)[0]].Witness; w != "^32$" {
+		t.Errorf("shortest witness = %q, want \"^32$\"", w)
+	}
+	uc, err := Build([]string{"_300:3_"}, ciscorx.CompileCommunity, ciscorx.ValidCommunity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := uc.Atoms[uc.MatchingAtoms(0)[0]].Witness; w != "^300:3$" {
+		t.Errorf("community witness = %q, want \"^300:3$\"", w)
+	}
+}
+
+func TestEnumerateWitnesses(t *testing.T) {
+	u := buildPath(t, "^1(0)*$")
+	var got []string
+	u.split.ClassDFA(u.MatchingAtoms(0)[0]).EnumerateStrings(8, func(s string) bool {
+		got = append(got, s)
+		return len(got) < 3
+	})
+	want := []string{"^1$", "^10$", "^100$"}
+	if len(got) != 3 {
+		t.Fatalf("enumerated %v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("enumerated %v, want %v", got, want)
+		}
+	}
+}

@@ -1,0 +1,71 @@
+package atoms
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"github.com/clarifynet/clarify/ciscorx"
+	"github.com/clarifynet/clarify/rx"
+)
+
+// randomCiscoPattern draws a short Cisco-style regex from digits, the
+// boundary '_', the anchors '^' and '$', '.', classes, the repetitions
+// '*', '+' and '?', alternation and, for communities, ':'. Some draws do not
+// compile, such as one whose "[]" opens a class that never closes.
+func randomCiscoPattern(rng *rand.Rand, community bool, depth int) string {
+	var sb strings.Builder
+	for n := 1 + rng.Intn(4); n > 0; n-- {
+		switch k := rng.Intn(10); {
+		case k < 4:
+			sb.WriteByte(byte('0' + rng.Intn(4)))
+		case k == 4:
+			sb.WriteByte("_^$"[rng.Intn(3)])
+		case k == 5:
+			sb.WriteByte('.')
+		case k == 6:
+			sb.WriteString([]string{"[0-3]", "[^1]", "[1-9]", "[]", "[02]"}[rng.Intn(5)])
+		case k == 7 && depth < 2:
+			sb.WriteString("(" + randomCiscoPattern(rng, community, depth+1) + "|" + randomCiscoPattern(rng, community, depth+1) + ")")
+		case k == 8 && community:
+			sb.WriteByte(':')
+		default:
+			sb.WriteByte(byte('0' + rng.Intn(10)))
+		}
+		if rng.Intn(4) == 0 {
+			sb.WriteByte("*+?"[rng.Intn(3)])
+		}
+	}
+	return sb.String()
+}
+
+// FuzzBuildMatchesRefinement checks Build against the refinement oracle on
+// 1–6 random patterns per dialect, drawn from seed. Patterns that do not
+// compile are skipped.
+func FuzzBuildMatchesRefinement(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		for _, d := range []struct {
+			name      string
+			community bool
+			compile   func(string) (*rx.DFA, error)
+			valid     *rx.DFA
+		}{
+			{"as-path", false, ciscorx.CompilePath, ciscorx.ValidPath()},
+			{"community", true, ciscorx.CompileCommunity, ciscorx.ValidCommunity()},
+		} {
+			var patterns []string
+			for i := 0; i < 1+int(n)%6; i++ {
+				p := randomCiscoPattern(rng, d.community, 0)
+				if _, err := d.compile(p); err == nil {
+					patterns = append(patterns, p)
+				}
+			}
+			checkMatchesRef(t, fmt.Sprintf("%s %q", d.name, patterns), patterns, d.compile, d.valid)
+		}
+	})
+}

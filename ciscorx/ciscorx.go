@@ -14,6 +14,12 @@
 // and the symbolic atomic-predicate builder (package atoms, driven by
 // package symbolic), guaranteeing that both agree on every input. Memo
 // lets them share one compiled automaton per pattern.
+//
+// A compiled automaton is not restricted to well-formed subjects: it also
+// accepts malformed strings that contain a match, such as "^$32$" for _32$.
+// The evaluator only renders well-formed subjects, and atoms.Build
+// partitions the language of ValidPath or ValidCommunity, so neither needs
+// the restriction.
 package ciscorx
 
 import (
@@ -40,7 +46,7 @@ var validPath = rx.MustCompile(`\^(`+numToken+`( `+numToken+`)*)?\$`, PathAlphab
 var validCommunity = rx.MustCompile(`\^`+numToken+`:`+numToken+`\$`, CommunityAlphabet)
 
 // ValidPath returns the automaton of well-formed boundary-explicit AS-path
-// strings; atomic predicates intersect against it so every region witness
+// strings. Atomic predicates partition its language, so every atom witness
 // decodes to a real path.
 func ValidPath() *rx.DFA { return validPath }
 
@@ -83,7 +89,7 @@ func translate(pattern string) (string, error) {
 	return sb.String(), nil
 }
 
-func compile(pattern string, alpha rx.Alphabet, valid *rx.DFA) (*rx.DFA, error) {
+func compile(pattern string, alpha rx.Alphabet) (*rx.DFA, error) {
 	body, err := translate(pattern)
 	if err != nil {
 		return nil, err
@@ -92,20 +98,21 @@ func compile(pattern string, alpha rx.Alphabet, valid *rx.DFA) (*rx.DFA, error) 
 	if err != nil {
 		return nil, fmt.Errorf("ciscorx: pattern %q: %w", pattern, err)
 	}
-	return d.Intersect(valid), nil
+	return d, nil
 }
 
 // CompilePath compiles a Cisco as-path regex to an automaton over
-// boundary-explicit path strings (already intersected with ValidPath).
+// boundary-explicit path strings. It matches a PathSubject exactly when the
+// regex matches the path, for ASNs of any length.
 func CompilePath(pattern string) (*rx.DFA, error) {
-	return compile(pattern, PathAlphabet, validPath)
+	return compile(pattern, PathAlphabet)
 }
 
 // CompileCommunity compiles a Cisco expanded community-list regex to an
-// automaton over boundary-explicit community strings (already intersected
-// with ValidCommunity).
+// automaton over boundary-explicit community strings. It matches a
+// CommunitySubject exactly when the regex matches the community.
 func CompileCommunity(pattern string) (*rx.DFA, error) {
-	return compile(pattern, CommunityAlphabet, validCommunity)
+	return compile(pattern, CommunityAlphabet)
 }
 
 // PathSubject renders an ASN sequence in the boundary-explicit form matched

@@ -95,30 +95,6 @@ func TestCommunityAnchored(t *testing.T) {
 	}
 }
 
-func TestValidityIntersection(t *testing.T) {
-	// Witnesses must be decodable: shortest string of any compiled pattern is
-	// a well-formed subject.
-	d, err := CompilePath("_32$")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ok := d.ShortestString()
-	if !ok {
-		t.Fatal("pattern _32$ has no witness")
-	}
-	if s != "^32$" {
-		t.Errorf("shortest witness = %q, want \"^32$\"", s)
-	}
-	dc, err := CompileCommunity("_300:3_")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, ok := dc.ShortestString()
-	if !ok || sc != "^300:3$" {
-		t.Errorf("community witness = %q, want \"^300:3$\"", sc)
-	}
-}
-
 func TestBadPattern(t *testing.T) {
 	if _, err := CompilePath("("); err == nil {
 		t.Error("unbalanced pattern should fail")
@@ -128,26 +104,5 @@ func TestBadPattern(t *testing.T) {
 	}
 	if _, err := CompileCommunity("[z"); err == nil {
 		t.Error("bad class should fail")
-	}
-}
-
-func TestEnumerateWitnesses(t *testing.T) {
-	d, err := CompilePath("^1(0)*$")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	d.EnumerateStrings(8, func(s string) bool {
-		got = append(got, s)
-		return len(got) < 3
-	})
-	want := []string{"^1$", "^10$", "^100$"}
-	if len(got) != 3 {
-		t.Fatalf("enumerated %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("enumerated %v, want %v", got, want)
-		}
 	}
 }

@@ -121,6 +121,33 @@ route-map RM permit 10
 	}
 }
 
+// TestASPathLongASNs matches as-path regexes against paths holding an ASN
+// of more than five digits. Cisco searches the path's text, so such an ASN
+// neither hides the path from .* nor from a regex naming another ASN on it.
+func TestASPathLongASNs(t *testing.T) {
+	paths := [][]uint32{{65000}, {4200000000}, {65000, 4200000000}}
+	for _, c := range []struct {
+		regex string
+		want  []bool // one per path
+	}{
+		{".*", []bool{true, true, true}},
+		{"_65000_", []bool{true, false, true}},
+		{"_4200000000_", []bool{false, true, true}},
+	} {
+		cfg := ios.MustParse("ip as-path access-list A permit " + c.regex + "\nroute-map RM permit 10\n match as-path A\n")
+		ev := NewEvaluator(cfg)
+		for i, p := range paths {
+			v, err := ev.EvalRouteMap(cfg.RouteMaps["RM"], route.New("9.0.0.0/8").WithASPath(p...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Permit != c.want[i] {
+				t.Errorf("%s on path %v: permit %v, want %v", c.regex, p, v.Permit, c.want[i])
+			}
+		}
+	}
+}
+
 func TestCommunityLists(t *testing.T) {
 	cfg := ios.MustParse(`ip community-list expanded E permit _300:3_
 ip community-list standard S permit 100:1 100:2

@@ -2,6 +2,7 @@ package rx
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 )
 
@@ -24,6 +25,12 @@ type Split struct {
 // NewSplit computes the partition of L(universe) by patterns. Classes are
 // ordered by their acceptance vectors, compared pattern by pattern with
 // "accepted" before "rejected". All automata must share one alphabet.
+//
+// The patterns need not be restricted to the universe. Every product tuple
+// whose universe state can no longer reach acceptance is interned as one
+// sink state of class -1, so the pattern automata stop expanding once the
+// universe has died. A dead tuple never leads back to a class, so the sink
+// changes no class, witness or ClassOf result.
 func NewSplit(universe *DFA, patterns []*DFA) *Split {
 	for _, p := range patterns {
 		universe.sameAlphabet(p)
@@ -45,8 +52,17 @@ func NewSplit(universe *DFA, patterns []*DFA) *Split {
 	classIndex := map[string]int32{}
 	key := make([]byte, 4*width)
 	vec := make([]byte, (len(patterns)+7)/8)
+	live := universe.live()
 	mk := func(t []int32, from int32, sym byte) int32 {
+		// Every tuple whose universe state is dead gets the key of all -1s
+		// and so interns as one sink state. The universe's successors of a
+		// dead state are dead too, so every transition out of the sink
+		// returns to it.
+		dead := !live[t[0]]
 		for i, q := range t {
+			if dead {
+				q = -1
+			}
 			binary.LittleEndian.PutUint32(key[4*i:], uint32(q))
 		}
 		if id, ok := index[string(key)]; ok {
@@ -133,6 +149,21 @@ func NewSplit(universe *DFA, patterns []*DFA) *Split {
 		}
 	}
 	return s
+}
+
+// live reports, for each state, whether some accepting state is reachable
+// from it.
+func (d *DFA) live() []bool {
+	live := slices.Clone(d.accept)
+	for changed := true; changed; {
+		changed = false
+		for q, row := range d.trans {
+			if !live[q] && slices.ContainsFunc(row, func(t int32) bool { return live[t] }) {
+				live[q], changed = true, true
+			}
+		}
+	}
+	return live
 }
 
 // pathTo spells the BFS-tree path from the root to state q.

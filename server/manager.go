@@ -224,14 +224,18 @@ func (s *session) beginUpdate(base context.Context, oracle *asyncOracle, intentT
 	return u, nil
 }
 
-// endUpdate releases the session after its update finished.
-func (s *session) endUpdate() {
+// endUpdate releases the session and then publishes u's outcome, under one
+// hold of the session lock. A client that reads u as terminal may submit
+// its next update at once without a 409, and a snapshot never finds the
+// session idle while u is still unfinished.
+func (s *session) endUpdate(u *update, res *clarify.UpdateResult, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.busy = false
 	s.oracle = nil
 	s.abort(nil) // releases the finished update's context
 	s.lastUsed = time.Now()
-	s.mu.Unlock()
+	u.finish(res, err)
 }
 
 // abort cancels the queued or running update's context with cause, if one

@@ -553,8 +553,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// drop runs only if the job is purged at the shutdown drain deadline:
 	// it fails the update and returns the session and quota slot.
 	drop := func(reason tenant.Reason) {
-		u.finish(nil, fmt.Errorf("rejected: %s", shedMessage(reason)))
-		sn.endUpdate()
+		sn.endUpdate(u, nil, fmt.Errorf("rejected: %s", shedMessage(reason)))
 		tn.Release()
 	}
 	if reason := s.pool.Submit(tn.Name(), tn.Weight(), lane, job, drop); reason != "" {
@@ -596,8 +595,7 @@ func (s *Server) runUpdate(sn *session, u *update, tn *tenant.Tenant, script []d
 	defer func() {
 		if v := recover(); v != nil {
 			s.met.recordPanic()
-			u.finish(nil, fmt.Errorf("internal: update panicked: %v", v))
-			sn.endUpdate()
+			sn.endUpdate(u, nil, fmt.Errorf("internal: update panicked: %v", v))
 		}
 	}()
 	oracle := u.setRunning()
@@ -651,13 +649,15 @@ func (s *Server) runUpdate(sn *session, u *update, tn *tenant.Tenant, script []d
 		s.amb.record(tn.Name(), led)
 	}
 	u.setDegraded(flags.Degraded())
-	u.finish(res, rerr)
 	// A session whose pipeline asked at least one disambiguation question
 	// is in a dialogue: its follow-up submits ride the interactive lane.
+	// Both this and the release come before the update turns terminal, so
+	// a follow-up submitted the moment it reads terminal is neither
+	// refused as busy nor queued on the bulk lane.
 	if oracle.asked() {
 		sn.markInteractive()
 	}
-	sn.endUpdate()
+	sn.endUpdate(u, res, rerr)
 	// Every terminal update outcome feeds the rolling objectives — fleet
 	// and per-tenant: the elapsed time covers the whole pipeline including
 	// question-wait, the same latency the client experienced.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -382,6 +383,29 @@ func TestBusyConflict(t *testing.T) {
 			t.Fatal("update never finished")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestBackToBackUpdates runs updates on one session one after another,
+// each submitted as soon as the previous one reads terminal. The session is
+// released before its update turns terminal, so no submit may get 409.
+func TestBackToBackUpdates(t *testing.T) {
+	_, c := startServer(t, Options{Workers: 1})
+	ctx := context.Background()
+	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: edgeACL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(Question) (int, error) { return 1, nil }
+	for i := 0; i < 200; i++ {
+		intentText := fmt.Sprintf("Write an ACL entry that permits tcp traffic from 10.0.0.0/24 to any host on port %d.", 1000+i)
+		res, err := c.RunUpdate(ctx, sid, intentText, "EDGE_IN", answer)
+		if err != nil {
+			t.Fatalf("update %d: %v", i+1, err)
+		}
+		if res.Status != StatusDone {
+			t.Fatalf("update %d did not finish: %+v", i+1, res)
+		}
 	}
 }
 
