@@ -2,12 +2,15 @@ package bdd
 
 import "fmt"
 
-// Vec is a fixed-width bit vector of BDD variables or, more generally, of
-// BDD-valued bits. Bit 0 of the vector is the most significant bit, so a Vec
-// laid out over consecutive levels keeps numeric comparisons shallow.
+// Vec is a fixed-width bit vector of BDD variables on consecutive levels.
+// Bit 0 of the vector is the most significant bit and sits on the first
+// level, so numeric comparisons stay shallow. The Vec is the one place that
+// knows where its variables sit: Encode, Decode and Assigned read and write
+// assignments by level.
 type Vec struct {
-	pool *Pool
-	bits []Node // bits[0] is the MSB
+	pool  *Pool
+	first int    // level of bits[0]
+	bits  []Node // bits[0] is the MSB
 }
 
 // NewVec returns a vector of width fresh variable references starting at
@@ -17,7 +20,7 @@ func NewVec(p *Pool, offset, width int) Vec {
 	for i := 0; i < width; i++ {
 		bits[i] = p.Var(offset + i)
 	}
-	return Vec{pool: p, bits: bits}
+	return Vec{pool: p, first: offset, bits: bits}
 }
 
 // Bit returns the BDD for bit i (0 = MSB).
@@ -124,24 +127,34 @@ func (v Vec) checkFits(value uint64) {
 	}
 }
 
-// DecodeVec extracts the unsigned value of the vector variables at levels
-// [offset, offset+width) from a (possibly partial) assignment. Don't-care
-// bits default to 0.
-func DecodeVec(assignment map[int]bool, offset, width int) uint64 {
+// Encode writes value into a total assignment indexed by level, MSB first.
+func (v Vec) Encode(assignment []bool, value uint64) {
+	v.checkFits(value)
+	for i := range v.bits {
+		assignment[v.first+i] = value>>uint(len(v.bits)-1-i)&1 == 1
+	}
+}
+
+// Decode extracts the vector's unsigned value from a (possibly partial)
+// assignment. Don't-care bits default to 0.
+func (v Vec) Decode(assignment map[int]bool) uint64 {
 	var out uint64
-	for i := 0; i < width; i++ {
+	for i := range v.bits {
 		out <<= 1
-		if assignment[offset+i] {
+		if assignment[v.first+i] {
 			out |= 1
 		}
 	}
 	return out
 }
 
-// EncodeVec writes value into assignment at levels [offset, offset+width),
-// MSB first.
-func EncodeVec(assignment map[int]bool, offset, width int, value uint64) {
-	for i := 0; i < width; i++ {
-		assignment[offset+i] = value>>uint(width-1-i)&1 == 1
+// Assigned reports whether a partial assignment sets any of the vector's
+// bits.
+func (v Vec) Assigned(assignment map[int]bool) bool {
+	for i := range v.bits {
+		if _, ok := assignment[v.first+i]; ok {
+			return true
+		}
 	}
+	return false
 }

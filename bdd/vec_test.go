@@ -87,14 +87,26 @@ func TestVecPrefixEq(t *testing.T) {
 }
 
 func TestEncodeDecodeVec(t *testing.T) {
+	p := NewPool(16)
+	v := NewVec(p, 3, 10)
+	vals := make([]bool, p.NumVars())
+	v.Encode(vals, 777)
+	if !p.Eval(v.EqConst(777), vals) {
+		t.Fatal("encoded value does not satisfy EqConst")
+	}
 	asg := make(map[int]bool)
-	EncodeVec(asg, 3, 10, 777)
-	if got := DecodeVec(asg, 3, 10); got != 777 {
+	for lvl, b := range vals {
+		asg[lvl] = b
+	}
+	if got := v.Decode(asg); got != 777 {
 		t.Fatalf("round trip: got %d", got)
 	}
 	// Don't-care bits decode to zero.
-	if got := DecodeVec(map[int]bool{}, 0, 16); got != 0 {
+	if got := v.Decode(map[int]bool{}); got != 0 {
 		t.Fatalf("empty assignment decoded to %d", got)
+	}
+	if v.Assigned(map[int]bool{0: true, 13: false}) || !v.Assigned(map[int]bool{12: false}) {
+		t.Fatal("Assigned must see exactly the vector's levels 3..12")
 	}
 }
 
@@ -113,7 +125,7 @@ func TestQuickVecRangeWitness(t *testing.T) {
 		if !ok {
 			return false
 		}
-		x := DecodeVec(asg, 0, 10)
+		x := v.Decode(asg)
 		return lo <= x && x <= hi
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {

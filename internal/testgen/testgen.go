@@ -121,6 +121,24 @@ func Config(rng *rand.Rand, mapName string, nStanzas int) *ios.Config {
 	return cfg
 }
 
+// AddTransit adds k ≤ 6 as-path lists to cfg, each a transit condition
+// "_N_" over a distinct ASN of the pool Route draws paths from, and one
+// stanza matching each at a random position of the route map mapName. The
+// conditions are independent, so they multiply the space's as-path atoms.
+func AddTransit(rng *rand.Rand, cfg *ios.Config, mapName string, k int) {
+	rm := cfg.RouteMaps[mapName]
+	for i, j := range rng.Perm(len(asns))[:k] {
+		name := fmt.Sprintf("TR%d", i)
+		cfg.AddASPathList(name, ios.ASPathEntry{Permit: rng.Intn(4) != 0, Regex: fmt.Sprintf("_%d_", asns[j])})
+		st := &ios.Stanza{Permit: rng.Intn(3) != 0}
+		st.Matches = append([]ios.Match{ios.MatchASPath{List: name}}, randomMatches(rng)...)
+		if st.Permit {
+			st.Sets = randomSets(rng)
+		}
+		rm.InsertStanza(rng.Intn(len(rm.Stanzas)+1), st)
+	}
+}
+
 func randomMatches(rng *rand.Rand) []ios.Match {
 	var out []ios.Match
 	if rng.Intn(3) == 0 {

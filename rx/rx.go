@@ -72,8 +72,7 @@ type expr struct {
 	subs  []*expr
 }
 
-func (e *expr) classHas(b byte) bool { return e.class[b/64]>>(b%64)&1 == 1 }
-func (e *expr) classAdd(b byte)      { e.class[b/64] |= 1 << (b % 64) }
+func (e *expr) classAdd(b byte) { e.class[b/64] |= 1 << (b % 64) }
 
 // ---------- Parser ----------
 

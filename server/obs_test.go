@@ -17,7 +17,7 @@ import (
 
 // runWalkthrough drives one §2.1 update through the API, answering every
 // question with OPTION 1, and returns the finished update info.
-func runWalkthrough(t *testing.T, c *Client, sid string) UpdateInfo {
+func runWalkthrough(t testing.TB, c *Client, sid string) UpdateInfo {
 	t.Helper()
 	res, err := c.RunUpdate(context.Background(), sid, exampleIntent, "ISP_OUT",
 		func(Question) (int, error) { return 1, nil })

@@ -39,7 +39,7 @@ const edgeACL = `ip access-list extended EDGE_IN
 const aclIntent = "Write an ACL entry that permits tcp traffic from 10.0.0.0/24 to any host on port 22."
 
 // startServer spins a Server behind httptest and returns its client.
-func startServer(t *testing.T, opts Options) (*Server, *Client) {
+func startServer(t testing.TB, opts Options) (*Server, *Client) {
 	t.Helper()
 	srv := New(opts)
 	hs := httptest.NewServer(srv)
@@ -75,7 +75,7 @@ func answerPump(c *Client, sid string, stop <-chan struct{}) {
 }
 
 // waitPendingQuestion polls until the session shows a parked question.
-func waitPendingQuestion(t *testing.T, c *Client, sid string) *Question {
+func waitPendingQuestion(t testing.TB, c *Client, sid string) *Question {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

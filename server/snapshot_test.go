@@ -260,6 +260,38 @@ func TestRestoreRejections(t *testing.T) {
 	if _, err := cC.RestoreSession(ctx, snaps[0]); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("restore while draining = %v, want 503", err)
 	}
+
+	// A next update ID that names an update in the history would be handed
+	// out again, and the next submit would replace the finished record.
+	if _, err := cB.RestoreSession(ctx, staleNextUpdate(t, srvA, cA)); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("restore with a stale next update ID = %v, want 422", err)
+	}
+}
+
+// staleNextUpdate captures a session whose history is [u1] and sets its
+// next update ID back to 0.
+func staleNextUpdate(t testing.TB, srv *Server, c *Client) *snapshot.Session {
+	t.Helper()
+	sid, err := c.CreateSession(context.Background(), CreateSessionRequest{Config: exampleConfig})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	runWalkthrough(t, c, sid)
+	snap := captureSession(t, srv, sid)
+	snap.NextUpdate = 0
+	return snap
+}
+
+// captureSession snapshots the one session sid of srv.
+func captureSession(t testing.TB, srv *Server, sid string) *snapshot.Session {
+	t.Helper()
+	for _, snap := range srv.SnapshotSessions("node") {
+		if snap.ID == sid {
+			return snap
+		}
+	}
+	t.Fatalf("session %s not captured", sid)
+	return nil
 }
 
 // TestDrainForHandoffWaitsForPark: a drain must not report quiesced while an

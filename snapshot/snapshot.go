@@ -22,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -142,6 +143,29 @@ func (s *Session) Validate() error {
 		}
 		if s.Pending.Intent == "" || s.Pending.Target == "" {
 			return fmt.Errorf("snapshot: session %q pending update %q has no intent/target", s.ID, s.Pending.ID)
+		}
+	}
+	// An update ID the restored session could hand out again, one outside
+	// u1..u<NextUpdate>, or one named twice in the order or in the records
+	// would let the next submit replace a record in the history.
+	records := make([]string, 0, len(s.Updates)+1)
+	for _, u := range s.Updates {
+		records = append(records, u.ID)
+	}
+	if s.Pending != nil {
+		records = append(records, s.Pending.ID)
+	}
+	for _, ids := range [][]string{s.Order, records} {
+		seen := make(map[string]bool, len(ids))
+		for _, id := range ids {
+			n, err := strconv.Atoi(strings.TrimPrefix(id, "u"))
+			if err != nil || id != "u"+strconv.Itoa(n) || n < 1 || n > s.NextUpdate {
+				return fmt.Errorf("snapshot: session %q update ID %q is outside u1..u%d", s.ID, id, s.NextUpdate)
+			}
+			if seen[id] {
+				return fmt.Errorf("snapshot: session %q names update %q twice", s.ID, id)
+			}
+			seen[id] = true
 		}
 	}
 	return nil

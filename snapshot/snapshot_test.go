@@ -167,6 +167,12 @@ func TestValidate(t *testing.T) {
 		{"no config", func(s *Session) { s.ConfigText = "  \n" }, "no configuration"},
 		{"pending no id", func(s *Session) { s.Pending = &PendingUpdate{Intent: "i", Target: "t"} }, "no ID"},
 		{"pending no intent", func(s *Session) { s.Pending = &PendingUpdate{ID: "u2"} }, "no intent"},
+		{"next update behind history", func(s *Session) { s.NextUpdate = 1 }, `"u2" is outside u1..u1`},
+		{"next update zero", func(s *Session) { s.NextUpdate = 0 }, `"u1" is outside u1..u0`},
+		{"order not an update ID", func(s *Session) { s.Order = []string{"u1", "x2"} }, `"x2" is outside`},
+		{"non-canonical ID", func(s *Session) { s.Updates[0].ID = "u01" }, `"u01" is outside`},
+		{"order repeats an ID", func(s *Session) { s.Order = []string{"u1", "u1", "u2"} }, `names update "u1" twice`},
+		{"record repeats an ID", func(s *Session) { s.Pending.ID = "u1" }, `names update "u1" twice`},
 	}
 	for _, tc := range cases {
 		s := sampleFile(t).Sessions[0]

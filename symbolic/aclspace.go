@@ -6,13 +6,6 @@ import (
 	"github.com/clarifynet/clarify/packet"
 )
 
-// Packet header field widths (bits).
-const (
-	widthProto = 8
-	widthIP    = 32
-	widthPort  = 16
-)
-
 // ACLSpace encodes the packet-header universe for ACL analyses: protocol,
 // source address and port, destination address and port, the TCP
 // "established" bit, and ICMP type and code — 8+32+16+32+16+1+8+8 = 121 BDD
@@ -20,42 +13,24 @@ const (
 type ACLSpace struct {
 	Pool *bdd.Pool
 
-	offProto, offSrc, offSrcPort, offDst, offDstPort, offEst int
-	offICMPType, offICMPCode                                 int
-
-	proto, src, sport, dst, dport, icmpType, icmpCode bdd.Vec
-	est                                               bdd.Node
+	proto, src, sport, dst, dport, est, icmpType, icmpCode bdd.Vec
 }
 
 // NewACLSpace builds the packet universe. ACL analyses are self-contained,
 // so unlike RouteSpace no configuration needs to be supplied up front.
 func NewACLSpace() *ACLSpace {
-	s := &ACLSpace{}
-	off := 0
-	next := func(w int) int {
-		o := off
-		off += w
-		return o
+	p := bdd.NewPool(0)
+	return &ACLSpace{
+		Pool:     p,
+		proto:    newVec(p, 8),
+		src:      newVec(p, 32),
+		sport:    newVec(p, 16),
+		dst:      newVec(p, 32),
+		dport:    newVec(p, 16),
+		est:      newVec(p, 1),
+		icmpType: newVec(p, 8),
+		icmpCode: newVec(p, 8),
 	}
-	s.offProto = next(widthProto)
-	s.offSrc = next(widthIP)
-	s.offSrcPort = next(widthPort)
-	s.offDst = next(widthIP)
-	s.offDstPort = next(widthPort)
-	s.offEst = next(1)
-	s.offICMPType = next(8)
-	s.offICMPCode = next(8)
-
-	s.Pool = bdd.NewPool(off)
-	s.proto = bdd.NewVec(s.Pool, s.offProto, widthProto)
-	s.src = bdd.NewVec(s.Pool, s.offSrc, widthIP)
-	s.sport = bdd.NewVec(s.Pool, s.offSrcPort, widthPort)
-	s.dst = bdd.NewVec(s.Pool, s.offDst, widthIP)
-	s.dport = bdd.NewVec(s.Pool, s.offDstPort, widthPort)
-	s.est = s.Pool.Var(s.offEst)
-	s.icmpType = bdd.NewVec(s.Pool, s.offICMPType, 8)
-	s.icmpCode = bdd.NewVec(s.Pool, s.offICMPCode, 8)
-	return s
 }
 
 // ACEPred encodes the match condition of one access-control entry. Fields
@@ -71,7 +46,7 @@ func (s *ACLSpace) ACEPred(e *ios.ACE) bdd.Node {
 		pred = p.And(s.icmpType.EqConst(uint64(e.ICMP.Type)), pred)
 	}
 	if e.Established {
-		pred = p.And(s.est, pred)
+		pred = p.And(s.est.Bit(0), pred)
 	}
 	pred = p.And(s.portPred(e.DstPort, s.dport), pred)
 	pred = p.And(s.addrPred(e.Dst, s.dst), pred)
@@ -154,18 +129,16 @@ func (s *ACLSpace) PermitSet(acl *ios.ACL) bdd.Node {
 // EncodePacket renders a concrete packet as a total assignment vector.
 func (s *ACLSpace) EncodePacket(pk packet.Packet) []bool {
 	v := make([]bool, s.Pool.NumVars())
-	asg := map[int]bool{}
-	bdd.EncodeVec(asg, s.offProto, widthProto, uint64(pk.Protocol))
-	bdd.EncodeVec(asg, s.offSrc, widthIP, uint64(ios.AddrU32(pk.Src)))
-	bdd.EncodeVec(asg, s.offSrcPort, widthPort, uint64(pk.SrcPort))
-	bdd.EncodeVec(asg, s.offDst, widthIP, uint64(ios.AddrU32(pk.Dst)))
-	bdd.EncodeVec(asg, s.offDstPort, widthPort, uint64(pk.DstPort))
-	bdd.EncodeVec(asg, s.offICMPType, 8, uint64(pk.ICMPType))
-	bdd.EncodeVec(asg, s.offICMPCode, 8, uint64(pk.ICMPCode))
-	for lvl, val := range asg {
-		v[lvl] = val
+	s.proto.Encode(v, uint64(pk.Protocol))
+	s.src.Encode(v, uint64(ios.AddrU32(pk.Src)))
+	s.sport.Encode(v, uint64(pk.SrcPort))
+	s.dst.Encode(v, uint64(ios.AddrU32(pk.Dst)))
+	s.dport.Encode(v, uint64(pk.DstPort))
+	if pk.Established {
+		s.est.Encode(v, 1)
 	}
-	v[s.offEst] = pk.Established
+	s.icmpType.Encode(v, uint64(pk.ICMPType))
+	s.icmpCode.Encode(v, uint64(pk.ICMPCode))
 	return v
 }
 
@@ -173,14 +146,14 @@ func (s *ACLSpace) EncodePacket(pk packet.Packet) []bool {
 // packet; don't-care bits default to zero.
 func (s *ACLSpace) Decode(asg map[int]bool) packet.Packet {
 	return packet.Packet{
-		Protocol:    uint8(bdd.DecodeVec(asg, s.offProto, widthProto)),
-		Src:         ios.U32ToAddr(uint32(bdd.DecodeVec(asg, s.offSrc, widthIP))),
-		SrcPort:     uint16(bdd.DecodeVec(asg, s.offSrcPort, widthPort)),
-		Dst:         ios.U32ToAddr(uint32(bdd.DecodeVec(asg, s.offDst, widthIP))),
-		DstPort:     uint16(bdd.DecodeVec(asg, s.offDstPort, widthPort)),
-		Established: asg[s.offEst],
-		ICMPType:    uint8(bdd.DecodeVec(asg, s.offICMPType, 8)),
-		ICMPCode:    uint8(bdd.DecodeVec(asg, s.offICMPCode, 8)),
+		Protocol:    uint8(s.proto.Decode(asg)),
+		Src:         ios.U32ToAddr(uint32(s.src.Decode(asg))),
+		SrcPort:     uint16(s.sport.Decode(asg)),
+		Dst:         ios.U32ToAddr(uint32(s.dst.Decode(asg))),
+		DstPort:     uint16(s.dport.Decode(asg)),
+		Established: s.est.Decode(asg) == 1,
+		ICMPType:    uint8(s.icmpType.Decode(asg)),
+		ICMPCode:    uint8(s.icmpCode.Decode(asg)),
 	}
 }
 

@@ -1,7 +1,9 @@
 package symbolic
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/clarifynet/clarify/internal/testgen"
@@ -28,14 +30,49 @@ route-map ISP_OUT permit 40
 `)
 }
 
+// transitConfig is one route map of k stanzas, each matching a transit
+// condition "_N_" of its own as-path list. The conditions are independent,
+// so the space has 2^k as-path atoms.
+func transitConfig(k int) *ios.Config {
+	var b strings.Builder
+	for i := 0; i < k; i++ {
+		fmt.Fprintf(&b, "ip as-path access-list T%d permit _%d_\n", i, 64500+i)
+	}
+	for i := 0; i < k; i++ {
+		fmt.Fprintf(&b, "route-map TRANSIT permit %d\n match as-path T%d\n", 10*(i+1), i)
+	}
+	return ios.MustParse(b.String())
+}
+
 // BenchmarkNewRouteSpace measures universe construction (atomic predicates +
-// variable allocation).
+// variable allocation) for the paper's map, and construction plus the
+// first-match fold for eight transit stanzas (256 as-path atoms).
 func BenchmarkNewRouteSpace(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewRouteSpace(cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name       string
+		cfg        *ios.Config
+		firstMatch bool
+	}{
+		{"paper", benchConfig(), false},
+		{"transit-8", transitConfig(8), true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			nodes := 0
+			for i := 0; i < b.N; i++ {
+				s, err := NewRouteSpace(c.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if c.firstMatch {
+					if _, err := s.FirstMatch(c.cfg, c.cfg.RouteMaps["TRANSIT"]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				nodes += s.Pool.Size()
+			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ package symbolic
 
 import (
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"sort"
 	"strconv"
@@ -23,17 +24,6 @@ import (
 	"github.com/clarifynet/clarify/route"
 )
 
-// Route attribute field widths (bits).
-const (
-	widthPlen   = 6
-	widthAddr   = 32
-	widthLP     = 32
-	widthMED    = 32
-	widthTag    = 32
-	widthWeight = 16
-	widthNH     = 32
-)
-
 // RouteSpace encodes the BGP route universe for a fixed set of
 // configurations. All configurations whose policies will be compared must be
 // passed to NewRouteSpace together so their regexes share one atomic
@@ -41,10 +31,13 @@ const (
 type RouteSpace struct {
 	Pool *bdd.Pool
 
-	offPlen, offAddr, offLP, offMED, offTag, offWeight, offNH int
-	offPathAtoms, offCommAtoms                                int
-
 	plen, addr, lp, med, tag, weight, nh bdd.Vec
+	// path holds the route's AS-path atom as an index: atom i is the value
+	// k−1−i, and k stands for a path in no atom.
+	path bdd.Vec
+	// offCommAtoms is the level of community atom 0; each community atom
+	// has a variable of its own, because a route carries a set of them.
+	offCommAtoms int
 
 	pathAtoms *atoms.Universe
 	commAtoms *atoms.Universe
@@ -53,7 +46,7 @@ type RouteSpace struct {
 	automata *ciscorx.Memo
 
 	// Valid constrains models to decodable routes: prefix length ≤ 32 and
-	// exactly one AS-path atom inhabited.
+	// an AS path in some atom.
 	Valid bdd.Node
 
 	// fp is the content fingerprint of the inputs that determined this
@@ -132,51 +125,43 @@ func newRouteSpace(automata *ciscorx.Memo, cfgs []*ios.Config) (*RouteSpace, err
 		return nil, err
 	}
 
-	s := &RouteSpace{pathAtoms: pathU, commAtoms: commU, automata: automata}
-	off := 0
-	next := func(w int) int {
-		o := off
-		off += w
-		return o
+	p := bdd.NewPool(0)
+	k := pathU.NumAtoms() // ≥ 1: the atoms partition a non-empty universe
+	// Fields from the top of the variable order down; widths are in bits.
+	s := &RouteSpace{
+		Pool:      p,
+		plen:      newVec(p, 6),
+		addr:      newVec(p, 32),
+		lp:        newVec(p, 32),
+		med:       newVec(p, 32),
+		tag:       newVec(p, 32),
+		weight:    newVec(p, 16),
+		nh:        newVec(p, 32),
+		path:      newVec(p, bits.Len(uint(k))),
+		pathAtoms: pathU,
+		commAtoms: commU,
+		automata:  automata,
 	}
-	s.offPlen = next(widthPlen)
-	s.offAddr = next(widthAddr)
-	s.offLP = next(widthLP)
-	s.offMED = next(widthMED)
-	s.offTag = next(widthTag)
-	s.offWeight = next(widthWeight)
-	s.offNH = next(widthNH)
-	s.offPathAtoms = next(pathU.NumAtoms())
-	s.offCommAtoms = next(commU.NumAtoms())
-
-	s.Pool = bdd.NewPool(off)
-	s.plen = bdd.NewVec(s.Pool, s.offPlen, widthPlen)
-	s.addr = bdd.NewVec(s.Pool, s.offAddr, widthAddr)
-	s.lp = bdd.NewVec(s.Pool, s.offLP, widthLP)
-	s.med = bdd.NewVec(s.Pool, s.offMED, widthMED)
-	s.tag = bdd.NewVec(s.Pool, s.offTag, widthTag)
-	s.weight = bdd.NewVec(s.Pool, s.offWeight, widthWeight)
-	s.nh = bdd.NewVec(s.Pool, s.offNH, widthNH)
-
-	s.Valid = s.Pool.And(s.plen.LeqConst(32), s.exactlyOnePathAtom())
+	s.offCommAtoms = p.AddVars(commU.NumAtoms())
+	s.Valid = p.And(s.plen.LeqConst(32), s.path.LeqConst(uint64(k-1)))
 	return s, nil
+}
+
+// newVec lays out a field of width variables below every variable of p, so
+// fields sit in the order of the calls, the first at the top. Go makes the
+// calls in a composite literal from left to right.
+func newVec(p *bdd.Pool, width int) bdd.Vec {
+	return bdd.NewVec(p, p.AddVars(width), width)
 }
 
 func exactCommunityPattern(lit string) string { return "^" + lit + "$" }
 
-func (s *RouteSpace) exactlyOnePathAtom() bdd.Node {
-	k := s.pathAtoms.NumAtoms()
-	p := s.Pool
-	atLeastOne := bdd.False
-	atMostOne := bdd.True
-	for i := 0; i < k; i++ {
-		vi := p.Var(s.offPathAtoms + i)
-		atLeastOne = p.Or(atLeastOne, vi)
-		for j := i + 1; j < k; j++ {
-			atMostOne = p.And(atMostOne, p.Not(p.And(vi, p.Var(s.offPathAtoms+j))))
-		}
-	}
-	return p.And(atLeastOne, atMostOne)
+// pathIndex is the value of the path vector for AS-path atom ai. Atoms are
+// numbered from the top down: AnySat and AllSat take low branches first, so
+// a region's first model takes its last feasible atom, the witness that
+// pinned questions and recorded ledgers rely on.
+func (s *RouteSpace) pathIndex(ai int) uint64 {
+	return uint64(s.pathAtoms.NumAtoms() - 1 - ai)
 }
 
 // Automata returns the table the space compiled its patterns through. An
@@ -297,7 +282,7 @@ func (s *RouteSpace) ASPathEntryPred(e ios.ASPathEntry) (bdd.Node, error) {
 	}
 	m := bdd.False
 	for _, ai := range s.pathAtoms.MatchingAtoms(pi) {
-		m = s.Pool.Or(m, s.Pool.Var(s.offPathAtoms+ai))
+		m = s.Pool.Or(m, s.path.EqConst(s.pathIndex(ai)))
 	}
 	return m, nil
 }
@@ -418,24 +403,24 @@ func (s *RouteSpace) PermitSet(cfg *ios.Config, rm *ios.RouteMap) (bdd.Node, err
 // for bdd.Pool.Eval.
 func (s *RouteSpace) EncodeRoute(r route.Route) []bool {
 	v := make([]bool, s.Pool.NumVars())
-	asg := map[int]bool{}
-	bdd.EncodeVec(asg, s.offPlen, widthPlen, uint64(r.Network.Bits()))
-	bdd.EncodeVec(asg, s.offAddr, widthAddr, uint64(ios.AddrU32(r.Network.Addr())))
-	bdd.EncodeVec(asg, s.offLP, widthLP, uint64(r.LocalPref))
-	bdd.EncodeVec(asg, s.offMED, widthMED, uint64(r.MED))
-	bdd.EncodeVec(asg, s.offTag, widthTag, uint64(r.Tag))
-	bdd.EncodeVec(asg, s.offWeight, widthWeight, uint64(r.Weight))
+	s.plen.Encode(v, uint64(r.Network.Bits()))
+	s.addr.Encode(v, uint64(ios.AddrU32(r.Network.Addr())))
+	s.lp.Encode(v, uint64(r.LocalPref))
+	s.med.Encode(v, uint64(r.MED))
+	s.tag.Encode(v, uint64(r.Tag))
+	s.weight.Encode(v, uint64(r.Weight))
 	nh := uint64(0)
 	if r.NextHop.IsValid() {
 		nh = uint64(ios.AddrU32(r.NextHop))
 	}
-	bdd.EncodeVec(asg, s.offNH, widthNH, nh)
-	for lvl, val := range asg {
-		v[lvl] = val
-	}
+	s.nh.Encode(v, nh)
+	// A path in no atom (one holding a six-digit ASN) takes the reserved
+	// index k, outside Valid.
+	path := uint64(s.pathAtoms.NumAtoms())
 	if ai := s.pathAtoms.Classify(ciscorx.PathSubject(r.FlatASPath())); ai >= 0 {
-		v[s.offPathAtoms+ai] = true
+		path = s.pathIndex(ai)
 	}
+	s.path.Encode(v, path)
 	for _, c := range r.Communities {
 		if ai := s.commAtoms.Classify(ciscorx.CommunitySubject(c.String())); ai >= 0 {
 			v[s.offCommAtoms+ai] = true
@@ -448,41 +433,37 @@ func (s *RouteSpace) EncodeRoute(r route.Route) []bool {
 // route. Unconstrained fields take Cisco-flavoured defaults (local preference
 // 100, next hop 0.0.0.1), mirroring the defaults in the paper's examples.
 func (s *RouteSpace) Decode(asg map[int]bool) (route.Route, error) {
-	plen := bdd.DecodeVec(asg, s.offPlen, widthPlen)
+	plen := s.plen.Decode(asg)
 	if plen > 32 {
 		return route.Route{}, fmt.Errorf("symbolic: model has prefix length %d", plen)
 	}
-	addr := uint32(bdd.DecodeVec(asg, s.offAddr, widthAddr))
+	addr := uint32(s.addr.Decode(asg))
 	pfx := netip.PrefixFrom(ios.U32ToAddr(addr), int(plen)).Masked()
 
 	r := route.Route{Network: pfx}
-	if fieldPresent(asg, s.offLP, widthLP) {
-		r.LocalPref = uint32(bdd.DecodeVec(asg, s.offLP, widthLP))
+	if s.lp.Assigned(asg) {
+		r.LocalPref = uint32(s.lp.Decode(asg))
 	} else {
 		r.LocalPref = 100
 	}
-	r.MED = uint32(bdd.DecodeVec(asg, s.offMED, widthMED))
-	r.Tag = uint32(bdd.DecodeVec(asg, s.offTag, widthTag))
-	r.Weight = uint16(bdd.DecodeVec(asg, s.offWeight, widthWeight))
-	if fieldPresent(asg, s.offNH, widthNH) {
-		r.NextHop = ios.U32ToAddr(uint32(bdd.DecodeVec(asg, s.offNH, widthNH)))
+	r.MED = uint32(s.med.Decode(asg))
+	r.Tag = uint32(s.tag.Decode(asg))
+	r.Weight = uint16(s.weight.Decode(asg))
+	if s.nh.Assigned(asg) {
+		r.NextHop = ios.U32ToAddr(uint32(s.nh.Decode(asg)))
 	} else {
 		r.NextHop = netip.MustParseAddr("0.0.0.1")
 	}
 
-	// AS path: the inhabited atom's witness. With Valid conjoined exactly one
-	// atom variable is true; a fully unconstrained assignment decodes to the
-	// empty path.
-	for i := 0; i < s.pathAtoms.NumAtoms(); i++ {
-		if asg[s.offPathAtoms+i] {
-			asns, err := parsePathSubject(s.pathAtoms.Atoms[i].Witness)
-			if err != nil {
-				return route.Route{}, err
-			}
-			if len(asns) > 0 {
-				r.ASPath = []route.ASPathSegment{{ASNs: asns}}
-			}
-			break
+	// AS path: the indexed atom's witness. With Valid conjoined the index
+	// names an atom; one outside Valid decodes to the empty path.
+	if i := s.pathAtoms.NumAtoms() - 1 - int(s.path.Decode(asg)); i >= 0 {
+		asns, err := parsePathSubject(s.pathAtoms.Atoms[i].Witness)
+		if err != nil {
+			return route.Route{}, err
+		}
+		if len(asns) > 0 {
+			r.ASPath = []route.ASPathSegment{{ASNs: asns}}
 		}
 	}
 
@@ -501,15 +482,6 @@ func (s *RouteSpace) Decode(asg map[int]bool) (route.Route, error) {
 		}
 	}
 	return r, nil
-}
-
-func fieldPresent(asg map[int]bool, off, width int) bool {
-	for i := 0; i < width; i++ {
-		if _, ok := asg[off+i]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 func parsePathSubject(w string) ([]uint32, error) {

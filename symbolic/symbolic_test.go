@@ -115,6 +115,44 @@ func TestFirstMatchAgreesWithEvaluator(t *testing.T) {
 			}
 		}
 	}
+	// A path holding a six-digit ASN lies in no atom of the universe: it
+	// encodes outside Valid and matches no as-path entry.
+	vec := s.EncodeRoute(route.New("10.0.0.0/8").WithASPath(123456, 32))
+	if s.Pool.Eval(s.Valid, vec) {
+		t.Error("path [123456 32] encodes inside Valid")
+	}
+	for _, e := range cfg.ASPathLists["D0"].Entries {
+		m, err := s.ASPathEntryPred(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Pool.Eval(m, vec) {
+			t.Errorf("path [123456 32] matches as-path entry %q", e.Regex)
+		}
+	}
+}
+
+// TestTransitSpaceNodeBound: k transit stanzas give 2^k as-path atoms, and
+// the space plus its first-match fold must stay small: 3.6k nodes at k=8 and
+// 16.6k at k=10. It bounds nodes, not time.
+func TestTransitSpaceNodeBound(t *testing.T) {
+	const bound = 50000
+	for _, k := range []int{8, 10} {
+		cfg := transitConfig(k)
+		s, err := NewRouteSpace(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.PathAtomCount(); got != 1<<k {
+			t.Fatalf("k=%d: %d as-path atoms, want %d", k, got, 1<<k)
+		}
+		if _, err := s.FirstMatch(cfg, cfg.RouteMaps["TRANSIT"]); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Pool.Size(); n > bound {
+			t.Fatalf("k=%d: %d nodes, bound %d", k, n, bound)
+		}
+	}
 }
 
 // TestQuickRouteMapAgreement: random route maps over random lists, random
@@ -123,37 +161,46 @@ func TestFirstMatchAgreesWithEvaluator(t *testing.T) {
 func TestQuickRouteMapAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 40; trial++ {
-		checkRouteMapFirstMatch(t, rng, 1+trial%8)
+		checkRouteMapFirstMatch(t, rng, 1+trial%8, 0)
 	}
 }
 
-// FuzzRouteMapFirstMatch runs checkRouteMapFirstMatch on fuzzed seeds and
-// sizes:
+// FuzzRouteMapFirstMatch runs checkRouteMapFirstMatch on fuzzed seeds,
+// sizes and transit list counts. Transit lists take the as-path universe to
+// tens of atoms, most counts not a power of two:
 //
 //	go test -run '^$' -fuzz '^FuzzRouteMapFirstMatch$' -fuzztime 15s ./symbolic/
 func FuzzRouteMapFirstMatch(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
-		f.Add(seed, uint8(seed*3))
+		f.Add(seed, uint8(seed*3), uint8(0))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
-		checkRouteMapFirstMatch(t, rand.New(rand.NewSource(seed)), int(n%8)+1)
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed*3), uint8(1+seed%6))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n, transit uint8) {
+		checkRouteMapFirstMatch(t, rand.New(rand.NewSource(seed)), int(n%8)+1, int(transit%7))
 	})
 }
 
 // checkRouteMapFirstMatch draws a testgen.Config route map of n stanzas,
-// with its lists, and checks the first-match fold against
-// policy.EvalRouteMap: 64 random routes land in the region of their
-// verdict's stanza and in PermitSet exactly when permitted, every non-empty
-// region's witness evaluates to that region, and FirstMatchWithin the routes
-// of one more random stanza is FirstMatch ∧ those routes, node for node.
-func checkRouteMapFirstMatch(t *testing.T, rng *rand.Rand, n int) {
+// with its lists, adds transit testgen.AddTransit lists and stanzas, and
+// checks the first-match fold against policy.EvalRouteMap: 64 random routes
+// land in the region of their verdict's stanza and in PermitSet exactly when
+// permitted, every non-empty region's witness evaluates to that region, and
+// FirstMatchWithin the routes of one more random stanza is FirstMatch ∧
+// those routes, node for node.
+func checkRouteMapFirstMatch(t *testing.T, rng *rand.Rand, n, transit int) {
 	t.Helper()
 	cfg := testgen.Config(rng, "RM", n+1)
+	if transit > 0 {
+		testgen.AddTransit(rng, cfg, "RM", transit)
+	}
 	s, err := NewRouteSpace(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rm := cfg.RouteMaps["RM"]
+	n = len(rm.Stanzas) - 1
 	extra := rm.Stanzas[n]
 	rm.Stanzas = rm.Stanzas[:n]
 	regions, err := s.FirstMatch(cfg, rm)
