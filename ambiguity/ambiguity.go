@@ -6,8 +6,8 @@
 // The measure is model counting over the symbolic candidate space. A
 // disambiguation run leaves a set of overlapping rules undecided; the union
 // of their distinguishing regions (the inputs whose handling depends on the
-// placement still in play) is a BDD, and log₂ of its satisfying-assignment
-// count — its share of the route/packet universe — is the ambiguity in bits.
+// placement still in play) is a set of inputs, and log₂ of its model count —
+// its share of the route/packet universe — is the ambiguity in bits.
 // Each answered question shrinks the undecided range, and the drop in bits
 // is that question's information gain. The per-update record is a Ledger;
 // Rollup aggregates ledgers per strategy and fleet-wide.
@@ -38,16 +38,6 @@ func Log2(c *big.Int) float64 {
 	shift := uint(bl - 53)
 	m := new(big.Int).Rsh(c, shift)
 	return math.Log2(float64(m.Uint64())) + float64(shift)
-}
-
-// Bits measures a candidate region in bits: log₂ of its model count in p's
-// universe. The empty region (and a single-model region) measures 0 bits —
-// nothing left to disambiguate.
-func Bits(p *bdd.Pool, f bdd.Node) float64 {
-	if f == bdd.False {
-		return 0
-	}
-	return Log2(p.SatCount(f))
 }
 
 // Question is the ledger entry for one answered clarifying question.
@@ -119,77 +109,51 @@ func (l *Ledger) Efficiency() float64 {
 
 // Meter accumulates a Ledger while a gap search narrows the undecided probe
 // range. regions[i] is the distinguishing candidate region of probe i; the
-// undecided ambiguity of range [lo,hi) is Bits(∪ regions[lo:hi)).
+// undecided ambiguity of range [lo,hi) is log₂ of the model count of
+// ∪ regions[lo:hi).
 //
-// All pool work happens in NewMeter: the bits of every interval a search
-// can reach (the binary-search tree's intervals plus all prefixes and
-// suffixes) are precomputed while the caller still holds the symbolic
-// space, so Question and Finish are pure lookups and the pool can be
-// released back to its SpaceCache before the first oracle round trip. All
-// methods are no-ops on a nil Meter, so instrumented searches need no
-// ledger-enabled branches and the ledger-off path pays nothing.
+// The regions lie in distinct first-match regions of one rule list, so they
+// are pairwise disjoint and a range's count is the sum of its regions'
+// counts. NewMeter counts each region once, while the caller still holds the
+// symbolic space, and keeps exact prefix sums, so Question and Finish are
+// lookups and the pool can be released back to its SpaceCache before the
+// first oracle round trip. All methods are no-ops on a nil Meter, so
+// instrumented searches need no ledger-enabled branches and the ledger-off
+// path pays nothing.
 type Meter struct {
-	n    int
-	bits map[interval]float64
+	// sums[i] is the model count of regions[0:i).
+	sums []*big.Int
 	led  Ledger
 }
 
-type interval struct{ lo, hi int }
-
 // NewMeter starts a ledger for one insertion run over the given
-// distinguishing regions, measuring InitialBits over their union.
+// distinguishing regions, measuring InitialBits over their union. The
+// regions must be pairwise disjoint; NewMeter does not check it. It counts
+// models and builds no node in pool.
 func NewMeter(pool *bdd.Pool, kind, strategy string, regions []bdd.Node) *Meter {
-	m := &Meter{n: len(regions), bits: map[interval]float64{}}
+	m := &Meter{sums: make([]*big.Int, len(regions)+1)}
+	m.sums[0] = new(big.Int)
+	for i, r := range regions {
+		m.sums[i+1] = new(big.Int).Add(m.sums[i], pool.SatCount(r))
+	}
 	m.led.Kind = kind
 	m.led.Strategy = strategy
-	measure := func(lo, hi int) float64 {
-		if lo >= hi {
-			return 0
-		}
-		if b, ok := m.bits[interval{lo, hi}]; ok {
-			return b
-		}
-		u := bdd.False
-		for _, r := range regions[lo:hi] {
-			u = pool.Or(u, r)
-		}
-		b := Bits(pool, u)
-		m.bits[interval{lo, hi}] = b
-		return b
-	}
-	// Binary-search tree intervals (both branches at every node).
-	var fill func(lo, hi int)
-	fill = func(lo, hi int) {
-		if lo >= hi {
-			return
-		}
-		measure(lo, hi)
-		mid := (lo + hi) / 2
-		fill(lo, mid)
-		fill(mid+1, hi)
-	}
-	fill(0, len(regions))
-	// Prefixes and suffixes (linear search, top-bottom residuals).
-	for g := 0; g <= len(regions); g++ {
-		measure(0, g)
-		measure(g, len(regions))
-	}
-	m.led.InitialBits = measure(0, len(regions))
+	m.led.InitialBits = m.rangeBits(0, len(regions))
 	return m
 }
 
-// rangeBits looks up the precomputed bits of the undecided range [lo,hi).
+// rangeBits measures the undecided range [lo,hi).
 func (m *Meter) rangeBits(lo, hi int) float64 {
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > m.n {
-		hi = m.n
+	if hi > len(m.sums)-1 {
+		hi = len(m.sums) - 1
 	}
 	if lo >= hi {
 		return 0
 	}
-	return m.bits[interval{lo, hi}]
+	return Log2(new(big.Int).Sub(m.sums[hi], m.sums[lo]))
 }
 
 // Question records one answered question: the search's undecided range

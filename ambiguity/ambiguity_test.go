@@ -35,16 +35,23 @@ func TestLog2(t *testing.T) {
 	}
 }
 
-func TestBits(t *testing.T) {
+// TestMeterOneRegion: a one-probe meter measures its region's share of the
+// universe, and the empty region measures 0 bits.
+func TestMeterOneRegion(t *testing.T) {
 	p := bdd.NewPool(8)
-	if got := Bits(p, bdd.False); got != 0 {
-		t.Errorf("Bits(False) = %v, want 0", got)
-	}
-	if got := Bits(p, bdd.True); got != 8 {
-		t.Errorf("Bits(True) = %v, want 8 (full universe)", got)
-	}
-	if got := Bits(p, p.Var(0)); got != 7 {
-		t.Errorf("Bits(Var0) = %v, want 7 (half the universe)", got)
+	for _, tc := range []struct {
+		name   string
+		region bdd.Node
+		want   float64
+	}{
+		{"False", bdd.False, 0},
+		{"True", bdd.True, 8},
+		{"Var0", p.Var(0), 7},
+	} {
+		m := NewMeter(p, "route-map", "binary", []bdd.Node{tc.region})
+		if got := m.led.InitialBits; got != tc.want {
+			t.Errorf("InitialBits(%s) = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -78,30 +85,34 @@ func TestLedgerMath(t *testing.T) {
 	}
 }
 
-// regionsFor builds n distinguishing regions over an n-var pool; region i is
-// variable i, so unions are easy to cross-check against direct model counts.
+// regionsFor builds n distinguishing regions over an n-var pool, the
+// first-match fold of its variables: region i is Var(i) ∧ ¬Var(0..i−1), so
+// the regions are pairwise disjoint, as NewMeter requires.
 func regionsFor(p *bdd.Pool, n int) []bdd.Node {
 	regions := make([]bdd.Node, n)
+	notPrev := bdd.True
 	for i := 0; i < n; i++ {
-		regions[i] = p.Var(i)
+		regions[i] = p.And(notPrev, p.Var(i))
+		notPrev = p.And(notPrev, p.Not(p.Var(i)))
 	}
 	return regions
 }
 
-// directBits measures ∪ regions[lo:hi) straight off the pool, bypassing the
-// meter's precomputed table.
+// directBits measures ∪ regions[lo:hi) straight off the pool: log₂ of the
+// union's model count, bypassing the meter's prefix sums.
 func directBits(p *bdd.Pool, regions []bdd.Node, lo, hi int) float64 {
 	u := bdd.False
 	for _, r := range regions[lo:hi] {
 		u = p.Or(u, r)
 	}
-	return Bits(p, u)
+	return Log2(p.SatCount(u))
 }
 
-// TestMeterCoversBinarySearchIntervals walks every interval a binary search
-// over the probe range can visit and checks the meter's precomputed bits
-// match direct measurement. The meter must answer these after the pool is
-// gone, so the table has to be complete up front.
+// TestMeterCoversBinarySearchIntervals checks the meter's bits against
+// direct measurement on every interval, which includes every interval a
+// binary search visits and every prefix and suffix linear search and
+// top-bottom residuals read. The meter must answer these after the pool is
+// released.
 func TestMeterCoversBinarySearchIntervals(t *testing.T) {
 	const n = 7
 	p := bdd.NewPool(n)
@@ -110,27 +121,25 @@ func TestMeterCoversBinarySearchIntervals(t *testing.T) {
 	if m.led.InitialBits != directBits(p, regions, 0, n) {
 		t.Fatalf("InitialBits = %v, want %v", m.led.InitialBits, directBits(p, regions, 0, n))
 	}
-	var walk func(lo, hi int)
-	walk = func(lo, hi int) {
-		if lo >= hi {
-			return
+	for lo := 0; lo <= n; lo++ {
+		for hi := lo; hi <= n; hi++ {
+			if got, want := m.rangeBits(lo, hi), directBits(p, regions, lo, hi); got != want {
+				t.Errorf("rangeBits(%d,%d) = %v, want %v", lo, hi, got, want)
+			}
 		}
-		if got, want := m.rangeBits(lo, hi), directBits(p, regions, lo, hi); got != want {
-			t.Errorf("rangeBits(%d,%d) = %v, want %v", lo, hi, got, want)
-		}
-		mid := (lo + hi) / 2
-		walk(lo, mid)
-		walk(mid+1, hi)
 	}
-	walk(0, n)
-	// Linear search and top-bottom residuals need every prefix and suffix.
-	for g := 0; g <= n; g++ {
-		if got, want := m.rangeBits(0, g), directBits(p, regions, 0, g); got != want {
-			t.Errorf("prefix rangeBits(0,%d) = %v, want %v", g, got, want)
-		}
-		if got, want := m.rangeBits(g, n), directBits(p, regions, g, n); got != want {
-			t.Errorf("suffix rangeBits(%d,%d) = %v, want %v", g, n, got, want)
-		}
+}
+
+// TestMeterBuildsNoNodes: NewMeter counts models and adds no node to the
+// pool, which may be a cached one that outlives the update.
+func TestMeterBuildsNoNodes(t *testing.T) {
+	const n = 6
+	p := bdd.NewPool(n)
+	regions := regionsFor(p, n)
+	before := p.Size()
+	NewMeter(p, "route-map", "binary", regions)
+	if after := p.Size(); after != before {
+		t.Fatalf("NewMeter grew the pool from %d to %d nodes", before, after)
 	}
 }
 

@@ -3,8 +3,9 @@ package ambiguity
 import "sort"
 
 // StrategyStats aggregates ledgers that ran under one insertion strategy.
-// Sums (not means) are stored so partial aggregates merge exactly — the LB
-// adds per-backend rollups, the analyzer adds per-segment ones.
+// Sums (not means) are stored so partial aggregates merge by addition — the
+// LB adds per-backend rollups. The bit sums are floats, so a merged sum can
+// differ from one rollup's over the same ledgers in the last bits.
 type StrategyStats struct {
 	// Updates counts ledgers aggregated.
 	Updates int `json:"updates"`

@@ -52,8 +52,9 @@ func TestRollupAdd(t *testing.T) {
 
 // TestRollupMergeExactness is the fleet-aggregation contract: adding every
 // ledger to one rollup must be byte-identical to splitting the ledgers across
-// partial rollups and merging — the LB's per-backend view and the analyzer's
-// per-segment view both depend on it.
+// partial rollups and merging — the LB's per-backend view depends on it. The
+// bit values here are dyadic, so every partial float sum is exact; real
+// log₂ values merge to the whole's sums only up to rounding.
 func TestRollupMergeExactness(t *testing.T) {
 	ledgers := []*Ledger{
 		ledger("route-map", "binary", 10.25, 0, 2),

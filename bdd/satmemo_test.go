@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestSatCountMemoStable: the ambiguity ledger calls SatCount on overlapping
-// unions over and over; the pool-level memo must return identical counts on
-// repeat calls, including for subformulas first counted as part of a larger
-// formula.
+// TestSatCountMemoStable: the ambiguity meter counts the same regions of a
+// cached pool update after update; the pool-level memo must return identical
+// counts on repeat calls, including for subformulas first counted as part of
+// a larger formula.
 func TestSatCountMemoStable(t *testing.T) {
 	const n = 6
 	p := NewPool(n)

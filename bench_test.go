@@ -109,8 +109,8 @@ func BenchmarkRepeatedUpdates(b *testing.B) {
 // BenchmarkRepeatedUpdates/uncached, once with no telemetry consumer (the
 // meter never runs) and once traced (every update metered via model counting
 // over the candidate space). The ledger-on variant must stay within 5% of
-// ledger-off — the SatCount memo and the precomputed interval table are what
-// keep it there.
+// ledger-off — one SatCount per probe region, memoized on the pool, is what
+// keeps it there.
 func BenchmarkAmbiguityLedgerOverhead(b *testing.B) {
 	run := func(b *testing.B, metered bool) {
 		var bits float64

@@ -50,9 +50,25 @@ func InsertACLEntryTraced(space *symbolic.ACLSpace, orig *ios.Config, aclName st
 		space = symbolic.NewACLSpace()
 	}
 	defer space.ObserveInto(sp, space.Pool.Counters())
+	probes := aclProbes(space, acl, newEntry)
+
+	meter := startMeter(sp, space.Pool, "acl", StrategyBinary, probes)
+	pl, err := place(sp, "probed-entry", StrategyBinary, probes, meter, func(q ACLQuestion) (bool, error) { return oracle.ChooseACL(q) })
+	if err != nil {
+		return nil, err
+	}
+	insSp := sp.Child("insert")
+	acl.InsertEntry(pl.pos, newEntry)
+	insSp.SetInt("position", int64(pl.pos))
+	insSp.End()
+	return &ACLResult{Config: work, Position: pl.pos, Questions: pl.questions, Overlaps: pl.overlaps, Ambiguity: pl.ledger}, nil
+}
+
+// aclProbes finds the entries of acl whose first-match regions hold packets
+// of newEntry and take the other action, each with a witness packet.
+func aclProbes(space *symbolic.ACLSpace, acl *ios.ACL, newEntry *ios.ACE) []probe[ACLQuestion] {
 	// Probes need first-match regions only inside the new entry's packets.
 	regions := space.FirstMatchWithin(acl, space.ACEPred(newEntry))
-
 	var probes []probe[ACLQuestion]
 	for i, e := range acl.Entries {
 		if e.Permit == newEntry.Permit {
@@ -75,15 +91,5 @@ func InsertACLEntryTraced(space *symbolic.ACLSpace, orig *ios.Config, aclName st
 			ProbedEntry: i,
 		}, region: regions[i]})
 	}
-
-	meter := startMeter(sp, space.Pool, "acl", StrategyBinary, probes)
-	pl, err := place(sp, "probed-entry", StrategyBinary, probes, meter, func(q ACLQuestion) (bool, error) { return oracle.ChooseACL(q) })
-	if err != nil {
-		return nil, err
-	}
-	insSp := sp.Child("insert")
-	acl.InsertEntry(pl.pos, newEntry)
-	insSp.SetInt("position", int64(pl.pos))
-	insSp.End()
-	return &ACLResult{Config: work, Position: pl.pos, Questions: pl.questions, Overlaps: pl.overlaps, Ambiguity: pl.ledger}, nil
+	return probes
 }

@@ -148,6 +148,8 @@ func ask[Q any](sp *obs.Span, key string, rule int, choose func(Q) (bool, error)
 
 // startMeter starts the ambiguity ledger over the probes' regions in pool,
 // or returns nil when sp is nil: the ledger rides the observability path.
+// The regions must be pairwise disjoint, as ambiguity.NewMeter requires; a
+// probe's region lies in its rule's first-match region, so they are.
 func startMeter[Q any](sp *obs.Span, pool *bdd.Pool, kind string, strategy Strategy, probes []probe[Q]) *ambiguity.Meter {
 	if sp == nil {
 		return nil
@@ -346,9 +348,9 @@ func newStanzaWrapper(newStanza *ios.Stanza) *ios.Config {
 
 // collectProbesMetered acquires the symbolic space, collects the probes,
 // and — when tracing is on — builds the ambiguity meter over their
-// distinguishing regions before the space is released. The meter
-// precomputes every interval measurement, so nothing touches the pool
-// after release (the search may park on oracle questions for minutes).
+// distinguishing regions before the space is released. The meter counts
+// every region up front, so nothing touches the pool after release (the
+// search may park on oracle questions for minutes).
 func collectProbesMetered(cache *symbolic.SpaceCache, sp *obs.Span, work *ios.Config, rm *ios.RouteMap, newStanza *ios.Stanza, strategy Strategy) ([]probe[RouteQuestion], *ambiguity.Meter, error) {
 	space, err := cache.Acquire(work, newStanzaWrapper(newStanza))
 	if err != nil {

@@ -112,6 +112,73 @@ func TestRouteProbesMatchReference(t *testing.T) {
 	t.Logf("300 insertions, %d probes, %d questions asked", probes, asked)
 }
 
+// checkMeteredProbes checks that the probes' regions are pairwise disjoint,
+// as ambiguity.NewMeter requires, and that a meter over them measures every
+// range [lo,hi) as log₂ of the model count of the regions' union.
+func checkMeteredProbes[Q any](t *testing.T, pool *bdd.Pool, probes []probe[Q]) {
+	t.Helper()
+	regions := make([]bdd.Node, len(probes))
+	for i, p := range probes {
+		regions[i] = p.region
+	}
+	meter := ambiguity.NewMeter(pool, "route-map", StrategyBinary.String(), regions)
+	for i := range regions {
+		for j := i + 1; j < len(regions); j++ {
+			if pool.And(regions[i], regions[j]) != bdd.False {
+				t.Fatalf("probe regions %d and %d overlap", i, j)
+			}
+		}
+	}
+	for lo := 0; lo <= len(regions); lo++ {
+		union := bdd.False
+		for hi := lo; hi <= len(regions); hi++ {
+			if hi > lo {
+				union = pool.Or(union, regions[hi-1])
+			}
+			if got, want := meter.Finish(lo, hi).ResidualBits, ambiguity.Log2(pool.SatCount(union)); got != want {
+				t.Fatalf("range [%d,%d) of %d probes: meter %v bits, union %v bits", lo, hi, len(regions), got, want)
+			}
+		}
+	}
+}
+
+// TestProbeRegionsMeter: on random route maps, a third of them with transit
+// lists, and on random ACLs, the probe regions collectProbes and aclProbes
+// return are pairwise disjoint, and the meter's prefix sums measure every
+// range of them as the union's model count does.
+func TestProbeRegionsMeter(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	routeProbes, aclProbeCount := 0, 0
+	for trial := 0; trial < 600; trial++ {
+		orig := testgen.Config(rng, "RM", 1+rng.Intn(8))
+		if trial%3 == 0 {
+			testgen.AddTransit(rng, orig, "RM", 1+rng.Intn(3))
+		}
+		prep, err := prepare(orig, "RM", testgen.Config(rng, "NEW", 1), "NEW")
+		if err != nil {
+			t.Fatal(err)
+		}
+		space, err := symbolic.NewRouteSpace(prep.work, newStanzaWrapper(prep.stanza))
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes, err := collectProbes(space, prep.work, prep.rm, prep.stanza)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMeteredProbes(t, space.Pool, probes)
+		routeProbes += len(probes)
+	}
+	for trial := 0; trial < 2000; trial++ {
+		cfg := testgen.ACL(rng, "A", 1+rng.Intn(12))
+		space := symbolic.NewACLSpace()
+		probes := aclProbes(space, cfg.ACLs["A"], testgen.RandomACE(rng, 10))
+		checkMeteredProbes(t, space.Pool, probes)
+		aclProbeCount += len(probes)
+	}
+	t.Logf("%d route-map probes, %d ACL probes", routeProbes, aclProbeCount)
+}
+
 // referenceListProbes collects list probes the direct way: each entry's
 // full first-match region, conjoined with the new entry's routes and Valid
 // afterwards.

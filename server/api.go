@@ -259,7 +259,8 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("clarifyd: %d: %s", e.StatusCode, e.Message)
 }
 
-// decodeStrict unmarshals JSON rejecting unknown garbage bodies gracefully.
+// decodeStrict unmarshals a JSON request body into v, rejecting an empty
+// body. Unknown fields are ignored, as json.Unmarshal ignores them.
 func decodeStrict(data []byte, v interface{}) error {
 	if len(data) == 0 {
 		return fmt.Errorf("empty request body")

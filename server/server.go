@@ -397,6 +397,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
+// handleCreateSession starts a session on the body's configuration. It
+// answers 201 with the session ID, 400 for an unreadable body or a bad
+// tenant header, 422 for a configuration that does not parse, and 503 while
+// draining or at the session cap.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining", 0)
@@ -495,7 +499,10 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 // pipeline on the worker pool's fair queue — shedding with 429 +
 // Retry-After when a gate denies, the queue is full, or the overload
 // controller is tripped — and either wait for completion (sync) or return
-// the update ID (async).
+// the update ID (async). It answers 200 (sync) or 202 (async) with the
+// update, 400 for an unreadable body or a missing intent or target, 404 or
+// 410 for a session that is not live, 409 while the session is busy, 429
+// when shed, and 503 while draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining", 0)
@@ -765,6 +772,10 @@ func (s *Server) handleQuestion(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleAnswer delivers an OPTION 1/2 answer to the session's pending
+// question. It answers 200 once delivered, 400 for an unreadable body or an
+// option other than 1 or 2, 404 or 410 for a session that is not live, and
+// 409 when no question is pending or seq is not the pending one's.
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	sn, ok := s.lookupSession(w, r.PathValue("id"))
 	if !ok {

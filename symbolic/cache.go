@@ -42,17 +42,17 @@ func Fingerprint(cfgs ...*ios.Config) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Cache sizing defaults; see SpaceCache.
+// Cache bounds; see SpaceCache.
 const (
-	// defaultMaxIdle bounds idle spaces retained per fingerprint. Distinct
+	// maxIdlePerKey bounds idle spaces retained per fingerprint. Distinct
 	// concurrent users of the same universe each check one out, so a small
 	// pool covers typical worker-pool concurrency.
-	defaultMaxIdle = 8
-	// defaultMaxPoolNodes drops a space at Release once its BDD pool has
+	maxIdlePerKey = 8
+	// maxPoolNodes drops a space at Release once its BDD pool has
 	// accumulated this many nodes, bounding memory held by the cache while
 	// keeping the steady-state reuse win (typical verification pools hold a
 	// few thousand nodes).
-	defaultMaxPoolNodes = 1 << 21
+	maxPoolNodes = 1 << 21
 )
 
 // SpaceCacheStats is a snapshot of cache effectiveness counters.
@@ -95,27 +95,11 @@ type SpaceCache struct {
 	hits     int64
 	misses   int64
 	automata *ciscorx.Memo
-
-	// maxIdlePerKey bounds idle spaces kept per fingerprint (0 = default).
-	maxIdlePerKey int
-	// maxPoolNodes drops over-grown spaces at Release (0 = default).
-	maxPoolNodes int
 }
 
-// NewSpaceCache returns an empty cache with default bounds.
+// NewSpaceCache returns an empty cache.
 func NewSpaceCache() *SpaceCache {
 	return &SpaceCache{idle: map[string][]*RouteSpace{}, automata: ciscorx.NewMemo()}
-}
-
-func (c *SpaceCache) limits() (maxIdle, maxNodes int) {
-	maxIdle, maxNodes = c.maxIdlePerKey, c.maxPoolNodes
-	if maxIdle <= 0 {
-		maxIdle = defaultMaxIdle
-	}
-	if maxNodes <= 0 {
-		maxNodes = defaultMaxPoolNodes
-	}
-	return maxIdle, maxNodes
 }
 
 // Acquire returns a RouteSpace for the given configs, reusing an idle cached
@@ -151,12 +135,11 @@ func (c *SpaceCache) Release(s *RouteSpace) {
 	if c == nil || s == nil || s.fp == "" {
 		return
 	}
-	maxIdle, maxNodes := c.limits()
-	if s.Pool.Size() > maxNodes {
+	if s.Pool.Size() > maxPoolNodes {
 		return
 	}
 	c.mu.Lock()
-	if len(c.idle[s.fp]) < maxIdle {
+	if len(c.idle[s.fp]) < maxIdlePerKey {
 		c.idle[s.fp] = append(c.idle[s.fp], s)
 	}
 	c.mu.Unlock()
