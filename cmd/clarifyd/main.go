@@ -14,7 +14,10 @@
 //	GET    /v1/sessions/{id}                session info
 //	DELETE /v1/sessions/{id}                delete a session
 //	POST   /v1/sessions/{id}/updates        submit an intent (?async=1 to poll)
-//	GET    /v1/sessions/{id}/updates/{uid}  poll an update
+//	GET    /v1/sessions/{id}/updates/{uid}  poll an update, its pending
+//	                                        question inline (?after=N waits
+//	                                        up to 5s for a terminal status or
+//	                                        a question with seq > N)
 //	GET    /v1/sessions/{id}/question       pending disambiguation question
 //	POST   /v1/sessions/{id}/answer         answer it (OPTION 1 or 2)
 //	GET    /v1/sessions/{id}/config         current configuration text

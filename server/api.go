@@ -10,8 +10,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"github.com/clarifynet/clarify"
 	"github.com/clarifynet/clarify/disambig"
@@ -64,7 +66,7 @@ const (
 	StatusQueued  = "queued"
 	StatusRunning = "running"
 	// StatusWaiting means the pipeline is parked on a disambiguation
-	// question; fetch it at GET /v1/sessions/{id}/question.
+	// question; the update view carries it as Question.
 	StatusWaiting = "waiting"
 	StatusDone    = "done"
 	StatusFailed  = "failed"
@@ -81,6 +83,11 @@ type UpdateInfo struct {
 	// Degraded reports that at least one LLM completion of this update was
 	// served by a fallback backend rather than the primary.
 	Degraded bool `json:"degraded,omitempty"`
+	// Question is the pending disambiguation question, set while Status is
+	// "waiting"; answer it at POST /v1/sessions/{id}/answer. It is the
+	// question GET /v1/sessions/{id}/question returns, so a poller needs
+	// no second request per turn.
+	Question *Question `json:"question,omitempty"`
 	// Result is set once Status is "done".
 	Result *UpdateResultInfo `json:"result,omitempty"`
 }
@@ -259,11 +266,24 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("clarifyd: %d: %s", e.StatusCode, e.Message)
 }
 
-// decodeStrict unmarshals a JSON request body into v, rejecting an empty
-// body. Unknown fields are ignored, as json.Unmarshal ignores them.
+// decodeStrict decodes a JSON request body that must be exactly one object
+// into v. An empty body, null or any other non-object, a field v does not
+// declare, and data after the object are errors.
 func decodeStrict(data []byte, v interface{}) error {
+	data = bytes.TrimLeft(data, " \t\r\n")
 	if len(data) == 0 {
 		return fmt.Errorf("empty request body")
 	}
-	return json.Unmarshal(data, v)
+	if data[0] != '{' {
+		return fmt.Errorf("request body is not a JSON object")
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("data after the JSON object")
+	}
+	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"time"
 
 	"github.com/clarifynet/clarify"
@@ -26,8 +27,11 @@ type Client struct {
 	// HTTP is the underlying client; a 30-second-timeout client is used
 	// when nil.
 	HTTP *http.Client
-	// PollInterval paces RunUpdate's question/status polling (default
-	// 25 ms).
+	// PollInterval is the pause PollUpdate takes after a poll that showed
+	// no progress (default 25 ms): a daemon without long-poll support, a
+	// long-poll that reached its bound, or a daemon that is draining. A
+	// long-polling daemon answers each poll only on progress, so PollUpdate
+	// does not sleep against one.
 	PollInterval time.Duration
 	// MaxRetries bounds the extra attempts for idempotent GETs (question
 	// polls, update polls, stats, session info) that fail with a transient
@@ -110,15 +114,28 @@ func (c *Client) pollEvery() time.Duration {
 	return 25 * time.Millisecond
 }
 
-// do issues one JSON request; out may be nil for responses without a body.
-// GETs are retried per MaxRetries on transient failures so short backend
-// ejection or drain windows behind a balancer do not surface as errors.
+// do issues one JSON request and decodes the reply into out, which may be
+// nil for responses without a body.
 func (c *Client) do(ctx context.Context, method, path string, in, out interface{}) error {
-	var err error
+	data, err := c.send(ctx, method, path, in)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("clarifyd client: decode response: %w", err)
+	}
+	return nil
+}
+
+// send issues one request with in, if non-nil, as its JSON body and returns
+// the reply body. GETs are retried per MaxRetries on transient failures so
+// short backend ejection or drain windows behind a balancer do not surface
+// as errors.
+func (c *Client) send(ctx context.Context, method, path string, in interface{}) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
-		err = c.doOnce(ctx, method, path, in, out)
+		data, err := c.sendOnce(ctx, method, path, in)
 		if err == nil || method != http.MethodGet || attempt >= c.maxRetries() || !retryableGet(err) {
-			return err
+			return data, err
 		}
 		var apiErr *APIError
 		errors.As(err, &apiErr)
@@ -127,23 +144,23 @@ func (c *Client) do(ctx context.Context, method, path string, in, out interface{
 			// surface it immediately (and recognizably — errors.Is sees
 			// context.Canceled) instead of the transient error we were
 			// about to retry.
-			return fmt.Errorf("clarifyd client: retry aborted: %w (last error: %v)", serr, err)
+			return nil, fmt.Errorf("clarifyd client: retry aborted: %w (last error: %v)", serr, err)
 		}
 	}
 }
 
-func (c *Client) doOnce(ctx context.Context, method, path string, in, out interface{}) error {
+func (c *Client) sendOnce(ctx context.Context, method, path string, in interface{}) ([]byte, error) {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
-			return fmt.Errorf("clarifyd client: marshal: %w", err)
+			return nil, fmt.Errorf("clarifyd client: marshal: %w", err)
 		}
 		body = bytes.NewReader(data)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {
-		return fmt.Errorf("clarifyd client: build request: %w", err)
+		return nil, fmt.Errorf("clarifyd client: build request: %w", err)
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -158,12 +175,12 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out interf
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return fmt.Errorf("clarifyd client: %w", err)
+		return nil, fmt.Errorf("clarifyd client: %w", err)
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
-		return fmt.Errorf("clarifyd client: read response: %w", err)
+		return nil, fmt.Errorf("clarifyd client: read response: %w", err)
 	}
 	if resp.StatusCode >= 400 {
 		apiErr := &APIError{StatusCode: resp.StatusCode, Message: string(data)}
@@ -173,14 +190,9 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out interf
 			apiErr.RetryAfterSeconds = e.RetryAfterSeconds
 			apiErr.Reason = e.Reason
 		}
-		return apiErr
+		return nil, apiErr
 	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("clarifyd client: decode response: %w", err)
-		}
-	}
-	return nil
+	return data, nil
 }
 
 // CreateSession uploads a base configuration and returns the session ID.
@@ -224,7 +236,8 @@ func (c *Client) SubmitAsync(ctx context.Context, id, intentText, target string)
 	return out, err
 }
 
-// Update polls one update's status.
+// Update fetches one update's view, its pending question inline, without
+// waiting.
 func (c *Client) Update(ctx context.Context, id, updateID string) (UpdateInfo, error) {
 	var out UpdateInfo
 	err := c.do(ctx, http.MethodGet,
@@ -253,24 +266,8 @@ func (c *Client) Answer(ctx context.Context, id string, seq, option int) error {
 
 // Config fetches the session's current configuration text.
 func (c *Client) Config(ctx context.Context, id string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/v1/sessions/"+url.PathEscape(id)+"/config", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", fmt.Errorf("clarifyd client: %w", err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return "", fmt.Errorf("clarifyd client: read response: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", &APIError{StatusCode: resp.StatusCode, Message: string(data)}
-	}
-	return string(data), nil
+	data, err := c.send(ctx, http.MethodGet, "/v1/sessions/"+url.PathEscape(id)+"/config", nil)
+	return string(data), err
 }
 
 // Stats fetches the session's pipeline counters.
@@ -339,27 +336,37 @@ func (c *Client) RunUpdate(ctx context.Context, id, intentText, target string, f
 
 // PollUpdate drives an already-submitted update to completion: poll its
 // status, answer disambiguation questions via fn, and return the terminal
-// state. It is the resume half of RunUpdate — safe to call again after a
-// transport error or a replica restart, because answering is idempotent per
-// sequence number (a stale answer is a tolerated conflict). On error the
-// returned UpdateInfo carries the last state seen.
+// state. Each turn is one long-poll, GET …/updates/{uid}?after=N with N the
+// last answered sequence number, which the daemon answers once the update
+// is terminal or carries a newer question; PollUpdate then answers and
+// repeats. It reads GET …/question only when a waiting view carries no
+// question, and pauses PollInterval only after a poll that showed no
+// progress, so it also drives daemons without long-poll support. It is the
+// resume half of RunUpdate — safe to call again after a transport error or
+// a replica restart, because answering is idempotent per sequence number
+// (a stale answer is a tolerated conflict). On error the returned
+// UpdateInfo carries the last state seen.
 func (c *Client) PollUpdate(ctx context.Context, id, updateID string, fn AnswerFunc) (UpdateInfo, error) {
 	last := UpdateInfo{ID: updateID, Status: StatusQueued}
-	answered := -1
+	path := "/v1/sessions/" + url.PathEscape(id) + "/updates/" + url.PathEscape(updateID) + "?after="
+	answered := 0
 	for {
-		cur, err := c.Update(ctx, id, updateID)
-		if err != nil {
+		var cur UpdateInfo
+		if err := c.do(ctx, http.MethodGet, path+strconv.Itoa(answered), nil, &cur); err != nil {
 			return last, err
 		}
 		last = cur
 		if cur.Terminal() {
 			return cur, nil
 		}
-		q, err := c.Question(ctx, id)
-		if err != nil {
-			return last, err
+		q := cur.Question
+		if q == nil && cur.Status == StatusWaiting {
+			var err error
+			if q, err = c.Question(ctx, id); err != nil {
+				return last, err
+			}
 		}
-		if q != nil && q.Seq != answered {
+		if q != nil && q.Seq > answered {
 			option, err := fn(*q)
 			if err != nil {
 				return last, err

@@ -4,11 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/clarifynet/clarify/obs"
+	"github.com/clarifynet/clarify/tenant"
 )
 
 // flakyHandler answers failures times with the given status before serving
@@ -217,5 +222,47 @@ func TestClientCancelMid429Backoff(t *testing.T) {
 	// cancellation at 20ms must not sit it out.
 	if elapsed > 500*time.Millisecond {
 		t.Fatalf("cancellation took %v to surface; the 429 sleep ignored ctx", elapsed)
+	}
+}
+
+// TestClientConfigKeepsContract: Config goes through the request path every
+// other call takes, so it sends the tenant header and the caller's
+// traceparent on each attempt and retries a 503 like any GET.
+func TestClientConfigKeepsContract(t *testing.T) {
+	const text = "route-map RM permit 10\n"
+	var mu sync.Mutex
+	var tenants, parents []string
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		tenants = append(tenants, r.Header.Get(tenant.HeaderTenant))
+		parents = append(parents, r.Header.Get(obs.TraceParentHeader))
+		first := len(tenants) == 1
+		mu.Unlock()
+		if first {
+			writeError(w, http.StatusServiceUnavailable, "transient", 0)
+			return
+		}
+		io.WriteString(w, text)
+	}))
+	defer hs.Close()
+
+	tp, ok := obs.ParseTraceParent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	if !ok {
+		t.Fatal("bad test traceparent")
+	}
+	c := &Client{BaseURL: hs.URL, Tenant: "acme", RetryBaseDelay: time.Millisecond}
+	got, err := c.Config(obs.ContextWithTraceParent(context.Background(), tp), "s1")
+	if err != nil || got != text {
+		t.Fatalf("Config = %q, %v; want %q after one retried 503", got, err, text)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(tenants) != 2 {
+		t.Fatalf("server saw %d requests, want 2 (503 + success)", len(tenants))
+	}
+	for i := range tenants {
+		if tenants[i] != "acme" || parents[i] != tp.String() {
+			t.Errorf("request %d carried tenant %q and traceparent %q, want acme and %s", i+1, tenants[i], parents[i], tp)
+		}
 	}
 }

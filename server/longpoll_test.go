@@ -1,0 +1,427 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/clarifynet/clarify/llm"
+)
+
+// oneQuestionConfig is the §2.1 configuration without its local-preference
+// stanza: exampleIntent overlaps one stanza of it, so its update asks one
+// question.
+const oneQuestionConfig = `ip as-path access-list D0 permit _32$
+ip prefix-list D1 seq 10 permit 10.0.0.0/8 le 24
+route-map ISP_OUT deny 10
+ match as-path D0
+route-map ISP_OUT permit 20
+ match ip address prefix-list D1
+`
+
+// pollReply is one GET of an update view.
+type pollReply struct {
+	status int
+	info   UpdateInfo
+	body   []byte
+	at     time.Time // when the reply was read
+	err    error
+}
+
+// getUpdate GETs update uid of session sid with the raw query appended. It
+// reports failures in the reply, so goroutines other than the test's may
+// call it.
+func getUpdate(base, sid, uid, query string) pollReply {
+	resp, err := http.Get(base + "/v1/sessions/" + sid + "/updates/" + uid + query)
+	if err != nil {
+		return pollReply{err: err}
+	}
+	defer resp.Body.Close()
+	r := pollReply{status: resp.StatusCode}
+	if r.body, r.err = io.ReadAll(resp.Body); r.err == nil && r.status == http.StatusOK {
+		r.err = json.Unmarshal(r.body, &r.info)
+	}
+	r.at = time.Now()
+	return r
+}
+
+// waitInFlight waits until srv is serving at least n requests: the
+// long-polls the test sent have reached their handler.
+func waitInFlight(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.met.snapshot().InFlight < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("fewer than %d requests in flight after 5s", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitStatus polls update uid until it reports want.
+func waitStatus(t *testing.T, c *Client, sid, uid, want string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		u, err := c.Update(context.Background(), sid, uid)
+		if err != nil {
+			t.Fatalf("poll update: %v", err)
+		}
+		if u.Status == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("update %s is %q after 5s, want %q", uid, u.Status, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLongPollInlineQuestion: ?after=0 on an update parked on question 1
+// answers at once with the question inline, and ?after=1 sent before the
+// answer returns the terminal view as soon as the pipeline finishes, not
+// at the wait bound.
+func TestLongPollInlineQuestion(t *testing.T) {
+	srv, c := startServer(t, Options{Workers: 1})
+	ctx := context.Background()
+	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: oneQuestionConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := c.SubmitAsync(ctx, sid, exampleIntent, "ISP_OUT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := waitPendingQuestion(t, c, sid)
+
+	sent := time.Now()
+	r := getUpdate(c.BaseURL, sid, u.ID, "?after=0")
+	if r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("GET ?after=0: %d %s, %v", r.status, r.body, r.err)
+	}
+	if d := r.at.Sub(sent); d > time.Second {
+		t.Errorf("GET ?after=0 on a parked update took %v, want an immediate reply", d)
+	}
+	if r.info.Status != StatusWaiting || r.info.Question == nil || r.info.Question.Seq != 1 {
+		t.Fatalf("GET ?after=0 = %s, want waiting with question 1 inline", r.body)
+	}
+	if r.info.Question.Text != parked.Text {
+		t.Errorf("inline question differs from GET …/question:\n%s\nvs\n%s", r.info.Question.Text, parked.Text)
+	}
+
+	replies := make(chan pollReply, 1)
+	go func() { replies <- getUpdate(c.BaseURL, sid, u.ID, "?after=1") }()
+	waitInFlight(t, srv, 1)
+	rec := sessionUpdate(t, srv, sid, u.ID)
+	finished := make(chan time.Time, 1)
+	go func() {
+		<-rec.done
+		finished <- time.Now()
+	}()
+	answered := time.Now()
+	if err := c.Answer(ctx, sid, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	r = <-replies
+	if r.err != nil || r.info.Status != StatusDone || r.info.Result == nil || r.info.Result.Questions != 1 {
+		t.Fatalf("GET ?after=1 = %d %s, %v; want done after 1 question", r.status, r.body, r.err)
+	}
+	if r.at.Before(answered) {
+		t.Errorf("GET ?after=1 returned before the answer was sent")
+	}
+	if d := r.at.Sub(<-finished); d > 100*time.Millisecond {
+		t.Errorf("GET ?after=1 returned %v after the update finished, want within a few ms", d)
+	}
+}
+
+// TestLongPollWakesOnQuestion: ?after=1 sent before question 1 is answered
+// returns question 2 inline as soon as the pipeline posts it.
+func TestLongPollWakesOnQuestion(t *testing.T) {
+	srv, c := startServer(t, Options{Workers: 1})
+	ctx := context.Background()
+	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := c.SubmitAsync(ctx, sid, exampleIntent, "ISP_OUT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitPendingQuestion(t, c, sid)
+	replies := make(chan pollReply, 1)
+	go func() { replies <- getUpdate(c.BaseURL, sid, u.ID, "?after=1") }()
+	waitInFlight(t, srv, 1)
+	answered := time.Now()
+	if err := c.Answer(ctx, sid, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	r := <-replies
+	if r.err != nil || r.info.Status != StatusWaiting || r.info.Question == nil || r.info.Question.Seq != 2 {
+		t.Fatalf("GET ?after=1 = %d %s, %v; want waiting with question 2 inline", r.status, r.body, r.err)
+	}
+	if d := r.at.Sub(answered); d > time.Second {
+		t.Errorf("GET ?after=1 returned %v after the answer, want as soon as question 2 is posted", d)
+	}
+	if _, err := c.PollUpdate(ctx, sid, u.ID, func(Question) (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLongPollBadAfter: an after that is not a non-negative integer is a
+// 400 with an ErrorResponse body, whatever the update's state.
+func TestLongPollBadAfter(t *testing.T) {
+	_, c := startServer(t, Options{Workers: 1})
+	ctx := context.Background()
+	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := c.SubmitAsync(ctx, sid, exampleIntent, "ISP_OUT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"?after=", "?after=x", "?after=-1", "?after=1.5", "?after=99999999999999999999"} {
+		r := getUpdate(c.BaseURL, sid, u.ID, q)
+		var e ErrorResponse
+		if r.err != nil || r.status != http.StatusBadRequest || json.Unmarshal(r.body, &e) != nil || e.Error == "" {
+			t.Errorf("GET %s = %d %s, %v; want 400 with an error body", q, r.status, r.body, r.err)
+		}
+	}
+	if r := getUpdate(c.BaseURL, sid, "u9", "?after=0"); r.status != http.StatusNotFound {
+		t.Errorf("GET unknown update ?after=0 = %d, want 404", r.status)
+	}
+	if _, err := c.PollUpdate(ctx, sid, u.ID, func(Question) (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLongPollWakesOnDrain: a long-poll blocked on a running update returns
+// its non-terminal view within 100ms of the server starting to drain, by
+// either DrainForHandoff or Shutdown, and a long-poll sent while the server
+// drains returns at once.
+func TestLongPollWakesOnDrain(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		drain func(*Server, context.Context)
+	}{
+		{"DrainForHandoff", func(s *Server, ctx context.Context) { s.DrainForHandoff(ctx) }},
+		{"Shutdown", func(s *Server, ctx context.Context) { s.Shutdown(ctx) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, c := startServer(t, Options{Workers: 1,
+				NewClient: func() llm.Client { return blockingClient{} }})
+			ctx := context.Background()
+			sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := c.SubmitAsync(ctx, sid, exampleIntent, "ISP_OUT")
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitStatus(t, c, sid, u.ID, StatusRunning)
+			replies := make(chan pollReply, 1)
+			go func() { replies <- getUpdate(c.BaseURL, sid, u.ID, "?after=0") }()
+			waitInFlight(t, srv, 1)
+
+			dctx, cancel := context.WithCancel(ctx)
+			drained := make(chan struct{})
+			began := time.Now()
+			go func() {
+				defer close(drained)
+				tc.drain(srv, dctx)
+			}()
+			r := <-replies
+			if r.err != nil || r.status != http.StatusOK {
+				t.Errorf("blocked long-poll: %d %s, %v", r.status, r.body, r.err)
+			} else if d := r.at.Sub(began); d > 100*time.Millisecond || r.info.Terminal() {
+				t.Errorf("blocked long-poll returned %q %v after the drain began, want a non-terminal view within 100ms", r.info.Status, d)
+			}
+			sent := time.Now()
+			r = getUpdate(c.BaseURL, sid, u.ID, "?after=0")
+			if r.err != nil || r.status != http.StatusOK {
+				t.Errorf("long-poll while draining: %d %s, %v", r.status, r.body, r.err)
+			} else if d := r.at.Sub(sent); d > 100*time.Millisecond || r.info.Terminal() {
+				t.Errorf("long-poll sent while draining returned %q after %v, want a non-terminal view at once", r.info.Status, d)
+			}
+			// End the drain and force-cancel the blocked update.
+			cancel()
+			<-drained
+			srv.Shutdown(dctx)
+		})
+	}
+}
+
+// TestLongPollHandoffNeverSeesLocalFailure replays clarifyd's handoff:
+// DrainForHandoff, SnapshotSessions, close the listener, then Shutdown
+// force-cancels the local copy of the parked update. A client long-polling
+// the update throughout must never be shown that copy's failure: the drain
+// releases its blocked poll, later polls return at once, so the listener
+// closes with no poll left to wake on the cancellation.
+func TestLongPollHandoffNeverSeesLocalFailure(t *testing.T) {
+	srv := New(Options{Workers: 1, QuestionTimeout: time.Minute})
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	ctx := context.Background()
+	// The force-cancelling shutdown, run again here in case the test
+	// stops before its own.
+	fctx, fcancel := context.WithCancel(ctx)
+	fcancel()
+	defer srv.Shutdown(fctx)
+	c := &Client{BaseURL: hs.URL}
+	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := c.SubmitAsync(ctx, sid, exampleIntent, "ISP_OUT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := waitPendingQuestion(t, c, sid); q.Seq != 1 {
+		t.Fatalf("parked on question %d, want 1", q.Seq)
+	}
+
+	// The poller waits for a question after the parked one until the
+	// listener refuses it, recording every status it is shown.
+	var seen []string
+	pollerDone := make(chan struct{})
+	go func() {
+		defer close(pollerDone)
+		for {
+			r := getUpdate(hs.URL, sid, u.ID, "?after=1")
+			if r.err != nil {
+				return
+			}
+			seen = append(seen, r.info.Status)
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	waitInFlight(t, srv, 1)
+
+	dctx, dcancel := context.WithTimeout(ctx, 5*time.Second)
+	defer dcancel()
+	if err := srv.DrainForHandoff(dctx); err != nil {
+		t.Fatalf("drain for handoff: %v", err)
+	}
+	snaps := srv.SnapshotSessions("a")
+	if len(snaps) != 1 || snaps[0].Pending == nil || snaps[0].Pending.Question == nil {
+		t.Fatalf("snapshot = %+v, want the parked update", snaps)
+	}
+	lctx, lcancel := context.WithTimeout(ctx, time.Second)
+	defer lcancel()
+	if err := hs.Config.Shutdown(lctx); err != nil {
+		t.Errorf("closing the listener: %v; a poll was still in flight", err)
+	}
+	srv.Shutdown(fctx)
+	<-pollerDone
+
+	if len(seen) == 0 {
+		t.Fatal("the blocked long-poll never returned")
+	}
+	for i, st := range seen {
+		if st == StatusFailed {
+			t.Errorf("poll %d of %d saw the local copy's failure", i+1, len(seen))
+		}
+	}
+	if got := sessionUpdate(t, srv, sid, u.ID).info(); got.Status != StatusFailed {
+		t.Errorf("local copy after the forced shutdown = %q, want failed", got.Status)
+	}
+}
+
+// TestLongPollOlderDaemon drives the §2.1 walkthrough through a proxy that
+// makes a real daemon look like one without long-poll: it ignores ?after
+// and strips the question from update views. PollUpdate must fall back to
+// GET …/question, give both answers, reach the same position, and pause
+// PollInterval after each poll that showed no progress.
+func TestLongPollOlderDaemon(t *testing.T) {
+	srv := New(Options{Workers: 2})
+	defer srv.Shutdown(context.Background())
+	type hit struct {
+		route string
+		at    time.Time
+	}
+	var mu sync.Mutex
+	var hits []hit
+	var withoutAfter int
+	older := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		route := r.Method + " " + r.URL.Path[strings.LastIndex(r.URL.Path, "/")+1:]
+		isView := r.Method == http.MethodGet && strings.Contains(r.URL.Path, "/updates/")
+		if isView {
+			route = "GET view"
+		}
+		mu.Lock()
+		hits = append(hits, hit{route, time.Now()})
+		if isView && !r.URL.Query().Has("after") {
+			withoutAfter++
+		}
+		mu.Unlock()
+		if !isView {
+			srv.ServeHTTP(w, r)
+			return
+		}
+		r.URL.RawQuery = ""
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, r)
+		var info UpdateInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+			t.Errorf("update view %q: %v", rec.Body.Bytes(), err)
+		}
+		info.Question = nil
+		writeJSON(w, rec.Code, info)
+	})
+	hs := httptest.NewServer(older)
+	defer hs.Close()
+
+	const interval = 20 * time.Millisecond
+	c := &Client{BaseURL: hs.URL, PollInterval: interval}
+	ctx := context.Background()
+	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var asked []int
+	res, err := c.RunUpdate(ctx, sid, exampleIntent, "ISP_OUT", func(q Question) (int, error) {
+		asked = append(asked, q.Seq)
+		return 1, nil
+	})
+	if err != nil {
+		t.Fatalf("run update: %v", err)
+	}
+	if res.Status != StatusDone || res.Result == nil || res.Result.Position != 0 || res.Result.Questions != 2 {
+		t.Fatalf("update = %+v, want done at position 0 after 2 questions", res)
+	}
+	if len(asked) != 2 || asked[0] != 1 || asked[1] != 2 {
+		t.Errorf("answered questions %v, want [1 2]", asked)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if withoutAfter > 0 {
+		t.Errorf("%d update polls carried no ?after", withoutAfter)
+	}
+	questions, views := 0, 0
+	var lastView time.Time
+	for _, h := range hits {
+		switch h.route {
+		case "GET question":
+			questions++
+		case "POST answer":
+			lastView = time.Time{}
+		case "GET view":
+			views++
+			if !lastView.IsZero() && h.at.Sub(lastView) < interval {
+				t.Errorf("update poll %d came %v after a poll without progress, want at least PollInterval %v", views, h.at.Sub(lastView), interval)
+			}
+			lastView = h.at
+		}
+	}
+	if questions < 2 {
+		t.Errorf("%d question GETs, want at least one per question", questions)
+	}
+}

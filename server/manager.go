@@ -112,15 +112,53 @@ type update struct {
 	done     chan struct{}
 }
 
+// info returns the update's poll view.
 func (u *update) info() UpdateInfo {
+	info, _ := u.view()
+	return info
+}
+
+// view returns the update's poll view, with the pending question inline
+// while the pipeline is parked on one, and a channel closed when its oracle
+// next posts a question (nil once the update is terminal).
+func (u *update) view() (UpdateInfo, <-chan struct{}) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	status := u.status
-	if status == StatusRunning && u.oracle != nil && u.oracle.Pending() != nil {
-		status = StatusWaiting
-	}
-	return UpdateInfo{ID: u.id, Status: status, Error: u.errMsg, TraceID: u.traceID,
+	info := UpdateInfo{ID: u.id, Status: u.status, Error: u.errMsg, TraceID: u.traceID,
 		Degraded: u.degraded, Result: u.result}
+	var posted <-chan struct{}
+	if u.oracle != nil {
+		var q *Question
+		q, posted = u.oracle.watch()
+		if q != nil && u.status == StatusRunning {
+			info.Status, info.Question = StatusWaiting, q
+		}
+	}
+	return info, posted
+}
+
+// await long-polls the update: it returns the view once the update is
+// terminal or holds a question whose sequence number exceeds after, and
+// otherwise when ctx ends, stop closes or wait elapses.
+func (u *update) await(ctx context.Context, after int, stop <-chan struct{}, wait time.Duration) UpdateInfo {
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	for {
+		info, posted := u.view()
+		if info.Terminal() || info.Question != nil && info.Question.Seq > after {
+			return info
+		}
+		select {
+		case <-u.done:
+			continue
+		case <-posted:
+			continue
+		case <-ctx.Done():
+		case <-stop:
+		case <-timer.C:
+		}
+		return u.info()
+	}
 }
 
 // setTrace stamps the pipeline trace recorded for this update; the trace's

@@ -21,9 +21,9 @@ var errStaleAnswer = errors.New("server: answer does not match the pending quest
 // asyncOracle bridges the synchronous disambig oracle interfaces onto the
 // HTTP question/answer endpoints. The pipeline goroutine (a pool worker)
 // calls ChooseRoute/ChooseACL, which parks it: the question becomes visible
-// at GET /v1/sessions/{id}/question and the goroutine resumes when an
-// operator POSTs the matching answer — or errors out on timeout or server
-// shutdown, cancelling the whole update.
+// in the update view and at GET /v1/sessions/{id}/question, and the
+// goroutine resumes when an operator POSTs the matching answer — or errors
+// out on timeout or server shutdown, cancelling the whole update.
 type asyncOracle struct {
 	timeout time.Duration
 
@@ -32,6 +32,9 @@ type asyncOracle struct {
 	seq     int
 	pending *Question
 	answer  chan bool
+	// posted is closed and replaced each time a question is posted, waking
+	// the update's long-polls.
+	posted chan struct{}
 	// answered is the transcript of answers delivered so far, in question
 	// order — the raw material a session snapshot needs to re-execute a
 	// parked update on another daemon.
@@ -42,7 +45,7 @@ func newAsyncOracle(ctx context.Context, timeout time.Duration) *asyncOracle {
 	if timeout <= 0 {
 		timeout = time.Minute
 	}
-	return &asyncOracle{ctx: ctx, timeout: timeout}
+	return &asyncOracle{ctx: ctx, timeout: timeout, posted: make(chan struct{})}
 }
 
 // newRestoredOracle builds the oracle for a rehydrated update: the sequence
@@ -67,22 +70,24 @@ func (o *asyncOracle) bind(ctx context.Context) {
 
 // ChooseRoute implements disambig.RouteOracle.
 func (o *asyncOracle) ChooseRoute(q disambig.RouteQuestion) (bool, error) {
-	o.mu.Lock()
-	o.seq++
-	o.pending = newRouteQuestion(o.seq, q)
-	o.answer = make(chan bool, 1)
-	ch := o.answer
-	o.mu.Unlock()
-	return o.wait(ch)
+	return o.ask(func(seq int) *Question { return newRouteQuestion(seq, q) })
 }
 
 // ChooseACL implements disambig.ACLOracle.
 func (o *asyncOracle) ChooseACL(q disambig.ACLQuestion) (bool, error) {
+	return o.ask(func(seq int) *Question { return newACLQuestion(seq, q) })
+}
+
+// ask posts the next question, rendered under its sequence number, wakes
+// the long-polls waiting for it, and parks until it is answered.
+func (o *asyncOracle) ask(render func(seq int) *Question) (bool, error) {
 	o.mu.Lock()
 	o.seq++
-	o.pending = newACLQuestion(o.seq, q)
+	o.pending = render(o.seq)
 	o.answer = make(chan bool, 1)
 	ch := o.answer
+	close(o.posted)
+	o.posted = make(chan struct{})
 	o.mu.Unlock()
 	return o.wait(ch)
 }
@@ -112,13 +117,21 @@ func (o *asyncOracle) wait(ch chan bool) (bool, error) {
 
 // Pending returns the currently displayed question, or nil.
 func (o *asyncOracle) Pending() *Question {
+	q, _ := o.watch()
+	return q
+}
+
+// watch returns a copy of the currently displayed question, or nil, and a
+// channel closed when the next question is posted. Both are read under one
+// hold of the lock, so a question posted after the read closes the channel.
+func (o *asyncOracle) watch() (*Question, <-chan struct{}) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.pending == nil {
-		return nil
+		return nil, o.posted
 	}
 	q := *o.pending
-	return &q
+	return &q, o.posted
 }
 
 // Answer delivers the operator's choice for question seq; option is 1 (the

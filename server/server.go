@@ -148,10 +148,13 @@ type Server struct {
 	firingMu sync.Mutex
 	firing   map[string]bool
 
-	baseCtx  context.Context
-	cancel   context.CancelFunc
-	draining atomic.Bool
-	active   atomic.Int64 // updates executing or parked on a question
+	baseCtx context.Context
+	cancel  context.CancelFunc
+	// drain is closed when draining starts, releasing every long-poll
+	// blocked in handleGetUpdate.
+	drain     chan struct{}
+	drainOnce sync.Once
+	active    atomic.Int64 // updates executing or parked on a question
 
 	// restoreWG tracks re-execution goroutines for rehydrated pending
 	// updates; Shutdown waits for them alongside the pool so a drain
@@ -208,6 +211,7 @@ func New(opts Options) *Server {
 		firing:  map[string]bool{},
 		baseCtx: ctx,
 		cancel:  cancel,
+		drain:   make(chan struct{}),
 	}
 	if keep := opts.TraceKeepSize; keep >= 0 {
 		if keep == 0 {
@@ -266,12 +270,12 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// Shutdown drains the server: new submissions are rejected, queued and
-// running updates are given until ctx expires to finish, then any still
-// parked on questions are force-cancelled. Always returns after the pool has
-// fully stopped.
+// Shutdown drains the server: new submissions are rejected, long-polls of
+// update views return at once, queued and running updates are given until
+// ctx expires to finish, then any still parked on questions are
+// force-cancelled. Always returns after the pool has fully stopped.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
+	s.startDrain()
 	err := s.pool.Close(ctx)
 	if err == nil {
 		// The pool is drained; rehydrated-update goroutines (which run off
@@ -296,13 +300,29 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
+// startDrain flips the server to draining and releases every blocked
+// long-poll. It is idempotent: DrainForHandoff and Shutdown both call it.
+func (s *Server) startDrain() {
+	s.drainOnce.Do(func() { close(s.drain) })
+}
+
+// draining reports whether DrainForHandoff or Shutdown has begun.
+func (s *Server) draining() bool {
+	select {
+	case <-s.drain:
+		return true
+	default:
+		return false
+	}
+}
+
 // --- handlers ---
 
 // health assembles the load signals both probes share; a fronting balancer
 // reads them for load-aware create placement and drain detection.
 func (s *Server) health() HealthStatus {
 	return HealthStatus{
-		Draining:       s.draining.Load(),
+		Draining:       s.draining(),
 		ActiveSessions: s.mgr.Len(),
 		ActiveUpdates:  s.active.Load(),
 		QueueDepth:     s.pool.Depth(),
@@ -398,11 +418,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCreateSession starts a session on the body's configuration. It
-// answers 201 with the session ID, 400 for an unreadable body or a bad
-// tenant header, 422 for a configuration that does not parse, and 503 while
-// draining or at the session cap.
+// answers 201 with the session ID, 400 for an unreadable body, a missing
+// config or a bad tenant header, 422 for a configuration that does not
+// parse, and 503 while draining or at the session cap.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+	if s.draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining", 0)
 		return
 	}
@@ -414,6 +434,10 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req CreateSessionRequest
 	if err := decodeStrict(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "decode request: "+err.Error(), 0)
+		return
+	}
+	if req.Config == "" {
+		writeError(w, http.StatusBadRequest, "config is required", 0)
 		return
 	}
 	tenantName, ok := tenantFromRequest(r)
@@ -504,7 +528,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 // 410 for a session that is not live, 409 while the session is busy, 429
 // when shed, and 503 while draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+	if s.draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining", 0)
 		return
 	}
@@ -744,7 +768,29 @@ func (s *Server) handleDebugIncidents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, list)
 }
 
+// longPollWait bounds how long GET …/updates/{uid}?after=N holds a reply:
+// well under clarify-lb's 10 s drain budget, which waits out proxied
+// long-polls, and Client's 30 s default timeout.
+const longPollWait = 5 * time.Second
+
+// handleGetUpdate serves an update's poll view, with the pending question
+// inline while the update is waiting. With ?after=N it long-polls: the reply
+// waits until the update is terminal or holds a question whose seq exceeds
+// N, for at most longPollWait, and returns at once while the server drains,
+// so a handoff's listener close never waits on a poll and no poll outlives
+// it to see the local copy force-cancelled. It answers 200 with the view,
+// 400 for an after that is not a non-negative integer, 404 for an unknown
+// session or update, and 410 for a session that is gone.
 func (s *Server) handleGetUpdate(w http.ResponseWriter, r *http.Request) {
+	after := -1
+	if q := r.URL.Query(); q.Has("after") {
+		n, err := strconv.Atoi(q.Get("after"))
+		if err != nil || n < 0 {
+			writeError(w, http.StatusBadRequest, "after must be a non-negative integer", 0)
+			return
+		}
+		after = n
+	}
 	sn, ok := s.lookupSession(w, r.PathValue("id"))
 	if !ok {
 		return
@@ -754,7 +800,11 @@ func (s *Server) handleGetUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such update", 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, u.info())
+	if after < 0 {
+		writeJSON(w, http.StatusOK, u.info())
+		return
+	}
+	writeJSON(w, http.StatusOK, u.await(r.Context(), after, s.drain, longPollWait))
 }
 
 func (s *Server) handleQuestion(w http.ResponseWriter, r *http.Request) {

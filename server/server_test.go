@@ -615,13 +615,18 @@ func TestSyncSubmit(t *testing.T) {
 }
 
 // TestBadRequests covers the defensive paths: bad JSON, bad config, missing
-// fields, unknown session, bad answers.
+// fields, unknown session, bad answers, and request bodies that are not
+// exactly one object of the endpoint's fields.
 func TestBadRequests(t *testing.T) {
 	_, c := startServer(t, Options{})
 	ctx := context.Background()
 
 	if _, err := c.CreateSession(ctx, CreateSessionRequest{Config: "route-map X permit\n broken"}); err == nil {
 		t.Error("malformed config accepted")
+	}
+	for _, body := range []string{`null`, `{}`, `{"config":""}`, `{"intent":"x"}`, `[]`, `"config"`,
+		`{"config":"route-map RM permit 10\n"} {}`, `{"config":"route-map RM permit 10\n"}}`} {
+		postBody(t, c.BaseURL+"/v1/sessions", []byte(body), http.StatusBadRequest)
 	}
 	if _, err := c.Session(ctx, "nope"); err == nil {
 		t.Error("unknown session served")
@@ -632,6 +637,12 @@ func TestBadRequests(t *testing.T) {
 	}
 	if _, err := c.SubmitAsync(ctx, sid, "", ""); err == nil {
 		t.Error("empty intent accepted")
+	}
+	for _, body := range []string{`null`, `{"intent":"x","target":"ISP_OUT","priority":1}`, `{"intent":"x","target":"ISP_OUT"} x`} {
+		postBody(t, c.BaseURL+"/v1/sessions/"+sid+"/updates?async=1", []byte(body), http.StatusBadRequest)
+	}
+	for _, body := range []string{`null`, `{"seq":1,"option":1,"note":"x"}`, `{"seq":1,"option":1}{}`} {
+		postBody(t, c.BaseURL+"/v1/sessions/"+sid+"/answer", []byte(body), http.StatusBadRequest)
 	}
 	// No update in flight: answers conflict.
 	err = c.Answer(ctx, sid, 1, 1)

@@ -31,14 +31,15 @@ var (
 )
 
 // DrainForHandoff prepares the session table for capture: new submissions
-// are already rejected (draining), and the call waits until no update is
+// are already rejected (draining), long-polls of update views return at
+// once (see handleGetUpdate), and the call waits until no update is
 // mid-pipeline — every in-flight update is parked on a disambiguation
 // question and the submission queue is empty — or ctx expires. A parked
 // update is safe to snapshot (its intent + answer transcript fully
 // determine its re-execution); an update mid-LLM-call is not, so we wait
 // for it to either finish or park.
 func (s *Server) DrainForHandoff(ctx context.Context) error {
-	s.draining.Store(true)
+	s.startDrain()
 	t := time.NewTicker(20 * time.Millisecond)
 	defer t.Stop()
 	for {
@@ -153,7 +154,7 @@ func (sn *session) capture(node string, now time.Time) *snapshot.Session {
 // with the same sequence number. The restored session gets a fresh idle
 // clock — it must never materialize already past the janitor's cutoff.
 func (s *Server) RestoreSession(snap *snapshot.Session) error {
-	if s.draining.Load() {
+	if s.draining() {
 		s.restoreFailures.Add(1)
 		return errDraining
 	}
@@ -288,7 +289,7 @@ func (s *Server) journalLifecycle(kind string, snap *snapshot.Session) {
 // handleRestoreSession is the admin endpoint a draining peer (or a restart
 // script replaying a snapshot directory) PUTs externalized sessions to.
 func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+	if s.draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining", 0)
 		return
 	}
@@ -299,8 +300,14 @@ func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "read body: "+err.Error(), 0)
 		return
 	}
+	if len(body) == 0 {
+		writeError(w, http.StatusBadRequest, "decode snapshot: empty request body", 0)
+		return
+	}
+	// Unknown fields are ignored, so a snapshot of a newer schema reaches
+	// snapshot.Validate and is refused with 422, not 400.
 	var snap snapshot.Session
-	if err := decodeStrict(body, &snap); err != nil {
+	if err := json.Unmarshal(body, &snap); err != nil {
 		writeError(w, http.StatusBadRequest, "decode snapshot: "+err.Error(), 0)
 		return
 	}

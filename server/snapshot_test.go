@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -248,6 +250,25 @@ func TestRestoreRejections(t *testing.T) {
 	future.Schema = snapshot.SchemaVersion + 1
 	if _, err := cB.RestoreSession(ctx, &future); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("restore future schema = %v, want 422", err)
+	}
+	// A field this build does not know is the mark of a newer schema, so
+	// restore decodes leniently and leaves the refusal to Validate.
+	data, err := json.Marshal(future)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append([]byte(`{"newerField":true,`), data[1:]...)
+	req, err := http.NewRequest(http.MethodPut, cB.BaseURL+"/v1/sessions/"+future.ID+"/restore", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("restore future schema with an unknown field = %d, want 422", resp.StatusCode)
 	}
 
 	// A draining server adopts nothing.
