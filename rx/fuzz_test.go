@@ -9,7 +9,8 @@ var fuzzSeeds = []string{
 }
 
 // FuzzCompile checks that the regex compiler never panics, that its subset
-// construction matches the map-based reference exactly, and that every
+// construction and its minimization match the map-based references exactly,
+// and that every
 // accepted pattern yields an automaton whose complement round-trips
 // (¬¬L = L) and whose shortest witness, if any, is a member.
 func FuzzCompile(f *testing.F) {
@@ -22,6 +23,7 @@ func FuzzCompile(f *testing.F) {
 			return // keep automata small
 		}
 		checkDeterminizeMatchesRef(t, pattern, alpha)
+		checkMinimizeMatchesRef(t, pattern, alpha)
 		d, err := Compile(pattern, alpha)
 		if err != nil {
 			return

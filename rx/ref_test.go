@@ -97,33 +97,152 @@ func checkDeterminizeMatchesRef(t *testing.T, pattern string, alpha Alphabet) {
 	}
 }
 
-func TestDeterminizeMatchesRef(t *testing.T) {
-	for _, p := range fuzzSeeds {
-		checkDeterminizeMatchesRef(t, p, Alphabet("0123 :^$"))
-	}
-	// The sentinel dialect ciscorx compiles Cisco regexes into: '_' is
-	// [ \^$], anchors are literals, and the pattern is searched as .*(R).*.
+// refShapes are the patterns the optimized constructions are checked
+// against their references on, by alphabet: fuzzSeeds, and the sentinel
+// dialect ciscorx compiles Cisco regexes into ('_' is [ \^$], anchors are
+// literals, and the pattern is searched as .*(R).*).
+func refShapes() map[string][]string {
 	const num = "[0-9][0-9]?[0-9]?[0-9]?[0-9]?"
-	path := Alphabet("0123456789 ^$")
-	for _, p := range []string{
-		`.*([ \^$]65000[ \^$]).*`,
-		`.*([ \^$]32\$).*`,
-		`.*(\^32\$).*`,
-		`.*(\^[0-9]+ 32[ \^$]).*`,
-		`.*([ \^$]6450[0-9][ \^$]).*`,
-		`.*(( [0-9]+)* 100[ \^$]).*`,
-		`\^(` + num + `( ` + num + `)*)?\$`,
-	} {
-		checkDeterminizeMatchesRef(t, p, path)
+	return map[string][]string{
+		"0123 :^$": fuzzSeeds,
+		"0123456789 ^$": {
+			`.*([ \^$]65000[ \^$]).*`,
+			`.*([ \^$]32\$).*`,
+			`.*(\^32\$).*`,
+			`.*(\^[0-9]+ 32[ \^$]).*`,
+			`.*([ \^$]6450[0-9][ \^$]).*`,
+			`.*(( [0-9]+)* 100[ \^$]).*`,
+			`\^(` + num + `( ` + num + `)*)?\$`,
+		},
+		"0123456789:^$": {
+			`.*([ \^$]65000:100[ \^$]).*`,
+			`.*(\^300:3\$).*`,
+			`.*(\^100:[0-9]+\$).*`,
+			`.*([ \^$]65000:1[0-9]*[ \^$]).*`,
+			`\^` + num + `:` + num + `\$`,
+		},
 	}
-	comm := Alphabet("0123456789:^$")
-	for _, p := range []string{
-		`.*([ \^$]65000:100[ \^$]).*`,
-		`.*(\^300:3\$).*`,
-		`.*(\^100:[0-9]+\$).*`,
-		`.*([ \^$]65000:1[0-9]*[ \^$]).*`,
-		`\^` + num + `:` + num + `\$`,
-	} {
-		checkDeterminizeMatchesRef(t, p, comm)
+}
+
+func TestDeterminizeMatchesRef(t *testing.T) {
+	for alpha, patterns := range refShapes() {
+		for _, p := range patterns {
+			checkDeterminizeMatchesRef(t, p, Alphabet(alpha))
+		}
+	}
+}
+
+// minimizeRef is the Moore refinement Minimize replaced: each round keys a
+// fresh map by the little-endian bytes of every reachable state's (block,
+// successor blocks) signature. It is the reference the interning version
+// must reproduce exactly.
+func minimizeRef(d *DFA) *DFA {
+	nsym := len(d.alphabet)
+	ns := len(d.trans)
+	reach := make([]bool, ns)
+	queue := []int32{d.start}
+	reach[d.start] = true
+	for len(queue) > 0 {
+		s := queue[0]
+		queue = queue[1:]
+		for ai := 0; ai < nsym; ai++ {
+			t := d.trans[s][ai]
+			if !reach[t] {
+				reach[t] = true
+				queue = append(queue, t)
+			}
+		}
+	}
+	part := make([]int32, ns)
+	for i := range part {
+		if d.accept[i] {
+			part[i] = 1
+		}
+	}
+	numBlocks := int32(2)
+	buf := make([]byte, 0, (nsym+1)*4)
+	for {
+		next := make([]int32, ns)
+		index := map[string]int32{}
+		var blocks int32
+		for s := 0; s < ns; s++ {
+			if !reach[s] {
+				continue
+			}
+			buf = buf[:0]
+			p := part[s]
+			buf = append(buf, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
+			for ai := 0; ai < nsym; ai++ {
+				p = part[d.trans[s][ai]]
+				buf = append(buf, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
+			}
+			id, ok := index[string(buf)]
+			if !ok {
+				id = blocks
+				blocks++
+				index[string(buf)] = id
+			}
+			next[s] = id
+		}
+		if blocks == numBlocks {
+			part = next
+			break
+		}
+		part, numBlocks = next, blocks
+	}
+	out := &DFA{alphabet: d.alphabet, symIndex: d.symIndex}
+	out.trans = make([][]int32, numBlocks)
+	out.accept = make([]bool, numBlocks)
+	filled := make([]bool, numBlocks)
+	for s := 0; s < ns; s++ {
+		if !reach[s] {
+			continue
+		}
+		b := part[s]
+		if filled[b] {
+			continue
+		}
+		filled[b] = true
+		row := make([]int32, nsym)
+		for ai := 0; ai < nsym; ai++ {
+			row[ai] = part[d.trans[s][ai]]
+		}
+		out.trans[b] = row
+		out.accept[b] = d.accept[s]
+	}
+	out.start = part[d.start]
+	return out
+}
+
+// checkMinimizeMatchesRef determinizes pattern's NFA and fails unless
+// Minimize and minimizeRef return the same start state, accept flags and
+// transitions, on the automaton and on its complement. Patterns that do not
+// parse are skipped.
+func checkMinimizeMatchesRef(t *testing.T, pattern string, alpha Alphabet) {
+	t.Helper()
+	p := &parser{pat: pattern}
+	e, err := p.parseAlt()
+	if err != nil || p.pos != len(p.pat) {
+		return
+	}
+	d := determinize(buildNFA(e), alpha.clone())
+	flipped := &DFA{alphabet: d.alphabet, symIndex: d.symIndex, trans: d.trans, start: d.start, accept: make([]bool, len(d.accept))}
+	for i, a := range d.accept {
+		flipped.accept[i] = !a
+	}
+	for _, in := range []*DFA{d, flipped} {
+		got, want := in.Minimize(), minimizeRef(in)
+		if got.start != want.start || !reflect.DeepEqual(got.accept, want.accept) || !reflect.DeepEqual(got.trans, want.trans) {
+			t.Fatalf("Minimize(%q, complement %v) differs from the map-keyed refinement:\n got start %d accept %v trans %v\nwant start %d accept %v trans %v",
+				pattern, in == flipped, got.start, got.accept, got.trans, want.start, want.accept, want.trans)
+		}
+	}
+}
+
+func TestMinimizeMatchesRef(t *testing.T) {
+	for alpha, patterns := range refShapes() {
+		for _, p := range patterns {
+			checkMinimizeMatchesRef(t, p, Alphabet(alpha))
+		}
 	}
 }

@@ -18,7 +18,6 @@
 package rx
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -399,8 +398,7 @@ func MustCompile(pattern string, alpha Alphabet) *DFA {
 // determinize is the subset construction, run once per uncached pattern.
 // NFA state sets are bitsets of words 64-bit words and each NFA state's
 // ε-closure is computed once, so a successor set is a union of closures and
-// is interned by its words' little-endian bytes without sorting or per-set
-// maps.
+// is interned by its words without sorting or per-set maps.
 func determinize(n *nfa, alpha Alphabet) *DFA {
 	d := &DFA{alphabet: alpha}
 	for i := range d.symIndex {
@@ -431,20 +429,13 @@ func determinize(n *nfa, alpha Alphabet) *DFA {
 
 	var sets []uint64 // discovered subsets, stride words
 	var trans []int32 // flat, stride len(alpha)
-	index := map[string]int32{}
-	key := make([]byte, 8*words)
+	var index internTable[uint64]
 	mk := func(set []uint64) int32 {
-		for i, w := range set {
-			binary.LittleEndian.PutUint64(key[8*i:], w)
+		id, fresh := index.intern(&sets, set)
+		if fresh {
+			trans = append(trans, make([]int32, len(alpha))...)
+			d.accept = append(d.accept, set[n.accept/64]>>(n.accept%64)&1 == 1)
 		}
-		if id, ok := index[string(key)]; ok {
-			return id
-		}
-		id := int32(len(d.accept))
-		index[string(key)] = id
-		sets = append(sets, set...)
-		trans = append(trans, make([]int32, len(alpha))...)
-		d.accept = append(d.accept, set[n.accept/64]>>(n.accept%64)&1 == 1)
 		return id
 	}
 	d.start = mk(closure[n.start*words : (n.start+1)*words])
@@ -635,61 +626,55 @@ func (d *DFA) Minimize() *DFA {
 	}
 	numBlocks := int32(2)
 	// Each refinement round distinguishes states by (current block,
-	// successor blocks). The signature is raw little-endian bytes — this
-	// loop runs states × alphabet times per round, and building the key
-	// through fmt made minimization the hottest path in the serving daemon.
-	buf := make([]byte, 0, (nsym+1)*4)
+	// successor blocks): a round numbers the signatures of the reachable
+	// states in state order. The signatures, the next partition and the
+	// table are allocated once and reused by every round.
+	next := make([]int32, ns)
+	sig := make([]int32, nsym+1)
+	var sigs []int32 // this round's distinct signatures, stride nsym+1
+	var index internTable[int32]
 	for {
-		next := make([]int32, ns)
-		index := map[string]int32{}
-		var blocks int32
+		index.reset()
+		sigs = sigs[:0]
 		for s := 0; s < ns; s++ {
 			if !reach[s] {
 				continue
 			}
-			buf = buf[:0]
-			p := part[s]
-			buf = append(buf, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
-			for ai := 0; ai < nsym; ai++ {
-				p = part[d.trans[s][ai]]
-				buf = append(buf, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
+			sig[0] = part[s]
+			for ai, t := range d.trans[s] {
+				sig[1+ai] = part[t]
 			}
-			id, ok := index[string(buf)]
-			if !ok {
-				id = blocks
-				blocks++
-				index[string(buf)] = id
-			}
-			next[s] = id
+			next[s], _ = index.intern(&sigs, sig)
 		}
-		if blocks == numBlocks {
-			part = next
+		// Unreachable states keep stale blocks; no reachable state leads
+		// to one, so they are never read.
+		part, next = next, part
+		if index.n == numBlocks {
 			break
 		}
-		part, numBlocks = next, blocks
+		numBlocks = index.n
 	}
 	out := &DFA{alphabet: d.alphabet, symIndex: d.symIndex}
 	out.trans = make([][]int32, numBlocks)
 	out.accept = make([]bool, numBlocks)
-	filled := make([]bool, numBlocks)
+	rows := make([]int32, int(numBlocks)*nsym)
 	for s := 0; s < ns; s++ {
 		if !reach[s] {
 			continue
 		}
 		b := part[s]
-		if filled[b] {
+		if out.trans[b] != nil {
 			continue
 		}
-		filled[b] = true
-		row := make([]int32, nsym)
-		for ai := 0; ai < nsym; ai++ {
-			row[ai] = part[d.trans[s][ai]]
+		row := rows[int(b)*nsym : int(b+1)*nsym : int(b+1)*nsym]
+		for ai, t := range d.trans[s] {
+			row[ai] = part[t]
 		}
 		out.trans[b] = row
 		out.accept[b] = d.accept[s]
 	}
-	// Some block ids may be unused if numBlocks over-counts; compact is not
-	// needed because ids are assigned densely over reachable states.
+	// Block ids are assigned densely over reachable states, so every block
+	// has a row.
 	out.start = part[d.start]
 	return out
 }

@@ -1,7 +1,6 @@
 package rx
 
 import (
-	"encoding/binary"
 	"slices"
 	"sort"
 )
@@ -40,52 +39,48 @@ func NewSplit(universe *DFA, patterns []*DFA) *Split {
 	s := &Split{prod: DFA{alphabet: universe.alphabet, symIndex: universe.symIndex}}
 
 	// Product states are tuples (universe state, pattern states...), stored
-	// flat with stride width and interned by their little-endian bytes.
+	// flat with stride width and interned by the table; classes are
+	// interned by their acceptance bit vectors, stored flat with stride
+	// words.
 	var (
 		tuples []int32
 		trans  []int32 // flat, stride nsym
 		parent []int32 // BFS tree, for witnesses
 		via    []byte
 		first  []int32 // provisional class → first product state reached
+		vecs   []uint64
+		index  internTable[int32]
+		cindex internTable[uint64]
 	)
-	index := map[string]int32{}
-	classIndex := map[string]int32{}
-	key := make([]byte, 4*width)
-	vec := make([]byte, (len(patterns)+7)/8)
+	vec := make([]uint64, (len(patterns)+63)/64)
 	live := universe.live()
 	mk := func(t []int32, from int32, sym byte) int32 {
-		// Every tuple whose universe state is dead gets the key of all -1s
-		// and so interns as one sink state. The universe's successors of a
-		// dead state are dead too, so every transition out of the sink
-		// returns to it.
-		dead := !live[t[0]]
-		for i, q := range t {
-			if dead {
-				q = -1
+		// Every tuple whose universe state is dead is stored as all -1s and
+		// so interns as one sink state. The universe's successors of a dead
+		// state are dead too, so every transition out of the sink returns
+		// to it.
+		if !live[t[0]] {
+			for i := range t {
+				t[i] = -1
 			}
-			binary.LittleEndian.PutUint32(key[4*i:], uint32(q))
 		}
-		if id, ok := index[string(key)]; ok {
+		id, fresh := index.intern(&tuples, t)
+		if !fresh {
 			return id
 		}
-		id := int32(len(s.class))
-		index[string(key)] = id
-		tuples = append(tuples, t...)
 		trans = append(trans, make([]int32, nsym)...)
 		parent = append(parent, from)
 		via = append(via, sym)
 		c := int32(-1)
-		if universe.accept[t[0]] {
+		if t[0] >= 0 && universe.accept[t[0]] {
 			clear(vec)
 			for i, p := range patterns {
 				if p.accept[t[1+i]] {
-					vec[i/8] |= 1 << (i % 8)
+					vec[i/64] |= 1 << (i % 64)
 				}
 			}
-			var seen bool
-			if c, seen = classIndex[string(vec)]; !seen {
-				c = int32(len(first))
-				classIndex[string(vec)] = c
+			var newClass bool
+			if c, newClass = cindex.intern(&vecs, vec); newClass {
 				first = append(first, id)
 			}
 		}
@@ -100,6 +95,12 @@ func NewSplit(universe *DFA, patterns []*DFA) *Split {
 	}
 	s.prod.start = mk(t, -1, 0)
 	for q := int32(0); int(q) < len(s.class); q++ {
+		if tuples[int(q)*width] < 0 { // the sink
+			for ai := range nsym {
+				trans[int(q)*nsym+ai] = q
+			}
+			continue
+		}
 		for ai, b := range universe.alphabet {
 			cur := tuples[int(q)*width : int(q+1)*width]
 			t[0] = universe.trans[cur[0]][ai]
