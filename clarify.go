@@ -278,7 +278,11 @@ func (s *Session) Submit(ctx context.Context, intentText, targetName string) (re
 		if entry != nil {
 			root.Logf("reusing verified snippet for identical intent (0 LLM calls)")
 			root.SetBool("reused", true)
-			return s.insert(root, nil, cfg, entry, targetName, 0, routeOracle, aclOracle)
+			u, err := entry.kind.begin(s, entry.specJSON, cfg, targetName)
+			if err != nil {
+				return nil, err
+			}
+			return s.insert(root, u, entry, targetName, 0, routeOracle, aclOracle)
 		}
 	}
 	// Step 1: classification call.
@@ -386,21 +390,25 @@ type ruleKind struct {
 	// reference prefix, community and as-path lists; ACL snippets are not
 	// checked.
 	validate func(snippet *ios.Config) error
-	// packets marks a kind analysed in an ACL packet space: an update builds
-	// one and shares it between verification and disambiguation.
-	packets bool
-	// verifier parses the extracted spec and returns the check of one
-	// candidate snippet against it.
-	verifier func(s *Session, specJSON string) (verifyFunc, error)
-	// disambiguate runs §4's insertion in space, the update's packet space
-	// (nil for route maps, or to build a fresh one), and returns a result
-	// with the outcome field and Config set.
-	disambiguate func(s *Session, space *symbolic.ACLSpace, cfg, snippet *ios.Config, snippetList, target string, ro disambig.RouteOracle, ao disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error)
+	// begin parses the extracted spec and starts the update of target in
+	// cfg.
+	begin func(s *Session, specJSON string, cfg *ios.Config, target string) (kindUpdate, error)
 }
 
-// verifyFunc checks one candidate snippet against the extracted spec, in the
-// update's packet space for ACLs.
-type verifyFunc func(space *symbolic.ACLSpace, snippet *ios.Config, name string, sp *obs.Span) ([]spec.Violation, error)
+// kindUpdate is one update of a rule kind: its spec, and the one symbolic
+// space its verification and disambiguation share.
+type kindUpdate interface {
+	// verify checks one candidate snippet against the spec. Its errors end
+	// the update as they are.
+	verify(snippet *ios.Config, name string, sp *obs.Span) ([]spec.Violation, error)
+	// disambiguate runs §4's insertion of the snippet that passed verify,
+	// or of a reused one, or of one accepted with verification skipped, and
+	// returns a result with the outcome field and Config set.
+	disambiguate(snippet *ios.Config, name string, ro disambig.RouteOracle, ao disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error)
+}
+
+// verificationError wraps an error of the spec check.
+func verificationError(err error) error { return fmt.Errorf("clarify: verification: %w", err) }
 
 var routeMapKind = ruleKind{
 	kind:      intent.KindRouteMap,
@@ -415,22 +423,77 @@ var routeMapKind = ruleKind{
 		return 0, "", 0
 	},
 	validate: (*ios.Config).Validate,
-	verifier: func(s *Session, specJSON string) (verifyFunc, error) {
+	begin: func(s *Session, specJSON string, cfg *ios.Config, target string) (kindUpdate, error) {
 		rs, err := spec.ParseRouteMapSpec([]byte(specJSON))
 		if err != nil {
 			return nil, err
 		}
-		return func(_ *symbolic.ACLSpace, snippet *ios.Config, name string, sp *obs.Span) ([]spec.Violation, error) {
-			return spec.VerifyRouteMapSnippetTraced(s.SpaceCache, snippet, name, rs, sp)
-		}, nil
+		return &routeUpdate{s: s, spec: rs, cfg: cfg, target: target}, nil
 	},
-	disambiguate: func(s *Session, _ *symbolic.ACLSpace, cfg, snippet *ios.Config, snippetList, target string, ro disambig.RouteOracle, _ disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error) {
-		res, err := disambig.InsertRouteMapStanzaStrategyTraced(s.Strategy, s.SpaceCache, cfg, target, snippet, snippetList, ro, sp)
+}
+
+// routeUpdate checks out one route space per attempt that reaches
+// verification: disambiguation's universe over cfg with the snippet merged
+// in, plus the spec's config appended last. A passing snippet's spec
+// patterns accept the same routes as its own, so they split no atom and,
+// coming last, reorder none: disambiguation probes in that space exactly as
+// in one built without them, and releases it before its first question.
+type routeUpdate struct {
+	s      *Session
+	spec   *spec.RouteMapSpec
+	cfg    *ios.Config
+	target string
+	// in is the passing attempt's insertion, holding its space.
+	in *disambig.RouteInsertion
+}
+
+func (u *routeUpdate) verify(snippet *ios.Config, name string, sp *obs.Span) ([]spec.Violation, error) {
+	// Merging the snippet fails as disambiguation reports it: a missing
+	// target map ends the update with disambiguation's error.
+	in, err := disambig.PrepareRouteMapStanza(u.s.SpaceCache, u.cfg, u.target, snippet, name)
+	if err != nil {
+		return nil, err
+	}
+	violations, err := spec.VerifyRouteMapSnippetIn(func(specCfg *ios.Config) (*symbolic.RouteSpace, error) {
+		return in.Acquire(specCfg)
+	}, snippet, name, u.spec, sp)
+	if err != nil || len(violations) > 0 {
+		in.Release()
 		if err != nil {
+			return nil, verificationError(err)
+		}
+		return violations, nil
+	}
+	u.in = in
+	return nil, nil
+}
+
+func (u *routeUpdate) disambiguate(snippet *ios.Config, name string, ro disambig.RouteOracle, _ disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error) {
+	in := u.in
+	if in == nil {
+		// A reused snippet, or one accepted with verification skipped. A
+		// reused one passed verification when it was cached, so its space
+		// includes the spec's config as that update's did, and is found in
+		// the cache.
+		var err error
+		if in, err = disambig.PrepareRouteMapStanza(u.s.SpaceCache, u.cfg, u.target, snippet, name); err != nil {
 			return nil, err
 		}
-		return &UpdateResult{RouteInsert: res, Config: res.Config}, nil
-	},
+		if !u.s.SkipVerification {
+			specCfg, err := u.spec.VerificationConfig()
+			if err == nil {
+				_, err = in.Acquire(specCfg)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	res, err := in.Insert(u.s.Strategy, ro, sp)
+	if err != nil {
+		return nil, err
+	}
+	return &UpdateResult{RouteInsert: res, Config: res.Config}, nil
 }
 
 var aclKind = ruleKind{
@@ -446,23 +509,38 @@ var aclKind = ruleKind{
 		return 0, "", 0
 	},
 	validate: func(*ios.Config) error { return nil },
-	packets:  true,
-	verifier: func(_ *Session, specJSON string) (verifyFunc, error) {
+	begin: func(_ *Session, specJSON string, cfg *ios.Config, target string) (kindUpdate, error) {
 		as, err := spec.ParseACLSpec([]byte(specJSON))
 		if err != nil {
 			return nil, err
 		}
-		return func(space *symbolic.ACLSpace, snippet *ios.Config, name string, sp *obs.Span) ([]spec.Violation, error) {
-			return spec.VerifyACLSnippetTraced(space, snippet, name, as, sp)
-		}, nil
+		return &aclUpdate{spec: as, cfg: cfg, target: target, space: symbolic.NewACLSpace()}, nil
 	},
-	disambiguate: func(_ *Session, space *symbolic.ACLSpace, cfg, snippet *ios.Config, snippetList, target string, _ disambig.RouteOracle, ao disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error) {
-		res, err := disambig.InsertACLEntryTraced(space, cfg, target, snippet, snippetList, ao, sp)
-		if err != nil {
-			return nil, err
-		}
-		return &UpdateResult{ACLInsert: res, Config: res.Config}, nil
-	},
+}
+
+// aclUpdate builds one packet space for the update and shares it between
+// verification and disambiguation.
+type aclUpdate struct {
+	spec   *spec.ACLSpec
+	cfg    *ios.Config
+	target string
+	space  *symbolic.ACLSpace
+}
+
+func (u *aclUpdate) verify(snippet *ios.Config, name string, sp *obs.Span) ([]spec.Violation, error) {
+	violations, err := spec.VerifyACLSnippetTraced(u.space, snippet, name, u.spec, sp)
+	if err != nil {
+		return nil, verificationError(err)
+	}
+	return violations, nil
+}
+
+func (u *aclUpdate) disambiguate(snippet *ios.Config, name string, _ disambig.RouteOracle, ao disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error) {
+	res, err := disambig.InsertACLEntryTraced(u.space, u.cfg, u.target, snippet, name, ao, sp)
+	if err != nil {
+		return nil, err
+	}
+	return &UpdateResult{ACLInsert: res, Config: res.Config}, nil
 }
 
 // sole names the snippet's one list of this kind, which must hold exactly
@@ -495,15 +573,11 @@ func (s *Session) submit(ctx context.Context, root *obs.Span, cfg *ios.Config, k
 	if err != nil {
 		return nil, fmt.Errorf("clarify: spec extraction: %w", err)
 	}
-	verify, err := k.verifier(s, specResp.Content)
+	u, err := k.begin(s, specResp.Content, cfg, target)
 	if err != nil {
 		return nil, fmt.Errorf("clarify: spec extraction produced invalid JSON: %w", err)
 	}
 
-	var space *symbolic.ACLSpace
-	if k.packets {
-		space = symbolic.NewACLSpace()
-	}
 	turns := []llm.Message{{Role: llm.RoleUser, Content: intentText}}
 	var snippet *ios.Config
 	var snippetList, snippetText string
@@ -548,11 +622,11 @@ func (s *Session) submit(ctx context.Context, root *obs.Span, cfg *ios.Config, k
 			feedback = fmt.Sprintf("The previous output references undefined data structures: %v.", err3)
 		} else if !s.SkipVerification {
 			vsp := asp.Child("verify")
-			violations, err4 := verify(space, parsed, name, vsp)
+			violations, err4 := u.verify(parsed, name, vsp)
 			if err4 != nil {
 				vsp.End()
 				asp.End()
-				return nil, fmt.Errorf("clarify: verification: %w", err4)
+				return nil, err4
 			}
 			vsp.SetInt("violations", int64(len(violations)))
 			vsp.End()
@@ -590,15 +664,14 @@ func (s *Session) submit(ctx context.Context, root *obs.Span, cfg *ios.Config, k
 		s.mu.Unlock()
 	}
 	root.SetInt("attempts", int64(attempts))
-	return s.insert(root, space, cfg, &v, target, attempts, ro, ao)
+	return s.insert(root, u, &v, target, attempts, ro, ao)
 }
 
 // insert is step 6: disambiguation and insertion of an already-verified
-// snippet into the cfg snapshot, in the update's packet space (nil builds a
-// fresh one for ACLs).
-func (s *Session) insert(root *obs.Span, space *symbolic.ACLSpace, cfg *ios.Config, v *reuseEntry, target string, attempts int, ro disambig.RouteOracle, ao disambig.ACLOracle) (*UpdateResult, error) {
+// snippet into the configuration snapshot u was started on.
+func (s *Session) insert(root *obs.Span, u kindUpdate, v *reuseEntry, target string, attempts int, ro disambig.RouteOracle, ao disambig.ACLOracle) (*UpdateResult, error) {
 	dsp := root.Child("disambiguate")
-	res, err := v.kind.disambiguate(s, space, cfg, v.snippet, v.name, target, ro, ao, dsp)
+	res, err := u.disambiguate(v.snippet, v.name, ro, ao, dsp)
 	if err != nil {
 		dsp.End()
 		return nil, err

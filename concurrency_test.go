@@ -125,7 +125,8 @@ func TestClassifierGarbage(t *testing.T) {
 
 // TestCachedSessionMatchesUncached: the same walkthrough with and without a
 // SpaceCache must yield semantically identical configurations and identical
-// question counts.
+// question counts. The update verifies and disambiguates in one space: the
+// warm run builds it (one miss) and the cached run finds it (one hit).
 func TestCachedSessionMatchesUncached(t *testing.T) {
 	run := func(cache *symbolic.SpaceCache) *UpdateResult {
 		t.Helper()
@@ -139,10 +140,13 @@ func TestCachedSessionMatchesUncached(t *testing.T) {
 	}
 	plain := run(nil)
 	cache := symbolic.NewSpaceCache()
-	warm := run(cache)   // populates
+	warm := run(cache) // populates
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Errorf("warm run: %+v, want 0 hits and 1 miss", st)
+	}
 	cached := run(cache) // hits
-	if st := cache.Stats(); st.Hits == 0 {
-		t.Errorf("second cached run produced no hits: %+v", st)
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("cached run: %+v, want 1 hit and no further miss", st)
 	}
 	for _, res := range []*UpdateResult{warm, cached} {
 		if res.RouteInsert.Position != plain.RouteInsert.Position {

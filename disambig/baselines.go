@@ -56,10 +56,11 @@ func InsertRouteMapStanzaStrategyCached(strategy Strategy, cache *symbolic.Space
 // overlap analysis, one "question-wait" child span per oracle round trip,
 // and an "insert" child span for the final placement.
 func InsertRouteMapStanzaStrategyTraced(strategy Strategy, cache *symbolic.SpaceCache, orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle, sp *obs.Span) (*RouteResult, error) {
-	if strategy == StrategyTopBottom {
-		return insertTopBottom(cache, sp, orig, mapName, snippet, snippetMap, oracle)
+	in, err := PrepareRouteMapStanza(cache, orig, mapName, snippet, snippetMap)
+	if err != nil {
+		return nil, err
 	}
-	return insertWithSearch(cache, sp, orig, mapName, snippet, snippetMap, oracle, strategy)
+	return in.Insert(strategy, oracle, sp)
 }
 
 // searchGap is the §4 gap search shared by route maps, ACLs and the list
@@ -166,40 +167,42 @@ func startMeter[Q any](sp *obs.Span, pool *bdd.Pool, kind string, strategy Strat
 // question. When the candidates differ on inputs the user assigns to
 // *neither* extreme consistently, the restriction simply cannot express the
 // intent — exactly the limitation §7 lists as future work.
-func insertTopBottom(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle) (*RouteResult, error) {
-	prep, err := prepare(orig, mapName, snippet, snippetMap)
-	if err != nil {
-		return nil, err
-	}
-	work, rm, newStanza := prep.work, prep.rm, prep.stanza
+func (in *RouteInsertion) insertTopBottom(sp *obs.Span, oracle RouteOracle) (*RouteResult, error) {
+	work, rm, newStanza, mapName := in.work, in.rm, in.stanza, in.mapName
 
 	// When tracing is on, measure the same distinguishing regions the gap
 	// searches use, so the ledger compares strategies on equal terms.
 	var meter *ambiguity.Meter
 	var probes []probe[RouteQuestion]
 	if sp != nil {
-		probes, meter, err = collectProbesMetered(cache, sp, work, rm, newStanza, StrategyTopBottom)
-		if err != nil {
+		var err error
+		if probes, meter, err = in.probes(sp, StrategyTopBottom); err != nil {
 			return nil, err
 		}
 	}
+	// The comparison runs in a space of its own; give back one verification
+	// left held.
+	in.Release()
 
 	top := work.Clone()
 	top.RouteMaps[mapName].InsertStanza(0, newStanza.Clone())
 	bottom := work.Clone()
 	bottom.RouteMaps[mapName].InsertStanza(len(rm.Stanzas), newStanza.Clone())
 
-	space, err := cache.Acquire(top, bottom)
+	space, err := in.cache.Acquire(top, bottom)
 	if err != nil {
 		return nil, err
 	}
-	defer cache.Release(space)
-	defer space.ObserveInto(sp, space.Pool.Counters())
+	before := space.Pool.Counters()
 	diffs, err := analysis.CompareRouteMaps(space, top, top.RouteMaps[mapName], bottom, bottom.RouteMaps[mapName], 1)
+	// Give the space back before the question, as the gap searches do.
+	automata := space.Automata()
+	space.ObserveInto(sp, before)
+	in.cache.Release(space)
 	if err != nil {
 		return nil, err
 	}
-	result := &RouteResult{Renames: prep.renames}
+	result := &RouteResult{Renames: in.renames}
 	if len(diffs) == 0 {
 		// Equivalent: place at the bottom. The equivalence proof resolves
 		// the whole candidate space without a question.
@@ -227,7 +230,7 @@ func insertTopBottom(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config,
 		// by the prototype's top-or-bottom restriction, not resolved — they
 		// stay on the ledger as residual ambiguity, the measured signature
 		// of the §7 limitation.
-		ev := policy.NewEvaluatorWith(work, space.Automata())
+		ev := policy.NewEvaluatorWith(work, automata)
 		v, everr := ev.EvalRouteMap(rm, d.Input)
 		if everr != nil {
 			return nil, everr
@@ -271,16 +274,28 @@ type probe[Q any] struct {
 	region   bdd.Node
 }
 
-type prepared struct {
+// RouteInsertion is one route-map insertion made ready for §4 placement:
+// the snippet's lists merged into a copy of the configuration under fresh
+// names, the detached new stanza, and the symbolic space the placement
+// probes in once it is checked out. An update verifies its snippet in that
+// same space (Acquire with the spec's config), so it builds one universe,
+// not two.
+type RouteInsertion struct {
 	work    *ios.Config
+	mapName string
 	rm      *ios.RouteMap
 	stanza  *ios.Stanza
 	renames map[string]string
+
+	cache *symbolic.SpaceCache
+	space *symbolic.RouteSpace // checked out from cache; nil when not held
 }
 
-// prepare clones, renames and merges the snippet — the common preamble of
-// every insertion strategy.
-func prepare(orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string) (*prepared, error) {
+// PrepareRouteMapStanza merges snippet's lists into a copy of orig under
+// fresh names and detaches snippetMap's one stanza for insertion into
+// mapName, drawing symbolic spaces from cache (which may be nil). orig is
+// not mutated.
+func PrepareRouteMapStanza(cache *symbolic.SpaceCache, orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string) (*RouteInsertion, error) {
 	if _, ok := orig.RouteMaps[mapName]; !ok {
 		return nil, fmt.Errorf("disambig: route-map %q not in configuration", mapName)
 	}
@@ -306,18 +321,42 @@ func prepare(orig *ios.Config, mapName string, snippet *ios.Config, snippetMap s
 	if err := work.Merge(snip); err != nil {
 		return nil, fmt.Errorf("disambig: merging snippet lists: %w", err)
 	}
-	return &prepared{work: work, rm: work.RouteMaps[mapName], stanza: stanza, renames: renames}, nil
+	return &RouteInsertion{work: work, mapName: mapName, rm: work.RouteMaps[mapName], stanza: stanza, renames: renames, cache: cache}, nil
 }
 
-// insertWithSearch is the gap-search flow for StrategyBinary and
-// StrategyLinear.
-func insertWithSearch(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, oracle RouteOracle, strategy Strategy) (*RouteResult, error) {
-	prep, err := prepare(orig, mapName, snippet, snippetMap)
+// Acquire checks out the insertion's space: one universe over the merged
+// configuration, the new stanza and extra, appended last in that order. The
+// placement probes in it and releases it before its first question, so the
+// caller may use it until then (a Figure 1 update verifies the snippet in
+// it, with the spec's config as extra). Patterns in extra that split no
+// atom leave every atom, witness and question as they are without extra.
+func (in *RouteInsertion) Acquire(extra ...*ios.Config) (*symbolic.RouteSpace, error) {
+	cfgs := append([]*ios.Config{in.work, newStanzaWrapper(in.stanza)}, extra...)
+	space, err := in.cache.Acquire(cfgs...)
 	if err != nil {
 		return nil, err
 	}
-	work, rm, newStanza := prep.work, prep.rm, prep.stanza
-	probes, meter, err := collectProbesMetered(cache, sp, work, rm, newStanza, strategy)
+	in.space = space
+	return space, nil
+}
+
+// Release gives a held space back to the cache. Safe to call when none is
+// held.
+func (in *RouteInsertion) Release() {
+	in.cache.Release(in.space)
+	in.space = nil
+}
+
+// Insert places the new stanza with strategy, asking oracle, and records
+// the disambiguation workload under sp (which may be nil). It probes in the
+// held space, or checks one out with no extra configs, and releases it
+// before the first question. It inserts into the insertion's copy of the
+// configuration, so an insertion is placed once.
+func (in *RouteInsertion) Insert(strategy Strategy, oracle RouteOracle, sp *obs.Span) (*RouteResult, error) {
+	if strategy == StrategyTopBottom {
+		return in.insertTopBottom(sp, oracle)
+	}
+	probes, meter, err := in.probes(sp, strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -326,15 +365,15 @@ func insertWithSearch(cache *symbolic.SpaceCache, sp *obs.Span, orig *ios.Config
 		return nil, err
 	}
 	insSp := sp.Child("insert")
-	rm.InsertStanza(pl.pos, newStanza)
-	if err := work.Validate(); err != nil {
+	in.rm.InsertStanza(pl.pos, in.stanza)
+	if err := in.work.Validate(); err != nil {
 		insSp.End()
 		return nil, fmt.Errorf("disambig: post-insertion validation: %w", err)
 	}
 	insSp.SetInt("position", int64(pl.pos))
 	insSp.End()
-	return &RouteResult{Config: work, Position: pl.pos, Questions: pl.questions, Overlaps: pl.overlaps,
-		Renames: prep.renames, Ambiguity: pl.ledger}, nil
+	return &RouteResult{Config: in.work, Position: pl.pos, Questions: pl.questions, Overlaps: pl.overlaps,
+		Renames: in.renames, Ambiguity: pl.ledger}, nil
 }
 
 // newStanzaWrapper wraps the detached new stanza in a throwaway config so
@@ -346,20 +385,23 @@ func newStanzaWrapper(newStanza *ios.Stanza) *ios.Config {
 	return wrapper
 }
 
-// collectProbesMetered acquires the symbolic space, collects the probes,
-// and — when tracing is on — builds the ambiguity meter over their
-// distinguishing regions before the space is released. The meter counts
-// every region up front, so nothing touches the pool after release (the
-// search may park on oracle questions for minutes).
-func collectProbesMetered(cache *symbolic.SpaceCache, sp *obs.Span, work *ios.Config, rm *ios.RouteMap, newStanza *ios.Stanza, strategy Strategy) ([]probe[RouteQuestion], *ambiguity.Meter, error) {
-	space, err := cache.Acquire(work, newStanzaWrapper(newStanza))
-	if err != nil {
-		return nil, nil, err
+// probes collects the probes in the insertion's space (checked out here
+// when none is held) and — when tracing is on — builds the ambiguity meter
+// over their distinguishing regions, then releases the space. The meter
+// counts every region up front, so nothing touches the pool after release
+// (the search may park on oracle questions for minutes).
+func (in *RouteInsertion) probes(sp *obs.Span, strategy Strategy) ([]probe[RouteQuestion], *ambiguity.Meter, error) {
+	space := in.space
+	if space == nil {
+		var err error
+		if space, err = in.Acquire(); err != nil {
+			return nil, nil, err
+		}
 	}
 	before := space.Pool.Counters()
-	defer cache.Release(space)
+	defer in.Release()
 	defer func() { space.ObserveInto(sp, before) }()
-	probes, err := collectProbes(space, work, rm, newStanza)
+	probes, err := collectProbes(space, in.work, in.rm, in.stanza)
 	if err != nil {
 		return nil, nil, err
 	}

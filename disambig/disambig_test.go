@@ -191,7 +191,7 @@ func figureWith(t *testing.T, orig *ios.Config, snippet *ios.Config, pos int) *i
 	for n := range snippet.RouteMaps {
 		name = n
 	}
-	prep, err := prepare(orig, "ISP_OUT", snippet, name)
+	prep, err := PrepareRouteMapStanza(nil, orig, "ISP_OUT", snippet, name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func extractSnippet(cfg *ios.Config) *ios.Config {
 // figureWithName is figureWith for arbitrary map names.
 func figureWithName(t *testing.T, orig *ios.Config, mapName string, snippet *ios.Config, snippetMap string, pos int) *ios.Config {
 	t.Helper()
-	prep, err := prepare(orig, mapName, snippet, snippetMap)
+	prep, err := PrepareRouteMapStanza(nil, orig, mapName, snippet, snippetMap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestRouteProbesMatchReference(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		orig := testgen.Config(rng, "RM", 1+rng.Intn(8))
 		snippet := testgen.Config(rng, "NEW", 1)
-		prep, err := prepare(orig, "RM", snippet, "NEW")
+		prep, err := PrepareRouteMapStanza(nil, orig, "RM", snippet, "NEW")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestProbeRegionsMeter(t *testing.T) {
 		if trial%3 == 0 {
 			testgen.AddTransit(rng, orig, "RM", 1+rng.Intn(3))
 		}
-		prep, err := prepare(orig, "RM", testgen.Config(rng, "NEW", 1), "NEW")
+		prep, err := PrepareRouteMapStanza(nil, orig, "RM", testgen.Config(rng, "NEW", 1), "NEW")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"github.com/clarifynet/clarify/disambig"
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/llm"
+	"github.com/clarifynet/clarify/symbolic"
 )
 
 func TestReuseSkipsLLMCalls(t *testing.T) {
@@ -92,5 +93,38 @@ route-map CONFLICT deny 10
 	}
 	if questions <= q1 {
 		t.Error("reused insertion into a conflicting map should still ask")
+	}
+}
+
+// TestReuseHitsCachedSpace: a reused route-map intent checks out its space
+// with the spec's config, as the update that verified the snippet did, so
+// against the same configuration it finds that update's space in the cache.
+func TestReuseHitsCachedSpace(t *testing.T) {
+	cache := symbolic.NewSpaceCache()
+	s := newPaperSession(t, llm.NewSimLLM())
+	s.SpaceCache = cache
+	s.EnableReuse = true
+	base := s.CurrentConfig()
+	first, err := s.Submit(context.Background(), paperPrompt, "ISP_OUT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("first run: %+v, want 0 hits and 1 miss", st)
+	}
+	s.Config = base
+	reused, err := s.Submit(context.Background(), paperPrompt, "ISP_OUT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().LLMCalls; got != 3 {
+		t.Errorf("%d LLM calls, want the first run's 3 only", got)
+	}
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("reused run: %+v, want 1 hit and no further miss", st)
+	}
+	if reused.RouteInsert.Position != first.RouteInsert.Position || len(reused.RouteInsert.Questions) != len(first.RouteInsert.Questions) {
+		t.Errorf("reused run placed at %d after %d questions, first at %d after %d",
+			reused.RouteInsert.Position, len(reused.RouteInsert.Questions), first.RouteInsert.Position, len(first.RouteInsert.Questions))
 	}
 }

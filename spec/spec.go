@@ -172,6 +172,17 @@ func (s *RouteMapSpec) ToConfig(prefix string) (*ios.Config, *ios.RouteMap, erro
 	return cfg, rm, nil
 }
 
+// verifyPrefix prefixes the names route-map verification renders a spec
+// under.
+const verifyPrefix = "SPEC"
+
+// VerificationConfig is s rendered as route-map verification renders it:
+// the config whose patterns a verification space covers.
+func (s *RouteMapSpec) VerificationConfig() (*ios.Config, error) {
+	cfg, _, err := s.ToConfig(verifyPrefix)
+	return cfg, err
+}
+
 func (s SetSpec) clauses() []ios.SetClause {
 	var out []ios.SetClause
 	if s.Metric != nil {
@@ -242,8 +253,7 @@ func VerifyRouteMapSnippet(snippet *ios.Config, mapName string, s *RouteMapSpec)
 
 // VerifyRouteMapSnippetCached is VerifyRouteMapSnippet drawing its symbolic
 // universe from cache (which may be nil). Repeated verifications whose
-// snippet + spec regexes are unchanged — every synthesis retry, and every
-// re-verification of a reused intent — hit the cache and skip universe
+// snippet + spec regexes are unchanged hit the cache and skip universe
 // construction entirely.
 func VerifyRouteMapSnippetCached(cache *symbolic.SpaceCache, snippet *ios.Config, mapName string, s *RouteMapSpec) ([]Violation, error) {
 	return VerifyRouteMapSnippetTraced(cache, snippet, mapName, s, nil)
@@ -252,6 +262,24 @@ func VerifyRouteMapSnippetCached(cache *symbolic.SpaceCache, snippet *ios.Config
 // VerifyRouteMapSnippetTraced is VerifyRouteMapSnippetCached annotating sp
 // (which may be nil) with the BDD workload the verification performed.
 func VerifyRouteMapSnippetTraced(cache *symbolic.SpaceCache, snippet *ios.Config, mapName string, s *RouteMapSpec, sp *obs.Span) ([]Violation, error) {
+	var space *symbolic.RouteSpace
+	// Runs after the verification has annotated sp: once the space is filed
+	// back, a concurrent acquirer may advance its counters.
+	defer func() { cache.Release(space) }()
+	return VerifyRouteMapSnippetIn(func(specCfg *ios.Config) (*symbolic.RouteSpace, error) {
+		var err error
+		space, err = cache.Acquire(snippet, specCfg)
+		return space, err
+	}, snippet, mapName, s, sp)
+}
+
+// VerifyRouteMapSnippetIn is VerifyRouteMapSnippetTraced working in the
+// space acquire checks out for specCfg, the spec rendered as a throwaway
+// config (ToConfig). The space must cover the patterns of snippet and
+// specCfg; the caller keeps it and releases it. Figure 1's loop passes a
+// space that also holds the configuration the snippet will be inserted
+// into, so verification and disambiguation share one universe.
+func VerifyRouteMapSnippetIn(acquire func(specCfg *ios.Config) (*symbolic.RouteSpace, error), snippet *ios.Config, mapName string, s *RouteMapSpec, sp *obs.Span) ([]Violation, error) {
 	rm, ok := snippet.RouteMaps[mapName]
 	if !ok {
 		return nil, fmt.Errorf("spec: snippet lacks route-map %q", mapName)
@@ -259,17 +287,14 @@ func VerifyRouteMapSnippetTraced(cache *symbolic.SpaceCache, snippet *ios.Config
 	if len(rm.Stanzas) != 1 {
 		return []Violation{{Kind: WrongAction, Details: fmt.Sprintf("snippet has %d stanzas, want exactly 1", len(rm.Stanzas))}}, nil
 	}
-	specCfg, specRM, err := s.ToConfig("SPEC")
+	specCfg, specRM, err := s.ToConfig(verifyPrefix)
 	if err != nil {
 		return nil, err
 	}
-	space, err := cache.Acquire(snippet, specCfg)
+	space, err := acquire(specCfg)
 	if err != nil {
 		return nil, err
 	}
-	// Annotate before Release files the space back: a concurrent acquirer
-	// may advance its counters afterwards (defers run LIFO).
-	defer cache.Release(space)
 	defer space.ObserveInto(sp, space.Pool.Counters())
 	p := space.Pool
 	actualSt := rm.Stanzas[0]
