@@ -76,10 +76,10 @@ type SpaceCacheStats struct {
 //
 // Reuse is the point: a released space keeps its hash-consed node table and
 // ITE cache, so repeated analyses over the same pattern universe (the
-// daemon's steady state — every verification of a snippet against the same
-// spec, every re-disambiguation of an unchanged config) skip both the
-// regex→DFA→atomic-predicate construction and the re-derivation of BDD
-// nodes.
+// daemon's steady state — every route-map update of an unchanged config
+// with the same intent, which verifies its snippet and disambiguates in one
+// space) skip both the regex→DFA→atomic-predicate construction and the
+// re-derivation of BDD nodes.
 //
 // The cache also owns one ciscorx.Memo, through which every space it builds
 // compiles its regexes. A miss whose fingerprint is new still shares most
