@@ -7,7 +7,6 @@
 //	             [-rate 20] [-max-updates 100] [-acl-fraction 0.25]
 //	             [-corpus cloud] [-seed 1] [-failover] [-out report.json]
 //	             [-rolling url=pidfile,url=pidfile]
-//	             [-tenants victim:4,noisy:mallory:8]
 //
 // -addr may point at a single clarifyd or at a clarify-lb fronting several;
 // with -failover the run survives losing a replica mid-run (sessions are
@@ -20,16 +19,9 @@
 // the handoff — same session ID, same in-flight update, same parked
 // question on whichever replica the session lands on.
 //
-// With -tenants the run is a multi-tenant mix: each entry contributes its
-// own workers submitting under its X-Clarify-Tenant header. Entries with a
-// noisy: prefix are noisy-neighbor aggressors: their workers count 429
-// admission sheds instead of retrying them, and their outcomes are excluded
-// from the run's verdict — the SLO bar belongs to the victim tenants.
-//
 // Exit status is 0 when the run completed and every client-side SLO window
 // is quiet, 1 when any burn-rate alert is firing — or, under -rolling, when
-// any session was lost, any update failed, or any replica failed to cycle —
-// or, under -tenants, when any non-noisy tenant's SLO verdict is not green.
+// any session was lost, any update failed, or any replica failed to cycle.
 // 2 on operational errors.
 package main
 
@@ -40,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"time"
 
 	"github.com/clarifynet/clarify/loadgen"
@@ -60,7 +51,6 @@ func main() {
 	flag.DurationVar(&cfg.UpdateTimeout, "update-timeout", 60*time.Second, "per-update timeout")
 	flag.BoolVar(&cfg.Failover, "failover", false, "survive replica loss behind clarify-lb: re-create the session elsewhere and retry the intent")
 	rollingSpec := flag.String("rolling", "", "rolling-restart drill: comma-separated url=pidfile replicas to SIGTERM in turn; sessions must survive the handoffs")
-	tenantSpec := flag.String("tenants", "", "multi-tenant mix: comma-separated [noisy:]name:workers[:rate], e.g. \"victim:4,noisy:mallory:8\"; noisy tenants count 429 sheds and are excluded from the verdict")
 	sloWindows := flag.String("slo-windows", "", "client-side alert windows long:short:burn:severity,... (default package windows)")
 	outPath := flag.String("out", "", "write the JSON report here instead of stdout")
 	quiet := flag.Bool("quiet", false, "suppress the summary line on stderr")
@@ -73,15 +63,6 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.Rolling = targets
-	}
-
-	if *tenantSpec != "" {
-		mixes, err := loadgen.ParseTenants(*tenantSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "clarify-load: -tenants:", err)
-			os.Exit(2)
-		}
-		cfg.Tenants = mixes
 	}
 
 	if *sloWindows != "" {
@@ -125,16 +106,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "clarify-load: rolling drill: %d/%d replicas cycled, %d session(s) lost\n",
 				rep.Restarts, len(cfg.Rolling), rep.LostSessions)
 		}
-		for _, name := range sortedTenantNames(rep.Tenants) {
-			tr := rep.Tenants[name]
-			kind := "tenant"
-			if tr.Noisy {
-				kind = "noisy tenant"
-			}
-			fmt.Fprintf(os.Stderr,
-				"clarify-load: %s %s: %d updates (%d failed), %d sheds, p99 %.0fms, %.2f bits/question, verdict %s\n",
-				kind, name, tr.Updates, tr.Failures, tr.Sheds, tr.Latency.P99Ms, tr.BitsPerQuestion, tr.Verdict)
-		}
 		if rep.ClientSLO.Firing() {
 			fmt.Fprintln(os.Stderr, "clarify-load: client-side SLO burn-rate alert FIRING")
 		}
@@ -164,21 +135,4 @@ func main() {
 	if len(cfg.Rolling) > 0 && (rep.LostSessions > 0 || rep.Restarts != len(cfg.Rolling) || rep.Failures > 0) {
 		os.Exit(1)
 	}
-	// A multi-tenant run fails if any victim tenant's SLO is firing; the
-	// noisy tenants' verdicts are informational.
-	for _, tr := range rep.Tenants {
-		if !tr.Noisy && tr.Verdict != "green" {
-			os.Exit(1)
-		}
-	}
-}
-
-// sortedTenantNames orders the per-tenant summary lines deterministically.
-func sortedTenantNames(m map[string]*loadgen.TenantReport) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -32,7 +32,6 @@
 //	GET    /debug/traces                    recent pipeline traces (?kept=1 for
 //	                                        the tail-retention ring)
 //	GET    /debug/traces/{id}               one trace's full span tree
-//	GET    /debug/incidents                 profile-on-fire capture index
 //	GET    /debug/pprof/...                 Go profiler (with -pprof)
 //
 // Logs are structured (log/slog), text by default; -log-format json switches
@@ -64,14 +63,12 @@ import (
 	"time"
 
 	"github.com/clarifynet/clarify/chaoshttp"
-	"github.com/clarifynet/clarify/incident"
 	"github.com/clarifynet/clarify/journal"
 	"github.com/clarifynet/clarify/llm"
 	"github.com/clarifynet/clarify/resilience"
 	"github.com/clarifynet/clarify/server"
 	"github.com/clarifynet/clarify/slo"
 	"github.com/clarifynet/clarify/snapshot"
-	"github.com/clarifynet/clarify/tenant"
 )
 
 // daemonConfig collects every flag so run() stays testable and the flag list
@@ -105,10 +102,6 @@ type daemonConfig struct {
 	pprofOn   bool
 	quiet     bool
 
-	incidentDir      string
-	incidentCooldown time.Duration
-	incidentCPU      time.Duration
-
 	journalDir      string
 	journalMaxBytes int64
 	journalSegments int
@@ -121,11 +114,6 @@ type daemonConfig struct {
 	snapshotDir string
 	handoffPeer string
 	pidFile     string
-
-	tenantSpec    string
-	tenantDefault string
-	shedTarget    time.Duration
-	shedInterval  time.Duration
 }
 
 func main() {
@@ -151,17 +139,10 @@ func main() {
 	flag.IntVar(&cfg.traceBuf, "trace-buffer", server.DefaultTraceBufferSize, "recent traces retained for /debug/traces")
 	flag.IntVar(&cfg.traceKeep, "trace-keep", server.DefaultTraceKeepSize, "evicted error/degraded/slow traces kept by tail retention (negative disables)")
 	flag.BoolVar(&cfg.exemplars, "exemplars", false, "attach trace-ID exemplars to OpenMetrics histograms (/metrics?format=openmetrics)")
-	flag.StringVar(&cfg.incidentDir, "incident-dir", "", "profile-on-fire directory: when an SLO alert starts firing, capture CPU+heap profiles and recent traces here")
-	flag.DurationVar(&cfg.incidentCooldown, "incident-cooldown", 0, "minimum spacing between incident captures (default 10m)")
-	flag.DurationVar(&cfg.incidentCPU, "incident-cpu-duration", 0, "CPU profile length inside an incident capture (default 2s)")
 	flag.StringVar(&cfg.journalDir, "journal", "", "flight-recorder directory: append one durable record per update (replayable with clarify-replay)")
 	flag.Int64Var(&cfg.journalMaxBytes, "journal-max-bytes", 0, "rotate journal segments over this size (default 8 MiB)")
 	flag.IntVar(&cfg.journalSegments, "journal-segments", 0, "prune journal segments beyond this count (0 keeps all)")
 	flag.StringVar(&cfg.journalFsync, "journal-fsync", "interval", "journal durability policy: never, interval, or always")
-	flag.StringVar(&cfg.tenantSpec, "tenants", "", "tenant profiles \"name:weight:rate:burst:concurrent,...\", e.g. \"teamA:4,mallory:1:2:4:2\" (unset fields inherit -tenant-default)")
-	flag.StringVar(&cfg.tenantDefault, "tenant-default", "", "default tenant profile \"weight:rate:burst:concurrent\" for tenants without an explicit entry")
-	flag.DurationVar(&cfg.shedTarget, "shed-target", 0, "acceptable bulk queue sojourn before adaptive shedding arms (default 200ms; negative disables)")
-	flag.DurationVar(&cfg.shedInterval, "shed-interval", 0, "how long sojourn must stay above -shed-target before shedding trips (default 2s)")
 	flag.StringVar(&cfg.sloObjectives, "slo-objectives", "", "SLO spec \"name:goal[:latency-ms],...\", e.g. \"availability:0.999,latency:0.99:500\" (default built-ins)")
 	flag.StringVar(&cfg.sloWindows, "slo-windows", "", "burn-rate alert windows \"long:short:burn:severity,...\", e.g. \"1h:5m:14.4:page\" (default built-ins)")
 	flag.StringVar(&cfg.latencyBucket, "latency-buckets-ms", "", "comma-separated ascending histogram bounds in ms (default built-in table)")
@@ -348,32 +329,6 @@ func run(cfg daemonConfig) error {
 		Journal:          jnl,
 		SLO:              slos,
 		LatencyBucketsMs: buckets,
-		Shed:             tenant.ShedConfig{Target: cfg.shedTarget, Interval: cfg.shedInterval},
-	}
-	if cfg.tenantSpec != "" || cfg.tenantDefault != "" {
-		def := tenant.Profile{}
-		if cfg.tenantDefault != "" {
-			var err error
-			if def, err = tenant.ParseProfile(cfg.tenantDefault); err != nil {
-				return fmt.Errorf("-tenant-default: %w", err)
-			}
-		}
-		var profiles []tenant.Profile
-		if cfg.tenantSpec != "" {
-			var err error
-			if profiles, err = tenant.ParseProfiles(cfg.tenantSpec, def); err != nil {
-				return fmt.Errorf("-tenants: %w", err)
-			}
-		}
-		opts.Tenants = tenant.NewRegistry(tenant.RegistryConfig{Default: def, Profiles: profiles})
-	}
-	if cfg.incidentDir != "" {
-		opts.Incidents = incident.NewRecorder(incident.Options{
-			Dir:         cfg.incidentDir,
-			Cooldown:    cfg.incidentCooldown,
-			CPUDuration: cfg.incidentCPU,
-		})
-		logger.Info("profile-on-fire active", "dir", cfg.incidentDir)
 	}
 	if err := opts.Validate(); err != nil {
 		return fmt.Errorf("-latency-buckets-ms: %w", err)

@@ -21,9 +21,7 @@ type FleetAmbiguity struct {
 }
 
 // handleDebugAmbiguity fans /debug/ambiguity out to every admitted backend
-// and merges the snapshots. ?tenant=NAME selects that tenant's merged rollup
-// (404 when no backend has ledgers for the tenant), mirroring the replica
-// endpoint's contract.
+// and merges the snapshots.
 func (l *LB) handleDebugAmbiguity(w http.ResponseWriter, r *http.Request) {
 	merged := &FleetAmbiguity{}
 	for _, b := range l.backends {
@@ -38,14 +36,5 @@ func (l *LB) handleDebugAmbiguity(w http.ResponseWriter, r *http.Request) {
 		merged.Rollup = ambiguity.NewRollup()
 	}
 	l.proxied.Add(1)
-	if name := r.URL.Query().Get("tenant"); name != "" {
-		tr, ok := merged.Tenants[name]
-		if !ok {
-			writeError(w, http.StatusNotFound, "no ambiguity ledgers for tenant "+name, 0)
-			return
-		}
-		writeJSON(w, http.StatusOK, tr)
-		return
-	}
 	writeJSON(w, http.StatusOK, merged)
 }

@@ -63,16 +63,6 @@ func TestFleetAmbiguityMerge(t *testing.T) {
 		t.Errorf("fleet questionsPerUpdate %+v != backend sum %+v",
 			fleet.QuestionsPerUpdate, sum.QuestionsPerUpdate)
 	}
-
-	// The tenant filter works through the balancer too.
-	resp, err := http.Get(f.lbSrv.URL + "/debug/ambiguity?tenant=ghost")
-	if err != nil {
-		t.Fatalf("tenant filter: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown tenant through lb = %d, want 404", resp.StatusCode)
-	}
 }
 
 func getJSON(t *testing.T, url string, into any) {

@@ -126,8 +126,8 @@ func (b *Backend) recordRequest(status int, d time.Duration, transportErr bool, 
 	case status >= 500:
 		b.errors5xx++
 	case status == http.StatusTooManyRequests:
-		// The replica shed the request (quota, queue, or overload); count
-		// it here so overload is visible at the balancer per backend.
+		// The replica shed the request (its submission queue is full);
+		// count it here so overload is visible at the balancer per backend.
 		b.sheds++
 	}
 	b.latency.Observe(d, traceID, float64(time.Now().UnixMilli())/1000)
@@ -200,7 +200,7 @@ type BackendSnapshot struct {
 	Errors5xx       int64 `json:"errors5xx"`
 	TransportErrors int64 `json:"transportErrors"`
 	// Sheds counts 429 responses proxied from this backend — a replica
-	// refusing work via its admission gates (quota, queue, overload).
+	// refusing work because its submission queue is full.
 	Sheds int64 `json:"sheds"`
 	// CreatesRouted counts sessions placed on this backend.
 	CreatesRouted int64 `json:"createsRouted"`

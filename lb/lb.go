@@ -45,7 +45,6 @@ import (
 	"github.com/clarifynet/clarify/internal/promtext"
 	"github.com/clarifynet/clarify/obs"
 	"github.com/clarifynet/clarify/server"
-	"github.com/clarifynet/clarify/tenant"
 )
 
 // Options configures a balancer.
@@ -106,11 +105,6 @@ type LB struct {
 	// nil when tracing is disabled.
 	traces *obs.Ring
 
-	// tenants attributes forwarded traffic and relayed 429 sheds to the
-	// X-Clarify-Tenant principal, so noisy-neighbor pressure is visible at
-	// the balancer without scraping every replica.
-	tenants *tenantTable
-
 	proxied     atomic.Int64 // requests forwarded to a backend
 	noBackend   atomic.Int64 // requests refused for want of an eligible backend
 	restored    atomic.Int64 // sessions re-placed via PUT .../restore
@@ -140,7 +134,6 @@ func New(opts Options) (*LB, error) {
 	l := &LB{
 		opts:     opts,
 		backends: backends,
-		tenants:  newTenantTable(0),
 		ring:     newRing(backends, opts.VirtualNodes),
 		affinity: newAffinityTable(opts.AffinityTTL, 0),
 		mux:      http.NewServeMux(),
@@ -541,7 +534,6 @@ func (l *LB) forwardTo(pt *proxyTrace, b *Backend, r *http.Request, bodyIn io.Re
 	sp.SetInt("status", int64(resp.StatusCode))
 	sp.End()
 	l.recordProxied(pt, b, resp.StatusCode, time.Since(start), false)
-	l.tenants.record(r.Header.Get(tenant.HeaderTenant), resp.StatusCode == http.StatusTooManyRequests)
 	// The request ID travels back on the response so the client can quote
 	// it; stash it on the response for writeProxied.
 	resp.Header.Set(requestIDHeader, pt.reqID)

@@ -877,3 +877,85 @@ func TestFanOutsCountBackendRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestLBRecordsShedsPerBackend fills a one-worker, one-slot replica behind
+// the balancer until it sheds a submit with 429, then asserts the shed is
+// relayed to the client with Retry-After and the replica's ErrorResponse
+// body, counted on the backend's Sheds counter, and exported as the
+// clarify_lb_backend_sheds_total Prometheus series.
+func TestLBRecordsShedsPerBackend(t *testing.T) {
+	f := startLBFleetWith(t, 1, fastProbeOpts(),
+		server.Options{Workers: 1, QueueSize: 1, QuestionTimeout: 30 * time.Second})
+	ctx := context.Background()
+	c := f.client(nil)
+	var sids []string
+	for i := 0; i < 3; i++ {
+		sid, err := c.CreateSession(ctx, server.CreateSessionRequest{Config: exampleConfig})
+		if err != nil {
+			t.Fatalf("create session %d: %v", i, err)
+		}
+		sids = append(sids, sid)
+	}
+
+	// The first update holds the only worker, parked on its question; the
+	// second fills the only queue slot.
+	var updates []server.UpdateInfo
+	u, err := c.SubmitAsync(ctx, sids[0], exampleIntent, "ISP_OUT")
+	if err != nil {
+		t.Fatalf("first submit: %v", err)
+	}
+	updates = append(updates, u)
+	waitFor(t, 5*time.Second, "parked question", func() bool {
+		q, err := c.Question(ctx, sids[0])
+		return err == nil && q != nil
+	})
+	if u, err = c.SubmitAsync(ctx, sids[1], exampleIntent, "ISP_OUT"); err != nil {
+		t.Fatalf("second submit: %v", err)
+	}
+	updates = append(updates, u)
+
+	// The third submit must be shed by the replica and relayed verbatim.
+	body, _ := json.Marshal(server.SubmitRequest{Intent: exampleIntent, Target: "ISP_OUT", Async: true})
+	resp, err := http.Post(f.lbSrv.URL+"/v1/sessions/"+sids[2]+"/updates?async=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("third submit: %v", err)
+	}
+	var shed server.ErrorResponse
+	derr := json.NewDecoder(resp.Body).Decode(&shed)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("third submit = %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("Retry-After = %q, want 1", resp.Header.Get("Retry-After"))
+	}
+	if derr != nil || shed.Reason != "queue_full" || shed.RetryAfterSeconds != 1 || shed.Error == "" {
+		t.Errorf("shed body = %+v (%v), want a queue_full ErrorResponse with retryAfterSeconds 1", shed, derr)
+	}
+
+	// The balancer counted the shed against the one backend.
+	snap := f.lb.snapshot()
+	if len(snap.Backends) != 1 || snap.Backends[0].Sheds != 1 {
+		t.Errorf("backend sheds = %+v, want one backend with 1 shed", snap.Backends)
+	}
+	mresp, err := http.Get(f.lbSrv.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	var text bytes.Buffer
+	text.ReadFrom(mresp.Body)
+	mresp.Body.Close()
+	want := fmt.Sprintf("clarify_lb_backend_sheds_total{backend=%q} 1", snap.Backends[0].Name)
+	if !strings.Contains(text.String(), want) {
+		t.Errorf("/metrics missing %s", want)
+	}
+
+	// Answer both admitted updates so they finish before the harness shuts
+	// the replica down.
+	for i, u := range updates {
+		done, err := c.PollUpdate(ctx, sids[i], u.ID, func(server.Question) (int, error) { return 1, nil })
+		if err != nil || done.Status != server.StatusDone {
+			t.Fatalf("admitted update %d = %+v, %v; want done", i, done, err)
+		}
+	}
+}

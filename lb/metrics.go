@@ -1,8 +1,6 @@
 package lb
 
 import (
-	"sort"
-
 	"github.com/clarifynet/clarify/internal/promtext"
 	"github.com/clarifynet/clarify/server"
 )
@@ -37,10 +35,6 @@ type MetricsSnapshot struct {
 	// evicted error traces rescued by tail retention.
 	Traces     int64 `json:"traces,omitempty"`
 	KeptTraces int64 `json:"keptTraces,omitempty"`
-	// Tenants attributes forwarded requests and relayed 429 sheds to the
-	// X-Clarify-Tenant principal (bounded cardinality; headerless traffic
-	// folds into the default tenant).
-	Tenants map[string]TenantLBStats `json:"tenants,omitempty"`
 	// UptimeSeconds is the time since the balancer was built.
 	UptimeSeconds float64 `json:"uptimeSeconds"`
 }
@@ -58,7 +52,6 @@ func (l *LB) snapshot() MetricsSnapshot {
 		RingPoints:       l.ring.Points(),
 		ProbeRounds:      l.prober.probes.Load(),
 		Traces:           l.tracesTotal.Load(),
-		Tenants:          l.tenants.snapshot(),
 	}
 	if l.traces != nil {
 		snap.KeptTraces = l.traces.KeptTotal()
@@ -152,28 +145,9 @@ func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 	for _, b := range snap.Backends {
 		server.WriteHistogram(p, "clarify_lb_backend_request_duration_ms", "backend", b.Name, b.LatencyMs)
 	}
-	if len(snap.Tenants) > 0 {
-		names := make([]string, 0, len(snap.Tenants))
-		for name := range snap.Tenants {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		p.Header("clarify_lb_tenant_requests_total", "counter", "Requests forwarded per X-Clarify-Tenant principal.")
-		for _, name := range names {
-			p.Sample("clarify_lb_tenant_requests_total", tenantLabel(name), float64(snap.Tenants[name].Requests))
-		}
-		p.Header("clarify_lb_tenant_sheds_total", "counter", "Backend 429 sheds relayed per X-Clarify-Tenant principal.")
-		for _, name := range names {
-			p.Sample("clarify_lb_tenant_sheds_total", tenantLabel(name), float64(snap.Tenants[name].Sheds))
-		}
-	}
 	p.EOF()
 }
 
 func label(b BackendSnapshot) string {
 	return "backend=" + promtext.QuoteLabel(b.Name)
-}
-
-func tenantLabel(name string) string {
-	return "tenant=" + promtext.QuoteLabel(name)
 }

@@ -65,15 +65,6 @@ type Config struct {
 	// the client-side SLO still sees failover time; only updates that
 	// exhaust their retries count as failures.
 	Failover bool `json:"failover,omitempty"`
-	// Tenants, when non-empty, turns the run into a multi-tenant mix: each
-	// entry contributes its own workers submitting under its
-	// X-Clarify-Tenant header, paced by its own rate, and evaluated against
-	// its own client-side SLO rings. Noisy entries are the aggressors of a
-	// noisy-neighbor drill: their workers count 429 sheds instead of
-	// retrying them, and their outcomes are excluded from the aggregate
-	// ClientSLO (the run's verdict belongs to the victims). When set,
-	// Workers and Rate are ignored in favor of the per-tenant values.
-	Tenants []TenantMix `json:"tenants,omitempty"`
 	// Rolling, when non-empty, turns the run into a rolling-restart drill:
 	// a restarter goroutine SIGTERMs each listed replica in turn (evenly
 	// staggered across the run) and waits for its supervisor to bring a new
@@ -185,26 +176,21 @@ type Report struct {
 	// Latency summarizes per-update latency as measured by the client.
 	Latency LatencySummary `json:"latency"`
 	// Questions summarizes clarifying questions per successful update as
-	// observed client-side (exact percentiles, noisy tenants excluded) — the
-	// interaction cost the disambiguation dialogue imposed on operators.
+	// observed client-side (exact percentiles) — the interaction cost the
+	// disambiguation dialogue imposed on operators.
 	Questions QuestionsSummary `json:"questions"`
 	// Errors histograms failure messages (bounded).
 	Errors map[string]int `json:"errors,omitempty"`
 	// ClientSLO evaluates the configured objectives against the client-side
-	// outcome stream. In a multi-tenant run, noisy tenants' outcomes are
-	// excluded: this is the victims' verdict.
+	// outcome stream.
 	ClientSLO slo.Snapshot `json:"clientSlo"`
-	// Tenants breaks a multi-tenant run down per tenant; nil for
-	// single-tenant runs.
-	Tenants map[string]*TenantReport `json:"tenants,omitempty"`
 	// DaemonSLO is the daemon's own GET /debug/slo state at run end, when
 	// reachable — the server-side view of the same traffic, including any
 	// burn-rate alerts the run induced.
 	DaemonSLO *slo.Snapshot `json:"daemonSlo,omitempty"`
 	// DaemonAmbiguity is the daemon's (or, through clarify-lb, the fleet's)
 	// GET /debug/ambiguity rollup at run end, when reachable: information
-	// gained per question, per strategy and per tenant, for the run's
-	// traffic.
+	// gained per question and per strategy, for the run's traffic.
 	DaemonAmbiguity *server.AmbiguitySnapshot `json:"daemonAmbiguity,omitempty"`
 }
 
@@ -250,15 +236,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		cfg.Corpus = "cloud"
 	}
 	workers := cfg.workers()
-	if len(cfg.Tenants) > 0 {
-		workers = 0
-		for _, m := range cfg.Tenants {
-			workers += m.Workers
-		}
-		if workers == 0 {
-			return nil, fmt.Errorf("loadgen: Config.Tenants names no workers")
-		}
-	}
 	nACL := int(float64(workers)*cfg.aclFraction() + 0.5)
 	if nACL > workers {
 		nACL = workers
@@ -290,45 +267,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	runCtx, cancel := context.WithTimeout(ctx, cfg.duration())
 	defer cancel()
 
-	// Tenant groups: each gets its own header-stamped client, its own
-	// client-side SLO rings, and its own pacing. A single-tenant run is one
-	// anonymous group sharing the aggregate SLO set.
-	type runGroup struct {
-		mix    TenantMix
-		client *server.Client
-		slo    *slo.Set
-		pace   time.Duration
-		sheds  int64 // guarded by mu
-	}
-	// Per-worker pacing: a worker sleeps group-workers/rate between
-	// submissions so each group approximates its target arrival rate.
-	paceFor := func(m TenantMix) time.Duration {
-		if m.Rate <= 0 {
-			return 0
-		}
-		return time.Duration(float64(m.Workers) / m.Rate * float64(time.Second))
-	}
-	var groups []*runGroup
-	if len(cfg.Tenants) > 0 {
-		for _, m := range cfg.Tenants {
-			gslo, err := slo.New(sloCfg)
-			if err != nil {
-				return nil, err
-			}
-			groups = append(groups, &runGroup{
-				mix:    m,
-				client: &server.Client{BaseURL: cfg.BaseURL, Tenant: m.Name},
-				slo:    gslo,
-				pace:   paceFor(m),
-			})
-		}
-	} else {
-		m := TenantMix{Workers: workers, Rate: cfg.Rate}
-		groups = []*runGroup{{mix: m, client: client, slo: clientSLO, pace: paceFor(m)}}
+	// Per-worker pacing: a worker sleeps workers/rate between submissions
+	// so the run approximates its target arrival rate.
+	var pace time.Duration
+	if cfg.Rate > 0 {
+		pace = time.Duration(float64(workers) / cfg.Rate * float64(time.Second))
 	}
 
 	type sample struct {
-		group     int
 		ms        float64
 		failed    bool
 		degraded  bool
@@ -376,143 +322,121 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		close(restarterDone)
 	}
 
-	w := 0
-	for gi, g := range groups {
-		for gw := 0; gw < g.mix.Workers; gw++ {
-			isACL := w < nACL
-			var cfgIdx int
-			if isACL {
-				cfgIdx = w
-			} else {
-				cfgIdx = w - nACL
-			}
-			var baseCfg = corpus.RouteMapConfigs
-			target := fmt.Sprintf("RM%d", cfgIdx)
-			if isACL {
-				baseCfg = corpus.ACLConfigs
-				target = fmt.Sprintf("ACL%d", cfgIdx)
-			}
-			w++
-			if cfgIdx >= len(baseCfg) {
-				continue // corpus generated fewer configs than asked; skip worker
-			}
-			configText := baseCfg[cfgIdx].Print()
+	for w := 0; w < workers; w++ {
+		isACL := w < nACL
+		var cfgIdx int
+		if isACL {
+			cfgIdx = w
+		} else {
+			cfgIdx = w - nACL
+		}
+		var baseCfg = corpus.RouteMapConfigs
+		target := fmt.Sprintf("RM%d", cfgIdx)
+		if isACL {
+			baseCfg = corpus.ACLConfigs
+			target = fmt.Sprintf("ACL%d", cfgIdx)
+		}
+		if cfgIdx >= len(baseCfg) {
+			continue // corpus generated fewer configs than asked; skip worker
+		}
+		configText := baseCfg[cfgIdx].Print()
 
-			wg.Add(1)
-			go func(w, gi int, g *runGroup, configText, target string, isACL bool) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
-				sid, err := g.client.CreateSession(runCtx, server.CreateSessionRequest{Config: configText})
-				if err != nil {
-					mu.Lock()
-					samples = append(samples, sample{group: gi, failed: true, errMsg: "create session: " + trimErr(err)})
-					mu.Unlock()
-					return
-				}
-				defer func() { g.client.DeleteSession(context.Background(), sid) }()
-				answer := func(q server.Question) (int, error) {
-					return 1 + rng.Intn(2), nil
-				}
-				for runCtx.Err() == nil && budgetLeft() {
-					intentText := Intent(rng, isACL)
-					t0 := time.Now()
-					var u server.UpdateInfo
-					var err error
-					for attempt := 0; ; attempt++ {
-						// An update outlives the run deadline: once started it is
-						// driven to the end, so the session is deleted and the
-						// daemon's views are fetched only after it is recorded.
-						uctx, ucancel := context.WithTimeout(ctx, cfg.updateTimeout())
-						switch {
-						case g.mix.Noisy:
-							u, err = shedRunUpdate(uctx, g.client, sid, intentText, target, answer)
-						case rolling:
-							u, err = resumeUpdate(uctx, g.client, sid, intentText, target, answer)
-						default:
-							u, err = g.client.RunUpdate(uctx, sid, intentText, target, answer)
-						}
-						ucancel()
-						if err == nil || errors.Is(err, errShed) || attempt >= maxFailovers || runCtx.Err() != nil {
-							break
-						}
-						if rolling && errors.Is(err, errSessionLost) {
-							// The session did not survive the handoff. That is the
-							// failure a rolling drill exists to count; the worker
-							// re-homes so the rest of the run still produces load.
-							newSid, cerr := recreateSession(runCtx, g.client, configText)
-							if cerr != nil {
-								break
-							}
-							mu.Lock()
-							lostSessions++
-							mu.Unlock()
-							sid = newSid
-							continue
-						}
-						if !cfg.Failover || !failoverable(err) {
-							break
-						}
-						// The replica holding the session is draining, ejected, or
-						// gone. Abandon the session, create a fresh one (the
-						// balancer places it on a survivor), and retry the intent.
-						newSid, cerr := recreateSession(runCtx, g.client, configText)
+		wg.Add(1)
+		go func(w int, configText, target string, isACL bool) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
+			sid, err := client.CreateSession(runCtx, server.CreateSessionRequest{Config: configText})
+			if err != nil {
+				mu.Lock()
+				samples = append(samples, sample{failed: true, errMsg: "create session: " + trimErr(err)})
+				mu.Unlock()
+				return
+			}
+			defer func() { client.DeleteSession(context.Background(), sid) }()
+			answer := func(q server.Question) (int, error) {
+				return 1 + rng.Intn(2), nil
+			}
+			for runCtx.Err() == nil && budgetLeft() {
+				intentText := Intent(rng, isACL)
+				t0 := time.Now()
+				var u server.UpdateInfo
+				var err error
+				for attempt := 0; ; attempt++ {
+					// An update outlives the run deadline: once started it is
+					// driven to the end, so the session is deleted and the
+					// daemon's views are fetched only after it is recorded.
+					uctx, ucancel := context.WithTimeout(ctx, cfg.updateTimeout())
+					if rolling {
+						u, err = resumeUpdate(uctx, client, sid, intentText, target, answer)
+					} else {
+						u, err = client.RunUpdate(uctx, sid, intentText, target, answer)
+					}
+					ucancel()
+					if err == nil || attempt >= maxFailovers || runCtx.Err() != nil {
+						break
+					}
+					if rolling && errors.Is(err, errSessionLost) {
+						// The session did not survive the handoff. That is the
+						// failure a rolling drill exists to count; the worker
+						// re-homes so the rest of the run still produces load.
+						newSid, cerr := recreateSession(runCtx, client, configText)
 						if cerr != nil {
 							break
 						}
 						mu.Lock()
-						disruptions++
+						lostSessions++
 						mu.Unlock()
 						sid = newSid
-					}
-					if errors.Is(err, errShed) {
-						// Admission control pushed back: count the shed and keep
-						// the pressure on. Not a failure, not a latency sample.
-						mu.Lock()
-						g.sheds++
-						mu.Unlock()
-						select {
-						case <-time.After(shedBackoff):
-						case <-runCtx.Done():
-						}
 						continue
 					}
-					elapsed := time.Since(t0)
-					sm := sample{group: gi, ms: float64(elapsed) / float64(time.Millisecond)}
-					switch {
-					case err != nil:
-						if runCtx.Err() != nil {
-							break // run ended mid-update; don't count the partial
-						}
-						sm.failed = true
-						sm.errMsg = trimErr(err)
-					case u.Status != server.StatusDone:
-						sm.failed = true
-						sm.errMsg = u.Error
-					default:
-						sm.degraded = u.Degraded
-						if u.Result != nil {
-							sm.questions = u.Result.Questions
-						}
-					}
-					if runCtx.Err() != nil && err != nil {
+					if !cfg.Failover || !failoverable(err) {
 						break
 					}
-					g.slo.Observe(elapsed, sm.failed)
-					if g.slo != clientSLO && !g.mix.Noisy {
-						clientSLO.Observe(elapsed, sm.failed)
+					// The replica holding the session is draining, ejected, or
+					// gone. Abandon the session, create a fresh one (the
+					// balancer places it on a survivor), and retry the intent.
+					newSid, cerr := recreateSession(runCtx, client, configText)
+					if cerr != nil {
+						break
 					}
 					mu.Lock()
-					samples = append(samples, sm)
+					disruptions++
 					mu.Unlock()
-					if g.pace > 0 {
-						select {
-						case <-time.After(g.pace):
-						case <-runCtx.Done():
-						}
+					sid = newSid
+				}
+				elapsed := time.Since(t0)
+				sm := sample{ms: float64(elapsed) / float64(time.Millisecond)}
+				switch {
+				case err != nil:
+					if runCtx.Err() != nil {
+						break // run ended mid-update; don't count the partial
+					}
+					sm.failed = true
+					sm.errMsg = trimErr(err)
+				case u.Status != server.StatusDone:
+					sm.failed = true
+					sm.errMsg = u.Error
+				default:
+					sm.degraded = u.Degraded
+					if u.Result != nil {
+						sm.questions = u.Result.Questions
 					}
 				}
-			}(w-1, gi, g, configText, target, isACL)
-		}
+				if runCtx.Err() != nil && err != nil {
+					break
+				}
+				clientSLO.Observe(elapsed, sm.failed)
+				mu.Lock()
+				samples = append(samples, sm)
+				mu.Unlock()
+				if pace > 0 {
+					select {
+					case <-time.After(pace):
+					case <-runCtx.Done():
+					}
+				}
+			}
+		}(w, configText, target, isACL)
 	}
 	wg.Wait()
 	<-restarterDone
@@ -532,77 +456,30 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			rep.Errors[msg]++
 		}
 	}
-	// Aggregate counters exclude noisy tenants: the headline verdict is the
-	// victims'. Per-group accumulators feed the per-tenant breakdown.
-	type acc struct {
-		updates, failures, degraded int
-		lat                         []float64
-		sumMs                       float64
-	}
-	accs := make([]acc, len(groups))
 	var lat []float64
 	var sumMs float64
 	var qcounts []float64
 	for _, sm := range samples {
-		a := &accs[sm.group]
-		noisy := groups[sm.group].mix.Noisy
-		a.updates++
-		if !noisy {
-			rep.Updates++
-		}
+		rep.Updates++
 		if sm.failed {
-			a.failures++
-			if !noisy {
-				rep.Failures++
-				if len(rep.Errors) < maxErrorKinds || rep.Errors[sm.errMsg] > 0 {
-					rep.Errors[sm.errMsg]++
-				}
+			rep.Failures++
+			if len(rep.Errors) < maxErrorKinds || rep.Errors[sm.errMsg] > 0 {
+				rep.Errors[sm.errMsg]++
 			}
 			continue
 		}
 		if sm.degraded {
-			a.degraded++
-			if !noisy {
-				rep.Degraded++
-			}
+			rep.Degraded++
 		}
-		a.lat = append(a.lat, sm.ms)
-		a.sumMs += sm.ms
-		if !noisy {
-			lat = append(lat, sm.ms)
-			sumMs += sm.ms
-			qcounts = append(qcounts, float64(sm.questions))
-		}
+		lat = append(lat, sm.ms)
+		sumMs += sm.ms
+		qcounts = append(qcounts, float64(sm.questions))
 	}
 	if elapsed > 0 {
 		rep.Throughput = float64(len(lat)) / elapsed.Seconds()
 	}
 	rep.Latency = summarize(lat, sumMs)
 	rep.Questions = summarizeQuestions(qcounts)
-	if len(cfg.Tenants) > 0 {
-		rep.Tenants = make(map[string]*TenantReport, len(groups))
-		for gi, g := range groups {
-			a := accs[gi]
-			tr := &TenantReport{
-				Noisy:    g.mix.Noisy,
-				Workers:  g.mix.Workers,
-				Updates:  a.updates,
-				Failures: a.failures,
-				Degraded: a.degraded,
-				Sheds:    g.sheds,
-				Latency:  summarize(a.lat, a.sumMs),
-				SLO:      g.slo.Snapshot(),
-				Verdict:  "green",
-			}
-			if elapsed > 0 {
-				tr.Throughput = float64(len(a.lat)) / elapsed.Seconds()
-			}
-			if tr.SLO.Firing() {
-				tr.Verdict = "firing"
-			}
-			rep.Tenants[g.mix.Name] = tr
-		}
-	}
 	if len(rep.Errors) == 0 {
 		rep.Errors = nil
 	}
@@ -615,13 +492,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	if amb, err := client.Ambiguity(sctx); err == nil {
 		rep.DaemonAmbiguity = &amb
-		// The server attributes ledgers by tenant; surface each tenant's
-		// question-efficiency score next to its client-side counters.
-		for name, tr := range rep.Tenants {
-			if ta := amb.Tenants[name]; ta != nil {
-				tr.BitsPerQuestion = ta.Total.BitsPerQuestion()
-			}
-		}
 	}
 	return rep, nil
 }

@@ -23,13 +23,12 @@ var ambiguityBitsBuckets = []float64{0.5, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 
 var questionCountBuckets = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24}
 
 // ambiguityMetrics aggregates the disambiguation information-gain ledgers
-// the pipeline attaches to completed updates: a fleet rollup, per-tenant
-// rollups, and the three value histograms the telemetry exposes. All methods
-// are safe for concurrent use.
+// the pipeline attaches to completed updates: one rollup and the three
+// value histograms the telemetry exposes. All methods are safe for
+// concurrent use.
 type ambiguityMetrics struct {
-	mu      sync.Mutex
-	rollup  *ambiguity.Rollup
-	tenants map[string]*ambiguity.Rollup
+	mu     sync.Mutex
+	rollup *ambiguity.Rollup
 	// bitsPerQuestion observes each question's information gain; the other
 	// two observe once per metered update.
 	bitsPerQuestion    *Histogram
@@ -40,28 +39,21 @@ type ambiguityMetrics struct {
 func newAmbiguityMetrics() *ambiguityMetrics {
 	return &ambiguityMetrics{
 		rollup:             ambiguity.NewRollup(),
-		tenants:            map[string]*ambiguity.Rollup{},
 		bitsPerQuestion:    NewHistogram(ambiguityBitsBuckets),
 		questionsPerUpdate: NewHistogram(questionCountBuckets),
 		residualBits:       NewHistogram(ambiguityBitsBuckets),
 	}
 }
 
-// record folds one update's ledger in under the named tenant. Nil ledgers
-// (updates that never reached disambiguation, or ran untraced) are ignored.
-func (a *ambiguityMetrics) record(tenantName string, l *ambiguity.Ledger) {
+// record folds one update's ledger in. Nil ledgers (updates that never
+// reached disambiguation, or ran untraced) are ignored.
+func (a *ambiguityMetrics) record(l *ambiguity.Ledger) {
 	if l == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.rollup.Add(l)
-	tr := a.tenants[tenantName]
-	if tr == nil {
-		tr = ambiguity.NewRollup()
-		a.tenants[tenantName] = tr
-	}
-	tr.Add(l)
 	for _, q := range l.Questions {
 		a.bitsPerQuestion.add(q.GainBits)
 	}
@@ -80,25 +72,16 @@ func (a *ambiguityMetrics) snapshot() *AmbiguitySnapshot {
 		ResidualAmbiguityBits:   a.residualBits.snapshotValue(),
 	}
 	out.Rollup.Merge(a.rollup)
-	if len(a.tenants) > 0 {
-		out.Tenants = make(map[string]*ambiguity.Rollup, len(a.tenants))
-		for name, tr := range a.tenants {
-			cp := ambiguity.NewRollup()
-			cp.Merge(tr)
-			out.Tenants[name] = cp
-		}
-	}
 	return out
 }
 
 // AmbiguitySnapshot is the body of GET /debug/ambiguity and the /metrics
-// "ambiguity" block: the rollup of every ledger this daemon recorded, the
-// per-tenant breakdown, and the distribution histograms. clarify-lb fetches
-// one per backend and merges them into the fleet view — sums merge exactly,
-// and the histograms share a fixed bucket table.
+// "ambiguity" block: the rollup of every ledger this daemon recorded and
+// the distribution histograms. clarify-lb fetches one per backend and
+// merges them into the fleet view — sums merge exactly, and the histograms
+// share a fixed bucket table.
 type AmbiguitySnapshot struct {
-	Rollup  *ambiguity.Rollup            `json:"rollup"`
-	Tenants map[string]*ambiguity.Rollup `json:"tenants,omitempty"`
+	Rollup *ambiguity.Rollup `json:"rollup"`
 	// BitsResolvedPerQuestion distributes each clarifying question's
 	// information gain (bits of candidate space eliminated).
 	BitsResolvedPerQuestion ValueHistogramSnapshot `json:"bitsResolvedPerQuestion"`
@@ -122,17 +105,6 @@ func (s *AmbiguitySnapshot) Merge(o *AmbiguitySnapshot) {
 		s.Rollup = ambiguity.NewRollup()
 	}
 	s.Rollup.Merge(o.Rollup)
-	for name, tr := range o.Tenants {
-		if s.Tenants == nil {
-			s.Tenants = map[string]*ambiguity.Rollup{}
-		}
-		dst := s.Tenants[name]
-		if dst == nil {
-			dst = ambiguity.NewRollup()
-			s.Tenants[name] = dst
-		}
-		dst.Merge(tr)
-	}
 	s.BitsResolvedPerQuestion.Merge(o.BitsResolvedPerQuestion)
 	s.QuestionsPerUpdate.Merge(o.QuestionsPerUpdate)
 	s.ResidualAmbiguityBits.Merge(o.ResidualAmbiguityBits)
@@ -208,20 +180,9 @@ func (h *Histogram) snapshotValue() ValueHistogramSnapshot {
 
 // handleDebugAmbiguity serves the disambiguation-efficiency rollup: how much
 // candidate-space ambiguity updates started with, how many bits each
-// clarifying question resolved, and what remained at accept — fleet-wide,
-// with ?tenant=NAME selecting one tenant's rollup.
+// clarifying question resolved, and what remained at accept.
 func (s *Server) handleDebugAmbiguity(w http.ResponseWriter, r *http.Request) {
-	snap := s.amb.snapshot()
-	if name := r.URL.Query().Get("tenant"); name != "" {
-		tr, ok := snap.Tenants[name]
-		if !ok {
-			writeError(w, http.StatusNotFound, "no ambiguity ledgers for tenant "+name, 0)
-			return
-		}
-		writeJSON(w, http.StatusOK, tr)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
+	writeJSON(w, http.StatusOK, s.amb.snapshot())
 }
 
 // writeAmbiguity renders the disambiguation telemetry series: per-strategy

@@ -50,11 +50,6 @@ func TestDebugAmbiguityEndpoint(t *testing.T) {
 	if k := snap.Rollup.Kinds["route-map"]; k == nil || k.Updates != 1 {
 		t.Errorf("route-map kind row = %+v, want 1 update", k)
 	}
-	// The update ran without a tenant header, so the ledger lands under the
-	// default tenant.
-	if tr := snap.Tenants["default"]; tr == nil || tr.Total.Updates != 1 {
-		t.Errorf("default-tenant rollup = %+v, want 1 update", snap.Tenants)
-	}
 	// Histograms: one update with 2 questions.
 	if snap.QuestionsPerUpdate.Count != 1 || snap.QuestionsPerUpdate.Sum != 2 {
 		t.Errorf("questionsPerUpdate = %+v, want count 1 sum 2", snap.QuestionsPerUpdate)
@@ -64,16 +59,6 @@ func TestDebugAmbiguityEndpoint(t *testing.T) {
 	}
 	if snap.ResidualAmbiguityBits.Count != 1 || snap.ResidualAmbiguityBits.Sum != 0 {
 		t.Errorf("residualAmbiguityBits = %+v, want count 1 sum 0", snap.ResidualAmbiguityBits)
-	}
-
-	// ?tenant= filters; an unknown tenant is a 404, not an empty rollup.
-	resp, err := http.Get(c.BaseURL + "/debug/ambiguity?tenant=ghost")
-	if err != nil {
-		t.Fatalf("tenant filter: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown tenant status = %d, want 404", resp.StatusCode)
 	}
 
 	// The same rollup rides /metrics (JSON and Prometheus).

@@ -47,8 +47,6 @@ type SessionInfo struct {
 	Updates int `json:"updates"`
 	// IdleSeconds is the time since the session was last touched.
 	IdleSeconds float64 `json:"idleSeconds"`
-	// Tenant is the admission principal the session was created under.
-	Tenant string `json:"tenant,omitempty"`
 }
 
 // SubmitRequest submits one natural-language intent against a target

@@ -16,7 +16,6 @@ import (
 	"github.com/clarifynet/clarify/obs"
 	"github.com/clarifynet/clarify/slo"
 	"github.com/clarifynet/clarify/snapshot"
-	"github.com/clarifynet/clarify/tenant"
 )
 
 // Client is the Go client for a running clarifyd. It is safe for concurrent
@@ -45,10 +44,6 @@ type Client struct {
 	// (default 50ms, capped at 1s). A Retry-After hint from the server
 	// overrides the computed delay, mirroring llm.HTTPClient.
 	RetryBaseDelay time.Duration
-	// Tenant, when set, is sent as the X-Clarify-Tenant header on every
-	// request, binding created sessions — and their quota accounting — to
-	// that tenant.
-	Tenant string
 }
 
 func (c *Client) maxRetries() int {
@@ -164,9 +159,6 @@ func (c *Client) sendOnce(ctx context.Context, method, path string, in interface
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.Tenant != "" {
-		req.Header.Set(tenant.HeaderTenant, c.Tenant)
 	}
 	if tp, ok := obs.TraceParentFromContext(ctx); ok {
 		// Propagate the caller's fleet trace context so CLI-driven updates

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/clarifynet/clarify/obs"
-	"github.com/clarifynet/clarify/tenant"
 )
 
 // flakyHandler answers failures times with the given status before serving
@@ -226,17 +225,16 @@ func TestClientCancelMid429Backoff(t *testing.T) {
 }
 
 // TestClientConfigKeepsContract: Config goes through the request path every
-// other call takes, so it sends the tenant header and the caller's
-// traceparent on each attempt and retries a 503 like any GET.
+// other call takes, so it sends the caller's traceparent on each attempt and
+// retries a 503 like any GET.
 func TestClientConfigKeepsContract(t *testing.T) {
 	const text = "route-map RM permit 10\n"
 	var mu sync.Mutex
-	var tenants, parents []string
+	var parents []string
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
-		tenants = append(tenants, r.Header.Get(tenant.HeaderTenant))
 		parents = append(parents, r.Header.Get(obs.TraceParentHeader))
-		first := len(tenants) == 1
+		first := len(parents) == 1
 		mu.Unlock()
 		if first {
 			writeError(w, http.StatusServiceUnavailable, "transient", 0)
@@ -250,19 +248,19 @@ func TestClientConfigKeepsContract(t *testing.T) {
 	if !ok {
 		t.Fatal("bad test traceparent")
 	}
-	c := &Client{BaseURL: hs.URL, Tenant: "acme", RetryBaseDelay: time.Millisecond}
+	c := &Client{BaseURL: hs.URL, RetryBaseDelay: time.Millisecond}
 	got, err := c.Config(obs.ContextWithTraceParent(context.Background(), tp), "s1")
 	if err != nil || got != text {
 		t.Fatalf("Config = %q, %v; want %q after one retried 503", got, err, text)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(tenants) != 2 {
-		t.Fatalf("server saw %d requests, want 2 (503 + success)", len(tenants))
+	if len(parents) != 2 {
+		t.Fatalf("server saw %d requests, want 2 (503 + success)", len(parents))
 	}
-	for i := range tenants {
-		if tenants[i] != "acme" || parents[i] != tp.String() {
-			t.Errorf("request %d carried tenant %q and traceparent %q, want acme and %s", i+1, tenants[i], parents[i], tp)
+	for i := range parents {
+		if parents[i] != tp.String() {
+			t.Errorf("request %d carried traceparent %q, want %s", i+1, parents[i], tp)
 		}
 	}
 }

@@ -33,43 +33,6 @@ type session struct {
 	// update; handlers read this snapshot so they never touch the live
 	// *ios.Config a worker may be replacing.
 	cfgText string
-	// tenant is the admission principal the session was created under
-	// (X-Clarify-Tenant, after registry folding); its quotas and fair
-	// share govern every submit on this session.
-	tenant string
-	// dialog is set once a pipeline run asks a disambiguation question;
-	// from then on the session's submits ride the interactive lane.
-	dialog bool
-}
-
-// setTenant records the session's admission principal (set once at create
-// or restore, before the session serves traffic).
-func (s *session) setTenant(name string) {
-	s.mu.Lock()
-	s.tenant = name
-	s.mu.Unlock()
-}
-
-// tenantName reads the session's admission principal.
-func (s *session) tenantName() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tenant
-}
-
-// markInteractive flags the session as dialogue-engaged.
-func (s *session) markInteractive() {
-	s.mu.Lock()
-	s.dialog = true
-	s.mu.Unlock()
-}
-
-// interactive reports whether the session has engaged the disambiguation
-// Q&A.
-func (s *session) interactive() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dialog
 }
 
 // setConfigText publishes a new printed-configuration snapshot.
@@ -187,8 +150,8 @@ func (u *update) setRunning() *asyncOracle {
 }
 
 // finish records the terminal state and releases waiters. It is idempotent:
-// only the first call wins (a late second finisher — e.g. a shed submission
-// racing its own worker — must not double-close done or clobber the result).
+// only the first call wins (a late second finisher must not double-close
+// done or clobber the result).
 func (u *update) finish(res *clarify.UpdateResult, err error) {
 	u.mu.Lock()
 	if u.finished {
@@ -221,7 +184,6 @@ func (s *session) info() SessionInfo {
 		Busy:        s.busy,
 		Updates:     len(s.updates),
 		IdleSeconds: time.Since(s.lastUsed).Seconds(),
-		Tenant:      s.tenant,
 	}
 }
 

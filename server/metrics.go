@@ -6,13 +6,11 @@ import (
 	"time"
 
 	"github.com/clarifynet/clarify"
-	"github.com/clarifynet/clarify/incident"
 	"github.com/clarifynet/clarify/journal"
 	"github.com/clarifynet/clarify/obs"
 	"github.com/clarifynet/clarify/resilience"
 	"github.com/clarifynet/clarify/slo"
 	"github.com/clarifynet/clarify/symbolic"
-	"github.com/clarifynet/clarify/tenant"
 )
 
 // defaultLatencyBuckets are the histogram upper bounds in milliseconds when
@@ -285,9 +283,6 @@ type MetricsSnapshot struct {
 	// KeptTraces counts evicted traces rescued by the tail-retention policy
 	// (errors, degraded runs, latency outliers).
 	KeptTraces int64 `json:"keptTraces,omitempty"`
-	// Incidents reports profile-on-fire activity when an incident recorder
-	// is configured; nil otherwise.
-	Incidents *incident.Stats `json:"incidents,omitempty"`
 	// PanicsRecovered counts pipeline-job panics contained by the worker
 	// pool; each one failed its update but left the daemon serving.
 	PanicsRecovered int64 `json:"panicsRecovered"`
@@ -302,14 +297,8 @@ type MetricsSnapshot struct {
 	// Journal reports flight-recorder activity when journaling is enabled;
 	// nil otherwise.
 	Journal *journal.Stats `json:"journal,omitempty"`
-	// Queue is the fair-dispatch queue's counters: pushes, pops, sheds by
-	// gate, and whether the overload controller is tripped.
-	Queue *tenant.QueueStats `json:"queue,omitempty"`
-	// Tenants holds each live tenant's admission counters, queue backlog,
-	// and private SLO rings.
-	Tenants map[string]TenantMetrics `json:"tenants,omitempty"`
 	// Ambiguity is the disambiguation-efficiency telemetry: information-gain
-	// rollups per strategy and tenant plus the bits/questions distributions.
+	// rollups per strategy plus the bits/questions distributions.
 	// Also served alone at GET /debug/ambiguity.
 	Ambiguity *AmbiguitySnapshot `json:"ambiguity,omitempty"`
 	// Runtime is the process-runtime block (goroutines, GC pause p99, heap

@@ -160,15 +160,6 @@ func (o *asyncOracle) Answer(seq, option int) error {
 	return nil
 }
 
-// asked reports whether the oracle has posed at least one disambiguation
-// question (including questions inherited from a restored transcript) —
-// the signal that flags a session as dialogue-engaged.
-func (o *asyncOracle) asked() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.seq > 0
-}
-
 // transcript snapshots the delivered-answer history.
 func (o *asyncOracle) transcript() []disambig.Answer {
 	o.mu.Lock()

@@ -7,7 +7,6 @@ import (
 	"github.com/clarifynet/clarify/internal/promtext"
 	"github.com/clarifynet/clarify/resilience"
 	"github.com/clarifynet/clarify/slo"
-	"github.com/clarifynet/clarify/tenant"
 )
 
 // writePrometheus renders a MetricsSnapshot through a promtext.Writer, which
@@ -71,24 +70,6 @@ func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 		p.Counter("clarifyd_journal_rotations_total", "Flight-recorder segment rotations.", float64(snap.Journal.Rotations))
 		p.Counter("clarifyd_journal_errors_total", "Flight-recorder append or rotation failures.", float64(snap.Journal.Errors))
 	}
-	if snap.Incidents != nil {
-		p.Counter("clarifyd_incident_captures_total", "Profile-on-fire incident bundles captured.", float64(snap.Incidents.Captures))
-		p.Counter("clarifyd_incident_suppressed_total", "Firing transitions skipped by the capture cooldown.", float64(snap.Incidents.Suppressed))
-	}
-	if snap.Queue != nil {
-		overloaded := 0.0
-		if snap.Queue.Overloaded {
-			overloaded = 1
-		}
-		p.Gauge("clarifyd_queue_overloaded", "1 while the CoDel-style shed controller is tripped on queue delay.", overloaded)
-		p.Counter("clarifyd_queue_shed_overload_total", "Bulk submissions shed in overload mode (fair-share policy).", float64(snap.Queue.ShedOverload))
-		p.Counter("clarifyd_queue_shed_full_total", "Submissions shed because the queue was at capacity.", float64(snap.Queue.ShedFull))
-		p.Counter("clarifyd_queue_dropped_total", "Queued jobs purged at the shutdown drain deadline.", float64(snap.Queue.Dropped))
-		p.Counter("clarifyd_queue_overload_entries_total", "Transitions of the shed controller into overload mode.", float64(snap.Queue.ShedEntries))
-	}
-	if len(snap.Tenants) > 0 {
-		writeTenants(p, snap.Tenants)
-	}
 	if snap.Ambiguity != nil {
 		writeAmbiguity(p, snap.Ambiguity)
 	}
@@ -108,72 +89,6 @@ func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 		WriteHistogram(p, "clarifyd_stage_duration_ms", "stage", k, snap.StagesMs[k])
 	}
 	p.EOF()
-}
-
-// writeTenants renders the per-tenant admission series. Cardinality is
-// bounded by the registry's tenant cap, and SLO series repeat per tenant
-// only for tenants that have served updates.
-func writeTenants(p *promtext.Writer, tenants map[string]TenantMetrics) {
-	w := p.W
-	names := sortedTenantNames(tenants)
-	p.Header("clarifyd_tenant_submits_total", "counter", "Admitted submissions per tenant.")
-	for _, name := range names {
-		fmt.Fprintf(w, "clarifyd_tenant_submits_total{tenant=%s} %d\n", quoteLabel(name), tenants[name].Submits)
-	}
-	p.Header("clarifyd_tenant_sheds_total", "counter", "Rejected submissions per tenant and admission gate.")
-	for _, name := range names {
-		tm := tenants[name]
-		for _, reason := range sortedKeysAny(tm.Sheds) {
-			fmt.Fprintf(w, "clarifyd_tenant_sheds_total{tenant=%s,reason=%s} %d\n",
-				quoteLabel(name), quoteLabel(reason), tm.Sheds[tenant.Reason(reason)])
-		}
-	}
-	p.Header("clarifyd_tenant_in_flight_updates", "gauge", "Updates executing or parked, per tenant.")
-	for _, name := range names {
-		fmt.Fprintf(w, "clarifyd_tenant_in_flight_updates{tenant=%s} %d\n", quoteLabel(name), tenants[name].InFlight)
-	}
-	p.Header("clarifyd_tenant_queue_depth", "gauge", "Bulk jobs queued per tenant.")
-	for _, name := range names {
-		fmt.Fprintf(w, "clarifyd_tenant_queue_depth{tenant=%s} %d\n", quoteLabel(name), tenants[name].QueueDepth)
-	}
-	p.Header("clarifyd_tenant_weight", "gauge", "Fair-queueing weight per tenant.")
-	for _, name := range names {
-		fmt.Fprintf(w, "clarifyd_tenant_weight{tenant=%s} %s\n", quoteLabel(name), formatFloat(tenants[name].Profile.Weight))
-	}
-	p.Header("clarifyd_tenant_slo_error_budget_remaining", "gauge", "Error budget unspent per tenant and objective.")
-	for _, name := range names {
-		if s := tenants[name].SLO; s != nil {
-			for _, o := range s.Objectives {
-				fmt.Fprintf(w, "clarifyd_tenant_slo_error_budget_remaining{tenant=%s,objective=%s} %s\n",
-					quoteLabel(name), quoteLabel(o.Objective.Name), formatFloat(o.ErrorBudgetRemaining))
-			}
-		}
-	}
-	p.Header("clarifyd_tenant_slo_alert_firing", "gauge", "1 while a burn-rate alert fires, per tenant, objective, and window.")
-	for _, name := range names {
-		if s := tenants[name].SLO; s != nil {
-			for _, o := range s.Objectives {
-				for _, ws := range o.Windows {
-					firing := 0.0
-					if ws.Firing {
-						firing = 1
-					}
-					fmt.Fprintf(w, "clarifyd_tenant_slo_alert_firing{tenant=%s,objective=%s,window=%s} %s\n",
-						quoteLabel(name), quoteLabel(o.Objective.Name), quoteLabel(ws.Severity), formatFloat(firing))
-				}
-			}
-		}
-	}
-}
-
-// sortedKeysAny sorts a Reason-keyed map's keys as strings.
-func sortedKeysAny(m map[tenant.Reason]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, string(k))
-	}
-	sort.Strings(out)
-	return out
 }
 
 // writeResilience renders the LLM backend-path series: degraded mode, the

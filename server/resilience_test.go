@@ -12,7 +12,6 @@ import (
 
 	"github.com/clarifynet/clarify/llm"
 	"github.com/clarifynet/clarify/resilience"
-	"github.com/clarifynet/clarify/tenant"
 )
 
 // readAll drains and closes an HTTP response body.
@@ -59,14 +58,14 @@ func (failingClient) Complete(ctx context.Context, req llm.Request) (llm.Respons
 // that panics must not kill its worker, and the pool must keep draining jobs.
 func TestPoolContainsPanics(t *testing.T) {
 	var recovered int64
-	p := newPool(2, 4, tenant.ShedConfig{Target: -1}, func(interface{}) { atomic.AddInt64(&recovered, 1) })
+	p := newPool(2, 4, func(interface{}) { atomic.AddInt64(&recovered, 1) })
 	done := make(chan struct{}, 8)
 	for i := 0; i < 4; i++ {
-		reason := p.Submit(tenant.DefaultTenant, 1, tenant.Bulk, func() {
+		err := p.Submit(func() {
 			done <- struct{}{}
 			panic("boom")
 		}, nil)
-		if reason != "" {
+		if err != nil {
 			t.Fatalf("submit %d rejected", i)
 		}
 	}
@@ -81,7 +80,7 @@ func TestPoolContainsPanics(t *testing.T) {
 	// queue may still hold a just-finished job's slot, so retry briefly.
 	for i := 0; i < 4; i++ {
 		deadline := time.Now().Add(5 * time.Second)
-		for p.Submit(tenant.DefaultTenant, 1, tenant.Bulk, func() { done <- struct{}{} }, nil) != "" {
+		for p.Submit(func() { done <- struct{}{} }, nil) != nil {
 			if time.Now().After(deadline) {
 				t.Fatalf("post-panic submit %d rejected: workers died", i)
 			}

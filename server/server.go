@@ -14,7 +14,6 @@ import (
 
 	"github.com/clarifynet/clarify"
 	"github.com/clarifynet/clarify/disambig"
-	"github.com/clarifynet/clarify/incident"
 	"github.com/clarifynet/clarify/internal/promtext"
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/journal"
@@ -23,7 +22,6 @@ import (
 	"github.com/clarifynet/clarify/resilience"
 	"github.com/clarifynet/clarify/slo"
 	"github.com/clarifynet/clarify/symbolic"
-	"github.com/clarifynet/clarify/tenant"
 )
 
 // Options configures a Server. The zero value is usable: 4 workers, a
@@ -88,20 +86,6 @@ type Options struct {
 	// worth keeping (errors, degraded runs, slower than the update-stage
 	// p99). 0 selects DefaultTraceKeepSize; negative disables retention.
 	TraceKeepSize int
-	// Incidents, when non-nil, is the profile-on-fire recorder: a burn-rate
-	// alert transitioning to firing triggers a rate-limited CPU+heap+traces
-	// capture, indexed at GET /debug/incidents.
-	Incidents *incident.Recorder
-	// Tenants is the admission-control registry: per-tenant rate limits,
-	// concurrent-update quotas, and fair-queueing weights, keyed by the
-	// X-Clarify-Tenant header. Nil builds an open registry (every tenant
-	// gets weight 1, unlimited rate and concurrency) — single-tenant
-	// deployments see no behaviour change beyond the queue swap.
-	Tenants *tenant.Registry
-	// Shed tunes the CoDel-style queue-delay shed controller on the bulk
-	// dispatch lane. The zero value selects the defaults (200ms target,
-	// 2s interval); a negative Target disables overload shedding.
-	Shed tenant.ShedConfig
 }
 
 // Validate reports whether the options are well-formed; New panics on the
@@ -126,27 +110,15 @@ const DefaultUpdateTimeout = 2 * time.Minute
 // implements http.Handler; wire it into an http.Server (or httptest) and
 // call Shutdown to drain.
 type Server struct {
-	opts    Options
-	mux     *http.ServeMux
-	pool    *pool
-	mgr     *manager
-	met     *metrics
-	amb     *ambiguityMetrics
-	traces  *obs.Ring
-	slos    *slo.Set
-	spaces  *symbolic.SpaceCache // shared across all hosted sessions
-	tenants *tenant.Registry
-
-	// tslos holds each tenant's private SLO rings, cloned lazily from slos
-	// so noisy-neighbor protection is judged per tenant.
-	tslosMu sync.Mutex
-	tslos   map[string]*slo.Set
-
-	// firing tracks which burn-rate alerts were firing at the last SLO
-	// observation, so runUpdate can detect quiet→firing transitions and
-	// trigger the incident recorder exactly on the edge.
-	firingMu sync.Mutex
-	firing   map[string]bool
+	opts   Options
+	mux    *http.ServeMux
+	pool   *pool
+	mgr    *manager
+	met    *metrics
+	amb    *ambiguityMetrics
+	traces *obs.Ring
+	slos   *slo.Set
+	spaces *symbolic.SpaceCache // shared across all hosted sessions
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -189,26 +161,19 @@ func New(opts Options) *Server {
 		// The defaults cannot fail validation.
 		slos, _ = slo.New(slo.Config{})
 	}
-	tenants := opts.Tenants
-	if tenants == nil {
-		tenants = tenant.NewRegistry(tenant.RegistryConfig{})
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	met := newMetrics(opts.LatencyBucketsMs)
 	met.exemplars = opts.Exemplars
 	s := &Server{
 		opts:    opts,
 		mux:     http.NewServeMux(),
-		pool:    newPool(opts.Workers, opts.QueueSize, opts.Shed, func(interface{}) { met.recordPanic() }),
+		pool:    newPool(opts.Workers, opts.QueueSize, func(interface{}) { met.recordPanic() }),
 		mgr:     newManager(opts.MaxSessions, opts.IdleTTL, opts.SweepInterval),
 		met:     met,
 		amb:     newAmbiguityMetrics(),
 		traces:  newTraceRing(opts.TraceBufferSize),
 		slos:    slos,
 		spaces:  symbolic.NewSpaceCache(),
-		tenants: tenants,
-		tslos:   map[string]*slo.Set{},
-		firing:  map[string]bool{},
 		baseCtx: ctx,
 		cancel:  cancel,
 		drain:   make(chan struct{}),
@@ -237,7 +202,6 @@ func New(opts Options) *Server {
 	s.route("GET /debug/traces/{tid}", s.handleDebugTrace)
 	s.route("GET /debug/slo", s.handleDebugSLO)
 	s.route("GET /debug/ambiguity", s.handleDebugAmbiguity)
-	s.route("GET /debug/incidents", s.handleDebugIncidents)
 	return s
 }
 
@@ -389,16 +353,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	sloSnap := s.slos.Snapshot()
 	snap.SLO = &sloSnap
-	qs := s.pool.QueueStats()
-	snap.Queue = &qs
-	snap.Tenants = s.tenantMetrics()
 	if s.opts.Journal != nil {
 		js := s.opts.Journal.Stats()
 		snap.Journal = &js
-	}
-	if s.opts.Incidents != nil {
-		is := s.opts.Incidents.Stats()
-		snap.Incidents = &is
 	}
 	snap.Ambiguity = s.amb.snapshot()
 	snap.Runtime = readRuntimeStats()
@@ -418,9 +375,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCreateSession starts a session on the body's configuration. It
-// answers 201 with the session ID, 400 for an unreadable body, a missing
-// config or a bad tenant header, 422 for a configuration that does not
-// parse, and 503 while draining or at the session cap.
+// answers 201 with the session ID, 400 for an unreadable body or a missing
+// config, 422 for a configuration that does not parse, and 503 while
+// draining or at the session cap.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	if s.draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining", 0)
@@ -438,11 +395,6 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Config == "" {
 		writeError(w, http.StatusBadRequest, "config is required", 0)
-		return
-	}
-	tenantName, ok := tenantFromRequest(r)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "bad "+tenant.HeaderTenant+" header: want 1-64 chars of [A-Za-z0-9._-]", 0)
 		return
 	}
 	cfg, err := ios.Parse(req.Config)
@@ -467,7 +419,6 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	// Label the session's journal records with its ID; the session has not
 	// served an update yet, so the write is unobserved.
 	sess.JournalSession = sn.id
-	sn.setTenant(s.tenants.Get(tenantName).Name())
 	sn.setConfigText(cfg.Print())
 	writeJSON(w, http.StatusCreated, CreateSessionResponse{ID: sn.id})
 }
@@ -518,15 +469,13 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleSubmit is the hot path: run the tenant admission gates (token
-// bucket, concurrent-update quota), reserve the session, enqueue the
-// pipeline on the worker pool's fair queue — shedding with 429 +
-// Retry-After when a gate denies, the queue is full, or the overload
-// controller is tripped — and either wait for completion (sync) or return
-// the update ID (async). It answers 200 (sync) or 202 (async) with the
-// update, 400 for an unreadable body or a missing intent or target, 404 or
-// 410 for a session that is not live, 409 while the session is busy, 429
-// when shed, and 503 while draining.
+// handleSubmit is the hot path: reserve the session, enqueue the pipeline
+// on the worker pool — shedding with 429 + Retry-After when the queue is
+// full — and either wait for completion (sync) or return the update ID
+// (async). It answers 200 (sync) or 202 (async) with the update, 400 for an
+// unreadable body or a missing intent or target, 404 or 410 for a session
+// that is not live, 409 while the session is busy, 429 when the queue is
+// full, and 503 while draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining", 0)
@@ -552,17 +501,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	async := req.Async || r.URL.Query().Get("async") == "1"
 
-	// Tenant gates run before the session is reserved: a quota bounce must
-	// not allocate an update record, or a flooding tenant would grow its
-	// sessions' update history without doing any work.
-	tn := s.tenantFor(sn)
-	if !s.admitSubmit(w, tn) {
-		return
-	}
 	oracle := newAsyncOracle(s.baseCtx, s.opts.QuestionTimeout)
 	u, err := sn.beginUpdate(s.baseCtx, oracle, req.Intent, req.Target)
 	if err != nil {
-		tn.Release()
 		writeError(w, http.StatusConflict, err.Error(), 0)
 		return
 	}
@@ -573,24 +514,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if tp, ok := obs.ParseTraceParent(r.Header.Get(obs.TraceParentHeader)); ok {
 		u.parent = tp
 	}
-	// Sessions engaged in the disambiguation Q&A ride the strict-priority
-	// interactive lane, so an operator mid-dialogue is never queued behind
-	// a bulk flood; the header requests it for a dialogue's first submit.
-	lane := tenant.Bulk
-	if sn.interactive() || r.Header.Get(HeaderPriority) == "interactive" {
-		lane = tenant.Interactive
+	// reject fails the update and releases the session: for a refused
+	// submit here, and from the pool for a job still queued at the
+	// shutdown drain deadline.
+	reject := func(err error) { sn.endUpdate(u, nil, fmt.Errorf("rejected: %w", err)) }
+	err = s.pool.Submit(func() { s.runUpdate(sn, u, nil) }, func() { reject(errPoolClosed) })
+	if err == errQueueFull {
+		reject(err)
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
+			Error:             "submission shed: " + err.Error(),
+			RetryAfterSeconds: 1,
+			Reason:            "queue_full",
+		})
+		return
 	}
-	job := func() { s.runUpdate(sn, u, tn, nil) }
-	// drop runs only if the job is purged at the shutdown drain deadline:
-	// it fails the update and returns the session and quota slot.
-	drop := func(reason tenant.Reason) {
-		sn.endUpdate(u, nil, fmt.Errorf("rejected: %s", shedMessage(reason)))
-		tn.Release()
-	}
-	if reason := s.pool.Submit(tn.Name(), tn.Weight(), lane, job, drop); reason != "" {
-		tn.RecordShed(reason)
-		drop(reason)
-		writeShed(w, reason, time.Second)
+	if err != nil { // the submit raced Shutdown
+		reject(err)
+		writeError(w, http.StatusServiceUnavailable, err.Error(), 0)
 		return
 	}
 	if async {
@@ -608,17 +549,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // runUpdate executes one reserved update end to end: start the deadline
 // budget, bind the oracle, run the pipeline, publish the outcome, release
-// the session and the tenant's in-flight slot, and feed the fleet and
-// per-tenant SLOs. It serves both fresh submissions (as the pool job) and
-// rehydrated pending updates (on a restore goroutine); both paths hold an
-// in-flight slot on tn when they get here. script is a restored update's
-// delivered answers: the pipeline replays them through a disambig.Transcript
-// before the update's live oracle takes over. Fresh updates pass nil and
-// talk to the live oracle directly.
-func (s *Server) runUpdate(sn *session, u *update, tn *tenant.Tenant, script []disambig.Answer) {
+// the session, and feed the SLOs. It serves both fresh submissions (as the
+// pool job) and rehydrated pending updates (on a restore goroutine). script
+// is a restored update's delivered answers: the pipeline replays them
+// through a disambig.Transcript before the update's live oracle takes over.
+// Fresh updates pass nil and talk to the live oracle directly.
+func (s *Server) runUpdate(sn *session, u *update, script []disambig.Answer) {
 	s.active.Add(1)
 	defer s.active.Add(-1)
-	defer tn.Release()
 	// A panicking pipeline must fail its own update and release the
 	// session; otherwise the session stays busy forever and sync
 	// submitters hang. The pool has a last-resort recover too, but by
@@ -674,29 +612,17 @@ func (s *Server) runUpdate(sn *session, u *update, tn *tenant.Tenant, script []d
 		sn.setConfigText(res.Config.Print())
 	}
 	// Fold the pipeline's information-gain ledger (if the update reached
-	// disambiguation) into the fleet and per-tenant ambiguity rollups.
+	// disambiguation) into the ambiguity rollup.
 	if rerr == nil {
 		_, _, _, led := res.Placement()
-		s.amb.record(tn.Name(), led)
+		s.amb.record(led)
 	}
 	u.setDegraded(flags.Degraded())
-	// A session whose pipeline asked at least one disambiguation question
-	// is in a dialogue: its follow-up submits ride the interactive lane.
-	// Both this and the release come before the update turns terminal, so
-	// a follow-up submitted the moment it reads terminal is neither
-	// refused as busy nor queued on the bulk lane.
-	if oracle.asked() {
-		sn.markInteractive()
-	}
 	sn.endUpdate(u, res, rerr)
-	// Every terminal update outcome feeds the rolling objectives — fleet
-	// and per-tenant: the elapsed time covers the whole pipeline including
-	// question-wait, the same latency the client experienced.
-	failed := rerr != nil
-	tn.RecordOutcome(failed)
-	s.slos.Observe(elapsed, failed)
-	s.tenantSLO(tn.Name()).Observe(elapsed, failed)
-	s.checkIncidents()
+	// Every terminal update outcome feeds the rolling objectives: the
+	// elapsed time covers the whole pipeline including question-wait, the
+	// same latency the client experienced.
+	s.slos.Observe(elapsed, rerr != nil)
 }
 
 // keepTrace is the tail-retention policy: a trace evicted from the debug
@@ -723,50 +649,6 @@ func (s *Server) keepTrace(t *obs.Trace) bool {
 // minQuantileObservations is how many update observations the stage
 // histogram needs before the p99 estimate drives tail retention.
 const minQuantileObservations = 20
-
-// checkIncidents runs profile-on-fire: after each SLO observation, compare
-// the firing alert set against the previous one and hand any quiet→firing
-// transition to the incident recorder (which rate-limits actual captures).
-// The capture runs on its own goroutine — it sleeps through a bounded CPU
-// profile — so the worker that completed the update is not held.
-func (s *Server) checkIncidents() {
-	if s.opts.Incidents == nil {
-		return
-	}
-	snap := s.slos.Snapshot()
-	var newlyFiring []string
-	s.firingMu.Lock()
-	for _, o := range snap.Objectives {
-		for _, ws := range o.Windows {
-			name := o.Objective.Name + "/" + ws.Severity
-			if ws.Firing && !s.firing[name] {
-				newlyFiring = append(newlyFiring, name)
-			}
-			s.firing[name] = ws.Firing
-		}
-	}
-	s.firingMu.Unlock()
-	if len(newlyFiring) == 0 {
-		return
-	}
-	// Evidence bundle: the retained tail (errors, outliers) first — those
-	// are the traces that explain a burn — then recent traffic for context.
-	traces := append(s.traces.Kept(), s.traces.List()...)
-	go s.opts.Incidents.Capture(newlyFiring, traces)
-}
-
-// handleDebugIncidents serves the incident capture index, newest first.
-func (s *Server) handleDebugIncidents(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Incidents == nil {
-		writeJSON(w, http.StatusOK, []incident.Capture{})
-		return
-	}
-	list := s.opts.Incidents.List()
-	if list == nil {
-		list = []incident.Capture{}
-	}
-	writeJSON(w, http.StatusOK, list)
-}
 
 // longPollWait bounds how long GET …/updates/{uid}?after=N holds a reply:
 // well under clarify-lb's 10 s drain budget, which waits out proxied
@@ -867,18 +749,8 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDebugSLO serves the rolling objective state: per-objective budget
-// remaining and every burn-rate window's evaluation. ?tenant=NAME selects
-// that tenant's private rings instead of the fleet's.
+// remaining and every burn-rate window's evaluation.
 func (s *Server) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
-	if name := r.URL.Query().Get("tenant"); name != "" {
-		snap, ok := s.tenantSLOSnapshot(name)
-		if !ok {
-			writeError(w, http.StatusNotFound, "no SLO state for tenant "+name, 0)
-			return
-		}
-		writeJSON(w, http.StatusOK, snap)
-		return
-	}
 	writeJSON(w, http.StatusOK, s.slos.Snapshot())
 }
 

@@ -659,9 +659,9 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestDeleteCancelsParkedUpdate: deleting a session fails its parked update
-// at once and frees the worker and tenant slot it held. With one worker and
-// an hour-long question timeout, session B's update queues behind A's
-// parked one and can finish only once deleting A releases the worker.
+// at once and frees the worker it held. With one worker and an hour-long
+// question timeout, session B's update queues behind A's parked one and can
+// finish only once deleting A releases the worker.
 func TestDeleteCancelsParkedUpdate(t *testing.T) {
 	srv, c := startServer(t, Options{Workers: 1, QuestionTimeout: time.Hour})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -94,7 +94,6 @@ func (sn *session) capture(node string, now time.Time) *snapshot.Session {
 		ID:          sn.id,
 		CapturedAt:  now,
 		Node:        node,
-		Tenant:      sn.tenant,
 		ConfigText:  sn.cfgText,
 		MaxAttempts: sn.sess.MaxAttempts,
 		EnableReuse: sn.sess.EnableReuse,
@@ -186,9 +185,6 @@ func (s *Server) RestoreSession(snap *snapshot.Session) error {
 		JournalSession:   snap.ID,
 	}
 	cs.RestoreStats(snap.Stats)
-	// Re-bind the session to its tenant on this daemon's registry; a
-	// malformed or pre-tenancy name folds to the default tenant.
-	tn := s.tenants.Get(snap.Tenant)
 	sn := &session{
 		id:       snap.ID,
 		sess:     cs,
@@ -197,7 +193,6 @@ func (s *Server) RestoreSession(snap *snapshot.Session) error {
 		order:    append([]string(nil), snap.Order...),
 		nextUpd:  snap.NextUpdate,
 		cfgText:  cfg.Print(),
-		tenant:   tn.Name(),
 	}
 	for _, rec := range snap.Updates {
 		u := &update{
@@ -242,13 +237,7 @@ func (s *Server) RestoreSession(snap *snapshot.Session) error {
 		}
 		sn.busy = true
 		sn.oracle = oracle
-		// A pending update with dialogue history keeps its interactive
-		// standing on the successor.
-		sn.dialog = p.Question != nil || len(p.Answers) > 0
-		// The update held an in-flight slot on its original daemon; it
-		// re-enters this registry's accounting without a bucket charge.
-		tn.AdmitRestored()
-		runRestored = func() { s.runUpdate(sn, u, tn, p.Answers) }
+		runRestored = func() { s.runUpdate(sn, u, p.Answers) }
 	}
 
 	if err := s.mgr.Insert(sn); err != nil {

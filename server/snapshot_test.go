@@ -161,6 +161,106 @@ func TestSnapshotRestoreParkedQuestion(t *testing.T) {
 	}
 }
 
+// TestRestoreIgnoresRetiredTenantField: a snapshot written before the
+// tenant field was retired still restores. The body carries "tenant" next
+// to a finished update and a pending one parked on its second question; the
+// successor keeps the session ID, both update IDs and the parked question,
+// the dialogue finishes, and the next update continues the ID sequence.
+func TestRestoreIgnoresRetiredTenantField(t *testing.T) {
+	srvA, cA := startServer(t, Options{Workers: 2})
+	ctx := context.Background()
+	sid, err := cA.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	first, err := cA.RunUpdate(ctx, sid, exampleIntent, "ISP_OUT", func(Question) (int, error) { return 1, nil })
+	if err != nil || first.Status != StatusDone {
+		t.Fatalf("first update: %v (%+v)", err, first)
+	}
+	// A second intent against the updated map asks two questions again.
+	const followUp = "Write a route-map stanza that permits routes containing the prefix " +
+		"10.1.0.0/16 with mask length less than or equal to 24 and tagged with the " +
+		"community 400:4. Their MED value should be set to 7."
+	u, err := cA.SubmitAsync(ctx, sid, followUp, "ISP_OUT")
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	q1 := waitPendingQuestion(t, cA, sid)
+	if err := cA.Answer(ctx, sid, q1.Seq, 1); err != nil {
+		t.Fatalf("answer q1: %v", err)
+	}
+	var parked *Question
+	deadline := time.Now().Add(5 * time.Second)
+	for parked == nil {
+		if q, err := cA.Question(ctx, sid); err == nil && q != nil && q.Seq != q1.Seq {
+			parked = q
+		} else if time.Now().After(deadline) {
+			t.Fatal("second question never parked")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	dctx, dcancel := context.WithTimeout(ctx, 5*time.Second)
+	defer dcancel()
+	if err := srvA.DrainForHandoff(dctx); err != nil {
+		t.Fatalf("drain for handoff: %v", err)
+	}
+	snaps := srvA.SnapshotSessions("nodeA")
+	if len(snaps) != 1 || snaps[0].Pending == nil {
+		t.Fatalf("snapshots = %+v, want one session with a pending update", snaps)
+	}
+	// The handed-off copy is the live one now; cancel the local one.
+	sctx, scancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer scancel()
+	srvA.Shutdown(sctx)
+
+	// Write the body as the older format did: with the session's tenant.
+	var fields map[string]json.RawMessage
+	data, _ := json.Marshal(snaps[0])
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["tenant"] = json.RawMessage(`"mallory"`)
+	body, _ := json.Marshal(fields)
+
+	_, cB := startServer(t, Options{Workers: 2})
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPut, cB.BaseURL+"/v1/sessions/"+sid+"/restore", bytes.NewReader(body))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	var rr RestoreSessionResponse
+	json.NewDecoder(resp.Body).Decode(&rr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated || rr.ID != sid || !rr.Pending {
+		t.Fatalf("restore = %d %+v, want 201 for %s with a pending update", resp.StatusCode, rr, sid)
+	}
+
+	if got, err := cB.Update(ctx, sid, first.ID); err != nil || got.Status != StatusDone {
+		t.Fatalf("restored history %s = %+v, %v; want done", first.ID, got, err)
+	}
+	restored := waitPendingQuestion(t, cB, sid)
+	if restored.Seq != parked.Seq || restored.Text != parked.Text {
+		t.Fatalf("restored question = seq %d %q, want seq %d %q", restored.Seq, restored.Text, parked.Seq, parked.Text)
+	}
+	if got, err := cB.Update(ctx, sid, u.ID); err != nil || got.Status != StatusWaiting {
+		t.Fatalf("restored update %s = %+v, %v; want waiting", u.ID, got, err)
+	}
+	final, err := cB.PollUpdate(ctx, sid, u.ID, func(Question) (int, error) { return 1, nil })
+	if err != nil || final.Status != StatusDone {
+		t.Fatalf("restored update %s did not finish: %v (%+v)", u.ID, err, final)
+	}
+	next, err := cB.SubmitAsync(ctx, sid, exampleIntent, "ISP_OUT")
+	if err != nil {
+		t.Fatalf("submit after restore: %v", err)
+	}
+	if next.ID != "u3" {
+		t.Fatalf("next update ID = %s, want u3", next.ID)
+	}
+	if _, err := cB.PollUpdate(ctx, sid, next.ID, func(Question) (int, error) { return 1, nil }); err != nil {
+		t.Fatalf("update after restore: %v", err)
+	}
+}
+
 // TestSnapshotRestoreIdleSessionHistory: an idle session's update history,
 // counters, and ID sequence survive a handoff.
 func TestSnapshotRestoreIdleSessionHistory(t *testing.T) {

@@ -8,12 +8,9 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
-	"github.com/clarifynet/clarify/incident"
 	"github.com/clarifynet/clarify/internal/promtext"
 	"github.com/clarifynet/clarify/obs"
-	"github.com/clarifynet/clarify/slo"
 )
 
 // TestTraceParentAdoption checks that an update submitted with a W3C
@@ -190,92 +187,6 @@ func TestTailRetentionKeepsErrorTraces(t *testing.T) {
 	one.Body.Close()
 	if one.StatusCode != http.StatusOK {
 		t.Fatalf("kept trace not resolvable by ID: %d", one.StatusCode)
-	}
-}
-
-// TestProfileOnFire drives the availability objective into a firing state
-// with failed updates and checks that exactly one rate-limited incident
-// bundle appears at /debug/incidents.
-func TestProfileOnFire(t *testing.T) {
-	slos, err := slo.New(slo.Config{
-		Objectives: []slo.Objective{{Name: "availability", Goal: 0.5}},
-		Windows: []slo.Window{
-			{Long: 2 * time.Second, Short: 500 * time.Millisecond, Burn: 1, Severity: "page"},
-		},
-		Resolution: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := incident.NewRecorder(incident.Options{
-		Dir:         t.TempDir(),
-		Cooldown:    time.Hour,
-		CPUDuration: 30 * time.Millisecond,
-	})
-	_, c := startServer(t, Options{Workers: 2, SLO: slos, Incidents: rec})
-	ctx := context.Background()
-	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Every update fails, so the availability burn rate exceeds the alert
-	// threshold as soon as both windows have data.
-	for i := 0; i < 6; i++ {
-		res, err := c.RunUpdate(ctx, sid, exampleIntent, "NO_SUCH_MAP", nil)
-		if err != nil {
-			t.Fatalf("run update: %v", err)
-		}
-		if res.Status != StatusFailed {
-			t.Fatalf("update %d unexpectedly succeeded: %+v", i, res)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	var list []incident.Capture
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(c.BaseURL + "/debug/incidents")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&list)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(list) > 0 {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if len(list) != 1 {
-		t.Fatalf("incidents = %d (%+v), want exactly one rate-limited capture", len(list), list)
-	}
-	cap0 := list[0]
-	if len(cap0.Alerts) == 0 || !strings.HasPrefix(cap0.Alerts[0], "availability/") {
-		t.Errorf("capture alerts = %v, want availability/*", cap0.Alerts)
-	}
-	hasTraces := false
-	for _, f := range cap0.Files {
-		if f == "traces.jsonl" {
-			hasTraces = true
-		}
-	}
-	if !hasTraces {
-		t.Errorf("capture files = %v, want traces.jsonl", cap0.Files)
-	}
-
-	// The metrics snapshot surfaces the recorder counters.
-	resp, err := http.Get(c.BaseURL + "/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "clarifyd_incident_captures_total 1") {
-		t.Errorf("prometheus exposition missing incident counter:\n%s",
-			firstMatching(string(body), "incident"))
 	}
 }
 

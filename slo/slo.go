@@ -391,21 +391,6 @@ func New(cfg Config) (*Set, error) {
 	return s, nil
 }
 
-// Clone builds a fresh Set with the same objectives, windows, resolution,
-// and clock but empty rings. The server spawns one clone per tenant so each
-// tenant's burn rates are judged against the same targets as the fleet's.
-// Safe on a nil Set (returns nil, which no-ops like its parent).
-func (s *Set) Clone() *Set {
-	if s == nil {
-		return nil
-	}
-	out := &Set{}
-	for _, m := range s.monitors {
-		out.monitors = append(out.monitors, newMonitor(m.obj, m.windows, m.res, m.now))
-	}
-	return out
-}
-
 // Observe records one update outcome against every objective. Safe on a nil
 // Set.
 func (s *Set) Observe(dur time.Duration, failed bool) {

@@ -94,11 +94,6 @@ type Session struct {
 	// Node names the daemon that captured the session (its listen address);
 	// affinity metadata for the balancer and for debugging handoffs.
 	Node string `json:"node,omitempty"`
-	// Tenant is the admission principal the session was created under;
-	// restore re-binds the session to the same tenant's quotas and fair
-	// share on the successor. Empty means the default tenant (pre-tenancy
-	// snapshots restore unchanged).
-	Tenant string `json:"tenant,omitempty"`
 	// ConfigText is the printed current configuration.
 	ConfigText string `json:"configText"`
 	// Fingerprint is the symbolic.SpaceCache content fingerprint of
