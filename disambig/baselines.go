@@ -308,13 +308,12 @@ func PrepareRouteMapStanza(cache *symbolic.SpaceCache, orig *ios.Config, mapName
 	}
 	work := orig.Clone()
 	snip := snippet.Clone()
-	renames := map[string]string{}
-	taken := map[string]bool{}
-	for _, name := range snip.ListNames() {
-		fresh := nextListName(work, taken)
-		snip.RenameList(name, fresh)
-		renames[name] = fresh
-		taken[fresh] = true
+	names := snip.ListNames()
+	fresh := freshListNames(work, len(names))
+	renames := make(map[string]string, len(names))
+	for i, name := range names {
+		snip.RenameList(name, fresh[i])
+		renames[name] = fresh[i]
 	}
 	stanza := snip.RouteMaps[snippetMap].Stanzas[0].Clone()
 	snip.RemoveRouteMap(snippetMap)

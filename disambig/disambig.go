@@ -22,6 +22,8 @@ package disambig
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"github.com/clarifynet/clarify/ambiguity"
 	"github.com/clarifynet/clarify/analysis"
@@ -137,22 +139,27 @@ func NewStanzaVerdict(st *ios.Stanza, r route.Route) policy.RouteVerdict {
 	return v
 }
 
-// nextListName picks the next unused name in the configuration's D<k>
-// sequence, matching the paper's Figure 2 style (D0, D1 exist → snippet
-// lists become D2, D3). taken holds names already handed out in this
-// insertion but not yet merged.
-func nextListName(cfg *ios.Config, taken map[string]bool) string {
+// freshListNames returns the next n unused names in the configuration's
+// D<k> sequence, matching the paper's Figure 2 style (D0, D1 exist → two
+// snippet lists become D2, D3). The sequence continues after the largest k
+// a list is named D<k> for, with k written in canonical decimal (so D01,
+// D+1 and D1x do not count), and skips names any namespace already uses.
+func freshListNames(cfg *ios.Config, n int) []string {
 	max := -1
 	for _, name := range cfg.ListNames() {
-		var k int
-		if n, err := fmt.Sscanf(name, "D%d", &k); err == nil && n == 1 && fmt.Sprintf("D%d", k) == name && k > max {
+		digits, ok := strings.CutPrefix(name, "D")
+		if !ok {
+			continue
+		}
+		if k, err := strconv.Atoi(digits); err == nil && k > max && strconv.Itoa(k) == digits {
 			max = k
 		}
 	}
-	for k := max + 1; ; k++ {
-		name := fmt.Sprintf("D%d", k)
-		if !taken[name] && cfg.FreshName(name) == name {
-			return name
+	out := make([]string, 0, n)
+	for k := max + 1; len(out) < n; k++ {
+		if name := "D" + strconv.Itoa(k); cfg.FreshName(name) == name {
+			out = append(out, name)
 		}
 	}
+	return out
 }

@@ -440,3 +440,38 @@ func figureWithName(t *testing.T, orig *ios.Config, mapName string, snippet *ios
 	prep.rm.InsertStanza(pos, prep.stanza)
 	return prep.work
 }
+
+// TestFreshListNames pins the names a snippet's lists get: the sequence
+// continues after the largest canonical D<k> list name and skips names any
+// namespace uses.
+func TestFreshListNames(t *testing.T) {
+	const base = "route-map ISP_OUT permit 10\n match local-preference 300\n"
+	cases := []struct {
+		name, extra string
+		com, prefix string
+	}{
+		{"no D lists", "", "D0", "D1"},
+		{"leading zero", "ip prefix-list D01 seq 10 permit 10.0.0.0/8\n", "D0", "D1"},
+		{"plus sign", "ip prefix-list D+1 seq 10 permit 10.0.0.0/8\n", "D0", "D1"},
+		{"negative", "ip prefix-list D-1 seq 10 permit 10.0.0.0/8\n", "D0", "D1"},
+		{"trailing text", "ip prefix-list D1x seq 10 permit 10.0.0.0/8\n", "D0", "D1"},
+		{"overflow", "ip prefix-list D99999999999999999999 seq 10 permit 10.0.0.0/8\n", "D0", "D1"},
+		{"after the largest", "ip as-path access-list D0 permit _32$\nip community-list expanded D7 permit _1:1_\n", "D8", "D9"},
+		{"route map and ACL named D<k>", "ip as-path access-list D0 permit _32$\n" +
+			"ip prefix-list D1 seq 10 permit 10.0.0.0/8\n" +
+			"route-map D3 permit 10\n match local-preference 100\n" +
+			"ip access-list extended D4\n permit ip any any\n", "D2", "D5"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			orig := ios.MustParse(base + tc.extra)
+			in, err := PrepareRouteMapStanza(nil, orig, "ISP_OUT", ios.MustParse(paperSnippet), "SET_METRIC")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := in.renames; got["COM_LIST"] != tc.com || got["PREFIX_100"] != tc.prefix || len(got) != 2 {
+				t.Errorf("renames = %v, want COM_LIST→%s, PREFIX_100→%s", got, tc.com, tc.prefix)
+			}
+		})
+	}
+}
