@@ -11,7 +11,8 @@ import (
 // BenchmarkBuild measures the partition alone: every pattern's automaton is
 // compiled before the timer starts. The cases are the cloud route map with
 // the most community patterns, eight transit as-path conditions (256 atoms)
-// and 200 community literals.
+// and 200 community literals. The carved cases partition the same community
+// patterns with the literals carved out instead of multiplied.
 func BenchmarkBuild(b *testing.B) {
 	var heavy []string
 	for _, cfg := range workload.Cloud(1, 10, 140).RouteMapConfigs {
@@ -22,12 +23,15 @@ func BenchmarkBuild(b *testing.B) {
 	for _, c := range []struct {
 		name     string
 		patterns []string
+		literal  func(string) (string, bool)
 		compile  func(string) (*rx.DFA, error)
 		valid    *rx.DFA
 	}{
-		{"cloud-community-heavy", heavy, ciscorx.CompileCommunity, ciscorx.ValidCommunity()},
-		{"transit-8", transitPatterns(8), ciscorx.CompilePath, ciscorx.ValidPath()},
-		{"literals-200", communityLiterals(200), ciscorx.CompileCommunity, ciscorx.ValidCommunity()},
+		{"cloud-community-heavy", heavy, nil, ciscorx.CompileCommunity, ciscorx.ValidCommunity()},
+		{"cloud-community-heavy-carved", heavy, ciscorx.CommunityLiteral, ciscorx.CompileCommunity, ciscorx.ValidCommunity()},
+		{"transit-8", transitPatterns(8), nil, ciscorx.CompilePath, ciscorx.ValidPath()},
+		{"literals-200", communityLiterals(200), nil, ciscorx.CompileCommunity, ciscorx.ValidCommunity()},
+		{"literals-200-carved", communityLiterals(200), ciscorx.CommunityLiteral, ciscorx.CompileCommunity, ciscorx.ValidCommunity()},
 	} {
 		dfas := map[string]*rx.DFA{}
 		for _, p := range c.patterns {
@@ -41,7 +45,7 @@ func BenchmarkBuild(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Build(c.patterns, compiled, c.valid); err != nil {
+				if _, err := BuildWithLiterals(c.patterns, c.literal, compiled, c.valid); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,6 +3,7 @@ package atoms
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,7 +43,8 @@ func randomCiscoPattern(rng *rand.Rand, community bool, depth int) string {
 
 // FuzzBuildMatchesRefinement checks Build against the refinement oracle on
 // 1–6 random patterns per dialect, drawn from seed. Patterns that do not
-// compile are skipped.
+// compile are skipped. Up to three community literals join the community
+// patterns at random places, and the literal carve must equal Build there.
 func FuzzBuildMatchesRefinement(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed, uint8(seed))
@@ -65,7 +67,16 @@ func FuzzBuildMatchesRefinement(f *testing.F) {
 					patterns = append(patterns, p)
 				}
 			}
-			checkMatchesRef(t, fmt.Sprintf("%s %q", d.name, patterns), patterns, d.compile, d.valid)
+			if d.community {
+				for k := rng.Intn(4); k > 0; k-- {
+					patterns = slices.Insert(patterns, rng.Intn(len(patterns)+1), randomLiteral(rng))
+				}
+			}
+			name := fmt.Sprintf("%s %q", d.name, patterns)
+			checkMatchesRef(t, name, patterns, d.compile, d.valid)
+			if d.community {
+				checkCarveMatchesBuild(t, name, patterns)
+			}
 		}
 	})
 }

@@ -132,3 +132,38 @@ func PathSubject(asns []uint32) string {
 
 // CommunitySubject renders a community string in boundary-explicit form.
 func CommunitySubject(comm string) string { return "^" + comm + "$" }
+
+// CommunityLiteral reports whether a community pattern's language holds
+// exactly one well-formed subject, and returns it. Such a pattern is
+// [_^]A:B[_$] with A and B of one to five digits, the numToken width: the
+// only boundaries of a well-formed subject are its '^' and its '$', so the
+// boundaries on both sides pin the match to the whole subject ^A:B$.
+// Standard-list and set-community literals arrive in this form as ^A:B$.
+func CommunityLiteral(pattern string) (string, bool) {
+	n := len(pattern)
+	if n < 5 || (pattern[0] != '_' && pattern[0] != '^') || (pattern[n-1] != '_' && pattern[n-1] != '$') {
+		return "", false
+	}
+	body := pattern[1 : n-1]
+	hi, lo, ok := strings.Cut(body, ":")
+	if !ok || !isToken(hi) || !isToken(lo) {
+		return "", false
+	}
+	if pattern[0] == '^' && pattern[n-1] == '$' {
+		return pattern, true
+	}
+	return CommunitySubject(body), true
+}
+
+// isToken reports whether s is one to five digits.
+func isToken(s string) bool {
+	if len(s) < 1 || len(s) > 5 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
+}

@@ -2,6 +2,8 @@ package ciscorx
 
 import (
 	"testing"
+
+	"github.com/clarifynet/clarify/rx"
 )
 
 func pathMatch(t *testing.T, pattern string, asns ...uint32) bool {
@@ -104,5 +106,34 @@ func TestBadPattern(t *testing.T) {
 	}
 	if _, err := CompileCommunity("[z"); err == nil {
 		t.Error("bad class should fail")
+	}
+}
+
+// TestCommunityLiteral checks what is and is not a literal, and that a
+// literal's compiled automaton accepts exactly its subject among well-formed
+// communities. The recognizer may miss a singleton, such as _1:1[0]_, which
+// then compiles as any regex does.
+func TestCommunityLiteral(t *testing.T) {
+	singleton := func(subject string) *rx.DFA {
+		return rx.MustCompile(`\^`+subject[1:len(subject)-1]+`\$`, CommunityAlphabet)
+	}
+	for p, want := range map[string]string{
+		"_65000:1_": "^65000:1$", "^65000:1$": "^65000:1$", "_1:2$": "^1:2$", "^1:2_": "^1:2$",
+		"_01:1_": "^01:1$", "^99999:99999$": "^99999:99999$", "^70000:1$": "^70000:1$",
+		"_1:1": "", "1:1_": "", "_123456:1_": "", "_1:1_2": "", "_1:_": "", "__": "",
+		"_1:1:1_": "", "^1:1.$": "", "_:1_": "", "^1 1$": "", "_1:1[0]_": "",
+	} {
+		got, ok := CommunityLiteral(p)
+		if got != want || ok != (want != "") {
+			t.Errorf("CommunityLiteral(%q) = %q %v, want %q", p, got, ok, want)
+		}
+		d, err := CompileCommunity(p)
+		if err != nil || !ok {
+			continue
+		}
+		if inValid := d.Intersect(ValidCommunity()); !inValid.Equal(singleton(got)) {
+			w, _ := inValid.ShortestString()
+			t.Errorf("%q accepts more or less than %q among well-formed communities (shortest %q)", p, got, w)
+		}
 	}
 }

@@ -37,9 +37,10 @@ type ACLVerdict struct {
 }
 
 // Evaluator evaluates route maps and ACLs of one configuration, compiling
-// regex automata through a ciscorx.Memo. Its only state is that table, which
-// is safe for concurrent use, so one Evaluator may serve concurrent callers
-// as long as nothing mutates the configuration.
+// regex automata through a ciscorx.Memo; an expanded community entry holding
+// a literal (ciscorx.CommunityLiteral) is matched without one. Its only
+// state is that table, which is safe for concurrent use, so one Evaluator
+// may serve concurrent callers as long as nothing mutates the configuration.
 type Evaluator struct {
 	cfg      *ios.Config
 	automata *ciscorx.Memo
@@ -241,6 +242,17 @@ func (e *Evaluator) communityPermits(l *ios.CommunityList, r route.Route) (bool,
 
 func (e *Evaluator) communityEntryMatches(l *ios.CommunityList, entry ios.CommunityListEntry, r route.Route) (bool, error) {
 	if l.Expanded {
+		// A literal's automaton accepts one well-formed subject, and a
+		// route's communities render well-formed, so comparing is matching.
+		if subject, ok := ciscorx.CommunityLiteral(entry.Values[0]); ok {
+			lit := subject[1 : len(subject)-1]
+			for _, c := range r.Communities {
+				if c.String() == lit {
+					return true, nil
+				}
+			}
+			return false, nil
+		}
 		d, err := e.automata.Community(entry.Values[0])
 		if err != nil {
 			return false, err

@@ -1,9 +1,11 @@
 package policy
 
 import (
+	"math/rand"
 	"net/netip"
 	"testing"
 
+	"github.com/clarifynet/clarify/ciscorx"
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/packet"
 	"github.com/clarifynet/clarify/route"
@@ -340,5 +342,52 @@ func TestACLICMPMatching(t *testing.T) {
 	// Non-icmp traffic skips all icmp entries.
 	if v := EvalACL(acl, packet.New("1.1.1.1", "2.2.2.2", packet.ProtoTCP)); v.Index != 3 {
 		t.Errorf("tcp: %+v", v)
+	}
+}
+
+// TestLiteralEntryMatchesAutomaton checks that an expanded community entry
+// holding a literal, which the evaluator matches by comparing the route's
+// community subjects with it, matches exactly the routes its compiled
+// automaton matches. Halves come from small pools, and some of the
+// pattern's are written with a leading zero, which no route's community
+// renders with.
+func TestLiteralEntryMatchesAutomaton(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pool := []uint16{0, 1, 2, 10, 100, 65000, 65535}
+	half := func() uint16 { return pool[rng.Intn(len(pool))] }
+	text := []string{"0", "1", "2", "10", "100", "65000", "65535", "01", "00", "0100"}
+	matched := map[bool]int{}
+	for i := 0; i < 500; i++ {
+		body := text[rng.Intn(len(text))] + ":" + text[rng.Intn(len(text))]
+		p := string("_^"[rng.Intn(2)]) + body + string("_$"[rng.Intn(2)])
+		if _, ok := ciscorx.CommunityLiteral(p); !ok {
+			t.Fatalf("%q is not a literal", p)
+		}
+		d, err := ciscorx.CompileCommunity(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := ios.MustParse("ip community-list expanded L permit " + p + "\nroute-map RM permit 10\n match community L\n")
+		r := route.New("10.0.0.0/8")
+		want := false
+		for k := rng.Intn(4); k > 0; k-- {
+			c := route.Community{Hi: half(), Lo: half()}
+			if rng.Intn(2) == 0 { // the pattern's own halves, leading zeros dropped
+				c = route.MustParseCommunity(body)
+			}
+			r = r.AddCommunity(c)
+			want = want || d.Matches(ciscorx.CommunitySubject(c.String()))
+		}
+		v, err := NewEvaluator(cfg).EvalRouteMap(cfg.RouteMaps["RM"], r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Permit != want {
+			t.Fatalf("%q on %v: evaluator permits %v, automaton matches %v", p, r.Communities, v.Permit, want)
+		}
+		matched[want]++
+	}
+	if matched[true] == 0 || matched[false] == 0 {
+		t.Errorf("outcomes %v: want both", matched)
 	}
 }

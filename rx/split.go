@@ -1,9 +1,6 @@
 package rx
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Split partitions the language of a universe automaton by a list of pattern
 // automata: two members of the universe share a class exactly when every
@@ -127,15 +124,7 @@ func NewSplit(universe *DFA, patterns []*DFA) *Split {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(x, y int) bool {
-		a, b := in[order[x]], in[order[y]]
-		for i := range a {
-			if a[i] != b[i] {
-				return a[i]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(order, func(x, y int32) int { return CompareVectors(in[x], in[y]) })
 	rank := make([]int32, len(order))
 	s.in = make([][]bool, len(order))
 	s.witness = make([]string, len(order))
@@ -150,6 +139,20 @@ func NewSplit(universe *DFA, patterns []*DFA) *Split {
 		}
 	}
 	return s
+}
+
+// CompareVectors orders acceptance vectors as NewSplit orders its classes:
+// pattern by pattern, "accepted" before "rejected".
+func CompareVectors(a, b []bool) int {
+	for i := range a {
+		if a[i] != b[i] {
+			if a[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }
 
 // live reports, for each state, whether some accepting state is reachable
@@ -203,8 +206,9 @@ func (s *Split) ClassOf(subject string) int {
 	return int(s.class[q])
 }
 
-// ClassDFA returns the minimal automaton accepting exactly class i.
-func (s *Split) ClassDFA(i int) *DFA {
+// ClassDFA returns the minimal automaton accepting exactly the members of
+// class i other than the given strings.
+func (s *Split) ClassDFA(i int, without ...string) *DFA {
 	d := &DFA{
 		alphabet: s.prod.alphabet,
 		symIndex: s.prod.symIndex,
@@ -215,5 +219,39 @@ func (s *Split) ClassDFA(i int) *DFA {
 	for q, c := range s.class {
 		d.accept[q] = c == int32(i)
 	}
+	if len(without) > 0 {
+		return d.Minus(d.finite(without))
+	}
 	return d.Minimize()
+}
+
+// finite returns an automaton over d's alphabet accepting exactly strs: a
+// trie rooted at state 1 whose missing edges lead to the dead state 0.
+func (d *DFA) finite(strs []string) *DFA {
+	nsym := len(d.alphabet)
+	t := &DFA{
+		alphabet: d.alphabet,
+		symIndex: d.symIndex,
+		trans:    [][]int32{make([]int32, nsym), make([]int32, nsym)},
+		accept:   []bool{false, false},
+		start:    1,
+	}
+	for _, s := range strs {
+		q := t.start
+		for i := 0; i < len(s); i++ {
+			si := d.symIndex[s[i]]
+			if si < 0 { // no automaton over the alphabet accepts s
+				q = 0
+				break
+			}
+			if t.trans[q][si] == 0 {
+				t.trans[q][si] = int32(len(t.trans))
+				t.trans = append(t.trans, make([]int32, nsym))
+				t.accept = append(t.accept, false)
+			}
+			q = t.trans[q][si]
+		}
+		t.accept[q] = q != 0
+	}
+	return t
 }

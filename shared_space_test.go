@@ -185,3 +185,30 @@ func TestMissingTargetMapKeepsError(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdateCompilesNoLiteral: the walkthrough's community 300:3 reaches the
+// update's space twice, as the snippet's _300:3_ and the spec's ^300:3$.
+// Verification, disambiguation and its witness confirmation all compile
+// through the cache's automaton table, which must hold only the base map's
+// as-path regex _32$ afterwards: neither literal is compiled.
+func TestUpdateCompilesNoLiteral(t *testing.T) {
+	cache := symbolic.NewSpaceCache()
+	session := &Session{
+		Client: llm.NewSimLLM(),
+		Config: ios.MustParse(paperISPOut),
+		RouteOracle: disambig.FuncRouteOracle(func(disambig.RouteQuestion) (bool, error) {
+			return true, nil
+		}),
+		SpaceCache: cache,
+	}
+	res, err := session.Submit(context.Background(), paperPrompt, "ISP_OUT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, questions, _, _ := res.Placement(); questions == 0 {
+		t.Fatal("the walkthrough asked no question, so no witness was confirmed")
+	}
+	if n := cache.Stats().Automata; n != 1 {
+		t.Errorf("the cache's table holds %d automata, want 1 (_32$)", n)
+	}
+}

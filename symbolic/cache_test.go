@@ -192,14 +192,17 @@ func TestSpaceCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestSpaceCacheSharesAutomata builds two spaces with different fingerprints
-// that share patterns through one cache: the second compiles only its new
-// pattern, and both hold the cache's table.
+// TestSpaceCacheSharesAutomata builds spaces with different fingerprints
+// that share patterns through one cache: a second space compiles only its
+// new regex, a community literal compiles nothing, and all hold the cache's
+// table.
 func TestSpaceCacheSharesAutomata(t *testing.T) {
 	a := ios.MustParse(cacheTestConfig)
 	b := ios.MustParse(cacheTestConfig)
-	b.AddCommunityList("C9", true, ios.CommunityListEntry{Permit: true, Values: []string{"_65000:999_"}})
-	if Fingerprint(a) == Fingerprint(b) {
+	b.AddCommunityList("C9", true, ios.CommunityListEntry{Permit: true, Values: []string{"_65000:9.._"}})
+	c := ios.MustParse(cacheTestConfig)
+	c.AddCommunityList("C9", true, ios.CommunityListEntry{Permit: true, Values: []string{"_65000:999_"}})
+	if Fingerprint(a) == Fingerprint(b) || Fingerprint(a) == Fingerprint(c) {
 		t.Fatal("test configs share a fingerprint")
 	}
 	cache := NewSpaceCache()
@@ -208,8 +211,8 @@ func TestSpaceCacheSharesAutomata(t *testing.T) {
 		t.Fatal(err)
 	}
 	held := cache.Stats().Automata
-	if held != 2 { // _32$ and _65000:100_
-		t.Fatalf("after the first space the table holds %d automata, want 2", held)
+	if held != 1 { // _32$; the literal _65000:100_ is carved, not compiled
+		t.Fatalf("after the first space the table holds %d automata, want 1", held)
 	}
 	shared, err := sa.Automata().Path("_32$")
 	if err != nil {
@@ -220,7 +223,13 @@ func TestSpaceCacheSharesAutomata(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Misses != 2 || st.Automata != held+1 {
-		t.Errorf("stats = %+v, want 2 misses and %d automata (one new pattern)", st, held+1)
+		t.Errorf("stats = %+v, want 2 misses and %d automata (one new regex)", st, held+1)
+	}
+	if _, err := cache.Acquire(c); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Misses != 3 || st.Automata != held+1 {
+		t.Errorf("stats = %+v, want 3 misses and still %d automata (a literal adds none)", st, held+1)
 	}
 	if sa.Automata() != sb.Automata() {
 		t.Error("spaces from one cache hold different automaton tables")

@@ -120,7 +120,7 @@ func newRouteSpace(automata *ciscorx.Memo, cfgs []*ios.Config) (*RouteSpace, err
 	if err != nil {
 		return nil, err
 	}
-	commU, err := atoms.Build(commPatterns, automata.Community, ciscorx.ValidCommunity())
+	commU, err := atoms.BuildWithLiterals(commPatterns, ciscorx.CommunityLiteral, automata.Community, ciscorx.ValidCommunity())
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package symbolic
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/clarifynet/clarify/bdd"
@@ -326,6 +327,27 @@ func TestWitnessesDistinctAndBounded(t *testing.T) {
 	for _, w := range ws {
 		if !policy.PrefixListPermits(cfg.PrefixLists["D1"], w) {
 			t.Errorf("witness %s not permitted", w.Network)
+		}
+	}
+}
+
+// TestUndecodableLiteralWitness checks the literal ^70000:1$: the universe
+// holds it, since its halves have at most five digits, but 70000 is no
+// 16-bit half, so a route inside it has no decodable witness.
+func TestUndecodableLiteralWitness(t *testing.T) {
+	cfg := ios.MustParse("ip community-list expanded C permit ^70000:1$\nip community-list expanded D permit _65000:1_\n")
+	s, err := NewRouteSpace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for list, wantErr := range map[string]bool{"C": true, "D": false} {
+		pred, err := s.CommunityEntryPred(true, cfg.CommunityLists[list].Entries[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ok, err := s.Witness(pred)
+		if gotErr := err != nil && strings.Contains(err.Error(), "no decodable witness"); gotErr != wantErr || (!wantErr && (err != nil || !ok)) {
+			t.Errorf("list %s: witness ok=%v err=%v, want the decode error: %v", list, ok, err, wantErr)
 		}
 	}
 }
