@@ -10,7 +10,7 @@
 // its share of the route/packet universe — is the ambiguity in bits.
 // Each answered question shrinks the undecided range, and the drop in bits
 // is that question's information gain. The per-update record is a Ledger;
-// Rollup aggregates ledgers per strategy and fleet-wide.
+// Rollup aggregates ledgers per strategy and per kind.
 //
 // The package sits above bdd and below disambig so every layer — disambig,
 // clarify, journal, replay, server, lb, the offline analyzer — shares one

@@ -57,8 +57,8 @@ func (s *StrategyStats) MeanQuestions() float64 {
 
 // Rollup aggregates ledgers across updates: totals plus per-strategy and
 // per-kind breakdowns. The zero value is not ready; use NewRollup. It is
-// the JSON body of GET /debug/ambiguity, the unit the LB merges per
-// backend, and the analyzer's per-category row.
+// the JSON body of GET /debug/ambiguity and the analyzer's per-category
+// row.
 type Rollup struct {
 	// Total aggregates every ledger seen.
 	Total StrategyStats `json:"total"`

@@ -194,9 +194,8 @@ func (s *Session) maxAttempts() int {
 // observability is disabled (Observer, Trace, and Journal all nil) — every
 // obs.Span method no-ops on a nil receiver, so the disabled pipeline pays
 // nothing. When ctx carries a propagated W3C trace context (extracted from a
-// clarify-lb or clarify -remote traceparent header), the trace adopts the
-// fleet trace ID and records the caller's span as its remote parent, so the
-// update tree stitches under the upstream proxy span.
+// clarify -remote or clarify-lb traceparent header), the trace adopts its
+// trace ID and records the caller's span as its remote parent.
 func (s *Session) beginTrace(ctx context.Context) *obs.Trace {
 	if s.Observer == nil && s.Trace == nil && s.Journal == nil {
 		return nil

@@ -6,9 +6,9 @@
 // and per intent category (route-map vs acl).
 //
 // It is the third leg of the telemetry agreement: the same ledgers the live
-// daemon aggregates at /debug/ambiguity (and clarify-lb merges fleet-wide)
-// are persisted in the journal, so analyzing a replica's journal after a
-// run must reproduce the live rollup.
+// daemon aggregates at /debug/ambiguity are persisted in the journal, so
+// analyzing a replica's journal after a run must reproduce that replica's
+// live rollup.
 //
 // Usage:
 //

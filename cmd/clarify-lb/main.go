@@ -16,20 +16,18 @@
 //     answers land on the replica holding the session; unknown IDs fall back
 //     to a consistent hash of the ID.
 //   - GET /v1/sessions merges the listing across admitted backends.
-//   - GET /healthz and /metrics (?format=prometheus or openmetrics) are the
-//     balancer's own.
-//   - GET /debug/traces lists the balancer's per-request proxy traces;
-//     GET /debug/traces/{id} reassembles the fleet-wide trace, grafting each
-//     replica's spans under the forward span that propagated its context.
+//   - GET /healthz and /metrics (?format=prometheus) are the balancer's own.
 //
 // A background prober GETs each backend's /readyz: -eject-after consecutive
 // failures take a backend out of rotation, -readmit-after consecutive
 // successes restore it, and a backend reporting "draining" keeps serving its
-// pinned sessions but receives no new ones. Every response carries
-// X-Clarify-Backend (the serving replica, whose /debug/traces holds the
-// update's trace) and X-Request-Id — minted as the request's W3C trace ID
-// when the client sent none, so one identifier correlates the access log,
-// the metrics exemplars, and the fleet trace view.
+// pinned sessions but receives no new ones. The balancer forwards and
+// records nothing per request: every response carries X-Clarify-Backend
+// (the serving replica, whose /debug/traces holds the update's trace) and
+// X-Request-Id. A client's valid traceparent reaches the replica untouched;
+// otherwise the balancer mints one, and its trace ID is the X-Request-Id
+// when the client sent none — so one identifier names the request in the
+// -access-log line and the update on the replica.
 package main
 
 import (
@@ -69,10 +67,7 @@ func main() {
 		readmitAfter  = flag.Int("readmit-after", lb.DefaultReadmitAfter, "consecutive probe successes that re-admit a backend")
 		affinityTTL   = flag.Duration("affinity-ttl", 30*time.Minute, "evict session pins idle this long (>= the replicas' -idle-ttl)")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget for in-flight proxied requests")
-		traceBuffer   = flag.Int("trace-buffer", lb.DefaultTraceBufferSize, "per-request proxy traces retained for /debug/traces (negative disables tracing)")
-		traceKeep     = flag.Int("trace-keep", lb.DefaultTraceKeepSize, "evicted error traces kept by tail retention (negative disables)")
-		exemplars     = flag.Bool("exemplars", false, "attach trace-ID exemplars to OpenMetrics latency histograms")
-		accessLog     = flag.Bool("access-log", false, "log one structured line per proxied request (trace ID, backend, placement, status, duration)")
+		accessLog     = flag.Bool("access-log", false, "log one structured line per proxied request (request and trace IDs, backend, placement, status, duration)")
 		logFormat     = flag.String("log-format", "text", "log output format: text or json")
 		quiet         = flag.Bool("quiet", false, "disable state-transition logging")
 	)
@@ -87,16 +82,13 @@ func main() {
 		addr:     *addr,
 		backends: backends,
 		opts: lb.Options{
-			Backends:        backends,
-			VirtualNodes:    *vnodes,
-			ProbeInterval:   *probeInterval,
-			ProbeTimeout:    *probeTimeout,
-			EjectAfter:      *ejectAfter,
-			ReadmitAfter:    *readmitAfter,
-			AffinityTTL:     *affinityTTL,
-			TraceBufferSize: *traceBuffer,
-			TraceKeepSize:   *traceKeep,
-			Exemplars:       *exemplars,
+			Backends:      backends,
+			VirtualNodes:  *vnodes,
+			ProbeInterval: *probeInterval,
+			ProbeTimeout:  *probeTimeout,
+			EjectAfter:    *ejectAfter,
+			ReadmitAfter:  *readmitAfter,
+			AffinityTTL:   *affinityTTL,
 		},
 		drainTimeout: *drainTimeout,
 		logFormat:    *logFormat,

@@ -314,10 +314,10 @@ func runRemote(remoteURL, configPath, target, outPath string, stdin io.Reader, o
 		if text == "" {
 			break
 		}
-		// Each update gets its own fleet trace context, injected as a
-		// traceparent header by the client: the update's spans on the daemon
-		// (and, behind a clarify-lb, the balancer's proxy spans) stitch under
-		// this trace ID, resolvable at /debug/traces/{id}.
+		// Each update gets its own trace context, injected as a traceparent
+		// header by the client (a clarify-lb forwards it untouched): the
+		// daemon records the update's spans under this trace ID, resolvable
+		// at its /debug/traces/{id}.
 		tp := obs.TraceParent{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID(), Flags: obs.FlagSampled}
 		uctx := obs.ContextWithTraceParent(ctx, tp)
 		fmt.Fprintf(out, "  trace: %s\n", tp.TraceID)

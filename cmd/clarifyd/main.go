@@ -27,8 +27,7 @@
 //	GET    /readyz                          readiness (503 while draining or
 //	                                        when no LLM backend can serve)
 //	GET    /metrics                         JSON metrics (?format=prometheus
-//	                                        or ?format=openmetrics, the latter
-//	                                        with trace exemplars under -exemplars)
+//	                                        for the 0.0.4 text exposition)
 //	GET    /debug/traces                    recent pipeline traces (?kept=1 for
 //	                                        the tail-retention ring)
 //	GET    /debug/traces/{id}               one trace's full span tree
@@ -97,7 +96,6 @@ type daemonConfig struct {
 
 	traceBuf  int
 	traceKeep int
-	exemplars bool
 	logFormat string
 	pprofOn   bool
 	quiet     bool
@@ -138,7 +136,6 @@ func main() {
 	flag.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", 10*time.Second, "how long an open breaker rejects calls before probing")
 	flag.IntVar(&cfg.traceBuf, "trace-buffer", server.DefaultTraceBufferSize, "recent traces retained for /debug/traces")
 	flag.IntVar(&cfg.traceKeep, "trace-keep", server.DefaultTraceKeepSize, "evicted error/degraded/slow traces kept by tail retention (negative disables)")
-	flag.BoolVar(&cfg.exemplars, "exemplars", false, "attach trace-ID exemplars to OpenMetrics histograms (/metrics?format=openmetrics)")
 	flag.StringVar(&cfg.journalDir, "journal", "", "flight-recorder directory: append one durable record per update (replayable with clarify-replay)")
 	flag.Int64Var(&cfg.journalMaxBytes, "journal-max-bytes", 0, "rotate journal segments over this size (default 8 MiB)")
 	flag.IntVar(&cfg.journalSegments, "journal-segments", 0, "prune journal segments beyond this count (0 keeps all)")
@@ -325,7 +322,6 @@ func run(cfg daemonConfig) error {
 		Resilience:       stack,
 		TraceBufferSize:  cfg.traceBuf,
 		TraceKeepSize:    cfg.traceKeep,
-		Exemplars:        cfg.exemplars,
 		Journal:          jnl,
 		SLO:              slos,
 		LatencyBucketsMs: buckets,

@@ -7,10 +7,66 @@
 package promtext
 
 import (
+	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
 )
+
+// ContentType is the response Content-Type of a 0.0.4 exposition.
+const ContentType = "text/plain; version=0.0.4; charset=utf-8"
+
+// Writer renders one exposition document to W.
+type Writer struct {
+	W io.Writer
+}
+
+// Header writes the # HELP / # TYPE preamble for one metric family.
+func (p *Writer) Header(name, kind, help string) {
+	fmt.Fprintf(p.W, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+}
+
+// Counter writes a single unlabelled counter sample with its preamble.
+func (p *Writer) Counter(name, help string, v float64) {
+	p.Header(name, "counter", help)
+	fmt.Fprintf(p.W, "%s %s\n", name, FormatFloat(v))
+}
+
+// Gauge writes a single unlabelled gauge sample with its preamble.
+func (p *Writer) Gauge(name, help string, v float64) {
+	p.Header(name, "gauge", help)
+	fmt.Fprintf(p.W, "%s %s\n", name, FormatFloat(v))
+}
+
+// Sample writes one labelled sample line (no preamble); pass the label set
+// preformatted, e.g. `backend="b0"`, or "" for none.
+func (p *Writer) Sample(name, labels string, v float64) {
+	if labels == "" {
+		fmt.Fprintf(p.W, "%s %s\n", name, FormatFloat(v))
+		return
+	}
+	fmt.Fprintf(p.W, "%s{%s} %s\n", name, labels, FormatFloat(v))
+}
+
+// Histogram writes one histogram series (no preamble): cumulative le
+// buckets, an explicit +Inf bucket, then _sum and _count. As with Sample,
+// labels is the preformatted label set, "" for none; counts has one entry
+// per bound plus one for +Inf.
+func (p *Writer) Histogram(name, labels string, buckets []float64, counts []int64, total int64, sum float64) {
+	le := "le="
+	if labels != "" {
+		le = labels + ",le="
+	}
+	var cum int64
+	for i, ub := range buckets {
+		cum += counts[i]
+		p.Sample(name+"_bucket", le+QuoteLabel(FormatFloat(ub)), float64(cum))
+	}
+	p.Sample(name+"_bucket", le+`"+Inf"`, float64(total))
+	p.Sample(name+"_sum", labels, sum)
+	p.Sample(name+"_count", labels, float64(total))
+}
 
 // FormatFloat renders a sample value the way Prometheus expects: no
 // exponent for typical magnitudes, no trailing zeros.

@@ -113,10 +113,8 @@ func (b *Backend) lessLoaded(o *Backend) bool {
 }
 
 // recordRequest folds one request to the backend into its counters.
-// transportErr marks a failure to reach the backend at all. When traceID is
-// non-empty, the observation is recorded as the latency bucket's last
-// exemplar for the OpenMetrics exposition.
-func (b *Backend) recordRequest(status int, d time.Duration, transportErr bool, traceID string) {
+// transportErr marks a failure to reach the backend at all.
+func (b *Backend) recordRequest(status int, d time.Duration, transportErr bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.requests++
@@ -130,7 +128,7 @@ func (b *Backend) recordRequest(status int, d time.Duration, transportErr bool, 
 		// count it here so overload is visible at the balancer per backend.
 		b.sheds++
 	}
-	b.latency.Observe(d, traceID, float64(time.Now().UnixMilli())/1000)
+	b.latency.Observe(d)
 }
 
 func (b *Backend) recordCreate() {

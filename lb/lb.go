@@ -26,7 +26,8 @@
 //
 // Every response carries X-Clarify-Backend (which replica served it — the
 // replica whose /debug/traces holds the update's trace) and X-Request-Id
-// (generated when the client sent none, forwarded otherwise).
+// (forwarded, or the trace ID of the context the balancer mints when the
+// client sent none). The balancer records no trace of its own.
 package lb
 
 import (
@@ -69,20 +70,10 @@ type Options struct {
 	AffinityTTL time.Duration
 	// Logger receives routing and state-transition lines; nil disables.
 	Logger *log.Logger
-	// AccessLog receives one structured line per proxied request (trace ID,
-	// backend, placement kind, status, duration); nil disables access
-	// logging.
+	// AccessLog receives one structured line per proxied request (request
+	// and trace IDs, backend, placement kind, status, duration); nil
+	// disables access logging.
 	AccessLog *slog.Logger
-	// TraceBufferSize bounds the balancer's /debug/traces ring of per-request
-	// proxy traces (default DefaultTraceBufferSize; negative disables
-	// tracing entirely).
-	TraceBufferSize int
-	// TraceKeepSize bounds the tail-retention ring holding evicted error
-	// traces (default DefaultTraceKeepSize; negative disables retention).
-	TraceKeepSize int
-	// Exemplars attaches trace-ID exemplars to the per-backend latency
-	// histograms in the OpenMetrics exposition.
-	Exemplars bool
 	// Transport overrides the proxy and probe transport (tests inject
 	// failures); nil uses http.DefaultTransport.
 	Transport http.RoundTripper
@@ -101,16 +92,11 @@ type LB struct {
 	// for minutes; the client's request context bounds each proxied call.
 	proxy *http.Client
 
-	// traces is the per-request proxy trace ring behind GET /debug/traces;
-	// nil when tracing is disabled.
-	traces *obs.Ring
-
-	proxied     atomic.Int64 // requests forwarded to a backend
-	noBackend   atomic.Int64 // requests refused for want of an eligible backend
-	restored    atomic.Int64 // sessions re-placed via PUT .../restore
-	gonePins    atomic.Int64 // affinity pins cleared by a backend's 410 Gone
-	tracesTotal atomic.Int64 // proxy traces recorded
-	started     time.Time
+	proxied   atomic.Int64 // requests forwarded to a backend
+	noBackend atomic.Int64 // requests refused for want of an eligible backend
+	restored  atomic.Int64 // sessions re-placed via PUT .../restore
+	gonePins  atomic.Int64 // affinity pins cleared by a backend's 410 Gone
+	started   time.Time
 }
 
 // New builds a balancer and starts its prober and affinity janitor.
@@ -140,23 +126,8 @@ func New(opts Options) (*LB, error) {
 		proxy:    &http.Client{Transport: opts.Transport},
 		started:  time.Now(),
 	}
-	if size := opts.TraceBufferSize; size >= 0 {
-		if size == 0 {
-			size = DefaultTraceBufferSize
-		}
-		l.traces = obs.NewRing(size)
-		if keep := opts.TraceKeepSize; keep >= 0 {
-			if keep == 0 {
-				keep = DefaultTraceKeepSize
-			}
-			l.traces.SetRetention(keep, keepProxyTrace)
-		}
-	}
 	l.mux.HandleFunc("GET /healthz", l.handleHealthz)
 	l.mux.HandleFunc("GET /metrics", l.handleMetrics)
-	l.mux.HandleFunc("GET /debug/traces", l.handleDebugTraces)
-	l.mux.HandleFunc("GET /debug/ambiguity", l.handleDebugAmbiguity)
-	l.mux.HandleFunc("GET /debug/traces/{tid}", l.handleDebugTrace)
 	l.mux.HandleFunc("POST /v1/sessions", l.handleCreate)
 	l.mux.HandleFunc("GET /v1/sessions", l.handleList)
 	l.mux.HandleFunc("/v1/sessions/{id}", l.handleSession)
@@ -220,24 +191,12 @@ func placementKey() string {
 
 // routeSession resolves the backend owning a session: affinity pin first,
 // consistent hash of the ID as the stateless fallback. The returned kind
-// ("pin" or "ring") names the layer that decided, for traces and access logs.
+// ("pin" or "ring") names the layer that decided, for the access log.
 func (l *LB) routeSession(id string) (*Backend, string) {
 	if b := l.affinity.Get(id); b != nil {
 		return b, "pin"
 	}
 	return l.ring.Lookup(id, func(b *Backend) bool { return b.Admitted() }), "ring"
-}
-
-// accepting counts backends currently accepting new sessions — the
-// probe-derived state a placement decision consults.
-func (l *LB) accepting() int {
-	n := 0
-	for _, b := range l.backends {
-		if b.AcceptsSessions() {
-			n++
-		}
-	}
-	return n
 }
 
 // --- handlers ---
@@ -249,34 +208,26 @@ func (l *LB) accepting() int {
 // transient to the client. The request body is buffered once so it can be
 // replayed per attempt. On success the chosen backend is returned; when no
 // backend accepts, placeSession writes the error itself and returns nil.
-func (l *LB) placeSession(pt *proxyTrace, w http.ResponseWriter, r *http.Request) (*http.Response, []byte, *Backend) {
+func (l *LB) placeSession(pr *proxyReq, w http.ResponseWriter, r *http.Request) (*http.Response, []byte, *Backend) {
 	payload, err := io.ReadAll(io.LimitReader(r.Body, 32<<20))
 	if err != nil {
-		pt.fail(http.StatusBadRequest, "read request")
+		pr.fail(http.StatusBadRequest, "read request")
 		writeError(w, http.StatusBadRequest, "lb: read request: "+trimReason(err.Error()), 0)
 		return nil, nil, nil
 	}
 	var skip map[*Backend]bool
 	for attempt := 0; ; attempt++ {
-		sp := pt.span("place")
 		b := l.pickCreateBackendExcluding(skip)
 		if b == nil {
-			sp.SetStr("kind", "none")
-			sp.End()
 			break
 		}
-		kind := "p2c"
+		pr.placement, pr.backend = "p2c", b.Name
 		if attempt > 0 {
-			kind = "failover"
+			pr.placement = "failover"
 		}
-		sp.SetStr("kind", kind)
-		sp.SetStr("backend", b.Name)
-		sp.SetInt("accepting", int64(l.accepting()))
-		sp.End()
-		pt.placement, pt.backend = kind, b.Name
-		resp, body, err := l.forwardTo(pt, b, r, bytes.NewReader(payload))
+		resp, body, err := l.forwardTo(pr, b, r, bytes.NewReader(payload))
 		if err == nil && resp.StatusCode != http.StatusServiceUnavailable {
-			pt.status = resp.StatusCode
+			pr.status = resp.StatusCode
 			return resp, body, b
 		}
 		if skip == nil {
@@ -285,17 +236,17 @@ func (l *LB) placeSession(pt *proxyTrace, w http.ResponseWriter, r *http.Request
 		skip[b] = true
 	}
 	l.noBackend.Add(1)
-	pt.fail(http.StatusServiceUnavailable, "no backend accepting sessions")
+	pr.fail(http.StatusServiceUnavailable, "no backend accepting sessions")
 	writeError(w, http.StatusServiceUnavailable, "no backend accepting sessions (all ejected or draining)", 1)
 	return nil, nil, nil
 }
 
 func (l *LB) handleCreate(w http.ResponseWriter, r *http.Request) {
-	pt := l.beginProxy(r)
-	defer l.endProxy(pt, r)
+	pr := beginProxy(r)
+	defer l.endProxy(pr, r)
 	// The create response must be inspected for the session ID, so this
 	// path buffers the (bounded) body instead of streaming it.
-	resp, body, b := l.placeSession(pt, w, r)
+	resp, body, b := l.placeSession(pr, w, r)
 	if b == nil {
 		return // placeSession already answered
 	}
@@ -310,40 +261,33 @@ func (l *LB) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (l *LB) handleSession(w http.ResponseWriter, r *http.Request) {
-	pt := l.beginProxy(r)
-	defer l.endProxy(pt, r)
+	pr := beginProxy(r)
+	defer l.endProxy(pr, r)
 	id := r.PathValue("id")
-	sp := pt.span("route")
 	b, kind := l.routeSession(id)
 	if b == nil {
-		sp.SetStr("kind", "none")
-		sp.End()
 		l.noBackend.Add(1)
-		pt.fail(http.StatusServiceUnavailable, "no backend for session")
+		pr.fail(http.StatusServiceUnavailable, "no backend for session")
 		writeError(w, http.StatusServiceUnavailable, "no backend available for session "+id, 1)
 		return
 	}
-	sp.SetStr("kind", kind)
-	sp.SetStr("backend", b.Name)
-	sp.SetBool("admitted", b.Admitted())
-	sp.End()
-	pt.placement, pt.backend = kind, b.Name
+	pr.placement, pr.backend = kind, b.Name
 	if !b.Admitted() {
 		// The pinned replica is inside an ejection window. The session may
 		// yet survive (a drain, a network blip): tell the client to retry
 		// rather than silently routing to a replica that never saw it.
 		l.noBackend.Add(1)
-		pt.fail(http.StatusServiceUnavailable, "pinned backend ejected")
+		pr.fail(http.StatusServiceUnavailable, "pinned backend ejected")
 		w.Header().Set(backendHeader, b.Name)
 		writeError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("backend %s holding session %s is ejected; retry", b.Name, id), 1)
 		return
 	}
-	resp, body, err := l.forward(pt, b, w, r)
+	resp, body, err := l.forward(pr, b, w, r)
 	if err != nil {
 		return
 	}
-	pt.status = resp.StatusCode
+	pr.status = resp.StatusCode
 	if r.Method == http.MethodDelete && resp.StatusCode < 300 {
 		l.affinity.Remove(id)
 	}
@@ -365,10 +309,10 @@ func (l *LB) handleSession(w http.ResponseWriter, r *http.Request) {
 // pins the session there on success — so the client's next poll follows
 // the pin to the replica now holding its parked question.
 func (l *LB) handleRestore(w http.ResponseWriter, r *http.Request) {
-	pt := l.beginProxy(r)
-	defer l.endProxy(pt, r)
+	pr := beginProxy(r)
+	defer l.endProxy(pr, r)
 	id := r.PathValue("id")
-	resp, body, b := l.placeSession(pt, w, r)
+	resp, body, b := l.placeSession(pr, w, r)
 	if b == nil {
 		return // placeSession already answered
 	}
@@ -394,9 +338,9 @@ func (l *LB) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, merged)
 }
 
-// getBackend is the request path every balancer fan-out shares: GET path
-// from one backend, count the round trip in the backend's request counters,
-// and decode a 200 body of at most 16 MiB into v. It reports whether v was
+// getBackend is the session listing's fan-out request: GET path from one
+// backend, count the round trip in the backend's request counters, and
+// decode a 200 body of at most 16 MiB into v. It reports whether v was
 // filled; any failure is "this backend has nothing to add".
 func (l *LB) getBackend(r *http.Request, b *Backend, path string, v any) bool {
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.URL.String()+path, nil)
@@ -406,12 +350,12 @@ func (l *LB) getBackend(r *http.Request, b *Backend, path string, v any) bool {
 	start := time.Now()
 	resp, err := l.proxy.Do(req)
 	if err != nil {
-		b.recordRequest(0, time.Since(start), true, "")
+		b.recordRequest(0, time.Since(start), true)
 		return false
 	}
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	resp.Body.Close()
-	b.recordRequest(resp.StatusCode, time.Since(start), false, "")
+	b.recordRequest(resp.StatusCode, time.Since(start), false)
 	return resp.StatusCode == http.StatusOK && json.Unmarshal(data, v) == nil
 }
 
@@ -443,16 +387,9 @@ func (l *LB) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (l *LB) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := l.snapshot()
-	switch r.URL.Query().Get("format") {
-	case "prometheus":
-		p := &promtext.Writer{W: w}
-		w.Header().Set("Content-Type", p.ContentType())
-		writePrometheus(p, snap)
-		return
-	case "openmetrics":
-		p := &promtext.Writer{W: w, OpenMetrics: true}
-		w.Header().Set("Content-Type", p.ContentType())
-		writePrometheus(p, snap)
+	if r.URL.Query().Get("format") == "prometheus" {
+		w.Header().Set("Content-Type", promtext.ContentType)
+		writePrometheus(&promtext.Writer{W: w}, snap)
 		return
 	}
 	writeJSON(w, http.StatusOK, snap)
@@ -471,13 +408,85 @@ var hopHeaders = []string{
 	"Te", "Trailer", "Transfer-Encoding", "Upgrade",
 }
 
+// proxyReq carries one proxied request's correlation IDs and the fields of
+// its access-log line.
+type proxyReq struct {
+	reqID   string
+	traceID string
+	// traceParent is the context minted for a caller that sent no valid
+	// traceparent; empty when the caller's own is forwarded untouched.
+	traceParent string
+	start       time.Time
+	// placement is how the backend was chosen: pin, ring, p2c, or failover.
+	placement string
+	backend   string
+	status    int
+	errMsg    string
+}
+
+// beginProxy resolves a request's correlation IDs. A caller's valid W3C
+// traceparent (clarify -remote sends one) goes to the replica untouched;
+// otherwise the balancer mints one. Its span ID names no recorded span —
+// the balancer records nothing — and its trace ID doubles as the request
+// ID when the caller sent no X-Request-Id, so the response header, the
+// access log, the replica's update traceId and a handed-off update's trace
+// ID are one identifier.
+func beginProxy(r *http.Request) *proxyReq {
+	pr := &proxyReq{reqID: r.Header.Get(requestIDHeader), start: time.Now()}
+	tp, ok := obs.ParseTraceParent(r.Header.Get(obs.TraceParentHeader))
+	if !ok {
+		tp = obs.TraceParent{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID()}
+		pr.traceParent = tp.String()
+	}
+	pr.traceID = tp.TraceID
+	if pr.reqID == "" {
+		pr.reqID = tp.TraceID
+	}
+	return pr
+}
+
+// fail records a balancer-originated error response (no backend reached, or
+// the one reached was unusable).
+func (pr *proxyReq) fail(status int, msg string) {
+	pr.status = status
+	pr.errMsg = msg
+}
+
+// endProxy emits the request's access-log line. Call via defer so every
+// exit path is covered.
+func (l *LB) endProxy(pr *proxyReq, r *http.Request) {
+	if l.opts.AccessLog == nil {
+		return
+	}
+	level := slog.LevelInfo
+	attrs := []slog.Attr{
+		slog.String("method", r.Method),
+		slog.String("path", r.URL.Path),
+		slog.String("requestId", pr.reqID),
+		slog.String("traceId", pr.traceID),
+		slog.Int("status", pr.status),
+		slog.Float64("durationMs", float64(time.Since(pr.start))/float64(time.Millisecond)),
+	}
+	if pr.backend != "" {
+		attrs = append(attrs, slog.String("backend", pr.backend))
+	}
+	if pr.placement != "" {
+		attrs = append(attrs, slog.String("placement", pr.placement))
+	}
+	if pr.errMsg != "" {
+		level = slog.LevelWarn
+		attrs = append(attrs, slog.String("error", pr.errMsg))
+	}
+	l.opts.AccessLog.LogAttrs(r.Context(), level, "proxied", attrs...)
+}
+
 // forward proxies one request to b and returns the backend's response with
 // its (bounded) body read. On a transport failure it answers 502 itself and
 // returns an error. The caller writes the response via writeProxied.
-func (l *LB) forward(pt *proxyTrace, b *Backend, w http.ResponseWriter, r *http.Request) (*http.Response, []byte, error) {
-	resp, body, err := l.forwardTo(pt, b, r, io.LimitReader(r.Body, 32<<20))
+func (l *LB) forward(pr *proxyReq, b *Backend, w http.ResponseWriter, r *http.Request) (*http.Response, []byte, error) {
+	resp, body, err := l.forwardTo(pr, b, r, io.LimitReader(r.Body, 32<<20))
 	if err != nil {
-		pt.fail(http.StatusBadGateway, "backend unreachable")
+		pr.fail(http.StatusBadGateway, "backend unreachable")
 		w.Header().Set(backendHeader, b.Name)
 		writeError(w, http.StatusBadGateway,
 			fmt.Sprintf("backend %s unreachable: %s", b.Name, trimReason(err.Error())), 1)
@@ -488,12 +497,9 @@ func (l *LB) forward(pt *proxyTrace, b *Backend, w http.ResponseWriter, r *http.
 // forwardTo proxies one request to b with the given body, returning the
 // backend's response with its (bounded) body read. Unlike forward it never
 // writes to the client — callers that can fail the request over to another
-// backend (session placement) inspect the error themselves.
-//
-// Each attempt gets its own forward span, and that span's ID is what the
-// injected traceparent carries — the replica records it as its remote
-// parent, which is the joint the fleet trace view stitches on.
-func (l *LB) forwardTo(pt *proxyTrace, b *Backend, r *http.Request, bodyIn io.Reader) (*http.Response, []byte, error) {
+// backend (session placement) inspect the error themselves. Every attempt
+// carries the request's ID and trace context.
+func (l *LB) forwardTo(pr *proxyReq, b *Backend, r *http.Request, bodyIn io.Reader) (*http.Response, []byte, error) {
 	outURL := *b.URL
 	outURL.Path = r.URL.Path
 	outURL.RawQuery = r.URL.RawQuery
@@ -505,11 +511,9 @@ func (l *LB) forwardTo(pt *proxyTrace, b *Backend, r *http.Request, bodyIn io.Re
 	for _, h := range hopHeaders {
 		req.Header.Del(h)
 	}
-	req.Header.Set(requestIDHeader, pt.reqID)
-	sp := pt.span("forward")
-	sp.SetStr("backend", b.Name)
-	if tp := pt.t.TraceParentFor(sp); tp.Valid() {
-		req.Header.Set(obs.TraceParentHeader, tp.String())
+	req.Header.Set(requestIDHeader, pr.reqID)
+	if pr.traceParent != "" {
+		req.Header.Set(obs.TraceParentHeader, pr.traceParent)
 	}
 	if prior := r.RemoteAddr; prior != "" {
 		req.Header.Set("X-Forwarded-For", prior)
@@ -518,37 +522,25 @@ func (l *LB) forwardTo(pt *proxyTrace, b *Backend, r *http.Request, bodyIn io.Re
 	start := time.Now()
 	resp, err := l.proxy.Do(req)
 	if err != nil {
-		sp.SetStr("error", trimReason(err.Error()))
-		sp.End()
-		l.recordProxied(pt, b, 0, time.Since(start), true)
+		l.recordProxied(b, 0, time.Since(start), true)
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
 	if err != nil {
-		sp.SetStr("error", trimReason(err.Error()))
-		sp.End()
-		l.recordProxied(pt, b, 0, time.Since(start), true)
+		l.recordProxied(b, 0, time.Since(start), true)
 		return nil, nil, fmt.Errorf("read response: %w", err)
 	}
-	sp.SetInt("status", int64(resp.StatusCode))
-	sp.End()
-	l.recordProxied(pt, b, resp.StatusCode, time.Since(start), false)
+	l.recordProxied(b, resp.StatusCode, time.Since(start), false)
 	// The request ID travels back on the response so the client can quote
 	// it; stash it on the response for writeProxied.
-	resp.Header.Set(requestIDHeader, pt.reqID)
+	resp.Header.Set(requestIDHeader, pr.reqID)
 	return resp, body, nil
 }
 
-// recordProxied folds one forward attempt into the backend's counters,
-// attaching a trace-ID exemplar when exemplars are enabled and this request
-// is traced.
-func (l *LB) recordProxied(pt *proxyTrace, b *Backend, status int, d time.Duration, transportErr bool) {
-	traceID := ""
-	if l.opts.Exemplars && pt.t != nil {
-		traceID = pt.t.ID
-	}
-	b.recordRequest(status, d, transportErr, traceID)
+// recordProxied folds one forward attempt into the backend's counters.
+func (l *LB) recordProxied(b *Backend, status int, d time.Duration, transportErr bool) {
+	b.recordRequest(status, d, transportErr)
 	l.proxied.Add(1)
 }
 
@@ -579,11 +571,6 @@ func isHopHeader(k string) bool {
 }
 
 func sinceSeconds(t time.Time) float64 { return time.Since(t).Seconds() }
-
-// newRequestID mints a compact random request identifier.
-func newRequestID() string {
-	return "r" + strconv.FormatUint(rand.Uint64(), 36)
-}
 
 // --- response helpers (same wire shapes as the server package) ---
 

@@ -31,10 +31,6 @@ type MetricsSnapshot struct {
 	RingPoints int `json:"ringPoints"`
 	// ProbeRounds counts completed all-backend probe sweeps.
 	ProbeRounds int64 `json:"probeRounds"`
-	// Traces counts per-request proxy traces recorded; KeptTraces the
-	// evicted error traces rescued by tail retention.
-	Traces     int64 `json:"traces,omitempty"`
-	KeptTraces int64 `json:"keptTraces,omitempty"`
 	// UptimeSeconds is the time since the balancer was built.
 	UptimeSeconds float64 `json:"uptimeSeconds"`
 }
@@ -51,10 +47,6 @@ func (l *LB) snapshot() MetricsSnapshot {
 		AffinityEvicted:  l.affinity.Evicted(),
 		RingPoints:       l.ring.Points(),
 		ProbeRounds:      l.prober.probes.Load(),
-		Traces:           l.tracesTotal.Load(),
-	}
-	if l.traces != nil {
-		snap.KeptTraces = l.traces.KeptTotal()
 	}
 	for _, b := range snap.Backends {
 		if b.State == StateAdmitted {
@@ -68,11 +60,9 @@ func (l *LB) snapshot() MetricsSnapshot {
 	return snap
 }
 
-// writePrometheus renders the balancer's metrics through a promtext.Writer —
-// Prometheus 0.0.4 or OpenMetrics 1.0 with trace exemplars on the
-// per-backend latency buckets — following the clarifyd conventions
-// (internal/promtext): ms-suffixed durations, per-backend labels, histograms
-// with explicit +Inf.
+// writePrometheus renders the balancer's metrics as Prometheus 0.0.4 text,
+// following the clarifyd conventions (internal/promtext): ms-suffixed
+// durations, per-backend labels, histograms with explicit +Inf.
 func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 	p.Counter("clarify_lb_proxied_total", "Requests forwarded to a backend.", float64(snap.Proxied))
 	p.Counter("clarify_lb_no_backend_total", "Requests refused for want of an eligible backend.", float64(snap.NoBackend))
@@ -86,8 +76,6 @@ func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 	p.Counter("clarify_lb_gone_pins_cleared_total", "Affinity pins cleared by a backend 410 Gone.", float64(snap.GonePinsCleared))
 	p.Gauge("clarify_lb_ring_points", "Hash-ring points (backends x virtual nodes).", float64(snap.RingPoints))
 	p.Counter("clarify_lb_probe_rounds_total", "Completed all-backend probe sweeps.", float64(snap.ProbeRounds))
-	p.Counter("clarify_lb_traces_total", "Per-request proxy traces recorded.", float64(snap.Traces))
-	p.Counter("clarify_lb_kept_traces_total", "Evicted error traces rescued by tail retention.", float64(snap.KeptTraces))
 
 	p.Header("clarify_lb_backend_up", "gauge", "1 while the backend is admitted.")
 	for _, b := range snap.Backends {
@@ -143,9 +131,8 @@ func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 	}
 	p.Header("clarify_lb_backend_request_duration_ms", "histogram", "Proxied request latency per backend, in milliseconds.")
 	for _, b := range snap.Backends {
-		server.WriteHistogram(p, "clarify_lb_backend_request_duration_ms", "backend", b.Name, b.LatencyMs)
+		server.WriteHistogram(p, "clarify_lb_backend_request_duration_ms", label(b), b.LatencyMs)
 	}
-	p.EOF()
 }
 
 func label(b BackendSnapshot) string {

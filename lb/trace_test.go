@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -12,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/clarifynet/clarify/internal/promtext"
 	"github.com/clarifynet/clarify/obs"
 	"github.com/clarifynet/clarify/server"
 )
@@ -36,46 +34,49 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// requestIDOf returns the X-Request-Id echoed on the first recorded hit
-// matching method and path suffix.
-func (rt *recordingTransport) requestIDOf(method, pathSuffix string) string {
+// hit returns the first recorded hit matching method and path suffix.
+func (rt *recordingTransport) hit(method, pathSuffix string) recordedHit {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for _, h := range rt.hits {
 		if h.method == method && strings.HasSuffix(h.path, pathSuffix) {
-			return h.requestID
+			return h
 		}
 	}
-	return ""
+	return recordedHit{}
 }
 
-// findSpan walks a span tree for the first span with the given name.
-func findSpan(root *obs.Span, name string) *obs.Span {
-	if root == nil {
-		return nil
-	}
-	if root.Name == name {
-		return root
-	}
-	for _, c := range root.Children {
-		if sp := findSpan(c, name); sp != nil {
-			return sp
-		}
-	}
-	return nil
+// replicaTrace fetches trace tid from the replica named backend (host:port),
+// failing the test unless it answers 200.
+func replicaTrace(t *testing.T, backend, tid string) *obs.Trace {
+	t.Helper()
+	tr := new(obs.Trace)
+	getJSON(t, "http://"+backend+"/debug/traces/"+tid, tr)
+	return tr
 }
 
-// TestFleetTraceMergedView is the distributed-tracing acceptance test: two
-// replicas behind the balancer run the §2.1 walkthrough, and the single
-// trace ID handed to the client (as X-Request-Id) resolves at the balancer's
-// /debug/traces/{id} into one stitched tree — the lb-proxy root, its forward
-// span, and the replica's update subtree grafted beneath it.
-func TestFleetTraceMergedView(t *testing.T) {
-	logBuf := &syncBuffer{}
-	opts := fastProbeOpts()
-	opts.Exemplars = true
-	opts.AccessLog = slog.New(slog.NewJSONHandler(logBuf, nil))
-	f := startLBFleet(t, 2, opts)
+func getJSON(t *testing.T, url string, into any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+		t.Fatalf("decode %s: %v", url, err)
+	}
+}
+
+// TestMintedRequestIDIsReplicaTraceID runs the §2.1 walkthrough through the
+// balancer with no client trace context. The balancer mints one, and its
+// trace ID is both the X-Request-Id the client sees and the update's
+// traceId; it resolves at GET /debug/traces/{id} on the replica named by
+// X-Clarify-Backend.
+func TestMintedRequestIDIsReplicaTraceID(t *testing.T) {
+	f := startLBFleet(t, 2, fastProbeOpts())
 	rt := &recordingTransport{}
 	c := f.client(rt)
 	ctx := context.Background()
@@ -86,119 +87,101 @@ func TestFleetTraceMergedView(t *testing.T) {
 	}
 	res, err := c.RunUpdate(ctx, sid, exampleIntent, "ISP_OUT",
 		func(server.Question) (int, error) { return 1, nil })
+	if err != nil || res.Status != server.StatusDone || res.Result.Questions != 2 {
+		t.Fatalf("walkthrough = %+v, %v; want done with 2 questions", res, err)
+	}
+
+	submit := rt.hit(http.MethodPost, "/updates")
+	if len(submit.requestID) != 32 {
+		t.Fatalf("minted X-Request-Id = %q, want a 32-hex trace ID", submit.requestID)
+	}
+	if res.TraceID != submit.requestID {
+		t.Fatalf("update trace ID %s != proxied request ID %s", res.TraceID, submit.requestID)
+	}
+	if _, ok := f.backends[submit.backend]; !ok {
+		t.Fatalf("X-Clarify-Backend = %q, want one of the replicas", submit.backend)
+	}
+	tr := replicaTrace(t, submit.backend, res.TraceID)
+	if tr.ID != res.TraceID || tr.Root == nil || tr.Root.Name != "update" {
+		t.Fatalf("replica trace = %+v, want the update tree under %s", tr, res.TraceID)
+	}
+	if tr.Find("disambiguate") == nil {
+		t.Errorf("replica trace has no disambiguate span")
+	}
+	// The minted context's span ID is the replica's remote parent.
+	if len(tr.ParentSpanID) != 16 {
+		t.Errorf("replica trace parent = %q, want the minted 16-hex span ID", tr.ParentSpanID)
+	}
+}
+
+// TestAccessLogOneLinePerRequest checks -access-log: every proxied request
+// writes one line carrying the request ID and trace ID, the backend, the
+// placement kind and the status the client saw.
+func TestAccessLogOneLinePerRequest(t *testing.T) {
+	logBuf := &syncBuffer{}
+	opts := fastProbeOpts()
+	opts.AccessLog = slog.New(slog.NewJSONHandler(logBuf, nil))
+	f := startLBFleet(t, 2, opts)
+	rt := &recordingTransport{}
+	c := f.client(rt)
+	ctx := context.Background()
+
+	sid, err := c.CreateSession(ctx, server.CreateSessionRequest{Config: exampleConfig})
 	if err != nil {
-		t.Fatalf("run update: %v", err)
+		t.Fatalf("create session: %v", err)
 	}
-	if res.Status != server.StatusDone || res.Result == nil || res.Result.Questions != 2 {
-		t.Fatalf("walkthrough did not finish with 2 questions: %+v", res)
-	}
-
-	// The client sent no X-Request-Id, so the balancer minted one — the
-	// submit's proxy trace ID. The replica adopted the same ID for the
-	// pipeline trace via the propagated traceparent, so the finished
-	// update reports it too: one identifier end to end.
-	tid := rt.requestIDOf(http.MethodPost, "/updates")
-	if len(tid) != 32 {
-		t.Fatalf("minted X-Request-Id = %q, want a 32-hex trace ID", tid)
-	}
-	if res.TraceID != tid {
-		t.Fatalf("update trace ID %s != proxied request ID %s", res.TraceID, tid)
+	if res, err := c.RunUpdate(ctx, sid, exampleIntent, "ISP_OUT",
+		func(server.Question) (int, error) { return 1, nil }); err != nil || res.Status != server.StatusDone {
+		t.Fatalf("run update = %+v, %v", res, err)
 	}
 
-	resp, err := http.Get(f.lbSrv.URL + "/debug/traces/" + tid)
-	if err != nil {
-		t.Fatal(err)
+	rt.mu.Lock()
+	hits := append([]recordedHit(nil), rt.hits...)
+	rt.mu.Unlock()
+	// A handler logs after its response is written, so the last line may
+	// trail the client's return.
+	waitFor(t, 5*time.Second, "one access-log line per request", func() bool {
+		return strings.Count(logBuf.String(), "\n") >= len(hits)
+	})
+	type line struct {
+		Path, RequestID, TraceID, Backend, Placement string
+		Status                                       int
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("GET /debug/traces/%s = %d: %s", tid, resp.StatusCode, body)
+	byID := map[string]line{}
+	raw := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
+	for _, r := range raw {
+		var l line
+		if err := json.Unmarshal([]byte(r), &l); err != nil {
+			t.Fatalf("access-log line %q: %v", r, err)
+		}
+		byID[l.RequestID] = l
 	}
-	var ft FleetTrace
-	if err := json.NewDecoder(resp.Body).Decode(&ft); err != nil {
-		t.Fatal(err)
+	if len(raw) != len(hits) || len(byID) != len(hits) {
+		t.Fatalf("%d access-log lines (%d request IDs) for %d proxied requests:\n%s",
+			len(raw), len(byID), len(hits), logBuf.String())
 	}
-	if ft.Partial || ft.Trace == nil || ft.Trace.Root == nil {
-		t.Fatalf("fleet trace incomplete: %+v", ft)
-	}
-	if ft.Trace.Root.Name != "lb-proxy" {
-		t.Fatalf("fleet trace root = %q, want lb-proxy", ft.Trace.Root.Name)
-	}
-	if len(ft.Backends) != 1 {
-		t.Fatalf("contributing backends = %v, want exactly the serving replica", ft.Backends)
-	}
-	if len(ft.Orphans) != 0 {
-		t.Fatalf("orphans = %d, want none (replica parent span must resolve)", len(ft.Orphans))
-	}
-	fwd := findSpan(ft.Trace.Root, "forward")
-	if fwd == nil {
-		t.Fatalf("no forward span in fleet trace: %+v", ft.Trace.Root)
-	}
-	upd := findSpan(fwd, "update")
-	if upd == nil {
-		t.Fatal("replica update subtree not grafted under the forward span")
-	}
-	if a, ok := upd.Attr("node"); !ok || a.Str != ft.Backends[0] {
-		t.Errorf("grafted subtree node attr = %+v, want %s", upd.Attrs, ft.Backends[0])
-	}
-	// The replica's own pipeline children rode along with the graft.
-	if findSpan(upd, "synthesize") == nil && findSpan(upd, "classify") == nil {
-		t.Errorf("grafted update span has no pipeline children: %+v", upd)
-	}
-
-	// Access log: the submit line carries the same correlation fields.
-	var logged map[string]any
-	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
-		var rec map[string]any
-		if json.Unmarshal([]byte(line), &rec) != nil {
+	for _, h := range hits {
+		l, ok := byID[h.requestID]
+		if !ok {
+			t.Errorf("%s %s: no access-log line with requestId %q", h.method, h.path, h.requestID)
 			continue
 		}
-		if p, _ := rec["path"].(string); strings.HasSuffix(p, "/updates") {
-			logged = rec
-			break
+		if l.Path != h.path || l.TraceID != h.requestID || l.Backend != h.backend || l.Status != h.status {
+			t.Errorf("%s %s: logged %+v, want path, traceId, backend and status %q %q %q %d",
+				h.method, h.path, l, h.path, h.requestID, h.backend, h.status)
 		}
-	}
-	if logged == nil {
-		t.Fatalf("no access-log line for the update submit:\n%s", logBuf.String())
-	}
-	if logged["traceId"] != tid || logged["requestId"] != tid {
-		t.Errorf("access log ids = traceId %v requestId %v, want %s", logged["traceId"], logged["requestId"], tid)
-	}
-	if b, _ := logged["backend"].(string); b != ft.Backends[0] {
-		t.Errorf("access log backend = %v, want %s", logged["backend"], ft.Backends[0])
-	}
-	switch logged["placement"] {
-	case "pin", "ring", "p2c", "failover":
-	default:
-		t.Errorf("access log placement = %v, want a placement kind", logged["placement"])
-	}
-
-	// The balancer's OpenMetrics exposition validates and carries a
-	// trace-ID exemplar on the per-backend latency histogram.
-	mresp, err := http.Get(f.lbSrv.URL + "/metrics?format=openmetrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	om, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := promtext.ValidateOpenMetrics(om); err != nil {
-		t.Fatalf("lb openmetrics exposition invalid: %v\n%s", err, om)
-	}
-	if !strings.Contains(string(om), `# {trace_id="`) {
-		t.Fatalf("lb exposition has no exemplars:\n%s", om)
-	}
-	if !strings.Contains(string(om), "clarify_lb_traces_total") {
-		t.Errorf("lb exposition missing trace counter")
+		switch l.Placement {
+		case "pin", "ring", "p2c", "failover":
+		default:
+			t.Errorf("%s %s: placement %q, want a placement kind", h.method, h.path, l.Placement)
+		}
 	}
 }
 
 // TestRestoreCarriesTraceID checks trace continuity across a live handoff: a
 // session parked mid-disambiguation is snapshotted on its draining owner and
 // restored through the balancer, and the re-executed update keeps the
-// original fleet trace ID.
+// original trace ID.
 func TestRestoreCarriesTraceID(t *testing.T) {
 	f := startLBFleet(t, 2, fastProbeOpts())
 	rt := &recordingTransport{}
@@ -219,7 +202,7 @@ func TestRestoreCarriesTraceID(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit async: %v", err)
 	}
-	origTID := rt.requestIDOf(http.MethodPost, "/updates")
+	origTID := rt.hit(http.MethodPost, "/updates").requestID
 	if len(origTID) != 32 {
 		t.Fatalf("submit request ID = %q, want a trace ID", origTID)
 	}
@@ -238,7 +221,7 @@ func TestRestoreCarriesTraceID(t *testing.T) {
 		t.Fatalf("snapshot = %+v, want one parked session", snaps)
 	}
 	// The snapshot serialized the propagated trace context, so the
-	// restored replica re-executes under the same fleet trace ID.
+	// restored replica re-executes under the same trace ID.
 	if !strings.Contains(snaps[0].Pending.TraceParent, origTID) {
 		t.Fatalf("snapshot traceparent %q does not carry trace %s",
 			snaps[0].Pending.TraceParent, origTID)
@@ -266,12 +249,14 @@ func TestRestoreCarriesTraceID(t *testing.T) {
 }
 
 // TestClientTraceParentContinuation checks that a client-minted W3C trace
-// context (what clarify -remote sends) is continued rather than restarted:
-// the balancer's proxy trace adopts the client's trace ID, so the ID the
-// client printed resolves at /debug/traces/{id} to the full fleet tree.
+// context (what clarify -remote sends) passes the balancer untouched: the
+// replica's trace for the update has the client's trace ID and records the
+// client's span as its remote parent, and the balancer quotes that trace ID
+// as the request ID.
 func TestClientTraceParentContinuation(t *testing.T) {
 	f := startLBFleet(t, 2, fastProbeOpts())
-	c := f.client(nil)
+	rt := &recordingTransport{}
+	c := f.client(rt)
 	ctx := context.Background()
 
 	sid, err := c.CreateSession(ctx, server.CreateSessionRequest{Config: exampleConfig})
@@ -288,36 +273,24 @@ func TestClientTraceParentContinuation(t *testing.T) {
 	if res.TraceID != tp.TraceID {
 		t.Fatalf("update trace ID = %s, want client-minted %s", res.TraceID, tp.TraceID)
 	}
-
-	resp, err := http.Get(f.lbSrv.URL + "/debug/traces/" + tp.TraceID)
-	if err != nil {
-		t.Fatal(err)
+	submit := rt.hit(http.MethodPost, "/updates")
+	if submit.requestID != tp.TraceID {
+		t.Errorf("X-Request-Id = %q, want the client's trace ID %s", submit.requestID, tp.TraceID)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /debug/traces/%s = %d", tp.TraceID, resp.StatusCode)
+	tr := replicaTrace(t, submit.backend, tp.TraceID)
+	if tr.ParentSpanID != tp.SpanID {
+		t.Errorf("replica trace remote parent = %q, want client span %q", tr.ParentSpanID, tp.SpanID)
 	}
-	var ft FleetTrace
-	if err := json.NewDecoder(resp.Body).Decode(&ft); err != nil {
-		t.Fatal(err)
-	}
-	if ft.Trace == nil || ft.Trace.Root == nil || ft.Trace.Root.Name != "lb-proxy" {
-		t.Fatalf("fleet trace for client ID incomplete: %+v", ft)
-	}
-	if ft.Trace.ParentSpanID != tp.SpanID {
-		t.Errorf("proxy trace remote parent = %q, want client span %q", ft.Trace.ParentSpanID, tp.SpanID)
-	}
-	if findSpan(ft.Trace.Root, "update") == nil {
-		t.Error("replica update subtree not grafted under client-continued trace")
+	if tr.Root == nil || tr.Root.Name != "update" {
+		t.Errorf("replica trace root = %+v, want the update span", tr.Root)
 	}
 }
 
-// TestTracingDisabled checks the off switch: a negative buffer size keeps
-// requests flowing with opaque request IDs and an empty /debug/traces.
+// TestTracingDisabled checks that the balancer records nothing per request:
+// requests flow with minted request IDs, and the balancer serves no trace or
+// ambiguity view of its own and no OpenMetrics exposition.
 func TestTracingDisabled(t *testing.T) {
-	opts := fastProbeOpts()
-	opts.TraceBufferSize = -1
-	f := startLBFleet(t, 2, opts)
+	f := startLBFleet(t, 2, fastProbeOpts())
 	rt := &recordingTransport{}
 	c := f.client(rt)
 	ctx := context.Background()
@@ -329,22 +302,23 @@ func TestTracingDisabled(t *testing.T) {
 	res, err := c.RunUpdate(ctx, sid, exampleIntent, "ISP_OUT",
 		func(server.Question) (int, error) { return 1, nil })
 	if err != nil || res.Status != server.StatusDone {
-		t.Fatalf("update with tracing off = %+v, %v", res, err)
-	}
-	if rid := rt.requestIDOf(http.MethodPost, "/updates"); rid == "" {
-		t.Fatal("no X-Request-Id minted with tracing off")
+		t.Fatalf("update through the balancer = %+v, %v", res, err)
 	}
 
-	resp, err := http.Get(f.lbSrv.URL + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []string{"/debug/traces", "/debug/traces/" + res.TraceID, "/debug/ambiguity"} {
+		resp, err := http.Get(f.lbSrv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
+		}
 	}
-	defer resp.Body.Close()
-	var list []TraceSummary
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 0 {
-		t.Fatalf("traces listed with tracing off: %+v", list)
+	// Any /metrics format but prometheus falls back to the JSON snapshot.
+	var snap MetricsSnapshot
+	getJSON(t, f.lbSrv.URL+"/metrics?format=openmetrics", &snap)
+	if len(snap.Backends) != 2 || snap.Proxied == 0 {
+		t.Errorf("?format=openmetrics = %+v, want the JSON snapshot", snap)
 	}
 }

@@ -188,9 +188,10 @@ type Report struct {
 	// reachable — the server-side view of the same traffic, including any
 	// burn-rate alerts the run induced.
 	DaemonSLO *slo.Snapshot `json:"daemonSlo,omitempty"`
-	// DaemonAmbiguity is the daemon's (or, through clarify-lb, the fleet's)
-	// GET /debug/ambiguity rollup at run end, when reachable: information
-	// gained per question and per strategy, for the run's traffic.
+	// DaemonAmbiguity is the daemon's GET /debug/ambiguity rollup at run
+	// end, when reachable: information gained per question and per
+	// strategy, for the run's traffic. Absent when the run goes through
+	// clarify-lb, which serves no ambiguity view.
 	DaemonAmbiguity *server.AmbiguitySnapshot `json:"daemonAmbiguity,omitempty"`
 }
 

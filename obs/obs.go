@@ -107,9 +107,6 @@ func (a *Attr) UnmarshalJSON(data []byte) error {
 type Span struct {
 	Name string `json:"name"`
 	// SpanID is the span's W3C-style 16-hex-digit ID, allocated at creation.
-	// It is what a traceparent injected from this span carries, and what a
-	// downstream process's trace records as its remote parent — the joint
-	// the fleet trace view stitches on.
 	SpanID   string        `json:"spanId,omitempty"`
 	Start    time.Time     `json:"start"`
 	Duration time.Duration `json:"-"`
@@ -268,10 +265,10 @@ type Trace struct {
 	Start time.Time `json:"start"`
 	Root  *Span     `json:"root"`
 	// ParentSpanID is the remote parent's span ID when this trace continues
-	// a W3C context propagated from another process (the clarify-lb forward
-	// span, or a clarify -remote invocation). Empty for locally rooted
-	// traces. The fleet trace view grafts this trace's root under the
-	// upstream span whose SpanID matches.
+	// a W3C context propagated from another process: a clarify -remote
+	// invocation's span, or the span ID clarify-lb minted with the context
+	// for a caller that sent none, which names no recorded span. Empty for
+	// locally rooted traces.
 	ParentSpanID string `json:"parentSpanId,omitempty"`
 
 	// LineWriter, when non-nil, receives every Logf line as it is logged,
@@ -283,47 +280,26 @@ type Trace struct {
 
 // NewTrace starts a trace with a fresh random ID and a started root span.
 func NewTrace(rootName string) *Trace {
-	t := &Trace{ID: NewTraceID(), Start: time.Now()}
-	t.Root = &Span{Name: rootName, SpanID: NewSpanID(), Start: t.Start, trace: t}
-	return t
+	return newTrace(rootName, NewTraceID(), "")
 }
 
 // NewTraceWith starts a trace that continues a propagated W3C context: the
-// trace adopts tp's trace ID and records tp's span ID as its remote parent,
-// so the fleet view can stitch this process's spans under the caller's. An
-// invalid tp falls back to a locally rooted NewTrace.
+// trace adopts tp's trace ID and records tp's span ID as its remote parent.
+// An invalid tp falls back to a locally rooted NewTrace; only then is an ID
+// minted.
 func NewTraceWith(rootName string, tp TraceParent) *Trace {
 	if !tp.Valid() {
 		return NewTrace(rootName)
 	}
-	t := NewTrace(rootName)
-	t.ID = tp.TraceID
-	t.ParentSpanID = tp.SpanID
+	return newTrace(rootName, tp.TraceID, tp.SpanID)
+}
+
+// newTrace starts a trace under the given ID and remote parent (empty for
+// a locally rooted trace).
+func newTrace(rootName, id, parentSpanID string) *Trace {
+	t := &Trace{ID: id, Start: time.Now(), ParentSpanID: parentSpanID}
+	t.Root = &Span{Name: rootName, SpanID: NewSpanID(), Start: t.Start, trace: t}
 	return t
-}
-
-// TraceParentFor returns the traceparent to inject downstream of sp: the
-// trace's ID, sp's span ID, and the sampled flag (this process is recording).
-// A nil trace or span returns an invalid zero TraceParent.
-func (t *Trace) TraceParentFor(sp *Span) TraceParent {
-	if t == nil || sp == nil {
-		return TraceParent{}
-	}
-	return TraceParent{TraceID: t.ID, SpanID: sp.SpanID, Flags: FlagSampled}
-}
-
-// FindSpanID returns the span with the given SpanID (depth-first), or nil.
-func (t *Trace) FindSpanID(id string) *Span {
-	if id == "" {
-		return nil
-	}
-	var found *Span
-	t.Walk(func(sp *Span, _ int) {
-		if found == nil && sp.SpanID == id {
-			found = sp
-		}
-	})
-	return found
 }
 
 // Finish ends the root span. Idempotent.

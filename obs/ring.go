@@ -8,8 +8,8 @@ import "sync"
 // traces a second life: traces the keep function flags — errors, degraded
 // runs, latency outliers — move into a separate kept ring instead of
 // vanishing, so the interesting tail survives a flood of healthy traffic.
-// Shared by the server's per-replica ring and clarify-lb's fleet view.
-// All methods are safe for concurrent use.
+// It backs clarifyd's GET /debug/traces. All methods are safe for concurrent
+// use.
 type Ring struct {
 	mu    sync.Mutex
 	buf   []*Trace // circular, len == capacity

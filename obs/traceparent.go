@@ -15,7 +15,7 @@ const TraceParentHeader = "traceparent"
 // being recorded upstream.
 const FlagSampled byte = 0x01
 
-// TraceParent is a parsed W3C traceparent value: the fleet-wide trace ID,
+// TraceParent is a parsed W3C traceparent value: the trace ID,
 // the caller's span ID (which becomes the remote parent of the local root
 // span), and the trace flags. The zero value is invalid.
 type TraceParent struct {

@@ -94,22 +94,15 @@ func TestNewTraceWithAdoptsContext(t *testing.T) {
 	}
 }
 
-func TestTraceParentForInjection(t *testing.T) {
-	tr := NewTrace("lb-proxy")
-	fwd := tr.Root.Child("forward")
-	tp := tr.TraceParentFor(fwd)
-	if !tp.Valid() || tp.TraceID != tr.ID || tp.SpanID != fwd.SpanID || !tp.Sampled() {
-		t.Fatalf("TraceParentFor = %+v", tp)
-	}
-	var nilTrace *Trace
-	if nilTrace.TraceParentFor(nil).Valid() {
-		t.Fatal("nil trace must yield an invalid traceparent")
-	}
-	if tr.FindSpanID(fwd.SpanID) != fwd {
-		t.Fatal("FindSpanID did not locate the forward span")
-	}
-	if tr.FindSpanID("") != nil || tr.FindSpanID("ffffffffffffffff") != nil {
-		t.Fatal("FindSpanID must miss on empty/unknown IDs")
+// TestNewTraceWithMintsNoID checks that continuing a valid context costs
+// fewer allocations than minting: the adopted trace ID is used as is, with
+// no random ID minted and thrown away.
+func TestNewTraceWithMintsNoID(t *testing.T) {
+	tp := TraceParent{TraceID: NewTraceID(), SpanID: NewSpanID()}
+	minted := testing.AllocsPerRun(100, func() { NewTrace("update") })
+	adopted := testing.AllocsPerRun(100, func() { NewTraceWith("update", tp) })
+	if adopted >= minted {
+		t.Fatalf("NewTraceWith(valid) allocs = %v, want fewer than NewTrace's %v", adopted, minted)
 	}
 }
 

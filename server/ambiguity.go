@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"slices"
 	"sync"
 
 	"github.com/clarifynet/clarify/ambiguity"
@@ -77,9 +76,7 @@ func (a *ambiguityMetrics) snapshot() *AmbiguitySnapshot {
 
 // AmbiguitySnapshot is the body of GET /debug/ambiguity and the /metrics
 // "ambiguity" block: the rollup of every ledger this daemon recorded and
-// the distribution histograms. clarify-lb fetches one per backend and
-// merges them into the fleet view — sums merge exactly, and the histograms
-// share a fixed bucket table.
+// the distribution histograms.
 type AmbiguitySnapshot struct {
 	Rollup *ambiguity.Rollup `json:"rollup"`
 	// BitsResolvedPerQuestion distributes each clarifying question's
@@ -92,22 +89,6 @@ type AmbiguitySnapshot struct {
 	// each update was accepted — nonzero residuals quantify placements the
 	// dialogue never pinned down.
 	ResidualAmbiguityBits ValueHistogramSnapshot `json:"residualAmbiguityBits"`
-}
-
-// Merge folds another daemon's snapshot into this one (the lb fleet view).
-// Histograms merge bucket-wise; a bucket-table mismatch (mixed-version
-// fleet) keeps the receiver's histogram and merges only the rollups.
-func (s *AmbiguitySnapshot) Merge(o *AmbiguitySnapshot) {
-	if s == nil || o == nil {
-		return
-	}
-	if s.Rollup == nil {
-		s.Rollup = ambiguity.NewRollup()
-	}
-	s.Rollup.Merge(o.Rollup)
-	s.BitsResolvedPerQuestion.Merge(o.BitsResolvedPerQuestion)
-	s.QuestionsPerUpdate.Merge(o.QuestionsPerUpdate)
-	s.ResidualAmbiguityBits.Merge(o.ResidualAmbiguityBits)
 }
 
 // ValueHistogramSnapshot is the wire view of a fixed-bucket histogram over a
@@ -125,57 +106,13 @@ type ValueHistogramSnapshot struct {
 	EstP99  float64   `json:"estP99"`
 }
 
-// MakeValueHistogramSnapshot builds the wire view from raw counts; the
-// counts slice is copied.
-func MakeValueHistogramSnapshot(buckets []float64, counts []int64, count int64, sum float64) ValueHistogramSnapshot {
-	snap := ValueHistogramSnapshot{
-		Buckets: buckets,
-		Counts:  append([]int64(nil), counts...),
-		Count:   count,
-		Sum:     sum,
-	}
-	snap.restat()
-	return snap
-}
-
-// restat recomputes the derived fields from the raw counts.
-func (h *ValueHistogramSnapshot) restat() {
-	if h.Count <= 0 {
-		h.Mean, h.EstP50, h.EstP95, h.EstP99 = 0, 0, 0, 0
-		return
-	}
-	h.Mean = h.Sum / float64(h.Count)
-	h.EstP50 = estimateQuantile(h.Buckets, h.Counts, h.Count, 0.50)
-	h.EstP95 = estimateQuantile(h.Buckets, h.Counts, h.Count, 0.95)
-	h.EstP99 = estimateQuantile(h.Buckets, h.Counts, h.Count, 0.99)
-}
-
-// Merge adds another snapshot's observations bucket-wise and recomputes the
-// quantile estimates. Mismatched bucket tables are skipped (the receiver
-// wins) rather than producing a nonsense merge.
-func (h *ValueHistogramSnapshot) Merge(o ValueHistogramSnapshot) {
-	if o.Count == 0 && len(o.Counts) == 0 {
-		return
-	}
-	if len(h.Counts) == 0 {
-		*h = o
-		h.Counts = append([]int64(nil), o.Counts...)
-		return
-	}
-	if !slices.Equal(h.Buckets, o.Buckets) || len(h.Counts) != len(o.Counts) {
-		return
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.Count += o.Count
-	h.Sum += o.Sum
-	h.restat()
-}
-
 // snapshotValue copies a dimensionless histogram into its wire view.
 func (h *Histogram) snapshotValue() ValueHistogramSnapshot {
-	return MakeValueHistogramSnapshot(h.buckets, h.counts, h.n, h.sum)
+	s := h.Snapshot()
+	return ValueHistogramSnapshot{
+		Buckets: s.BucketsMs, Counts: s.Counts, Count: s.Count, Sum: s.SumMs,
+		Mean: s.MeanMs, EstP50: s.EstP50Ms, EstP95: s.EstP95Ms, EstP99: s.EstP99Ms,
+	}
 }
 
 // handleDebugAmbiguity serves the disambiguation-efficiency rollup: how much
@@ -214,26 +151,13 @@ func writeAmbiguity(p *promtext.Writer, snap *AmbiguitySnapshot) {
 			p.Sample("clarifyd_ambiguity_kind_updates_total", "kind="+quoteLabel(name), float64(r.Kinds[name].Updates))
 		}
 	}
-	writeValueHistogram(p, "clarifyd_ambiguity_bits_resolved_per_question",
-		"Information gain of each clarifying question, in bits.", snap.BitsResolvedPerQuestion)
-	writeValueHistogram(p, "clarifyd_ambiguity_questions_per_update",
-		"Clarifying questions asked per metered update.", snap.QuestionsPerUpdate)
-	writeValueHistogram(p, "clarifyd_ambiguity_residual_bits",
-		"Candidate-space ambiguity left when each update was accepted, in bits.", snap.ResidualAmbiguityBits)
-}
-
-// writeValueHistogram renders one unlabelled histogram family from a value
-// snapshot: cumulative le buckets, +Inf, _sum and _count.
-func writeValueHistogram(p *promtext.Writer, name, help string, h ValueHistogramSnapshot) {
-	p.Header(name, "histogram", help)
-	var cum int64
-	for i, ub := range h.Buckets {
-		if i < len(h.Counts) {
-			cum += h.Counts[i]
-		}
-		p.Sample(name+"_bucket", "le="+quoteLabel(formatFloat(ub)), float64(cum))
-	}
-	p.Sample(name+"_bucket", `le="+Inf"`, float64(h.Count))
-	p.Sample(name+"_sum", "", h.Sum)
-	p.Sample(name+"_count", "", float64(h.Count))
+	h := snap.BitsResolvedPerQuestion
+	p.Header("clarifyd_ambiguity_bits_resolved_per_question", "histogram", "Information gain of each clarifying question, in bits.")
+	p.Histogram("clarifyd_ambiguity_bits_resolved_per_question", "", h.Buckets, h.Counts, h.Count, h.Sum)
+	h = snap.QuestionsPerUpdate
+	p.Header("clarifyd_ambiguity_questions_per_update", "histogram", "Clarifying questions asked per metered update.")
+	p.Histogram("clarifyd_ambiguity_questions_per_update", "", h.Buckets, h.Counts, h.Count, h.Sum)
+	h = snap.ResidualAmbiguityBits
+	p.Header("clarifyd_ambiguity_residual_bits", "histogram", "Candidate-space ambiguity left when each update was accepted, in bits.")
+	p.Histogram("clarifyd_ambiguity_residual_bits", "", h.Buckets, h.Counts, h.Count, h.Sum)
 }

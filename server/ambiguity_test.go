@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -114,46 +113,5 @@ func TestRuntimeStatsBlock(t *testing.T) {
 	}
 	if m.Runtime.GCPauseP99Ms < 0 {
 		t.Errorf("gcPauseP99Ms = %v, want >= 0", m.Runtime.GCPauseP99Ms)
-	}
-}
-
-// TestValueHistogramMerge covers the fleet-merge arithmetic the LB relies on.
-func TestValueHistogramMerge(t *testing.T) {
-	buckets := []float64{1, 2, 4}
-	a := MakeValueHistogramSnapshot(buckets, []int64{1, 0, 2, 0}, 3, 7)
-	b := MakeValueHistogramSnapshot(buckets, []int64{0, 1, 0, 1}, 2, 9)
-	a.Merge(b)
-	if a.Count != 5 || a.Sum != 16 {
-		t.Fatalf("merged count/sum = %d/%v, want 5/16", a.Count, a.Sum)
-	}
-	want := []int64{1, 1, 2, 1}
-	for i, c := range a.Counts {
-		if c != want[i] {
-			t.Fatalf("merged counts = %v, want %v", a.Counts, want)
-		}
-	}
-	if a.Mean != 16.0/5 {
-		t.Errorf("merged mean = %v, want 3.2", a.Mean)
-	}
-
-	// An empty receiver adopts the other side wholesale.
-	var empty ValueHistogramSnapshot
-	empty.Merge(b)
-	if empty.Count != 2 || len(empty.Counts) != 4 {
-		t.Fatalf("empty.Merge = %+v, want a copy of b", empty)
-	}
-	// A bucket-table mismatch (mixed-version fleet) keeps the receiver as-is.
-	c := MakeValueHistogramSnapshot([]float64{1}, []int64{1, 1}, 2, 2)
-	before := a.Count
-	a.Merge(c)
-	if a.Count != before {
-		t.Errorf("mismatched-table merge changed the receiver: %+v", a)
-	}
-	// So does a table of the same length with different bounds: its counts
-	// belong to other buckets.
-	d := MakeValueHistogramSnapshot([]float64{1, 3, 8}, []int64{0, 0, 0, 4}, 4, 40)
-	a.Merge(d)
-	if a.Count != before || !slices.Equal(a.Counts, want) {
-		t.Errorf("same-length, different-bounds merge changed the receiver: %+v", a)
 	}
 }

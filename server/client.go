@@ -161,8 +161,9 @@ func (c *Client) sendOnce(ctx context.Context, method, path string, in interface
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if tp, ok := obs.TraceParentFromContext(ctx); ok {
-		// Propagate the caller's fleet trace context so CLI-driven updates
-		// stitch under the same trace ID across the balancer and daemon.
+		// Propagate the caller's trace context so the daemon records a
+		// CLI-driven update under the caller's trace ID; clarify-lb passes
+		// it through untouched.
 		req.Header.Set(obs.TraceParentHeader, tp.String())
 	}
 	resp, err := c.httpClient().Do(req)
@@ -284,8 +285,8 @@ func (c *Client) SLO(ctx context.Context) (slo.Snapshot, error) {
 }
 
 // Ambiguity fetches the daemon's disambiguation-efficiency telemetry
-// (GET /debug/ambiguity). Works against clarify-lb too, which serves the
-// merged fleet view at the same path.
+// (GET /debug/ambiguity). clarify-lb serves no such view, so against a
+// balancer it fails with a 404.
 func (c *Client) Ambiguity(ctx context.Context) (AmbiguitySnapshot, error) {
 	var out AmbiguitySnapshot
 	err := c.do(ctx, http.MethodGet, "/debug/ambiguity", nil, &out)

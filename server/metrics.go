@@ -26,10 +26,6 @@ type Histogram struct {
 	counts  []int64 // len(buckets)+1, last bucket is +Inf
 	sum     float64
 	n       int64
-	// exemplars holds the most recent exemplared observation per bucket
-	// (len(buckets)+1, the last for +Inf); nil until the first exemplar, so
-	// exemplar-off histograms pay no extra memory.
-	exemplars []Exemplar
 }
 
 // NewHistogram returns an empty histogram over the given ascending upper
@@ -38,38 +34,16 @@ func NewHistogram(buckets []float64) *Histogram {
 	return &Histogram{buckets: buckets, counts: make([]int64, len(buckets)+1)}
 }
 
-// add counts one observation and returns its bucket index.
-func (h *Histogram) add(v float64) int {
-	i := sort.SearchFloat64s(h.buckets, v)
-	h.counts[i]++
+// add counts one observation.
+func (h *Histogram) add(v float64) {
+	h.counts[sort.SearchFloat64s(h.buckets, v)]++
 	h.sum += v
 	h.n++
-	return i
 }
 
-// Observe records one latency. A non-empty traceID also makes the
-// observation its bucket's exemplar, replacing the previous one, so each
-// bucket links to a recent representative trace; ts is its unix time in
-// seconds.
-func (h *Histogram) Observe(d time.Duration, traceID string, ts float64) {
-	ms := float64(d) / float64(time.Millisecond)
-	i := h.add(ms)
-	if traceID == "" {
-		return
-	}
-	if h.exemplars == nil {
-		h.exemplars = make([]Exemplar, len(h.counts))
-	}
-	h.exemplars[i] = Exemplar{TraceID: traceID, ValueMs: ms, Ts: ts}
-}
-
-// Exemplar links one histogram bucket to the trace behind a recent
-// observation in it — the OpenMetrics exemplar, so a latency spike on a
-// dashboard clicks through to /debug/traces/{traceId}.
-type Exemplar struct {
-	TraceID string  `json:"traceId"`
-	ValueMs float64 `json:"valueMs"`
-	Ts      float64 `json:"ts,omitempty"` // unix seconds
+// Observe records one latency.
+func (h *Histogram) Observe(d time.Duration) {
+	h.add(float64(d) / float64(time.Millisecond))
 }
 
 // HistogramSnapshot is the JSON view of one latency histogram.
@@ -86,10 +60,6 @@ type HistogramSnapshot struct {
 	EstP50Ms float64 `json:"estP50Ms"`
 	EstP95Ms float64 `json:"estP95Ms"`
 	EstP99Ms float64 `json:"estP99Ms"`
-	// Exemplars, when exemplar collection is on, carries the most recent
-	// trace reference per bucket (len(Counts) entries; empty TraceID means
-	// the bucket has no exemplar yet). Rendered on OpenMetrics output.
-	Exemplars []Exemplar `json:"exemplars,omitempty"`
 }
 
 // estimateQuantile interpolates the q-quantile (0 < q < 1) from cumulative
@@ -132,17 +102,16 @@ func estimateQuantile(buckets []float64, counts []int64, total int64, q float64)
 // status counters, an in-flight gauge, backpressure rejections, and
 // per-endpoint latency histograms. All methods are safe for concurrent use.
 type metrics struct {
-	buckets   []float64 // histogram upper bounds, fixed at construction
-	exemplars bool      // attach trace exemplars to stage histograms
-	mu        sync.Mutex
-	requests  map[string]int64
-	statuses  map[int]int64
-	latency   map[string]*Histogram
-	stages    map[string]*Histogram // pipeline stage durations from completed traces
-	inFlight  int64
-	rejected  int64 // 429 backpressure rejections
-	panics    int64 // worker panics contained by the pool
-	timeouts  int64 // updates aborted by the per-update deadline
+	buckets  []float64 // histogram upper bounds, fixed at construction
+	mu       sync.Mutex
+	requests map[string]int64
+	statuses map[int]int64
+	latency  map[string]*Histogram
+	stages   map[string]*Histogram // pipeline stage durations from completed traces
+	inFlight int64
+	rejected int64 // 429 backpressure rejections
+	panics   int64 // worker panics contained by the pool
+	timeouts int64 // updates aborted by the per-update deadline
 }
 
 func newMetrics(buckets []float64) *metrics {
@@ -160,18 +129,13 @@ func newMetrics(buckets []float64) *metrics {
 
 // observeTrace folds one completed span tree into the per-stage latency
 // histograms, aggregating numbered spans (synthesize-attempt-2, ...) under
-// their canonical stage name. With exemplars enabled, every bucket touched
-// remembers the trace ID, linking the metric back to the span tree.
+// their canonical stage name.
 func (m *metrics) observeTrace(t *obs.Trace) {
 	if t == nil || t.Root == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	traceID, ts := "", 0.0
-	if m.exemplars {
-		traceID, ts = t.ID, float64(time.Now().UnixMilli())/1000
-	}
 	t.Walk(func(sp *obs.Span, _ int) {
 		stage := obs.CanonicalStage(sp.Name)
 		h := m.stages[stage]
@@ -179,7 +143,7 @@ func (m *metrics) observeTrace(t *obs.Trace) {
 			h = NewHistogram(m.buckets)
 			m.stages[stage] = h
 		}
-		h.Observe(sp.Duration, traceID, ts)
+		h.Observe(sp.Duration)
 	})
 }
 
@@ -227,7 +191,7 @@ func (m *metrics) begin(endpoint string) func(status int) {
 			h = NewHistogram(m.buckets)
 			m.latency[endpoint] = h
 		}
-		h.Observe(d, "", 0)
+		h.Observe(d)
 		if status == 429 {
 			m.rejected++
 		}
@@ -335,13 +299,9 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	return out
 }
 
-// Snapshot copies the histogram into its wire view, exemplars included.
+// Snapshot copies the histogram into its wire view.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	snap := MakeHistogramSnapshot(h.buckets, h.counts, h.n, h.sum)
-	if h.exemplars != nil {
-		snap.Exemplars = append([]Exemplar(nil), h.exemplars...)
-	}
-	return snap
+	return MakeHistogramSnapshot(h.buckets, h.counts, h.n, h.sum)
 }
 
 // MakeHistogramSnapshot builds the wire view of a fixed-bucket latency

@@ -21,22 +21,13 @@ func benchTrace() *obs.Trace {
 }
 
 // BenchmarkObserveTrace measures folding one span tree into the stage
-// histograms with exemplar collection off (the default fast path) and on —
-// the BENCH_PR8 gate that exemplars cost nothing when disabled.
+// histograms.
 func BenchmarkObserveTrace(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		exemplars bool
-	}{{"exemplars-off", false}, {"exemplars-on", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			m := newMetrics(nil)
-			m.exemplars = mode.exemplars
-			tr := benchTrace()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.observeTrace(tr)
-			}
-		})
+	m := newMetrics(nil)
+	tr := benchTrace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.observeTrace(tr)
 	}
 }

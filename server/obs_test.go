@@ -383,4 +383,17 @@ func TestPrometheusExposition(t *testing.T) {
 			t.Errorf("stage %s has no observations", stage)
 		}
 	}
+
+	// Any other format, OpenMetrics included, falls back to the JSON view.
+	jresp, err := http.Get(c.BaseURL + "/metrics?format=openmetrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jresp.Body.Close()
+	var snap MetricsSnapshot
+	if ct := jresp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("?format=openmetrics Content-Type = %q, want the JSON fallback", ct)
+	} else if err := json.NewDecoder(jresp.Body).Decode(&snap); err != nil || snap.Pipeline.Updates != 1 {
+		t.Errorf("?format=openmetrics body = %+v (%v), want the JSON snapshot", snap.Pipeline, err)
+	}
 }

@@ -9,11 +9,9 @@ import (
 	"github.com/clarifynet/clarify/slo"
 )
 
-// writePrometheus renders a MetricsSnapshot through a promtext.Writer, which
-// selects between the classic text exposition format (version 0.0.4) and
-// OpenMetrics 1.0 — the latter carrying trace exemplars on histogram buckets
-// and the closing # EOF. Durations are exposed in milliseconds, matching the
-// JSON view; metric names carry the _ms suffix so the unit is explicit.
+// writePrometheus renders a MetricsSnapshot as Prometheus text exposition
+// (version 0.0.4). Durations are exposed in milliseconds, matching the JSON
+// view; metric names carry the _ms suffix so the unit is explicit.
 func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 	w := p.W
 	p.Header("clarifyd_requests_total", "counter", "HTTP requests received per endpoint pattern.")
@@ -81,14 +79,13 @@ func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 
 	p.Header("clarifyd_request_duration_ms", "histogram", "HTTP request latency per endpoint pattern, in milliseconds.")
 	for _, k := range sortedHistKeys(snap.LatencyMs) {
-		WriteHistogram(p, "clarifyd_request_duration_ms", "endpoint", k, snap.LatencyMs[k])
+		WriteHistogram(p, "clarifyd_request_duration_ms", "endpoint="+quoteLabel(k), snap.LatencyMs[k])
 	}
 
 	p.Header("clarifyd_stage_duration_ms", "histogram", "Pipeline stage latency from completed traces, in milliseconds.")
 	for _, k := range sortedHistKeys(snap.StagesMs) {
-		WriteHistogram(p, "clarifyd_stage_duration_ms", "stage", k, snap.StagesMs[k])
+		WriteHistogram(p, "clarifyd_stage_duration_ms", "stage="+quoteLabel(k), snap.StagesMs[k])
 	}
-	p.EOF()
 }
 
 // writeResilience renders the LLM backend-path series: degraded mode, the
@@ -166,26 +163,11 @@ func writeSLO(p *promtext.Writer, snap slo.Snapshot) {
 	}
 }
 
-// WriteHistogram renders one labelled latency histogram series: cumulative
-// le buckets (with exemplars in OpenMetrics mode), an explicit +Inf bucket,
+// WriteHistogram renders one latency histogram series under the
+// preformatted label set: cumulative le buckets, an explicit +Inf bucket,
 // then _sum and _count. Shared with clarify-lb's per-backend series.
-func WriteHistogram(p *promtext.Writer, name, labelKey, labelVal string, h HistogramSnapshot) {
-	p.Histogram(name, labelKey, labelVal, h.BucketsMs, h.Counts, h.Count, h.SumMs, exemplarsOf(h))
-}
-
-// exemplarsOf converts a snapshot's exemplars to the promtext wire type.
-func exemplarsOf(h HistogramSnapshot) []*promtext.Exemplar {
-	if len(h.Exemplars) == 0 {
-		return nil
-	}
-	out := make([]*promtext.Exemplar, len(h.Exemplars))
-	for i, e := range h.Exemplars {
-		if e.TraceID == "" {
-			continue
-		}
-		out[i] = &promtext.Exemplar{TraceID: e.TraceID, Value: e.ValueMs, Ts: e.Ts}
-	}
-	return out
+func WriteHistogram(p *promtext.Writer, name, labels string, h HistogramSnapshot) {
+	p.Histogram(name, labels, h.BucketsMs, h.Counts, h.Count, h.SumMs)
 }
 
 func formatFloat(v float64) string { return promtext.FormatFloat(v) }

@@ -77,11 +77,6 @@ type Options struct {
 	// outcomes and served at GET /debug/slo; nil selects the defaults
 	// (99.9% availability, 99% under 500ms, page/ticket burn-rate windows).
 	SLO *slo.Set
-	// Exemplars attaches OpenMetrics exemplars (trace IDs) to the per-stage
-	// latency histograms, linking /metrics buckets to /debug/traces entries.
-	// Off by default: the exemplar-off path is byte-identical to PR 3/5
-	// behaviour.
-	Exemplars bool
 	// TraceKeepSize bounds the tail-retention ring holding evicted traces
 	// worth keeping (errors, degraded runs, slower than the update-stage
 	// p99). 0 selects DefaultTraceKeepSize; negative disables retention.
@@ -163,7 +158,6 @@ func New(opts Options) *Server {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	met := newMetrics(opts.LatencyBucketsMs)
-	met.exemplars = opts.Exemplars
 	s := &Server{
 		opts:    opts,
 		mux:     http.NewServeMux(),
@@ -359,16 +353,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	snap.Ambiguity = s.amb.snapshot()
 	snap.Runtime = readRuntimeStats()
-	switch r.URL.Query().Get("format") {
-	case "prometheus":
-		p := &promtext.Writer{W: w}
-		w.Header().Set("Content-Type", p.ContentType())
-		writePrometheus(p, snap)
-		return
-	case "openmetrics":
-		p := &promtext.Writer{W: w, OpenMetrics: true}
-		w.Header().Set("Content-Type", p.ContentType())
-		writePrometheus(p, snap)
+	if r.URL.Query().Get("format") == "prometheus" {
+		w.Header().Set("Content-Type", promtext.ContentType)
+		writePrometheus(&promtext.Writer{W: w}, snap)
 		return
 	}
 	writeJSON(w, http.StatusOK, snap)
@@ -507,9 +494,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, err.Error(), 0)
 		return
 	}
-	// A W3C traceparent from the caller (clarify-lb's forward span, or a
-	// clarify -remote invocation) makes this update part of a fleet trace:
-	// the pipeline adopts the trace ID and parents under the caller's span.
+	// A W3C traceparent from the caller (a clarify -remote invocation's, or
+	// the one clarify-lb mints or forwards) names this update's trace: the
+	// pipeline adopts the trace ID and parents under the caller's span.
 	// The write is safe: the job has not been submitted yet.
 	if tp, ok := obs.ParseTraceParent(r.Header.Get(obs.TraceParentHeader)); ok {
 		u.parent = tp
@@ -590,7 +577,7 @@ func (s *Server) runUpdate(sn *session, u *update, script []disambig.Answer) {
 	// Per-update sink: stamps the trace ID onto the update record, feeds
 	// the per-stage histograms, and retains the trace for /debug/traces.
 	// The degraded flag lands on the root span here so the tail-retention
-	// policy and the fleet view see it without consulting the update record.
+	// policy sees it without consulting the update record.
 	// Updates are serialized per session, so reassigning the observer
 	// here is as safe as the oracle assignment above.
 	cs.Observer = obs.SinkFunc(func(t *obs.Trace) {

@@ -220,8 +220,8 @@ func (s *Server) RestoreSession(snap *snapshot.Session) error {
 		}
 		sn.track(s.baseCtx, u)
 		if tp, ok := obs.ParseTraceParent(p.TraceParent); ok {
-			// The re-executed update keeps its fleet trace ID, so the trace a
-			// client was handed before the handoff resolves on the successor.
+			// The re-executed update keeps its trace ID, so the trace a client
+			// was handed before the handoff resolves on the successor.
 			u.parent = tp
 		}
 		sn.updates[u.id] = u

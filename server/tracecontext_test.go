@@ -3,13 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"testing"
 
-	"github.com/clarifynet/clarify/internal/promtext"
 	"github.com/clarifynet/clarify/obs"
 )
 
@@ -83,54 +79,6 @@ func TestInvalidTraceParentIgnored(t *testing.T) {
 	}
 }
 
-// TestOpenMetricsExemplars checks that with exemplars enabled the OpenMetrics
-// exposition carries trace-ID exemplars on the stage histograms, validates
-// against the format constraints, and that the classic 0.0.4 exposition stays
-// exemplar-free.
-func TestOpenMetricsExemplars(t *testing.T) {
-	_, c := startServer(t, Options{Workers: 2, Exemplars: true})
-	ctx := context.Background()
-	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runWalkthrough(t, c, sid)
-
-	fetch := func(format string) (string, string) {
-		t.Helper()
-		resp, err := http.Get(c.BaseURL + "/metrics?format=" + format)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body), resp.Header.Get("Content-Type")
-	}
-
-	om, ct := fetch("openmetrics")
-	if !strings.Contains(ct, "openmetrics-text") {
-		t.Errorf("openmetrics Content-Type = %q", ct)
-	}
-	if err := promtext.ValidateOpenMetrics([]byte(om)); err != nil {
-		t.Fatalf("openmetrics exposition invalid: %v\n%s", err, om)
-	}
-	want := `# {trace_id="` + res.TraceID + `"}`
-	if !strings.Contains(om, want) {
-		t.Fatalf("exposition has no exemplar for trace %s:\n%s", res.TraceID, om)
-	}
-
-	classic, ct := fetch("prometheus")
-	if !strings.Contains(ct, "version=0.0.4") {
-		t.Errorf("prometheus Content-Type = %q", ct)
-	}
-	if strings.Contains(classic, "trace_id") || strings.Contains(classic, "# EOF") {
-		t.Fatalf("classic exposition leaked OpenMetrics syntax:\n%s", classic)
-	}
-}
-
 // TestTailRetentionKeepsErrorTraces checks that an errored update's trace
 // survives eviction from the main debug ring into the kept ring, and that
 // /debug/traces/{id} still resolves it.
@@ -188,19 +136,4 @@ func TestTailRetentionKeepsErrorTraces(t *testing.T) {
 	if one.StatusCode != http.StatusOK {
 		t.Fatalf("kept trace not resolvable by ID: %d", one.StatusCode)
 	}
-}
-
-// firstMatching returns the exposition lines containing substr, for error
-// messages that would otherwise dump the whole document.
-func firstMatching(doc, substr string) string {
-	var out []string
-	for _, line := range strings.Split(doc, "\n") {
-		if strings.Contains(line, substr) {
-			out = append(out, line)
-		}
-	}
-	if len(out) == 0 {
-		return fmt.Sprintf("(no lines matching %q)", substr)
-	}
-	return strings.Join(out, "\n")
 }

@@ -57,10 +57,10 @@ type PendingUpdate struct {
 	Intent string `json:"intent"`
 	Target string `json:"target"`
 	// TraceParent is the update's propagated W3C trace context, serialized
-	// in traceparent header form, so the re-executed update keeps the fleet
-	// trace ID it was submitted under. Empty when the original submission
-	// carried no context; kept opaque here so the snapshot package does not
-	// depend on the obs wire types.
+	// in traceparent header form, so the re-executed update keeps the trace
+	// ID it was submitted under (through clarify-lb, also its request ID).
+	// Empty when the original submission carried no context; kept opaque
+	// here so the snapshot package does not depend on the obs wire types.
 	TraceParent string `json:"traceParent,omitempty"`
 	// Answers is the transcript of answers delivered before capture, in
 	// question order. Restore replays them through a disambig.Transcript,
