@@ -129,27 +129,26 @@ func stanzaAt(rm *ios.RouteMap, i int) *ios.Stanza {
 	return rm.Stanzas[i]
 }
 
-// confirmDiff extracts candidate models from diffRegion and returns the first
-// one whose concrete verdicts actually differ.
+// confirmDiff decodes candidate models from diffRegion one at a time and
+// returns the first whose concrete verdicts actually differ.
 func confirmDiff(s *symbolic.RouteSpace, evA *policy.Evaluator, rmA *ios.RouteMap, evB *policy.Evaluator, rmB *ios.RouteMap, diffRegion bdd.Node) (Diff, bool, error) {
-	witnesses, err := s.Witnesses(diffRegion, maxWitnessProbes)
-	if err != nil {
-		return Diff{}, false, err
-	}
-	for _, w := range witnesses {
+	var d Diff
+	found, err := s.WitnessWhere(diffRegion, maxWitnessProbes, func(w route.Route) (bool, error) {
 		va, err := evA.EvalRouteMap(rmA, w)
 		if err != nil {
-			return Diff{}, false, err
+			return false, err
 		}
 		vb, err := evB.EvalRouteMap(rmB, w)
 		if err != nil {
-			return Diff{}, false, err
+			return false, err
 		}
-		if !VerdictsEqual(va, vb) {
-			return Diff{Input: w, VerdictA: va, VerdictB: vb}, true, nil
+		if VerdictsEqual(va, vb) {
+			return false, nil
 		}
-	}
-	return Diff{}, false, nil
+		d = Diff{Input: w, VerdictA: va, VerdictB: vb}
+		return true, nil
+	})
+	return d, found, err
 }
 
 // EquivalentRouteMaps reports whether the two route maps are observationally

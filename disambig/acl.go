@@ -68,7 +68,7 @@ func InsertACLEntryTraced(space *symbolic.ACLSpace, orig *ios.Config, aclName st
 // of newEntry and take the other action, each with a witness packet.
 func aclProbes(space *symbolic.ACLSpace, acl *ios.ACL, newEntry *ios.ACE) []probe[ACLQuestion] {
 	// Probes need first-match regions only inside the new entry's packets.
-	regions := space.FirstMatchWithin(acl, space.ACEPred(newEntry))
+	regions := space.FirstMatchWithin(acl, newEntry)
 	var probes []probe[ACLQuestion]
 	for i, e := range acl.Entries {
 		if e.Permit == newEntry.Permit {

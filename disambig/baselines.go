@@ -410,16 +410,10 @@ func (in *RouteInsertion) probes(sp *obs.Span, strategy Strategy) ([]probe[Route
 // collectProbes finds the distinguishing overlaps with a confirmed
 // differential example each, in the given symbolic space.
 func collectProbes(space *symbolic.RouteSpace, work *ios.Config, rm *ios.RouteMap, newStanza *ios.Stanza) ([]probe[RouteQuestion], error) {
-	// The map is encoded even when the new stanza is not, so the map's own
-	// errors are reported first.
-	predNew, newErr := space.StanzaPred(work, newStanza)
 	// Probes need first-match regions only inside the new stanza's routes.
-	regions, err := space.FirstMatchWithin(work, rm, space.Pool.And(predNew, space.Valid))
+	regions, err := space.FirstMatchWithin(work, rm, newStanza)
 	if err != nil {
 		return nil, err
-	}
-	if newErr != nil {
-		return nil, newErr
 	}
 	ev := policy.NewEvaluatorWith(work, space.Automata())
 	var probes []probe[RouteQuestion]

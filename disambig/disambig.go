@@ -103,31 +103,29 @@ func InsertRouteMapStanza(orig *ios.Config, mapName string, snippet *ios.Config,
 }
 
 // confirmQuestion extracts a concrete differential example from a symbolic
-// candidate region, confirming with the evaluator that the two options
-// genuinely differ.
+// candidate region: the first of its models, decoded one at a time, on
+// which the evaluator confirms that the two options genuinely differ.
 func confirmQuestion(space *symbolic.RouteSpace, ev *policy.Evaluator, rm *ios.RouteMap, newStanza *ios.Stanza, stanzaIdx int, region bdd.Node) (RouteQuestion, bool, error) {
 	if region == bdd.False {
 		return RouteQuestion{}, false, nil
 	}
-	witnesses, err := space.Witnesses(region, maxProbes)
-	if err != nil {
-		return RouteQuestion{}, false, err
-	}
-	for _, w := range witnesses {
+	var q RouteQuestion
+	found, err := space.WitnessWhere(region, maxProbes, func(w route.Route) (bool, error) {
 		oldV, err := ev.EvalRouteMap(rm, w)
 		if err != nil {
-			return RouteQuestion{}, false, err
+			return false, err
 		}
 		if oldV.Index != stanzaIdx {
-			continue // decode landed outside the first-match region; try next
+			return false, nil // decode landed outside the first-match region; try next
 		}
 		newV := NewStanzaVerdict(newStanza, w)
 		if analysis.VerdictsEqual(oldV, newV) {
-			continue // abstraction artifact: options identical
+			return false, nil // abstraction artifact: options identical
 		}
-		return RouteQuestion{Input: w, NewVerdict: newV, OldVerdict: oldV, ProbedStanza: stanzaIdx}, true, nil
-	}
-	return RouteQuestion{}, false, nil
+		q = RouteQuestion{Input: w, NewVerdict: newV, OldVerdict: oldV, ProbedStanza: stanzaIdx}
+		return true, nil
+	})
+	return q, found, err
 }
 
 // NewStanzaVerdict is the behaviour of the new stanza in isolation on r.

@@ -1,6 +1,7 @@
 package disambig
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -302,15 +303,20 @@ ip as-path access-list AL deny .*
 		func(o ListOracle) (*ListResult, error) { return InsertASPathEntry(al, "AL", aEntry, o) }, aWrapper)
 }
 
-// TestInsertErrorsUnchanged: a map using continue, and a stanza matching an
-// undefined prefix-list behind one that matches every route, still fail
-// disambiguation with the errors of the full first-match fold. The fold
-// inside the new stanza's routes stops at the match-all stanza, but every
+// TestInsertErrorsUnchanged: a map using continue, a stanza matching an
+// undefined prefix-list behind one that matches every route, and a stanza
+// whose prefix list misses the new stanza's but whose community list is
+// undefined, still fail disambiguation with the errors of the full
+// first-match fold. The fold inside the new stanza's routes stops at the
+// match-all stanza and skips the stanza its match box misses, but every
 // stanza is encoded first, and the map's errors come before the new
 // stanza's.
 func TestInsertErrorsUnchanged(t *testing.T) {
 	const continueMap = "route-map RM permit 10\n match local-preference 300\n continue 20\nroute-map RM permit 20\n"
 	const continueErr = "symbolic: route-map RM uses continue; first-match analyses are unsupported"
+	const missedMap = "ip prefix-list TEN seq 5 permit 10.0.0.0/8 le 24\n" +
+		"route-map RM deny 10\n match ip address prefix-list TEN\n match community UNDEF\nroute-map RM permit 20\n"
+	const twenty = "ip prefix-list TWENTY seq 5 permit 20.0.0.0/8 le 24\n"
 	keep := FuncRouteOracle(func(RouteQuestion) (bool, error) { return false, nil })
 	for _, tc := range []struct{ config, snippet, err string }{
 		{continueMap, "route-map NEW permit 10\n set metric 5\n", continueErr},
@@ -319,10 +325,112 @@ func TestInsertErrorsUnchanged(t *testing.T) {
 		{continueMap, "route-map NEW permit 10\n match ip address prefix-list GONE\n", continueErr},
 		{"route-map RM permit 10\n", "route-map NEW permit 10\n match ip address prefix-list GONE\n",
 			`symbolic: undefined prefix-list "GONE"`},
+		{missedMap, twenty + "route-map NEW permit 10\n match ip address prefix-list TWENTY\n",
+			`symbolic: undefined community-list "UNDEF"`},
+		{missedMap, twenty + "route-map NEW permit 10\n match ip address prefix-list TWENTY\n match community GONE\n",
+			`symbolic: undefined community-list "UNDEF"`},
+		{"ip prefix-list TEN seq 5 permit 10.0.0.0/8 le 24\nroute-map RM deny 10\n match ip address prefix-list TEN\n",
+			twenty + "route-map NEW permit 10\n match ip address prefix-list TWENTY\n match community GONE\n",
+			`symbolic: undefined community-list "GONE"`},
 	} {
 		_, err := InsertRouteMapStanza(ios.MustParse(tc.config), "RM", ios.MustParse(tc.snippet), "NEW", keep)
 		if err == nil || err.Error() != tc.err {
 			t.Errorf("config:\n%ssnippet:\n%s: error %v, want %q", tc.config, tc.snippet, err, tc.err)
 		}
+	}
+}
+
+// TestProbeFoldSkipsMissedRules: when the match box of every rule misses
+// the new rule's, collecting the probes builds no BDD node beyond the new
+// rule's own predicate. The ACL's entries each miss the new entry in one
+// field: a port, a protocol, an address bit both fix, or neq against eq.
+// The route map's stanzas each match a prefix list whose permit entries
+// meet none of the new stanza's list, by address or by length; a deny
+// entry that does meet it is no route of the list.
+func TestProbeFoldSkipsMissedRules(t *testing.T) {
+	acl := ios.MustParse(`ip access-list extended A
+ deny tcp any any eq 22
+ permit udp 10.1.0.0 0.0.255.255 any
+ deny tcp 192.168.0.0 0.0.255.255 any
+ deny tcp any any range 1000 2000
+ deny tcp any any neq 80
+ deny icmp any any 8 0
+`).ACLs["A"]
+	newEntry := ios.MustParse("ip access-list extended N\n permit tcp 10.1.0.0 0.0.255.255 any eq 80\n").ACLs["N"].Entries[0]
+	aclSpace := symbolic.NewACLSpace()
+	aclSpace.ACEPred(newEntry)
+	size := aclSpace.Pool.Size()
+	if probes := aclProbes(aclSpace, acl, newEntry); len(probes) != 0 {
+		t.Errorf("ACL: %d probes, want 0", len(probes))
+	}
+	if got := aclSpace.Pool.Size(); got != size {
+		t.Errorf("ACL: probe fold grew the pool from %d to %d nodes", size, got)
+	}
+
+	orig := ios.MustParse(`ip prefix-list TEN seq 5 permit 10.0.0.0/8 le 24
+ip prefix-list PRIV seq 5 deny 20.0.0.0/8 le 32
+ip prefix-list PRIV seq 10 permit 192.168.0.0/16 le 32
+ip prefix-list LONG seq 5 permit 20.0.0.0/8 ge 25
+route-map RM deny 10
+ match ip address prefix-list TEN
+route-map RM deny 20
+ match ip address prefix-list PRIV
+route-map RM deny 30
+ match ip address prefix-list LONG
+`)
+	snippet := ios.MustParse(`ip prefix-list NEWP seq 5 permit 20.0.0.0/8 le 24
+route-map NEW permit 10
+ match ip address prefix-list NEWP
+ set metric 55
+`)
+	prep, err := PrepareRouteMapStanza(nil, orig, "RM", snippet, "NEW")
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := symbolic.NewRouteSpace(prep.work, newStanzaWrapper(prep.stanza))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := space.StanzaPred(prep.work, prep.stanza)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space.Pool.And(pred, space.Valid)
+	size = space.Pool.Size()
+	probes, err := collectProbes(space, prep.work, prep.rm, prep.stanza)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probes) != 0 {
+		t.Errorf("route map: %d probes, want 0", len(probes))
+	}
+	if got := space.Pool.Size(); got != size {
+		t.Errorf("route map: probe fold grew the pool from %d to %d nodes", size, got)
+	}
+}
+
+// TestLaterUndecodableModelIgnored: the first model of the only probe
+// region carries community 65000:1 and confirms the question; a later one
+// carries the atom of ^70000:1$, whose witness is no community. Witnesses
+// are decoded one at a time, so the insertion asks its question instead of
+// failing on the model it never needed.
+func TestLaterUndecodableModelIgnored(t *testing.T) {
+	orig := ios.MustParse("route-map RM permit 10\n")
+	snippet := ios.MustParse(`ip community-list expanded CN permit ^70000:1$
+ip community-list expanded CN permit _65000:1_
+route-map NEW permit 10
+ match community CN
+ set metric 55
+`)
+	var asked []RouteQuestion
+	res, err := InsertRouteMapStanza(orig, "RM", snippet, "NEW", FuncRouteOracle(func(q RouteQuestion) (bool, error) {
+		asked = append(asked, q)
+		return true, nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Position != 0 || len(asked) != 1 || fmt.Sprint(asked[0].Input.Communities) != "[65000:1]" {
+		t.Fatalf("position %d after questions %+v, want 0 after one on a 65000:1 route", res.Position, asked)
 	}
 }

@@ -110,15 +110,81 @@ func (s *ACLSpace) portPred(ps ios.PortSpec, vec bdd.Vec) bdd.Node {
 // FirstMatch returns per-entry first-match regions plus the final
 // matched-by-nothing region (implicit deny).
 func (s *ACLSpace) FirstMatch(acl *ios.ACL) []bdd.Node {
-	return s.FirstMatchWithin(acl, bdd.True)
+	return FoldFirstMatch(s.Pool, bdd.True, len(acl.Entries), func(i int) bdd.Node { return s.ACEPred(acl.Entries[i]) })
 }
 
-// FirstMatchWithin returns len(acl.Entries)+1 regions inside domain: entry
-// i's first-match region ∧ domain, then the packets of domain no entry
-// matches. Once domain is used up, later entries are not encoded and their
-// regions are False.
-func (s *ACLSpace) FirstMatchWithin(acl *ios.ACL, domain bdd.Node) []bdd.Node {
-	return FoldFirstMatch(s.Pool, domain, len(acl.Entries), func(i int) bdd.Node { return s.ACEPred(acl.Entries[i]) })
+// FirstMatchWithin returns len(acl.Entries)+1 regions inside the packets of
+// e: entry i's first-match region ∧ ACEPred(e), then the packets of e no
+// entry matches. An entry whose match box misses e's (acesDisjoint) is not
+// encoded: its region is False, and it takes nothing from the packets left.
+// Once those are used up, later entries are not encoded either.
+func (s *ACLSpace) FirstMatchWithin(acl *ios.ACL, e *ios.ACE) []bdd.Node {
+	return FoldFirstMatch(s.Pool, s.ACEPred(e), len(acl.Entries), func(i int) bdd.Node {
+		if acesDisjoint(e, acl.Entries[i]) {
+			return bdd.False
+		}
+		return s.ACEPred(acl.Entries[i])
+	})
+}
+
+// acesDisjoint reports whether no packet matches both a and b. ACEPred is a
+// conjunction over disjoint blocks of variables, so the two share no packet
+// exactly when, in some field, their constraints share no value.
+func acesDisjoint(a, b *ios.ACE) bool {
+	switch {
+	case !a.Protocol.Any && !b.Protocol.Any && a.Protocol.Value != b.Protocol.Value:
+		return true
+	case addrsConflict(a.Src, b.Src) || addrsConflict(a.Dst, b.Dst):
+		return true
+	case !portsMeet(a.SrcPort, b.SrcPort) || !portsMeet(a.DstPort, b.DstPort):
+		return true
+	case a.ICMP != nil && b.ICMP != nil:
+		return a.ICMP.Type != b.ICMP.Type || a.ICMP.HasCode && b.ICMP.HasCode && a.ICMP.Code != b.ICMP.Code
+	}
+	return false
+}
+
+// addrsConflict reports whether some bit both wildcard specs fix differs.
+func addrsConflict(a, b ios.AddrSpec) bool {
+	if a.Any || b.Any {
+		return false
+	}
+	return (ios.AddrU32(a.Addr)^ios.AddrU32(b.Addr))&^a.Wildcard&^b.Wildcard != 0
+}
+
+// portsMeet reports whether some port satisfies both specs.
+func portsMeet(a, b ios.PortSpec) bool {
+	ra, rb := portRanges(a), portRanges(b)
+	for _, x := range ra {
+		for _, y := range rb {
+			if max(x[0], y[0]) <= min(x[1], y[1]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// portRanges returns the ports ps admits as two closed ranges, as portPred
+// encodes them; a range with lo > hi is empty. Only neq needs both.
+func portRanges(ps ios.PortSpec) [2][2]int {
+	lo, hi := int(ps.Lo), int(ps.Hi)
+	none := [2]int{1, 0}
+	switch ps.Op {
+	case ios.PortNone:
+		return [2][2]int{{0, 0xFFFF}, none}
+	case ios.PortEq:
+		return [2][2]int{{lo, lo}, none}
+	case ios.PortNeq:
+		return [2][2]int{{0, lo - 1}, {lo + 1, 0xFFFF}}
+	case ios.PortLt:
+		return [2][2]int{{0, lo - 1}, none}
+	case ios.PortGt:
+		return [2][2]int{{lo + 1, 0xFFFF}, none}
+	case ios.PortRange:
+		return [2][2]int{{lo, hi}, none}
+	}
+	return [2][2]int{none, none}
 }
 
 // PermitSet returns the BDD of packets the ACL permits.

@@ -97,7 +97,9 @@ func FuzzACLFirstMatch(f *testing.F) {
 // fold against policy.EvalACL: 64 random packets land in the region of
 // their verdict's index and in PermitSet exactly when permitted, every
 // non-empty region's witness evaluates to that region, and FirstMatchWithin
-// a random entry's packets is FirstMatch ∧ that entry, node for node.
+// a random entry's packets is FirstMatch ∧ that entry, node for node. The
+// match boxes FirstMatchWithin skips by are exact: the random entry's box
+// misses an entry's exactly when the two ACEPreds share no packet.
 func checkACLFirstMatch(t *testing.T, rng *rand.Rand, n int) {
 	t.Helper()
 	cfg := testgen.ACL(rng, "A", n)
@@ -136,9 +138,15 @@ func checkACLFirstMatch(t *testing.T, rng *rand.Rand, n int) {
 	}
 	e := testgen.RandomACE(rng, 10)
 	domain := s.ACEPred(e)
-	for i, got := range s.FirstMatchWithin(acl, domain) {
+	for i, got := range s.FirstMatchWithin(acl, e) {
 		if want := s.Pool.And(regions[i], domain); got != want {
 			t.Fatalf("FirstMatchWithin(%s)[%d] = %d, want FirstMatch ∧ entry = %d\nACL:\n%s", e, i, got, want, cfg.Print())
+		}
+	}
+	for _, other := range acl.Entries {
+		disjoint := s.Pool.And(domain, s.ACEPred(other)) == bdd.False
+		if got := acesDisjoint(e, other); got != disjoint {
+			t.Fatalf("acesDisjoint(%s, %s) = %v, but the entries share no packet: %v", e, other, got, disjoint)
 		}
 	}
 }

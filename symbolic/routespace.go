@@ -366,26 +366,121 @@ func (s *RouteSpace) literalCommunityVar(lit string) (bdd.Node, error) {
 // measurement does ("we ignore actions for route maps because a route-map
 // stanza may be linked ... using goto, continue and call statements").
 func (s *RouteSpace) FirstMatch(cfg *ios.Config, rm *ios.RouteMap) ([]bdd.Node, error) {
-	return s.FirstMatchWithin(cfg, rm, bdd.True)
+	return s.firstMatch(cfg, rm, nil, bdd.True)
 }
 
-// FirstMatchWithin returns len(rm.Stanzas)+1 regions inside domain: stanza
-// i's first-match region ∧ domain, then the routes of domain no stanza
-// matches. Every stanza is encoded before the fold, so a stanza that fails
-// to encode is an error even behind one that matches every route.
-func (s *RouteSpace) FirstMatchWithin(cfg *ios.Config, rm *ios.RouteMap, domain bdd.Node) ([]bdd.Node, error) {
+// FirstMatchWithin returns len(rm.Stanzas)+1 regions inside the valid routes
+// of st: stanza i's first-match region ∧ StanzaPred(st) ∧ Valid, then the
+// routes of that domain no stanza matches. A stanza whose match box misses
+// st's (addressBox) encodes to False without its address prefix lists, so
+// it takes nothing from the domain. Every stanza is encoded before the
+// fold, so a stanza that fails to encode is an error even behind one that
+// matches every route, and the map's errors come before st's own.
+func (s *RouteSpace) FirstMatchWithin(cfg *ios.Config, rm *ios.RouteMap, st *ios.Stanza) ([]bdd.Node, error) {
+	pred, stErr := s.StanzaPred(cfg, st)
+	box, _ := addressBox(cfg, st)
+	regions, err := s.firstMatch(cfg, rm, box, s.Pool.And(pred, s.Valid))
+	if err != nil {
+		return nil, err
+	}
+	if stErr != nil {
+		return nil, stErr
+	}
+	return regions, nil
+}
+
+// firstMatch encodes every stanza of rm, each to False when its match box
+// misses box, and folds them over domain.
+func (s *RouteSpace) firstMatch(cfg *ios.Config, rm *ios.RouteMap, box []*ios.PrefixList, domain bdd.Node) ([]bdd.Node, error) {
 	if rm.HasContinue() {
 		return nil, fmt.Errorf("symbolic: route-map %s uses continue; first-match analyses are unsupported", rm.Name)
 	}
 	preds := make([]bdd.Node, len(rm.Stanzas))
 	for i, st := range rm.Stanzas {
-		pred, err := s.StanzaPred(cfg, st)
+		pred, err := s.stanzaPredIn(cfg, st, box)
 		if err != nil {
 			return nil, err
 		}
 		preds[i] = pred
 	}
 	return FoldFirstMatch(s.Pool, domain, len(preds), func(i int) bdd.Node { return preds[i] }), nil
+}
+
+// addressBox returns the lists of st's `match ip address prefix-list`
+// clauses: its match box, since a prefix list permits only routes inside
+// its permit entries. ok is false when a list is undefined.
+func addressBox(cfg *ios.Config, st *ios.Stanza) (box []*ios.PrefixList, ok bool) {
+	for _, m := range st.Matches {
+		if m, isList := m.(ios.MatchPrefixList); isList {
+			l, defined := cfg.PrefixLists[m.List]
+			if !defined {
+				return nil, false
+			}
+			box = append(box, l)
+		}
+	}
+	return box, true
+}
+
+// stanzaPredIn is StanzaPred, or False when st's match box misses box. A
+// stanza it skips still encodes its other clauses, so it fails exactly
+// where StanzaPred does.
+func (s *RouteSpace) stanzaPredIn(cfg *ios.Config, st *ios.Stanza, box []*ios.PrefixList) (bdd.Node, error) {
+	if !missesBox(cfg, st, box) {
+		return s.StanzaPred(cfg, st)
+	}
+	for _, m := range st.Matches {
+		if _, isList := m.(ios.MatchPrefixList); !isList {
+			if _, err := s.MatchPred(cfg, m); err != nil {
+				return bdd.False, err
+			}
+		}
+	}
+	return bdd.False, nil
+}
+
+// missesBox reports whether some address prefix list of st and some list of
+// box permit no common route, so st shares no route with the stanza box
+// came from. It is false when a list of st is undefined, leaving that
+// error to StanzaPred.
+func missesBox(cfg *ios.Config, st *ios.Stanza, box []*ios.PrefixList) bool {
+	if len(box) == 0 {
+		return false
+	}
+	own, ok := addressBox(cfg, st)
+	if !ok {
+		return false
+	}
+	for _, a := range own {
+		for _, b := range box {
+			if !permitsMeet(a, b) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// permitsMeet reports whether some route matches a permit entry of a and a
+// permit entry of b: their length ranges meet, and their prefixes agree on
+// the shorter one's bits. It is a test on the boxes only, so lists it says
+// meet may still permit no common route.
+func permitsMeet(a, b *ios.PrefixList) bool {
+	for _, x := range a.Entries {
+		if !x.Permit {
+			continue
+		}
+		xlo, xhi := x.LenRange()
+		for _, y := range b.Entries {
+			ylo, yhi := y.LenRange()
+			n := min(x.Prefix.Bits(), y.Prefix.Bits())
+			diff := ios.AddrU32(x.Prefix.Addr()) ^ ios.AddrU32(y.Prefix.Addr())
+			if y.Permit && max(xlo, ylo) <= min(xhi, yhi) && diff>>(32-n) == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // PermitSet returns the BDD of input routes the route map permits.
@@ -520,18 +615,23 @@ func (s *RouteSpace) Witness(f bdd.Node) (route.Route, bool, error) {
 	return r, true, nil
 }
 
-// Witnesses returns up to max distinct concrete routes satisfying f.
-func (s *RouteSpace) Witnesses(f bdd.Node, max int) ([]route.Route, error) {
-	var out []route.Route
-	var decodeErr error
+// WitnessWhere decodes the models of f ∧ Valid one at a time, in AllSat
+// order, and reports whether accept takes one of the first limit. It stops
+// at the first it takes, so a later model's decode error is never seen; a
+// decode or accept error before it is returned.
+func (s *RouteSpace) WitnessWhere(f bdd.Node, limit int, accept func(route.Route) (bool, error)) (bool, error) {
+	var (
+		ok      bool
+		err     error
+		decoded int
+	)
 	s.Pool.AllSat(s.Pool.And(f, s.Valid), func(cube map[int]bool) bool {
-		r, err := s.Decode(cube)
-		if err != nil {
-			decodeErr = err
-			return false
+		var r route.Route
+		if r, err = s.Decode(cube); err == nil {
+			ok, err = accept(r)
 		}
-		out = append(out, r)
-		return len(out) < max
+		decoded++
+		return !ok && err == nil && decoded < limit
 	})
-	return out, decodeErr
+	return ok && err == nil, err
 }

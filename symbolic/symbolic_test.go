@@ -189,7 +189,9 @@ func FuzzRouteMapFirstMatch(f *testing.F) {
 // land in the region of their verdict's stanza and in PermitSet exactly when
 // permitted, every non-empty region's witness evaluates to that region, and
 // FirstMatchWithin the routes of one more random stanza is FirstMatch ∧
-// those routes, node for node.
+// those routes, node for node. The match boxes FirstMatchWithin skips by
+// are sound: a stanza whose box misses the extra stanza's shares no route
+// with it.
 func checkRouteMapFirstMatch(t *testing.T, rng *rand.Rand, n, transit int) {
 	t.Helper()
 	cfg := testgen.Config(rng, "RM", n+1)
@@ -253,13 +255,26 @@ func checkRouteMapFirstMatch(t *testing.T, rng *rand.Rand, n, transit int) {
 		t.Fatal(err)
 	}
 	domain := s.Pool.And(pred, s.Valid)
-	within, err := s.FirstMatchWithin(cfg, rm, domain)
+	within, err := s.FirstMatchWithin(cfg, rm, extra)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, got := range within {
 		if want := s.Pool.And(regions[i], domain); got != want {
 			t.Fatalf("FirstMatchWithin[%d] = %d, want FirstMatch ∧ domain = %d\nconfig:\n%s", i, got, want, cfg.Print())
+		}
+	}
+	box, _ := addressBox(cfg, extra)
+	for i, st := range rm.Stanzas {
+		if !missesBox(cfg, st, box) {
+			continue
+		}
+		other, err := s.StanzaPred(cfg, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Pool.And(pred, other) != bdd.False {
+			t.Fatalf("stanza %d's match box misses the extra stanza's, but they share routes\nconfig:\n%s", i, cfg.Print())
 		}
 	}
 }
@@ -314,20 +329,40 @@ func TestWitnessRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWitnessesDistinctAndBounded: WitnessWhere decodes at most limit
+// models, each a distinct route the list permits, and stops at the first
+// one accept takes.
 func TestWitnessesDistinctAndBounded(t *testing.T) {
 	s, cfg := newPaperSpace(t)
 	pred := s.PrefixListPred(cfg.PrefixLists["D1"])
-	ws, err := s.Witnesses(pred, 5)
-	if err != nil {
-		t.Fatal(err)
+	var seen []route.Route
+	ok, err := s.WitnessWhere(pred, 5, func(w route.Route) (bool, error) {
+		seen = append(seen, w)
+		return false, nil
+	})
+	if err != nil || ok {
+		t.Fatalf("rejecting every model: ok=%v err=%v", ok, err)
 	}
-	if len(ws) == 0 || len(ws) > 5 {
-		t.Fatalf("got %d witnesses", len(ws))
+	if len(seen) < 2 || len(seen) > 5 {
+		t.Fatalf("decoded %d models, want 2 to 5", len(seen))
 	}
-	for _, w := range ws {
+	for i, w := range seen {
 		if !policy.PrefixListPermits(cfg.PrefixLists["D1"], w) {
 			t.Errorf("witness %s not permitted", w.Network)
 		}
+		for _, v := range seen[:i] {
+			if v.Network == w.Network {
+				t.Errorf("witness %s decoded twice", w.Network)
+			}
+		}
+	}
+	var taken []route.Route
+	ok, err = s.WitnessWhere(pred, 5, func(w route.Route) (bool, error) {
+		taken = append(taken, w)
+		return len(taken) == 2, nil
+	})
+	if err != nil || !ok || len(taken) != 2 || taken[1].Network != seen[1].Network {
+		t.Fatalf("accepting the second model: ok=%v err=%v after %d models, want the second of %v", ok, err, len(taken), seen)
 	}
 }
 
