@@ -1,5 +1,6 @@
 // Command clarify-load drives a running clarifyd with synthetic intent
-// traffic and emits a JSON latency/throughput/SLO report on stdout.
+// traffic and emits a JSON latency/throughput report with a pass/fail gate
+// on stdout.
 //
 // Usage:
 //
@@ -11,7 +12,7 @@
 // -addr may point at a single clarifyd or at a clarify-lb fronting several;
 // with -failover the run survives losing a replica mid-run (sessions are
 // re-created on a survivor and the interrupted intent retried, with the
-// disruption latency charged to the client-side SLO).
+// disruption latency charged to the gate's slow count).
 //
 // With -rolling the run doubles as a zero-downtime rollout drill: each
 // listed replica is SIGTERMed in turn (its supervisor must restart it,
@@ -19,10 +20,10 @@
 // the handoff — same session ID, same in-flight update, same parked
 // question on whichever replica the session lands on.
 //
-// Exit status is 0 when the run completed and every client-side SLO window
-// is quiet, 1 when any burn-rate alert is firing — or, under -rolling, when
-// any session was lost, any update failed, or any replica failed to cycle.
-// 2 on operational errors.
+// Exit status is 0 when the run completed and its gate is green, 1 when the
+// gate is red — any update failed, or 6% or more of the updates were slower
+// than 500 ms — or, under -rolling, when any session was lost or any
+// replica failed to cycle. 2 on operational errors.
 package main
 
 import (
@@ -35,7 +36,6 @@ import (
 	"time"
 
 	"github.com/clarifynet/clarify/loadgen"
-	"github.com/clarifynet/clarify/slo"
 )
 
 func main() {
@@ -51,7 +51,6 @@ func main() {
 	flag.DurationVar(&cfg.UpdateTimeout, "update-timeout", 60*time.Second, "per-update timeout")
 	flag.BoolVar(&cfg.Failover, "failover", false, "survive replica loss behind clarify-lb: re-create the session elsewhere and retry the intent")
 	rollingSpec := flag.String("rolling", "", "rolling-restart drill: comma-separated url=pidfile replicas to SIGTERM in turn; sessions must survive the handoffs")
-	sloWindows := flag.String("slo-windows", "", "client-side alert windows long:short:burn:severity,... (default package windows)")
 	outPath := flag.String("out", "", "write the JSON report here instead of stdout")
 	quiet := flag.Bool("quiet", false, "suppress the summary line on stderr")
 	flag.Parse()
@@ -63,15 +62,6 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.Rolling = targets
-	}
-
-	if *sloWindows != "" {
-		ws, err := slo.ParseWindows(*sloWindows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "clarify-load: -slo-windows:", err)
-			os.Exit(2)
-		}
-		cfg.SLO = &slo.Config{Windows: ws}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -106,8 +96,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "clarify-load: rolling drill: %d/%d replicas cycled, %d session(s) lost\n",
 				rep.Restarts, len(cfg.Rolling), rep.LostSessions)
 		}
-		if rep.ClientSLO.Firing() {
-			fmt.Fprintln(os.Stderr, "clarify-load: client-side SLO burn-rate alert FIRING")
+		if !rep.Pass {
+			fmt.Fprintf(os.Stderr, "clarify-load: gate RED: %d failed, %d slow of %d updates\n",
+				rep.Failures, rep.SlowUpdates, rep.Updates)
 		}
 	}
 
@@ -127,12 +118,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "clarify-load:", err)
 		os.Exit(2)
 	}
-	if rep.ClientSLO.Firing() {
+	if !rep.Pass {
 		os.Exit(1)
 	}
-	// A rolling drill has its own pass bar: every replica cycled, no session
-	// lost, nothing failed.
-	if len(cfg.Rolling) > 0 && (rep.LostSessions > 0 || rep.Restarts != len(cfg.Rolling) || rep.Failures > 0) {
+	// A rolling drill has its own bar on top of the gate: every replica
+	// cycled and no session lost.
+	if len(cfg.Rolling) > 0 && (rep.LostSessions > 0 || rep.Restarts != len(cfg.Rolling)) {
 		os.Exit(1)
 	}
 }

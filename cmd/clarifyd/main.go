@@ -57,7 +57,6 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -66,7 +65,6 @@ import (
 	"github.com/clarifynet/clarify/llm"
 	"github.com/clarifynet/clarify/resilience"
 	"github.com/clarifynet/clarify/server"
-	"github.com/clarifynet/clarify/slo"
 	"github.com/clarifynet/clarify/snapshot"
 )
 
@@ -105,10 +103,6 @@ type daemonConfig struct {
 	journalSegments int
 	journalFsync    string
 
-	sloObjectives string
-	sloWindows    string
-	latencyBucket string
-
 	snapshotDir string
 	handoffPeer string
 	pidFile     string
@@ -140,9 +134,6 @@ func main() {
 	flag.Int64Var(&cfg.journalMaxBytes, "journal-max-bytes", 0, "rotate journal segments over this size (default 8 MiB)")
 	flag.IntVar(&cfg.journalSegments, "journal-segments", 0, "prune journal segments beyond this count (0 keeps all)")
 	flag.StringVar(&cfg.journalFsync, "journal-fsync", "interval", "journal durability policy: never, interval, or always")
-	flag.StringVar(&cfg.sloObjectives, "slo-objectives", "", "SLO spec \"name:goal[:latency-ms],...\", e.g. \"availability:0.999,latency:0.99:500\" (default built-ins)")
-	flag.StringVar(&cfg.sloWindows, "slo-windows", "", "burn-rate alert windows \"long:short:burn:severity,...\", e.g. \"1h:5m:14.4:page\" (default built-ins)")
-	flag.StringVar(&cfg.latencyBucket, "latency-buckets-ms", "", "comma-separated ascending histogram bounds in ms (default built-in table)")
 	flag.StringVar(&cfg.snapshotDir, "snapshot-dir", "", "session snapshot directory: rehydrate sessions from it at startup, write surviving sessions to it on SIGTERM")
 	flag.StringVar(&cfg.handoffPeer, "handoff-peer", "", "hand sessions off to this base URL on SIGTERM (a peer replica or a clarify-lb front) before falling back to -snapshot-dir")
 	flag.StringVar(&cfg.pidFile, "pidfile", "", "write the daemon pid here on startup (rolling-restart supervisors read it)")
@@ -217,55 +208,6 @@ func buildLLM(cfg daemonConfig, logger *slog.Logger) (func() llm.Client, *resili
 	}
 }
 
-// parseObjectives turns the -slo-objectives spec ("name:goal[:latency-ms]")
-// into objective records; empty input selects the package defaults.
-func parseObjectives(spec string) ([]slo.Objective, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	var out []slo.Objective
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		fields := strings.Split(part, ":")
-		if len(fields) != 2 && len(fields) != 3 {
-			return nil, fmt.Errorf("objective %q: want name:goal or name:goal:latency-ms", part)
-		}
-		goal, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("objective %q: goal: %w", part, err)
-		}
-		o := slo.Objective{Name: fields[0], Goal: goal}
-		if len(fields) == 3 {
-			thr, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("objective %q: latency threshold: %w", part, err)
-			}
-			o.LatencyThresholdMs = thr
-		}
-		out = append(out, o)
-	}
-	return out, nil
-}
-
-// parseBuckets turns "1,5,25,100" into histogram bounds.
-func parseBuckets(spec string) ([]float64, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(spec, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bucket %q: %w", part, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 func run(cfg daemonConfig) error {
 	logger, err := newLogger(cfg.logFormat)
 	if err != nil {
@@ -291,43 +233,18 @@ func run(cfg daemonConfig) error {
 		logger.Info("flight recorder active", "dir", cfg.journalDir, "fsync", cfg.journalFsync)
 	}
 
-	objectives, err := parseObjectives(cfg.sloObjectives)
-	if err != nil {
-		return fmt.Errorf("-slo-objectives: %w", err)
-	}
-	var windows []slo.Window
-	if cfg.sloWindows != "" {
-		windows, err = slo.ParseWindows(cfg.sloWindows)
-		if err != nil {
-			return fmt.Errorf("-slo-windows: %w", err)
-		}
-	}
-	slos, err := slo.New(slo.Config{Objectives: objectives, Windows: windows})
-	if err != nil {
-		return err
-	}
-	buckets, err := parseBuckets(cfg.latencyBucket)
-	if err != nil {
-		return fmt.Errorf("-latency-buckets-ms: %w", err)
-	}
-
 	opts := server.Options{
-		Workers:          cfg.workers,
-		QueueSize:        cfg.queue,
-		MaxSessions:      cfg.maxSessions,
-		IdleTTL:          cfg.idleTTL,
-		QuestionTimeout:  cfg.questionTimeout,
-		UpdateTimeout:    cfg.updateTimeout,
-		NewClient:        newClient,
-		Resilience:       stack,
-		TraceBufferSize:  cfg.traceBuf,
-		TraceKeepSize:    cfg.traceKeep,
-		Journal:          jnl,
-		SLO:              slos,
-		LatencyBucketsMs: buckets,
-	}
-	if err := opts.Validate(); err != nil {
-		return fmt.Errorf("-latency-buckets-ms: %w", err)
+		Workers:         cfg.workers,
+		QueueSize:       cfg.queue,
+		MaxSessions:     cfg.maxSessions,
+		IdleTTL:         cfg.idleTTL,
+		QuestionTimeout: cfg.questionTimeout,
+		UpdateTimeout:   cfg.updateTimeout,
+		NewClient:       newClient,
+		Resilience:      stack,
+		TraceBufferSize: cfg.traceBuf,
+		TraceKeepSize:   cfg.traceKeep,
+		Journal:         jnl,
 	}
 	if !cfg.quiet {
 		// The server's per-request log line flows through the structured

@@ -418,6 +418,9 @@ func collectProbes(space *symbolic.RouteSpace, work *ios.Config, rm *ios.RouteMa
 	ev := policy.NewEvaluatorWith(work, space.Automata())
 	var probes []probe[RouteQuestion]
 	for i, st := range rm.Stanzas {
+		if regions[i] == bdd.False {
+			continue // no route of the new stanza reaches st
+		}
 		outEq, err := space.OutputEqual(newStanza, st)
 		if err != nil {
 			return nil, err

@@ -346,7 +346,9 @@ func TestInsertErrorsUnchanged(t *testing.T) {
 // field: a port, a protocol, an address bit both fix, or neq against eq.
 // The route map's stanzas each match a prefix list whose permit entries
 // meet none of the new stanza's list, by address or by length; a deny
-// entry that does meet it is no route of the list.
+// entry that does meet it is no route of the list. The permitting stanza
+// sets an attribute of its own, so comparing its outputs with the new
+// stanza's would build nodes too.
 func TestProbeFoldSkipsMissedRules(t *testing.T) {
 	acl := ios.MustParse(`ip access-list extended A
  deny tcp any any eq 22
@@ -371,12 +373,16 @@ func TestProbeFoldSkipsMissedRules(t *testing.T) {
 ip prefix-list PRIV seq 5 deny 20.0.0.0/8 le 32
 ip prefix-list PRIV seq 10 permit 192.168.0.0/16 le 32
 ip prefix-list LONG seq 5 permit 20.0.0.0/8 ge 25
+ip prefix-list THIRTY seq 5 permit 30.0.0.0/8 le 24
 route-map RM deny 10
  match ip address prefix-list TEN
 route-map RM deny 20
  match ip address prefix-list PRIV
 route-map RM deny 30
  match ip address prefix-list LONG
+route-map RM permit 40
+ match ip address prefix-list THIRTY
+ set local-preference 200
 `)
 	snippet := ios.MustParse(`ip prefix-list NEWP seq 5 permit 20.0.0.0/8 le 24
 route-map NEW permit 10
@@ -409,28 +415,29 @@ route-map NEW permit 10
 	}
 }
 
-// TestLaterUndecodableModelIgnored: the first model of the only probe
-// region carries community 65000:1 and confirms the question; a later one
-// carries the atom of ^70000:1$, whose witness is no community. Witnesses
-// are decoded one at a time, so the insertion asks its question instead of
-// failing on the model it never needed.
+// TestLaterUndecodableModelIgnored: the only probe region holds a model
+// carrying community 65000:1, which confirms the question, and the atom of
+// ^70000:1$, whose witness is no community. In either order of list CN the
+// insertion asks its question on the 65000:1 route: a model that comes
+// first is never decoded past, and one that does not decode is skipped.
 func TestLaterUndecodableModelIgnored(t *testing.T) {
-	orig := ios.MustParse("route-map RM permit 10\n")
-	snippet := ios.MustParse(`ip community-list expanded CN permit ^70000:1$
-ip community-list expanded CN permit _65000:1_
-route-map NEW permit 10
- match community CN
- set metric 55
-`)
-	var asked []RouteQuestion
-	res, err := InsertRouteMapStanza(orig, "RM", snippet, "NEW", FuncRouteOracle(func(q RouteQuestion) (bool, error) {
-		asked = append(asked, q)
-		return true, nil
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Position != 0 || len(asked) != 1 || fmt.Sprint(asked[0].Input.Communities) != "[65000:1]" {
-		t.Fatalf("position %d after questions %+v, want 0 after one on a 65000:1 route", res.Position, asked)
+	for _, entries := range []string{
+		"ip community-list expanded CN permit ^70000:1$\nip community-list expanded CN permit _65000:1_\n",
+		"ip community-list expanded CN permit _65000:1_\nip community-list expanded CN permit ^70000:1$\n",
+	} {
+		orig := ios.MustParse("route-map RM permit 10\n")
+		snippet := ios.MustParse(entries + "route-map NEW permit 10\n match community CN\n set metric 55\n")
+		var asked []RouteQuestion
+		res, err := InsertRouteMapStanza(orig, "RM", snippet, "NEW", FuncRouteOracle(func(q RouteQuestion) (bool, error) {
+			asked = append(asked, q)
+			return true, nil
+		}))
+		if err != nil {
+			t.Errorf("%q: %v", entries, err)
+			continue
+		}
+		if res.Position != 0 || len(asked) != 1 || fmt.Sprint(asked[0].Input.Communities) != "[65000:1]" {
+			t.Errorf("%q: position %d after questions %+v, want 0 after one on a 65000:1 route", entries, res.Position, asked)
+		}
 	}
 }

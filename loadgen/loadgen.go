@@ -1,5 +1,5 @@
 // Package loadgen drives a running clarifyd with synthetic intent traffic
-// and reports latency, throughput, and SLO compliance — the measurement half
+// and reports latency, throughput, and a pass/fail gate — the measurement half
 // of the flight-recorder story: journal + replay explain what the daemon
 // did, loadgen establishes what it can sustain.
 //
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"github.com/clarifynet/clarify/server"
-	"github.com/clarifynet/clarify/slo"
 	"github.com/clarifynet/clarify/workload"
 )
 
@@ -53,16 +52,13 @@ type Config struct {
 	// UpdateTimeout bounds each update end to end, including question
 	// round-trips and backpressure retries (default 60s).
 	UpdateTimeout time.Duration `json:"-"`
-	// SLO, when non-nil, overrides the objectives the report evaluates
-	// client-side; nil uses the slo package defaults.
-	SLO *slo.Config `json:"-"`
 	// Failover makes workers survive the loss of a replica behind a
 	// balancer: when an update fails because the session's backend is
 	// draining, ejected, or gone (404/502/503/504 or a transport error),
 	// the worker abandons the session, creates a fresh one — which the
 	// balancer places on a surviving replica — and retries the intent
 	// there. The retried update's latency covers the whole disruption, so
-	// the client-side SLO still sees failover time; only updates that
+	// the gate's slow count still sees failover time; only updates that
 	// exhaust their retries count as failures.
 	Failover bool `json:"failover,omitempty"`
 	// Rolling, when non-empty, turns the run into a rolling-restart drill:
@@ -181,13 +177,11 @@ type Report struct {
 	Questions QuestionsSummary `json:"questions"`
 	// Errors histograms failure messages (bounded).
 	Errors map[string]int `json:"errors,omitempty"`
-	// ClientSLO evaluates the configured objectives against the client-side
-	// outcome stream.
-	ClientSLO slo.Snapshot `json:"clientSlo"`
-	// DaemonSLO is the daemon's own GET /debug/slo state at run end, when
-	// reachable — the server-side view of the same traffic, including any
-	// burn-rate alerts the run induced.
-	DaemonSLO *slo.Snapshot `json:"daemonSlo,omitempty"`
+	// SlowUpdates counts successful updates slower than slowUpdateMs.
+	SlowUpdates int `json:"slowUpdates"`
+	// Pass is the run's gate: false (red) when any update failed or
+	// slowPercentRed percent or more of the updates were slow.
+	Pass bool `json:"pass"`
 	// DaemonAmbiguity is the daemon's GET /debug/ambiguity rollup at run
 	// end, when reachable: information gained per question and per
 	// strategy, for the run's traffic. Absent when the run goes through
@@ -228,6 +222,22 @@ func summarizeQuestions(counts []float64) QuestionsSummary {
 
 const maxErrorKinds = 16
 
+// The gate's thresholds: an update slower than slowUpdateMs is slow, and a
+// run is red when any update failed or slowPercentRed percent or more of its
+// updates were slow. On a run shorter than five minutes that is the ticket
+// alert of the latency objective "99% of updates under 500 ms" (burn rate 6)
+// evaluated over the whole run, with any failure red as well.
+const (
+	slowUpdateMs   = 500
+	slowPercentRed = 6
+)
+
+// pass is the gate's verdict on a run of updates, of which failures failed
+// and slow succeeded slower than slowUpdateMs.
+func pass(updates, failures, slow int) bool {
+	return failures == 0 && (slow == 0 || slow*100 < slowPercentRed*updates)
+}
+
 // Run executes one load run against a live daemon.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.BaseURL == "" {
@@ -253,15 +263,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		corpus = workload.Campus(cfg.Seed, nACL, nRM)
 	default:
 		return nil, fmt.Errorf("loadgen: unknown corpus %q (want cloud or campus)", cfg.Corpus)
-	}
-
-	sloCfg := slo.Config{}
-	if cfg.SLO != nil {
-		sloCfg = *cfg.SLO
-	}
-	clientSLO, err := slo.New(sloCfg)
-	if err != nil {
-		return nil, err
 	}
 
 	client := &server.Client{BaseURL: cfg.BaseURL}
@@ -365,7 +366,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				for attempt := 0; ; attempt++ {
 					// An update outlives the run deadline: once started it is
 					// driven to the end, so the session is deleted and the
-					// daemon's views are fetched only after it is recorded.
+					// daemon's ambiguity view is fetched only after it is
+					// recorded.
 					uctx, ucancel := context.WithTimeout(ctx, cfg.updateTimeout())
 					if rolling {
 						u, err = resumeUpdate(uctx, client, sid, intentText, target, answer)
@@ -426,7 +428,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				if runCtx.Err() != nil && err != nil {
 					break
 				}
-				clientSLO.Observe(elapsed, sm.failed)
 				mu.Lock()
 				samples = append(samples, sm)
 				mu.Unlock()
@@ -450,7 +451,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Restarts:        restarts,
 		LostSessions:    lostSessions,
 		Errors:          map[string]int{},
-		ClientSLO:       clientSLO.Snapshot(),
 	}
 	for _, msg := range rollingErrs {
 		if len(rep.Errors) < maxErrorKinds || rep.Errors[msg] > 0 {
@@ -472,6 +472,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		if sm.degraded {
 			rep.Degraded++
 		}
+		if sm.ms > slowUpdateMs {
+			rep.SlowUpdates++
+		}
 		lat = append(lat, sm.ms)
 		sumMs += sm.ms
 		qcounts = append(qcounts, float64(sm.questions))
@@ -481,16 +484,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	rep.Latency = summarize(lat, sumMs)
 	rep.Questions = summarizeQuestions(qcounts)
+	rep.Pass = pass(rep.Updates, rep.Failures, rep.SlowUpdates)
 	if len(rep.Errors) == 0 {
 		rep.Errors = nil
 	}
-	// Fetch the daemon's own SLO and ambiguity views with a fresh context:
-	// runCtx is spent.
+	// Fetch the daemon's ambiguity view with a fresh context: runCtx is
+	// spent.
 	sctx, scancel := context.WithTimeout(ctx, 5*time.Second)
 	defer scancel()
-	if snap, err := client.SLO(sctx); err == nil {
-		rep.DaemonSLO = &snap
-	}
 	if amb, err := client.Ambiguity(sctx); err == nil {
 		rep.DaemonAmbiguity = &amb
 	}

@@ -23,7 +23,7 @@ const (
 	// mid-handoff. The start is deliberately short: the common blip — a 502
 	// from a backend the balancer has not ejected yet — clears within one
 	// probe round, and a slow first retry would push every disrupted update
-	// past the latency SLO threshold. The doubling cap still protects a
+	// past the gate's slowUpdateMs. The doubling cap still protects a
 	// genuinely overloaded fleet.
 	resumeBackoffStart = 50 * time.Millisecond
 	resumeBackoffCap   = 1 * time.Second

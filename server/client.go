@@ -14,7 +14,6 @@ import (
 
 	"github.com/clarifynet/clarify"
 	"github.com/clarifynet/clarify/obs"
-	"github.com/clarifynet/clarify/slo"
 	"github.com/clarifynet/clarify/snapshot"
 )
 
@@ -274,13 +273,6 @@ func (c *Client) Stats(ctx context.Context, id string) (clarify.Stats, error) {
 func (c *Client) Metrics(ctx context.Context) (MetricsSnapshot, error) {
 	var out MetricsSnapshot
 	err := c.do(ctx, http.MethodGet, "/metrics", nil, &out)
-	return out, err
-}
-
-// SLO fetches the daemon's rolling objective state (GET /debug/slo).
-func (c *Client) SLO(ctx context.Context) (slo.Snapshot, error) {
-	var out slo.Snapshot
-	err := c.do(ctx, http.MethodGet, "/debug/slo", nil, &out)
 	return out, err
 }
 

@@ -19,12 +19,12 @@ import (
 // an intended change, replace a golden file with the output the failure
 // prints.
 func TestExpositionGolden(t *testing.T) {
-	m := newMetrics(nil)
+	m := newMetrics()
 	for endpoint, ms := range map[string][]float64{
 		"POST /v1/sessions":                   {0.4, 1.5, 3},
 		"GET /v1/sessions/{id}/updates/{uid}": {0.2, 7, 40, 3000},
 	} {
-		h := NewHistogram(m.buckets)
+		h := NewHistogram(defaultLatencyBuckets)
 		for _, v := range ms {
 			h.add(v)
 		}

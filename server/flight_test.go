@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/clarifynet/clarify/journal"
-	"github.com/clarifynet/clarify/slo"
+	"github.com/clarifynet/clarify/llm"
 )
 
 // TestDebugTracesLimit checks GET /debug/traces?limit=N returns the N most
@@ -65,56 +67,6 @@ func TestDebugTracesLimit(t *testing.T) {
 	}
 }
 
-// TestLatencyBucketValidation exercises Options.Validate on the
-// configurable bucket table.
-func TestLatencyBucketValidation(t *testing.T) {
-	good := Options{LatencyBucketsMs: []float64{1, 5, 10}}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range [][]float64{
-		{0, 1, 2}, // non-positive bound
-		{-1, 1},   // negative bound
-		{1, 1, 2}, // not strictly ascending
-		{5, 1},    // descending
-	} {
-		opts := Options{LatencyBucketsMs: bad}
-		if err := opts.Validate(); err == nil {
-			t.Errorf("Validate(%v) accepted, want error", bad)
-		}
-	}
-}
-
-// TestConfigurableBuckets runs a server with a custom bucket table and
-// checks the histograms in /metrics use it, with quantile estimates filled.
-func TestConfigurableBuckets(t *testing.T) {
-	custom := []float64{10, 100, 10000}
-	_, c := startServer(t, Options{Workers: 2, LatencyBucketsMs: custom})
-	sid, err := c.CreateSession(context.Background(), CreateSessionRequest{Config: exampleConfig})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runWalkthrough(t, c, sid)
-
-	snap, err := c.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, ok := snap.StagesMs["update"]
-	if !ok || h.Count < 1 {
-		t.Fatalf("no update-stage histogram in metrics: %+v", snap.StagesMs)
-	}
-	if len(h.BucketsMs) != len(custom) || h.BucketsMs[0] != 10 || h.BucketsMs[2] != 10000 {
-		t.Fatalf("BucketsMs = %v, want the custom table %v", h.BucketsMs, custom)
-	}
-	if len(h.Counts) != len(custom)+1 {
-		t.Fatalf("Counts has %d entries, want %d (+Inf)", len(h.Counts), len(custom)+1)
-	}
-	if h.EstP50Ms <= 0 || h.EstP99Ms < h.EstP50Ms {
-		t.Errorf("quantile estimates not filled or unordered: p50=%v p99=%v", h.EstP50Ms, h.EstP99Ms)
-	}
-}
-
 // TestEstimateQuantile pins the interpolation math on hand-computed cases.
 func TestEstimateQuantile(t *testing.T) {
 	buckets := []float64{10, 20, 40}
@@ -145,51 +97,57 @@ func TestEstimateQuantile(t *testing.T) {
 	}
 }
 
-// TestDebugSLOEndpoint checks GET /debug/slo serves the default objectives
-// and that served updates move the good counters.
-func TestDebugSLOEndpoint(t *testing.T) {
-	_, c := startServer(t, Options{Workers: 2})
-	sid, err := c.CreateSession(context.Background(), CreateSessionRequest{Config: exampleConfig})
-	if err != nil {
-		t.Fatal(err)
+// TestFailedUpdatesCounter: a clean update leaves FailedUpdates at zero and
+// an update whose LLM fails counts once, in the JSON and the Prometheus
+// views; GET /debug/slo answers 404 and no clarifyd_slo_* series is
+// exported.
+func TestFailedUpdatesCounter(t *testing.T) {
+	var sessions atomic.Int32
+	_, c := startServer(t, Options{Workers: 2, NewClient: func() llm.Client {
+		if sessions.Add(1) == 1 {
+			return llm.NewSimLLM()
+		}
+		return failingClient{}
+	}})
+	ctx := context.Background()
+	newSession := func() string {
+		sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sid
 	}
-	runWalkthrough(t, c, sid)
+	checkFailed := func(want int64) {
+		m, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.FailedUpdates != want {
+			t.Errorf("FailedUpdates = %d, want %d", m.FailedUpdates, want)
+		}
+	}
+	runWalkthrough(t, c, newSession())
+	checkFailed(0)
+	if res, err := c.Submit(ctx, newSession(), exampleIntent, "ISP_OUT"); err != nil || res.Status != StatusFailed {
+		t.Fatalf("update on a failing LLM = %+v, %v; want failed", res, err)
+	}
+	checkFailed(1)
 
-	snap, err := c.SLO(context.Background())
+	resp, err := http.Get(c.BaseURL + "/metrics?format=prometheus")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Objectives) != 2 {
-		t.Fatalf("objectives = %d, want the 2 defaults", len(snap.Objectives))
+	prom := readAll(t, resp)
+	if !strings.Contains(prom, "\nclarifyd_failed_updates_total 1\n") || strings.Contains(prom, "clarifyd_slo_") {
+		t.Errorf("exposition lacks clarifyd_failed_updates_total 1 or carries clarifyd_slo_* series:\n%s", prom)
 	}
-	names := map[string]slo.MonitorSnapshot{}
-	for _, o := range snap.Objectives {
-		names[o.Objective.Name] = o
-	}
-	avail, ok := names["availability"]
-	if !ok {
-		t.Fatal("availability objective missing")
-	}
-	if avail.Good != 1 || avail.Bad != 0 {
-		t.Errorf("availability good/bad = %d/%d, want 1/0 after one clean update", avail.Good, avail.Bad)
-	}
-	if avail.Firing() {
-		t.Error("no alert should fire after one success")
-	}
-	if len(avail.Windows) == 0 {
-		t.Error("objective reports no alert windows")
-	}
-	if _, ok := names["latency"]; !ok {
-		t.Error("latency objective missing")
-	}
-
-	// The same snapshot rides along in /metrics.
-	m, err := c.Metrics(context.Background())
+	resp, err = http.Get(c.BaseURL + "/debug/slo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.SLO == nil || len(m.SLO.Objectives) != 2 {
-		t.Fatalf("metrics SLO block = %+v, want both objectives embedded", m.SLO)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/slo = %d, want 404", resp.StatusCode)
 	}
 }
 

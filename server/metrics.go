@@ -9,12 +9,11 @@ import (
 	"github.com/clarifynet/clarify/journal"
 	"github.com/clarifynet/clarify/obs"
 	"github.com/clarifynet/clarify/resilience"
-	"github.com/clarifynet/clarify/slo"
 	"github.com/clarifynet/clarify/symbolic"
 )
 
-// defaultLatencyBuckets are the histogram upper bounds in milliseconds when
-// Options.LatencyBucketsMs is empty; the last implicit bucket is +Inf.
+// defaultLatencyBuckets are the upper bounds in milliseconds of every
+// latency histogram the server keeps; the last implicit bucket is +Inf.
 var defaultLatencyBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500}
 
 // Histogram is a fixed-bucket histogram: latency in milliseconds for the
@@ -102,7 +101,6 @@ func estimateQuantile(buckets []float64, counts []int64, total int64, q float64)
 // status counters, an in-flight gauge, backpressure rejections, and
 // per-endpoint latency histograms. All methods are safe for concurrent use.
 type metrics struct {
-	buckets  []float64 // histogram upper bounds, fixed at construction
 	mu       sync.Mutex
 	requests map[string]int64
 	statuses map[int]int64
@@ -112,14 +110,11 @@ type metrics struct {
 	rejected int64 // 429 backpressure rejections
 	panics   int64 // worker panics contained by the pool
 	timeouts int64 // updates aborted by the per-update deadline
+	failed   int64 // updates that ended in error
 }
 
-func newMetrics(buckets []float64) *metrics {
-	if len(buckets) == 0 {
-		buckets = defaultLatencyBuckets
-	}
+func newMetrics() *metrics {
 	return &metrics{
-		buckets:  buckets,
 		requests: map[string]int64{},
 		statuses: map[int]int64{},
 		latency:  map[string]*Histogram{},
@@ -140,7 +135,7 @@ func (m *metrics) observeTrace(t *obs.Trace) {
 		stage := obs.CanonicalStage(sp.Name)
 		h := m.stages[stage]
 		if h == nil {
-			h = NewHistogram(m.buckets)
+			h = NewHistogram(defaultLatencyBuckets)
 			m.stages[stage] = h
 		}
 		h.Observe(sp.Duration)
@@ -174,6 +169,13 @@ func (m *metrics) recordUpdateTimeout() {
 	m.mu.Unlock()
 }
 
+// recordFailedUpdate counts one update that ended in error.
+func (m *metrics) recordFailedUpdate() {
+	m.mu.Lock()
+	m.failed++
+	m.mu.Unlock()
+}
+
 // begin records an arriving request and returns the completion callback.
 func (m *metrics) begin(endpoint string) func(status int) {
 	start := time.Now()
@@ -188,7 +190,7 @@ func (m *metrics) begin(endpoint string) func(status int) {
 		m.statuses[status]++
 		h := m.latency[endpoint]
 		if h == nil {
-			h = NewHistogram(m.buckets)
+			h = NewHistogram(defaultLatencyBuckets)
 			m.latency[endpoint] = h
 		}
 		h.Observe(d)
@@ -252,12 +254,15 @@ type MetricsSnapshot struct {
 	PanicsRecovered int64 `json:"panicsRecovered"`
 	// UpdateTimeouts counts updates aborted by the per-update deadline.
 	UpdateTimeouts int64 `json:"updateTimeouts"`
+	// FailedUpdates counts updates that ended in error, timed-out and
+	// panicked ones included. With the update-stage histogram it yields
+	// both serving objectives: availability is one minus FailedUpdates over
+	// StagesMs["update"].Count, and latency is the share of that histogram
+	// at or under 500 ms.
+	FailedUpdates int64 `json:"failedUpdates"`
 	// Resilience reports the LLM backend path (circuit breaker + fallback
 	// chain) when the server was built with one; nil otherwise.
 	Resilience *resilience.Stats `json:"resilience,omitempty"`
-	// SLO is the rolling objective state: per-objective good/bad counts,
-	// error budget remaining, and multi-window burn-rate alerts.
-	SLO *slo.Snapshot `json:"slo,omitempty"`
 	// Journal reports flight-recorder activity when journaling is enabled;
 	// nil otherwise.
 	Journal *journal.Stats `json:"journal,omitempty"`
@@ -284,6 +289,7 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	}
 	out.PanicsRecovered = m.panics
 	out.UpdateTimeouts = m.timeouts
+	out.FailedUpdates = m.failed
 	for k, v := range m.requests {
 		out.Requests[k] = v
 	}

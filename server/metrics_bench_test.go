@@ -23,7 +23,7 @@ func benchTrace() *obs.Trace {
 // BenchmarkObserveTrace measures folding one span tree into the stage
 // histograms.
 func BenchmarkObserveTrace(b *testing.B) {
-	m := newMetrics(nil)
+	m := newMetrics()
 	tr := benchTrace()
 	b.ReportAllocs()
 	b.ResetTimer()

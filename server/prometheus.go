@@ -6,7 +6,6 @@ import (
 
 	"github.com/clarifynet/clarify/internal/promtext"
 	"github.com/clarifynet/clarify/resilience"
-	"github.com/clarifynet/clarify/slo"
 )
 
 // writePrometheus renders a MetricsSnapshot as Prometheus text exposition
@@ -56,11 +55,9 @@ func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 
 	p.Counter("clarifyd_panics_recovered_total", "Pipeline-job panics contained by the worker pool.", float64(snap.PanicsRecovered))
 	p.Counter("clarifyd_update_timeouts_total", "Updates aborted by the per-update deadline.", float64(snap.UpdateTimeouts))
+	p.Counter("clarifyd_failed_updates_total", "Updates that ended in error, timed-out and panicked ones included.", float64(snap.FailedUpdates))
 	if snap.Resilience != nil {
 		writeResilience(p, snap.Resilience)
-	}
-	if snap.SLO != nil {
-		writeSLO(p, *snap.SLO)
 	}
 	if snap.Journal != nil {
 		p.Counter("clarifyd_journal_appended_total", "Flight-recorder records appended.", float64(snap.Journal.Appended))
@@ -120,45 +117,6 @@ func writeResilience(p *promtext.Writer, rs *resilience.Stats) {
 		p.Header("clarifyd_llm_backend_failures_total", "counter", "Failed attempts per backend.")
 		for _, b := range c.Backends {
 			fmt.Fprintf(w, "clarifyd_llm_backend_failures_total{backend=%s} %d\n", quoteLabel(b.Name), b.Failures)
-		}
-	}
-}
-
-// writeSLO renders the rolling-objective series: good/bad totals, budget
-// remaining, and per-window burn rates with an alert-firing gauge.
-func writeSLO(p *promtext.Writer, snap slo.Snapshot) {
-	w := p.W
-	p.Header("clarifyd_slo_good_total", "counter", "Updates meeting the objective, per objective.")
-	for _, o := range snap.Objectives {
-		fmt.Fprintf(w, "clarifyd_slo_good_total{objective=%s} %d\n", quoteLabel(o.Objective.Name), o.Good)
-	}
-	p.Header("clarifyd_slo_bad_total", "counter", "Updates missing the objective, per objective.")
-	for _, o := range snap.Objectives {
-		fmt.Fprintf(w, "clarifyd_slo_bad_total{objective=%s} %d\n", quoteLabel(o.Objective.Name), o.Bad)
-	}
-	p.Header("clarifyd_slo_error_budget_remaining", "gauge", "Fraction of the longest window's error budget unspent, per objective.")
-	for _, o := range snap.Objectives {
-		fmt.Fprintf(w, "clarifyd_slo_error_budget_remaining{objective=%s} %s\n",
-			quoteLabel(o.Objective.Name), formatFloat(o.ErrorBudgetRemaining))
-	}
-	p.Header("clarifyd_slo_burn_rate", "gauge", "Error-budget burn rate per objective and window.")
-	for _, o := range snap.Objectives {
-		for _, ws := range o.Windows {
-			fmt.Fprintf(w, "clarifyd_slo_burn_rate{objective=%s,window=%s,span=\"long\"} %s\n",
-				quoteLabel(o.Objective.Name), quoteLabel(ws.Severity), formatFloat(ws.LongBurn))
-			fmt.Fprintf(w, "clarifyd_slo_burn_rate{objective=%s,window=%s,span=\"short\"} %s\n",
-				quoteLabel(o.Objective.Name), quoteLabel(ws.Severity), formatFloat(ws.ShortBurn))
-		}
-	}
-	p.Header("clarifyd_slo_alert_firing", "gauge", "1 while the multi-window burn-rate alert fires, per objective and window.")
-	for _, o := range snap.Objectives {
-		for _, ws := range o.Windows {
-			firing := 0.0
-			if ws.Firing {
-				firing = 1
-			}
-			fmt.Fprintf(w, "clarifyd_slo_alert_firing{objective=%s,window=%s} %s\n",
-				quoteLabel(o.Objective.Name), quoteLabel(ws.Severity), formatFloat(firing))
 		}
 	}
 }

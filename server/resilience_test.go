@@ -124,8 +124,8 @@ func TestPanickingUpdateFailsCleanly(t *testing.T) {
 	if res.Status != StatusFailed || !strings.Contains(res.Error, "update panicked") {
 		t.Fatalf("got %q/%q, want failed update with panic error", res.Status, res.Error)
 	}
-	if got := srv.met.snapshot().PanicsRecovered; got != 1 {
-		t.Errorf("PanicsRecovered = %d, want 1", got)
+	if m := srv.met.snapshot(); m.PanicsRecovered != 1 || m.FailedUpdates != 1 {
+		t.Errorf("PanicsRecovered/FailedUpdates = %d/%d, want 1/1", m.PanicsRecovered, m.FailedUpdates)
 	}
 
 	// The session must be reusable: the panic consumed the client's only
@@ -168,8 +168,8 @@ func TestUpdateTimeoutFreesWorker(t *testing.T) {
 	if e := time.Since(start); e > 5*time.Second {
 		t.Fatalf("timeout took %s, budget was 50ms", e)
 	}
-	if got := srv.met.snapshot().UpdateTimeouts; got != 1 {
-		t.Errorf("UpdateTimeouts = %d, want 1", got)
+	if m := srv.met.snapshot(); m.UpdateTimeouts != 1 || m.FailedUpdates != 1 {
+		t.Errorf("UpdateTimeouts/FailedUpdates = %d/%d, want 1/1", m.UpdateTimeouts, m.FailedUpdates)
 	}
 	// The single worker must be free again: a second submit on a fresh
 	// session must be picked up (and time out the same way) rather than

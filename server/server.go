@@ -20,7 +20,6 @@ import (
 	"github.com/clarifynet/clarify/llm"
 	"github.com/clarifynet/clarify/obs"
 	"github.com/clarifynet/clarify/resilience"
-	"github.com/clarifynet/clarify/slo"
 	"github.com/clarifynet/clarify/symbolic"
 )
 
@@ -63,38 +62,14 @@ type Options struct {
 	// degraded-mode health reporting and /metrics — so it must be the same
 	// stack NewClient wires into sessions.
 	Resilience *resilience.Stack
-	// LatencyBucketsMs overrides the histogram upper bounds (milliseconds)
-	// for both per-endpoint and per-stage latency, so load tests at different
-	// scales keep resolution. Must be strictly ascending and positive; empty
-	// keeps the default table. New panics on an invalid table — call
-	// Options.Validate first when the bounds come from user input.
-	LatencyBucketsMs []float64
 	// Journal, when non-nil, is the flight recorder every hosted session
 	// appends to: one durable record per update (see the journal package).
 	// The server does not close it; the owner does, after Shutdown.
 	Journal *journal.Journal
-	// SLO overrides the rolling objective set evaluated against update
-	// outcomes and served at GET /debug/slo; nil selects the defaults
-	// (99.9% availability, 99% under 500ms, page/ticket burn-rate windows).
-	SLO *slo.Set
 	// TraceKeepSize bounds the tail-retention ring holding evicted traces
 	// worth keeping (errors, degraded runs, slower than the update-stage
 	// p99). 0 selects DefaultTraceKeepSize; negative disables retention.
 	TraceKeepSize int
-}
-
-// Validate reports whether the options are well-formed; New panics on the
-// same conditions. Only fields that can carry user input are checked.
-func (o Options) Validate() error {
-	for i, b := range o.LatencyBucketsMs {
-		if b <= 0 {
-			return fmt.Errorf("server: LatencyBucketsMs[%d] = %v: bounds must be positive", i, b)
-		}
-		if i > 0 && b <= o.LatencyBucketsMs[i-1] {
-			return fmt.Errorf("server: LatencyBucketsMs[%d] = %v: bounds must be strictly ascending", i, b)
-		}
-	}
-	return nil
 }
 
 // DefaultUpdateTimeout is the per-update deadline when Options.UpdateTimeout
@@ -112,7 +87,6 @@ type Server struct {
 	met    *metrics
 	amb    *ambiguityMetrics
 	traces *obs.Ring
-	slos   *slo.Set
 	spaces *symbolic.SpaceCache // shared across all hosted sessions
 
 	baseCtx context.Context
@@ -148,16 +122,8 @@ func New(opts Options) *Server {
 	if opts.UpdateTimeout == 0 {
 		opts.UpdateTimeout = DefaultUpdateTimeout
 	}
-	if err := opts.Validate(); err != nil {
-		panic(err)
-	}
-	slos := opts.SLO
-	if slos == nil {
-		// The defaults cannot fail validation.
-		slos, _ = slo.New(slo.Config{})
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	met := newMetrics(opts.LatencyBucketsMs)
+	met := newMetrics()
 	s := &Server{
 		opts:    opts,
 		mux:     http.NewServeMux(),
@@ -166,7 +132,6 @@ func New(opts Options) *Server {
 		met:     met,
 		amb:     newAmbiguityMetrics(),
 		traces:  newTraceRing(opts.TraceBufferSize),
-		slos:    slos,
 		spaces:  symbolic.NewSpaceCache(),
 		baseCtx: ctx,
 		cancel:  cancel,
@@ -194,7 +159,6 @@ func New(opts Options) *Server {
 	s.route("GET /v1/sessions/{id}/stats", s.handleStats)
 	s.route("GET /debug/traces", s.handleDebugTraces)
 	s.route("GET /debug/traces/{tid}", s.handleDebugTrace)
-	s.route("GET /debug/slo", s.handleDebugSLO)
 	s.route("GET /debug/ambiguity", s.handleDebugAmbiguity)
 	return s
 }
@@ -345,8 +309,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Resilience != nil {
 		snap.Resilience = s.opts.Resilience.Stats()
 	}
-	sloSnap := s.slos.Snapshot()
-	snap.SLO = &sloSnap
 	if s.opts.Journal != nil {
 		js := s.opts.Journal.Stats()
 		snap.Journal = &js
@@ -536,7 +498,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // runUpdate executes one reserved update end to end: start the deadline
 // budget, bind the oracle, run the pipeline, publish the outcome, release
-// the session, and feed the SLOs. It serves both fresh submissions (as the
+// the session, and count a failure. It serves both fresh submissions (as the
 // pool job) and rehydrated pending updates (on a restore goroutine). script
 // is a restored update's delivered answers: the pipeline replays them
 // through a disambig.Transcript before the update's live oracle takes over.
@@ -551,6 +513,7 @@ func (s *Server) runUpdate(sn *session, u *update, script []disambig.Answer) {
 	defer func() {
 		if v := recover(); v != nil {
 			s.met.recordPanic()
+			s.met.recordFailedUpdate()
 			sn.endUpdate(u, nil, fmt.Errorf("internal: update panicked: %v", v))
 		}
 	}()
@@ -588,9 +551,7 @@ func (s *Server) runUpdate(sn *session, u *update, script []disambig.Answer) {
 		s.met.observeTrace(t)
 		s.traces.Add(t)
 	})
-	start := time.Now()
 	res, rerr := cs.Submit(uctx, u.intent, u.target)
-	elapsed := time.Since(start)
 	if rerr != nil && uctx.Err() == context.DeadlineExceeded && s.baseCtx.Err() == nil {
 		s.met.recordUpdateTimeout()
 		rerr = fmt.Errorf("update exceeded its %s budget: %w", s.opts.UpdateTimeout, rerr)
@@ -604,12 +565,13 @@ func (s *Server) runUpdate(sn *session, u *update, script []disambig.Answer) {
 		_, _, _, led := res.Placement()
 		s.amb.record(led)
 	}
+	// A failure is counted before the update turns terminal, so a client
+	// that sees it fail finds it in /metrics.
+	if rerr != nil {
+		s.met.recordFailedUpdate()
+	}
 	u.setDegraded(flags.Degraded())
 	sn.endUpdate(u, res, rerr)
-	// Every terminal update outcome feeds the rolling objectives: the
-	// elapsed time covers the whole pipeline including question-wait, the
-	// same latency the client experienced.
-	s.slos.Observe(elapsed, rerr != nil)
 }
 
 // keepTrace is the tail-retention policy: a trace evicted from the debug
@@ -733,12 +695,6 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, sn.configText())
-}
-
-// handleDebugSLO serves the rolling objective state: per-objective budget
-// remaining and every burn-rate window's evaluation.
-func (s *Server) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.slos.Snapshot())
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

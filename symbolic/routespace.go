@@ -617,21 +617,33 @@ func (s *RouteSpace) Witness(f bdd.Node) (route.Route, bool, error) {
 
 // WitnessWhere decodes the models of f ∧ Valid one at a time, in AllSat
 // order, and reports whether accept takes one of the first limit. It stops
-// at the first it takes, so a later model's decode error is never seen; a
-// decode or accept error before it is returned.
+// at the first it takes. A model that does not decode is skipped but counts
+// toward limit; the first decode error is returned only when no model is
+// taken, so a region whose models all fail to decode still fails. An accept
+// error is returned at once.
 func (s *RouteSpace) WitnessWhere(f bdd.Node, limit int, accept func(route.Route) (bool, error)) (bool, error) {
 	var (
-		ok      bool
-		err     error
-		decoded int
+		ok        bool
+		err       error
+		decodeErr error
+		seen      int
 	)
 	s.Pool.AllSat(s.Pool.And(f, s.Valid), func(cube map[int]bool) bool {
-		var r route.Route
-		if r, err = s.Decode(cube); err == nil {
+		seen++
+		if r, derr := s.Decode(cube); derr != nil {
+			if decodeErr == nil {
+				decodeErr = derr
+			}
+		} else {
 			ok, err = accept(r)
 		}
-		decoded++
-		return !ok && err == nil && decoded < limit
+		return !ok && err == nil && seen < limit
 	})
-	return ok && err == nil, err
+	switch {
+	case err != nil:
+		return false, err
+	case !ok && decodeErr != nil:
+		return false, decodeErr
+	}
+	return ok, nil
 }
