@@ -129,6 +129,7 @@ func SearchACLMatching(acl *ios.ACL, q PacketQuery, wantPermit bool) (packet.Pac
 		return packet.Packet{}, false, err
 	}
 	space := symbolic.NewACLSpace()
+	defer space.Release()
 	pred := space.ACEPred(ace)
 	pk, ok := SearchACL(space, acl, pred, wantPermit)
 	return pk, ok, nil

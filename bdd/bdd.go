@@ -5,7 +5,8 @@
 // The engine underpins every symbolic analysis in this repository: ACL header
 // spaces, symbolic BGP route spaces, first-match partitions and differential
 // policy comparison. Pools are cheap to create and are dropped wholesale when
-// an analysis finishes, so no garbage collection of dead nodes is performed.
+// an analysis finishes, or emptied in place by Reset for the next analysis,
+// so no garbage collection of dead nodes is performed.
 //
 // Variables are identified by their level (0 is the topmost level in the
 // ordering). Node handles are plain int32 indices into the pool and are only
@@ -139,6 +140,22 @@ func NewPool(numVars int) *Pool {
 	p.nodes[False] = node{level: terminalLevel}
 	p.nodes[True] = node{level: terminalLevel}
 	return p
+}
+
+// Reset drops every node and variable, the operation caches, the SatCount
+// memo and the counters, and keeps the capacity of the node slab, the unique
+// table and the ITE cache. A reset pool hands out the same handles as
+// NewPool(0) for the same calls. Nothing may use a node of the pool's
+// earlier life after Reset.
+func (p *Pool) Reset() {
+	p.nodes = p.nodes[:2]
+	clear(p.unique)
+	p.uniqueCount = 0
+	clear(p.ite)
+	p.iteCount = 0
+	p.numVars = 0
+	p.satMemo = nil
+	p.stats = Counters{}
 }
 
 // NumVars reports the number of variables in the pool's universe.

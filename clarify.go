@@ -518,7 +518,8 @@ var aclKind = ruleKind{
 }
 
 // aclUpdate builds one packet space for the update and shares it between
-// verification and disambiguation.
+// verification and disambiguation, which releases it. An update that punts
+// or fails before disambiguation leaves it to the collector.
 type aclUpdate struct {
 	spec   *spec.ACLSpec
 	cfg    *ios.Config
@@ -536,6 +537,7 @@ func (u *aclUpdate) verify(snippet *ios.Config, name string, sp *obs.Span) ([]sp
 
 func (u *aclUpdate) disambiguate(snippet *ios.Config, name string, _ disambig.RouteOracle, ao disambig.ACLOracle, sp *obs.Span) (*UpdateResult, error) {
 	res, err := disambig.InsertACLEntryTraced(u.space, u.cfg, u.target, snippet, name, ao, sp)
+	u.space.Release()
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,11 @@ package clarify
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"net/netip"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +15,10 @@ import (
 	"github.com/clarifynet/clarify/disambig"
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/llm"
+	"github.com/clarifynet/clarify/obs"
+	"github.com/clarifynet/clarify/spec"
 	"github.com/clarifynet/clarify/symbolic"
+	"github.com/clarifynet/clarify/workload"
 )
 
 func mustEquivalentMaps(t *testing.T, a, b *ios.Config, mapName string) {
@@ -95,6 +103,146 @@ func TestConcurrentSessionsSharedCache(t *testing.T) {
 	st := cache.Stats()
 	if st.Hits+st.Misses == 0 {
 		t.Error("shared cache was never consulted")
+	}
+}
+
+// aclUpdateCase is one ACL update: an intent aimed at an entry of a corpus
+// ACL with the opposite action, and an operator who prefers the new entry
+// over every entry from threshold on.
+type aclUpdateCase struct {
+	base      *ios.Config
+	name      string
+	intent    string
+	threshold int
+}
+
+// aimedACLIntents draws n updates over the cloud and campus ACL corpora,
+// each aimed at a random entry of its ACL, in the SimLLM grammar.
+func aimedACLIntents(rng *rand.Rand, n int) []aclUpdateCase {
+	corpus := append(workload.Cloud(1, workload.CloudACLCount, 0).ACLConfigs, workload.Campus(1, 300, 0).ACLConfigs...)
+	var out []aclUpdateCase
+	for i := 0; i < n; i++ {
+		base := corpus[i*len(corpus)/n]
+		for name, acl := range base.ACLs {
+			e := acl.Entries[rng.Intn(len(acl.Entries))]
+			action, proto := "permits", "tcp"
+			if e.Permit {
+				action = "denies"
+			}
+			if e.Protocol.Value == 17 || e.Protocol.Any && rng.Intn(2) == 0 {
+				proto = "udp"
+			}
+			src := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(rng.Intn(250)), byte(rng.Intn(250)), 0}), 24)
+			if !e.Src.Any {
+				src = netip.PrefixFrom(e.Src.Addr, 24).Masked()
+			}
+			dst := "any host"
+			if !e.Dst.Any {
+				pfx := netip.PrefixFrom(e.Dst.Addr, 32-bits.Len32(e.Dst.Wildcard)).Masked()
+				dst = pfx.String()
+				if pfx.Bits() == 32 {
+					dst = "host " + pfx.Addr().String()
+				}
+			}
+			port := 1024 + rng.Intn(40000)
+			switch e.DstPort.Op {
+			case ios.PortEq:
+				port = int(e.DstPort.Lo)
+			case ios.PortRange:
+				port = int(e.DstPort.Lo) + rng.Intn(int(e.DstPort.Hi-e.DstPort.Lo)+1)
+			}
+			out = append(out, aclUpdateCase{base: base, name: name, threshold: rng.Intn(len(acl.Entries) + 1),
+				intent: fmt.Sprintf("Add an entry that %s %s traffic from %s to %s on port %d.", action, proto, src, dst, port)})
+		}
+	}
+	return out
+}
+
+// TestConcurrentACLUpdates: ACL updates through Session.Submit on separate
+// sessions, four goroutines at a time, each followed by the library's
+// verification of its snippet against its spec and against the spec
+// widened to 10.0.0.0/8 sources with the other action, and by its
+// insertion into the base ACL. All of them draw packet spaces from
+// one free list and release them (run under -race). Every outcome must
+// equal a serial run's: overlaps, questions and their witness packets,
+// position, ledger, configuration and violations.
+func TestConcurrentACLUpdates(t *testing.T) {
+	cases := aimedACLIntents(rand.New(rand.NewSource(32)), 40)
+	run := func(i int) (out string, questions int, err error) {
+		c := cases[i]
+		oracle := disambig.FuncACLOracle(func(q disambig.ACLQuestion) (bool, error) { return q.ProbedEntry >= c.threshold, nil })
+		s := &Session{Client: llm.NewSimLLM(), Config: c.base, ACLOracle: oracle, Observer: obs.SinkFunc(func(*obs.Trace) {})}
+		res, err := s.Submit(context.Background(), c.intent, c.name)
+		if err != nil {
+			return "", 0, fmt.Errorf("%s %q: %v", c.name, c.intent, err)
+		}
+		led, err := json.Marshal(res.ACLInsert.Ambiguity)
+		if err != nil {
+			return "", 0, err
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "%v %q %d %s\n%s", res.ACLInsert.Overlaps, res.ACLInsert.Questions, res.ACLInsert.Position, led, res.Config.Print())
+		snippet := ios.MustParse(res.SnippetText)
+		var name string
+		for name = range snippet.ACLs {
+		}
+		as, err := spec.ParseACLSpec([]byte(res.SpecJSON))
+		if err != nil {
+			return "", 0, err
+		}
+		wide := *as
+		wide.Src, wide.Permit = "10.0.0.0/8", !as.Permit
+		for _, as := range []*spec.ACLSpec{as, &wide} {
+			violations, err := spec.VerifyACLSnippet(snippet, name, as)
+			if err != nil {
+				return "", 0, err
+			}
+			fmt.Fprintf(&b, "%+v\n", violations)
+		}
+		ins, err := disambig.InsertACLEntry(c.base, c.name, snippet, name, oracle)
+		if err != nil {
+			return "", 0, err
+		}
+		fmt.Fprintf(&b, "%v %q %d\n%s", ins.Overlaps, ins.Questions, ins.Position, ins.Config.Print())
+		return b.String(), len(res.ACLInsert.Questions), nil
+	}
+	serial := make([]string, len(cases))
+	questions := 0
+	for i := range cases {
+		out, n, err := run(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = out
+		questions += n
+	}
+	if questions < len(cases)/2 {
+		t.Fatalf("%d updates asked %d questions: inputs too narrow to mean anything", len(cases), questions)
+	}
+	t.Logf("%d updates, %d questions", len(cases), questions)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range cases {
+				i := (k + g*len(cases)/4) % len(cases)
+				out, _, err := run(i)
+				if err == nil && out != serial[i] {
+					err = fmt.Errorf("%s %q: concurrent outcome\n%s\nserial\n%s", cases[i].name, cases[i].intent, out, serial[i])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -27,10 +27,11 @@ func InsertACLEntry(orig *ios.Config, aclName string, snippet *ios.Config, snipp
 	return InsertACLEntryTraced(nil, orig, aclName, snippet, snippetACL, oracle, nil)
 }
 
-// InsertACLEntryTraced is InsertACLEntry working in space (nil builds a
-// fresh one) and recording the disambiguation workload under sp (which may
-// be nil). An update shares one space between verification and
-// disambiguation; what the space already holds does not change the outcome.
+// InsertACLEntryTraced is InsertACLEntry working in space (nil builds one,
+// released before returning) and recording the disambiguation workload
+// under sp (which may be nil). An update shares one space between
+// verification and disambiguation; what the space already holds does not
+// change the outcome.
 func InsertACLEntryTraced(space *symbolic.ACLSpace, orig *ios.Config, aclName string, snippet *ios.Config, snippetACL string, oracle ACLOracle, sp *obs.Span) (*ACLResult, error) {
 	if _, ok := orig.ACLs[aclName]; !ok {
 		return nil, fmt.Errorf("disambig: ACL %q not in configuration", aclName)
@@ -48,6 +49,7 @@ func InsertACLEntryTraced(space *symbolic.ACLSpace, orig *ios.Config, aclName st
 
 	if space == nil {
 		space = symbolic.NewACLSpace()
+		defer space.Release()
 	}
 	defer space.ObserveInto(sp, space.Pool.Counters())
 	probes := aclProbes(space, acl, newEntry)

@@ -109,6 +109,7 @@ func DeleteACLEntry(orig *ios.Config, aclName string, index, maxImpacts int) (*A
 	wacl.Renumber()
 
 	space := symbolic.NewACLSpace()
+	defer space.Release()
 	changed := space.Pool.Xor(space.PermitSet(acl), space.PermitSet(wacl))
 	res := &ACLEditResult{Config: work}
 	space.Pool.AllSat(changed, func(cube map[int]bool) bool {

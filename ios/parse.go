@@ -59,6 +59,23 @@ func Parse(text string) (*Config, error) {
 	return cfg, nil
 }
 
+// ParseACE reads text as one entry of an extended access list, 'permit|deny
+// PROTO SRC [PORT] DST [PORT] [ICMP] [established]', as Parse reads a
+// block's first entry on line lineNo: the entry has Seq 10, and a malformed
+// one fails with the *ParseError Parse would return.
+func ParseACE(lineNo int, text string) (*ACE, error) {
+	p := &lineParser{curACL: &ACL{}}
+	text = strings.TrimSpace(text)
+	f := strings.Fields(text)
+	if len(f) == 0 {
+		return nil, p.fail(lineNo, text, "empty access-list entry")
+	}
+	if err := p.aclEntry(lineNo, text, f, 0); err != nil {
+		return nil, err
+	}
+	return p.curACL.Entries[0], nil
+}
+
 // MustParse is Parse for statically known fragments; it panics on error.
 func MustParse(text string) *Config {
 	cfg, err := Parse(text)

@@ -6,6 +6,7 @@
 package spec
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/netip"
@@ -361,7 +362,7 @@ type ACLSpec struct {
 // ParseACLSpec decodes the JSON form.
 func ParseACLSpec(data []byte) (*ACLSpec, error) {
 	var s ACLSpec
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
@@ -394,11 +395,13 @@ func (s *ACLSpec) ToACE() (*ios.ACE, error) {
 	if s.Established {
 		line += " established"
 	}
-	cfg, err := ios.Parse("ip access-list extended SPEC\n " + line + "\n")
+	// Errors number the entry line 2, under an "ip access-list extended
+	// SPEC" header, as the error texts journals recorded do.
+	ace, err := ios.ParseACE(2, line)
 	if err != nil {
 		return nil, fmt.Errorf("spec: cannot render ACE: %w", err)
 	}
-	return cfg.ACLs["SPEC"].Entries[0], nil
+	return ace, nil
 }
 
 func actionWord(permit bool) string {
@@ -434,9 +437,9 @@ func VerifyACLSnippet(snippet *ios.Config, aclName string, s *ACLSpec) ([]Violat
 	return VerifyACLSnippetTraced(nil, snippet, aclName, s, nil)
 }
 
-// VerifyACLSnippetTraced is VerifyACLSnippet working in space (nil builds a
-// fresh one) and annotating sp (which may be nil) with the BDD workload the
-// verification performed.
+// VerifyACLSnippetTraced is VerifyACLSnippet working in space (nil builds
+// one, released before returning) and annotating sp (which may be nil) with
+// the BDD workload the verification performed.
 func VerifyACLSnippetTraced(space *symbolic.ACLSpace, snippet *ios.Config, aclName string, s *ACLSpec, sp *obs.Span) ([]Violation, error) {
 	acl, ok := snippet.ACLs[aclName]
 	if !ok {
@@ -451,6 +454,7 @@ func VerifyACLSnippetTraced(space *symbolic.ACLSpace, snippet *ios.Config, aclNa
 	}
 	if space == nil {
 		space = symbolic.NewACLSpace()
+		defer space.Release()
 	}
 	defer space.ObserveInto(sp, space.Pool.Counters())
 	actual := space.ACEPred(acl.Entries[0])

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -246,6 +247,58 @@ func TestACLSpecToACEForms(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("ToACE = %q, want %q", got, c.want)
+		}
+	}
+}
+
+// TestToACEMatchesParse: ToACE reads its rendered line with ios.ParseACE
+// instead of parsing a whole configuration. For every row the entry (Seq 10
+// included) and the error text must be what parsing line as the entry of
+// "ip access-list extended SPEC" gives, as ToACE did through ios.Parse.
+func TestToACEMatchesParse(t *testing.T) {
+	for _, c := range []struct {
+		spec ACLSpec
+		line string // what the spec renders to
+		err  bool
+	}{
+		{ACLSpec{Permit: true, Protocol: "tcp", Src: "10.0.0.0/8", SrcPort: "gt 1023", Dst: "192.168.1.7", DstPort: "eq 443"},
+			"permit tcp 10.0.0.0 0.255.255.255 gt 1023 host 192.168.1.7 eq 443", false},
+		{ACLSpec{Protocol: "udp", Src: "any", SrcPort: "neq 53", Dst: "172.16.0.0/12", DstPort: "range 5000 6000"},
+			"deny udp any neq 53 172.16.0.0 0.15.255.255 range 5000 6000", false},
+		{ACLSpec{Permit: true, Protocol: "udp", Src: "1.2.3.4/32", Dst: "0.0.0.0/0", DstPort: "lt 1024"},
+			"permit udp host 1.2.3.4 any lt 1024", false},
+		{ACLSpec{Permit: true, Protocol: "tcp", Src: "any", Dst: "any", DstPort: "eq www", Established: true},
+			"permit tcp any any eq www established", false},
+		{ACLSpec{Permit: true, Protocol: "icmp", Src: "any", Dst: "10.1.0.0/16", ICMP: "echo"},
+			"permit icmp any 10.1.0.0 0.0.255.255 echo", false},
+		{ACLSpec{Protocol: "icmp", Src: "any", Dst: "any", ICMP: "unreachable 1"},
+			"deny icmp any any unreachable 1", false},
+		{ACLSpec{Protocol: "icmp", Src: "192.0.2.1", Dst: "any", ICMP: "3 4"},
+			"deny icmp host 192.0.2.1 any 3 4", false},
+		{ACLSpec{Permit: true, Protocol: "47", Src: "", Dst: "any"}, "permit 47 any any", false},
+		{ACLSpec{Permit: true, Protocol: "tcpx", Src: "any", Dst: "any"}, "permit tcpx any any", true},
+		{ACLSpec{Permit: true, Protocol: "ip", Src: "any", Dst: "any", DstPort: "eq 80"}, "permit ip any any eq 80", true},
+		{ACLSpec{Permit: true, Protocol: "udp", Src: "any", Dst: "any", Established: true}, "permit udp any any established", true},
+		{ACLSpec{Protocol: "tcp", Src: "10.0.0.300", Dst: "any"}, "deny tcp host 10.0.0.300 any", true},
+		{ACLSpec{Protocol: "tcp", Src: "any", Dst: "10.0.0.0/33"}, "deny tcp any host 10.0.0.0/33", true},
+		{ACLSpec{Protocol: "tcp", Src: "any", Dst: "any", DstPort: "range 9 8"}, "deny tcp any any range 9 8", true},
+	} {
+		got, err := c.spec.ToACE()
+		cfg, parseErr := ios.Parse("ip access-list extended SPEC\n " + c.line + "\n")
+		if (parseErr != nil) != c.err {
+			t.Fatalf("%s: parse error %v, want error %v", c.line, parseErr, c.err)
+		}
+		if parseErr != nil {
+			if want := "spec: cannot render ACE: " + parseErr.Error(); err == nil || err.Error() != want {
+				t.Errorf("%+v: ToACE error %v, want %q", c.spec, err, want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%+v: %v", c.spec, err)
+		}
+		if want := cfg.ACLs["SPEC"].Entries[0]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: ToACE %+v, parsed %q gives %+v", c.spec, got, c.line, want)
 		}
 	}
 }

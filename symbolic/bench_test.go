@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/clarifynet/clarify/bdd"
 	"github.com/clarifynet/clarify/internal/testgen"
 	"github.com/clarifynet/clarify/ios"
 )
@@ -126,6 +127,23 @@ func BenchmarkWitness(b *testing.B) {
 			b.Fatal("witness failed")
 		}
 	}
+}
+
+// BenchmarkNewACLSpace: the packet universe laid out in a new pool, and a
+// space taken from the free list and released again.
+func BenchmarkNewACLSpace(b *testing.B) {
+	b.Run("new", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			newACLSpaceIn(bdd.NewPool(0))
+		}
+	})
+	b.Run("recycled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewACLSpace().Release()
+		}
+	})
 }
 
 // BenchmarkACLFirstMatch measures header-space region computation for ACLs.
