@@ -56,14 +56,22 @@ type Universe struct {
 // product states times the alphabet size times the pattern count; the atom
 // count can still reach 2^n when the patterns overlap freely.
 func Build(patterns []string, compile func(string) (*rx.DFA, error), valid *rx.DFA) (*Universe, error) {
-	return BuildWithLiterals(patterns, nil, compile, valid)
+	return BuildWithLiterals(patterns, nil, compile, func(_ []string, dfas []*rx.DFA) *rx.Split {
+		return rx.NewSplit(valid, dfas)
+	})
 }
 
 // BuildWithLiterals is Build for pattern sets holding literals: patterns
-// whose language holds exactly one member of valid, which literal returns
-// (a nil literal recognises none). A literal is not compiled. The product
-// runs over the other patterns, and each distinct literal subject is carved
-// out of the class holding it as an atom of its own.
+// whose language holds exactly one member of the universe, which literal
+// returns (a nil literal recognises none). A literal is not compiled. The
+// product runs over the other patterns, and each distinct literal subject is
+// carved out of the class holding it as an atom of its own.
+//
+// split takes the product: it returns rx.NewSplit of the universe with dfas,
+// the automata of patterns in order. A caller that builds many universes
+// passes a table (ciscorx.Memo.PathSplit and CommunitySplit), so spaces
+// whose compiled patterns repeat an earlier sequence share its product. The
+// literal carve still runs for each universe, and copies what it changes.
 //
 // The result is Build's on the same patterns. Build's product gives each
 // literal subject a singleton atom, whose vector is its class's with the
@@ -73,7 +81,7 @@ func Build(patterns []string, compile func(string) (*rx.DFA, error), valid *rx.D
 // is its class's witness, what is left of the class would need a new
 // witness, so the literals are compiled and Build's product is taken
 // instead.
-func BuildWithLiterals(patterns []string, literal func(string) (string, bool), compile func(string) (*rx.DFA, error), valid *rx.DFA) (*Universe, error) {
+func BuildWithLiterals(patterns []string, literal func(string) (string, bool), compile func(string) (*rx.DFA, error), split func(patterns []string, dfas []*rx.DFA) *rx.Split) (*Universe, error) {
 	u := &Universe{index: map[string]int{}}
 	dfas := make([]*rx.DFA, 0, len(patterns))    // by position in Patterns; nil for a literal
 	subjects := make([]string, 0, len(patterns)) // by position in Patterns; "" unless a literal
@@ -97,7 +105,7 @@ func BuildWithLiterals(patterns []string, literal func(string) (string, bool), c
 		dfas = append(dfas, d)
 		subjects = append(subjects, s)
 	}
-	if u.carve(valid, dfas, subjects) {
+	if u.carve(split, dfas, subjects) {
 		return u, nil
 	}
 	for i, d := range dfas {
@@ -108,24 +116,27 @@ func BuildWithLiterals(patterns []string, literal func(string) (string, bool), c
 			}
 		}
 	}
-	u.carve(valid, dfas, nil) // with nothing to carve it cannot fail
+	u.carve(split, dfas, nil) // with nothing to carve it cannot fail
 	return u, nil
 }
 
-// carve sets u's atoms: the classes of the product of valid with the
+// carve sets u's atoms: the classes of the product of the universe with the
 // compiled patterns, with the subject of each literal (a pattern whose dfas
 // entry is nil) carved out as an atom of its own. It reports false, setting
-// nothing, when a subject lies outside valid or is its class's witness.
-func (u *Universe) carve(valid *rx.DFA, dfas []*rx.DFA, subjects []string) bool {
+// nothing, when a subject lies outside the universe or is its class's
+// witness.
+func (u *Universe) carve(product func([]string, []*rx.DFA) *rx.Split, dfas []*rx.DFA, subjects []string) bool {
 	cols := make([]int, 0, len(dfas)) // split column → position in Patterns
 	compiled := make([]*rx.DFA, 0, len(dfas))
+	names := make([]string, 0, len(dfas))
 	for i, d := range dfas {
 		if d != nil {
 			cols = append(cols, i)
 			compiled = append(compiled, d)
+			names = append(names, u.Patterns[i])
 		}
 	}
-	split := rx.NewSplit(valid, compiled)
+	split := product(names, compiled)
 
 	// One atom per class of the split, then one per distinct subject.
 	type entry struct {

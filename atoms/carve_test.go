@@ -21,9 +21,9 @@ func randomLiteral(rng *rand.Rand) string {
 }
 
 // checkCarveMatchesBuild builds community patterns with and without the
-// literal carve and fails on any difference in Patterns, atom order, InLang,
-// Witness, Classify or WitnessWhere. It reports whether the carve compiled a
-// literal, which it does only when it falls back to the full product.
+// literal carve and fails on any difference (checkSameUniverse). It reports
+// whether the carve compiled a literal, which it does only when it falls
+// back to the full product.
 func checkCarveMatchesBuild(t *testing.T, name string, patterns []string) (compiledLiteral bool) {
 	t.Helper()
 	valid := ciscorx.ValidCommunity()
@@ -37,26 +37,52 @@ func checkCarveMatchesBuild(t *testing.T, name string, patterns []string) (compi
 		}
 		return ciscorx.CompileCommunity(p)
 	}
-	got, err := BuildWithLiterals(patterns, ciscorx.CommunityLiteral, compile, valid)
+	got, err := BuildWithLiterals(patterns, ciscorx.CommunityLiteral, compile, freshSplit(valid))
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if !slices.Equal(got.Patterns, want.Patterns) {
-		t.Fatalf("%s: Patterns = %q, want %q", name, got.Patterns, want.Patterns)
-	}
-	if len(got.Atoms) != len(want.Atoms) {
-		t.Fatalf("%s: %d atoms, Build has %d", name, len(got.Atoms), len(want.Atoms))
-	}
+	checkSameUniverse(t, name, got, want, communitySubjects(patterns), decodableCommunity)
+	return compiledLiteral
+}
+
+// decodableCommunity accepts the community subjects whose halves fit in 16
+// bits.
+func decodableCommunity(s string) bool {
+	var hi, lo uint32
+	_, err := fmt.Sscanf(s, "^%d:%d$", &hi, &lo)
+	return err == nil && hi <= 0xffff && lo <= 0xffff
+}
+
+// freshSplit multiplies valid with the automata on every call, as Build
+// does.
+func freshSplit(valid *rx.DFA) func([]string, []*rx.DFA) *rx.Split {
+	return func(_ []string, dfas []*rx.DFA) *rx.Split { return rx.NewSplit(valid, dfas) }
+}
+
+// communitySubjects are Classify probes for community patterns: edge cases,
+// and each literal's subject with its neighbours.
+func communitySubjects(patterns []string) []string {
 	subjects := []string{"", "^", "^$", "garbage", "^0:0$", "^1:1$", "^01:1$", "^65000:100$", "^70000:1$"}
 	for _, p := range patterns {
 		if s, ok := ciscorx.CommunityLiteral(p); ok {
 			subjects = append(subjects, s, s[:len(s)-1]+"0$", "^1"+s[1:])
 		}
 	}
-	decodable := func(s string) bool {
-		var hi, lo uint32
-		_, err := fmt.Sscanf(s, "^%d:%d$", &hi, &lo)
-		return err == nil && hi <= 0xffff && lo <= 0xffff
+	return subjects
+}
+
+// checkSameUniverse fails on any difference between got and want in
+// Patterns, atom order, InLang, Witness, WitnessWhere under each of accepts
+// and under "not the stored witness", or Classify of the given subjects, of
+// each atom's witness and its neighbours, and of the short members of each
+// atom.
+func checkSameUniverse(t *testing.T, name string, got, want *Universe, subjects []string, accepts ...func(string) bool) {
+	t.Helper()
+	if !slices.Equal(got.Patterns, want.Patterns) {
+		t.Fatalf("%s: Patterns = %q, want %q", name, got.Patterns, want.Patterns)
+	}
+	if len(got.Atoms) != len(want.Atoms) {
+		t.Fatalf("%s: %d atoms, Build has %d", name, len(got.Atoms), len(want.Atoms))
 	}
 	for ai, a := range want.Atoms {
 		g := got.Atoms[ai]
@@ -65,7 +91,7 @@ func checkCarveMatchesBuild(t *testing.T, name string, patterns []string) (compi
 		}
 		w := a.Witness
 		subjects = append(subjects, w, w[:len(w)-1]+"0$", w[:1]+"1"+w[1:])
-		for _, accept := range []func(string) bool{func(s string) bool { return s != w }, decodable} {
+		for _, accept := range append(accepts, func(s string) bool { return s != w }) {
 			gs, gok := got.WitnessWhere(ai, len(w)+2, accept)
 			ws, wok := want.WitnessWhere(ai, len(w)+2, accept)
 			if gs != ws || gok != wok {
@@ -82,7 +108,6 @@ func checkCarveMatchesBuild(t *testing.T, name string, patterns []string) (compi
 			t.Fatalf("%s: Classify(%q) = %d, Build %d", name, s, g, w)
 		}
 	}
-	return compiledLiteral
 }
 
 // TestBuildWithLiteralsMatchesBuild checks the literal carve against Build on

@@ -45,10 +45,15 @@ func randomCiscoPattern(rng *rand.Rand, community bool, depth int) string {
 // 1–6 random patterns per dialect, drawn from seed. Patterns that do not
 // compile are skipped. Up to three community literals join the community
 // patterns at random places, and the literal carve must equal Build there.
+// Each sequence is also built twice, after its proper prefixes, through one
+// automaton and partition table shared by every case, as a SpaceCache's
+// spaces are. The second build takes its product from the table and must
+// equal a fresh Build.
 func FuzzBuildMatchesRefinement(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed, uint8(seed))
 	}
+	table := ciscorx.NewMemo()
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		for _, d := range []struct {
@@ -56,9 +61,13 @@ func FuzzBuildMatchesRefinement(f *testing.F) {
 			community bool
 			compile   func(string) (*rx.DFA, error)
 			valid     *rx.DFA
+			literal   func(string) (string, bool)
+			memo      func(string) (*rx.DFA, error)
+			split     func([]string, []*rx.DFA) *rx.Split
+			accepts   []func(string) bool // WitnessWhere side conditions to compare
 		}{
-			{"as-path", false, ciscorx.CompilePath, ciscorx.ValidPath()},
-			{"community", true, ciscorx.CompileCommunity, ciscorx.ValidCommunity()},
+			{"as-path", false, ciscorx.CompilePath, ciscorx.ValidPath(), nil, table.Path, table.PathSplit, nil},
+			{"community", true, ciscorx.CompileCommunity, ciscorx.ValidCommunity(), ciscorx.CommunityLiteral, table.Community, table.CommunitySplit, []func(string) bool{decodableCommunity}},
 		} {
 			var patterns []string
 			for i := 0; i < 1+int(n)%6; i++ {
@@ -77,6 +86,28 @@ func FuzzBuildMatchesRefinement(f *testing.F) {
 			if d.community {
 				checkCarveMatchesBuild(t, name, patterns)
 			}
+
+			fresh, err := Build(patterns, d.compile, d.valid)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			// Every proper prefix goes through the table first, so a key that
+			// lost the tail of its sequence would serve a prefix's product.
+			for k := 1; k < len(patterns); k++ {
+				if _, err := BuildWithLiterals(patterns[:k], d.literal, d.memo, d.split); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			var built [2]*Universe
+			for i := range built {
+				if built[i], err = BuildWithLiterals(patterns, d.literal, d.memo, d.split); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			if built[1].split != built[0].split {
+				t.Fatalf("%s: the second build did not take its product from the table", name)
+			}
+			checkSameUniverse(t, name+" served from the table", built[1], fresh, communitySubjects(patterns), d.accepts...)
 		}
 	})
 }

@@ -10,7 +10,9 @@
 //
 // Variables are identified by their level (0 is the topmost level in the
 // ordering). Node handles are plain int32 indices into the pool and are only
-// meaningful relative to the pool that produced them.
+// meaningful relative to the pool that produced them. A model comes back as
+// a Cube, one int8 per level of the universe with −1 for a don't-care, so a
+// Vec decodes its field from a slice of it with no lookup per bit.
 //
 // Both the unique table and the ITE cache are open-addressed, linear-probed
 // hash tables sized to powers of two, growing at 3/4 load. The unique table
@@ -445,23 +447,11 @@ func (p *Pool) Exists(f Node, vars []int) Node {
 	return rec(f)
 }
 
-// Restrict substitutes constant values for variables: assignment maps a
-// variable level to its value.
-func (p *Pool) Restrict(f Node, assignment map[int]bool) Node {
-	if len(assignment) == 0 || f == True || f == False {
+// Restrict substitutes constant values for the variables the cube assigns;
+// levels the cube leaves don't-care or does not reach stay free.
+func (p *Pool) Restrict(f Node, cube Cube) Node {
+	if f == True || f == False {
 		return f
-	}
-	// values[level]: 0 unconstrained, 1 false, 2 true.
-	values := make([]uint8, p.numVars)
-	for v, b := range assignment {
-		if v < 0 || v >= len(values) {
-			continue
-		}
-		if b {
-			values[v] = 2
-		} else {
-			values[v] = 1
-		}
 	}
 	memo := newNodeMemo(p)
 	var rec func(n Node) Node
@@ -473,11 +463,15 @@ func (p *Pool) Restrict(f Node, assignment map[int]bool) Node {
 			return r
 		}
 		nd := p.nodes[n]
+		v := int8(-1)
+		if int(nd.level) < len(cube) {
+			v = cube[nd.level]
+		}
 		var r Node
-		switch values[nd.level] {
-		case 2:
-			r = rec(nd.hi)
+		switch v {
 		case 1:
+			r = rec(nd.hi)
+		case 0:
 			r = rec(nd.lo)
 		default:
 			r = p.mk(nd.level, rec(nd.lo), rec(nd.hi))
@@ -503,26 +497,40 @@ func (p *Pool) Eval(f Node, value []bool) bool {
 	return n == True
 }
 
-// AnySat returns one satisfying partial assignment of f (variable level →
-// value). Variables not present in the map are don't-cares. ok is false iff
-// f is unsatisfiable.
-func (p *Pool) AnySat(f Node) (assignment map[int]bool, ok bool) {
+// Cube is a partial assignment indexed by level: 0 or 1 assigns the
+// variable, −1 leaves it don't-care. AnySat and AllSat return cubes over the
+// pool's whole universe, so a Vec reads its bits by slicing.
+type Cube []int8
+
+// newCube returns an all-don't-care cube over the pool's universe.
+func (p *Pool) newCube() Cube {
+	c := make(Cube, p.numVars)
+	for i := range c {
+		c[i] = -1
+	}
+	return c
+}
+
+// AnySat returns one satisfying partial assignment of f, taking the low
+// branch wherever it is satisfiable; levels off that path are don't-cares.
+// ok is false iff f is unsatisfiable.
+func (p *Pool) AnySat(f Node) (cube Cube, ok bool) {
 	if f == False {
 		return nil, false
 	}
-	assignment = make(map[int]bool)
+	cube = p.newCube()
 	n := f
 	for n != True {
 		nd := p.nodes[n]
 		if nd.lo != False {
-			assignment[int(nd.level)] = false
+			cube[nd.level] = 0
 			n = nd.lo
 		} else {
-			assignment[int(nd.level)] = true
+			cube[nd.level] = 1
 			n = nd.hi
 		}
 	}
-	return assignment, true
+	return cube, true
 }
 
 // SatCount returns the number of total assignments over the pool's universe
@@ -587,12 +595,11 @@ func pow2(n int) *big.Int {
 	return new(big.Int).Lsh(big.NewInt(1), uint(n))
 }
 
-// AllSat invokes fn for each satisfying cube of f. A cube is a partial
-// assignment; unmentioned variables are don't-cares. Iteration stops early if
-// fn returns false. The cube map is reused across calls; callers must copy it
-// to retain it.
-func (p *Pool) AllSat(f Node, fn func(cube map[int]bool) bool) {
-	cube := make(map[int]bool)
+// AllSat invokes fn for each satisfying cube of f, low branches first, so
+// the first cube is AnySat's. Iteration stops early if fn returns false. The
+// cube is reused across calls; callers must copy it to retain it.
+func (p *Pool) AllSat(f Node, fn func(cube Cube) bool) {
+	cube := p.newCube()
 	var rec func(n Node) bool
 	rec = func(n Node) bool {
 		if n == False {
@@ -602,15 +609,15 @@ func (p *Pool) AllSat(f Node, fn func(cube map[int]bool) bool) {
 			return fn(cube)
 		}
 		nd := p.nodes[n]
-		cube[int(nd.level)] = false
+		cube[nd.level] = 0
 		if !rec(nd.lo) {
 			return false
 		}
-		cube[int(nd.level)] = true
+		cube[nd.level] = 1
 		if !rec(nd.hi) {
 			return false
 		}
-		delete(cube, int(nd.level))
+		cube[nd.level] = -1
 		return true
 	}
 	rec(f)

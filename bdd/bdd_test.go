@@ -201,15 +201,39 @@ func TestRestrict(t *testing.T) {
 	p := NewPool(3)
 	a, b := p.Var(0), p.Var(1)
 	f := p.Xor(a, b)
-	if p.Restrict(f, map[int]bool{0: true}) != p.Not(b) {
+	if p.Restrict(f, Cube{1, -1, -1}) != p.Not(b) {
 		t.Error("f[a:=1] != ¬b")
 	}
-	if p.Restrict(f, map[int]bool{0: false}) != b {
+	if p.Restrict(f, Cube{0, -1, -1}) != b {
 		t.Error("f[a:=0] != b")
 	}
-	if p.Restrict(f, map[int]bool{0: true, 1: true}) != False {
+	if p.Restrict(f, Cube{1, 1, -1}) != False {
 		t.Error("f[a:=1,b:=1] != False")
 	}
+	// A cube shorter than the universe leaves the levels past its end free.
+	if p.Restrict(f, Cube{1}) != p.Not(b) {
+		t.Error("f[a:=1] via a short cube != ¬b")
+	}
+}
+
+// cubeWith returns a cube over n levels that assigns only level, to value.
+func cubeWith(n, level int, value int8) Cube {
+	c := make(Cube, n)
+	for i := range c {
+		c[i] = -1
+	}
+	c[level] = value
+	return c
+}
+
+// zeroCompletion is the total assignment that sets a cube's don't-cares
+// false.
+func zeroCompletion(c Cube) []bool {
+	v := make([]bool, len(c))
+	for lvl, val := range c {
+		v[lvl] = val == 1
+	}
+	return v
 }
 
 func TestAnySat(t *testing.T) {
@@ -222,11 +246,10 @@ func TestAnySat(t *testing.T) {
 	if !ok {
 		t.Fatal("AnySat failed on satisfiable function")
 	}
-	v := make([]bool, 4)
-	for lvl, val := range asg {
-		v[lvl] = val
+	if len(asg) != 4 {
+		t.Fatalf("AnySat cube covers %d levels, want the universe's 4", len(asg))
 	}
-	if !p.Eval(f, v) {
+	if !p.Eval(f, zeroCompletion(asg)) {
 		t.Fatalf("AnySat returned non-model %v", asg)
 	}
 }
@@ -277,15 +300,16 @@ func TestAllSat(t *testing.T) {
 	p := NewPool(3)
 	f := p.Or(p.And(p.Var(0), p.Var(1)), p.Not(p.Var(2)))
 	total := new(big.Int)
-	p.AllSat(f, func(cube map[int]bool) bool {
-		free := 3 - len(cube)
+	p.AllSat(f, func(cube Cube) bool {
+		free := 0
+		for _, val := range cube {
+			if val < 0 {
+				free++
+			}
+		}
 		total.Add(total, new(big.Int).Lsh(big.NewInt(1), uint(free)))
 		// Every cube must be a model.
-		v := make([]bool, 3)
-		for lvl, val := range cube {
-			v[lvl] = val
-		}
-		if !p.Eval(f, v) {
+		if !p.Eval(f, zeroCompletion(cube)) {
 			t.Errorf("cube %v not a model", cube)
 		}
 		return true
@@ -299,7 +323,7 @@ func TestAllSatEarlyStop(t *testing.T) {
 	p := NewPool(3)
 	f := p.Or(p.Var(0), p.Var(1))
 	calls := 0
-	p.AllSat(f, func(map[int]bool) bool {
+	p.AllSat(f, func(Cube) bool {
 		calls++
 		return false
 	})

@@ -65,8 +65,8 @@ func TestQuickExistsRestrictMemos(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		f := randomDNF(p, rng, nVars, 30, 4)
 		v := rng.Intn(nVars)
-		lo := p.Restrict(f, map[int]bool{v: false})
-		hi := p.Restrict(f, map[int]bool{v: true})
+		lo := p.Restrict(f, cubeWith(nVars, v, 0))
+		hi := p.Restrict(f, cubeWith(nVars, v, 1))
 		if got, want := p.Exists(f, []int{v}), p.Or(lo, hi); got != want {
 			t.Fatalf("trial %d: Exists(f, {%d}) != Restrict-or", trial, v)
 		}

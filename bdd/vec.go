@@ -5,8 +5,8 @@ import "fmt"
 // Vec is a fixed-width bit vector of BDD variables on consecutive levels.
 // Bit 0 of the vector is the most significant bit and sits on the first
 // level, so numeric comparisons stay shallow. The Vec is the one place that
-// knows where its variables sit: Encode, Decode and Assigned read and write
-// assignments by level.
+// knows where its variables sit: Encode writes a total assignment by level,
+// and Decode and Assigned read the vector's slice of a cube.
 type Vec struct {
 	pool  *Pool
 	first int    // level of bits[0]
@@ -135,24 +135,23 @@ func (v Vec) Encode(assignment []bool, value uint64) {
 	}
 }
 
-// Decode extracts the vector's unsigned value from a (possibly partial)
-// assignment. Don't-care bits default to 0.
-func (v Vec) Decode(assignment map[int]bool) uint64 {
+// Decode extracts the vector's unsigned value from a cube. Don't-care bits
+// default to 0.
+func (v Vec) Decode(cube Cube) uint64 {
 	var out uint64
-	for i := range v.bits {
+	for _, b := range cube[v.first : v.first+len(v.bits)] {
 		out <<= 1
-		if assignment[v.first+i] {
+		if b == 1 {
 			out |= 1
 		}
 	}
 	return out
 }
 
-// Assigned reports whether a partial assignment sets any of the vector's
-// bits.
-func (v Vec) Assigned(assignment map[int]bool) bool {
-	for i := range v.bits {
-		if _, ok := assignment[v.first+i]; ok {
+// Assigned reports whether a cube assigns any of the vector's bits.
+func (v Vec) Assigned(cube Cube) bool {
+	for _, b := range cube[v.first : v.first+len(v.bits)] {
+		if b >= 0 {
 			return true
 		}
 	}

@@ -94,18 +94,22 @@ func TestEncodeDecodeVec(t *testing.T) {
 	if !p.Eval(v.EqConst(777), vals) {
 		t.Fatal("encoded value does not satisfy EqConst")
 	}
-	asg := make(map[int]bool)
+	asg := make(Cube, len(vals))
 	for lvl, b := range vals {
-		asg[lvl] = b
+		if b {
+			asg[lvl] = 1
+		}
 	}
 	if got := v.Decode(asg); got != 777 {
 		t.Fatalf("round trip: got %d", got)
 	}
 	// Don't-care bits decode to zero.
-	if got := v.Decode(map[int]bool{}); got != 0 {
+	if got := v.Decode(p.newCube()); got != 0 {
 		t.Fatalf("empty assignment decoded to %d", got)
 	}
-	if v.Assigned(map[int]bool{0: true, 13: false}) || !v.Assigned(map[int]bool{12: false}) {
+	outside := cubeWith(16, 0, 1)
+	outside[13] = 0
+	if v.Assigned(outside) || !v.Assigned(cubeWith(16, 12, 0)) {
 		t.Fatal("Assigned must see exactly the vector's levels 3..12")
 	}
 }

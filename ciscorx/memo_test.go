@@ -85,6 +85,39 @@ func TestMemoKeepsDialectsApart(t *testing.T) {
 	}
 }
 
+// TestMemoSplitKey: a partition is served only for its exact pattern
+// sequence. Sequences whose texts run together alike, that hold the same
+// patterns in another order, or that share a prefix get partitions of
+// their own.
+func TestMemoSplitKey(t *testing.T) {
+	m := ciscorx.NewMemo()
+	split := func(patterns ...string) *rx.Split {
+		dfas := make([]*rx.DFA, len(patterns))
+		for i, p := range patterns {
+			d, err := m.Path(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dfas[i] = d
+		}
+		return m.PathSplit(patterns, dfas)
+	}
+	s := split("1_", "2")
+	for _, other := range [][]string{{"1", "_2"}, {"2", "1_"}, {"1_"}, {"1_", "3"}, {"1_", "2", "3"}} {
+		if split(other...) == s {
+			t.Errorf("sequence %q was served the partition of [1_ 2]", other)
+		}
+	}
+	if split("1_", "2") != s {
+		t.Error("the same pattern sequence was not served from the table")
+	}
+	var nilMemo *ciscorx.Memo
+	d, _ := m.Path("1_")
+	if nilMemo.PathSplit([]string{"1_"}, []*rx.DFA{d}).NumClasses() != 2 {
+		t.Error("a nil memo's partition of one pattern does not have two classes")
+	}
+}
+
 func TestNilMemoCompiles(t *testing.T) {
 	var m *ciscorx.Memo
 	d, err := m.Path("_32$")

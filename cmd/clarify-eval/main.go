@@ -13,8 +13,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/clarifynet/clarify/exper"
@@ -22,12 +24,22 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("clarify-eval", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp  = flag.String("exp", "all", "experiment: cloud-acl, cloud-rm, campus-acl, campus-rm, figure4, questions, verify, all")
-		seed = flag.Int64("seed", 1, "corpus seed")
-		full = flag.Bool("full", false, "use the paper's full corpus sizes (slower)")
+		exp  = fs.String("exp", "all", "experiment: cloud-acl, cloud-rm, campus-acl, campus-rm, figure4, questions, verify, all")
+		seed = fs.Int64("seed", 1, "corpus seed")
+		full = fs.Bool("full", false, "use the paper's full corpus sizes (slower)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	sizes := map[string]int{
 		"cloud-acl":  80,
@@ -42,61 +54,65 @@ func main() {
 		sizes["campus-rm"] = workload.CampusRouteMapCount
 	}
 
-	run := func(name string) {
+	experiment := func(name string) error {
 		switch name {
 		case "cloud-acl":
-			fmt.Printf("(corpus: %d ACLs, seed %d)\n", sizes[name], *seed)
-			exper.WriteCloudACLTable(os.Stdout, exper.CloudACLExperiment(*seed, sizes[name]))
+			fmt.Fprintf(stdout, "(corpus: %d ACLs, seed %d)\n", sizes[name], *seed)
+			exper.WriteCloudACLTable(stdout, exper.CloudACLExperiment(*seed, sizes[name]))
 		case "cloud-rm":
-			fmt.Printf("(corpus: %d route-maps, seed %d)\n", sizes[name], *seed)
+			fmt.Fprintf(stdout, "(corpus: %d route-maps, seed %d)\n", sizes[name], *seed)
 			agg, err := exper.CloudRouteMapExperiment(*seed, sizes[name])
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			exper.WriteCloudRMTable(os.Stdout, agg)
+			exper.WriteCloudRMTable(stdout, agg)
 		case "campus-acl":
-			fmt.Printf("(corpus: %d ACLs, seed %d)\n", sizes[name], *seed)
-			exper.WriteCampusACLTable(os.Stdout, exper.CampusACLExperiment(*seed, sizes[name]))
+			fmt.Fprintf(stdout, "(corpus: %d ACLs, seed %d)\n", sizes[name], *seed)
+			exper.WriteCampusACLTable(stdout, exper.CampusACLExperiment(*seed, sizes[name]))
 		case "campus-rm":
-			fmt.Printf("(corpus: %d route-maps, seed %d)\n", sizes[name], *seed)
+			fmt.Fprintf(stdout, "(corpus: %d route-maps, seed %d)\n", sizes[name], *seed)
 			agg, err := exper.CampusRouteMapExperiment(*seed, sizes[name])
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			exper.WriteCampusRMTable(os.Stdout, agg)
+			exper.WriteCampusRMTable(stdout, agg)
 		case "figure4":
-			if err := exper.Figure4(context.Background(), os.Stdout); err != nil {
-				fatal(err)
+			if err := exper.Figure4(context.Background(), stdout); err != nil {
+				return err
 			}
 		case "verify":
 			rows, err := exper.VerifyAblation(context.Background())
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			exper.WriteVerifyAblation(os.Stdout, rows)
+			exper.WriteVerifyAblation(stdout, rows)
 		case "questions":
 			binary, linear, err := exper.QuestionComplexity([]int{1, 2, 3, 7, 15, 31, 63, 127})
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			exper.WriteQuestionTable(os.Stdout, binary, linear)
+			exper.WriteQuestionTable(stdout, binary, linear)
 		default:
-			fmt.Fprintf(os.Stderr, "clarify-eval: unknown experiment %q\n", name)
-			os.Exit(2)
+			return errUnknownExperiment
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
+		return nil
 	}
 
-	if *exp == "all" {
-		for _, name := range []string{"cloud-acl", "cloud-rm", "campus-acl", "campus-rm", "figure4", "questions", "verify"} {
-			run(name)
-		}
-		return
+	names := []string{"cloud-acl", "cloud-rm", "campus-acl", "campus-rm", "figure4", "questions", "verify"}
+	if *exp != "all" {
+		names = []string{*exp}
 	}
-	run(*exp)
+	for _, name := range names {
+		if err := experiment(name); err == errUnknownExperiment {
+			fmt.Fprintf(stderr, "clarify-eval: unknown experiment %q\n", name)
+			return 2
+		} else if err != nil {
+			fmt.Fprintln(stderr, "clarify-eval:", err)
+			return 1
+		}
+	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "clarify-eval:", err)
-	os.Exit(1)
-}
+var errUnknownExperiment = errors.New("unknown experiment")

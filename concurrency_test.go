@@ -246,6 +246,97 @@ func TestConcurrentACLUpdates(t *testing.T) {
 	}
 }
 
+// TestConcurrentRouteUpdates is TestConcurrentACLUpdates for route maps:
+// updates to the cloud corpus's overlapping maps, each on a session of its
+// own with a fresh community, run first serially with a private automaton
+// table per space and then on four goroutines over one SpaceCache (run
+// under -race). The communities make every space a cache miss of its own,
+// while spaces over one base map share its as-path and community
+// partitions through the cache's table. Every outcome must equal the serial
+// run's: overlaps, questions and their witness routes, position, ledger and
+// configuration.
+func TestConcurrentRouteUpdates(t *testing.T) {
+	type routeCase struct {
+		base      *ios.Config
+		name      string
+		intent    string
+		threshold int
+	}
+	var maps []*ios.Config
+	for _, cfg := range workload.Cloud(1, 0, 200).RouteMapConfigs {
+		if len(cfg.CommunityLists) > 0 {
+			maps = append(maps, cfg)
+		}
+	}
+	rng := rand.New(rand.NewSource(33))
+	cases := make([]routeCase, 24)
+	for i := range cases {
+		base := maps[i%6] // four updates per map, so partitions repeat
+		name := onlyRouteMap(base)
+		cases[i] = routeCase{base: base, name: name, intent: cloudRouteIntent(rng, i%4),
+			threshold: rng.Intn(len(base.RouteMaps[name].Stanzas) + 1)}
+	}
+	run := func(i int, cache *symbolic.SpaceCache) (out string, questions int, err error) {
+		c := cases[i]
+		s := &Session{
+			Client:      llm.NewSimLLM(),
+			Config:      c.base,
+			RouteOracle: disambig.FuncRouteOracle(func(q disambig.RouteQuestion) (bool, error) { return q.ProbedStanza >= c.threshold, nil }),
+			SpaceCache:  cache,
+			Observer:    obs.SinkFunc(func(*obs.Trace) {}),
+		}
+		res, err := s.Submit(context.Background(), c.intent, c.name)
+		if err != nil {
+			return "", 0, fmt.Errorf("%s %q: %v", c.name, c.intent, err)
+		}
+		led, err := json.Marshal(res.RouteInsert.Ambiguity)
+		if err != nil {
+			return "", 0, err
+		}
+		ins := res.RouteInsert
+		return fmt.Sprintf("%v %q %d %s\n%s", ins.Overlaps, ins.Questions, ins.Position, led, res.Config.Print()), len(ins.Questions), nil
+	}
+	serial := make([]string, len(cases))
+	questions := 0
+	for i := range cases {
+		out, n, err := run(i, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = out
+		questions += n
+	}
+	if questions < len(cases)/2 {
+		t.Fatalf("%d updates asked %d questions: inputs too narrow to mean anything", len(cases), questions)
+	}
+	t.Logf("%d updates, %d questions", len(cases), questions)
+	cache := symbolic.NewSpaceCache()
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range cases {
+				i := (k + g*len(cases)/4) % len(cases)
+				out, _, err := run(i, cache)
+				if err == nil && out != serial[i] {
+					err = fmt.Errorf("%s %q: concurrent outcome\n%s\nserial\n%s", cases[i].name, cases[i].intent, out, serial[i])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 // garbageClassifier answers every request with text that is not a valid
 // intent kind.
 type garbageClassifier struct{}

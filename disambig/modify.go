@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/clarifynet/clarify/analysis"
+	"github.com/clarifynet/clarify/bdd"
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/symbolic"
 )
@@ -112,7 +113,7 @@ func DeleteACLEntry(orig *ios.Config, aclName string, index, maxImpacts int) (*A
 	defer space.Release()
 	changed := space.Pool.Xor(space.PermitSet(acl), space.PermitSet(wacl))
 	res := &ACLEditResult{Config: work}
-	space.Pool.AllSat(changed, func(cube map[int]bool) bool {
+	space.Pool.AllSat(changed, func(cube bdd.Cube) bool {
 		res.Changed = append(res.Changed, ACLImpact{Packet: space.Decode(cube).String()})
 		return len(res.Changed) < maxImpacts
 	})

@@ -3,12 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/clarifynet/clarify/ambiguity"
+	"github.com/clarifynet/clarify/internal/golden"
 	"github.com/clarifynet/clarify/internal/promtext"
 	"github.com/clarifynet/clarify/obs"
 )
@@ -55,18 +54,6 @@ func TestExpositionGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "exposition.golden", text.Bytes())
-	checkGolden(t, "ambiguity.golden.json", append(amb, '\n'))
-}
-
-// checkGolden compares got with testdata/name.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	want, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s differs from the golden file; got:\n%s", name, got)
-	}
+	golden.Check(t, "exposition.golden", text.Bytes())
+	golden.Check(t, "ambiguity.golden.json", append(amb, '\n'))
 }

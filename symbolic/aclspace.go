@@ -246,9 +246,9 @@ func (s *ACLSpace) EncodePacket(pk packet.Packet) []bool {
 	return v
 }
 
-// Decode converts a (possibly partial) satisfying assignment into a concrete
-// packet; don't-care bits default to zero.
-func (s *ACLSpace) Decode(asg map[int]bool) packet.Packet {
+// Decode converts a satisfying cube into a concrete packet; don't-care bits
+// default to zero.
+func (s *ACLSpace) Decode(asg bdd.Cube) packet.Packet {
 	return packet.Packet{
 		Protocol:    uint8(s.proto.Decode(asg)),
 		Src:         ios.U32ToAddr(uint32(s.src.Decode(asg))),

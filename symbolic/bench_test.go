@@ -9,6 +9,9 @@ import (
 	"github.com/clarifynet/clarify/bdd"
 	"github.com/clarifynet/clarify/internal/testgen"
 	"github.com/clarifynet/clarify/ios"
+	"github.com/clarifynet/clarify/packet"
+	"github.com/clarifynet/clarify/route"
+	"github.com/clarifynet/clarify/workload"
 )
 
 func benchConfig() *ios.Config {
@@ -110,23 +113,67 @@ func BenchmarkEncodeRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkWitness measures model extraction + decoding to a concrete route.
+// witnessSink keeps BenchmarkWitness's packets live.
+var witnessSink packet.Packet
+
+// BenchmarkWitness measures model extraction and decoding. acl: one pass of
+// ACLSpace.Witness over every first-match region of the cloud corpus ACL
+// with the most entries. route: RouteSpace.WitnessWhere's first model over
+// every first-match region of the cloud corpus route map with the most
+// stanzas.
 func BenchmarkWitness(b *testing.B) {
-	cfg := benchConfig()
-	s, err := NewRouteSpace(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pred, err := s.StanzaPred(cfg, cfg.RouteMaps["ISP_OUT"].Stanzas[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok, err := s.Witness(pred); err != nil || !ok {
-			b.Fatal("witness failed")
+	corpus := workload.Cloud(1, workload.CloudACLCount, workload.CloudRouteMapCount)
+	b.Run("acl", func(b *testing.B) {
+		var acl *ios.ACL
+		for _, cfg := range corpus.ACLConfigs {
+			for _, a := range cfg.ACLs {
+				if acl == nil || len(a.Entries) > len(acl.Entries) {
+					acl = a
+				}
+			}
 		}
-	}
+		s := NewACLSpace()
+		defer s.Release()
+		regions := s.FirstMatch(acl)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, r := range regions {
+				witnessSink, _ = s.Witness(r)
+			}
+		}
+	})
+	b.Run("route", func(b *testing.B) {
+		var (
+			cfg *ios.Config
+			rm  *ios.RouteMap
+		)
+		for _, c := range corpus.RouteMapConfigs {
+			for _, m := range c.RouteMaps {
+				if rm == nil || len(m.Stanzas) > len(rm.Stanzas) {
+					cfg, rm = c, m
+				}
+			}
+		}
+		s, err := NewRouteSpace(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		regions, err := s.FirstMatch(cfg, rm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		first := func(route.Route) (bool, error) { return true, nil }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, r := range regions {
+				if _, err := s.WitnessWhere(r, 1, first); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkNewACLSpace: the packet universe laid out in a new pool, and a

@@ -82,9 +82,10 @@ type SpaceCacheStats struct {
 // re-derivation of BDD nodes.
 //
 // The cache also owns one ciscorx.Memo, through which every space it builds
-// compiles its regexes. A miss whose fingerprint is new still shares most
-// patterns with earlier spaces (the same base map with one new community),
-// so the table saves the compile where the space cache cannot. The table
+// compiles its regexes and takes its atom partitions. A miss whose
+// fingerprint is new still shares most patterns with earlier spaces (the
+// same base map with one new community), so the table saves the compile,
+// and often the whole product, where the space cache cannot. The table
 // lives exactly as long as the cache.
 //
 // A nil *SpaceCache is valid and disables caching: Acquire builds fresh

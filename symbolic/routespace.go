@@ -116,11 +116,11 @@ func NewRouteSpace(cfgs ...*ios.Config) (*RouteSpace, error) {
 
 func newRouteSpace(automata *ciscorx.Memo, cfgs []*ios.Config) (*RouteSpace, error) {
 	pathPatterns, commPatterns := spacePatterns(cfgs)
-	pathU, err := atoms.Build(pathPatterns, automata.Path, ciscorx.ValidPath())
+	pathU, err := atoms.BuildWithLiterals(pathPatterns, nil, automata.Path, automata.PathSplit)
 	if err != nil {
 		return nil, err
 	}
-	commU, err := atoms.BuildWithLiterals(commPatterns, ciscorx.CommunityLiteral, automata.Community, ciscorx.ValidCommunity())
+	commU, err := atoms.BuildWithLiterals(commPatterns, ciscorx.CommunityLiteral, automata.Community, automata.CommunitySplit)
 	if err != nil {
 		return nil, err
 	}
@@ -524,10 +524,10 @@ func (s *RouteSpace) EncodeRoute(r route.Route) []bool {
 	return v
 }
 
-// Decode converts a (possibly partial) satisfying assignment into a concrete
-// route. Unconstrained fields take Cisco-flavoured defaults (local preference
-// 100, next hop 0.0.0.1), mirroring the defaults in the paper's examples.
-func (s *RouteSpace) Decode(asg map[int]bool) (route.Route, error) {
+// Decode converts a satisfying cube into a concrete route. Unconstrained
+// fields take Cisco-flavoured defaults (local preference 100, next hop
+// 0.0.0.1), mirroring the defaults in the paper's examples.
+func (s *RouteSpace) Decode(asg bdd.Cube) (route.Route, error) {
 	plen := s.plen.Decode(asg)
 	if plen > 32 {
 		return route.Route{}, fmt.Errorf("symbolic: model has prefix length %d", plen)
@@ -564,7 +564,7 @@ func (s *RouteSpace) Decode(asg map[int]bool) (route.Route, error) {
 
 	// Communities: one witness per inhabited atom.
 	for i := 0; i < s.commAtoms.NumAtoms(); i++ {
-		if asg[s.offCommAtoms+i] {
+		if asg[s.offCommAtoms+i] == 1 {
 			lit, ok := s.commAtoms.WitnessWhere(i, 16, func(w string) bool {
 				_, err := parseCommunitySubject(w)
 				return err == nil
@@ -628,7 +628,7 @@ func (s *RouteSpace) WitnessWhere(f bdd.Node, limit int, accept func(route.Route
 		decodeErr error
 		seen      int
 	)
-	s.Pool.AllSat(s.Pool.And(f, s.Valid), func(cube map[int]bool) bool {
+	s.Pool.AllSat(s.Pool.And(f, s.Valid), func(cube bdd.Cube) bool {
 		seen++
 		if r, derr := s.Decode(cube); derr != nil {
 			if decodeErr == nil {
