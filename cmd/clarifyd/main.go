@@ -13,13 +13,17 @@
 //	GET    /v1/sessions                     list sessions
 //	GET    /v1/sessions/{id}                session info
 //	DELETE /v1/sessions/{id}                delete a session
-//	POST   /v1/sessions/{id}/updates        submit an intent (?async=1 to poll)
+//	POST   /v1/sessions/{id}/updates        submit an intent (?async=1 to poll;
+//	                                        with &after=N the reply is the
+//	                                        update GET's ?after=N view)
 //	GET    /v1/sessions/{id}/updates/{uid}  poll an update, its pending
 //	                                        question inline (?after=N waits
 //	                                        up to 5s for a terminal status or
 //	                                        a question with seq > N)
 //	GET    /v1/sessions/{id}/question       pending disambiguation question
-//	POST   /v1/sessions/{id}/answer         answer it (OPTION 1 or 2)
+//	POST   /v1/sessions/{id}/answer         answer it (OPTION 1 or 2); the
+//	                                        reply is the update GET's view
+//	                                        with after set to the answered seq
 //	GET    /v1/sessions/{id}/config         current configuration text
 //	GET    /v1/sessions/{id}/stats          per-session pipeline counters
 //	GET    /healthz                         liveness (503 only while draining;

@@ -75,9 +75,16 @@ type Options struct {
 	// disables access logging.
 	AccessLog *slog.Logger
 	// Transport overrides the proxy and probe transport (tests inject
-	// failures); nil uses http.DefaultTransport.
+	// failures); nil uses the balancer's own, which keeps up to
+	// backendIdleConns idle connections per backend.
 	Transport http.RoundTripper
 }
+
+// backendIdleConns bounds the idle connections the balancer's own transport
+// keeps per backend. http.DefaultTransport keeps 2: with more requests than
+// that in flight to one replica, the balancer would close a connection
+// after each reply and dial a new one for the next request.
+const backendIdleConns = 64
 
 // LB is the balancer. It implements http.Handler; wire it into an
 // http.Server and call Close to stop the prober and affinity janitor.
@@ -117,6 +124,14 @@ func New(opts Options) (*LB, error) {
 		seen[b.Name] = true
 		backends = append(backends, b)
 	}
+	if opts.Transport == nil {
+		// One transport for proxy and prober. The fleet is fixed, so the
+		// per-backend bound also bounds the total.
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConns = 0
+		t.MaxIdleConnsPerHost = backendIdleConns
+		opts.Transport = t
+	}
 	l := &LB{
 		opts:     opts,
 		backends: backends,
@@ -141,11 +156,14 @@ func New(opts Options) (*LB, error) {
 // ServeHTTP implements http.Handler.
 func (l *LB) ServeHTTP(w http.ResponseWriter, r *http.Request) { l.mux.ServeHTTP(w, r) }
 
-// Close stops the prober and the affinity janitor. In-flight proxied
-// requests are unaffected (the owning http.Server drains them).
+// Close stops the prober and the affinity janitor, and closes the idle
+// backend connections of the transport the proxy and prober share.
+// In-flight proxied requests are unaffected (the owning http.Server drains
+// them).
 func (l *LB) Close() {
 	l.prober.stop()
 	l.affinity.Stop()
+	l.proxy.CloseIdleConnections()
 }
 
 // Backends snapshots every backend's state and counters, admitted first,

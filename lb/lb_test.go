@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -952,5 +954,85 @@ func TestLBRecordsShedsPerBackend(t *testing.T) {
 		if err != nil || done.Status != server.StatusDone {
 			t.Fatalf("admitted update %d = %+v, %v; want done", i, done, err)
 		}
+	}
+}
+
+// TestBackendConnectionsReused: with no Options.Transport the balancer
+// keeps its backend connections open between requests. Eight clients send
+// 50 GETs each through the balancer to one backend that holds every reply
+// 2 ms, so eight requests at a time are in flight to it; the backend may
+// accept one connection per client plus the prober's, not one per request.
+// The backend holds the first requests until all eight have arrived, so no
+// reply frees a connection while the balancer is still dialling the first
+// eight: a request that took the freed one would leave a spare.
+func TestBackendConnectionsReused(t *testing.T) {
+	const clients, requests = 8, 50
+	var accepted, arrived atomic.Int64
+	allIn := make(chan struct{})
+	backend := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/readyz" {
+			json.NewEncoder(w).Encode(server.HealthStatus{Status: "ready"})
+			return
+		}
+		if n := arrived.Add(1); n <= clients {
+			if n == clients {
+				close(allIn)
+			}
+			select {
+			case <-allIn:
+			case <-time.After(5 * time.Second):
+			}
+		}
+		time.Sleep(2 * time.Millisecond)
+		w.Write([]byte("{}"))
+	}))
+	backend.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			accepted.Add(1)
+		}
+	}
+	backend.Start()
+	defer backend.Close()
+	l, err := New(Options{Backends: []string{backend.URL}})
+	if err != nil {
+		t.Fatalf("lb.New: %v", err)
+	}
+	front := httptest.NewServer(l)
+	defer func() {
+		front.Close()
+		l.Close()
+	}()
+
+	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer hc.CloseIdleConnections()
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < requests; j++ {
+				resp, err := hc.Get(fmt.Sprintf("%s/v1/sessions/s%d/updates/u%d", front.URL, i, j))
+				if err != nil {
+					errs <- err
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("GET through the balancer: %s", resp.Status)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := accepted.Load(); n > clients+1 {
+		t.Errorf("backend accepted %d connections for %d requests, want at most %d", n, clients*requests, clients+1)
 	}
 }

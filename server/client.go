@@ -25,11 +25,12 @@ type Client struct {
 	// HTTP is the underlying client; a 30-second-timeout client is used
 	// when nil.
 	HTTP *http.Client
-	// PollInterval is the pause PollUpdate takes after a poll that showed
-	// no progress (default 25 ms): a daemon without long-poll support, a
-	// long-poll that reached its bound, or a daemon that is draining. A
-	// long-polling daemon answers each poll only on progress, so PollUpdate
-	// does not sleep against one.
+	// PollInterval is the pause PollUpdate takes after a GET of the update
+	// that showed no progress (default 25 ms): a daemon without long-poll
+	// support, a long-poll that reached its bound, or a daemon that is
+	// draining. A current daemon replies to the submit and to each answer
+	// with the next question, and to a long-poll only on progress, so
+	// PollUpdate does not sleep against one.
 	PollInterval time.Duration
 	// MaxRetries bounds the extra attempts for idempotent GETs (question
 	// polls, update polls, stats, session info) that fail with a transient
@@ -222,8 +223,14 @@ func (c *Client) Submit(ctx context.Context, id, intentText, target string) (Upd
 // SubmitAsync enqueues one intent and returns immediately with the update to
 // poll.
 func (c *Client) SubmitAsync(ctx context.Context, id, intentText, target string) (UpdateInfo, error) {
+	return c.submitAsync(ctx, id, intentText, target, "")
+}
+
+// submitAsync is SubmitAsync with a query suffix: "&after=0" makes the
+// daemon hold the reply until the first question or the finished update.
+func (c *Client) submitAsync(ctx context.Context, id, intentText, target, query string) (UpdateInfo, error) {
 	var out UpdateInfo
-	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/updates?async=1",
+	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/updates?async=1"+query,
 		SubmitRequest{Intent: intentText, Target: target, Async: true}, &out)
 	return out, err
 }
@@ -250,10 +257,21 @@ func (c *Client) Question(ctx context.Context, id string) (*Question, error) {
 	return out.Question, nil
 }
 
-// Answer delivers the operator's choice (1 or 2) for question seq.
+// Answer delivers the operator's choice (1 or 2) for question seq. A
+// current daemon holds the reply until the update's next question or its
+// end, for at most 5 s; Answer discards the view it carries.
 func (c *Client) Answer(ctx context.Context, id string, seq, option int) error {
-	return c.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/answer",
-		AnswerRequest{Seq: seq, Option: option}, nil)
+	_, err := c.answer(ctx, id, seq, option)
+	return err
+}
+
+// answer is Answer returning the reply: the update's next view from a
+// current daemon, {"status":"answered"} from an older one.
+func (c *Client) answer(ctx context.Context, id string, seq, option int) (UpdateInfo, error) {
+	var out UpdateInfo
+	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/answer",
+		AnswerRequest{Seq: seq, Option: option}, &out)
+	return out, err
 }
 
 // Config fetches the session's current configuration text.
@@ -289,18 +307,21 @@ func (c *Client) Ambiguity(ctx context.Context) (AmbiguitySnapshot, error) {
 // client-side analogue of the disambig oracle interfaces.
 type AnswerFunc func(q Question) (option int, err error)
 
-// RunUpdate drives one intent end to end: submit asynchronously, poll for
-// disambiguation questions and answer them via fn, and return the terminal
-// update. 429 backpressure rejections are retried after the server's
-// Retry-After hint until ctx expires. On error the returned UpdateInfo
-// carries the last known state — in particular the update ID once the
-// submit landed, so a caller surviving a replica handoff can resume the
-// same update with PollUpdate instead of resubmitting.
+// RunUpdate drives one intent end to end: submit asynchronously, answer
+// each disambiguation question via fn, and return the terminal update.
+// Against a current daemon that is one request per dialogue turn: the
+// submit replies with the first question and each answer with the next,
+// or with the finished update (see PollUpdate). 429 backpressure
+// rejections are retried after the server's Retry-After hint until ctx
+// expires. On error the returned UpdateInfo carries the last known state —
+// in particular the update ID once the submit landed, so a caller
+// surviving a replica handoff can resume the same update with PollUpdate
+// instead of resubmitting.
 func (c *Client) RunUpdate(ctx context.Context, id, intentText, target string, fn AnswerFunc) (UpdateInfo, error) {
 	var u UpdateInfo
 	for {
 		var err error
-		u, err = c.SubmitAsync(ctx, id, intentText, target)
+		u, err = c.submitAsync(ctx, id, intentText, target, "&after=0")
 		if err == nil {
 			break
 		}
@@ -316,30 +337,44 @@ func (c *Client) RunUpdate(ctx context.Context, id, intentText, target string, f
 			return UpdateInfo{}, fmt.Errorf("clarifyd client: retry aborted: %w", serr)
 		}
 	}
-	return c.PollUpdate(ctx, id, u.ID, fn)
+	return c.drive(ctx, id, u, true, fn)
 }
 
-// PollUpdate drives an already-submitted update to completion: poll its
-// status, answer disambiguation questions via fn, and return the terminal
-// state. Each turn is one long-poll, GET …/updates/{uid}?after=N with N the
-// last answered sequence number, which the daemon answers once the update
-// is terminal or carries a newer question; PollUpdate then answers and
-// repeats. It reads GET …/question only when a waiting view carries no
-// question, and pauses PollInterval only after a poll that showed no
-// progress, so it also drives daemons without long-poll support. It is the
-// resume half of RunUpdate — safe to call again after a transport error or
-// a replica restart, because answering is idempotent per sequence number
-// (a stale answer is a tolerated conflict). On error the returned
-// UpdateInfo carries the last state seen.
+// PollUpdate drives an already-submitted update to completion: answer its
+// disambiguation questions via fn and return the terminal state. It
+// starts with a long-poll, GET …/updates/{uid}?after=N with N the last
+// answered sequence number, which the daemon answers once the update is
+// terminal or carries a newer question. Each answer's reply is the next
+// such view, so against a current daemon a turn is one request. It sends
+// the GET again only after a reply that showed no progress: an older
+// daemon's {"status":"answered"}, or a wait cut short by a drain. It reads
+// GET …/question only when a waiting view carries no question, and pauses
+// PollInterval only after a GET that showed no progress, so it also drives
+// daemons without long-poll support. It is the resume half of RunUpdate —
+// safe to call again after a transport error or a replica restart,
+// because answering is idempotent per sequence number (a stale answer is a
+// tolerated conflict). On error the returned UpdateInfo carries the last
+// state seen.
 func (c *Client) PollUpdate(ctx context.Context, id, updateID string, fn AnswerFunc) (UpdateInfo, error) {
-	last := UpdateInfo{ID: updateID, Status: StatusQueued}
-	path := "/v1/sessions/" + url.PathEscape(id) + "/updates/" + url.PathEscape(updateID) + "?after="
+	return c.drive(ctx, id, UpdateInfo{ID: updateID, Status: StatusQueued}, false, fn)
+}
+
+// drive runs the dialogue loop of PollUpdate from cur, a view of the
+// update; fresh reports that cur is a reply from the daemon rather than a
+// placeholder, so the loop acts on it before sending a GET.
+func (c *Client) drive(ctx context.Context, id string, cur UpdateInfo, fresh bool, fn AnswerFunc) (UpdateInfo, error) {
+	last := cur
+	path := "/v1/sessions/" + url.PathEscape(id) + "/updates/" + url.PathEscape(cur.ID) + "?after="
 	answered := 0
 	for {
-		var cur UpdateInfo
-		if err := c.do(ctx, http.MethodGet, path+strconv.Itoa(answered), nil, &cur); err != nil {
-			return last, err
+		polled := !fresh
+		if polled {
+			cur = UpdateInfo{}
+			if err := c.do(ctx, http.MethodGet, path+strconv.Itoa(answered), nil, &cur); err != nil {
+				return last, err
+			}
 		}
+		fresh = false
 		last = cur
 		if cur.Terminal() {
 			return cur, nil
@@ -356,7 +391,8 @@ func (c *Client) PollUpdate(ctx context.Context, id, updateID string, fn AnswerF
 			if err != nil {
 				return last, err
 			}
-			if err := c.Answer(ctx, id, q.Seq, option); err != nil {
+			next, err := c.answer(ctx, id, q.Seq, option)
+			if err != nil {
 				// A conflict means the question moved on (answered
 				// elsewhere or timed out); keep polling.
 				if apiErr, ok := err.(*APIError); !ok || apiErr.StatusCode != http.StatusConflict {
@@ -364,10 +400,16 @@ func (c *Client) PollUpdate(ctx context.Context, id, updateID string, fn AnswerF
 				}
 			}
 			answered = q.Seq
+			// An older daemon's reply is no view of the update.
+			if err == nil && next.ID == cur.ID {
+				cur, fresh = next, true
+			}
 			continue
 		}
-		if err := sleepCtx(ctx, c.pollEvery()); err != nil {
-			return last, err
+		if polled {
+			if err := sleepCtx(ctx, c.pollEvery()); err != nil {
+				return last, err
+			}
 		}
 	}
 }

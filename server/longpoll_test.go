@@ -3,9 +3,12 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,7 +28,8 @@ route-map ISP_OUT permit 20
  match ip address prefix-list D1
 `
 
-// pollReply is one GET of an update view.
+// pollReply is one reply that carries an update view: a GET of the view,
+// an async submit or an answer.
 type pollReply struct {
 	status int
 	info   UpdateInfo
@@ -38,17 +42,74 @@ type pollReply struct {
 // reports failures in the reply, so goroutines other than the test's may
 // call it.
 func getUpdate(base, sid, uid, query string) pollReply {
-	resp, err := http.Get(base + "/v1/sessions/" + sid + "/updates/" + uid + query)
+	return readReply(http.Get(base + "/v1/sessions/" + sid + "/updates/" + uid + query))
+}
+
+// postView POSTs body to path under base; like getUpdate it reports
+// failures in the reply.
+func postView(base, path, body string) pollReply {
+	return readReply(http.Post(base+path, "application/json", strings.NewReader(body)))
+}
+
+// readReply reads a response whose 200 or 202 body is an update view.
+func readReply(resp *http.Response, err error) pollReply {
 	if err != nil {
 		return pollReply{err: err}
 	}
 	defer resp.Body.Close()
 	r := pollReply{status: resp.StatusCode}
-	if r.body, r.err = io.ReadAll(resp.Body); r.err == nil && r.status == http.StatusOK {
+	if r.body, r.err = io.ReadAll(resp.Body); r.err == nil && (r.status == http.StatusOK || r.status == http.StatusAccepted) {
 		r.err = json.Unmarshal(r.body, &r.info)
 	}
 	r.at = time.Now()
 	return r
+}
+
+// submitBody is the §2.1 walkthrough's submit request.
+var submitBody = `{"intent":"` + exampleIntent + `","target":"ISP_OUT"}`
+
+// standIn reserves session sid for an update that a pool worker runs in
+// place of the pipeline, so a test decides when the next question comes:
+// it posts question 1 and, once that is answered, waits for next to close
+// before it posts question 2. The update fails when a question is
+// cancelled, when question 2 is answered, or when the update is cancelled
+// while the stand-in waits for next.
+func standIn(t *testing.T, srv *Server, sid string, next <-chan struct{}) *update {
+	t.Helper()
+	sn, ok := srv.mgr.Get(sid)
+	if !ok {
+		t.Fatalf("session %s is not live", sid)
+	}
+	u, err := sn.beginUpdate(srv.baseCtx, newAsyncOracle(srv.baseCtx, time.Minute), exampleIntent, "ISP_OUT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		oracle := u.setRunning()
+		oracle.bind(u.ctx)
+		ask := func() error {
+			_, err := oracle.ask(func(seq int) *Question {
+				return &Question{Seq: seq, Kind: "route-map", Text: fmt.Sprintf("stand-in question %d", seq)}
+			})
+			return err
+		}
+		err := ask()
+		if err == nil {
+			select {
+			case <-next:
+				if err = ask(); err == nil {
+					err = errors.New("stand-in finished")
+				}
+			case <-u.ctx.Done():
+				err = context.Cause(u.ctx)
+			}
+		}
+		sn.endUpdate(u, nil, err)
+	}
+	if err := srv.pool.Submit(run, func() { sn.endUpdate(u, nil, errPoolClosed) }); err != nil {
+		t.Fatal(err)
+	}
+	return u
 }
 
 // waitInFlight waits until srv is serving at least n requests: the
@@ -64,20 +125,20 @@ func waitInFlight(t *testing.T, srv *Server, n int64) {
 	}
 }
 
-// waitStatus polls update uid until it reports want.
-func waitStatus(t *testing.T, c *Client, sid, uid, want string) {
+// waitStatus waits until update uid of session sid exists and its view
+// reports want. It reads the record directly, so it sends no request and
+// waits for an update whose submit has not yet reached the pool.
+func waitStatus(t *testing.T, srv *Server, sid, uid, want string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		u, err := c.Update(context.Background(), sid, uid)
-		if err != nil {
-			t.Fatalf("poll update: %v", err)
-		}
-		if u.Status == want {
-			return
+		if sn, ok := srv.mgr.Get(sid); ok {
+			if u := sn.getUpdate(uid); u != nil && u.info().Status == want {
+				return
+			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("update %s is %q after 5s, want %q", uid, u.Status, want)
+			t.Fatalf("update %s is not %q after 5s", uid, want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -201,11 +262,152 @@ func TestLongPollBadAfter(t *testing.T) {
 	}
 }
 
-// TestLongPollWakesOnDrain: a long-poll blocked on a running update returns
+// TestLongPollSubmit: an async submit with ?after=0 replies 202 with
+// question 1 inline. An after that is not a non-negative integer is a 400
+// with an ErrorResponse body that leaves the session free, so the next
+// valid submit is accepted, not refused as busy.
+func TestLongPollSubmit(t *testing.T) {
+	_, c := startServer(t, Options{Workers: 1})
+	ctx := context.Background()
+	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := "/v1/sessions/" + sid + "/updates?async=1"
+	for _, q := range []string{"&after=x", "&after=-1", "&after="} {
+		r := postView(c.BaseURL, path+q, submitBody)
+		var e ErrorResponse
+		if r.err != nil || r.status != http.StatusBadRequest || json.Unmarshal(r.body, &e) != nil || e.Error == "" {
+			t.Errorf("POST %s = %d %s, %v; want 400 with an error body", q, r.status, r.body, r.err)
+		}
+	}
+	r := postView(c.BaseURL, path+"&after=0", submitBody)
+	if r.err != nil || r.status != http.StatusAccepted {
+		t.Fatalf("POST &after=0 = %d %s, %v; want 202", r.status, r.body, r.err)
+	}
+	if r.info.Status != StatusWaiting || r.info.Question == nil || r.info.Question.Seq != 1 {
+		t.Fatalf("POST &after=0 = %s, want waiting with question 1 inline", r.body)
+	}
+	if _, err := c.PollUpdate(ctx, sid, r.info.ID, func(Question) (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLongPollAnswer: answering question 1 of the §2.1 walkthrough replies
+// with question 2 inline, answering question 2 with the finished update,
+// and a repeated answer still gets 409.
+func TestLongPollAnswer(t *testing.T) {
+	_, c := startServer(t, Options{Workers: 1})
+	ctx := context.Background()
+	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := c.SubmitAsync(ctx, sid, exampleIntent, "ISP_OUT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitPendingQuestion(t, c, sid)
+	answer := "/v1/sessions/" + sid + "/answer"
+
+	r := postView(c.BaseURL, answer, `{"seq":1,"option":1}`)
+	if r.err != nil || r.status != http.StatusOK || r.info.ID != u.ID ||
+		r.info.Status != StatusWaiting || r.info.Question == nil || r.info.Question.Seq != 2 {
+		t.Fatalf("answer 1 = %d %s, %v; want waiting with question 2 inline", r.status, r.body, r.err)
+	}
+	if r := postView(c.BaseURL, answer, `{"seq":1,"option":1}`); r.status != http.StatusConflict {
+		t.Errorf("repeated answer 1 = %d %s, want 409", r.status, r.body)
+	}
+	r = postView(c.BaseURL, answer, `{"seq":2,"option":1}`)
+	if r.err != nil || r.status != http.StatusOK || r.info.Status != StatusDone ||
+		r.info.Result == nil || r.info.Result.Position != 0 || r.info.Result.Questions != 2 {
+		t.Fatalf("answer 2 = %d %s, %v; want done at position 0 after 2 questions", r.status, r.body, r.err)
+	}
+	if r := postView(c.BaseURL, answer, `{"seq":2,"option":1}`); r.status != http.StatusConflict {
+		t.Errorf("repeated answer 2 = %d %s, want 409", r.status, r.body)
+	}
+}
+
+// TestLongPollOneRequestPerTurn: RunUpdate drives the §2.1 walkthrough with
+// one request per dialogue turn, the submit and one answer per question,
+// and never GETs the update.
+func TestLongPollOneRequestPerTurn(t *testing.T) {
+	srv := New(Options{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	var mu sync.Mutex
+	var hits []string
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		hits = append(hits, r.Method+" "+r.URL.Path[strings.LastIndex(r.URL.Path, "/")+1:])
+		mu.Unlock()
+		srv.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+	c := &Client{BaseURL: hs.URL}
+	ctx := context.Background()
+	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.RunUpdate(ctx, sid, exampleIntent, "ISP_OUT", func(Question) (int, error) { return 1, nil })
+	if err != nil {
+		t.Fatalf("run update: %v", err)
+	}
+	if res.Status != StatusDone || res.Result == nil || res.Result.Position != 0 || res.Result.Questions != 2 {
+		t.Fatalf("update = %+v, want done at position 0 after 2 questions", res)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{"POST sessions", "POST updates", "POST answer", "POST answer"}
+	if !slices.Equal(hits, want) {
+		t.Errorf("requests %q, want %q", hits, want)
+	}
+}
+
+// TestLongPollWakesOnDrain: a reply waiting on a running update returns
 // its non-terminal view within 100ms of the server starting to drain, by
-// either DrainForHandoff or Shutdown, and a long-poll sent while the server
-// drains returns at once.
+// either DrainForHandoff or Shutdown. The waiting reply is a long-poll, an
+// async submit with ?after=0, or an answer whose update posts no next
+// question. A long-poll sent while the server drains returns at once.
 func TestLongPollWakesOnDrain(t *testing.T) {
+	// Each wait starts one waiting request on a fresh server and returns
+	// its reply and the update it waits on; status is the reply's code.
+	waits := []struct {
+		name   string
+		status int
+		start  func(*testing.T, *Server, *Client, string) (<-chan pollReply, string)
+	}{
+		{"poll", http.StatusOK, func(t *testing.T, srv *Server, c *Client, sid string) (<-chan pollReply, string) {
+			u, err := c.SubmitAsync(context.Background(), sid, exampleIntent, "ISP_OUT")
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitStatus(t, srv, sid, u.ID, StatusRunning)
+			replies := make(chan pollReply, 1)
+			go func() { replies <- getUpdate(c.BaseURL, sid, u.ID, "?after=0") }()
+			return replies, u.ID
+		}},
+		{"submit", http.StatusAccepted, func(t *testing.T, srv *Server, c *Client, sid string) (<-chan pollReply, string) {
+			replies := make(chan pollReply, 1)
+			go func() {
+				replies <- postView(c.BaseURL, "/v1/sessions/"+sid+"/updates?async=1&after=0", submitBody)
+			}()
+			// Running: the submit got past the drain check and the pool.
+			waitStatus(t, srv, sid, "u1", StatusRunning)
+			return replies, "u1"
+		}},
+		{"answer", http.StatusOK, func(t *testing.T, srv *Server, c *Client, sid string) (<-chan pollReply, string) {
+			u := standIn(t, srv, sid, nil)
+			waitPendingQuestion(t, c, sid)
+			replies := make(chan pollReply, 1)
+			go func() {
+				replies <- postView(c.BaseURL, "/v1/sessions/"+sid+"/answer", `{"seq":1,"option":1}`)
+			}()
+			// Running, no longer waiting: the answer was delivered.
+			waitStatus(t, srv, sid, u.id, StatusRunning)
+			return replies, u.id
+		}},
+	}
 	for _, tc := range []struct {
 		name  string
 		drain func(*Server, context.Context)
@@ -214,58 +416,58 @@ func TestLongPollWakesOnDrain(t *testing.T) {
 		{"Shutdown", func(s *Server, ctx context.Context) { s.Shutdown(ctx) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, c := startServer(t, Options{Workers: 1,
-				NewClient: func() llm.Client { return blockingClient{} }})
-			ctx := context.Background()
-			sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
-			if err != nil {
-				t.Fatal(err)
-			}
-			u, err := c.SubmitAsync(ctx, sid, exampleIntent, "ISP_OUT")
-			if err != nil {
-				t.Fatal(err)
-			}
-			waitStatus(t, c, sid, u.ID, StatusRunning)
-			replies := make(chan pollReply, 1)
-			go func() { replies <- getUpdate(c.BaseURL, sid, u.ID, "?after=0") }()
-			waitInFlight(t, srv, 1)
+			for _, wait := range waits {
+				t.Run(wait.name, func(t *testing.T) {
+					srv, c := startServer(t, Options{Workers: 1,
+						NewClient: func() llm.Client { return blockingClient{} }})
+					ctx := context.Background()
+					sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
+					if err != nil {
+						t.Fatal(err)
+					}
+					replies, uid := wait.start(t, srv, c, sid)
+					waitInFlight(t, srv, 1)
 
-			dctx, cancel := context.WithCancel(ctx)
-			drained := make(chan struct{})
-			began := time.Now()
-			go func() {
-				defer close(drained)
-				tc.drain(srv, dctx)
-			}()
-			r := <-replies
-			if r.err != nil || r.status != http.StatusOK {
-				t.Errorf("blocked long-poll: %d %s, %v", r.status, r.body, r.err)
-			} else if d := r.at.Sub(began); d > 100*time.Millisecond || r.info.Terminal() {
-				t.Errorf("blocked long-poll returned %q %v after the drain began, want a non-terminal view within 100ms", r.info.Status, d)
+					dctx, cancel := context.WithCancel(ctx)
+					drained := make(chan struct{})
+					began := time.Now()
+					go func() {
+						defer close(drained)
+						tc.drain(srv, dctx)
+					}()
+					r := <-replies
+					if r.err != nil || r.status != wait.status {
+						t.Errorf("waiting %s: %d %s, %v; want %d", wait.name, r.status, r.body, r.err, wait.status)
+					} else if d := r.at.Sub(began); d > 100*time.Millisecond || r.info.Terminal() {
+						t.Errorf("waiting %s returned %q %v after the drain began, want a non-terminal view within 100ms", wait.name, r.info.Status, d)
+					}
+					sent := time.Now()
+					r = getUpdate(c.BaseURL, sid, uid, "?after=0")
+					if r.err != nil || r.status != http.StatusOK {
+						t.Errorf("long-poll while draining: %d %s, %v", r.status, r.body, r.err)
+					} else if d := r.at.Sub(sent); d > 100*time.Millisecond || r.info.Terminal() {
+						t.Errorf("long-poll sent while draining returned %q after %v, want a non-terminal view at once", r.info.Status, d)
+					}
+					// End the drain and force-cancel the blocked update.
+					cancel()
+					<-drained
+					srv.Shutdown(dctx)
+				})
 			}
-			sent := time.Now()
-			r = getUpdate(c.BaseURL, sid, u.ID, "?after=0")
-			if r.err != nil || r.status != http.StatusOK {
-				t.Errorf("long-poll while draining: %d %s, %v", r.status, r.body, r.err)
-			} else if d := r.at.Sub(sent); d > 100*time.Millisecond || r.info.Terminal() {
-				t.Errorf("long-poll sent while draining returned %q after %v, want a non-terminal view at once", r.info.Status, d)
-			}
-			// End the drain and force-cancel the blocked update.
-			cancel()
-			<-drained
-			srv.Shutdown(dctx)
 		})
 	}
 }
 
 // TestLongPollHandoffNeverSeesLocalFailure replays clarifyd's handoff:
 // DrainForHandoff, SnapshotSessions, close the listener, then Shutdown
-// force-cancels the local copy of the parked update. A client long-polling
-// the update throughout must never be shown that copy's failure: the drain
-// releases its blocked poll, later polls return at once, so the listener
-// closes with no poll left to wake on the cancellation.
+// force-cancels the local copies of the parked updates. A client
+// long-polling one update throughout, and a client whose answer to another
+// waits for that update's next question, must never be shown a copy's
+// failure: the drain releases the blocked poll and the waiting answer,
+// later polls return at once, so the listener closes with no reply left to
+// wake on the cancellation.
 func TestLongPollHandoffNeverSeesLocalFailure(t *testing.T) {
-	srv := New(Options{Workers: 1, QuestionTimeout: time.Minute})
+	srv := New(Options{Workers: 2, QuestionTimeout: time.Minute})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	ctx := context.Background()
@@ -286,6 +488,14 @@ func TestLongPollHandoffNeverSeesLocalFailure(t *testing.T) {
 	if q := waitPendingQuestion(t, c, sid); q.Seq != 1 {
 		t.Fatalf("parked on question %d, want 1", q.Seq)
 	}
+	// The second session's update posts question 2 only once the drain
+	// has begun, so the answer to question 1 waits until then.
+	asid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	au := standIn(t, srv, asid, srv.drain)
+	waitPendingQuestion(t, c, asid)
 
 	// The poller waits for a question after the parked one until the
 	// listener refuses it, recording every status it is shown.
@@ -302,7 +512,10 @@ func TestLongPollHandoffNeverSeesLocalFailure(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	waitInFlight(t, srv, 1)
+	answered := make(chan pollReply, 1)
+	go func() { answered <- postView(hs.URL, "/v1/sessions/"+asid+"/answer", `{"seq":1,"option":1}`) }()
+	waitStatus(t, srv, asid, au.id, StatusRunning) // the answer was delivered
+	waitInFlight(t, srv, 2)
 
 	dctx, dcancel := context.WithTimeout(ctx, 5*time.Second)
 	defer dcancel()
@@ -310,13 +523,18 @@ func TestLongPollHandoffNeverSeesLocalFailure(t *testing.T) {
 		t.Fatalf("drain for handoff: %v", err)
 	}
 	snaps := srv.SnapshotSessions("a")
-	if len(snaps) != 1 || snaps[0].Pending == nil || snaps[0].Pending.Question == nil {
-		t.Fatalf("snapshot = %+v, want the parked update", snaps)
+	if len(snaps) != 2 {
+		t.Fatalf("snapshot = %+v, want two sessions", snaps)
+	}
+	for _, snap := range snaps {
+		if snap.Pending == nil || snap.Pending.Question == nil {
+			t.Fatalf("snapshot of %s = %+v, want its parked update", snap.ID, snap)
+		}
 	}
 	lctx, lcancel := context.WithTimeout(ctx, time.Second)
 	defer lcancel()
 	if err := hs.Config.Shutdown(lctx); err != nil {
-		t.Errorf("closing the listener: %v; a poll was still in flight", err)
+		t.Errorf("closing the listener: %v; a reply was still in flight", err)
 	}
 	srv.Shutdown(fctx)
 	<-pollerDone
@@ -329,15 +547,22 @@ func TestLongPollHandoffNeverSeesLocalFailure(t *testing.T) {
 			t.Errorf("poll %d of %d saw the local copy's failure", i+1, len(seen))
 		}
 	}
-	if got := sessionUpdate(t, srv, sid, u.ID).info(); got.Status != StatusFailed {
-		t.Errorf("local copy after the forced shutdown = %q, want failed", got.Status)
+	if r := <-answered; r.err != nil || r.status != http.StatusOK || r.info.Status == StatusFailed {
+		t.Errorf("waiting answer = %d %s, %v; want a view that has not failed", r.status, r.body, r.err)
+	}
+	for _, lu := range []*update{sessionUpdate(t, srv, sid, u.ID), au} {
+		if got := lu.info(); got.Status != StatusFailed {
+			t.Errorf("local copy of %s after the forced shutdown = %q, want failed", lu.id, got.Status)
+		}
 	}
 }
 
 // TestLongPollOlderDaemon drives the §2.1 walkthrough through a proxy that
-// makes a real daemon look like one without long-poll: it ignores ?after
-// and strips the question from update views. PollUpdate must fall back to
-// GET …/question, give both answers, reach the same position, and pause
+// makes a real daemon look like one without long-poll: it ignores ?after on
+// update GETs and submits, strips the question from update views, and
+// replies {"status":"answered"} to an answer as soon as it is delivered.
+// RunUpdate must fall back to GET …/question, give both answers, poll the
+// update after each answer, reach the same position, and pause
 // PollInterval after each poll that showed no progress.
 func TestLongPollOlderDaemon(t *testing.T) {
 	srv := New(Options{Workers: 2})
@@ -361,13 +586,31 @@ func TestLongPollOlderDaemon(t *testing.T) {
 			withoutAfter++
 		}
 		mu.Unlock()
-		if !isView {
+		switch route {
+		case "GET view", "POST updates":
+			q := r.URL.Query()
+			q.Del("after")
+			r.URL.RawQuery = q.Encode()
+		case "POST answer":
+			// An older daemon replied once the answer was delivered: a
+			// cancelled context ends the wait for the next view at once.
+			ctx, cancel := context.WithCancel(r.Context())
+			cancel()
+			r = r.WithContext(ctx)
+		default:
 			srv.ServeHTTP(w, r)
 			return
 		}
-		r.URL.RawQuery = ""
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, r)
+		if rec.Code >= 300 {
+			writeJSON(w, rec.Code, json.RawMessage(rec.Body.Bytes()))
+			return
+		}
+		if route == "POST answer" {
+			writeJSON(w, rec.Code, map[string]string{"status": "answered"})
+			return
+		}
 		var info UpdateInfo
 		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
 			t.Errorf("update view %q: %v", rec.Body.Bytes(), err)
@@ -405,16 +648,20 @@ func TestLongPollOlderDaemon(t *testing.T) {
 	if withoutAfter > 0 {
 		t.Errorf("%d update polls carried no ?after", withoutAfter)
 	}
-	questions, views := 0, 0
+	questions, views, answers, resumed := 0, 0, 0, 0
 	var lastView time.Time
 	for _, h := range hits {
 		switch h.route {
 		case "GET question":
 			questions++
 		case "POST answer":
+			answers++
 			lastView = time.Time{}
 		case "GET view":
 			views++
+			if lastView.IsZero() && answers > 0 {
+				resumed++
+			}
 			if !lastView.IsZero() && h.at.Sub(lastView) < interval {
 				t.Errorf("update poll %d came %v after a poll without progress, want at least PollInterval %v", views, h.at.Sub(lastView), interval)
 			}
@@ -423,5 +670,8 @@ func TestLongPollOlderDaemon(t *testing.T) {
 	}
 	if questions < 2 {
 		t.Errorf("%d question GETs, want at least one per question", questions)
+	}
+	if resumed != answers {
+		t.Errorf("%d of %d answers were followed by an update poll, want all: an older daemon's answer reply is no view", resumed, answers)
 	}
 }

@@ -26,7 +26,7 @@ type session struct {
 	updates  map[string]*update
 	order    []string // update IDs in submission order
 	nextUpd  int
-	oracle   *asyncOracle // set while an update is queued or running
+	current  *update // the queued or running update, nil when idle
 	// cancel ends the queued or running update's context; see track.
 	cancel context.CancelCauseFunc
 	// cfgText is the printed configuration after the last successful
@@ -207,7 +207,6 @@ func (s *session) beginUpdate(base context.Context, oracle *asyncOracle, intentT
 		return nil, fmt.Errorf("an update is already in progress on session %s", s.id)
 	}
 	s.busy = true
-	s.oracle = oracle
 	s.lastUsed = time.Now()
 	s.nextUpd++
 	u := &update{
@@ -218,6 +217,7 @@ func (s *session) beginUpdate(base context.Context, oracle *asyncOracle, intentT
 		oracle: oracle,
 		done:   make(chan struct{}),
 	}
+	s.current = u
 	s.track(base, u)
 	s.updates[u.id] = u
 	s.order = append(s.order, u.id)
@@ -232,7 +232,7 @@ func (s *session) endUpdate(u *update, res *clarify.UpdateResult, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.busy = false
-	s.oracle = nil
+	s.current = nil
 	s.abort(nil) // releases the finished update's context
 	s.lastUsed = time.Now()
 	u.finish(res, err)
@@ -247,11 +247,22 @@ func (s *session) abort(cause error) {
 	}
 }
 
-// pendingOracle returns the oracle of the in-flight update, or nil.
-func (s *session) pendingOracle() *asyncOracle {
+// inFlight returns the queued or running update and its oracle, read under
+// one hold of the lock, or nils.
+func (s *session) inFlight() (*update, *asyncOracle) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.oracle
+	return s.current, s.currentOracle()
+}
+
+// currentOracle returns the in-flight update's oracle, or nil; callers hold
+// s.mu. An update's oracle changes only in finish, which endUpdate calls
+// under s.mu after clearing current.
+func (s *session) currentOracle() *asyncOracle {
+	if s.current == nil {
+		return nil
+	}
+	return s.current.oracle
 }
 
 func (s *session) getUpdate(id string) *update {

@@ -33,7 +33,7 @@ type asyncOracle struct {
 	pending *Question
 	answer  chan bool
 	// posted is closed and replaced each time a question is posted, waking
-	// the update's long-polls.
+	// the replies waiting on the update.
 	posted chan struct{}
 	// answered is the transcript of answers delivered so far, in question
 	// order — the raw material a session snapshot needs to re-execute a
@@ -79,7 +79,7 @@ func (o *asyncOracle) ChooseACL(q disambig.ACLQuestion) (bool, error) {
 }
 
 // ask posts the next question, rendered under its sequence number, wakes
-// the long-polls waiting for it, and parks until it is answered.
+// the replies waiting for it, and parks until it is answered.
 func (o *asyncOracle) ask(render func(seq int) *Question) (bool, error) {
 	o.mu.Lock()
 	o.seq++

@@ -91,8 +91,8 @@ type Server struct {
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
-	// drain is closed when draining starts, releasing every long-poll
-	// blocked in handleGetUpdate.
+	// drain is closed when draining starts, releasing every reply waiting
+	// on an update: long-polls, async submits and answers.
 	drain     chan struct{}
 	drainOnce sync.Once
 	active    atomic.Int64 // updates executing or parked on a question
@@ -192,8 +192,8 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// Shutdown drains the server: new submissions are rejected, long-polls of
-// update views return at once, queued and running updates are given until
+// Shutdown drains the server: new submissions are rejected, replies waiting
+// on an update return at once, queued and running updates are given until
 // ctx expires to finish, then any still parked on questions are
 // force-cancelled. Always returns after the pool has fully stopped.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -222,8 +222,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// startDrain flips the server to draining and releases every blocked
-// long-poll. It is idempotent: DrainForHandoff and Shutdown both call it.
+// startDrain flips the server to draining and releases every waiting
+// reply. It is idempotent: DrainForHandoff and Shutdown both call it.
 func (s *Server) startDrain() {
 	s.drainOnce.Do(func() { close(s.drain) })
 }
@@ -421,13 +421,20 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 // handleSubmit is the hot path: reserve the session, enqueue the pipeline
 // on the worker pool — shedding with 429 + Retry-After when the queue is
 // full — and either wait for completion (sync) or return the update ID
-// (async). It answers 200 (sync) or 202 (async) with the update, 400 for an
-// unreadable body or a missing intent or target, 404 or 410 for a session
-// that is not live, 409 while the session is busy, 429 when the queue is
-// full, and 503 while draining.
+// (async). An async submit with ?after=N replies with the view the update's
+// long-poll would return, so the first question comes back with the 202.
+// It answers 200 (sync) or 202 (async) with the update, 400 for an
+// unreadable body, a missing intent or target, or an after that is not a
+// non-negative integer, 404 or 410 for a session that is not live, 409
+// while the session is busy, 429 when the queue is full, and 503 while
+// draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining", 0)
+		return
+	}
+	after, ok := parseAfter(w, r)
+	if !ok {
 		return
 	}
 	sn, ok := s.lookupSession(w, r.PathValue("id"))
@@ -484,7 +491,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if async {
-		writeJSON(w, http.StatusAccepted, u.info())
+		writeJSON(w, http.StatusAccepted, s.awaitView(r, u, after))
 		return
 	}
 	select {
@@ -599,28 +606,50 @@ func (s *Server) keepTrace(t *obs.Trace) bool {
 // histogram needs before the p99 estimate drives tail retention.
 const minQuantileObservations = 20
 
-// longPollWait bounds how long GET …/updates/{uid}?after=N holds a reply:
-// well under clarify-lb's 10 s drain budget, which waits out proxied
-// long-polls, and Client's 30 s default timeout.
+// longPollWait bounds how long a reply waits on an update (a long-poll, an
+// async submit with ?after, an answer): well under clarify-lb's 10 s drain
+// budget, which waits out proxied requests, and Client's 30 s default
+// timeout.
 const longPollWait = 5 * time.Second
 
+// parseAfter reads the ?after=N of a request that may wait on an update: -1
+// when absent. A value that is not a non-negative integer is answered with
+// 400 and reported as not ok.
+func parseAfter(w http.ResponseWriter, r *http.Request) (int, bool) {
+	q := r.URL.Query()
+	if !q.Has("after") {
+		return -1, true
+	}
+	n, err := strconv.Atoi(q.Get("after"))
+	if err != nil || n < 0 {
+		writeError(w, http.StatusBadRequest, "after must be a non-negative integer", 0)
+		return 0, false
+	}
+	return n, true
+}
+
+// awaitView is u's view for a request that may wait: with after < 0 the
+// current view at once, otherwise the view once u is terminal or holds a
+// question whose seq exceeds after, for at most longPollWait. It returns
+// at once while the server drains, so a handoff's listener close never
+// waits on a reply and no reply outlives it to see the local copy
+// force-cancelled.
+func (s *Server) awaitView(r *http.Request, u *update, after int) UpdateInfo {
+	if after < 0 {
+		return u.info()
+	}
+	return u.await(r.Context(), after, s.drain, longPollWait)
+}
+
 // handleGetUpdate serves an update's poll view, with the pending question
-// inline while the update is waiting. With ?after=N it long-polls: the reply
-// waits until the update is terminal or holds a question whose seq exceeds
-// N, for at most longPollWait, and returns at once while the server drains,
-// so a handoff's listener close never waits on a poll and no poll outlives
-// it to see the local copy force-cancelled. It answers 200 with the view,
-// 400 for an after that is not a non-negative integer, 404 for an unknown
-// session or update, and 410 for a session that is gone.
+// inline while the update is waiting. With ?after=N it long-polls (see
+// awaitView). It answers 200 with the view, 400 for an after that is not a
+// non-negative integer, 404 for an unknown session or update, and 410 for a
+// session that is gone.
 func (s *Server) handleGetUpdate(w http.ResponseWriter, r *http.Request) {
-	after := -1
-	if q := r.URL.Query(); q.Has("after") {
-		n, err := strconv.Atoi(q.Get("after"))
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "after must be a non-negative integer", 0)
-			return
-		}
-		after = n
+	after, ok := parseAfter(w, r)
+	if !ok {
+		return
 	}
 	sn, ok := s.lookupSession(w, r.PathValue("id"))
 	if !ok {
@@ -631,11 +660,7 @@ func (s *Server) handleGetUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such update", 0)
 		return
 	}
-	if after < 0 {
-		writeJSON(w, http.StatusOK, u.info())
-		return
-	}
-	writeJSON(w, http.StatusOK, u.await(r.Context(), after, s.drain, longPollWait))
+	writeJSON(w, http.StatusOK, s.awaitView(r, u, after))
 }
 
 func (s *Server) handleQuestion(w http.ResponseWriter, r *http.Request) {
@@ -644,7 +669,7 @@ func (s *Server) handleQuestion(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := QuestionResponse{}
-	if oracle := sn.pendingOracle(); oracle != nil {
+	if _, oracle := sn.inFlight(); oracle != nil {
 		if q := oracle.Pending(); q != nil {
 			resp.Pending = true
 			resp.Question = q
@@ -654,9 +679,12 @@ func (s *Server) handleQuestion(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAnswer delivers an OPTION 1/2 answer to the session's pending
-// question. It answers 200 once delivered, 400 for an unreadable body or an
-// option other than 1 or 2, 404 or 410 for a session that is not live, and
-// 409 when no question is pending or seq is not the pending one's.
+// question and replies with the update's next view: the long-poll's with
+// after set to the answered seq, so the next question or the finished
+// update comes back with the 200. It answers 200 once delivered, 400 for an
+// unreadable body or an option other than 1 or 2, 404 or 410 for a session
+// that is not live, and 409 when no question is pending or seq is not the
+// pending one's.
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	sn, ok := s.lookupSession(w, r.PathValue("id"))
 	if !ok {
@@ -672,7 +700,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode request: "+err.Error(), 0)
 		return
 	}
-	oracle := sn.pendingOracle()
+	u, oracle := sn.inFlight()
 	if oracle == nil {
 		writeError(w, http.StatusConflict, "no update awaiting an answer", 0)
 		return
@@ -685,7 +713,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err.Error(), 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "answered"})
+	writeJSON(w, http.StatusOK, s.awaitView(r, u, req.Seq))
 }
 
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {

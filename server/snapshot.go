@@ -31,8 +31,8 @@ var (
 )
 
 // DrainForHandoff prepares the session table for capture: new submissions
-// are already rejected (draining), long-polls of update views return at
-// once (see handleGetUpdate), and the call waits until no update is
+// are already rejected (draining), replies waiting on an update return at
+// once (see awaitView), and the call waits until no update is
 // mid-pipeline — every in-flight update is parked on a disambiguation
 // question and the submission queue is empty — or ctx expires. A parked
 // update is safe to snapshot (its intent + answer transcript fully
@@ -61,7 +61,7 @@ func (s *Server) quiescedForSnapshot() bool {
 		return false
 	}
 	for _, sn := range s.mgr.List() {
-		if o := sn.pendingOracle(); o != nil && o.Pending() == nil {
+		if _, o := sn.inFlight(); o != nil && o.Pending() == nil {
 			return false
 		}
 	}
@@ -108,7 +108,7 @@ func (sn *session) capture(node string, now time.Time) *snapshot.Session {
 			updates = append(updates, u)
 		}
 	}
-	oracle := sn.oracle
+	oracle := sn.currentOracle()
 	sn.mu.Unlock()
 
 	out.Stats = sn.sess.Stats()
@@ -236,7 +236,7 @@ func (s *Server) RestoreSession(snap *snapshot.Session) error {
 			sn.order = append(sn.order, u.id)
 		}
 		sn.busy = true
-		sn.oracle = oracle
+		sn.current = u
 		runRestored = func() { s.runUpdate(sn, u, p.Answers) }
 	}
 
