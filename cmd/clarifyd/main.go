@@ -10,12 +10,16 @@
 // Endpoints (see the server package for the wire types):
 //
 //	POST   /v1/sessions                     create a session from a config
+//	                                        (body up to 4 MiB)
 //	GET    /v1/sessions                     list sessions
 //	GET    /v1/sessions/{id}                session info
 //	DELETE /v1/sessions/{id}                delete a session
+//	PUT    /v1/sessions/{id}/restore        rehydrate a session snapshot
+//	                                        (body up to 9 MiB)
 //	POST   /v1/sessions/{id}/updates        submit an intent (?async=1 to poll;
 //	                                        with &after=N the reply is the
-//	                                        update GET's ?after=N view)
+//	                                        update GET's ?after=N view; body
+//	                                        up to 1 MiB)
 //	GET    /v1/sessions/{id}/updates/{uid}  poll an update, its pending
 //	                                        question inline (?after=N waits
 //	                                        up to 5s for a terminal status or
@@ -23,7 +27,8 @@
 //	GET    /v1/sessions/{id}/question       pending disambiguation question
 //	POST   /v1/sessions/{id}/answer         answer it (OPTION 1 or 2); the
 //	                                        reply is the update GET's view
-//	                                        with after set to the answered seq
+//	                                        with after set to the answered
+//	                                        seq (body up to 64 KiB)
 //	GET    /v1/sessions/{id}/config         current configuration text
 //	GET    /v1/sessions/{id}/stats          per-session pipeline counters
 //	GET    /healthz                         liveness (503 only while draining;
@@ -35,7 +40,11 @@
 //	GET    /debug/traces                    recent pipeline traces (?kept=1 for
 //	                                        the tail-retention ring)
 //	GET    /debug/traces/{id}               one trace's full span tree
+//	GET    /debug/ambiguity                 disambiguation-efficiency telemetry
 //	GET    /debug/pprof/...                 Go profiler (with -pprof)
+//
+// A request body over its endpoint's bound is refused with 413 and an error
+// naming the bound. Every JSON reply is compact and carries Content-Length.
 //
 // Logs are structured (log/slog), text by default; -log-format json switches
 // to JSON lines for machine ingestion.

@@ -33,6 +33,7 @@ package lb
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -40,10 +41,12 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"github.com/clarifynet/clarify/internal/promtext"
+	"github.com/clarifynet/clarify/internal/wire"
 	"github.com/clarifynet/clarify/obs"
 	"github.com/clarifynet/clarify/server"
 )
@@ -223,14 +226,13 @@ func (l *LB) routeSession(id string) (*Backend, string) {
 // failing over across backends: a 503 — a replica mid-drain the prober has
 // not caught yet — or a transport error strikes that backend from this
 // attempt and retries the next-best placement, instead of bouncing a
-// transient to the client. The request body is buffered once so it can be
-// replayed per attempt. On success the chosen backend is returned; when no
-// backend accepts, placeSession writes the error itself and returns nil.
+// transient to the client. The request body, read once, is replayed per
+// attempt. On success the chosen backend is returned; when the body is
+// refused or no backend accepts, placeSession writes the error itself and
+// returns nil.
 func (l *LB) placeSession(pr *proxyReq, w http.ResponseWriter, r *http.Request) (*http.Response, []byte, *Backend) {
-	payload, err := io.ReadAll(io.LimitReader(r.Body, 32<<20))
-	if err != nil {
-		pr.fail(http.StatusBadRequest, "read request")
-		writeError(w, http.StatusBadRequest, "lb: read request: "+trimReason(err.Error()), 0)
+	payload, ok := readRequest(pr, w, r)
+	if !ok {
 		return nil, nil, nil
 	}
 	var skip map[*Backend]bool
@@ -243,7 +245,7 @@ func (l *LB) placeSession(pr *proxyReq, w http.ResponseWriter, r *http.Request) 
 		if attempt > 0 {
 			pr.placement = "failover"
 		}
-		resp, body, err := l.forwardTo(pr, b, r, bytes.NewReader(payload))
+		resp, body, err := l.forwardTo(pr, b, r, payload)
 		if err == nil && resp.StatusCode != http.StatusServiceUnavailable {
 			pr.status = resp.StatusCode
 			return resp, body, b
@@ -262,8 +264,6 @@ func (l *LB) placeSession(pr *proxyReq, w http.ResponseWriter, r *http.Request) 
 func (l *LB) handleCreate(w http.ResponseWriter, r *http.Request) {
 	pr := beginProxy(r)
 	defer l.endProxy(pr, r)
-	// The create response must be inspected for the session ID, so this
-	// path buffers the (bounded) body instead of streaming it.
 	resp, body, b := l.placeSession(pr, w, r)
 	if b == nil {
 		return // placeSession already answered
@@ -301,7 +301,11 @@ func (l *LB) handleSession(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("backend %s holding session %s is ejected; retry", b.Name, id), 1)
 		return
 	}
-	resp, body, err := l.forward(pr, b, w, r)
+	payload, ok := readRequest(pr, w, r)
+	if !ok {
+		return
+	}
+	resp, body, err := l.forward(pr, b, w, r, payload)
 	if err != nil {
 		return
 	}
@@ -353,7 +357,7 @@ func (l *LB) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	l.proxied.Add(1)
-	writeJSON(w, http.StatusOK, merged)
+	wire.WriteJSON(w, http.StatusOK, merged)
 }
 
 // getBackend is the session listing's fan-out request: GET path from one
@@ -371,10 +375,10 @@ func (l *LB) getBackend(r *http.Request, b *Backend, path string, v any) bool {
 		b.recordRequest(0, time.Since(start), true)
 		return false
 	}
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	data, err := wire.ReadBody(resp.Body, resp.ContentLength, 16<<20)
 	resp.Body.Close()
 	b.recordRequest(resp.StatusCode, time.Since(start), false)
-	return resp.StatusCode == http.StatusOK && json.Unmarshal(data, v) == nil
+	return err == nil && resp.StatusCode == http.StatusOK && json.Unmarshal(data, v) == nil
 }
 
 // handleHealthz reports the balancer's own liveness: healthy while at least
@@ -395,7 +399,7 @@ func (l *LB) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "no-backends"
 	}
-	writeJSON(w, status, map[string]interface{}{
+	wire.WriteJSON(w, status, map[string]interface{}{
 		"status":             state,
 		"backends":           len(l.backends),
 		"admitted":           admitted,
@@ -410,7 +414,7 @@ func (l *LB) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writePrometheus(&promtext.Writer{W: w}, snap)
 		return
 	}
-	writeJSON(w, http.StatusOK, snap)
+	wire.WriteJSON(w, http.StatusOK, snap)
 }
 
 // --- proxy mechanics ---
@@ -420,11 +424,9 @@ const (
 	requestIDHeader = "X-Request-Id"
 )
 
-// hopHeaders are the hop-by-hop headers a proxy must not forward.
-var hopHeaders = []string{
-	"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
-	"Te", "Trailer", "Transfer-Encoding", "Upgrade",
-}
+// maxBody bounds a relayed request or reply body, which the balancer holds
+// whole in memory.
+const maxBody = 32 << 20
 
 // proxyReq carries one proxied request's correlation IDs and the fields of
 // its access-log line.
@@ -498,11 +500,31 @@ func (l *LB) endProxy(pr *proxyReq, r *http.Request) {
 	l.opts.AccessLog.LogAttrs(r.Context(), level, "proxied", attrs...)
 }
 
-// forward proxies one request to b and returns the backend's response with
-// its (bounded) body read. On a transport failure it answers 502 itself and
-// returns an error. The caller writes the response via writeProxied.
-func (l *LB) forward(pr *proxyReq, b *Backend, w http.ResponseWriter, r *http.Request) (*http.Response, []byte, error) {
-	resp, body, err := l.forwardTo(pr, b, r, io.LimitReader(r.Body, 32<<20))
+// readRequest reads r's body whole, for relaying. A body over maxBody,
+// declared or chunked, is answered 413 here and never reaches a backend;
+// one that fails to arrive is answered 400. ok is false when readRequest
+// has answered.
+func readRequest(pr *proxyReq, w http.ResponseWriter, r *http.Request) (payload []byte, ok bool) {
+	payload, err := wire.ReadBody(r.Body, r.ContentLength, maxBody)
+	if err == nil {
+		return payload, true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *wire.TooLargeError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	pr.fail(status, "read request")
+	writeError(w, status, "lb: read request: "+trimReason(err.Error()), 0)
+	return nil, false
+}
+
+// forward relays r, with its body payload, to b and returns the backend's
+// response with its body read. On a transport failure it answers 502
+// itself and returns an error. The caller writes the response via
+// writeProxied.
+func (l *LB) forward(pr *proxyReq, b *Backend, w http.ResponseWriter, r *http.Request, payload []byte) (*http.Response, []byte, error) {
+	resp, body, err := l.forwardTo(pr, b, r, payload)
 	if err != nil {
 		pr.fail(http.StatusBadGateway, "backend unreachable")
 		w.Header().Set(backendHeader, b.Name)
@@ -512,39 +534,40 @@ func (l *LB) forward(pr *proxyReq, b *Backend, w http.ResponseWriter, r *http.Re
 	return resp, body, err
 }
 
-// forwardTo proxies one request to b with the given body, returning the
-// backend's response with its (bounded) body read. Unlike forward it never
-// writes to the client — callers that can fail the request over to another
-// backend (session placement) inspect the error themselves. Every attempt
-// carries the request's ID and trace context.
-func (l *LB) forwardTo(pr *proxyReq, b *Backend, r *http.Request, bodyIn io.Reader) (*http.Response, []byte, error) {
-	outURL := *b.URL
-	outURL.Path = r.URL.Path
-	outURL.RawQuery = r.URL.RawQuery
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, outURL.String(), bodyIn)
-	if err != nil {
-		return nil, nil, fmt.Errorf("lb: build request: %w", err)
-	}
-	req.Header = r.Header.Clone()
-	for _, h := range hopHeaders {
-		req.Header.Del(h)
-	}
-	req.Header.Set(requestIDHeader, pr.reqID)
+// forwardTo relays r to b with payload as its body, framed by its length
+// (no body at all when payload is empty), so the transport sends the
+// request in one write. It returns the backend's response with its body
+// read. Unlike forward it never writes to the client — callers that can
+// fail the request over to another backend (session placement) inspect
+// the error themselves. Every attempt carries the request's ID and trace
+// context.
+func (l *LB) forwardTo(pr *proxyReq, b *Backend, r *http.Request, payload []byte) (*http.Response, []byte, error) {
+	u := *b.URL
+	u.Path, u.RawPath, u.RawQuery = r.URL.Path, r.URL.RawPath, r.URL.RawQuery
+	h := make(http.Header, len(r.Header)+3)
+	copyEndToEnd(h, r.Header)
+	h.Set(requestIDHeader, pr.reqID)
 	if pr.traceParent != "" {
-		req.Header.Set(obs.TraceParentHeader, pr.traceParent)
+		h.Set(obs.TraceParentHeader, pr.traceParent)
 	}
 	if prior := r.RemoteAddr; prior != "" {
-		req.Header.Set("X-Forwarded-For", prior)
+		h.Set("X-Forwarded-For", prior)
+	}
+	req := &http.Request{Method: r.Method, URL: &u, Header: h, Body: http.NoBody}
+	if len(payload) > 0 {
+		req.ContentLength = int64(len(payload))
+		req.Body = io.NopCloser(bytes.NewReader(payload))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(payload)), nil }
 	}
 
 	start := time.Now()
-	resp, err := l.proxy.Do(req)
+	resp, err := l.proxy.Do(req.WithContext(r.Context()))
 	if err != nil {
 		l.recordProxied(b, 0, time.Since(start), true)
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
+	body, err := wire.ReadBody(resp.Body, resp.ContentLength, maxBody)
 	if err != nil {
 		l.recordProxied(b, 0, time.Since(start), true)
 		return nil, nil, fmt.Errorf("read response: %w", err)
@@ -562,27 +585,54 @@ func (l *LB) recordProxied(b *Backend, status int, d time.Duration, transportErr
 	l.proxied.Add(1)
 }
 
-// writeProxied relays the backend's response, stamping the backend identity
-// so clients and tests can correlate responses (and /debug/traces lookups)
-// to the replica that served them.
+// writeProxied relays the backend's response, framed by its length,
+// stamping the backend identity so clients and tests can correlate
+// responses (and /debug/traces lookups) to the replica that served them.
 func writeProxied(w http.ResponseWriter, resp *http.Response, body []byte, b *Backend, r *http.Request) {
-	for k, vv := range resp.Header {
-		if isHopHeader(k) {
-			continue
-		}
-		for _, v := range vv {
-			w.Header().Add(k, v)
-		}
+	h := w.Header()
+	copyEndToEnd(h, resp.Header)
+	h.Set(backendHeader, b.Name)
+	if r.Method != http.MethodHead {
+		h.Set("Content-Length", strconv.Itoa(len(body)))
 	}
-	w.Header().Set(backendHeader, b.Name)
 	w.WriteHeader(resp.StatusCode)
 	w.Write(body)
 }
 
+// copyEndToEnd adds src's end-to-end headers to dst: all but the
+// hop-by-hop ones, which are the fixed names of RFC 9110 §7.6.1 and any
+// that src's Connection header names. dst shares src's value slices, so a
+// caller replaces a copied header with Set and never appends to it.
+func copyEndToEnd(dst, src http.Header) {
+	conn := src["Connection"]
+	for k, vv := range src {
+		if !isHopHeader(k) && !connectionNames(conn, k) {
+			dst[k] = vv
+		}
+	}
+}
+
+// isHopHeader reports whether the canonical header key k is one of the
+// fixed hop-by-hop headers a proxy must not forward.
 func isHopHeader(k string) bool {
-	for _, h := range hopHeaders {
-		if http.CanonicalHeaderKey(h) == http.CanonicalHeaderKey(k) {
-			return true
+	switch k {
+	case "Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
+		"Te", "Trailer", "Transfer-Encoding", "Upgrade":
+		return true
+	}
+	return false
+}
+
+// connectionNames reports whether the Connection header values conn name
+// the header k, which makes k hop-by-hop for this message.
+func connectionNames(conn []string, k string) bool {
+	for _, v := range conn {
+		for v != "" {
+			var name string
+			name, v, _ = strings.Cut(v, ",")
+			if strings.EqualFold(strings.TrimSpace(name), k) {
+				return true
+			}
 		}
 	}
 	return false
@@ -590,19 +640,10 @@ func isHopHeader(k string) bool {
 
 func sinceSeconds(t time.Time) float64 { return time.Since(t).Seconds() }
 
-// --- response helpers (same wire shapes as the server package) ---
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
+// writeError answers with the daemon's ErrorResponse shape.
 func writeError(w http.ResponseWriter, status int, msg string, retryAfter int) {
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	}
-	writeJSON(w, status, server.ErrorResponse{Error: msg, RetryAfterSeconds: retryAfter})
+	wire.WriteJSON(w, status, server.ErrorResponse{Error: msg, RetryAfterSeconds: retryAfter})
 }

@@ -1036,3 +1036,167 @@ func TestBackendConnectionsReused(t *testing.T) {
 		t.Errorf("backend accepted %d connections for %d requests, want at most %d", n, clients*requests, clients+1)
 	}
 }
+
+// TestForwardFraming: the balancer relays each request body whole, framed
+// by its length. A create, a submit and an answer (sent to the balancer
+// chunked) reach the backend with a Content-Length equal to the body and no
+// Transfer-Encoding, and a GET and a DELETE with no body. A reply over
+// 2 KiB, which the backend sends chunked, reaches the client with its
+// Content-Length. A header that a message's Connection header names is
+// dropped in both directions. A body over 32 MiB, declared or chunked, is
+// answered 413 and never reaches the backend.
+func TestForwardFraming(t *testing.T) {
+	type arrival struct {
+		method, path, body, secret string
+		length                     int64
+		te                         []string
+	}
+	var mu sync.Mutex
+	var arrivals []arrival
+	reply := strings.Repeat("x", 3<<10)
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			json.NewEncoder(w).Encode(server.HealthStatus{Status: "ready"})
+			return
+		}
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("%s %s: read body: %v", r.Method, r.URL.Path, err)
+		}
+		mu.Lock()
+		arrivals = append(arrivals, arrival{r.Method, r.URL.Path, string(body), r.Header.Get("X-Secret"),
+			r.ContentLength, r.TransferEncoding})
+		mu.Unlock()
+		w.Header().Set("Connection", "X-Backend-Secret")
+		w.Header().Set("X-Backend-Secret", "1")
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/sessions":
+			w.WriteHeader(http.StatusCreated)
+			w.Write([]byte(`{"id":"s1"}`))
+		case r.Method == http.MethodDelete:
+			w.WriteHeader(http.StatusNoContent)
+		case r.URL.Path == "/v1/sessions/s1/config":
+			w.(http.Flusher).Flush() // headers without a length: the reply goes chunked
+			w.Write([]byte(reply))
+		default:
+			w.Write([]byte("{}"))
+		}
+	}))
+	defer backend.Close()
+	l, err := New(Options{Backends: []string{backend.URL}})
+	if err != nil {
+		t.Fatalf("lb.New: %v", err)
+	}
+	front := httptest.NewServer(l)
+	defer func() {
+		front.Close()
+		l.Close()
+	}()
+	hc := &http.Client{Transport: &http.Transport{}}
+	defer hc.CloseIdleConnections()
+
+	// send relays one request through the balancer and returns the reply
+	// with its body read. A nil body sends none; chunked hides its length.
+	send := func(method, path string, body io.Reader, length int64, hdr http.Header) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, front.URL+path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = length
+		for k, vv := range hdr {
+			req.Header[k] = vv
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s %s: read reply: %v", method, path, err)
+		}
+		if resp.Header.Get("X-Backend-Secret") != "" {
+			t.Errorf("%s %s: the reply carries X-Backend-Secret, which the backend's Connection header names", method, path)
+		}
+		return resp, data
+	}
+	secret := http.Header{"Connection": {"X-Secret"}, "X-Secret": {"1"}}
+	requests := []struct {
+		method, path, body string
+		chunked            bool
+		status             int
+	}{
+		{http.MethodPost, "/v1/sessions", `{"config":"x"}`, false, http.StatusCreated},
+		{http.MethodPost, "/v1/sessions/s1/updates?async=1&after=0", `{"intent":"i","target":"T"}`, false, http.StatusOK},
+		{http.MethodPost, "/v1/sessions/s1/answer", `{"seq":1,"option":1}`, true, http.StatusOK},
+		{http.MethodGet, "/v1/sessions/s1/updates/u1?after=1", "", false, http.StatusOK},
+		{http.MethodGet, "/v1/sessions/s1/config", "", false, http.StatusOK},
+		{http.MethodDelete, "/v1/sessions/s1", "", false, http.StatusNoContent},
+	}
+	for _, rq := range requests {
+		var body io.Reader
+		length := int64(len(rq.body))
+		if rq.body != "" {
+			body = strings.NewReader(rq.body)
+		}
+		if rq.chunked {
+			body, length = struct{ io.Reader }{body}, -1
+		}
+		resp, data := send(rq.method, rq.path, body, length, secret)
+		if resp.StatusCode != rq.status {
+			t.Fatalf("%s %s: status %d (%s), want %d", rq.method, rq.path, resp.StatusCode, data, rq.status)
+		}
+		if rq.path == "/v1/sessions/s1/config" &&
+			(resp.ContentLength != int64(len(reply)) || len(resp.TransferEncoding) > 0 || string(data) != reply) {
+			t.Errorf("the %d-byte reply reached the client with Content-Length %d, Transfer-Encoding %v and %d bytes",
+				len(reply), resp.ContentLength, resp.TransferEncoding, len(data))
+		}
+	}
+	mu.Lock()
+	got := append([]arrival(nil), arrivals...)
+	mu.Unlock()
+	if len(got) != len(requests) {
+		t.Fatalf("backend saw %d requests, want %d: %+v", len(got), len(requests), got)
+	}
+	for i, a := range got {
+		rq := requests[i]
+		if a.length != int64(len(rq.body)) || len(a.te) > 0 || a.body != rq.body {
+			t.Errorf("%s %s arrived with Content-Length %d, Transfer-Encoding %v and body %q; want %d and %q, unchunked",
+				a.method, a.path, a.length, a.te, a.body, len(rq.body), rq.body)
+		}
+		if a.secret != "" {
+			t.Errorf("%s %s arrived with X-Secret, which the client's Connection header names", a.method, a.path)
+		}
+	}
+
+	for _, path := range []string{"/v1/sessions", "/v1/sessions/s1/updates?async=1"} {
+		for _, chunked := range []bool{false, true} {
+			length := int64(maxBody + 1)
+			var body io.Reader = io.LimitReader(zeros{}, length)
+			if chunked {
+				body, length = struct{ io.Reader }{body}, -1
+			}
+			resp, data := send(http.MethodPost, path, body, length, nil)
+			var e server.ErrorResponse
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(data, &e) != nil ||
+				!strings.Contains(e.Error, fmt.Sprint(maxBody)) {
+				t.Errorf("POST %s with %d bytes (chunked %v): %d %q; want 413 naming the %d-byte bound",
+					path, maxBody+1, chunked, resp.StatusCode, data, maxBody)
+			}
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, a := range arrivals[len(requests):] {
+		t.Errorf("%s %s reached the backend with %d bytes", a.method, a.path, len(a.body))
+	}
+}
+
+// zeros reads an endless run of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}

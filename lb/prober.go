@@ -3,12 +3,12 @@ package lb
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/clarifynet/clarify/internal/wire"
 	"github.com/clarifynet/clarify/server"
 )
 
@@ -128,7 +128,7 @@ func (p *prober) probeOne(b *Backend) {
 	}
 	defer resp.Body.Close()
 	var load server.HealthStatus
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	body, _ := wire.ReadBody(resp.Body, resp.ContentLength, 1<<16)
 	_ = json.Unmarshal(body, &load) // best-effort: old replicas send fewer fields
 
 	switch {

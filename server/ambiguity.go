@@ -6,6 +6,7 @@ import (
 
 	"github.com/clarifynet/clarify/ambiguity"
 	"github.com/clarifynet/clarify/internal/promtext"
+	"github.com/clarifynet/clarify/internal/wire"
 )
 
 // ambiguityBitsBuckets are the value-histogram upper bounds, in bits, for
@@ -119,7 +120,7 @@ func (h *Histogram) snapshotValue() ValueHistogramSnapshot {
 // candidate-space ambiguity updates started with, how many bits each
 // clarifying question resolved, and what remained at accept.
 func (s *Server) handleDebugAmbiguity(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.amb.snapshot())
+	wire.WriteJSON(w, http.StatusOK, s.amb.snapshot())
 }
 
 // writeAmbiguity renders the disambiguation telemetry series: per-strategy

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/clarifynet/clarify"
+	"github.com/clarifynet/clarify/internal/wire"
 	"github.com/clarifynet/clarify/obs"
 	"github.com/clarifynet/clarify/snapshot"
 )
@@ -171,7 +172,7 @@ func (c *Client) sendOnce(ctx context.Context, method, path string, in interface
 		return nil, fmt.Errorf("clarifyd client: %w", err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	data, err := wire.ReadBody(resp.Body, resp.ContentLength, 16<<20)
 	if err != nil {
 		return nil, fmt.Errorf("clarifyd client: read response: %w", err)
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/clarifynet/clarify/internal/wire"
 	"github.com/clarifynet/clarify/llm"
 )
 
@@ -604,11 +605,11 @@ func TestLongPollOlderDaemon(t *testing.T) {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, r)
 		if rec.Code >= 300 {
-			writeJSON(w, rec.Code, json.RawMessage(rec.Body.Bytes()))
+			wire.WriteJSON(w, rec.Code, json.RawMessage(rec.Body.Bytes()))
 			return
 		}
 		if route == "POST answer" {
-			writeJSON(w, rec.Code, map[string]string{"status": "answered"})
+			wire.WriteJSON(w, rec.Code, map[string]string{"status": "answered"})
 			return
 		}
 		var info UpdateInfo
@@ -616,7 +617,7 @@ func TestLongPollOlderDaemon(t *testing.T) {
 			t.Errorf("update view %q: %v", rec.Body.Bytes(), err)
 		}
 		info.Question = nil
-		writeJSON(w, rec.Code, info)
+		wire.WriteJSON(w, rec.Code, info)
 	})
 	hs := httptest.NewServer(older)
 	defer hs.Close()

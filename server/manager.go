@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/clarifynet/clarify"
+	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/obs"
 )
 
@@ -29,23 +30,37 @@ type session struct {
 	current  *update // the queued or running update, nil when idle
 	// cancel ends the queued or running update's context; see track.
 	cancel context.CancelCauseFunc
-	// cfgText is the printed configuration after the last successful
-	// update; handlers read this snapshot so they never touch the live
-	// *ios.Config a worker may be replacing.
+	// cfg is the configuration the last create, restore or successful
+	// update published, until its first read prints it into cfgText
+	// (printConfig); nil after. Only GET …/config and a snapshot read the
+	// text, so a configuration nobody reads is never printed. A published
+	// *ios.Config is never modified (each update's result is a new one),
+	// so a late print shows what the update produced.
+	cfg     *ios.Config
 	cfgText string
 }
 
-// setConfigText publishes a new printed-configuration snapshot.
-func (s *session) setConfigText(text string) {
+// setConfig publishes the configuration an update produced.
+func (s *session) setConfig(cfg *ios.Config) {
 	s.mu.Lock()
-	s.cfgText = text
+	s.cfg = cfg
 	s.mu.Unlock()
 }
 
-// configText reads the current printed-configuration snapshot.
+// configText returns the current configuration's printed text.
 func (s *session) configText() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.printConfig()
+}
+
+// printConfig prints a newly published configuration into cfgText once and
+// returns the text; callers hold s.mu.
+func (s *session) printConfig() string {
+	if s.cfg != nil {
+		s.cfgText = s.cfg.Print()
+		s.cfg = nil
+	}
 	return s.cfgText
 }
 

@@ -14,11 +14,12 @@ import (
 // FuzzRequestBodies posts each input as the body of a session create, of an
 // async submit to an idle session, and of an answer to a session parked on
 // its first question. No handler may panic, each answers only a status its
-// doc comment lists, and every non-2xx body decodes as an ErrorResponse with
-// a message. The sessions are deleted after each input, which cancels a
-// parked update, and the input waits for its updates to end. The seeds are
-// a valid body for each endpoint, empty and null objects, truncated JSON,
-// wrong field types and out-of-range options:
+// doc comment lists (413 for an input over the route's bound), and every
+// non-2xx body decodes as an ErrorResponse with a message. The sessions are
+// deleted after each input, which cancels a parked update, and the input
+// waits for its updates to end. The seeds are a valid body for each
+// endpoint, empty and null objects, truncated JSON, wrong field types and
+// out-of-range options:
 //
 //	go test -run '^$' -fuzz '^FuzzRequestBodies$' -fuzztime 15s ./server/
 func FuzzRequestBodies(f *testing.F) {
@@ -46,7 +47,7 @@ func FuzzRequestBodies(f *testing.F) {
 	}
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if status, resp := postBody(t, c.BaseURL+"/v1/sessions", body, 201, 400, 422, 503); status == http.StatusCreated {
+		if status, resp := postBody(t, c.BaseURL+"/v1/sessions", body, 201, 400, 413, 422, 503); status == http.StatusCreated {
 			var created CreateSessionResponse
 			if err := json.Unmarshal(resp, &created); err != nil || created.ID == "" {
 				t.Fatalf("create answered 201 with %q", resp)
@@ -58,7 +59,7 @@ func FuzzRequestBodies(f *testing.F) {
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		status, resp := postBody(t, c.BaseURL+"/v1/sessions/"+sid+"/updates?async=1", body, 202, 400, 409, 429, 503)
+		status, resp := postBody(t, c.BaseURL+"/v1/sessions/"+sid+"/updates?async=1", body, 202, 400, 409, 413, 429, 503)
 		var u *update
 		if status == http.StatusAccepted {
 			var info UpdateInfo
@@ -79,7 +80,7 @@ func FuzzRequestBodies(f *testing.F) {
 		}
 		u = sessionUpdate(t, srv, sid, info.ID)
 		waitPendingQuestion(t, c, sid)
-		postBody(t, c.BaseURL+"/v1/sessions/"+sid+"/answer", body, 200, 400, 409)
+		postBody(t, c.BaseURL+"/v1/sessions/"+sid+"/answer", body, 200, 400, 409, 413)
 		deleteAndWait(t, srv, sid, u)
 	})
 }

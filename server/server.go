@@ -2,7 +2,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -15,6 +15,7 @@ import (
 	"github.com/clarifynet/clarify"
 	"github.com/clarifynet/clarify/disambig"
 	"github.com/clarifynet/clarify/internal/promtext"
+	"github.com/clarifynet/clarify/internal/wire"
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/journal"
 	"github.com/clarifynet/clarify/llm"
@@ -266,7 +267,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body.Status = "degraded"
 		body.LLM = "fallback"
 	}
-	writeJSON(w, status, body)
+	wire.WriteJSON(w, status, body)
 }
 
 // handleReadyz is the readiness probe: 503 while draining or when the LLM
@@ -288,7 +289,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		body.Status = "degraded"
 		body.LLM = "fallback"
 	}
-	writeJSON(w, status, body)
+	wire.WriteJSON(w, status, body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -320,21 +321,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writePrometheus(&promtext.Writer{W: w}, snap)
 		return
 	}
-	writeJSON(w, http.StatusOK, snap)
+	wire.WriteJSON(w, http.StatusOK, snap)
 }
 
 // handleCreateSession starts a session on the body's configuration. It
 // answers 201 with the session ID, 400 for an unreadable body or a missing
-// config, 422 for a configuration that does not parse, and 503 while
-// draining or at the session cap.
+// config, 413 for a body over MaxConfigBytes, 422 for a configuration that
+// does not parse, and 503 while draining or at the session cap.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	if s.draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining", 0)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxConfigBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: "+err.Error(), 0)
+	body, ok := readBody(w, r, s.opts.MaxConfigBytes)
+	if !ok {
 		return
 	}
 	var req CreateSessionRequest
@@ -368,8 +368,8 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	// Label the session's journal records with its ID; the session has not
 	// served an update yet, so the write is unobserved.
 	sess.JournalSession = sn.id
-	sn.setConfigText(cfg.Print())
-	writeJSON(w, http.StatusCreated, CreateSessionResponse{ID: sn.id})
+	sn.setConfig(cfg)
+	wire.WriteJSON(w, http.StatusCreated, CreateSessionResponse{ID: sn.id})
 }
 
 func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
@@ -378,7 +378,7 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 	for _, sn := range sessions {
 		out = append(out, sn.info())
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 // lookupSession resolves a path session ID, answering 410 Gone for a
@@ -402,7 +402,7 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, sn.info())
+	wire.WriteJSON(w, http.StatusOK, sn.info())
 }
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
@@ -426,8 +426,8 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 // It answers 200 (sync) or 202 (async) with the update, 400 for an
 // unreadable body, a missing intent or target, or an after that is not a
 // non-negative integer, 404 or 410 for a session that is not live, 409
-// while the session is busy, 429 when the queue is full, and 503 while
-// draining.
+// while the session is busy, 413 for a body over maxSubmitBytes, 429 when
+// the queue is full, and 503 while draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining", 0)
@@ -441,9 +441,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: "+err.Error(), 0)
+	body, ok := readBody(w, r, maxSubmitBytes)
+	if !ok {
 		return
 	}
 	var req SubmitRequest
@@ -478,7 +477,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err == errQueueFull {
 		reject(err)
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
+		wire.WriteJSON(w, http.StatusTooManyRequests, ErrorResponse{
 			Error:             "submission shed: " + err.Error(),
 			RetryAfterSeconds: 1,
 			Reason:            "queue_full",
@@ -491,7 +490,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if async {
-		writeJSON(w, http.StatusAccepted, s.awaitView(r, u, after))
+		wire.WriteJSON(w, http.StatusAccepted, s.awaitView(r, u, after))
 		return
 	}
 	select {
@@ -500,7 +499,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// The client went away; the update keeps running and remains
 		// pollable at its update ID.
 	}
-	writeJSON(w, http.StatusOK, u.info())
+	wire.WriteJSON(w, http.StatusOK, u.info())
 }
 
 // runUpdate executes one reserved update end to end: start the deadline
@@ -564,7 +563,7 @@ func (s *Server) runUpdate(sn *session, u *update, script []disambig.Answer) {
 		rerr = fmt.Errorf("update exceeded its %s budget: %w", s.opts.UpdateTimeout, rerr)
 	}
 	if rerr == nil {
-		sn.setConfigText(res.Config.Print())
+		sn.setConfig(res.Config)
 	}
 	// Fold the pipeline's information-gain ledger (if the update reached
 	// disambiguation) into the ambiguity rollup.
@@ -660,7 +659,7 @@ func (s *Server) handleGetUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such update", 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.awaitView(r, u, after))
+	wire.WriteJSON(w, http.StatusOK, s.awaitView(r, u, after))
 }
 
 func (s *Server) handleQuestion(w http.ResponseWriter, r *http.Request) {
@@ -675,7 +674,7 @@ func (s *Server) handleQuestion(w http.ResponseWriter, r *http.Request) {
 			resp.Question = q
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleAnswer delivers an OPTION 1/2 answer to the session's pending
@@ -683,16 +682,15 @@ func (s *Server) handleQuestion(w http.ResponseWriter, r *http.Request) {
 // after set to the answered seq, so the next question or the finished
 // update comes back with the 200. It answers 200 once delivered, 400 for an
 // unreadable body or an option other than 1 or 2, 404 or 410 for a session
-// that is not live, and 409 when no question is pending or seq is not the
-// pending one's.
+// that is not live, 409 when no question is pending or seq is not the
+// pending one's, and 413 for a body over maxAnswerBytes.
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	sn, ok := s.lookupSession(w, r.PathValue("id"))
 	if !ok {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: "+err.Error(), 0)
+	body, ok := readBody(w, r, maxAnswerBytes)
+	if !ok {
 		return
 	}
 	var req AnswerRequest
@@ -713,7 +711,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err.Error(), 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.awaitView(r, u, req.Seq))
+	wire.WriteJSON(w, http.StatusOK, s.awaitView(r, u, req.Seq))
 }
 
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
@@ -721,8 +719,11 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, sn.configText())
+	text := sn.configText()
+	h := w.Header()
+	h.Set("Content-Type", "text/plain; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(text)))
+	io.WriteString(w, text)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -730,30 +731,46 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, StatsResponse{Stats: sn.sess.Stats()})
+	wire.WriteJSON(w, http.StatusOK, StatsResponse{Stats: sn.sess.Stats()})
+}
+
+// Request body bounds; a longer body is answered 413.
+const (
+	maxSubmitBytes = 1 << 20
+	maxAnswerBytes = 1 << 16
+)
+
+// readBody reads r's body whole, of at most limit bytes. A longer body,
+// declared or chunked, is answered 413 with an ErrorResponse naming the
+// bound; one that fails to arrive is answered 400. ok is false when
+// readBody has answered.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, err := wire.ReadBody(r.Body, r.ContentLength, limit)
+	if err == nil {
+		return body, true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *wire.TooLargeError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, "read body: "+err.Error(), 0)
+	return nil, false
 }
 
 // --- response helpers ---
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
 
 func writeError(w http.ResponseWriter, status int, msg string, retryAfter int) {
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	}
-	writeJSON(w, status, ErrorResponse{Error: msg, RetryAfterSeconds: retryAfter})
+	wire.WriteJSON(w, status, ErrorResponse{Error: msg, RetryAfterSeconds: retryAfter})
 }
 
 // writeGone answers for a session that existed but died, tagging why so a
 // balancer drops its stale affinity pin instead of retrying the dead ID.
 func writeGone(w http.ResponseWriter, id, reason string) {
-	writeJSON(w, http.StatusGone, ErrorResponse{
+	wire.WriteJSON(w, http.StatusGone, ErrorResponse{
 		Error:  fmt.Sprintf("session %s is gone (%s)", id, reason),
 		Reason: reason,
 	})

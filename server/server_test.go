@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -655,6 +658,55 @@ func TestBadRequests(t *testing.T) {
 	}
 	if err := c.DeleteSession(ctx, sid); err == nil {
 		t.Error("double delete succeeded")
+	}
+}
+
+// TestOversizedBodyRefused: a body over its route's bound is refused with
+// 413 and an ErrorResponse naming the bound, whether it declares its length
+// or arrives chunked, instead of being cut at the bound and failing to
+// decode with 400.
+func TestOversizedBodyRefused(t *testing.T) {
+	const maxConfig = 1 << 10
+	_, c := startServer(t, Options{MaxConfigBytes: maxConfig})
+	sid, err := c.CreateSession(context.Background(), CreateSessionRequest{Config: exampleConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		method, path string
+		limit        int
+	}{
+		{http.MethodPost, "/v1/sessions", maxConfig},
+		{http.MethodPost, "/v1/sessions/" + sid + "/updates?async=1", maxSubmitBytes},
+		{http.MethodPost, "/v1/sessions/" + sid + "/answer", maxAnswerBytes},
+		{http.MethodPut, "/v1/sessions/" + sid + "-copy/restore", 2*maxConfig + 1<<20},
+	} {
+		body := []byte(`{"config":"` + strings.Repeat("x", tc.limit) + `"}`)
+		for _, chunked := range []bool{false, true} {
+			var rd io.Reader = bytes.NewReader(body)
+			if chunked {
+				rd = struct{ io.Reader }{rd} // an unknown length: sent chunked
+			}
+			req, err := http.NewRequest(tc.method, c.BaseURL+tc.path, rd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.method, tc.path, err)
+			}
+			data, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("%s %s: read reply: %v", tc.method, tc.path, err)
+			}
+			var e ErrorResponse
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(data, &e) != nil ||
+				!strings.Contains(e.Error, strconv.Itoa(tc.limit)) {
+				t.Errorf("%s %s with %d bytes (chunked %v): %d %q; want 413 naming the %d-byte bound",
+					tc.method, tc.path, len(body), chunked, resp.StatusCode, data, tc.limit)
+			}
+		}
 	}
 }
 

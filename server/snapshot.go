@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"github.com/clarifynet/clarify"
+	"github.com/clarifynet/clarify/internal/wire"
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/journal"
 	"github.com/clarifynet/clarify/obs"
@@ -94,7 +94,7 @@ func (sn *session) capture(node string, now time.Time) *snapshot.Session {
 		ID:          sn.id,
 		CapturedAt:  now,
 		Node:        node,
-		ConfigText:  sn.cfgText,
+		ConfigText:  sn.printConfig(),
 		MaxAttempts: sn.sess.MaxAttempts,
 		EnableReuse: sn.sess.EnableReuse,
 		IdleSeconds: now.Sub(sn.lastUsed).Seconds(),
@@ -192,7 +192,7 @@ func (s *Server) RestoreSession(snap *snapshot.Session) error {
 		updates:  map[string]*update{},
 		order:    append([]string(nil), snap.Order...),
 		nextUpd:  snap.NextUpdate,
-		cfgText:  cfg.Print(),
+		cfg:      cfg,
 	}
 	for _, rec := range snap.Updates {
 		u := &update{
@@ -246,7 +246,9 @@ func (s *Server) RestoreSession(snap *snapshot.Session) error {
 		return err
 	}
 	s.restored.Add(1)
-	s.journalLifecycle(journal.KindSessionRestore, sn.capture("", time.Now()))
+	if s.opts.Journal != nil {
+		s.journalLifecycle(journal.KindSessionRestore, sn.capture("", time.Now()))
+	}
 	if runRestored != nil {
 		// Re-execution runs off the worker pool: it is restoration work, not
 		// new load, and it must not be shed by a full queue. Shutdown waits
@@ -276,7 +278,11 @@ func (s *Server) journalLifecycle(kind string, snap *snapshot.Session) {
 }
 
 // handleRestoreSession is the admin endpoint a draining peer (or a restart
-// script replaying a snapshot directory) PUTs externalized sessions to.
+// script replaying a snapshot directory) PUTs externalized sessions to. It
+// answers 201 once restored, 400 for an unreadable body or a snapshot whose
+// ID is not the path's, 409 when the ID names a live session, 413 for a
+// body over twice MaxConfigBytes plus 1 MiB, 422 for an invalid snapshot,
+// and 503 while draining or at the session cap.
 func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
 	if s.draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining", 0)
@@ -284,9 +290,8 @@ func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
 	}
 	// Snapshots carry a full config plus update history; allow slack over
 	// the config bound.
-	body, err := io.ReadAll(io.LimitReader(r.Body, 2*s.opts.MaxConfigBytes+(1<<20)))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: "+err.Error(), 0)
+	body, ok := readBody(w, r, 2*s.opts.MaxConfigBytes+(1<<20))
+	if !ok {
 		return
 	}
 	if len(body) == 0 {
@@ -322,5 +327,5 @@ func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusCreated, RestoreSessionResponse{ID: snap.ID, Pending: snap.Pending != nil})
+	wire.WriteJSON(w, http.StatusCreated, RestoreSessionResponse{ID: snap.ID, Pending: snap.Pending != nil})
 }

@@ -317,6 +317,50 @@ func TestSnapshotRestoreIdleSessionHistory(t *testing.T) {
 	}
 }
 
+// TestConfigPrintedOnRead: a session's configuration is printed when it is
+// read, not when an update publishes it. After two updates with no read
+// between them nothing has been printed; the read then returns the second
+// update's result, and a snapshot taken then carries the same text.
+func TestConfigPrintedOnRead(t *testing.T) {
+	srv, c := startServer(t, Options{Workers: 1})
+	ctx := context.Background()
+	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		res, err := c.RunUpdate(ctx, sid, exampleIntent, "ISP_OUT", func(Question) (int, error) { return 1, nil })
+		if err != nil || res.Status != StatusDone {
+			t.Fatalf("update %d: %v (%+v)", i+1, err, res)
+		}
+	}
+	sn, ok := srv.mgr.Get(sid)
+	if !ok {
+		t.Fatalf("session %s is not live", sid)
+	}
+	sn.mu.Lock()
+	printed := sn.cfgText
+	sn.mu.Unlock()
+	if printed != "" {
+		t.Fatalf("configuration printed before any read:\n%s", printed)
+	}
+	want := sn.sess.CurrentConfig().Print()
+	if n := strings.Count(want, "set metric 55"); n != 2 {
+		t.Fatalf("the session's configuration holds %d new stanzas after two updates, want 2:\n%s", n, want)
+	}
+	got, err := c.Config(ctx, sid)
+	if err != nil {
+		t.Fatalf("config: %v", err)
+	}
+	if got != want {
+		t.Fatalf("config read after two updates:\n%s\nwant the second update's result:\n%s", got, want)
+	}
+	snaps := srv.SnapshotSessions("node")
+	if len(snaps) != 1 || snaps[0].ConfigText != want {
+		t.Fatalf("snapshot = %+v, want one session carrying the second update's configuration", snaps)
+	}
+}
+
 // TestRestoreRejections: conflicts, tampered snapshots, and draining
 // servers map onto 409/422/503.
 func TestRestoreRejections(t *testing.T) {

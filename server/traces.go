@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"github.com/clarifynet/clarify/internal/wire"
 	"github.com/clarifynet/clarify/obs"
 )
 
@@ -82,7 +83,7 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	for _, t := range traces {
 		out = append(out, summarize(t))
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleDebugTrace returns one retained trace's full span tree; tail-kept
@@ -93,5 +94,5 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such trace (evicted or never recorded)", 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, t)
+	wire.WriteJSON(w, http.StatusOK, t)
 }
