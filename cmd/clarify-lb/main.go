@@ -9,12 +9,13 @@
 //
 // Routing (see the lb package):
 //
-//   - POST /v1/sessions places the session on one backend — consistent-hash
-//     ring, power-of-two-choices on probed load (queue depth, then active
+//   - POST /v1/sessions places the session on one backend — two uniform
+//     draws, power-of-two-choices on probed load (queue depth, then active
 //     sessions) — and pins the returned session ID to it.
 //   - /v1/sessions/{id}/... follows the pin, so updates, question polls, and
-//     answers land on the replica holding the session; unknown IDs fall back
-//     to a consistent hash of the ID.
+//     answers land on the replica holding the session; an ID with no pin is
+//     looked up by asking each admitted backend for it, and the one that
+//     holds it is pinned.
 //   - GET /v1/sessions merges the listing across admitted backends.
 //   - GET /healthz and /metrics (?format=prometheus) are the balancer's own.
 //
@@ -60,12 +61,10 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8090", "listen address")
 		backendsSpec  = flag.String("backends", "", "comma-separated clarifyd replica URLs (required)")
-		vnodes        = flag.Int("vnodes", lb.DefaultVirtualNodes, "hash-ring virtual nodes per backend")
 		probeInterval = flag.Duration("probe-interval", lb.DefaultProbeInterval, "health-probe period")
 		probeTimeout  = flag.Duration("probe-timeout", lb.DefaultProbeTimeout, "per-probe timeout")
 		ejectAfter    = flag.Int("eject-after", lb.DefaultEjectAfter, "consecutive probe failures that eject a backend")
 		readmitAfter  = flag.Int("readmit-after", lb.DefaultReadmitAfter, "consecutive probe successes that re-admit a backend")
-		affinityTTL   = flag.Duration("affinity-ttl", 30*time.Minute, "evict session pins idle this long (>= the replicas' -idle-ttl)")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget for in-flight proxied requests")
 		accessLog     = flag.Bool("access-log", false, "log one structured line per proxied request (request and trace IDs, backend, placement, status, duration)")
 		logFormat     = flag.String("log-format", "text", "log output format: text or json")
@@ -83,12 +82,10 @@ func main() {
 		backends: backends,
 		opts: lb.Options{
 			Backends:      backends,
-			VirtualNodes:  *vnodes,
 			ProbeInterval: *probeInterval,
 			ProbeTimeout:  *probeTimeout,
 			EjectAfter:    *ejectAfter,
 			ReadmitAfter:  *readmitAfter,
-			AffinityTTL:   *affinityTTL,
 		},
 		drainTimeout: *drainTimeout,
 		logFormat:    *logFormat,

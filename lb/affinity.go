@@ -5,15 +5,14 @@ import (
 	"time"
 )
 
-// affinityTable pins each session ID to the backend that created it. Session
-// IDs are minted by the replicas, so the creating backend cannot be derived
-// from the ID alone: the table is seeded at create time and consulted on
-// every follow-up request, with the consistent hash ring as the stateless
-// fallback for IDs the table has never seen (an LB restarted under live
-// traffic). Entries die with their session — removed on DELETE, and swept
-// once idle past the TTL, which should be at least the replicas' own
-// session idle TTL so the table never forgets a session before the replica
-// does.
+// affinityTable pins each session ID to the backend that holds it. Session
+// IDs are minted by the replicas and survive a handoff, so the backend
+// cannot be derived from the ID: the table is seeded at create and restore
+// time and by the lookup of a session it has never seen (the balancer
+// restarted, or another one placed the session), and consulted on every
+// follow-up request. Entries die with their session — removed on DELETE
+// and on 410 Gone — and are swept once idle past the TTL; a swept session
+// is found again by the next lookup.
 type affinityTable struct {
 	ttl time.Duration
 
@@ -32,21 +31,12 @@ type affinityEntry struct {
 }
 
 func newAffinityTable(ttl, sweepEvery time.Duration) *affinityTable {
-	if ttl <= 0 {
-		ttl = 30 * time.Minute
-	}
-	if sweepEvery <= 0 {
-		sweepEvery = ttl / 4
-		if sweepEvery > time.Minute {
-			sweepEvery = time.Minute
-		}
-	}
 	t := &affinityTable{ttl: ttl, entries: map[string]*affinityEntry{}, stopCh: make(chan struct{})}
 	go t.janitor(sweepEvery)
 	return t
 }
 
-// Put pins a session to its creating backend.
+// Put pins a session to the backend holding it.
 func (t *affinityTable) Put(id string, b *Backend) {
 	t.mu.Lock()
 	t.entries[id] = &affinityEntry{b: b, lastUsed: time.Now()}
@@ -54,7 +44,7 @@ func (t *affinityTable) Put(id string, b *Backend) {
 }
 
 // Get resolves a session's backend and refreshes its idle clock; a miss is
-// counted (the caller falls back to the hash ring).
+// counted (the caller looks the session up).
 func (t *affinityTable) Get(id string) *Backend {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -67,11 +57,14 @@ func (t *affinityTable) Get(id string) *Backend {
 	return e.b
 }
 
-// Remove drops a session's pin (its DELETE succeeded).
-func (t *affinityTable) Remove(id string) {
+// Remove drops a session's pin (its DELETE succeeded, or its replica
+// answered 410 Gone) and reports whether there was one.
+func (t *affinityTable) Remove(id string) bool {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, ok := t.entries[id]
 	delete(t.entries, id)
-	t.mu.Unlock()
+	return ok
 }
 
 // Len is the live pin count.
@@ -81,7 +74,7 @@ func (t *affinityTable) Len() int {
 	return len(t.entries)
 }
 
-// Misses is the lookup-miss count (ring-fallback routings).
+// Misses is the count of Gets that found no pin (session lookups).
 func (t *affinityTable) Misses() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -5,6 +5,25 @@ import (
 	"time"
 )
 
+func testFleet(t *testing.T, hosts ...string) []*Backend {
+	t.Helper()
+	out := make([]*Backend, 0, len(hosts))
+	for _, h := range hosts {
+		b, err := newBackend("http://" + h)
+		if err != nil {
+			t.Fatalf("newBackend(%q): %v", h, err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+func setEjected(b *Backend, v bool) {
+	b.mu.Lock()
+	b.ejected = v
+	b.mu.Unlock()
+}
+
 func TestAffinityPinLifecycle(t *testing.T) {
 	fleet := testFleet(t, "a:1", "b:1")
 	tab := newAffinityTable(time.Hour, time.Hour)

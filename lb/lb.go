@@ -4,20 +4,21 @@
 // intact — a parked OPTION 1/2 question can only be answered on the replica
 // whose pipeline goroutine is parked on it.
 //
-// Routing has three layers:
+// Routing has two layers:
 //
-//   - Placement: POST /v1/sessions picks a backend by consistent-hashing two
-//     random placement keys onto the ring and keeping the less-loaded
-//     candidate (power-of-two-choices, load from each backend's /readyz
-//     payload: queue depth, then active sessions). Draining and ejected
-//     backends receive no new sessions.
-//   - Affinity: the session ID in the create response is pinned to the
-//     creating backend; every /v1/sessions/{id}/... request follows the pin,
-//     so updates, question polls, and answers land on the replica that owns
-//     the session. Pins die on DELETE or after an idle TTL.
-//   - Fallback: a session ID with no pin (the LB restarted under live
-//     traffic) routes by consistent hash of the ID itself — deterministic,
-//     and stable across LB replicas sharing the same backend fleet.
+//   - Placement: POST /v1/sessions takes two independent uniform draws over
+//     the backends that accept sessions and keeps the less-loaded candidate
+//     (power-of-two-choices, load from each backend's /readyz payload: queue
+//     depth, then active sessions). Draining and ejected backends receive no
+//     new sessions.
+//   - Pin: the session ID in the create response is pinned to the creating
+//     backend; every /v1/sessions/{id}/... request follows the pin, so
+//     updates, question polls, and answers land on the replica that owns the
+//     session. Pins die on DELETE, on a 410 Gone, or after an idle TTL. A
+//     session with no pin (the balancer restarted, or another balancer placed
+//     it) is looked up: each admitted replica is asked for it, and the one
+//     holding it is pinned. The owner cannot be derived from the ID, because
+//     replicas mint IDs and a handoff moves a session under its ID.
 //
 // A background prober drives the per-backend admitted/ejected state machine
 // (see prober.go) so a dead replica is out of rotation within a few probe
@@ -39,7 +40,9 @@ import (
 	"log"
 	"log/slog"
 	"math/rand/v2"
+	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -55,9 +58,6 @@ import (
 type Options struct {
 	// Backends are the replica root URLs (at least one).
 	Backends []string
-	// VirtualNodes is the per-backend point count on the hash ring
-	// (default DefaultVirtualNodes).
-	VirtualNodes int
 	// ProbeInterval / ProbeTimeout pace the background health prober
 	// (defaults DefaultProbeInterval / DefaultProbeTimeout).
 	ProbeInterval time.Duration
@@ -67,10 +67,6 @@ type Options struct {
 	// it (defaults DefaultEjectAfter / DefaultReadmitAfter).
 	EjectAfter   int
 	ReadmitAfter int
-	// AffinityTTL evicts session pins idle this long (default 30m; set it
-	// to at least the replicas' -idle-ttl so the LB never forgets a session
-	// before its replica does).
-	AffinityTTL time.Duration
 	// Logger receives routing and state-transition lines; nil disables.
 	Logger *log.Logger
 	// AccessLog receives one structured line per proxied request (request
@@ -89,18 +85,19 @@ type Options struct {
 // after each reply and dial a new one for the next request.
 const backendIdleConns = 64
 
+// affinityTTL evicts session pins idle this long. A session whose pin is
+// gone is found again by one lookup, so the pins need not outlast the
+// replicas' own idle TTL; the bound only keeps abandoned pins from piling up.
+const affinityTTL = 30 * time.Minute
+
 // LB is the balancer. It implements http.Handler; wire it into an
 // http.Server and call Close to stop the prober and affinity janitor.
 type LB struct {
 	opts     Options
 	backends []*Backend
-	ring     *ring
 	affinity *affinityTable
 	prober   *prober
 	mux      *http.ServeMux
-	// proxy has no overall timeout: synchronous submits legitimately run
-	// for minutes; the client's request context bounds each proxied call.
-	proxy *http.Client
 
 	proxied   atomic.Int64 // requests forwarded to a backend
 	noBackend atomic.Int64 // requests refused for want of an eligible backend
@@ -138,10 +135,8 @@ func New(opts Options) (*LB, error) {
 	l := &LB{
 		opts:     opts,
 		backends: backends,
-		ring:     newRing(backends, opts.VirtualNodes),
-		affinity: newAffinityTable(opts.AffinityTTL, 0),
+		affinity: newAffinityTable(affinityTTL, time.Minute),
 		mux:      http.NewServeMux(),
-		proxy:    &http.Client{Transport: opts.Transport},
 		started:  time.Now(),
 	}
 	l.mux.HandleFunc("GET /healthz", l.handleHealthz)
@@ -166,11 +161,13 @@ func (l *LB) ServeHTTP(w http.ResponseWriter, r *http.Request) { l.mux.ServeHTTP
 func (l *LB) Close() {
 	l.prober.stop()
 	l.affinity.Stop()
-	l.proxy.CloseIdleConnections()
+	if t, ok := l.opts.Transport.(interface{ CloseIdleConnections() }); ok {
+		t.CloseIdleConnections()
+	}
 }
 
-// Backends snapshots every backend's state and counters, admitted first,
-// then by name, for /metrics and tests.
+// Backends snapshots every backend's state and counters, in the order the
+// backends were configured, for /metrics and tests.
 func (l *LB) Backends() []BackendSnapshot {
 	out := make([]BackendSnapshot, 0, len(l.backends))
 	for _, b := range l.backends {
@@ -181,43 +178,68 @@ func (l *LB) Backends() []BackendSnapshot {
 
 // --- placement ---
 
-// pickCreateBackend places a new session: two independent ring lookups on
-// random placement keys, keeping the less-loaded candidate. With one
-// eligible backend both lookups converge on it; with zero it returns nil.
-func (l *LB) pickCreateBackend() *Backend {
-	return l.pickCreateBackendExcluding(nil)
-}
-
-// pickCreateBackendExcluding is pickCreateBackend minus the backends a
-// placement attempt has already struck out on (drained or unreachable
-// faster than the prober could notice).
-func (l *LB) pickCreateBackendExcluding(skip map[*Backend]bool) *Backend {
-	eligible := func(b *Backend) bool { return b.AcceptsSessions() && !skip[b] }
-	c1 := l.ring.Lookup(placementKey(), eligible)
-	if c1 == nil {
+// pickCreateBackend places a new session: two independent uniform draws
+// over the backends that accept sessions, minus those a placement attempt
+// has already struck out on (skip: drained or unreachable faster than the
+// prober could notice), keeping the less-loaded candidate. With one
+// eligible backend both draws land on it; with none it returns nil.
+func (l *LB) pickCreateBackend(skip map[*Backend]bool) *Backend {
+	eligible := make([]*Backend, 0, len(l.backends))
+	for _, b := range l.backends {
+		if b.AcceptsSessions() && !skip[b] {
+			eligible = append(eligible, b)
+		}
+	}
+	if len(eligible) == 0 {
 		return nil
 	}
-	c2 := l.ring.Lookup(placementKey(), eligible)
-	if c2 != nil && c2 != c1 && c2.lessLoaded(c1) {
+	// math/rand/v2's top-level functions are goroutine-safe.
+	c1, c2 := eligible[rand.IntN(len(eligible))], eligible[rand.IntN(len(eligible))]
+	if c2.lessLoaded(c1) {
 		return c2
 	}
 	return c1
 }
 
-// placementKey is a fresh random key; math/rand/v2's top-level functions are
-// goroutine-safe.
-func placementKey() string {
-	return strconv.FormatUint(rand.Uint64(), 36)
-}
-
-// routeSession resolves the backend owning a session: affinity pin first,
-// consistent hash of the ID as the stateless fallback. The returned kind
-// ("pin" or "ring") names the layer that decided, for the access log.
-func (l *LB) routeSession(id string) (*Backend, string) {
-	if b := l.affinity.Get(id); b != nil {
-		return b, "pin"
+// findSession routes a session with no pin by asking each admitted backend,
+// in configuration order, for GET /v1/sessions/{id}. It pins and returns
+// the first that answers 200. Failing that it returns a backend that
+// answered 410 Gone, unpinned, so the client gets that replica's own
+// tombstone reply. Otherwise findSession answers itself and returns nil:
+// 404 when every admitted backend answered that it does not hold the
+// session, 503 when none is admitted or one gave no definite answer.
+func (l *LB) findSession(pr *proxyReq, w http.ResponseWriter, r *http.Request, id string) *Backend {
+	path := "/v1/sessions/" + url.PathEscape(id)
+	var gone *Backend
+	asked, unsure := 0, false
+	for _, b := range l.backends {
+		if !b.Admitted() {
+			continue
+		}
+		asked++
+		switch l.getBackend(r, b, path, nil) {
+		case http.StatusOK:
+			l.affinity.Put(id, b)
+			return b
+		case http.StatusGone:
+			gone = b
+		case http.StatusNotFound: // a definite "not here"
+		default:
+			unsure = true
+		}
 	}
-	return l.ring.Lookup(id, func(b *Backend) bool { return b.Admitted() }), "ring"
+	switch {
+	case gone != nil:
+		return gone
+	case asked == 0 || unsure:
+		l.noBackend.Add(1)
+		pr.fail(http.StatusServiceUnavailable, "no backend for session")
+		writeError(w, http.StatusServiceUnavailable, "no backend could be asked for session "+id+"; retry", 1)
+	default:
+		pr.fail(http.StatusNotFound, "no backend holds session")
+		writeError(w, http.StatusNotFound, "no backend holds session "+id, 0)
+	}
+	return nil
 }
 
 // --- handlers ---
@@ -237,7 +259,7 @@ func (l *LB) placeSession(pr *proxyReq, w http.ResponseWriter, r *http.Request) 
 	}
 	var skip map[*Backend]bool
 	for attempt := 0; ; attempt++ {
-		b := l.pickCreateBackendExcluding(skip)
+		b := l.pickCreateBackend(skip)
 		if b == nil {
 			break
 		}
@@ -281,15 +303,21 @@ func (l *LB) handleCreate(w http.ResponseWriter, r *http.Request) {
 func (l *LB) handleSession(w http.ResponseWriter, r *http.Request) {
 	pr := beginProxy(r)
 	defer l.endProxy(pr, r)
-	id := r.PathValue("id")
-	b, kind := l.routeSession(id)
-	if b == nil {
-		l.noBackend.Add(1)
-		pr.fail(http.StatusServiceUnavailable, "no backend for session")
-		writeError(w, http.StatusServiceUnavailable, "no backend available for session "+id, 1)
+	// Read the body first: one over the bound is refused before any lookup.
+	payload, ok := readRequest(pr, w, r)
+	if !ok {
 		return
 	}
-	pr.placement, pr.backend = kind, b.Name
+	id := r.PathValue("id")
+	pr.placement = "pin"
+	b := l.affinity.Get(id)
+	if b == nil {
+		pr.placement = "lookup"
+		if b = l.findSession(pr, w, r, id); b == nil {
+			return // findSession already answered
+		}
+	}
+	pr.backend = b.Name
 	if !b.Admitted() {
 		// The pinned replica is inside an ejection window. The session may
 		// yet survive (a drain, a network blip): tell the client to retry
@@ -301,10 +329,6 @@ func (l *LB) handleSession(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("backend %s holding session %s is ejected; retry", b.Name, id), 1)
 		return
 	}
-	payload, ok := readRequest(pr, w, r)
-	if !ok {
-		return
-	}
 	resp, body, err := l.forward(pr, b, w, r, payload)
 	if err != nil {
 		return
@@ -313,14 +337,11 @@ func (l *LB) handleSession(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodDelete && resp.StatusCode < 300 {
 		l.affinity.Remove(id)
 	}
-	if resp.StatusCode == http.StatusGone {
-		// The replica has buried the session (TTL eviction, or a handoff this
-		// LB never heard about). The pin is provably stale — clear it so a
-		// restored session's next request routes by ring, not to the grave.
-		if l.affinity.Get(id) != nil {
-			l.affinity.Remove(id)
-			l.gonePins.Add(1)
-		}
+	// The replica has buried the session (TTL eviction, or a handoff this
+	// balancer never heard about). The pin is provably stale: clear it, so
+	// the session's next request looks it up instead of going to the grave.
+	if resp.StatusCode == http.StatusGone && l.affinity.Remove(id) {
+		l.gonePins.Add(1)
 	}
 	writeProxied(w, resp, body, b, r)
 }
@@ -352,7 +373,7 @@ func (l *LB) handleList(w http.ResponseWriter, r *http.Request) {
 	merged := make([]server.SessionInfo, 0, 16)
 	for _, b := range l.backends {
 		var part []server.SessionInfo
-		if b.Admitted() && l.getBackend(r, b, "/v1/sessions", &part) {
+		if b.Admitted() && l.getBackend(r, b, "/v1/sessions", &part) == http.StatusOK {
 			merged = append(merged, part...)
 		}
 	}
@@ -360,25 +381,30 @@ func (l *LB) handleList(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, http.StatusOK, merged)
 }
 
-// getBackend is the session listing's fan-out request: GET path from one
-// backend, count the round trip in the backend's request counters, and
-// decode a 200 body of at most 16 MiB into v. It reports whether v was
-// filled; any failure is "this backend has nothing to add".
-func (l *LB) getBackend(r *http.Request, b *Backend, path string, v any) bool {
+// getBackend is the balancer's fan-out request, for the session listing
+// and the lookup of a session with no pin: GET path from one backend,
+// count the round trip in the backend's request counters, and decode a 200
+// body of at most 16 MiB into v unless v is nil. It returns the backend's
+// status, or 0 when the backend could not be reached or its reply could
+// not be read or decoded.
+func (l *LB) getBackend(r *http.Request, b *Backend, path string, v any) int {
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.URL.String()+path, nil)
 	if err != nil {
-		return false
+		return 0
 	}
 	start := time.Now()
-	resp, err := l.proxy.Do(req)
+	resp, err := l.opts.Transport.RoundTrip(req)
 	if err != nil {
 		b.recordRequest(0, time.Since(start), true)
-		return false
+		return 0
 	}
 	data, err := wire.ReadBody(resp.Body, resp.ContentLength, 16<<20)
 	resp.Body.Close()
 	b.recordRequest(resp.StatusCode, time.Since(start), false)
-	return err == nil && resp.StatusCode == http.StatusOK && json.Unmarshal(data, v) == nil
+	if err != nil || (resp.StatusCode == http.StatusOK && v != nil && json.Unmarshal(data, v) != nil) {
+		return 0
+	}
+	return resp.StatusCode
 }
 
 // handleHealthz reports the balancer's own liveness: healthy while at least
@@ -437,7 +463,8 @@ type proxyReq struct {
 	// traceparent; empty when the caller's own is forwarded untouched.
 	traceParent string
 	start       time.Time
-	// placement is how the backend was chosen: pin, ring, p2c, or failover.
+	// placement is how the backend was chosen: pin, lookup, p2c, or
+	// failover.
 	placement string
 	backend   string
 	status    int
@@ -540,7 +567,11 @@ func (l *LB) forward(pr *proxyReq, b *Backend, w http.ResponseWriter, r *http.Re
 // read. Unlike forward it never writes to the client — callers that can
 // fail the request over to another backend (session placement) inspect
 // the error themselves. Every attempt carries the request's ID and trace
-// context.
+// context, and appends the client's address to X-Forwarded-For. The
+// request goes straight to the transport, not through an http.Client, so
+// a backend's redirect is relayed, not followed; no timeout applies beyond
+// the client's request context, because a synchronous submit may run for
+// minutes.
 func (l *LB) forwardTo(pr *proxyReq, b *Backend, r *http.Request, payload []byte) (*http.Response, []byte, error) {
 	u := *b.URL
 	u.Path, u.RawPath, u.RawQuery = r.URL.Path, r.URL.RawPath, r.URL.RawQuery
@@ -550,8 +581,11 @@ func (l *LB) forwardTo(pr *proxyReq, b *Backend, r *http.Request, payload []byte
 	if pr.traceParent != "" {
 		h.Set(obs.TraceParentHeader, pr.traceParent)
 	}
-	if prior := r.RemoteAddr; prior != "" {
-		h.Set("X-Forwarded-For", prior)
+	if ip, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
+		if prior := r.Header.Values("X-Forwarded-For"); len(prior) > 0 {
+			ip = strings.Join(prior, ", ") + ", " + ip
+		}
+		h.Set("X-Forwarded-For", ip)
 	}
 	req := &http.Request{Method: r.Method, URL: &u, Header: h, Body: http.NoBody}
 	if len(payload) > 0 {
@@ -561,7 +595,7 @@ func (l *LB) forwardTo(pr *proxyReq, b *Backend, r *http.Request, payload []byte
 	}
 
 	start := time.Now()
-	resp, err := l.proxy.Do(req.WithContext(r.Context()))
+	resp, err := l.opts.Transport.RoundTrip(req.WithContext(r.Context()))
 	if err != nil {
 		l.recordProxied(b, 0, time.Since(start), true)
 		return nil, nil, err

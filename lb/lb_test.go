@@ -216,8 +216,7 @@ func TestSessionAffinityEndToEnd(t *testing.T) {
 }
 
 // TestCreatePlacementSpreads verifies new sessions land on more than one
-// replica: the ring's random placement keys must not collapse onto a single
-// backend.
+// replica: the two random draws must not collapse onto a single backend.
 func TestCreatePlacementSpreads(t *testing.T) {
 	f := startLBFleet(t, 2, fastProbeOpts())
 	c := f.client(nil)
@@ -433,9 +432,8 @@ func TestBalancerHealthAndMetrics(t *testing.T) {
 		t.Fatalf("decode metrics: %v", err)
 	}
 	resp.Body.Close()
-	if len(snap.Backends) != 2 || snap.Proxied == 0 || snap.RingPoints != 2*DefaultVirtualNodes {
-		t.Fatalf("metrics snapshot off: backends=%d proxied=%d ringPoints=%d",
-			len(snap.Backends), snap.Proxied, snap.RingPoints)
+	if len(snap.Backends) != 2 || snap.Proxied == 0 {
+		t.Fatalf("metrics snapshot off: backends=%d proxied=%d", len(snap.Backends), snap.Proxied)
 	}
 
 	resp, err = http.Get(f.lbSrv.URL + "/metrics?format=prometheus")
@@ -655,6 +653,17 @@ func TestNoBackendsLeft(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("create = %d with no admitted backends, want 503", resp.StatusCode)
 	}
+
+	// A session with no pin has no replica to be looked up on.
+	resp, err = http.Get(ls.URL + "/v1/sessions/s1/question")
+	if err != nil {
+		t.Fatalf("get session: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("unpinned session = %d (Retry-After %q) with no admitted backends, want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
 }
 
 // TestDrainingBackendGetsNoCreates checks the drain half of the probe
@@ -850,8 +859,8 @@ func TestPlacementFailsOverDrainingBackend(t *testing.T) {
 	}
 }
 
-// TestFanOutsCountBackendRequests checks that the balancer's one fan-out,
-// the session listing, counts exactly one request on every admitted backend.
+// TestFanOutsCountBackendRequests checks that the session listing counts
+// exactly one request on every admitted backend.
 func TestFanOutsCountBackendRequests(t *testing.T) {
 	f := startLBFleet(t, 2, fastProbeOpts())
 	before := map[string]int64{}

@@ -22,13 +22,11 @@ type MetricsSnapshot struct {
 	RestoredSessions int64 `json:"restoredSessions,omitempty"`
 	GonePinsCleared  int64 `json:"gonePinsCleared,omitempty"`
 	// AffinityEntries is the live session-pin count; AffinityMisses counts
-	// lookups that fell back to the hash ring; AffinityEvicted the pins
-	// dropped by the idle TTL.
+	// requests whose session had no pin and was looked up on the replicas;
+	// AffinityEvicted the pins dropped by the idle TTL.
 	AffinityEntries int   `json:"affinityEntries"`
 	AffinityMisses  int64 `json:"affinityMisses"`
 	AffinityEvicted int64 `json:"affinityEvicted"`
-	// RingPoints is backends × virtual nodes.
-	RingPoints int `json:"ringPoints"`
 	// ProbeRounds counts completed all-backend probe sweeps.
 	ProbeRounds int64 `json:"probeRounds"`
 	// UptimeSeconds is the time since the balancer was built.
@@ -45,7 +43,6 @@ func (l *LB) snapshot() MetricsSnapshot {
 		AffinityEntries:  l.affinity.Len(),
 		AffinityMisses:   l.affinity.Misses(),
 		AffinityEvicted:  l.affinity.Evicted(),
-		RingPoints:       l.ring.Points(),
 		ProbeRounds:      l.prober.probes.Load(),
 	}
 	for _, b := range snap.Backends {
@@ -70,11 +67,10 @@ func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 	p.Gauge("clarify_lb_backends_admitted", "Backends in rotation.", float64(snap.Admitted))
 	p.Gauge("clarify_lb_backends_accepting_sessions", "Backends accepting new sessions (admitted and not draining).", float64(snap.AcceptingSessions))
 	p.Gauge("clarify_lb_affinity_entries", "Live session-to-backend pins.", float64(snap.AffinityEntries))
-	p.Counter("clarify_lb_affinity_misses_total", "Session lookups that fell back to the hash ring.", float64(snap.AffinityMisses))
+	p.Counter("clarify_lb_affinity_misses_total", "Requests whose session had no pin and was looked up on the replicas.", float64(snap.AffinityMisses))
 	p.Counter("clarify_lb_affinity_evicted_total", "Session pins dropped by the idle TTL.", float64(snap.AffinityEvicted))
 	p.Counter("clarify_lb_restored_sessions_total", "Sessions re-placed via PUT restore.", float64(snap.RestoredSessions))
 	p.Counter("clarify_lb_gone_pins_cleared_total", "Affinity pins cleared by a backend 410 Gone.", float64(snap.GonePinsCleared))
-	p.Gauge("clarify_lb_ring_points", "Hash-ring points (backends x virtual nodes).", float64(snap.RingPoints))
 	p.Counter("clarify_lb_probe_rounds_total", "Completed all-backend probe sweeps.", float64(snap.ProbeRounds))
 
 	p.Header("clarify_lb_backend_up", "gauge", "1 while the backend is admitted.")

@@ -29,7 +29,6 @@ import (
 // probes continue); ReadmitAfter consecutive successes re-admit it.
 type prober struct {
 	lb       *LB
-	client   *http.Client
 	interval time.Duration
 	timeout  time.Duration
 	eject    int
@@ -73,7 +72,6 @@ func newProber(l *LB, opts Options) *prober {
 	}
 	return &prober{
 		lb:       l,
-		client:   &http.Client{Timeout: timeout, Transport: opts.Transport},
 		interval: interval,
 		timeout:  timeout,
 		eject:    eject,
@@ -121,7 +119,7 @@ func (p *prober) probeOne(b *Backend) {
 		p.onFailure(b, "build probe: "+err.Error())
 		return
 	}
-	resp, err := p.client.Do(req)
+	resp, err := p.lb.opts.Transport.RoundTrip(req)
 	if err != nil {
 		p.onFailure(b, "probe: "+trimReason(err.Error()))
 		return

@@ -171,7 +171,7 @@ func TestAccessLogOneLinePerRequest(t *testing.T) {
 				h.method, h.path, l, h.path, h.requestID, h.backend, h.status)
 		}
 		switch l.Placement {
-		case "pin", "ring", "p2c", "failover":
+		case "pin", "lookup", "p2c", "failover":
 		default:
 			t.Errorf("%s %s: placement %q, want a placement kind", h.method, h.path, l.Placement)
 		}
