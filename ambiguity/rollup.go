@@ -3,9 +3,9 @@ package ambiguity
 import "sort"
 
 // StrategyStats aggregates ledgers that ran under one insertion strategy.
-// Sums (not means) are stored so partial aggregates merge by addition — the
-// LB adds per-backend rollups. The bit sums are floats, so a merged sum can
-// differ from one rollup's over the same ledgers in the last bits.
+// It stores sums, not means, so the ledgers are added one by one. The bit
+// sums are floats, so two rollups of the same ledgers agree bit for bit
+// only when they add them in the same order.
 type StrategyStats struct {
 	// Updates counts ledgers aggregated.
 	Updates int `json:"updates"`
@@ -29,15 +29,6 @@ func (s *StrategyStats) Add(l *Ledger) {
 	s.ResidualBits += l.ResidualBits
 }
 
-// Merge folds another partial aggregate into the stats.
-func (s *StrategyStats) Merge(o StrategyStats) {
-	s.Updates += o.Updates
-	s.Questions += o.Questions
-	s.InitialBits += o.InitialBits
-	s.ResolvedBits += o.ResolvedBits
-	s.ResidualBits += o.ResidualBits
-}
-
 // BitsPerQuestion is the aggregate question-efficiency score: total bits
 // resolved per question asked (0 when no questions were asked).
 func (s *StrategyStats) BitsPerQuestion() float64 {
@@ -57,8 +48,8 @@ func (s *StrategyStats) MeanQuestions() float64 {
 
 // Rollup aggregates ledgers across updates: totals plus per-strategy and
 // per-kind breakdowns. The zero value is not ready; use NewRollup. It is
-// the JSON body of GET /debug/ambiguity and the analyzer's per-category
-// row.
+// the rollup of the daemon's /metrics "ambiguity" block and of the
+// analyzer's report.
 type Rollup struct {
 	// Total aggregates every ledger seen.
 	Total StrategyStats `json:"total"`
@@ -112,41 +103,26 @@ func (r *Rollup) Add(l *Ledger) {
 	}
 }
 
-// Merge folds another rollup (e.g. one backend's, one segment's) into r.
-func (r *Rollup) Merge(o *Rollup) {
-	if r == nil || o == nil {
-		return
+// Clone returns a deep copy of r that shares no map or pointer with it
+// (nil for a nil r).
+func (r *Rollup) Clone() *Rollup {
+	if r == nil {
+		return nil
 	}
-	r.Total.Merge(o.Total)
-	r.UpdatesWithQuestions += o.UpdatesWithQuestions
-	for name, s := range o.Strategies {
-		if s == nil {
-			continue
+	return &Rollup{Total: r.Total, UpdatesWithQuestions: r.UpdatesWithQuestions,
+		Strategies: cloneStats(r.Strategies), Kinds: cloneStats(r.Kinds)}
+}
+
+// cloneStats copies a breakdown map, each row by value.
+func cloneStats(m map[string]*StrategyStats) map[string]*StrategyStats {
+	out := make(map[string]*StrategyStats, len(m))
+	for name, s := range m {
+		if s != nil {
+			c := *s
+			out[name] = &c
 		}
-		dst := r.Strategies[name]
-		if dst == nil {
-			dst = &StrategyStats{}
-			if r.Strategies == nil {
-				r.Strategies = map[string]*StrategyStats{}
-			}
-			r.Strategies[name] = dst
-		}
-		dst.Merge(*s)
 	}
-	for name, s := range o.Kinds {
-		if s == nil {
-			continue
-		}
-		dst := r.Kinds[name]
-		if dst == nil {
-			dst = &StrategyStats{}
-			if r.Kinds == nil {
-				r.Kinds = map[string]*StrategyStats{}
-			}
-			r.Kinds[name] = dst
-		}
-		dst.Merge(*s)
-	}
+	return out
 }
 
 // StrategyNames returns the strategy keys in sorted order, for stable

@@ -50,51 +50,38 @@ func TestRollupAdd(t *testing.T) {
 	}
 }
 
-// TestRollupMergeExactness is the fleet-aggregation contract: adding every
-// ledger to one rollup must be byte-identical to splitting the ledgers across
-// partial rollups and merging — the LB's per-backend view depends on it. The
-// bit values here are dyadic, so every partial float sum is exact; real
-// log₂ values merge to the whole's sums only up to rounding.
-func TestRollupMergeExactness(t *testing.T) {
-	ledgers := []*Ledger{
-		ledger("route-map", "binary", 10.25, 0, 2),
-		ledger("route-map", "binary", 6.5, 1.5, 1),
-		ledger("route-map", "linear", 8.125, 2, 4),
-		ledger("acl", "binary", 4, 0, 1),
-		ledger("acl", "top-bottom", 9, 3.5, 2),
-		ledger("route-map", "top-bottom", 7.75, 7.75, 0),
+// TestRollupClone: a clone marshals to the source's JSON and shares no map
+// or row with it, so adding to the source leaves the clone as it was.
+func TestRollupClone(t *testing.T) {
+	r := NewRollup()
+	r.Add(ledger("route-map", "binary", 10.25, 0, 2))
+	r.Add(ledger("acl", "top-bottom", 9, 3.5, 2))
+	c := r.Clone()
+	want, _ := json.Marshal(r)
+	got, _ := json.Marshal(c)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("clone diverges from source:\nsource %s\nclone  %s", want, got)
 	}
-	whole := NewRollup()
-	for _, l := range ledgers {
-		whole.Add(l)
-	}
-	a, b := NewRollup(), NewRollup()
-	for i, l := range ledgers {
-		if i%2 == 0 {
-			a.Add(l)
-		} else {
-			b.Add(l)
+	for name, s := range r.Strategies {
+		if c.Strategies[name] == s {
+			t.Errorf("clone shares strategy row %q", name)
 		}
 	}
-	merged := NewRollup()
-	merged.Merge(a)
-	merged.Merge(b)
-
-	wantJSON, _ := json.Marshal(whole)
-	gotJSON, _ := json.Marshal(merged)
-	if !bytes.Equal(wantJSON, gotJSON) {
-		t.Fatalf("merge of partials diverges from whole:\nwhole  %s\nmerged %s", wantJSON, gotJSON)
+	for name, s := range r.Kinds {
+		if c.Kinds[name] == s {
+			t.Errorf("clone shares kind row %q", name)
+		}
 	}
-}
-
-func TestRollupMergeNilSafety(t *testing.T) {
-	var r *Rollup
-	r.Merge(NewRollup()) // must not panic
-	r.Add(&Ledger{Kind: "acl"})
-	dst := NewRollup()
-	dst.Merge(nil)
-	if dst.Total.Updates != 0 {
-		t.Fatalf("merging nil changed the rollup: %+v", dst.Total)
+	r.Add(ledger("route-map", "linear", 8, 2, 3))
+	if got2, _ := json.Marshal(c); !bytes.Equal(got, got2) {
+		t.Errorf("adding to the source changed the clone:\nbefore %s\nafter  %s", got, got2)
+	}
+	if len(c.Strategies) != 2 || c.Total.Updates != 2 {
+		t.Errorf("clone = %+v, want its 2 updates over 2 strategies", c)
+	}
+	var nilRollup *Rollup
+	if nilRollup.Clone() != nil {
+		t.Error("Clone of a nil rollup must be nil")
 	}
 }
 

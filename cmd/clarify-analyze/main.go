@@ -6,9 +6,9 @@
 // and per intent category (route-map vs acl).
 //
 // It is the third leg of the telemetry agreement: the same ledgers the live
-// daemon aggregates at /debug/ambiguity are persisted in the journal, so
-// analyzing a replica's journal after a run must reproduce that replica's
-// live rollup.
+// daemon aggregates in the ambiguity block of its /metrics are persisted in
+// the journal, so analyzing a replica's journal after a run must reproduce
+// that replica's live rollup.
 //
 // Usage:
 //

@@ -16,9 +16,9 @@
 //	DELETE /v1/sessions/{id}                delete a session
 //	PUT    /v1/sessions/{id}/restore        rehydrate a session snapshot
 //	                                        (body up to 9 MiB)
-//	POST   /v1/sessions/{id}/updates        submit an intent (?async=1 to poll;
-//	                                        with &after=N the reply is the
-//	                                        update GET's ?after=N view; body
+//	POST   /v1/sessions/{id}/updates        submit an intent; the reply is the
+//	                                        update's view, with ?after=N the
+//	                                        update GET's ?after=N view (body
 //	                                        up to 1 MiB)
 //	GET    /v1/sessions/{id}/updates/{uid}  poll an update, its pending
 //	                                        question inline (?after=N waits
@@ -35,12 +35,12 @@
 //	                                        200 "degraded" on the fallback LLM)
 //	GET    /readyz                          readiness (503 while draining or
 //	                                        when no LLM backend can serve)
-//	GET    /metrics                         JSON metrics (?format=prometheus
-//	                                        for the 0.0.4 text exposition)
-//	GET    /debug/traces                    recent pipeline traces (?kept=1 for
-//	                                        the tail-retention ring)
+//	GET    /metrics                         JSON metrics, the disambiguation
+//	                                        telemetry as its ambiguity block
+//	                                        (?format=prometheus for the 0.0.4
+//	                                        text exposition)
+//	GET    /debug/traces                    the 256 most recent pipeline traces
 //	GET    /debug/traces/{id}               one trace's full span tree
-//	GET    /debug/ambiguity                 disambiguation-efficiency telemetry
 //	GET    /debug/pprof/...                 Go profiler (with -pprof)
 //
 // A request body over its endpoint's bound is refused with 413 and an error
@@ -105,8 +105,6 @@ type daemonConfig struct {
 	breakerWindow      time.Duration
 	breakerCooldown    time.Duration
 
-	traceBuf  int
-	traceKeep int
 	logFormat string
 	pprofOn   bool
 	quiet     bool
@@ -141,8 +139,6 @@ func main() {
 	flag.IntVar(&cfg.breakerMinRequests, "breaker-min-requests", 5, "minimum window sample size before the breaker evaluates the rate")
 	flag.DurationVar(&cfg.breakerWindow, "breaker-window", 30*time.Second, "rolling failure-rate window")
 	flag.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", 10*time.Second, "how long an open breaker rejects calls before probing")
-	flag.IntVar(&cfg.traceBuf, "trace-buffer", server.DefaultTraceBufferSize, "recent traces retained for /debug/traces")
-	flag.IntVar(&cfg.traceKeep, "trace-keep", server.DefaultTraceKeepSize, "evicted error/degraded/slow traces kept by tail retention (negative disables)")
 	flag.StringVar(&cfg.journalDir, "journal", "", "flight-recorder directory: append one durable record per update (replayable with clarify-replay)")
 	flag.Int64Var(&cfg.journalMaxBytes, "journal-max-bytes", 0, "rotate journal segments over this size (default 8 MiB)")
 	flag.IntVar(&cfg.journalSegments, "journal-segments", 0, "prune journal segments beyond this count (0 keeps all)")
@@ -255,8 +251,6 @@ func run(cfg daemonConfig) error {
 		UpdateTimeout:   cfg.updateTimeout,
 		NewClient:       newClient,
 		Resilience:      stack,
-		TraceBufferSize: cfg.traceBuf,
-		TraceKeepSize:   cfg.traceKeep,
 		Journal:         jnl,
 	}
 	if !cfg.quiet {

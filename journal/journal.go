@@ -150,7 +150,8 @@ type Options struct {
 	// MaxSegments prunes the oldest closed segments beyond this total count
 	// (0 keeps everything).
 	MaxSegments int
-	// Fsync selects the durability policy (default FsyncInterval).
+	// Fsync selects the durability policy (default FsyncInterval). Open
+	// refuses any value but the three policies and empty.
 	Fsync FsyncPolicy
 	// FsyncInterval paces FsyncInterval flushes (default 1s).
 	FsyncInterval time.Duration
@@ -161,15 +162,6 @@ func (o Options) maxBytes() int64 {
 		return 8 << 20
 	}
 	return o.MaxSegmentBytes
-}
-
-func (o Options) fsync() FsyncPolicy {
-	switch o.Fsync {
-	case FsyncNever, FsyncAlways:
-		return o.Fsync
-	default:
-		return FsyncInterval
-	}
 }
 
 func (o Options) fsyncEvery() time.Duration {
@@ -223,6 +215,14 @@ func Open(opts Options) (*Journal, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("journal: Options.Dir is required")
 	}
+	switch opts.Fsync {
+	case "":
+		opts.Fsync = FsyncInterval
+	case FsyncNever, FsyncInterval, FsyncAlways:
+	default:
+		return nil, fmt.Errorf("journal: unknown fsync policy %q (want %s, %s or %s)",
+			opts.Fsync, FsyncNever, FsyncInterval, FsyncAlways)
+	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: create dir: %w", err)
 	}
@@ -241,7 +241,7 @@ func Open(opts Options) (*Journal, error) {
 	if err := j.openSegmentLocked(); err != nil {
 		return nil, err
 	}
-	if opts.fsync() == FsyncInterval {
+	if opts.Fsync == FsyncInterval {
 		j.stopCh = make(chan struct{})
 		j.doneCh = make(chan struct{})
 		go j.flusher(opts.fsyncEvery())
@@ -338,7 +338,7 @@ func (j *Journal) Append(rec *Record) error {
 	j.size += int64(len(data))
 	j.stats.Appended++
 	j.stats.Bytes += int64(len(data))
-	if j.opts.fsync() == FsyncAlways {
+	if j.opts.Fsync == FsyncAlways {
 		j.syncLocked()
 	}
 	return nil

@@ -183,6 +183,33 @@ func TestCrashTruncatedTail(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesUnknownFsync: a misspelt policy is an error that names the
+// three policies, and creates nothing; an empty one selects interval.
+func TestOpenRefusesUnknownFsync(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "journal")
+	j, err := Open(Options{Dir: dir, Fsync: "alwyas"})
+	if err == nil {
+		j.Close()
+		t.Fatal(`Open with fsync "alwyas" succeeded, want an error`)
+	}
+	for _, want := range []string{`"alwyas"`, "never", "interval", "always"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if _, serr := os.Stat(dir); !os.IsNotExist(serr) {
+		t.Errorf("refused Open left %s behind (stat: %v)", dir, serr)
+	}
+	j, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if j.opts.Fsync != FsyncInterval {
+		t.Errorf("empty fsync policy = %q, want %q", j.opts.Fsync, FsyncInterval)
+	}
+}
+
 // TestCloseStopsFlusher checks the interval-fsync goroutine exits on Close
 // (no goroutine leak).
 func TestCloseStopsFlusher(t *testing.T) {

@@ -569,9 +569,9 @@ func (l *LB) forward(pr *proxyReq, b *Backend, w http.ResponseWriter, r *http.Re
 // the error themselves. Every attempt carries the request's ID and trace
 // context, and appends the client's address to X-Forwarded-For. The
 // request goes straight to the transport, not through an http.Client, so
-// a backend's redirect is relayed, not followed; no timeout applies beyond
-// the client's request context, because a synchronous submit may run for
-// minutes.
+// a backend's redirect is relayed, not followed. No timeout applies beyond
+// the client's request context: a reply that waits on an update holds for
+// at most the replica's 5 s long-poll bound.
 func (l *LB) forwardTo(pr *proxyReq, b *Backend, r *http.Request, payload []byte) (*http.Response, []byte, error) {
 	u := *b.URL
 	u.Path, u.RawPath, u.RawQuery = r.URL.Path, r.URL.RawPath, r.URL.RawQuery

@@ -921,8 +921,8 @@ func TestLBRecordsShedsPerBackend(t *testing.T) {
 	updates = append(updates, u)
 
 	// The third submit must be shed by the replica and relayed verbatim.
-	body, _ := json.Marshal(server.SubmitRequest{Intent: exampleIntent, Target: "ISP_OUT", Async: true})
-	resp, err := http.Post(f.lbSrv.URL+"/v1/sessions/"+sids[2]+"/updates?async=1", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(server.SubmitRequest{Intent: exampleIntent, Target: "ISP_OUT"})
+	resp, err := http.Post(f.lbSrv.URL+"/v1/sessions/"+sids[2]+"/updates", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("third submit: %v", err)
 	}
@@ -1137,7 +1137,7 @@ func TestForwardFraming(t *testing.T) {
 		status             int
 	}{
 		{http.MethodPost, "/v1/sessions", `{"config":"x"}`, false, http.StatusCreated},
-		{http.MethodPost, "/v1/sessions/s1/updates?async=1&after=0", `{"intent":"i","target":"T"}`, false, http.StatusOK},
+		{http.MethodPost, "/v1/sessions/s1/updates?after=0", `{"intent":"i","target":"T"}`, false, http.StatusOK},
 		{http.MethodPost, "/v1/sessions/s1/answer", `{"seq":1,"option":1}`, true, http.StatusOK},
 		{http.MethodGet, "/v1/sessions/s1/updates/u1?after=1", "", false, http.StatusOK},
 		{http.MethodGet, "/v1/sessions/s1/config", "", false, http.StatusOK},
@@ -1179,7 +1179,7 @@ func TestForwardFraming(t *testing.T) {
 		}
 	}
 
-	for _, path := range []string{"/v1/sessions", "/v1/sessions/s1/updates?async=1"} {
+	for _, path := range []string{"/v1/sessions", "/v1/sessions/s1/updates"} {
 		for _, chunked := range []bool{false, true} {
 			length := int64(maxBody + 1)
 			var body io.Reader = io.LimitReader(zeros{}, length)

@@ -288,7 +288,8 @@ func TestClientTraceParentContinuation(t *testing.T) {
 
 // TestTracingDisabled checks that the balancer records nothing per request:
 // requests flow with minted request IDs, and the balancer serves no trace or
-// ambiguity view of its own and no OpenMetrics exposition.
+// ambiguity view of its own and no OpenMetrics exposition. Its /metrics
+// carries no ambiguity block, so a load run through it reports none.
 func TestTracingDisabled(t *testing.T) {
 	f := startLBFleet(t, 2, fastProbeOpts())
 	rt := &recordingTransport{}
@@ -314,6 +315,9 @@ func TestTracingDisabled(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
 		}
+	}
+	if m, err := c.Metrics(ctx); err != nil || m.Ambiguity != nil {
+		t.Errorf("/metrics through the balancer = ambiguity %+v, %v; want no ambiguity block", m.Ambiguity, err)
 	}
 	// Any /metrics format but prometheus falls back to the JSON snapshot.
 	var snap MetricsSnapshot

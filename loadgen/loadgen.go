@@ -182,10 +182,10 @@ type Report struct {
 	// Pass is the run's gate: false (red) when any update failed or
 	// slowPercentRed percent or more of the updates were slow.
 	Pass bool `json:"pass"`
-	// DaemonAmbiguity is the daemon's GET /debug/ambiguity rollup at run
-	// end, when reachable: information gained per question and per
+	// DaemonAmbiguity is the ambiguity block of the daemon's /metrics at
+	// run end, when reachable: information gained per question and per
 	// strategy, for the run's traffic. Absent when the run goes through
-	// clarify-lb, which serves no ambiguity view.
+	// clarify-lb, whose /metrics carries no such block.
 	DaemonAmbiguity *server.AmbiguitySnapshot `json:"daemonAmbiguity,omitempty"`
 }
 
@@ -492,8 +492,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// spent.
 	sctx, scancel := context.WithTimeout(ctx, 5*time.Second)
 	defer scancel()
-	if amb, err := client.Ambiguity(sctx); err == nil {
-		rep.DaemonAmbiguity = &amb
+	if m, err := client.Metrics(sctx); err == nil {
+		rep.DaemonAmbiguity = m.Ambiguity
 	}
 	return rep, nil
 }

@@ -32,7 +32,7 @@ func TestRingEvictionOrder(t *testing.T) {
 			t.Fatalf("List[%d] = %s, want %s", i, list[i].ID, want)
 		}
 	}
-	// Evicted traces are unresolvable without a retention policy.
+	// Evicted traces are unresolvable.
 	if _, ok := r.Get(ids[0]); ok {
 		t.Fatal("evicted trace still resolvable")
 	}
@@ -41,71 +41,23 @@ func TestRingEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestRingTailRetention checks that evicted traces matching the keep policy
-// move into the kept ring, stay resolvable by ID, and age out of the kept
-// ring FIFO when it fills.
-func TestRingTailRetention(t *testing.T) {
+// TestRingSharedTraceID: two traces may share an ID (updates continuing
+// one propagated trace context); evicting the older must leave the newer
+// resolvable.
+func TestRingSharedTraceID(t *testing.T) {
 	r := NewRing(2)
-	r.SetRetention(2, func(tr *Trace) bool {
-		_, isErr := tr.Root.Attr("error")
-		return isErr
-	})
-
-	bad1 := mkTrace("update")
-	bad1.Root.SetStr("error", "boom-1")
-	r.Add(bad1)
-	// Flood with healthy traces: bad1 gets evicted from the main ring but
-	// must survive in the kept ring.
-	var healthy []string
-	for i := 0; i < 4; i++ {
-		tr := mkTrace("update")
-		healthy = append(healthy, tr.ID)
-		r.Add(tr)
-	}
-	if _, ok := r.Get(bad1.ID); !ok {
-		t.Fatal("error trace must survive eviction via tail retention")
-	}
-	if _, ok := r.Get(healthy[0]); ok {
-		t.Fatal("healthy evicted trace must be dropped")
-	}
-	kept := r.Kept()
-	if len(kept) != 1 || kept[0].ID != bad1.ID {
-		t.Fatalf("Kept = %v", kept)
-	}
-	if r.KeptTotal() != 1 {
-		t.Fatalf("KeptTotal = %d, want 1", r.KeptTotal())
-	}
-
-	// Two more error traces cycle through: the kept ring holds 2, the oldest
-	// kept trace ages out.
-	bad2 := mkTrace("update")
-	bad2.Root.SetStr("error", "boom-2")
-	bad3 := mkTrace("update")
-	bad3.Root.SetStr("error", "boom-3")
-	for _, tr := range []*Trace{bad2, bad3} {
-		r.Add(tr)
-		r.Add(mkTrace("update"))
-		r.Add(mkTrace("update"))
-	}
-	if _, ok := r.Get(bad1.ID); ok {
-		t.Fatal("oldest kept trace must age out of a full kept ring")
-	}
-	for _, tr := range []*Trace{bad2, bad3} {
-		if _, ok := r.Get(tr.ID); !ok {
-			t.Fatalf("kept trace %s lost", tr.ID)
-		}
-	}
-	if got := r.KeptTotal(); got != 3 {
-		t.Fatalf("KeptTotal = %d, want 3", got)
+	older, newer := mkTrace("update"), mkTrace("update")
+	newer.ID = older.ID
+	r.Add(older)
+	r.Add(newer)
+	r.Add(mkTrace("update")) // evicts older
+	if got, ok := r.Get(older.ID); !ok || got != newer {
+		t.Fatalf("Get(%s) = %p, %v; want the newer trace %p", older.ID, got, ok, newer)
 	}
 }
 
 func TestRingConcurrent(t *testing.T) {
 	r := NewRing(16)
-	r.SetRetention(8, func(tr *Trace) bool {
-		_, isErr := tr.Root.Attr("error")
-		return isErr
-	})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -113,13 +65,9 @@ func TestRingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				tr := mkTrace("update")
-				if i%5 == 0 {
-					tr.Root.SetStr("error", "x")
-				}
 				r.Add(tr)
 				r.Get(tr.ID)
 				r.List()
-				r.Kept()
 			}
 		}(g)
 	}

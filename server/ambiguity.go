@@ -1,12 +1,10 @@
 package server
 
 import (
-	"net/http"
 	"sync"
 
 	"github.com/clarifynet/clarify/ambiguity"
 	"github.com/clarifynet/clarify/internal/promtext"
-	"github.com/clarifynet/clarify/internal/wire"
 )
 
 // ambiguityBitsBuckets are the value-histogram upper bounds, in bits, for
@@ -65,19 +63,16 @@ func (a *ambiguityMetrics) record(l *ambiguity.Ledger) {
 func (a *ambiguityMetrics) snapshot() *AmbiguitySnapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := &AmbiguitySnapshot{
-		Rollup:                  ambiguity.NewRollup(),
+	return &AmbiguitySnapshot{
+		Rollup:                  a.rollup.Clone(),
 		BitsResolvedPerQuestion: a.bitsPerQuestion.snapshotValue(),
 		QuestionsPerUpdate:      a.questionsPerUpdate.snapshotValue(),
 		ResidualAmbiguityBits:   a.residualBits.snapshotValue(),
 	}
-	out.Rollup.Merge(a.rollup)
-	return out
 }
 
-// AmbiguitySnapshot is the body of GET /debug/ambiguity and the /metrics
-// "ambiguity" block: the rollup of every ledger this daemon recorded and
-// the distribution histograms.
+// AmbiguitySnapshot is the /metrics "ambiguity" block: the rollup of every
+// ledger this daemon recorded and the distribution histograms.
 type AmbiguitySnapshot struct {
 	Rollup *ambiguity.Rollup `json:"rollup"`
 	// BitsResolvedPerQuestion distributes each clarifying question's
@@ -114,13 +109,6 @@ func (h *Histogram) snapshotValue() ValueHistogramSnapshot {
 		Buckets: s.BucketsMs, Counts: s.Counts, Count: s.Count, Sum: s.SumMs,
 		Mean: s.MeanMs, EstP50: s.EstP50Ms, EstP95: s.EstP95Ms, EstP99: s.EstP99Ms,
 	}
-}
-
-// handleDebugAmbiguity serves the disambiguation-efficiency rollup: how much
-// candidate-space ambiguity updates started with, how many bits each
-// clarifying question resolved, and what remained at accept.
-func (s *Server) handleDebugAmbiguity(w http.ResponseWriter, r *http.Request) {
-	wire.WriteJSON(w, http.StatusOK, s.amb.snapshot())
 }
 
 // writeAmbiguity renders the disambiguation telemetry series: per-strategy

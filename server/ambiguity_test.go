@@ -9,8 +9,10 @@ import (
 )
 
 // TestDebugAmbiguityEndpoint runs the §2.1 walkthrough over HTTP and checks
-// the daemon's live rollup: /debug/ambiguity must agree with what the update
-// reported (two questions, binary strategy, route-map kind, zero residual).
+// the daemon's live rollup: the /metrics ambiguity block must agree with
+// what the update reported (two questions, binary strategy, route-map kind,
+// zero residual), the Prometheus view must carry the same numbers, and
+// GET /debug/ambiguity, which served the same block alone, answers 404.
 func TestDebugAmbiguityEndpoint(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 2})
 	ctx := context.Background()
@@ -29,9 +31,13 @@ func TestDebugAmbiguityEndpoint(t *testing.T) {
 		t.Fatalf("walkthrough asked %d questions, want 2", res.Result.Questions)
 	}
 
-	snap, err := c.Ambiguity(ctx)
+	m, err := c.Metrics(ctx)
 	if err != nil {
-		t.Fatalf("GET /debug/ambiguity: %v", err)
+		t.Fatalf("metrics: %v", err)
+	}
+	snap := m.Ambiguity
+	if snap == nil || snap.Rollup == nil {
+		t.Fatalf("/metrics ambiguity block = %+v, want the rollup", snap)
 	}
 	total := snap.Rollup.Total
 	if total.Updates != 1 || total.Questions != 2 {
@@ -60,14 +66,7 @@ func TestDebugAmbiguityEndpoint(t *testing.T) {
 		t.Errorf("residualAmbiguityBits = %+v, want count 1 sum 0", snap.ResidualAmbiguityBits)
 	}
 
-	// The same rollup rides /metrics (JSON and Prometheus).
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
-	}
-	if m.Ambiguity == nil || m.Ambiguity.Rollup.Total.Updates != 1 {
-		t.Errorf("/metrics ambiguity block = %+v, want the same 1-update rollup", m.Ambiguity)
-	}
+	// The same rollup rides the Prometheus view.
 	promResp, err := http.Get(c.BaseURL + "/metrics?format=prometheus")
 	if err != nil {
 		t.Fatalf("prometheus metrics: %v", err)
@@ -91,6 +90,14 @@ func TestDebugAmbiguityEndpoint(t *testing.T) {
 		if !strings.Contains(text, series) {
 			t.Errorf("prometheus exposition missing %q", series)
 		}
+	}
+	resp, err := http.Get(c.BaseURL + "/debug/ambiguity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/ambiguity = %d, want 404", resp.StatusCode)
 	}
 }
 

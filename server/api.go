@@ -54,9 +54,6 @@ type SessionInfo struct {
 type SubmitRequest struct {
 	Intent string `json:"intent"`
 	Target string `json:"target"`
-	// Async makes the submit return immediately with an update ID to poll
-	// (also selectable with the ?async=1 query parameter).
-	Async bool `json:"async,omitempty"`
 }
 
 // Update statuses.

@@ -27,11 +27,10 @@ type Client struct {
 	// when nil.
 	HTTP *http.Client
 	// PollInterval is the pause PollUpdate takes after a GET of the update
-	// that showed no progress (default 25 ms): a daemon without long-poll
-	// support, a long-poll that reached its bound, or a daemon that is
-	// draining. A current daemon replies to the submit and to each answer
-	// with the next question, and to a long-poll only on progress, so
-	// PollUpdate does not sleep against one.
+	// that showed no progress (default 25 ms): a long-poll that reached its
+	// bound, or one a draining daemon answered at once. The daemon replies
+	// to the submit and to each answer with the next question, and to a
+	// long-poll only on progress, so PollUpdate does not sleep otherwise.
 	PollInterval time.Duration
 	// MaxRetries bounds the extra attempts for idempotent GETs (question
 	// polls, update polls, stats, session info) that fail with a transient
@@ -210,29 +209,18 @@ func (c *Client) Session(ctx context.Context, id string) (SessionInfo, error) {
 	return out, err
 }
 
-// Submit runs one intent synchronously: the call returns when the update has
-// finished. Disambiguation questions must be answered concurrently (another
-// goroutine polling Question/Answer) or the update times out; most callers
-// want RunUpdate instead.
-func (c *Client) Submit(ctx context.Context, id, intentText, target string) (UpdateInfo, error) {
-	var out UpdateInfo
-	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/updates",
-		SubmitRequest{Intent: intentText, Target: target}, &out)
-	return out, err
-}
-
 // SubmitAsync enqueues one intent and returns immediately with the update to
 // poll.
 func (c *Client) SubmitAsync(ctx context.Context, id, intentText, target string) (UpdateInfo, error) {
-	return c.submitAsync(ctx, id, intentText, target, "")
+	return c.submit(ctx, id, intentText, target, "")
 }
 
-// submitAsync is SubmitAsync with a query suffix: "&after=0" makes the
-// daemon hold the reply until the first question or the finished update.
-func (c *Client) submitAsync(ctx context.Context, id, intentText, target, query string) (UpdateInfo, error) {
+// submit is SubmitAsync with a query: "?after=0" makes the daemon hold the
+// reply until the first question or the finished update.
+func (c *Client) submit(ctx context.Context, id, intentText, target, query string) (UpdateInfo, error) {
 	var out UpdateInfo
-	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/updates?async=1"+query,
-		SubmitRequest{Intent: intentText, Target: target, Async: true}, &out)
+	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/updates"+query,
+		SubmitRequest{Intent: intentText, Target: target}, &out)
 	return out, err
 }
 
@@ -258,16 +246,15 @@ func (c *Client) Question(ctx context.Context, id string) (*Question, error) {
 	return out.Question, nil
 }
 
-// Answer delivers the operator's choice (1 or 2) for question seq. A
-// current daemon holds the reply until the update's next question or its
-// end, for at most 5 s; Answer discards the view it carries.
+// Answer delivers the operator's choice (1 or 2) for question seq. The
+// daemon holds the reply until the update's next question or its end, for
+// at most 5 s; Answer discards the view it carries.
 func (c *Client) Answer(ctx context.Context, id string, seq, option int) error {
 	_, err := c.answer(ctx, id, seq, option)
 	return err
 }
 
-// answer is Answer returning the reply: the update's next view from a
-// current daemon, {"status":"answered"} from an older one.
+// answer is Answer returning the reply: the update's next view.
 func (c *Client) answer(ctx context.Context, id string, seq, option int) (UpdateInfo, error) {
 	var out UpdateInfo
 	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/answer",
@@ -295,34 +282,24 @@ func (c *Client) Metrics(ctx context.Context) (MetricsSnapshot, error) {
 	return out, err
 }
 
-// Ambiguity fetches the daemon's disambiguation-efficiency telemetry
-// (GET /debug/ambiguity). clarify-lb serves no such view, so against a
-// balancer it fails with a 404.
-func (c *Client) Ambiguity(ctx context.Context) (AmbiguitySnapshot, error) {
-	var out AmbiguitySnapshot
-	err := c.do(ctx, http.MethodGet, "/debug/ambiguity", nil, &out)
-	return out, err
-}
-
 // AnswerFunc chooses OPTION 1 or 2 for one differential question; it is the
 // client-side analogue of the disambig oracle interfaces.
 type AnswerFunc func(q Question) (option int, err error)
 
-// RunUpdate drives one intent end to end: submit asynchronously, answer
-// each disambiguation question via fn, and return the terminal update.
-// Against a current daemon that is one request per dialogue turn: the
-// submit replies with the first question and each answer with the next,
-// or with the finished update (see PollUpdate). 429 backpressure
-// rejections are retried after the server's Retry-After hint until ctx
-// expires. On error the returned UpdateInfo carries the last known state —
-// in particular the update ID once the submit landed, so a caller
-// surviving a replica handoff can resume the same update with PollUpdate
-// instead of resubmitting.
+// RunUpdate drives one intent end to end: submit it, answer each
+// disambiguation question via fn, and return the terminal update. That is
+// one request per dialogue turn: the submit replies with the first
+// question and each answer with the next, or with the finished update (see
+// PollUpdate). 429 backpressure rejections are retried after the server's
+// Retry-After hint until ctx expires. On error the returned UpdateInfo
+// carries the last known state — in particular the update ID once the
+// submit landed, so a caller surviving a replica handoff can resume the
+// same update with PollUpdate instead of resubmitting.
 func (c *Client) RunUpdate(ctx context.Context, id, intentText, target string, fn AnswerFunc) (UpdateInfo, error) {
 	var u UpdateInfo
 	for {
 		var err error
-		u, err = c.submitAsync(ctx, id, intentText, target, "&after=0")
+		u, err = c.submit(ctx, id, intentText, target, "?after=0")
 		if err == nil {
 			break
 		}
@@ -346,14 +323,12 @@ func (c *Client) RunUpdate(ctx context.Context, id, intentText, target string, f
 // starts with a long-poll, GET …/updates/{uid}?after=N with N the last
 // answered sequence number, which the daemon answers once the update is
 // terminal or carries a newer question. Each answer's reply is the next
-// such view, so against a current daemon a turn is one request. It sends
-// the GET again only after a reply that showed no progress: an older
-// daemon's {"status":"answered"}, or a wait cut short by a drain. It reads
-// GET …/question only when a waiting view carries no question, and pauses
-// PollInterval only after a GET that showed no progress, so it also drives
-// daemons without long-poll support. It is the resume half of RunUpdate —
-// safe to call again after a transport error or a replica restart,
-// because answering is idempotent per sequence number (a stale answer is a
+// such view, so a turn is one request. It sends the GET again only after a
+// reply that showed no progress, and pauses PollInterval after a GET that
+// showed none: a long-poll that reached its bound, or one a draining
+// daemon answered at once. It is the resume half of RunUpdate — safe to
+// call again after a transport error or a replica restart, because
+// answering is idempotent per sequence number (a stale answer is a
 // tolerated conflict). On error the returned UpdateInfo carries the last
 // state seen.
 func (c *Client) PollUpdate(ctx context.Context, id, updateID string, fn AnswerFunc) (UpdateInfo, error) {
@@ -380,14 +355,7 @@ func (c *Client) drive(ctx context.Context, id string, cur UpdateInfo, fresh boo
 		if cur.Terminal() {
 			return cur, nil
 		}
-		q := cur.Question
-		if q == nil && cur.Status == StatusWaiting {
-			var err error
-			if q, err = c.Question(ctx, id); err != nil {
-				return last, err
-			}
-		}
-		if q != nil && q.Seq > answered {
+		if q := cur.Question; q != nil && q.Seq > answered {
 			option, err := fn(*q)
 			if err != nil {
 				return last, err
@@ -401,8 +369,7 @@ func (c *Client) drive(ctx context.Context, id string, cur UpdateInfo, fresh boo
 				}
 			}
 			answered = q.Seq
-			// An older daemon's reply is no view of the update.
-			if err == nil && next.ID == cur.ID {
+			if err == nil {
 				cur, fresh = next, true
 			}
 			continue

@@ -128,7 +128,7 @@ func TestFailedUpdatesCounter(t *testing.T) {
 	}
 	runWalkthrough(t, c, newSession())
 	checkFailed(0)
-	if res, err := c.Submit(ctx, newSession(), exampleIntent, "ISP_OUT"); err != nil || res.Status != StatusFailed {
+	if res, err := c.RunUpdate(ctx, newSession(), exampleIntent, "ISP_OUT", func(Question) (int, error) { return 1, nil }); err != nil || res.Status != StatusFailed {
 		t.Fatalf("update on a failing LLM = %+v, %v; want failed", res, err)
 	}
 	checkFailed(1)

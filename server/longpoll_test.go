@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/clarifynet/clarify/internal/wire"
 	"github.com/clarifynet/clarify/llm"
 )
 
@@ -30,7 +29,7 @@ route-map ISP_OUT permit 20
 `
 
 // pollReply is one reply that carries an update view: a GET of the view,
-// an async submit or an answer.
+// a submit or an answer.
 type pollReply struct {
 	status int
 	info   UpdateInfo
@@ -263,7 +262,7 @@ func TestLongPollBadAfter(t *testing.T) {
 	}
 }
 
-// TestLongPollSubmit: an async submit with ?after=0 replies 202 with
+// TestLongPollSubmit: a submit with ?after=0 replies 202 with
 // question 1 inline. An after that is not a non-negative integer is a 400
 // with an ErrorResponse body that leaves the session free, so the next
 // valid submit is accepted, not refused as busy.
@@ -274,20 +273,20 @@ func TestLongPollSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := "/v1/sessions/" + sid + "/updates?async=1"
-	for _, q := range []string{"&after=x", "&after=-1", "&after="} {
+	path := "/v1/sessions/" + sid + "/updates"
+	for _, q := range []string{"?after=x", "?after=-1", "?after="} {
 		r := postView(c.BaseURL, path+q, submitBody)
 		var e ErrorResponse
 		if r.err != nil || r.status != http.StatusBadRequest || json.Unmarshal(r.body, &e) != nil || e.Error == "" {
 			t.Errorf("POST %s = %d %s, %v; want 400 with an error body", q, r.status, r.body, r.err)
 		}
 	}
-	r := postView(c.BaseURL, path+"&after=0", submitBody)
+	r := postView(c.BaseURL, path+"?after=0", submitBody)
 	if r.err != nil || r.status != http.StatusAccepted {
-		t.Fatalf("POST &after=0 = %d %s, %v; want 202", r.status, r.body, r.err)
+		t.Fatalf("POST ?after=0 = %d %s, %v; want 202", r.status, r.body, r.err)
 	}
 	if r.info.Status != StatusWaiting || r.info.Question == nil || r.info.Question.Seq != 1 {
-		t.Fatalf("POST &after=0 = %s, want waiting with question 1 inline", r.body)
+		t.Fatalf("POST ?after=0 = %s, want waiting with question 1 inline", r.body)
 	}
 	if _, err := c.PollUpdate(ctx, sid, r.info.ID, func(Question) (int, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
@@ -367,8 +366,8 @@ func TestLongPollOneRequestPerTurn(t *testing.T) {
 
 // TestLongPollWakesOnDrain: a reply waiting on a running update returns
 // its non-terminal view within 100ms of the server starting to drain, by
-// either DrainForHandoff or Shutdown. The waiting reply is a long-poll, an
-// async submit with ?after=0, or an answer whose update posts no next
+// either DrainForHandoff or Shutdown. The waiting reply is a long-poll, a
+// submit with ?after=0, or an answer whose update posts no next
 // question. A long-poll sent while the server drains returns at once.
 func TestLongPollWakesOnDrain(t *testing.T) {
 	// Each wait starts one waiting request on a fresh server and returns
@@ -391,7 +390,7 @@ func TestLongPollWakesOnDrain(t *testing.T) {
 		{"submit", http.StatusAccepted, func(t *testing.T, srv *Server, c *Client, sid string) (<-chan pollReply, string) {
 			replies := make(chan pollReply, 1)
 			go func() {
-				replies <- postView(c.BaseURL, "/v1/sessions/"+sid+"/updates?async=1&after=0", submitBody)
+				replies <- postView(c.BaseURL, "/v1/sessions/"+sid+"/updates?after=0", submitBody)
 			}()
 			// Running: the submit got past the drain check and the pool.
 			waitStatus(t, srv, sid, "u1", StatusRunning)
@@ -558,70 +557,22 @@ func TestLongPollHandoffNeverSeesLocalFailure(t *testing.T) {
 	}
 }
 
-// TestLongPollOlderDaemon drives the §2.1 walkthrough through a proxy that
-// makes a real daemon look like one without long-poll: it ignores ?after on
-// update GETs and submits, strips the question from update views, and
-// replies {"status":"answered"} to an answer as soon as it is delivered.
-// RunUpdate must fall back to GET …/question, give both answers, poll the
-// update after each answer, reach the same position, and pause
-// PollInterval after each poll that showed no progress.
-func TestLongPollOlderDaemon(t *testing.T) {
-	srv := New(Options{Workers: 2})
-	defer srv.Shutdown(context.Background())
-	type hit struct {
-		route string
-		at    time.Time
-	}
+// TestLongPollPausesWhileDraining: a draining daemon answers a long-poll at
+// once with no progress, so PollUpdate pauses PollInterval between two
+// such GETs instead of spinning.
+func TestLongPollPausesWhileDraining(t *testing.T) {
+	srv := New(Options{Workers: 1, NewClient: func() llm.Client { return blockingClient{} }})
 	var mu sync.Mutex
-	var hits []hit
-	var withoutAfter int
-	older := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		route := r.Method + " " + r.URL.Path[strings.LastIndex(r.URL.Path, "/")+1:]
-		isView := r.Method == http.MethodGet && strings.Contains(r.URL.Path, "/updates/")
-		if isView {
-			route = "GET view"
+	var polls []time.Time
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.Contains(r.URL.Path, "/updates/") {
+			mu.Lock()
+			polls = append(polls, time.Now())
+			mu.Unlock()
 		}
-		mu.Lock()
-		hits = append(hits, hit{route, time.Now()})
-		if isView && !r.URL.Query().Has("after") {
-			withoutAfter++
-		}
-		mu.Unlock()
-		switch route {
-		case "GET view", "POST updates":
-			q := r.URL.Query()
-			q.Del("after")
-			r.URL.RawQuery = q.Encode()
-		case "POST answer":
-			// An older daemon replied once the answer was delivered: a
-			// cancelled context ends the wait for the next view at once.
-			ctx, cancel := context.WithCancel(r.Context())
-			cancel()
-			r = r.WithContext(ctx)
-		default:
-			srv.ServeHTTP(w, r)
-			return
-		}
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, r)
-		if rec.Code >= 300 {
-			wire.WriteJSON(w, rec.Code, json.RawMessage(rec.Body.Bytes()))
-			return
-		}
-		if route == "POST answer" {
-			wire.WriteJSON(w, rec.Code, map[string]string{"status": "answered"})
-			return
-		}
-		var info UpdateInfo
-		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
-			t.Errorf("update view %q: %v", rec.Body.Bytes(), err)
-		}
-		info.Question = nil
-		wire.WriteJSON(w, rec.Code, info)
-	})
-	hs := httptest.NewServer(older)
+		srv.ServeHTTP(w, r)
+	}))
 	defer hs.Close()
-
 	const interval = 20 * time.Millisecond
 	c := &Client{BaseURL: hs.URL, PollInterval: interval}
 	ctx := context.Background()
@@ -629,50 +580,34 @@ func TestLongPollOlderDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var asked []int
-	res, err := c.RunUpdate(ctx, sid, exampleIntent, "ISP_OUT", func(q Question) (int, error) {
-		asked = append(asked, q.Seq)
-		return 1, nil
-	})
+	u, err := c.SubmitAsync(ctx, sid, exampleIntent, "ISP_OUT")
 	if err != nil {
-		t.Fatalf("run update: %v", err)
+		t.Fatal(err)
 	}
-	if res.Status != StatusDone || res.Result == nil || res.Result.Position != 0 || res.Result.Questions != 2 {
-		t.Fatalf("update = %+v, want done at position 0 after 2 questions", res)
-	}
-	if len(asked) != 2 || asked[0] != 1 || asked[1] != 2 {
-		t.Errorf("answered questions %v, want [1 2]", asked)
-	}
+	waitStatus(t, srv, sid, u.ID, StatusRunning)
+	// The update blocks on its LLM call until the force-cancelling
+	// shutdown at the end.
+	fctx, fcancel := context.WithCancel(ctx)
+	fcancel()
+	defer srv.Shutdown(fctx)
+	srv.startDrain()
 
+	pctx, pcancel := context.WithTimeout(ctx, 10*interval)
+	defer pcancel()
+	last, err := c.PollUpdate(pctx, sid, u.ID, func(Question) (int, error) {
+		return 0, errors.New("no question was posted")
+	})
+	if !errors.Is(err, context.DeadlineExceeded) || last.Terminal() {
+		t.Fatalf("PollUpdate while draining = %+v, %v; want the running update and the context's deadline", last, err)
+	}
 	mu.Lock()
 	defer mu.Unlock()
-	if withoutAfter > 0 {
-		t.Errorf("%d update polls carried no ?after", withoutAfter)
+	if len(polls) < 2 {
+		t.Fatalf("%d update GETs in %v, want at least two", len(polls), 10*interval)
 	}
-	questions, views, answers, resumed := 0, 0, 0, 0
-	var lastView time.Time
-	for _, h := range hits {
-		switch h.route {
-		case "GET question":
-			questions++
-		case "POST answer":
-			answers++
-			lastView = time.Time{}
-		case "GET view":
-			views++
-			if lastView.IsZero() && answers > 0 {
-				resumed++
-			}
-			if !lastView.IsZero() && h.at.Sub(lastView) < interval {
-				t.Errorf("update poll %d came %v after a poll without progress, want at least PollInterval %v", views, h.at.Sub(lastView), interval)
-			}
-			lastView = h.at
+	for i := 1; i < len(polls); i++ {
+		if d := polls[i].Sub(polls[i-1]); d < interval {
+			t.Fatalf("update GET %d of %d came %v after the one before, want at least PollInterval %v", i+1, len(polls), d, interval)
 		}
-	}
-	if questions < 2 {
-		t.Errorf("%d question GETs, want at least one per question", questions)
-	}
-	if resumed != answers {
-		t.Errorf("%d of %d answers were followed by an update poll, want all: an older daemon's answer reply is no view", resumed, answers)
 	}
 }

@@ -71,8 +71,9 @@ type update struct {
 	// update can be snapshotted and re-executed on another daemon.
 	intent string
 	target string
-	// parent is the propagated W3C trace context (a clarify-lb forward
-	// span), zero when the submission arrived without a traceparent header.
+	// parent is the propagated W3C trace context (a caller's span, or one
+	// clarify-lb minted that names no recorded span), zero when the
+	// submission arrived without a traceparent header.
 	parent obs.TraceParent
 	// ctx is the update's lifetime: deleting its session cancels it with
 	// errSessionDeleted. The deadline budget derives from it once a worker

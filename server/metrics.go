@@ -142,19 +142,6 @@ func (m *metrics) observeTrace(t *obs.Trace) {
 	})
 }
 
-// stageQuantile estimates the q-quantile of one stage's latency histogram
-// plus its observation count — the tail-retention policy's "slower than p99"
-// input.
-func (m *metrics) stageQuantile(stage string, q float64) (float64, int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.stages[stage]
-	if h == nil || h.n == 0 {
-		return 0, 0
-	}
-	return estimateQuantile(h.buckets, h.counts, h.n, q), h.n
-}
-
 // recordPanic counts one recovered worker panic.
 func (m *metrics) recordPanic() {
 	m.mu.Lock()
@@ -246,9 +233,6 @@ type MetricsSnapshot struct {
 	// Traces counts completed traces recorded since start (the debug ring
 	// retains only the most recent).
 	Traces int64 `json:"traces"`
-	// KeptTraces counts evicted traces rescued by the tail-retention policy
-	// (errors, degraded runs, latency outliers).
-	KeptTraces int64 `json:"keptTraces,omitempty"`
 	// PanicsRecovered counts pipeline-job panics contained by the worker
 	// pool; each one failed its update but left the daemon serving.
 	PanicsRecovered int64 `json:"panicsRecovered"`
@@ -268,7 +252,6 @@ type MetricsSnapshot struct {
 	Journal *journal.Stats `json:"journal,omitempty"`
 	// Ambiguity is the disambiguation-efficiency telemetry: information-gain
 	// rollups per strategy plus the bits/questions distributions.
-	// Also served alone at GET /debug/ambiguity.
 	Ambiguity *AmbiguitySnapshot `json:"ambiguity,omitempty"`
 	// Runtime is the process-runtime block (goroutines, GC pause p99, heap
 	// in use), sampled at scrape time.

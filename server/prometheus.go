@@ -40,7 +40,6 @@ func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 	p.Counter("clarifyd_restored_sessions_total", "Sessions rehydrated from a snapshot or peer handoff.", float64(snap.RestoredSessions))
 	p.Counter("clarifyd_restore_failures_total", "Rejected session restore attempts.", float64(snap.RestoreFailures))
 	p.Counter("clarifyd_traces_total", "Completed pipeline traces recorded.", float64(snap.Traces))
-	p.Counter("clarifyd_kept_traces_total", "Evicted traces rescued by tail retention (error/degraded/slow).", float64(snap.KeptTraces))
 
 	p.Counter("clarifyd_pipeline_llm_calls_total", "LLM completions requested across all sessions.", float64(snap.Pipeline.LLMCalls))
 	p.Counter("clarifyd_pipeline_disambiguations_total", "Disambiguation questions answered.", float64(snap.Pipeline.Disambiguations))

@@ -11,9 +11,9 @@ import (
 	"time"
 )
 
-// FuzzRequestBodies posts each input as the body of a session create, of an
-// async submit to an idle session, and of an answer to a session parked on
-// its first question. No handler may panic, each answers only a status its
+// FuzzRequestBodies posts each input as the body of a session create, of a
+// submit to an idle session, and of an answer to a session parked on its
+// first question. No handler may panic, each answers only a status its
 // doc comment lists (413 for an input over the route's bound), and every
 // non-2xx body decodes as an ErrorResponse with a message. The sessions are
 // deleted after each input, which cancels a parked update, and the input
@@ -59,7 +59,7 @@ func FuzzRequestBodies(f *testing.F) {
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		status, resp := postBody(t, c.BaseURL+"/v1/sessions/"+sid+"/updates?async=1", body, 202, 400, 409, 413, 429, 503)
+		status, resp := postBody(t, c.BaseURL+"/v1/sessions/"+sid+"/updates", body, 202, 400, 409, 413, 429, 503)
 		var u *update
 		if status == http.StatusAccepted {
 			var info UpdateInfo

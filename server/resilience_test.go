@@ -117,7 +117,8 @@ func TestPanickingUpdateFailsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create session: %v", err)
 	}
-	res, err := c.Submit(ctx, sid, exampleIntent, "ISP_OUT")
+	res, err := c.RunUpdate(ctx, sid, exampleIntent, "ISP_OUT",
+		func(Question) (int, error) { return 1, nil })
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -130,10 +131,8 @@ func TestPanickingUpdateFailsCleanly(t *testing.T) {
 
 	// The session must be reusable: the panic consumed the client's only
 	// planned fault, so the rerun completes normally.
-	stop := make(chan struct{})
-	defer close(stop)
-	answerPump(c, sid, stop)
-	res, err = c.Submit(ctx, sid, exampleIntent, "ISP_OUT")
+	res, err = c.RunUpdate(ctx, sid, exampleIntent, "ISP_OUT",
+		func(Question) (int, error) { return 1, nil })
 	if err != nil {
 		t.Fatalf("post-panic submit: %v", err)
 	}
@@ -158,7 +157,8 @@ func TestUpdateTimeoutFreesWorker(t *testing.T) {
 		t.Fatalf("create session: %v", err)
 	}
 	start := time.Now()
-	res, err := c.Submit(ctx, sid, exampleIntent, "ISP_OUT")
+	res, err := c.RunUpdate(ctx, sid, exampleIntent, "ISP_OUT",
+		func(Question) (int, error) { return 1, nil })
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -178,7 +178,8 @@ func TestUpdateTimeoutFreesWorker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create session 2: %v", err)
 	}
-	res, err = c.Submit(ctx, sid2, exampleIntent, "ISP_OUT")
+	res, err = c.RunUpdate(ctx, sid2, exampleIntent, "ISP_OUT",
+		func(Question) (int, error) { return 1, nil })
 	if err != nil {
 		t.Fatalf("submit 2: %v", err)
 	}

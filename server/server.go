@@ -50,9 +50,6 @@ type Options struct {
 	Logger *log.Logger
 	// MaxConfigBytes bounds uploaded configurations (default 4 MiB).
 	MaxConfigBytes int64
-	// TraceBufferSize bounds the /debug/traces ring of recent completed
-	// traces (default DefaultTraceBufferSize).
-	TraceBufferSize int
 	// UpdateTimeout bounds each update's wall-clock budget, measured from
 	// when a worker picks the job up (default 2m; negative disables). The
 	// budget covers LLM calls, retries, and time parked on an unanswered
@@ -67,10 +64,6 @@ type Options struct {
 	// appends to: one durable record per update (see the journal package).
 	// The server does not close it; the owner does, after Shutdown.
 	Journal *journal.Journal
-	// TraceKeepSize bounds the tail-retention ring holding evicted traces
-	// worth keeping (errors, degraded runs, slower than the update-stage
-	// p99). 0 selects DefaultTraceKeepSize; negative disables retention.
-	TraceKeepSize int
 }
 
 // DefaultUpdateTimeout is the per-update deadline when Options.UpdateTimeout
@@ -93,7 +86,7 @@ type Server struct {
 	baseCtx context.Context
 	cancel  context.CancelFunc
 	// drain is closed when draining starts, releasing every reply waiting
-	// on an update: long-polls, async submits and answers.
+	// on an update: long-polls, submits and answers.
 	drain     chan struct{}
 	drainOnce sync.Once
 	active    atomic.Int64 // updates executing or parked on a question
@@ -132,17 +125,11 @@ func New(opts Options) *Server {
 		mgr:     newManager(opts.MaxSessions, opts.IdleTTL, opts.SweepInterval),
 		met:     met,
 		amb:     newAmbiguityMetrics(),
-		traces:  newTraceRing(opts.TraceBufferSize),
+		traces:  obs.NewRing(traceRingSize),
 		spaces:  symbolic.NewSpaceCache(),
 		baseCtx: ctx,
 		cancel:  cancel,
 		drain:   make(chan struct{}),
-	}
-	if keep := opts.TraceKeepSize; keep >= 0 {
-		if keep == 0 {
-			keep = DefaultTraceKeepSize
-		}
-		s.traces.SetRetention(keep, s.keepTrace)
 	}
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /readyz", s.handleReadyz)
@@ -160,7 +147,6 @@ func New(opts Options) *Server {
 	s.route("GET /v1/sessions/{id}/stats", s.handleStats)
 	s.route("GET /debug/traces", s.handleDebugTraces)
 	s.route("GET /debug/traces/{tid}", s.handleDebugTrace)
-	s.route("GET /debug/ambiguity", s.handleDebugAmbiguity)
 	return s
 }
 
@@ -306,7 +292,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap.Pipeline = s.mgr.CumulativeStats()
 	snap.SpaceCache = s.spaces.Stats()
 	snap.Traces = s.traces.Total()
-	snap.KeptTraces = s.traces.KeptTotal()
 	if s.opts.Resilience != nil {
 		snap.Resilience = s.opts.Resilience.Stats()
 	}
@@ -418,14 +403,13 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleSubmit is the hot path: reserve the session, enqueue the pipeline
-// on the worker pool — shedding with 429 + Retry-After when the queue is
-// full — and either wait for completion (sync) or return the update ID
-// (async). An async submit with ?after=N replies with the view the update's
-// long-poll would return, so the first question comes back with the 202.
-// It answers 200 (sync) or 202 (async) with the update, 400 for an
-// unreadable body, a missing intent or target, or an after that is not a
-// non-negative integer, 404 or 410 for a session that is not live, 409
+// handleSubmit is the hot path: reserve the session and enqueue the
+// pipeline on the worker pool, shedding with 429 + Retry-After when the
+// queue is full. It replies with the update's view: at once, or with
+// ?after=N the view the update's long-poll would return, so the first
+// question comes back with the 202. It answers 202 with the update, 400 for
+// an unreadable body, a missing intent or target, or an after that is not
+// a non-negative integer, 404 or 410 for a session that is not live, 409
 // while the session is busy, 413 for a body over maxSubmitBytes, 429 when
 // the queue is full, and 503 while draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -454,8 +438,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "intent and target are required", 0)
 		return
 	}
-	async := req.Async || r.URL.Query().Get("async") == "1"
-
 	oracle := newAsyncOracle(s.baseCtx, s.opts.QuestionTimeout)
 	u, err := sn.beginUpdate(s.baseCtx, oracle, req.Intent, req.Target)
 	if err != nil {
@@ -489,17 +471,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, err.Error(), 0)
 		return
 	}
-	if async {
-		wire.WriteJSON(w, http.StatusAccepted, s.awaitView(r, u, after))
-		return
-	}
-	select {
-	case <-u.done:
-	case <-r.Context().Done():
-		// The client went away; the update keeps running and remains
-		// pollable at its update ID.
-	}
-	wire.WriteJSON(w, http.StatusOK, u.info())
+	wire.WriteJSON(w, http.StatusAccepted, s.awaitView(r, u, after))
 }
 
 // runUpdate executes one reserved update end to end: start the deadline
@@ -513,8 +485,8 @@ func (s *Server) runUpdate(sn *session, u *update, script []disambig.Answer) {
 	s.active.Add(1)
 	defer s.active.Add(-1)
 	// A panicking pipeline must fail its own update and release the
-	// session; otherwise the session stays busy forever and sync
-	// submitters hang. The pool has a last-resort recover too, but by
+	// session; otherwise the session stays busy forever and its update
+	// never turns terminal. The pool has a last-resort recover too, but by
 	// then the update record is unreachable.
 	defer func() {
 		if v := recover(); v != nil {
@@ -543,10 +515,9 @@ func (s *Server) runUpdate(sn *session, u *update, script []disambig.Answer) {
 		tr := &disambig.Transcript{Script: script, Route: oracle, ACL: oracle}
 		cs.RouteOracle, cs.ACLOracle = tr, tr
 	}
-	// Per-update sink: stamps the trace ID onto the update record, feeds
-	// the per-stage histograms, and retains the trace for /debug/traces.
-	// The degraded flag lands on the root span here so the tail-retention
-	// policy sees it without consulting the update record.
+	// Per-update sink: marks a degraded run on the root span, stamps the
+	// trace ID onto the update record, feeds the per-stage histograms, and
+	// retains the trace for /debug/traces.
 	// Updates are serialized per session, so reassigning the observer
 	// here is as safe as the oracle assignment above.
 	cs.Observer = obs.SinkFunc(func(t *obs.Trace) {
@@ -580,33 +551,8 @@ func (s *Server) runUpdate(sn *session, u *update, script []disambig.Answer) {
 	sn.endUpdate(u, res, rerr)
 }
 
-// keepTrace is the tail-retention policy: a trace evicted from the debug
-// ring survives when it recorded an error, ran degraded, or was slower than
-// the current update-stage p99 estimate (once enough updates have been
-// observed for the estimate to mean something).
-func (s *Server) keepTrace(t *obs.Trace) bool {
-	if t.Root == nil {
-		return false
-	}
-	if _, ok := t.Root.Attr("error"); ok {
-		return true
-	}
-	if a, ok := t.Root.Attr("degraded"); ok && a.Bool {
-		return true
-	}
-	p99, n := s.met.stageQuantile("update", 0.99)
-	if n < minQuantileObservations || p99 <= 0 {
-		return false
-	}
-	return float64(t.Duration())/float64(time.Millisecond) >= p99
-}
-
-// minQuantileObservations is how many update observations the stage
-// histogram needs before the p99 estimate drives tail retention.
-const minQuantileObservations = 20
-
-// longPollWait bounds how long a reply waits on an update (a long-poll, an
-// async submit with ?after, an answer): well under clarify-lb's 10 s drain
+// longPollWait bounds how long a reply waits on an update (a long-poll, a
+// submit with ?after, an answer): well under clarify-lb's 10 s drain
 // budget, which waits out proxied requests, and Client's 30 s default
 // timeout.
 const longPollWait = 5 * time.Second

@@ -596,24 +596,30 @@ func TestMaxSessionsCap(t *testing.T) {
 	}
 }
 
-// TestSyncSubmit: the synchronous endpoint blocks until the update is done
-// while questions are answered on a parallel connection.
-func TestSyncSubmit(t *testing.T) {
-	_, c := startServer(t, Options{Workers: 2})
+// TestSubmitRepliesAtOnce: a submit without ?after answers 202 at once
+// with the update's non-terminal view, although the update then parks on a
+// question that nobody answers until the submit has returned.
+func TestSubmitRepliesAtOnce(t *testing.T) {
+	_, c := startServer(t, Options{Workers: 1})
 	ctx := context.Background()
 	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
-	defer close(stop)
-	answerPump(c, sid, stop)
-	res, err := c.Submit(ctx, sid, exampleIntent, "ISP_OUT")
-	if err != nil {
-		t.Fatal(err)
+	sent := time.Now()
+	r := postView(c.BaseURL, "/v1/sessions/"+sid+"/updates", submitBody)
+	if r.err != nil || r.status != http.StatusAccepted {
+		t.Fatalf("submit = %d %s, %v; want 202", r.status, r.body, r.err)
 	}
-	if res.Status != StatusDone || res.Result == nil || res.Result.Questions != 2 {
-		t.Fatalf("sync submit result = %+v", res)
+	if d := r.at.Sub(sent); d > time.Second {
+		t.Errorf("submit took %v, want an immediate reply", d)
+	}
+	if r.info.ID == "" || r.info.Terminal() {
+		t.Fatalf("submit = %s, want a non-terminal update view", r.body)
+	}
+	res, err := c.PollUpdate(ctx, sid, r.info.ID, func(Question) (int, error) { return 1, nil })
+	if err != nil || res.Status != StatusDone || res.Result == nil || res.Result.Questions != 2 {
+		t.Fatalf("update = %+v, %v; want done after 2 questions", res, err)
 	}
 }
 
@@ -641,8 +647,10 @@ func TestBadRequests(t *testing.T) {
 	if _, err := c.SubmitAsync(ctx, sid, "", ""); err == nil {
 		t.Error("empty intent accepted")
 	}
-	for _, body := range []string{`null`, `{"intent":"x","target":"ISP_OUT","priority":1}`, `{"intent":"x","target":"ISP_OUT"} x`} {
-		postBody(t, c.BaseURL+"/v1/sessions/"+sid+"/updates?async=1", []byte(body), http.StatusBadRequest)
+	// "async" is an unknown field like any other.
+	for _, body := range []string{`null`, `{"intent":"x","target":"ISP_OUT","priority":1}`,
+		`{"intent":"x","target":"ISP_OUT","async":true}`, `{"intent":"x","target":"ISP_OUT"} x`} {
+		postBody(t, c.BaseURL+"/v1/sessions/"+sid+"/updates", []byte(body), http.StatusBadRequest)
 	}
 	for _, body := range []string{`null`, `{"seq":1,"option":1,"note":"x"}`, `{"seq":1,"option":1}{}`} {
 		postBody(t, c.BaseURL+"/v1/sessions/"+sid+"/answer", []byte(body), http.StatusBadRequest)
@@ -677,7 +685,7 @@ func TestOversizedBodyRefused(t *testing.T) {
 		limit        int
 	}{
 		{http.MethodPost, "/v1/sessions", maxConfig},
-		{http.MethodPost, "/v1/sessions/" + sid + "/updates?async=1", maxSubmitBytes},
+		{http.MethodPost, "/v1/sessions/" + sid + "/updates", maxSubmitBytes},
 		{http.MethodPost, "/v1/sessions/" + sid + "/answer", maxAnswerBytes},
 		{http.MethodPut, "/v1/sessions/" + sid + "-copy/restore", 2*maxConfig + 1<<20},
 	} {

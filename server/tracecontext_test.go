@@ -78,62 +78,3 @@ func TestInvalidTraceParentIgnored(t *testing.T) {
 		t.Fatalf("update trace ID = %q, want a fresh 32-hex local ID", res.TraceID)
 	}
 }
-
-// TestTailRetentionKeepsErrorTraces checks that an errored update's trace
-// survives eviction from the main debug ring into the kept ring, and that
-// /debug/traces/{id} still resolves it.
-func TestTailRetentionKeepsErrorTraces(t *testing.T) {
-	_, c := startServer(t, Options{Workers: 2, TraceBufferSize: 2, TraceKeepSize: 8})
-	ctx := context.Background()
-	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A target that does not exist fails the update; its trace records the
-	// error on the root span, which the retention policy keeps.
-	bad, err := c.RunUpdate(ctx, sid, exampleIntent, "NO_SUCH_MAP",
-		func(Question) (int, error) { return 1, nil })
-	if err != nil {
-		t.Fatalf("run update: %v", err)
-	}
-	if bad.Status != StatusFailed || bad.TraceID == "" {
-		t.Fatalf("bad-target update = %+v, want failed with a trace", bad)
-	}
-
-	// Healthy traffic evicts it from the 2-slot main ring.
-	for i := 0; i < 3; i++ {
-		runWalkthrough(t, c, sid)
-	}
-
-	var kept []TraceSummary
-	resp, err := http.Get(c.BaseURL + "/debug/traces?kept=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&kept); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, s := range kept {
-		if s.ID == bad.TraceID {
-			found = true
-			if s.Error == "" {
-				t.Errorf("kept trace summary has no error: %+v", s)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("errored trace %s not in kept ring: %+v", bad.TraceID, kept)
-	}
-
-	one, err := http.Get(c.BaseURL + "/debug/traces/" + bad.TraceID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one.Body.Close()
-	if one.StatusCode != http.StatusOK {
-		t.Fatalf("kept trace not resolvable by ID: %d", one.StatusCode)
-	}
-}

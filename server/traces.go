@@ -8,23 +8,9 @@ import (
 	"github.com/clarifynet/clarify/obs"
 )
 
-// DefaultTraceBufferSize is the debug ring's capacity when
-// Options.TraceBufferSize is zero.
-const DefaultTraceBufferSize = 256
-
-// DefaultTraceKeepSize is the tail-retention ring's capacity when
-// Options.TraceKeepSize is zero: evicted error/degraded/slow traces survive
-// here after healthy traffic pushes them out of the main ring.
-const DefaultTraceKeepSize = 64
-
-// newTraceRing builds the shared obs.Ring for the /debug/traces endpoints;
-// the retention policy is attached by New once the server exists.
-func newTraceRing(capacity int) *obs.Ring {
-	if capacity <= 0 {
-		capacity = DefaultTraceBufferSize
-	}
-	return obs.NewRing(capacity)
-}
+// traceRingSize is how many recent completed traces the /debug/traces
+// ring holds; the journal (-journal) keeps every trace durably.
+const traceRingSize = 256
 
 // TraceSummary is one row of GET /debug/traces.
 type TraceSummary struct {
@@ -32,8 +18,9 @@ type TraceSummary struct {
 	Start      string  `json:"start"`
 	DurationMs float64 `json:"durationMs"`
 	Spans      int     `json:"spans"`
-	// ParentSpanID is the remote parent for traces that continue a
-	// propagated fleet context (a clarify-lb forward span).
+	// ParentSpanID is the span ID of the propagated context the trace
+	// continues: a caller's span, or one clarify-lb minted that names no
+	// recorded span.
 	ParentSpanID string `json:"parentSpanId,omitempty"`
 	// Target and Error echo the root span's attributes when present.
 	Target string `json:"target,omitempty"`
@@ -58,8 +45,7 @@ func summarize(t *obs.Trace) TraceSummary {
 }
 
 // handleDebugTraces lists the retained traces, newest first. ?limit=N bounds
-// the response to the N most recent; ?kept=1 lists the tail-retention ring
-// (error/degraded/slow traces that outlived the main ring) instead.
+// the response to the N most recent.
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	limit := -1
 	if v := r.URL.Query().Get("limit"); v != "" {
@@ -70,12 +56,7 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	var traces []*obs.Trace
-	if r.URL.Query().Get("kept") == "1" {
-		traces = s.traces.Kept()
-	} else {
-		traces = s.traces.List()
-	}
+	traces := s.traces.List()
 	if limit >= 0 && limit < len(traces) {
 		traces = traces[:limit]
 	}
@@ -86,8 +67,7 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, http.StatusOK, out)
 }
 
-// handleDebugTrace returns one retained trace's full span tree; tail-kept
-// traces resolve here too.
+// handleDebugTrace returns one retained trace's full span tree.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.traces.Get(r.PathValue("tid"))
 	if !ok {
