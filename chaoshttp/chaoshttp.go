@@ -1,12 +1,12 @@
-// Package chaoshttp is a deterministic fault-injection harness for HTTP
+// Package chaoshttp is a deterministic fault-injection test fixture for HTTP
 // clients: a seeded RoundTripper that perturbs requests with the failure
 // modes real LLM endpoints exhibit — connection resets, 429/503 bursts,
 // garbage and truncated JSON bodies, latency spikes, and stalls.
 //
-// The same Plan drives both the repository's chaos tests (the -race soak in
-// the server package) and live fault injection via the clarifyd/clarify
-// -chaos flag, so the failure behaviour proven in CI is the behaviour
-// operators can reproduce against a running daemon.
+// Tests put it in front of an llm/llmtest endpoint to drive the LLM backend
+// path through those faults: the -race chaos soak and the fault-injection
+// sweep in the server package, and loadgen's hard-down run. A Plan is
+// built in Go; the probabilities of its faults must sum to at most 1.
 //
 // Determinism: fault draws come from one seeded math/rand source consumed
 // in request order, so a single-threaded request sequence sees an identical
@@ -112,109 +112,6 @@ func (p Plan) prob(f Fault) float64 {
 	default:
 		return 0
 	}
-}
-
-// FaultBudget is the total per-request fault probability.
-func (p Plan) FaultBudget() float64 {
-	total := 0.0
-	for _, f := range faults {
-		total += p.prob(f)
-	}
-	return total
-}
-
-// Validate rejects out-of-range probabilities.
-func (p Plan) Validate() error {
-	for _, f := range faults {
-		if pr := p.prob(f); pr < 0 || pr > 1 {
-			return fmt.Errorf("chaoshttp: %s probability %v out of [0,1]", f, pr)
-		}
-	}
-	if p.Latency < 0 || p.Latency > 1 {
-		return fmt.Errorf("chaoshttp: latency probability %v out of [0,1]", p.Latency)
-	}
-	if total := p.FaultBudget(); total > 1+1e-9 {
-		return fmt.Errorf("chaoshttp: fault probabilities sum to %v > 1", total)
-	}
-	return nil
-}
-
-// ParsePlan parses the comma-separated key=value plan spec used by the
-// -chaos flags, e.g.
-//
-//	"seed=42,reset=0.2,429=0.1,503=0.1,garbage=0.1,truncate=0.05,stall=0.05,latency=0.3,latency-delay=100ms"
-//
-// The shorthand "down" expands to reset=1 (a hard-down endpoint). Numeric
-// keys 429/503 alias http429/http503.
-func ParsePlan(spec string) (Plan, error) {
-	p := Plan{}
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		if field == "down" {
-			p.Reset = 1
-			continue
-		}
-		k, v, ok := strings.Cut(field, "=")
-		if !ok {
-			return Plan{}, fmt.Errorf("chaoshttp: bad plan field %q (want key=value)", field)
-		}
-		k = strings.TrimSpace(k)
-		v = strings.TrimSpace(v)
-		switch k {
-		case "seed":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return Plan{}, fmt.Errorf("chaoshttp: bad seed %q: %v", v, err)
-			}
-			p.Seed = n
-		case "retry-after":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return Plan{}, fmt.Errorf("chaoshttp: bad retry-after %q", v)
-			}
-			p.RetryAfterSeconds = n
-		case "latency-delay", "stall-delay":
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				return Plan{}, fmt.Errorf("chaoshttp: bad %s %q: %v", k, v, err)
-			}
-			if k == "latency-delay" {
-				p.LatencyDelay = d
-			} else {
-				p.StallDelay = d
-			}
-		default:
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return Plan{}, fmt.Errorf("chaoshttp: bad probability %q for %q: %v", v, k, err)
-			}
-			switch k {
-			case "reset":
-				p.Reset = f
-			case "429", "http429":
-				p.HTTP429 = f
-			case "503", "http503":
-				p.HTTP503 = f
-			case "garbage":
-				p.Garbage = f
-			case "truncate":
-				p.Truncate = f
-			case "stall":
-				p.Stall = f
-			case "latency":
-				p.Latency = f
-			default:
-				return Plan{}, fmt.Errorf("chaoshttp: unknown plan key %q", k)
-			}
-		}
-	}
-	if err := p.Validate(); err != nil {
-		return Plan{}, err
-	}
-	return p, nil
 }
 
 // Counts reports what a RoundTripper has injected so far.

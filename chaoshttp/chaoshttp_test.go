@@ -32,48 +32,6 @@ func get(t *testing.T, client *http.Client, url string) (*http.Response, error) 
 	return client.Do(req)
 }
 
-func TestParsePlan(t *testing.T) {
-	p, err := ParsePlan("seed=42,reset=0.2,429=0.1,503=0.1,garbage=0.05,truncate=0.05,stall=0.02,latency=0.3,latency-delay=100ms,stall-delay=2s,retry-after=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Seed != 42 || p.Reset != 0.2 || p.HTTP429 != 0.1 || p.HTTP503 != 0.1 ||
-		p.Garbage != 0.05 || p.Truncate != 0.05 || p.Stall != 0.02 ||
-		p.Latency != 0.3 || p.LatencyDelay != 100*time.Millisecond ||
-		p.StallDelay != 2*time.Second || p.RetryAfterSeconds != 1 {
-		t.Errorf("parsed plan = %+v", p)
-	}
-	if b := p.FaultBudget(); b < 0.51 || b > 0.53 {
-		t.Errorf("fault budget = %v, want 0.52", b)
-	}
-}
-
-func TestParsePlanDownShorthand(t *testing.T) {
-	p, err := ParsePlan("down,seed=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Reset != 1 || p.Seed != 7 {
-		t.Errorf("plan = %+v, want reset=1 seed=7", p)
-	}
-}
-
-func TestParsePlanErrors(t *testing.T) {
-	for _, spec := range []string{
-		"bogus-key=0.5",
-		"reset=notanumber",
-		"reset",
-		"reset=0.7,503=0.7", // sums over 1
-		"reset=-0.1",
-		"seed=xyz",
-		"latency-delay=fast",
-	} {
-		if _, err := ParsePlan(spec); err == nil {
-			t.Errorf("ParsePlan(%q) accepted, want error", spec)
-		}
-	}
-}
-
 func TestDeterministicFaultSequence(t *testing.T) {
 	plan := Plan{Seed: 99, Reset: 0.3, HTTP503: 0.3, Garbage: 0.2}
 	srv := backend(t)

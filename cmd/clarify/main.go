@@ -10,9 +10,11 @@
 // With -llm sim (the default) the deterministic simulated LLM is used and no
 // network access is needed. With -llm http, -base-url and -model select an
 // OpenAI-compatible endpoint; the API key is read from $CLARIFY_API_KEY.
-// -fallback-sim degrades to the simulated LLM when the endpoint fails
-// (updates that used it are flagged), and -chaos injects deterministic
-// transport faults for resilience drills.
+// The endpoint runs behind the same resilience.Stack as clarifyd's: each
+// completion is retried on 429, 5xx and transport errors, a circuit breaker
+// stops calling an endpoint that keeps failing, and -fallback-sim degrades
+// to the simulated LLM instead of failing (updates that used it are
+// flagged).
 //
 // With -remote http://host:port the pipeline runs inside a clarifyd daemon
 // instead of in-process: the CLI creates a remote session from the config,
@@ -26,13 +28,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	"github.com/clarifynet/clarify"
-	"github.com/clarifynet/clarify/chaoshttp"
 	"github.com/clarifynet/clarify/disambig"
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/journal"
@@ -58,9 +57,6 @@ type cliOptions struct {
 	// simFaults is a comma-separated fault plan for the simulated LLM, e.g.
 	// "wrong-value,syntax" — each synthesis call consumes one entry.
 	simFaults string
-	// chaosSpec is a chaoshttp fault plan applied to the http backend's
-	// transport (resilience drills).
-	chaosSpec string
 	// fallbackSim degrades http-backend failures onto the simulated LLM.
 	fallbackSim bool
 	// journalDir, when non-empty, appends one flight-recorder record per
@@ -79,7 +75,6 @@ func main() {
 		remote     = flag.String("remote", "", "drive a running clarifyd at this base URL instead of an in-process session")
 		traceJSON  = flag.String("trace-json", "", "append one JSON span tree per update to this file")
 		simFaults  = flag.String("sim-faults", "", "comma-separated fault plan for the sim LLM (wrong-value, widen-mask, drop-match, flip-action, syntax, none)")
-		chaosSpec  = flag.String("chaos", "", "inject transport faults into the http backend, e.g. \"seed=42,reset=0.2\" or \"down\"")
 		fbSim      = flag.Bool("fallback-sim", false, "degrade to the simulated LLM when the http backend fails")
 		journalDir = flag.String("journal", "", "append one flight-recorder record per update to this directory (replayable with clarify-replay)")
 		verbose    = flag.Bool("v", false, "trace pipeline steps to stderr")
@@ -107,7 +102,6 @@ func main() {
 			trace:       trace,
 			traceJSON:   *traceJSON,
 			simFaults:   *simFaults,
-			chaosSpec:   *chaosSpec,
 			fallbackSim: *fbSim,
 			journalDir:  *journalDir,
 		}, os.Stdin, os.Stdout)
@@ -133,28 +127,18 @@ func run(opts cliOptions, stdin io.Reader, out io.Writer) error {
 	}
 
 	var client llm.Client
-	var stack *resilience.Stack
 	switch opts.llmKind {
 	case "sim":
-		if opts.chaosSpec != "" || opts.fallbackSim {
-			return fmt.Errorf("-chaos and -fallback-sim require -llm http")
+		if opts.fallbackSim {
+			return fmt.Errorf("-fallback-sim requires -llm http")
 		}
 		client = llm.NewSimLLM(faults...)
 	case "http":
-		primary := &llm.HTTPClient{BaseURL: opts.baseURL, Model: opts.model, APIKey: os.Getenv("CLARIFY_API_KEY")}
-		if opts.chaosSpec != "" {
-			plan, err := chaoshttp.ParsePlan(opts.chaosSpec)
-			if err != nil {
-				return fmt.Errorf("-chaos: %w", err)
-			}
-			primary.HTTP = &http.Client{Transport: chaoshttp.New(plan, nil), Timeout: 60 * time.Second}
-		}
 		var fallback llm.Client
 		if opts.fallbackSim {
 			fallback = llm.NewSimLLM(faults...)
 		}
-		stack = resilience.NewStack(primary, "http", resilience.BreakerConfig{}, fallback, "sim")
-		client = stack.Client()
+		client = resilience.NewHTTPStack(opts.baseURL, opts.model, os.Getenv("CLARIFY_API_KEY"), fallback, nil)
 	default:
 		return fmt.Errorf("unknown -llm backend %q", opts.llmKind)
 	}
@@ -208,7 +192,7 @@ func run(opts cliOptions, stdin io.Reader, out io.Writer) error {
 			continue
 		}
 		if flags.Degraded() {
-			fmt.Fprintf(out, "\n  note: served in degraded mode by the %q fallback backend\n", flags.Backend())
+			fmt.Fprintf(out, "\n  note: served in degraded mode by the %q fallback backend\n", resilience.FallbackBackend)
 		}
 		fmt.Fprintf(out, "\nSynthesized snippet (%d attempt(s)):\n%s\n", res.Attempts, indent(res.SnippetText))
 		fmt.Fprintf(out, "Behavioural specification:\n%s\n\n", indent(res.SpecJSON))

@@ -3,13 +3,17 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/clarifynet/clarify/llm"
+	"github.com/clarifynet/clarify/llm/llmtest"
 	"github.com/clarifynet/clarify/obs"
 	"github.com/clarifynet/clarify/server"
 )
@@ -143,6 +147,47 @@ func TestRemoteSession(t *testing.T) {
 		if !strings.Contains(string(final), want) {
 			t.Errorf("final config missing %q:\n%s", want, final)
 		}
+	}
+}
+
+// TestHTTPBackendRetries runs the walkthrough with -llm http against an
+// endpoint that answers its first completion with 429 and Retry-After: 0.
+// The http backend retries that completion, so the walkthrough completes.
+func TestHTTPBackendRetries(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "isp.cfg")
+	if err := os.WriteFile(cfgPath, []byte(testConfig), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sim := llmtest.NewHandler(llm.NewSimLLM())
+	var calls atomic.Int32
+	endpoint := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			w.Header().Set("Retry-After", "0")
+			http.Error(w, `{"error":{"message":"rate limited"}}`, http.StatusTooManyRequests)
+			return
+		}
+		sim.ServeHTTP(w, r)
+	}))
+	defer endpoint.Close()
+
+	script := strings.Join([]string{
+		"Write a route-map stanza that permits routes containing the prefix 100.0.0.0/16 with mask length less than or equal to 23 and tagged with the community 300:3. Their MED value should be set to 55.",
+		"1",
+		"1",
+		"",
+	}, "\n") + "\n"
+	var out strings.Builder
+	err := run(cliOptions{configPath: cfgPath, target: "ISP_OUT", llmKind: "http", baseURL: endpoint.URL, model: "sim"},
+		strings.NewReader(script), &out)
+	if err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "Inserted at position 0 after 2 question(s)") {
+		t.Errorf("walkthrough did not complete through one 429:\n%s", out.String())
+	}
+	if got := sim.Requests(); got != 3 {
+		t.Errorf("endpoint served %d completions after the 429, want 3", got)
 	}
 }
 

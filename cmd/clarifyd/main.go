@@ -49,14 +49,14 @@
 // Logs are structured (log/slog), text by default; -log-format json switches
 // to JSON lines for machine ingestion.
 //
-// With -llm sim (the default) every session uses the deterministic simulated
-// LLM; with -llm http, sessions share an OpenAI-compatible endpoint
-// configured by -base-url/-model and $CLARIFY_API_KEY. The http backend runs
-// behind the resilience layer: retry/backoff (llm.HTTPClient), a circuit
-// breaker (-breaker-* flags), and — with -fallback-sim — a degraded-mode
-// fallback onto the simulated LLM, so a down endpoint stops hurting updates
-// instead of failing them. -chaos injects deterministic transport faults
-// (see chaoshttp.ParsePlan) for resilience drills against a live daemon.
+// With -llm sim (the default) every session uses its own deterministic
+// simulated LLM. With -llm http, sessions share one resilience.Stack, the
+// one clarify builds too: the OpenAI-compatible endpoint named by
+// -base-url/-model and $CLARIFY_API_KEY, each completion retried on 429,
+// 5xx and transport errors, behind a circuit breaker whose transitions are
+// logged, and — with -fallback-sim — a degraded-mode fallback onto the
+// simulated LLM, so a down endpoint stops hurting updates instead of
+// failing them.
 package main
 
 import (
@@ -73,7 +73,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/clarifynet/clarify/chaoshttp"
 	"github.com/clarifynet/clarify/journal"
 	"github.com/clarifynet/clarify/llm"
 	"github.com/clarifynet/clarify/resilience"
@@ -96,14 +95,7 @@ type daemonConfig struct {
 	llmKind     string
 	baseURL     string
 	model       string
-	retries     int
 	fallbackSim bool
-	chaosSpec   string
-
-	breakerFailureRate float64
-	breakerMinRequests int
-	breakerWindow      time.Duration
-	breakerCooldown    time.Duration
 
 	logFormat string
 	pprofOn   bool
@@ -132,13 +124,7 @@ func main() {
 	flag.StringVar(&cfg.llmKind, "llm", "sim", "LLM backend: sim or http")
 	flag.StringVar(&cfg.baseURL, "base-url", "https://api.openai.com/v1", "OpenAI-compatible API root (http backend)")
 	flag.StringVar(&cfg.model, "model", "gpt-4", "model identifier (http backend)")
-	flag.IntVar(&cfg.retries, "llm-retries", 3, "HTTP LLM retry budget for 429/5xx (http backend)")
 	flag.BoolVar(&cfg.fallbackSim, "fallback-sim", false, "serve completions from the simulated LLM when the http backend fails (degraded mode)")
-	flag.StringVar(&cfg.chaosSpec, "chaos", "", "inject transport faults into the http backend, e.g. \"seed=42,reset=0.2,429=0.1\" or \"down\"")
-	flag.Float64Var(&cfg.breakerFailureRate, "breaker-failure-rate", 0.5, "rolling-window failure fraction that opens the circuit breaker (http backend)")
-	flag.IntVar(&cfg.breakerMinRequests, "breaker-min-requests", 5, "minimum window sample size before the breaker evaluates the rate")
-	flag.DurationVar(&cfg.breakerWindow, "breaker-window", 30*time.Second, "rolling failure-rate window")
-	flag.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", 10*time.Second, "how long an open breaker rejects calls before probing")
 	flag.StringVar(&cfg.journalDir, "journal", "", "flight-recorder directory: append one durable record per update (replayable with clarify-replay)")
 	flag.Int64Var(&cfg.journalMaxBytes, "journal-max-bytes", 0, "rotate journal segments over this size (default 8 MiB)")
 	flag.IntVar(&cfg.journalSegments, "journal-segments", 0, "prune journal segments beyond this count (0 keeps all)")
@@ -168,63 +154,29 @@ func newLogger(format string) (*slog.Logger, error) {
 	}
 }
 
-// buildLLM assembles the LLM backend path: the session client factory and,
-// for the http backend, the resilience stack the server reports on.
-func buildLLM(cfg daemonConfig, logger *slog.Logger) (func() llm.Client, *resilience.Stack, error) {
-	switch cfg.llmKind {
-	case "sim":
-		if cfg.chaosSpec != "" || cfg.fallbackSim {
-			return nil, nil, fmt.Errorf("-chaos and -fallback-sim require -llm http")
-		}
-		return func() llm.Client { return llm.NewSimLLM() }, nil, nil
-	case "http":
-		var transport http.RoundTripper
-		if cfg.chaosSpec != "" {
-			plan, err := chaoshttp.ParsePlan(cfg.chaosSpec)
-			if err != nil {
-				return nil, nil, fmt.Errorf("-chaos: %w", err)
-			}
-			logger.Warn("chaos transport active", "plan", cfg.chaosSpec, "fault-budget", plan.FaultBudget())
-			transport = chaoshttp.New(plan, nil)
-		}
-		// One shared client: it is stateless and safe for concurrent use,
-		// and its retry/backoff absorbs transient endpoint failures.
-		primary := &llm.HTTPClient{
-			BaseURL:    cfg.baseURL,
-			Model:      cfg.model,
-			APIKey:     os.Getenv("CLARIFY_API_KEY"),
-			MaxRetries: cfg.retries,
-		}
-		if transport != nil {
-			primary.HTTP = &http.Client{Transport: transport, Timeout: 60 * time.Second}
-		}
-		var fallback llm.Client
-		if cfg.fallbackSim {
-			fallback = llm.NewSimLLM()
-		}
-		stack := resilience.NewStack(primary, "http", resilience.BreakerConfig{
-			FailureRate: cfg.breakerFailureRate,
-			MinRequests: cfg.breakerMinRequests,
-			Window:      cfg.breakerWindow,
-			Cooldown:    cfg.breakerCooldown,
-			OnStateChange: func(from, to resilience.State) {
-				logger.Warn("llm circuit breaker transition", "from", from.String(), "to", to.String())
-			},
-		}, fallback, "sim")
-		return func() llm.Client { return stack.Client() }, stack, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown -llm backend %q", cfg.llmKind)
-	}
-}
-
 func run(cfg daemonConfig) error {
 	logger, err := newLogger(cfg.logFormat)
 	if err != nil {
 		return err
 	}
-	newClient, stack, err := buildLLM(cfg, logger)
-	if err != nil {
-		return err
+	// -llm sim leaves client nil, so each session gets a SimLLM of its own.
+	var client llm.Client
+	switch cfg.llmKind {
+	case "sim":
+		if cfg.fallbackSim {
+			return fmt.Errorf("-fallback-sim requires -llm http")
+		}
+	case "http":
+		var fallback llm.Client
+		if cfg.fallbackSim {
+			fallback = llm.NewSimLLM()
+		}
+		client = resilience.NewHTTPStack(cfg.baseURL, cfg.model, os.Getenv("CLARIFY_API_KEY"), fallback,
+			func(from, to resilience.State) {
+				logger.Warn("llm circuit breaker transition", "from", from.String(), "to", to.String())
+			})
+	default:
+		return fmt.Errorf("unknown -llm backend %q", cfg.llmKind)
 	}
 
 	var jnl *journal.Journal
@@ -249,8 +201,7 @@ func run(cfg daemonConfig) error {
 		IdleTTL:         cfg.idleTTL,
 		QuestionTimeout: cfg.questionTimeout,
 		UpdateTimeout:   cfg.updateTimeout,
-		NewClient:       newClient,
-		Resilience:      stack,
+		LLM:             client,
 		Journal:         jnl,
 	}
 	if !cfg.quiet {

@@ -147,6 +147,28 @@ func (f *lbFleet) client(rt http.RoundTripper) *server.Client {
 	return &server.Client{BaseURL: f.lbSrv.URL, HTTP: hc, PollInterval: 2 * time.Millisecond}
 }
 
+// pendingQuestion reads GET …/question through c's transport: the session's
+// pending question, or nil when it has none.
+func pendingQuestion(ctx context.Context, c *server.Client, sid string) (*server.Question, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/sessions/"+sid+"/question", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.HTTP.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET question: %s", resp.Status)
+	}
+	var out server.QuestionResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return nil, err
+	}
+	return out.Question, nil
+}
+
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -275,7 +297,7 @@ func TestDrainFinishesParkedSessions(t *testing.T) {
 	}
 	var q *server.Question
 	waitFor(t, 5*time.Second, "parked question", func() bool {
-		q, err = c.Question(ctx, sid)
+		q, err = pendingQuestion(ctx, c, sid)
 		return err == nil && q != nil
 	})
 
@@ -304,18 +326,11 @@ func TestDrainFinishesParkedSessions(t *testing.T) {
 
 	// The parked Q&A still flows through the balancer to the draining
 	// replica; answering both questions completes the update.
-	last := -1
-	waitFor(t, 10*time.Second, "drained update to finish", func() bool {
-		if u, err := c.Update(ctx, sid, up.ID); err == nil && u.Status == server.StatusDone {
-			return true
-		}
-		if q, err := c.Question(ctx, sid); err == nil && q != nil && q.Seq != last {
-			if c.Answer(ctx, sid, q.Seq, 1) == nil {
-				last = q.Seq
-			}
-		}
-		return false
-	})
+	pctx, pcancel := context.WithTimeout(ctx, 10*time.Second)
+	defer pcancel()
+	if res, err := c.PollUpdate(pctx, sid, up.ID, func(server.Question) (int, error) { return 1, nil }); err != nil || res.Status != server.StatusDone {
+		t.Fatalf("drained update = %+v, %v; want done", res, err)
+	}
 	if err := <-drainDone; err != nil {
 		t.Fatalf("drain did not complete cleanly: %v", err)
 	}
@@ -720,7 +735,7 @@ func TestRestoreRePinsAffinity(t *testing.T) {
 	}
 	var parked *server.Question
 	waitFor(t, 5*time.Second, "parked question", func() bool {
-		parked, err = c.Question(ctx, sid)
+		parked, err = pendingQuestion(ctx, c, sid)
 		return err == nil && parked != nil
 	})
 
@@ -755,7 +770,7 @@ func TestRestoreRePinsAffinity(t *testing.T) {
 	// question on the survivor — and answering there finishes the update.
 	var q2 *server.Question
 	waitFor(t, 5*time.Second, "re-parked question on the survivor", func() bool {
-		q2, err = c.Question(ctx, sid)
+		q2, err = pendingQuestion(ctx, c, sid)
 		return err == nil && q2 != nil
 	})
 	if q2.Seq != parked.Seq || q2.Text != parked.Text {
@@ -912,7 +927,7 @@ func TestLBRecordsShedsPerBackend(t *testing.T) {
 	}
 	updates = append(updates, u)
 	waitFor(t, 5*time.Second, "parked question", func() bool {
-		q, err := c.Question(ctx, sids[0])
+		q, err := pendingQuestion(ctx, c, sids[0])
 		return err == nil && q != nil
 	})
 	if u, err = c.SubmitAsync(ctx, sids[1], exampleIntent, "ISP_OUT"); err != nil {

@@ -81,7 +81,7 @@ func TestRestartedBalancerFindsSessions(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		waitFor(t, 5*time.Second, "parked question", func() bool {
-			q, err := c1.Question(ctx, sid)
+			q, err := pendingQuestion(ctx, c1, sid)
 			return err == nil && q != nil
 		})
 		sessions[i] = parked{sid, up.ID, f.lb.affinity.Get(sid).Name}

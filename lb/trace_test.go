@@ -207,7 +207,7 @@ func TestRestoreCarriesTraceID(t *testing.T) {
 		t.Fatalf("submit request ID = %q, want a trace ID", origTID)
 	}
 	waitFor(t, 5*time.Second, "parked question", func() bool {
-		q, err := c.Question(ctx, sid)
+		q, err := pendingQuestion(ctx, c, sid)
 		return err == nil && q != nil
 	})
 

@@ -32,8 +32,6 @@ type HTTPClient struct {
 	// HTTP is the underlying client; a 60-second-timeout client is used when
 	// nil.
 	HTTP *http.Client
-	// Temperature defaults to 0 for reproducible synthesis.
-	Temperature float64
 	// MaxRetries is the number of re-attempts after a retryable failure
 	// (429 or 5xx status, or a transport error); 0 disables retries.
 	MaxRetries int
@@ -48,6 +46,8 @@ type HTTPClient struct {
 // maxRetryDelay caps every backoff sleep — computed or header-supplied.
 const maxRetryDelay = 30 * time.Second
 
+// chatRequest is the request body. Temperature is always 0, for
+// reproducible synthesis.
 type chatRequest struct {
 	Model       string    `json:"model"`
 	Messages    []Message `json:"messages"`
@@ -80,7 +80,7 @@ func (c *HTTPClient) Complete(ctx context.Context, req Request) (Response, error
 		msgs = append(msgs, Message{Role: RoleSystem, Content: req.System})
 	}
 	msgs = append(msgs, req.Messages...)
-	body, err := json.Marshal(chatRequest{Model: c.Model, Messages: msgs, Temperature: c.Temperature})
+	body, err := json.Marshal(chatRequest{Model: c.Model, Messages: msgs})
 	if err != nil {
 		return Response{}, fmt.Errorf("llm: marshal request: %w", err)
 	}

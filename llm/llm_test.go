@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -214,7 +215,14 @@ func TestHTTPClient(t *testing.T) {
 		if auth := r.Header.Get("Authorization"); auth != "Bearer test-key" {
 			t.Errorf("auth header = %q", auth)
 		}
-		if err := json.NewDecoder(r.Body).Decode(&gotBody); err != nil {
+		raw, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		if !strings.Contains(string(raw), `"temperature":0`) {
+			t.Errorf("request body lacks temperature 0: %s", raw)
+		}
+		if err := json.Unmarshal(raw, &gotBody); err != nil {
 			t.Error(err)
 		}
 		_ = json.NewEncoder(w).Encode(map[string]interface{}{

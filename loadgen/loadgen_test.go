@@ -111,12 +111,10 @@ func TestLoadChaosBurnRate(t *testing.T) {
 	rt := chaoshttp.New(chaoshttp.Plan{Seed: 1, Reset: 1}, endpoint.Client().Transport)
 	url := startDaemon(t, server.Options{
 		Workers: 4,
-		NewClient: func() llm.Client {
-			return &llm.HTTPClient{
-				BaseURL: endpoint.URL,
-				Model:   "sim",
-				HTTP:    &http.Client{Transport: rt, Timeout: 5 * time.Second},
-			}
+		LLM: &llm.HTTPClient{
+			BaseURL: endpoint.URL,
+			Model:   "sim",
+			HTTP:    &http.Client{Transport: rt, Timeout: 5 * time.Second},
 		},
 	})
 

@@ -1,13 +1,9 @@
 package resilience
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"time"
-
-	"github.com/clarifynet/clarify/llm"
-	"github.com/clarifynet/clarify/obs"
 )
 
 // ErrOpen is returned (without touching the backend) while the circuit
@@ -39,27 +35,27 @@ func (s State) String() string {
 	}
 }
 
+// The breaker's fixed settings: the failure fraction of the rolling window
+// that trips it, and the number of slices the window is divided into, which
+// expire individually. One half-open probe success closes it again.
+const (
+	failureRate   = 0.5
+	windowBuckets = 10
+)
+
 // BreakerConfig tunes a Breaker. The zero value selects the defaults noted
 // on each field.
 type BreakerConfig struct {
-	// FailureRate is the failure fraction of the rolling window that trips
-	// the breaker (default 0.5).
-	FailureRate float64
 	// MinRequests is the minimum window sample size before the rate is
 	// evaluated (default 5), so one failed call out of one cannot trip it.
 	MinRequests int
-	// Window is the rolling failure-rate window (default 30s), divided into
-	// Buckets (default 10) that expire individually.
-	Window  time.Duration
-	Buckets int
+	// Window is the rolling failure-rate window (default 30s).
+	Window time.Duration
 	// Cooldown is how long an open breaker rejects calls before allowing a
 	// half-open probe (default 10s).
 	Cooldown time.Duration
-	// HalfOpenProbes is the number of consecutive probe successes required
-	// to close again (default 1).
-	HalfOpenProbes int
-	// OnStateChange, when non-nil, is called (outside the breaker lock is
-	// NOT guaranteed; keep it fast) on every transition.
+	// OnStateChange, when non-nil, is called on every transition, under the
+	// breaker's lock; keep it fast.
 	OnStateChange func(from, to State)
 
 	// now overrides the clock in tests.
@@ -67,23 +63,14 @@ type BreakerConfig struct {
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureRate <= 0 || c.FailureRate > 1 {
-		c.FailureRate = 0.5
-	}
 	if c.MinRequests <= 0 {
 		c.MinRequests = 5
 	}
 	if c.Window <= 0 {
 		c.Window = 30 * time.Second
 	}
-	if c.Buckets <= 0 {
-		c.Buckets = 10
-	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 10 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -98,9 +85,8 @@ type bucket struct {
 }
 
 // Breaker is a circuit breaker over an unreliable dependency. Callers pair
-// every successful Allow with exactly one Record (or RecordCanceled); the
-// BreakerClient wrapper does this for llm.Client. All methods are safe for
-// concurrent use.
+// every successful Allow with exactly one Record (or RecordCanceled); a
+// Stack does this for its primary. All methods are safe for concurrent use.
 type Breaker struct {
 	cfg        BreakerConfig
 	bucketSpan time.Duration
@@ -112,7 +98,6 @@ type Breaker struct {
 	bucketStart time.Time
 	openedAt    time.Time
 	probing     bool // a half-open probe is in flight
-	probeOKs    int
 
 	opens         int64
 	shortCircuits int64
@@ -125,8 +110,8 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	cfg = cfg.withDefaults()
 	b := &Breaker{
 		cfg:        cfg,
-		bucketSpan: cfg.Window / time.Duration(cfg.Buckets),
-		buckets:    make([]bucket, cfg.Buckets),
+		bucketSpan: cfg.Window / windowBuckets,
+		buckets:    make([]bucket, windowBuckets),
 	}
 	b.bucketStart = cfg.now()
 	return b
@@ -159,7 +144,6 @@ func (b *Breaker) Allow() error {
 		}
 		b.transitionLocked(HalfOpen)
 		b.probing = true
-		b.probeOKs = 0
 		b.probes++
 		return nil
 	default: // HalfOpen
@@ -175,8 +159,7 @@ func (b *Breaker) Allow() error {
 
 // Record reports the outcome of an admitted call and drives transitions:
 // closed trips open at the failure-rate threshold, a half-open probe success
-// closes the breaker (after HalfOpenProbes successes) and a probe failure
-// reopens it.
+// closes the breaker and a probe failure reopens it.
 func (b *Breaker) Record(success bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -190,7 +173,7 @@ func (b *Breaker) Record(success bool) {
 		} else {
 			bk.failures++
 			if succ, fail := b.windowLocked(); succ+fail >= int64(b.cfg.MinRequests) &&
-				float64(fail)/float64(succ+fail) >= b.cfg.FailureRate {
+				float64(fail)/float64(succ+fail) >= failureRate {
 				b.tripLocked(now)
 			}
 		}
@@ -201,11 +184,8 @@ func (b *Breaker) Record(success bool) {
 			b.tripLocked(now)
 			return
 		}
-		b.probeOKs++
-		if b.probeOKs >= b.cfg.HalfOpenProbes {
-			b.resetLocked(now)
-			b.transitionLocked(Closed)
-		}
+		b.resetLocked(now)
+		b.transitionLocked(Closed)
 	case Open:
 		// A call admitted before the trip finished after it; the window is
 		// no longer consulted, so the outcome only matters for stats.
@@ -317,36 +297,3 @@ func (b *Breaker) Stats() BreakerStats {
 		WindowFailures: fail,
 	}
 }
-
-// BreakerClient wraps an llm.Client with a Breaker: calls are
-// short-circuited with ErrOpen while the breaker is open, and outcomes feed
-// the rolling window. Failures caused by the caller's own context
-// (cancellation, deadline) are not charged to the backend. Transitions
-// observed around a call are recorded on the active obs span.
-type BreakerClient struct {
-	Inner llm.Client
-	B     *Breaker
-}
-
-// Complete implements llm.Client.
-func (c *BreakerClient) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	sp := obs.SpanFromContext(ctx)
-	if err := c.B.Allow(); err != nil {
-		sp.SetBool("breaker-short-circuit", true)
-		return llm.Response{}, err
-	}
-	before := c.B.State()
-	resp, err := c.Inner.Complete(ctx, req)
-	if err != nil && ctx.Err() != nil {
-		// The caller gave up; the backend may be fine.
-		c.B.RecordCanceled()
-		return resp, err
-	}
-	c.B.Record(err == nil)
-	if after := c.B.State(); after != before {
-		sp.SetStr("breaker-transition", before.String()+"->"+after.String())
-	}
-	return resp, err
-}
-
-var _ llm.Client = (*BreakerClient)(nil)

@@ -50,13 +50,10 @@ type step struct {
 func TestBreakerTransitions(t *testing.T) {
 	cfg := func(clk *fakeClock) BreakerConfig {
 		return BreakerConfig{
-			FailureRate:    0.5,
-			MinRequests:    4,
-			Window:         10 * time.Second,
-			Buckets:        5,
-			Cooldown:       5 * time.Second,
-			HalfOpenProbes: 1,
-			now:            clk.now,
+			MinRequests: 4,
+			Window:      10 * time.Second,
+			Cooldown:    5 * time.Second,
+			now:         clk.now,
 		}
 	}
 	fail := func(st State) step { return step{call: true, success: false, wantAllow: true, wantState: st} }
@@ -154,7 +151,7 @@ func TestBreakerTransitions(t *testing.T) {
 func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	clk := newFakeClock()
 	b := NewBreaker(BreakerConfig{
-		FailureRate: 0.5, MinRequests: 2, Window: 10 * time.Second,
+		MinRequests: 2, Window: 10 * time.Second,
 		Cooldown: time.Second, now: clk.now,
 	})
 	b.Allow()
@@ -186,37 +183,11 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	}
 }
 
-func TestBreakerMultiProbeClose(t *testing.T) {
-	clk := newFakeClock()
-	b := NewBreaker(BreakerConfig{
-		FailureRate: 0.5, MinRequests: 2, Window: 10 * time.Second,
-		Cooldown: time.Second, HalfOpenProbes: 3, now: clk.now,
-	})
-	b.Allow()
-	b.Record(false)
-	b.Allow()
-	b.Record(false)
-	clk.advance(2 * time.Second)
-	for i := 0; i < 3; i++ {
-		if err := b.Allow(); err != nil {
-			t.Fatalf("probe %d not admitted: %v", i+1, err)
-		}
-		b.Record(true)
-		want := HalfOpen
-		if i == 2 {
-			want = Closed
-		}
-		if got := b.State(); got != want {
-			t.Fatalf("after probe %d: state = %v, want %v", i+1, got, want)
-		}
-	}
-}
-
 func TestBreakerStateChangeHook(t *testing.T) {
 	clk := newFakeClock()
 	var transitions []string
 	b := NewBreaker(BreakerConfig{
-		FailureRate: 0.5, MinRequests: 2, Window: 10 * time.Second, Cooldown: time.Second,
+		MinRequests: 2, Window: 10 * time.Second, Cooldown: time.Second,
 		OnStateChange: func(from, to State) {
 			transitions = append(transitions, fmt.Sprintf("%s->%s", from, to))
 		},
@@ -249,8 +220,7 @@ func TestBreakerStateChangeHook(t *testing.T) {
 // lands in a legal state with consistent counters.
 func TestBreakerConcurrentHammer(t *testing.T) {
 	b := NewBreaker(BreakerConfig{
-		FailureRate: 0.5, MinRequests: 5,
-		Window: 50 * time.Millisecond, Buckets: 5, Cooldown: 5 * time.Millisecond,
+		MinRequests: 5, Window: 50 * time.Millisecond, Cooldown: 5 * time.Millisecond,
 	})
 	const goroutines = 16
 	const opsPer = 500
@@ -308,22 +278,22 @@ func (c okClient) Complete(context.Context, llm.Request) (llm.Response, error) {
 	return llm.Response{Content: c.content}, nil
 }
 
+// TestBreakerClientShortCircuits: once the primary's breaker trips, the
+// stack stops calling the primary and counts each rejected call.
 func TestBreakerClientShortCircuits(t *testing.T) {
 	clk := newFakeClock()
 	calls := 0
-	inner := countingClient{calls: &calls, err: errors.New("down")}
-	b := NewBreaker(BreakerConfig{
-		FailureRate: 0.5, MinRequests: 3, Window: 10 * time.Second,
+	s := NewStack(countingClient{calls: &calls, err: errors.New("down")}, BreakerConfig{
+		MinRequests: 3, Window: 10 * time.Second,
 		Cooldown: time.Minute, now: clk.now,
-	})
-	c := &BreakerClient{Inner: inner, B: b}
+	}, nil)
 	for i := 0; i < 10; i++ {
-		c.Complete(context.Background(), llm.Request{})
+		s.Complete(context.Background(), llm.Request{})
 	}
 	if calls != 3 {
 		t.Errorf("inner calls = %d, want 3 (rest short-circuited)", calls)
 	}
-	if got := b.Stats().ShortCircuits; got != 7 {
+	if got := s.Breaker().Stats().ShortCircuits; got != 7 {
 		t.Errorf("short circuits = %d, want 7", got)
 	}
 }
@@ -339,16 +309,36 @@ func (c countingClient) Complete(context.Context, llm.Request) (llm.Response, er
 	return llm.Response{}, c.err
 }
 
+// callerGivesUp cancels its caller's context during the call and fails with
+// the context's error.
+type callerGivesUp struct{ cancel context.CancelFunc }
+
+func (c *callerGivesUp) Complete(ctx context.Context, _ llm.Request) (llm.Response, error) {
+	c.cancel()
+	return llm.Response{}, ctx.Err()
+}
+
+// TestBreakerClientIgnoresCallerCancellation: a primary call that fails
+// because the caller gave up mid-call is charged neither to the breaker
+// nor passed on to the fallback.
 func TestBreakerClientIgnoresCallerCancellation(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureRate: 0.5, MinRequests: 2, Window: 10 * time.Second})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c := &BreakerClient{Inner: errClient{err: context.Canceled}, B: b}
+	primary := &callerGivesUp{}
+	fallbackCalls := 0
+	s := NewStack(primary, BreakerConfig{MinRequests: 2, Window: 10 * time.Second},
+		countingClient{calls: &fallbackCalls})
 	for i := 0; i < 10; i++ {
-		c.Complete(ctx, llm.Request{})
+		ctx, cancel := context.WithCancel(context.Background())
+		primary.cancel = cancel
+		if _, err := s.Complete(ctx, llm.Request{}); err == nil {
+			t.Fatal("want error from a call its caller cancelled")
+		}
+		cancel()
 	}
-	st := b.Stats()
+	st := s.Breaker().Stats()
 	if st.State != "closed" || st.WindowRequests != 0 {
 		t.Errorf("cancelled calls charged to the backend: %+v", st)
+	}
+	if fallbackCalls != 0 {
+		t.Errorf("fallback called %d times for cancelled updates, want 0", fallbackCalls)
 	}
 }

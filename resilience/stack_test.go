@@ -3,8 +3,12 @@ package resilience
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,8 +16,11 @@ import (
 	"github.com/clarifynet/clarify/obs"
 )
 
+// The Chain tests drive a Stack's two backends, tried primary first: the
+// order its stats report as the "chain" block.
+
 func TestChainPrimaryServes(t *testing.T) {
-	ch := NewChain([]llm.Client{okClient{content: "primary"}, okClient{content: "fallback"}}, "http", "sim")
+	ch := NewStack(okClient{content: "primary"}, BreakerConfig{}, okClient{content: "fallback"})
 	ctx, flags := WithFlags(context.Background())
 	resp, err := ch.Complete(ctx, llm.Request{})
 	if err != nil || resp.Content != "primary" {
@@ -22,14 +29,14 @@ func TestChainPrimaryServes(t *testing.T) {
 	if flags.Degraded() || ch.Degraded() {
 		t.Error("primary success must not mark degraded")
 	}
-	st := ch.Stats()
+	st := ch.Stats().Chain
 	if st.Backends[0].Served != 1 || st.Fallbacks != 0 {
 		t.Errorf("stats = %+v", st)
 	}
 }
 
 func TestChainFallsBackAndMarksDegraded(t *testing.T) {
-	ch := NewChain([]llm.Client{errClient{err: errors.New("down")}, okClient{content: "fallback"}}, "http", "sim")
+	ch := NewStack(errClient{err: errors.New("down")}, BreakerConfig{}, okClient{content: "fallback"})
 	ctx, flags := WithFlags(context.Background())
 	resp, err := ch.Complete(ctx, llm.Request{})
 	if err != nil || resp.Content != "fallback" {
@@ -38,21 +45,21 @@ func TestChainFallsBackAndMarksDegraded(t *testing.T) {
 	if !flags.Degraded() {
 		t.Error("fallback completion must mark the update degraded")
 	}
-	if flags.Backend() != "sim" {
-		t.Errorf("flags backend = %q, want sim", flags.Backend())
-	}
 	if !ch.Degraded() {
 		t.Error("chain must latch degraded")
 	}
-	st := ch.Stats()
+	st := ch.Stats().Chain
 	if st.Fallbacks != 1 || st.Backends[0].Failures != 1 || st.Backends[1].Served != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+	if st.Backends[0].Name != "http" || st.Backends[1].Name != "sim" {
+		t.Errorf("backend names = %q, %q; want http, sim", st.Backends[0].Name, st.Backends[1].Name)
 	}
 }
 
 func TestChainRecoveryClearsDegraded(t *testing.T) {
 	primary := &flippableClient{err: errors.New("down")}
-	ch := NewChain([]llm.Client{primary, okClient{content: "fallback"}})
+	ch := NewStack(primary, BreakerConfig{}, okClient{content: "fallback"})
 	ch.Complete(context.Background(), llm.Request{})
 	if !ch.Degraded() {
 		t.Fatal("expected degraded after fallback")
@@ -86,7 +93,7 @@ func (c *flippableClient) Complete(context.Context, llm.Request) (llm.Response, 
 }
 
 func TestChainExhausted(t *testing.T) {
-	ch := NewChain([]llm.Client{errClient{err: errors.New("a")}, errClient{err: errors.New("b")}}, "x", "y")
+	ch := NewStack(errClient{err: errors.New("a")}, BreakerConfig{}, errClient{err: errors.New("b")})
 	_, err := ch.Complete(context.Background(), llm.Request{})
 	if err == nil {
 		t.Fatal("want error when every backend fails")
@@ -94,17 +101,19 @@ func TestChainExhausted(t *testing.T) {
 	if !strings.Contains(err.Error(), "all 2 backend(s) failed") {
 		t.Errorf("error = %v", err)
 	}
-	if got := ch.Stats().Exhausted; got != 1 {
-		t.Errorf("exhausted = %d, want 1", got)
+	st := ch.Stats().Chain
+	if st.Exhausted != 1 {
+		t.Errorf("exhausted = %d, want 1", st.Exhausted)
+	}
+	if st.Backends[0].Failures != 1 || st.Backends[1].Failures != 1 || st.Backends[1].Served != 0 {
+		t.Errorf("stats = %+v, want one failure per backend", st)
 	}
 }
 
 func TestChainAbortsOnCallerCancellation(t *testing.T) {
 	fallbackCalls := 0
-	ch := NewChain([]llm.Client{
-		errClient{err: errors.New("down")},
-		countingClient{calls: &fallbackCalls, err: errors.New("unused")},
-	})
+	ch := NewStack(errClient{err: errors.New("down")}, BreakerConfig{},
+		countingClient{calls: &fallbackCalls, err: errors.New("unused")})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := ch.Complete(ctx, llm.Request{})
@@ -117,7 +126,7 @@ func TestChainAbortsOnCallerCancellation(t *testing.T) {
 }
 
 func TestChainRecordsSpanAttributes(t *testing.T) {
-	ch := NewChain([]llm.Client{errClient{err: errors.New("down")}, okClient{content: "ok"}}, "http", "sim")
+	ch := NewStack(errClient{err: errors.New("down")}, BreakerConfig{}, okClient{content: "ok"})
 	tr := obs.NewTrace("update")
 	ctx := obs.ContextWithSpan(context.Background(), tr.Root)
 	if _, err := ch.Complete(ctx, llm.Request{}); err != nil {
@@ -134,12 +143,12 @@ func TestChainRecordsSpanAttributes(t *testing.T) {
 func TestStackShortCircuitsPrimaryAfterTrip(t *testing.T) {
 	primaryCalls := 0
 	stack := NewStack(
-		countingClient{calls: &primaryCalls, err: errors.New("down")}, "http",
-		BreakerConfig{FailureRate: 0.5, MinRequests: 3, Window: time.Minute, Cooldown: time.Minute},
-		okClient{content: "sim"}, "sim",
+		countingClient{calls: &primaryCalls, err: errors.New("down")},
+		BreakerConfig{MinRequests: 3, Window: time.Minute, Cooldown: time.Minute},
+		okClient{content: "sim"},
 	)
 	for i := 0; i < 20; i++ {
-		resp, err := stack.Client().Complete(context.Background(), llm.Request{})
+		resp, err := stack.Complete(context.Background(), llm.Request{})
 		if err != nil || resp.Content != "sim" {
 			t.Fatalf("call %d: %q, %v", i, resp.Content, err)
 		}
@@ -164,12 +173,12 @@ func TestStackShortCircuitsPrimaryAfterTrip(t *testing.T) {
 
 func TestStackNoFallbackCannotServeWhenOpen(t *testing.T) {
 	stack := NewStack(
-		errClient{err: errors.New("down")}, "http",
-		BreakerConfig{FailureRate: 0.5, MinRequests: 2, Window: time.Minute, Cooldown: time.Minute},
-		nil, "",
+		errClient{err: errors.New("down")},
+		BreakerConfig{MinRequests: 2, Window: time.Minute, Cooldown: time.Minute},
+		nil,
 	)
 	for i := 0; i < 4; i++ {
-		stack.Client().Complete(context.Background(), llm.Request{})
+		stack.Complete(context.Background(), llm.Request{})
 	}
 	if stack.CanServe() {
 		t.Error("open breaker with no fallback cannot serve")
@@ -181,18 +190,18 @@ func TestStackNoFallbackCannotServeWhenOpen(t *testing.T) {
 
 func TestStackRecovers(t *testing.T) {
 	primary := &flippableClient{err: errors.New("down")}
-	stack := NewStack(primary, "http",
-		BreakerConfig{FailureRate: 0.5, MinRequests: 2, Window: time.Minute, Cooldown: time.Millisecond},
-		okClient{content: "sim"}, "sim")
+	stack := NewStack(primary,
+		BreakerConfig{MinRequests: 2, Window: time.Minute, Cooldown: time.Millisecond},
+		okClient{content: "sim"})
 	for i := 0; i < 4; i++ {
-		stack.Client().Complete(context.Background(), llm.Request{})
+		stack.Complete(context.Background(), llm.Request{})
 	}
 	if !stack.Degraded() {
 		t.Fatal("expected degraded during outage")
 	}
 	primary.setErr(nil)
 	time.Sleep(5 * time.Millisecond) // past the cooldown
-	resp, err := stack.Client().Complete(context.Background(), llm.Request{})
+	resp, err := stack.Complete(context.Background(), llm.Request{})
 	if err != nil || resp.Content != "primary" {
 		t.Fatalf("post-recovery call = %q, %v; want primary", resp.Content, err)
 	}
@@ -201,5 +210,38 @@ func TestStackRecovers(t *testing.T) {
 	}
 	if st := stack.Stats(); st.Breaker.State != "closed" {
 		t.Errorf("breaker state = %s, want closed", st.Breaker.State)
+	}
+}
+
+// TestHTTPStackRetryBudget: the http primary re-attempts a completion three
+// times, so three 503s in a row cost one completion nothing and a fourth
+// fails it.
+func TestHTTPStackRetryBudget(t *testing.T) {
+	for _, tc := range []struct {
+		unavailable int32
+		wantErr     bool
+	}{{3, false}, {4, true}} {
+		var requests atomic.Int32
+		endpoint := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if requests.Add(1) <= tc.unavailable {
+				w.Header().Set("Retry-After", "0")
+				http.Error(w, `{"error":{"message":"overloaded"}}`, http.StatusServiceUnavailable)
+				return
+			}
+			io.WriteString(w, `{"choices":[{"message":{"role":"assistant","content":"ok"}}]}`)
+		}))
+		s := NewHTTPStack(endpoint.URL, "m", "", nil, nil)
+		resp, err := s.Complete(context.Background(), llm.Request{})
+		endpoint.Close()
+		if got := requests.Load(); got != 4 {
+			t.Errorf("%d unavailable: endpoint saw %d requests, want 4", tc.unavailable, got)
+		}
+		if tc.wantErr {
+			if err == nil || !strings.Contains(err.Error(), "all 1 backend(s) failed") {
+				t.Errorf("%d unavailable: err = %v, want the primary's failure", tc.unavailable, err)
+			}
+		} else if err != nil || resp.Content != "ok" {
+			t.Errorf("%d unavailable: Complete = %q, %v; want ok", tc.unavailable, resp.Content, err)
+		}
 	}
 }

@@ -46,19 +46,16 @@ func newChaosStack(t *testing.T, plan chaoshttp.Plan, cfg resilience.BreakerConf
 	return &chaosStack{
 		rt:       rt,
 		endpoint: endpoint,
-		stack:    resilience.NewStack(primary, "http", cfg, fallback, "sim"),
+		stack:    resilience.NewStack(primary, cfg, fallback),
 	}
 }
 
 // soakBreakerConfig trips and recovers fast enough for test timescales.
 func soakBreakerConfig() resilience.BreakerConfig {
 	return resilience.BreakerConfig{
-		FailureRate:    0.5,
-		MinRequests:    4,
-		Window:         2 * time.Second,
-		Buckets:        10,
-		Cooldown:       20 * time.Millisecond,
-		HalfOpenProbes: 2,
+		MinRequests: 4,
+		Window:      2 * time.Second,
+		Cooldown:    20 * time.Millisecond,
 	}
 }
 
@@ -132,8 +129,7 @@ func TestChaosSoak(t *testing.T) {
 		Workers:       8,
 		QueueSize:     64,
 		UpdateTimeout: 30 * time.Second,
-		NewClient:     func() llm.Client { return cs.stack.Client() },
-		Resilience:    cs.stack,
+		LLM:           cs.stack,
 	})
 	hs := httptest.NewServer(srv)
 	c := &Client{BaseURL: hs.URL, PollInterval: 2 * time.Millisecond}
@@ -235,22 +231,13 @@ func TestChaosSoak(t *testing.T) {
 // endpoint 100% down, the §2.1 update completes via the SimLLM fallback in
 // degraded mode and the daemon reports it everywhere it should.
 func TestChaosHardDownFallback(t *testing.T) {
-	plan, err := chaoshttp.ParsePlan("down")
-	if err != nil {
-		t.Fatalf("parse plan: %v", err)
-	}
 	// One walkthrough makes only ~3 primary attempts, so trip after 2 and
 	// keep the breaker open for the rest of the test.
-	cs := newChaosStack(t, plan, resilience.BreakerConfig{
-		FailureRate: 0.5,
+	cs := newChaosStack(t, chaoshttp.Plan{Reset: 1}, resilience.BreakerConfig{
 		MinRequests: 2,
 		Cooldown:    time.Hour,
 	}, true)
-	srv, c := startServer(t, Options{
-		Workers:    2,
-		NewClient:  func() llm.Client { return cs.stack.Client() },
-		Resilience: cs.stack,
-	})
+	srv, c := startServer(t, Options{Workers: 2, LLM: cs.stack})
 	ctx := context.Background()
 
 	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
@@ -316,8 +303,7 @@ func TestFaultInjectionSweep(t *testing.T) {
 					Workers:       4,
 					QueueSize:     16,
 					UpdateTimeout: 30 * time.Second,
-					NewClient:     func() llm.Client { return cs.stack.Client() },
-					Resilience:    cs.stack,
+					LLM:           cs.stack,
 				})
 				done, failed := runSessions(t, c, 4, perRun/4)
 				t.Logf("sweep rate=%.2f fallback=%v: %d/%d updates succeeded",

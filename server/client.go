@@ -224,18 +224,18 @@ func (c *Client) submit(ctx context.Context, id, intentText, target, query strin
 	return out, err
 }
 
-// Update fetches one update's view, its pending question inline, without
+// update fetches one update's view, its pending question inline, without
 // waiting.
-func (c *Client) Update(ctx context.Context, id, updateID string) (UpdateInfo, error) {
+func (c *Client) update(ctx context.Context, id, updateID string) (UpdateInfo, error) {
 	var out UpdateInfo
 	err := c.do(ctx, http.MethodGet,
 		"/v1/sessions/"+url.PathEscape(id)+"/updates/"+url.PathEscape(updateID), nil, &out)
 	return out, err
 }
 
-// Question fetches the pending disambiguation question, or nil when the
+// question fetches the pending disambiguation question, or nil when the
 // pipeline is not waiting on one.
-func (c *Client) Question(ctx context.Context, id string) (*Question, error) {
+func (c *Client) question(ctx context.Context, id string) (*Question, error) {
 	var out QuestionResponse
 	if err := c.do(ctx, http.MethodGet, "/v1/sessions/"+url.PathEscape(id)+"/question", nil, &out); err != nil {
 		return nil, err
@@ -246,15 +246,9 @@ func (c *Client) Question(ctx context.Context, id string) (*Question, error) {
 	return out.Question, nil
 }
 
-// Answer delivers the operator's choice (1 or 2) for question seq. The
+// answer delivers the operator's choice (1 or 2) for question seq. The
 // daemon holds the reply until the update's next question or its end, for
-// at most 5 s; Answer discards the view it carries.
-func (c *Client) Answer(ctx context.Context, id string, seq, option int) error {
-	_, err := c.answer(ctx, id, seq, option)
-	return err
-}
-
-// answer is Answer returning the reply: the update's next view.
+// at most 5 s, and replies with the update's next view.
 func (c *Client) answer(ctx context.Context, id string, seq, option int) (UpdateInfo, error) {
 	var out UpdateInfo
 	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/answer",

@@ -65,7 +65,7 @@ func TestClientDoesNotRetryNonIdempotent(t *testing.T) {
 	defer hs.Close()
 
 	c := &Client{BaseURL: hs.URL, RetryBaseDelay: time.Millisecond}
-	if err := c.Answer(context.Background(), "s1", 0, 1); err == nil {
+	if _, err := c.answer(context.Background(), "s1", 0, 1); err == nil {
 		t.Fatal("Answer against a 503 server succeeded, want error")
 	}
 	if got := h.hits.Load(); got != 1 {

@@ -10,13 +10,15 @@ import (
 	"github.com/clarifynet/clarify/internal/golden"
 	"github.com/clarifynet/clarify/internal/promtext"
 	"github.com/clarifynet/clarify/obs"
+	"github.com/clarifynet/clarify/resilience"
 )
 
 // TestExpositionGolden feeds fixed observations to the request-latency,
-// stage and ambiguity histograms, then compares the Prometheus exposition
-// and the ambiguity block's JSON with the golden files byte for byte. After
-// an intended change, replace a golden file with the output the failure
-// prints.
+// stage and ambiguity histograms and a fixed LLM backend-path snapshot (a
+// degraded stack whose primary breaker is open), then compares the
+// Prometheus exposition and the ambiguity and resilience blocks' JSON with
+// the golden files byte for byte. After an intended change, replace a
+// golden file with the output the failure prints.
 func TestExpositionGolden(t *testing.T) {
 	m := newMetrics()
 	for endpoint, ms := range map[string][]float64{
@@ -48,12 +50,30 @@ func TestExpositionGolden(t *testing.T) {
 
 	snap := m.snapshot()
 	snap.Ambiguity = a.snapshot()
+	snap.Resilience = &resilience.Stats{
+		Degraded: true,
+		Breaker: &resilience.BreakerStats{State: "open", Opens: 3, ShortCircuits: 41,
+			Probes: 2, ProbeFailures: 1, WindowRequests: 12, WindowFailures: 9},
+		Chain: &resilience.ChainStats{
+			Backends: []resilience.BackendStats{
+				{Name: "http", Served: 17, Failures: 50},
+				{Name: "sim", Served: 44, Failures: 6},
+			},
+			Fallbacks: 44,
+			Exhausted: 6,
+		},
+	}
 	var text bytes.Buffer
 	writePrometheus(&promtext.Writer{W: &text}, snap)
 	amb, err := json.MarshalIndent(snap.Ambiguity, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rs, err := json.MarshalIndent(snap.Resilience, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
 	golden.Check(t, "exposition.golden", text.Bytes())
 	golden.Check(t, "ambiguity.golden.json", append(amb, '\n'))
+	golden.Check(t, "resilience.golden.json", append(rs, '\n'))
 }

@@ -102,13 +102,8 @@ func TestEstimateQuantile(t *testing.T) {
 // views; GET /debug/slo answers 404 and no clarifyd_slo_* series is
 // exported.
 func TestFailedUpdatesCounter(t *testing.T) {
-	var sessions atomic.Int32
-	_, c := startServer(t, Options{Workers: 2, NewClient: func() llm.Client {
-		if sessions.Add(1) == 1 {
-			return llm.NewSimLLM()
-		}
-		return failingClient{}
-	}})
+	client := &switchableClient{sim: llm.NewSimLLM()}
+	_, c := startServer(t, Options{Workers: 2, LLM: client})
 	ctx := context.Background()
 	newSession := func() string {
 		sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
@@ -128,6 +123,7 @@ func TestFailedUpdatesCounter(t *testing.T) {
 	}
 	runWalkthrough(t, c, newSession())
 	checkFailed(0)
+	client.failing.Store(true)
 	if res, err := c.RunUpdate(ctx, newSession(), exampleIntent, "ISP_OUT", func(Question) (int, error) { return 1, nil }); err != nil || res.Status != StatusFailed {
 		t.Fatalf("update on a failing LLM = %+v, %v; want failed", res, err)
 	}
@@ -149,6 +145,20 @@ func TestFailedUpdatesCounter(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET /debug/slo = %d, want 404", resp.StatusCode)
 	}
+}
+
+// switchableClient serves from sim until failing is set, then fails every
+// completion.
+type switchableClient struct {
+	sim     llm.Client
+	failing atomic.Bool
+}
+
+func (c *switchableClient) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	if c.failing.Load() {
+		return failingClient{}.Complete(ctx, req)
+	}
+	return c.sim.Complete(ctx, req)
 }
 
 // TestServerJournal runs a journaling server and checks each update lands in

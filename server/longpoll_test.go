@@ -13,8 +13,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/clarifynet/clarify/llm"
 )
 
 // oneQuestionConfig is the §2.1 configuration without its local-preference
@@ -186,7 +184,7 @@ func TestLongPollInlineQuestion(t *testing.T) {
 		finished <- time.Now()
 	}()
 	answered := time.Now()
-	if err := c.Answer(ctx, sid, 1, 1); err != nil {
+	if _, err := c.answer(ctx, sid, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	r = <-replies
@@ -219,7 +217,7 @@ func TestLongPollWakesOnQuestion(t *testing.T) {
 	go func() { replies <- getUpdate(c.BaseURL, sid, u.ID, "?after=1") }()
 	waitInFlight(t, srv, 1)
 	answered := time.Now()
-	if err := c.Answer(ctx, sid, 1, 1); err != nil {
+	if _, err := c.answer(ctx, sid, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	r := <-replies
@@ -418,8 +416,7 @@ func TestLongPollWakesOnDrain(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, wait := range waits {
 				t.Run(wait.name, func(t *testing.T) {
-					srv, c := startServer(t, Options{Workers: 1,
-						NewClient: func() llm.Client { return blockingClient{} }})
+					srv, c := startServer(t, Options{Workers: 1, LLM: blockingClient{}})
 					ctx := context.Background()
 					sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
 					if err != nil {
@@ -561,7 +558,7 @@ func TestLongPollHandoffNeverSeesLocalFailure(t *testing.T) {
 // once with no progress, so PollUpdate pauses PollInterval between two
 // such GETs instead of spinning.
 func TestLongPollPausesWhileDraining(t *testing.T) {
-	srv := New(Options{Workers: 1, NewClient: func() llm.Client { return blockingClient{} }})
+	srv := New(Options{Workers: 1, LLM: blockingClient{}})
 	var mu sync.Mutex
 	var polls []time.Time
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

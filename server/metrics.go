@@ -244,8 +244,8 @@ type MetricsSnapshot struct {
 	// StagesMs["update"].Count, and latency is the share of that histogram
 	// at or under 500 ms.
 	FailedUpdates int64 `json:"failedUpdates"`
-	// Resilience reports the LLM backend path (circuit breaker + fallback
-	// chain) when the server was built with one; nil otherwise.
+	// Resilience reports the LLM backend path (circuit breaker and
+	// fallback) when Options.LLM is a resilience.Stack; nil otherwise.
 	Resilience *resilience.Stats `json:"resilience,omitempty"`
 	// Journal reports flight-recorder activity when journaling is enabled;
 	// nil otherwise.

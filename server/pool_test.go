@@ -132,7 +132,7 @@ func TestShutdownPurgesQueuedUpdates(t *testing.T) {
 	if err := srv.Shutdown(sctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Shutdown = %v, want deadline exceeded", err)
 	}
-	u, err := c.Update(ctx, sids[1], queued.ID)
+	u, err := c.update(ctx, sids[1], queued.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

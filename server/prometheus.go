@@ -85,7 +85,7 @@ func writePrometheus(p *promtext.Writer, snap MetricsSnapshot) {
 }
 
 // writeResilience renders the LLM backend-path series: degraded mode, the
-// primary breaker's state machine, and per-backend chain traffic.
+// primary breaker's state machine, and per-backend traffic.
 func writeResilience(p *promtext.Writer, rs *resilience.Stats) {
 	w := p.W
 	degraded := 0.0

@@ -110,7 +110,7 @@ func TestPoolContainsPanics(t *testing.T) {
 // itself keeps serving.
 func TestPanickingUpdateFailsCleanly(t *testing.T) {
 	pc := &panicClient{inner: llm.NewSimLLM(), at: 1}
-	srv, c := startServer(t, Options{Workers: 1, NewClient: func() llm.Client { return pc }})
+	srv, c := startServer(t, Options{Workers: 1, LLM: pc})
 	ctx := context.Background()
 
 	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
@@ -148,7 +148,7 @@ func TestUpdateTimeoutFreesWorker(t *testing.T) {
 	srv, c := startServer(t, Options{
 		Workers:       1,
 		UpdateTimeout: 50 * time.Millisecond,
-		NewClient:     func() llm.Client { return blockingClient{} },
+		LLM:           blockingClient{},
 	})
 	ctx := context.Background()
 
@@ -192,14 +192,10 @@ func TestUpdateTimeoutFreesWorker(t *testing.T) {
 // whose primary always fails: SimLLM serves as fallback, the update succeeds
 // flagged degraded, and /healthz + /readyz report degraded while staying 200.
 func TestDegradedModeHealthAndFlag(t *testing.T) {
-	stack := resilience.NewStack(failingClient{}, "http",
-		resilience.BreakerConfig{FailureRate: 0.5, MinRequests: 2, Cooldown: time.Hour},
-		llm.NewSimLLM(), "sim")
-	srv, c := startServer(t, Options{
-		Workers:    2,
-		NewClient:  func() llm.Client { return stack.Client() },
-		Resilience: stack,
-	})
+	stack := resilience.NewStack(failingClient{},
+		resilience.BreakerConfig{MinRequests: 2, Cooldown: time.Hour},
+		llm.NewSimLLM())
+	srv, c := startServer(t, Options{Workers: 2, LLM: stack})
 	ctx := context.Background()
 
 	sid, err := c.CreateSession(ctx, CreateSessionRequest{Config: exampleConfig})
@@ -250,13 +246,10 @@ func TestDegradedModeHealthAndFlag(t *testing.T) {
 // TestReadyzUnreadyWithoutFallback reports 503 when the breaker is open and
 // there is nothing to fall back to.
 func TestReadyzUnreadyWithoutFallback(t *testing.T) {
-	stack := resilience.NewStack(failingClient{}, "http",
-		resilience.BreakerConfig{FailureRate: 0.5, MinRequests: 1, Cooldown: time.Hour},
-		nil, "")
-	srv, _ := startServer(t, Options{
-		NewClient:  func() llm.Client { return stack.Client() },
-		Resilience: stack,
-	})
+	stack := resilience.NewStack(failingClient{},
+		resilience.BreakerConfig{MinRequests: 1, Cooldown: time.Hour},
+		nil)
+	srv, _ := startServer(t, Options{LLM: stack})
 	// Trip the breaker directly; no HTTP traffic needed.
 	stack.Breaker().Record(false)
 	if stack.Breaker().State() != resilience.Open {

@@ -43,9 +43,11 @@ type Options struct {
 	// QuestionTimeout aborts an update whose disambiguation question goes
 	// unanswered for this long (default 1m).
 	QuestionTimeout time.Duration
-	// NewClient builds the LLM client for each new session (default
-	// llm.NewSimLLM). A shared stateless client may be returned.
-	NewClient func() llm.Client
+	// LLM is the client every session completes against; it must be safe
+	// for concurrent use. Nil gives each session its own llm.SimLLM. When
+	// it is a *resilience.Stack, /healthz, /readyz and /metrics report the
+	// stack's degraded mode, breaker and backends.
+	LLM llm.Client
 	// Logger receives one structured line per request; nil disables logging.
 	Logger *log.Logger
 	// MaxConfigBytes bounds uploaded configurations (default 4 MiB).
@@ -55,11 +57,6 @@ type Options struct {
 	// budget covers LLM calls, retries, and time parked on an unanswered
 	// disambiguation question.
 	UpdateTimeout time.Duration
-	// Resilience, when non-nil, is the circuit-breaker + fallback stack the
-	// sessions' LLM clients are built around. The server only reads it — for
-	// degraded-mode health reporting and /metrics — so it must be the same
-	// stack NewClient wires into sessions.
-	Resilience *resilience.Stack
 	// Journal, when non-nil, is the flight recorder every hosted session
 	// appends to: one durable record per update (see the journal package).
 	// The server does not close it; the owner does, after Shutdown.
@@ -82,6 +79,7 @@ type Server struct {
 	amb    *ambiguityMetrics
 	traces *obs.Ring
 	spaces *symbolic.SpaceCache // shared across all hosted sessions
+	stack  *resilience.Stack    // Options.LLM when it is a stack, else nil
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -104,9 +102,6 @@ type Server struct {
 
 // New builds a Server from opts.
 func New(opts Options) *Server {
-	if opts.NewClient == nil {
-		opts.NewClient = func() llm.Client { return llm.NewSimLLM() }
-	}
 	if opts.QuestionTimeout <= 0 {
 		opts.QuestionTimeout = time.Minute
 	}
@@ -131,6 +126,7 @@ func New(opts Options) *Server {
 		cancel:  cancel,
 		drain:   make(chan struct{}),
 	}
+	s.stack, _ = opts.LLM.(*resilience.Stack)
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /readyz", s.handleReadyz)
 	s.route("GET /metrics", s.handleMetrics)
@@ -152,6 +148,15 @@ func New(opts Options) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
+// sessionLLM returns the client a new or restored session completes
+// against: the shared Options.LLM, or a SimLLM of its own.
+func (s *Server) sessionLLM() llm.Client {
+	if s.opts.LLM != nil {
+		return s.opts.LLM
+	}
+	return llm.NewSimLLM()
+}
 
 // route registers a handler wrapped with metrics and request logging, keyed
 // by the route pattern so per-endpoint counters aggregate across sessions.
@@ -249,7 +254,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if body.Draining {
 		status = http.StatusServiceUnavailable
 		body.Status = "draining"
-	} else if s.opts.Resilience.Degraded() {
+	} else if s.stack.Degraded() {
 		body.Status = "degraded"
 		body.LLM = "fallback"
 	}
@@ -267,11 +272,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	case body.Draining:
 		status = http.StatusServiceUnavailable
 		body.Status = "draining"
-	case !s.opts.Resilience.CanServe():
+	case !s.stack.CanServe():
 		status = http.StatusServiceUnavailable
 		body.Status = "unready"
 		body.LLM = "breaker-open"
-	case s.opts.Resilience.Degraded():
+	case s.stack.Degraded():
 		body.Status = "degraded"
 		body.LLM = "fallback"
 	}
@@ -292,9 +297,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap.Pipeline = s.mgr.CumulativeStats()
 	snap.SpaceCache = s.spaces.Stats()
 	snap.Traces = s.traces.Total()
-	if s.opts.Resilience != nil {
-		snap.Resilience = s.opts.Resilience.Stats()
-	}
+	snap.Resilience = s.stack.Stats()
 	if s.opts.Journal != nil {
 		js := s.opts.Journal.Stats()
 		snap.Journal = &js
@@ -337,7 +340,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := &clarify.Session{
-		Client:           s.opts.NewClient(),
+		Client:           s.sessionLLM(),
 		Config:           cfg,
 		MaxAttempts:      req.MaxAttempts,
 		EnableReuse:      req.EnableReuse,

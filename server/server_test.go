@@ -66,9 +66,9 @@ func answerPump(c *Client, sid string, stop <-chan struct{}) {
 				return
 			default:
 			}
-			q, err := c.Question(context.Background(), sid)
+			q, err := c.question(context.Background(), sid)
 			if err == nil && q != nil && q.Seq != last {
-				if err := c.Answer(context.Background(), sid, q.Seq, 1); err == nil {
+				if _, err := c.answer(context.Background(), sid, q.Seq, 1); err == nil {
 					last = q.Seq
 				}
 			}
@@ -82,7 +82,7 @@ func waitPendingQuestion(t testing.TB, c *Client, sid string) *Question {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		q, err := c.Question(context.Background(), sid)
+		q, err := c.question(context.Background(), sid)
 		if err != nil {
 			t.Fatalf("question poll: %v", err)
 		}
@@ -334,7 +334,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	for _, pair := range []struct{ sid, uid string }{{sids[0], first.ID}, {sids[1], second.ID}} {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			u, err := c.Update(ctx, pair.sid, pair.uid)
+			u, err := c.update(ctx, pair.sid, pair.uid)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -375,7 +375,7 @@ func TestBusyConflict(t *testing.T) {
 	answerPump(c, sid, stop)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		cur, err := c.Update(ctx, sid, u.ID)
+		cur, err := c.update(ctx, sid, u.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +432,7 @@ func TestQuestionTimeout(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var final UpdateInfo
 	for {
-		final, err = c.Update(ctx, sid, u.ID)
+		final, err = c.update(ctx, sid, u.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,7 +493,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("shutdown did not drain cleanly: %v", err)
 	}
-	final, err := c.Update(ctx, sid, u.ID)
+	final, err := c.update(ctx, sid, u.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestShutdownForceCancels(t *testing.T) {
 	if err := srv.Shutdown(sctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want deadline-exceeded drain, got %v", err)
 	}
-	final, err := c.Update(ctx, sid, u.ID)
+	final, err := c.update(ctx, sid, u.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -656,7 +656,7 @@ func TestBadRequests(t *testing.T) {
 		postBody(t, c.BaseURL+"/v1/sessions/"+sid+"/answer", []byte(body), http.StatusBadRequest)
 	}
 	// No update in flight: answers conflict.
-	err = c.Answer(ctx, sid, 1, 1)
+	_, err = c.answer(ctx, sid, 1, 1)
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusConflict {
 		t.Errorf("want 409 answering idle session, got %v", err)

@@ -175,7 +175,7 @@ func (s *Server) RestoreSession(snap *snapshot.Session) error {
 	}
 
 	cs := &clarify.Session{
-		Client:           s.opts.NewClient(),
+		Client:           s.sessionLLM(),
 		Config:           cfg,
 		MaxAttempts:      snap.MaxAttempts,
 		EnableReuse:      snap.EnableReuse,

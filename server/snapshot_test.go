@@ -66,13 +66,13 @@ func TestSnapshotRestoreParkedQuestion(t *testing.T) {
 	// Answer question 1, then leave question 2 parked — the state a rolling
 	// restart interrupts.
 	q1 := waitPendingQuestion(t, cA, sid)
-	if err := cA.Answer(ctx, sid, q1.Seq, 1); err != nil {
+	if _, err := cA.answer(ctx, sid, q1.Seq, 1); err != nil {
 		t.Fatalf("answer q1: %v", err)
 	}
 	var q2 *Question
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		q, err := cA.Question(ctx, sid)
+		q, err := cA.question(ctx, sid)
 		if err != nil {
 			t.Fatalf("question poll: %v", err)
 		}
@@ -113,7 +113,7 @@ func TestSnapshotRestoreParkedQuestion(t *testing.T) {
 	// Let daemon A's copy of the parked update finish so its shutdown is
 	// prompt; the snapshot is already taken. (A real SIGTERM flow would
 	// force-cancel it inside srv.Shutdown instead.)
-	if err := cA.Answer(ctx, sid, q2.Seq, 1); err != nil {
+	if _, err := cA.answer(ctx, sid, q2.Seq, 1); err != nil {
 		t.Fatalf("unpark daemon A: %v", err)
 	}
 
@@ -136,7 +136,7 @@ func TestSnapshotRestoreParkedQuestion(t *testing.T) {
 		t.Fatalf("restored question diverged:\n%s\nvs\n%s", restored.Text, q2.Text)
 	}
 	// The update is pollable under its original ID, reported waiting.
-	ru, err := cB.Update(ctx, sid, u.ID)
+	ru, err := cB.update(ctx, sid, u.ID)
 	if err != nil {
 		t.Fatalf("poll restored update %s: %v", u.ID, err)
 	}
@@ -145,7 +145,7 @@ func TestSnapshotRestoreParkedQuestion(t *testing.T) {
 	}
 
 	// Answer it; the run must complete with the baseline's exact config.
-	if err := cB.Answer(ctx, sid, restored.Seq, 1); err != nil {
+	if _, err := cB.answer(ctx, sid, restored.Seq, 1); err != nil {
 		t.Fatalf("answer restored question: %v", err)
 	}
 	final, err := cB.PollUpdate(ctx, sid, u.ID, func(q Question) (int, error) { return 1, nil })
@@ -186,13 +186,13 @@ func TestRestoreIgnoresRetiredTenantField(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	q1 := waitPendingQuestion(t, cA, sid)
-	if err := cA.Answer(ctx, sid, q1.Seq, 1); err != nil {
+	if _, err := cA.answer(ctx, sid, q1.Seq, 1); err != nil {
 		t.Fatalf("answer q1: %v", err)
 	}
 	var parked *Question
 	deadline := time.Now().Add(5 * time.Second)
 	for parked == nil {
-		if q, err := cA.Question(ctx, sid); err == nil && q != nil && q.Seq != q1.Seq {
+		if q, err := cA.question(ctx, sid); err == nil && q != nil && q.Seq != q1.Seq {
 			parked = q
 		} else if time.Now().After(deadline) {
 			t.Fatal("second question never parked")
@@ -235,14 +235,14 @@ func TestRestoreIgnoresRetiredTenantField(t *testing.T) {
 		t.Fatalf("restore = %d %+v, want 201 for %s with a pending update", resp.StatusCode, rr, sid)
 	}
 
-	if got, err := cB.Update(ctx, sid, first.ID); err != nil || got.Status != StatusDone {
+	if got, err := cB.update(ctx, sid, first.ID); err != nil || got.Status != StatusDone {
 		t.Fatalf("restored history %s = %+v, %v; want done", first.ID, got, err)
 	}
 	restored := waitPendingQuestion(t, cB, sid)
 	if restored.Seq != parked.Seq || restored.Text != parked.Text {
 		t.Fatalf("restored question = seq %d %q, want seq %d %q", restored.Seq, restored.Text, parked.Seq, parked.Text)
 	}
-	if got, err := cB.Update(ctx, sid, u.ID); err != nil || got.Status != StatusWaiting {
+	if got, err := cB.update(ctx, sid, u.ID); err != nil || got.Status != StatusWaiting {
 		t.Fatalf("restored update %s = %+v, %v; want waiting", u.ID, got, err)
 	}
 	final, err := cB.PollUpdate(ctx, sid, u.ID, func(Question) (int, error) { return 1, nil })
@@ -292,7 +292,7 @@ func TestSnapshotRestoreIdleSessionHistory(t *testing.T) {
 		t.Fatalf("restore: %v", err)
 	}
 	// History is pollable under the original update ID, result intact.
-	hu, err := cB.Update(ctx, sid, res.ID)
+	hu, err := cB.update(ctx, sid, res.ID)
 	if err != nil {
 		t.Fatalf("poll history %s: %v", res.ID, err)
 	}
@@ -568,7 +568,7 @@ func TestRestoredUpdateJournalsFullTranscript(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	q1 := waitPendingQuestion(t, cA, sid)
-	if err := cA.Answer(ctx, sid, q1.Seq, 1); err != nil {
+	if _, err := cA.answer(ctx, sid, q1.Seq, 1); err != nil {
 		t.Fatalf("answer q1: %v", err)
 	}
 	q2 := waitPendingQuestion(t, cA, sid)
@@ -581,7 +581,7 @@ func TestRestoredUpdateJournalsFullTranscript(t *testing.T) {
 	if len(snaps) != 1 || snaps[0].Pending == nil || len(snaps[0].Pending.Answers) != 1 {
 		t.Fatalf("snapshot = %+v, want one pending update with one answer", snaps)
 	}
-	if err := cA.Answer(ctx, sid, q2.Seq, 1); err != nil {
+	if _, err := cA.answer(ctx, sid, q2.Seq, 1); err != nil {
 		t.Fatalf("unpark daemon A: %v", err)
 	}
 
@@ -596,7 +596,7 @@ func TestRestoredUpdateJournalsFullTranscript(t *testing.T) {
 		t.Fatalf("restore: %v", err)
 	}
 	restored := waitPendingQuestion(t, cB, sid)
-	if err := cB.Answer(ctx, sid, restored.Seq, 1); err != nil {
+	if _, err := cB.answer(ctx, sid, restored.Seq, 1); err != nil {
 		t.Fatalf("answer restored question: %v", err)
 	}
 	final, err := cB.PollUpdate(ctx, sid, u.ID, func(Question) (int, error) { return 1, nil })
