@@ -175,10 +175,8 @@ func (s *Session) CurrentConfig() *ios.Config {
 }
 
 func (s *Session) store() *llm.PromptStore {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.Store == nil {
-		s.Store = llm.NewPromptStore()
+		return llm.BuiltinPrompts()
 	}
 	return s.Store
 }

@@ -95,7 +95,7 @@ func TestIntentsAllParse(t *testing.T) {
 	// Every evaluation intent must be within the restricted-English grammar.
 	for _, in := range Intents() {
 		sim := llm.NewSimLLM()
-		req := llm.NewPromptStore().BuildRequest(llm.TaskSynthRouteMap,
+		req := llm.BuiltinPrompts().BuildRequest(llm.TaskSynthRouteMap,
 			llm.Message{Role: llm.RoleUser, Content: in.Text})
 		if _, err := sim.Complete(context.Background(), req); err != nil {
 			t.Errorf("intent %q does not synthesize: %v", in.Text, err)

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzParse checks two invariants on arbitrary inputs: the parser never
-// panics, and anything it accepts round-trips through the canonical printer
-// (parse ∘ print ∘ parse is stable).
+// FuzzParse checks three invariants on arbitrary inputs: the parser never
+// panics, it accepts, refuses and prints what the bufio-based reference
+// splitter did (diffReference), and anything it accepts round-trips through
+// the canonical printer (parse ∘ print ∘ parse is stable).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		paperISPOut,
@@ -20,11 +21,15 @@ func FuzzParse(f *testing.F) {
 		"ip prefix-list P seq 5 deny 1.0.0.0/20 ge 24 le 28\n",
 		"! comment\n\nroute-map X deny 10\n",
 		"route-map RM permit 10\n set community 1:1 2:2 additive\n",
+		"route-map RM permit 10\r\n\tmatch local-preference 300\r\n# note\r\n set metric 55",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
+		if d := diffReference(input); d != "" {
+			t.Fatalf("Parse differs from the reference on %q: %s", input, d)
+		}
 		cfg, err := Parse(input)
 		if err != nil {
 			return // rejection is fine; panics are not

@@ -1,7 +1,6 @@
 package ios
 
 import (
-	"bufio"
 	"fmt"
 	"net/netip"
 	"strconv"
@@ -33,28 +32,29 @@ var wellKnownPorts = map[string]uint16{
 	"bgp": 179, "https": 443, "syslog": 514,
 }
 
+// maxLine bounds one line of Parse's input: a line of maxLine bytes or more,
+// a carriage return before its newline included, is refused.
+const maxLine = 1 << 20
+
 // Parse reads a configuration fragment in Cisco IOS syntax.
 func Parse(text string) (*Config, error) {
 	cfg := NewConfig()
 	p := &lineParser{cfg: cfg}
-	sc := bufio.NewScanner(strings.NewReader(text))
-	// No initial buffer: bufio starts small and grows only for long lines,
-	// so a one-line snippet does not allocate the whole 1 MiB line limit.
-	sc.Buffer(nil, 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Text()
+	for lineNo := 1; text != ""; lineNo++ {
+		raw, rest, _ := strings.Cut(text, "\n")
+		text = rest
+		if len(raw) >= maxLine {
+			return nil, fmt.Errorf("ios: line %d: %d bytes reach the %d-byte line limit", lineNo, len(raw), maxLine)
+		}
 		line := strings.TrimSpace(raw)
 		if line == "" || strings.HasPrefix(line, "!") || strings.HasPrefix(line, "#") {
 			continue
 		}
-		if err := p.line(lineNo, line); err != nil {
+		// The names and values the parser keeps are substrings of the line;
+		// a copy keeps them from holding the whole input alive.
+		if err := p.line(lineNo, strings.Clone(line)); err != nil {
 			return nil, err
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ios: %v", err)
 	}
 	return cfg, nil
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
+	"syscall"
 	"time"
 
 	"github.com/clarifynet/clarify/obs"
@@ -18,10 +20,10 @@ import (
 // (POST {BaseURL}/chat/completions). It exists so the pipeline can run
 // against a real model; the repository's experiments all use SimLLM.
 //
-// Transient endpoint failures (429 and 5xx) are retried with exponential
-// backoff and jitter so a daemon serving many sessions does not fail whole
-// updates on one flaky response. The client is stateless and safe for
-// concurrent use.
+// Transient endpoint failures (429, 5xx and transport errors other than a
+// refused connection) are retried with exponential backoff and jitter so a
+// daemon serving many sessions does not fail whole updates on one flaky
+// response. The client is stateless and safe for concurrent use.
 type HTTPClient struct {
 	// BaseURL is the API root, e.g. "https://api.openai.com/v1".
 	BaseURL string
@@ -33,7 +35,8 @@ type HTTPClient struct {
 	// nil.
 	HTTP *http.Client
 	// MaxRetries is the number of re-attempts after a retryable failure
-	// (429 or 5xx status, or a transport error); 0 disables retries.
+	// (429 or 5xx status, or a transport error other than a refused
+	// connection); 0 disables retries.
 	MaxRetries int
 	// RetryBaseDelay seeds the exponential backoff (default 500 ms; the
 	// delay doubles per attempt, ±50% jitter, capped at 30 s). A
@@ -135,10 +138,13 @@ func (c *HTTPClient) doOnce(ctx context.Context, body []byte) (Response, error) 
 	}
 	resp, err := client.Do(httpReq)
 	if err != nil {
-		if ctx.Err() != nil {
+		// A refused connection means nothing listens at the endpoint, so
+		// the request was never sent: a retry would only delay the
+		// fallback.
+		if ctx.Err() != nil || errors.Is(err, syscall.ECONNREFUSED) {
 			return Response{}, fmt.Errorf("llm: request failed: %w", err)
 		}
-		// Transport-level failures (connection reset, DNS blip) are
+		// Other transport-level failures (connection reset, DNS blip) are
 		// transient by nature.
 		return Response{}, &retryableError{err: fmt.Errorf("llm: request failed: %w", err)}
 	}

@@ -18,7 +18,7 @@ const paperPrompt = `Write a route-map stanza that permits routes containing the
 
 func complete(t *testing.T, c Client, task Task, text string) Response {
 	t.Helper()
-	store := NewPromptStore()
+	store := BuiltinPrompts()
 	resp, err := c.Complete(context.Background(), store.BuildRequest(task, Message{Role: RoleUser, Content: text}))
 	if err != nil {
 		t.Fatalf("Complete(%v): %v", task, err)
@@ -143,7 +143,7 @@ func TestSimACLSynthesisAndSpec(t *testing.T) {
 
 func TestSimFeedbackMarkerExtraction(t *testing.T) {
 	sim := NewSimLLM()
-	store := NewPromptStore()
+	store := BuiltinPrompts()
 	// Retry turn: feedback followed by the restated intent.
 	feedback := "The previous stanza was rejected: route 100.0.0.0/24 should be handled but is not matched." +
 		FeedbackIntentMarker + paperPrompt
@@ -162,7 +162,7 @@ func TestSimFeedbackMarkerExtraction(t *testing.T) {
 
 func TestSimRejectsUnparseableIntent(t *testing.T) {
 	sim := NewSimLLM()
-	store := NewPromptStore()
+	store := BuiltinPrompts()
 	_, err := sim.Complete(context.Background(), store.BuildRequest(TaskSynthRouteMap,
 		Message{Role: RoleUser, Content: "please make the network good"}))
 	if err == nil {
@@ -170,8 +170,25 @@ func TestSimRejectsUnparseableIntent(t *testing.T) {
 	}
 }
 
+// TestBuiltinPromptsShared: every call returns the one store, and changing
+// an entry Get returned leaves the store as it was.
+func TestBuiltinPromptsShared(t *testing.T) {
+	if BuiltinPrompts() != BuiltinPrompts() {
+		t.Fatal("BuiltinPrompts built a second store")
+	}
+	e := BuiltinPrompts().Get(TaskClassify)
+	want := e.FewShots[0].Content
+	e.FewShots[0].Content = "changed"
+	if got := BuiltinPrompts().Get(TaskClassify).FewShots[0].Content; got != want {
+		t.Errorf("few-shot turn reads %q after a caller changed its copy, want %q", got, want)
+	}
+	if got := BuiltinPrompts().BuildRequest(TaskClassify).Messages[0].Content; got != want {
+		t.Errorf("BuildRequest's first turn reads %q after a caller changed its copy, want %q", got, want)
+	}
+}
+
 func TestPromptStoreShapes(t *testing.T) {
-	store := NewPromptStore()
+	store := BuiltinPrompts()
 	for _, task := range []Task{TaskClassify, TaskSynthRouteMap, TaskSynthACL, TaskSpecRouteMap, TaskSpecACL} {
 		e := store.Get(task)
 		if e.System == "" {
@@ -233,7 +250,7 @@ func TestHTTPClient(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := &HTTPClient{BaseURL: srv.URL + "/v1", Model: "gpt-4", APIKey: "test-key"}
-	resp, err := c.Complete(context.Background(), NewPromptStore().BuildRequest(TaskClassify,
+	resp, err := c.Complete(context.Background(), BuiltinPrompts().BuildRequest(TaskClassify,
 		Message{Role: RoleUser, Content: paperPrompt}))
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ type Handler struct {
 
 // NewHandler wraps client as a chat-completions endpoint.
 func NewHandler(client llm.Client) *Handler {
-	return &Handler{client: client, store: llm.NewPromptStore()}
+	return &Handler{client: client, store: llm.BuiltinPrompts()}
 }
 
 // Requests counts completions served (successful or not).

@@ -15,7 +15,7 @@ func TestHandlerServesSimLLMOverHTTP(t *testing.T) {
 	defer srv.Close()
 
 	client := &llm.HTTPClient{BaseURL: srv.URL, Model: "sim"}
-	store := llm.NewPromptStore()
+	store := llm.BuiltinPrompts()
 
 	// Classification round-trips through the real HTTP client wire format.
 	resp, err := client.Complete(context.Background(), store.BuildRequest(llm.TaskClassify,
@@ -62,7 +62,7 @@ func TestHandlerSurfacesClientErrors(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	client := &llm.HTTPClient{BaseURL: srv.URL, Model: "sim"}
-	store := llm.NewPromptStore()
+	store := llm.BuiltinPrompts()
 	_, err := client.Complete(context.Background(), store.BuildRequest(llm.TaskSynthRouteMap,
 		llm.Message{Role: llm.RoleUser, Content: "gibberish that parses as no intent"}))
 	if err == nil {

@@ -1,5 +1,7 @@
 package llm
 
+import "slices"
+
 // PromptStore is the database of system prompts and few-shot examples
 // retrieved in step (2) of Figure 1. The defaults reproduce the paper's
 // augmentation: a task description restricting output to a single stanza in
@@ -15,8 +17,13 @@ type PromptEntry struct {
 	FewShots []Message // alternating user/assistant example turns
 }
 
-// NewPromptStore returns the built-in prompt database.
-func NewPromptStore() *PromptStore {
+// BuiltinPrompts returns the built-in prompt database. It is built once per
+// process and nothing modifies it, so every session shares the one store.
+func BuiltinPrompts() *PromptStore { return builtinPrompts }
+
+var builtinPrompts = newBuiltinPrompts()
+
+func newBuiltinPrompts() *PromptStore {
 	return &PromptStore{prompts: map[Task]PromptEntry{
 		TaskClassify: {
 			System: `You are a network configuration assistant. Classify the user's request as exactly one of: "route-map" (BGP routing policy: routes, prefixes, communities, AS paths, local preference, MED) or "acl" (packet filtering: traffic, protocols, ports, hosts). Reply with only the single word route-map or acl.`,
@@ -60,8 +67,13 @@ func NewPromptStore() *PromptStore {
 	}}
 }
 
-// Get returns the prompt entry for a task.
-func (s *PromptStore) Get(task Task) PromptEntry { return s.prompts[task] }
+// Get returns the prompt entry for a task. Its FewShots is a copy, so the
+// caller cannot change the store.
+func (s *PromptStore) Get(task Task) PromptEntry {
+	e := s.prompts[task]
+	e.FewShots = slices.Clone(e.FewShots)
+	return e
+}
 
 // BuildRequest assembles a full request: system prompt, few-shot examples,
 // then the conversation turns.

@@ -2,12 +2,17 @@ package llm
 
 import (
 	"context"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
+
+	"github.com/clarifynet/clarify/chaoshttp"
 )
 
 const chatOK = `{"choices":[{"message":{"role":"assistant","content":"route-map X permit 10\n"}}]}`
@@ -74,6 +79,39 @@ func TestHTTPClientDoesNotRetryClientErrors(t *testing.T) {
 	}
 	if count.Load() != 1 {
 		t.Errorf("%d attempts, want 1 (4xx is not retryable)", count.Load())
+	}
+}
+
+// TestHTTPClientDoesNotRetryRefusedConnection: nothing listens, so the
+// request was never sent, and the client fails at once rather than
+// sleeping through its retry budget.
+func TestHTTPClientDoesNotRetryRefusedConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	c := &HTTPClient{BaseURL: "http://" + ln.Addr().String(), Model: "m", MaxRetries: 3}
+	start := time.Now()
+	_, err = c.Complete(context.Background(), Request{Task: TaskClassify,
+		Messages: []Message{{Role: RoleUser, Content: "x"}}})
+	if elapsed := time.Since(start); !errors.Is(err, syscall.ECONNREFUSED) || elapsed >= 200*time.Millisecond {
+		t.Errorf("Complete against a refused port = %v after %s; want ECONNREFUSED within 200ms", err, elapsed)
+	}
+}
+
+// TestHTTPClientRetriesConnectionReset: a reset connection may have lost a
+// request the endpoint would have served, so it is retried.
+func TestHTTPClientRetriesConnectionReset(t *testing.T) {
+	var count atomic.Int64
+	srv := retryServer(t, 0, http.StatusOK, &count)
+	rt := chaoshttp.New(chaoshttp.Plan{Reset: 1}, srv.Client().Transport)
+	c := &HTTPClient{BaseURL: srv.URL, Model: "m", HTTP: &http.Client{Transport: rt},
+		MaxRetries: 2, RetryBaseDelay: time.Millisecond}
+	_, err := c.Complete(context.Background(), Request{Task: TaskClassify,
+		Messages: []Message{{Role: RoleUser, Content: "x"}}})
+	if !errors.Is(err, syscall.ECONNRESET) || rt.Counts().Total != 3 {
+		t.Errorf("Complete = %v after %d attempts; want ECONNRESET after 3", err, rt.Counts().Total)
 	}
 }
 

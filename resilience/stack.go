@@ -18,8 +18,8 @@ const (
 )
 
 // httpRetries is the number of times the primary re-attempts a completion
-// after a 429, a 5xx or a transport error, before its breaker counts it
-// failed.
+// after a 429, a 5xx or a transport error other than a refused connection,
+// before its breaker counts it failed.
 const httpRetries = 3
 
 // Stack is the LLM backend path: a breaker-guarded primary and an optional

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -243,5 +244,28 @@ func TestHTTPStackRetryBudget(t *testing.T) {
 		} else if err != nil || resp.Content != "ok" {
 			t.Errorf("%d unavailable: Complete = %q, %v; want ok", tc.unavailable, resp.Content, err)
 		}
+	}
+}
+
+// TestHTTPStackRefusedFallsBackAtOnce: with nothing listening at the
+// endpoint, the fallback serves the completion without waiting out the
+// primary's retry budget.
+func TestHTTPStackRefusedFallsBackAtOnce(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	s := NewHTTPStack("http://"+ln.Addr().String(), "m", "", llm.NewSimLLM(), nil)
+	ctx, flags := WithFlags(context.Background())
+	req := llm.BuiltinPrompts().BuildRequest(llm.TaskClassify, llm.Message{Role: llm.RoleUser,
+		Content: "Write an ACL entry that blocks udp traffic to port 53."})
+	start := time.Now()
+	resp, err := s.Complete(ctx, req)
+	if elapsed := time.Since(start); err != nil || resp.Content != "acl" || elapsed >= 200*time.Millisecond {
+		t.Errorf("Complete = %q, %v after %s; want the fallback's acl within 200ms", resp.Content, err, elapsed)
+	}
+	if st := s.Stats().Chain; !flags.Degraded() || st.Fallbacks != 1 {
+		t.Errorf("degraded = %v, stats = %+v; want one fallback", flags.Degraded(), st)
 	}
 }

@@ -103,16 +103,47 @@ func runSessions(t *testing.T, c *Client, sessions, perSession int) (int64, int6
 }
 
 // TestChaosSoak hammers a daemon whose primary LLM endpoint injects mixed
-// faults, then goes hard-down, then heals — asserting every update reaches a
-// terminal state, the breaker opens under sustained failure and closes after
-// recovery, no session wedges, and no goroutines leak.
+// faults, then a second daemon whose endpoint goes hard-down and then heals
+// — asserting every update reaches a terminal state, the mixed faults reach
+// the retried primary, the breaker opens under sustained failure and closes
+// after recovery, no session wedges, and no goroutines leak.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
 	baseline := runtime.NumGoroutine()
+	start := func(cs *chaosStack) (*Server, *httptest.Server, *Client) {
+		srv := New(Options{
+			Workers:       8,
+			QueueSize:     64,
+			UpdateTimeout: 30 * time.Second,
+			LLM:           cs.stack,
+		})
+		hs := httptest.NewServer(srv)
+		return srv, hs, &Client{BaseURL: hs.URL, PollInterval: 2 * time.Millisecond}
+	}
+	stop := func(srv *Server, hs *httptest.Server, cs *chaosStack) {
+		// No stuck sessions: every hosted session must be idle (not busy).
+		for _, sn := range srv.mgr.List() {
+			if info := sn.info(); info.Busy {
+				t.Errorf("session %s still busy after soak", info.ID)
+			}
+		}
+		sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer scancel()
+		if err := srv.Shutdown(sctx); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		hs.Close()
+		cs.endpoint.Close()
+	}
 
-	cs := newChaosStack(t, chaoshttp.Plan{
+	// Phase 1: mixed chaos against a breaker that cannot open within it (its
+	// MinRequests is above the phase's ~600 completions), so every
+	// completion reaches the retried primary. Retries plus the fallback must
+	// keep every update terminal; with SimLLM behind both backends they
+	// should all succeed.
+	mixed := newChaosStack(t, chaoshttp.Plan{
 		Seed:         42,
 		Reset:        0.12,
 		HTTP429:      0.08,
@@ -123,31 +154,40 @@ func TestChaosSoak(t *testing.T) {
 		Latency:      0.2,
 		LatencyDelay: time.Millisecond,
 		StallDelay:   5 * time.Millisecond,
-	}, soakBreakerConfig(), true)
-
-	srv := New(Options{
-		Workers:       8,
-		QueueSize:     64,
-		UpdateTimeout: 30 * time.Second,
-		LLM:           cs.stack,
-	})
-	hs := httptest.NewServer(srv)
-	c := &Client{BaseURL: hs.URL, PollInterval: 2 * time.Millisecond}
-
-	// Phase 1: mixed chaos. Retries plus the fallback must keep every update
-	// terminal; with SimLLM behind both backends they should all succeed.
+	}, resilience.BreakerConfig{MinRequests: 1 << 20}, true)
+	srv, hs, c := start(mixed)
 	done, failed := runSessions(t, c, 10, 20)
-	t.Logf("mixed chaos: done=%d failed=%d injected: %s", done, failed, cs.rt.Counts())
+	counts := mixed.rt.Counts()
+	t.Logf("mixed chaos: done=%d failed=%d injected: %s", done, failed, counts)
 	if done+failed != 200 {
 		t.Fatalf("lost updates: done=%d failed=%d, want 200 terminal", done, failed)
 	}
 	if done == 0 {
 		t.Fatal("no update succeeded under mixed chaos")
 	}
+	if counts.Total < 300 {
+		t.Errorf("mixed chaos sent %d requests to the primary, want at least 300", counts.Total)
+	}
+	for _, kind := range []string{"reset", "http429", "http503", "garbage", "truncate", "stall"} {
+		if counts.Injected[kind] == 0 {
+			t.Errorf("mixed chaos injected no %s fault: %s", kind, counts)
+		}
+	}
+	if bs := mixed.stack.Breaker().Stats(); bs.Opens != 0 {
+		t.Errorf("breaker = %+v after mixed chaos, want never opened", bs)
+	}
+	stop(srv, hs, mixed)
 
-	// Phase 2: hard-down primary. Phase 1's successes still dominate the
-	// rolling window, so keep failing traffic flowing until they expire and
-	// the failure rate trips the breaker; the fallback must serve throughout.
+	// Phase 2: hard-down primary, behind a breaker that trips at test
+	// timescales. A healthy start fills its rolling window with successes,
+	// which the failures must outnumber or outlive before the failure rate
+	// trips it, so keep failing traffic flowing until it opens; the
+	// fallback must serve throughout.
+	cs := newChaosStack(t, chaoshttp.Plan{}, soakBreakerConfig(), true)
+	srv, hs, c = start(cs)
+	if _, f := runSessions(t, c, 4, 2); f != 0 {
+		t.Fatalf("healthy start: %d updates failed", f)
+	}
 	cs.rt.SetPlan(chaoshttp.Plan{Reset: 1})
 	openBy := time.Now().Add(30 * time.Second)
 	for cs.stack.Breaker().State() != resilience.Open {
@@ -198,21 +238,8 @@ func TestChaosSoak(t *testing.T) {
 		t.Error("stack still degraded after breaker closed and primary served")
 	}
 
-	// No stuck sessions: every hosted session must be idle (not busy).
-	for _, sn := range srv.mgr.List() {
-		if info := sn.info(); info.Busy {
-			t.Errorf("session %s still busy after soak", info.ID)
-		}
-	}
-
 	// Drain and check for goroutine leaks.
-	sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer scancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	hs.Close()
-	cs.endpoint.Close()
+	stop(srv, hs, cs)
 	leakDeadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
